@@ -31,7 +31,7 @@ HOST_COUNTS = (1, 2, 4)
 
 
 def _cluster_sweep(pos, mass, hosts):
-    tc = TreeCode(theta=0.75, n_crit=N_CRIT, kernels="numpy",
+    tc = TreeCode(theta=0.75, n_crit=N_CRIT,
                   cluster=ClusterSpec(hosts=hosts, boards=2))
     t0 = time.perf_counter()
     acc, pot = tc.accelerations(pos, mass, EPS)
@@ -48,7 +48,7 @@ def test_cluster_scaling(benchmark, results_dir):
     pos, _, mass = plummer_model(N, rng)
 
     def measure():
-        tc0 = TreeCode(theta=0.75, n_crit=N_CRIT, kernels="numpy",
+        tc0 = TreeCode(theta=0.75, n_crit=N_CRIT,
                        backend=GrapeBackend())
         acc0, pot0 = tc0.accelerations(pos, mass, EPS)
         serial_model = tc0.backend.model_seconds

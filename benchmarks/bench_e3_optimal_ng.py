@@ -22,7 +22,6 @@ import pytest
 
 from conftest import emit
 from repro.bench import register
-from repro.bench.runner import current_kernels
 from repro.core import TreeCode
 from repro.perf.model import (FittedListLength, PAPER_LIST_LENGTH, PAPER_N,
                               PAPER_NG, PerformanceModel)
@@ -41,8 +40,7 @@ def test_e3_optimal_group_size(benchmark, cosmo_snapshot, results_dir):
     def measure_lists():
         ng, ll = [], []
         for ncrit in NCRITS:
-            tc = TreeCode(theta=0.75, n_crit=ncrit,
-                          kernels=current_kernels())
+            tc = TreeCode(theta=0.75, n_crit=ncrit)
             tc.accelerations(pos, mass, eps)
             s = tc.last_stats
             ng.append(s.mean_group_size)

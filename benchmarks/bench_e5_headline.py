@@ -20,7 +20,7 @@ import pytest
 
 from conftest import emit
 from repro.bench import register
-from repro.bench.runner import current_kernels, current_tracer
+from repro.bench.runner import current_tracer
 from repro.core import TreeCode
 from repro.grape import GrapeBackend
 from repro.host.machine import ALPHASERVER_DS10
@@ -38,7 +38,7 @@ def test_e5_headline(benchmark, cosmo_snapshot, results_dir):
 
     backend = GrapeBackend()
     tc = TreeCode(theta=theta, n_crit=400, backend=backend,
-                  tracer=current_tracer(), kernels=current_kernels())
+                  tracer=current_tracer())
 
     def force_step():
         backend.reset_stats()
@@ -98,7 +98,6 @@ def test_e5_headline(benchmark, cosmo_snapshot, results_dir):
     # regression gate watches (BENCH_PR4.json, docs/benchmarking.md)
     live_wall = float(benchmark.stats["median"])
     benchmark.extra_info.update({
-        "kernels": current_kernels(),
         "live_n_particles": int(n),
         "live_interactions": float(stats.total_interactions),
         "interactions_per_second": (
@@ -146,8 +145,7 @@ def test_e5_ratio_vs_ng(benchmark, cosmo_snapshot, results_dir):
     def sweep():
         rows = []
         for ncrit in (50, 200, 800, 3200):
-            tc = TreeCode(theta=theta, n_crit=ncrit,
-                          kernels=current_kernels())
+            tc = TreeCode(theta=theta, n_crit=ncrit)
             tc.accelerations(pos, mass, eps)
             s = tc.last_stats
             rows.append({

@@ -42,15 +42,11 @@ from .schema import make_document, wall_stats
 from .workloads import PROVIDERS, workload
 
 __all__ = ["BenchTimer", "RunnerConfig", "run_benchmarks",
-           "current_tracer", "current_kernels", "current_cluster"]
+           "current_tracer", "current_cluster"]
 
 #: Tracer handed to benchmarks while profiling (NULL_TRACER otherwise).
 _TRACER: contextvars.ContextVar = contextvars.ContextVar(
     "repro_bench_tracer", default=None)
-
-#: Kernel-set name selected by ``repro bench run --kernels``.
-_KERNELS: contextvars.ContextVar = contextvars.ContextVar(
-    "repro_bench_kernels", default=None)
 
 #: (hosts, boards) selected by ``repro bench run --hosts/--boards``.
 _CLUSTER: contextvars.ContextVar = contextvars.ContextVar(
@@ -70,18 +66,6 @@ def current_tracer():
         from repro.obs import NULL_TRACER
         return NULL_TRACER
     return tracer
-
-
-def current_kernels() -> str:
-    """The kernel-set name of the benchmark run in progress.
-
-    ``repro bench run --kernels numpy`` routes the selection here;
-    benchmark bodies pass it to ``TreeCode(kernels=...)``.  Under plain
-    pytest (or with no ``--kernels`` flag) it returns ``"python"``, the
-    reference set, so results stay comparable to earlier releases
-    unless a mode is requested explicitly.
-    """
-    return _KERNELS.get() or "python"
 
 
 def current_cluster():
@@ -162,9 +146,6 @@ class RunnerConfig:
     warmup: Optional[int] = None
     #: Enable cProfile + obs phase timers per benchmark.
     profile: bool = False
-    #: Kernel-set selection exposed via :func:`current_kernels`
-    #: (None: the "python" reference set).
-    kernels: Optional[str] = None
     #: Emulated cluster hosts exposed via :func:`current_cluster`
     #: (None: single host).
     hosts: Optional[int] = None
@@ -182,8 +163,7 @@ class RunnerConfig:
     def as_json(self) -> Dict[str, Any]:
         """The ``config`` section of the result document."""
         out = {"tier": self.tier or "full", "rounds": self.rounds,
-               "warmup": self.warmup, "profile": self.profile,
-               "kernels": self.kernels or "python"}
+               "warmup": self.warmup, "profile": self.profile}
         if self.hosts is not None or self.boards is not None:
             out["hosts"] = self.hosts if self.hosts is not None else 1
             out["boards"] = self.boards if self.boards is not None else 2
@@ -234,7 +214,6 @@ def _run_one(spec: BenchmarkSpec, config: RunnerConfig,
     tracer = None
     profiler = None
     token = None
-    ktoken = _KERNELS.set(config.kernels)
     cluster = None
     if config.hosts is not None or config.boards is not None:
         cluster = (config.hosts if config.hosts is not None else 1,
@@ -262,7 +241,6 @@ def _run_one(spec: BenchmarkSpec, config: RunnerConfig,
     finally:
         if token is not None:
             _TRACER.reset(token)
-        _KERNELS.reset(ktoken)
         _CLUSTER.reset(ctoken)
     total = time.perf_counter() - t0
 

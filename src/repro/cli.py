@@ -67,14 +67,9 @@ integrity sweep reported findings (``store verify``).
 Parallel execution (``run``/``resume``/``sweep``): ``--engine
 pipeline`` evaluates forces on a pool of worker processes (size
 ``--workers``) that overlaps tree traversal with force evaluation;
-the default ``--engine serial`` is the sequential path and is
-bit-identical to earlier releases.
-
-Kernel selection (``run``/``resume``/``sweep``/``bench run``):
-``--kernels numpy`` switches the treecode onto the vectorized batch
-kernels (identical tree, forces equal to tight float tolerance; see
-docs/kernels.md); the default ``--kernels python`` is the per-particle
-reference path, bit-identical to earlier releases.
+the default ``--engine serial`` evaluates each sweep in-process.
+Either way every interaction-list sweep goes through the backend's
+``eval_lists`` (docs/kernels.md) and the results are bit-identical.
 
 Observability (``run``/``resume``/``sweep``): ``--profile`` prints the
 section-5-style per-phase wall-time table at the end, ``--trace
@@ -129,22 +124,12 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--engine", choices=("serial", "pipeline"),
                      default="serial",
                      help="force-evaluation engine: 'serial' (default, "
-                          "the sequential submit/gather path) or "
+                          "in-process) or "
                           "'pipeline' (multiprocess workers overlapping "
                           "traversal and force evaluation)")
     obs.add_argument("--workers", type=int, default=None, metavar="N",
                      help="pipeline worker processes "
                           "(default: all cores)")
-    # no argparse choices= here: unknown names flow through
-    # resolve_kernels() so the error lands on the command stream as a
-    # uniform exit-2 usage error (and stays open to registered
-    # third-party kernel sets)
-    obs.add_argument("--kernels", default=None,
-                     metavar="{python,numpy}",
-                     help="force/tree kernel set: 'python' (default, "
-                          "the per-particle reference path) or 'numpy' "
-                          "(vectorized batch kernels; identical tree, "
-                          "forces equal to tight float tolerance)")
     obs.add_argument("--hosts", type=int, default=None, metavar="K",
                      help="emulate a K-host PC-GRAPE cluster (domain-"
                           "decomposed sinks, locally-essential-tree "
@@ -273,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="after running, gate against this baseline "
                          "(a path, or a name under "
                          "benchmarks/baselines/)")
-    br.add_argument("--kernels", default=None,
-                    metavar="{python,numpy}",
-                    help="kernel set exposed to benchmark bodies via "
-                         "current_kernels() (default: python)")
     br.add_argument("--hosts", type=int, default=None, metavar="K",
                     help="emulated cluster hosts exposed to benchmark "
                          "bodies via current_cluster() (default: "
@@ -370,10 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--max-recoveries", type=int, default=3,
                    metavar="K")
     u.add_argument("--faults", default=None, metavar="PLAN")
-    u.add_argument("--kernels", default=None,
-                   metavar="{python,numpy}",
-                   help="kernel set the job runs under "
-                        "(default: python)")
     u.add_argument("--wait", action="store_true",
                    help="poll the job to completion; nonzero exit if "
                         "it does not finish 'done'")
@@ -504,9 +481,8 @@ def _make_flight(args):
 def _make_engine(args, plan=None):
     """Build the requested force-evaluation engine (or None for serial).
 
-    ``None`` keeps the treecode on its built-in sequential
-    submit/gather path, which stays the default and is bit-identical
-    to the pre-engine code.
+    ``None`` keeps the treecode on its in-process sweep, which is the
+    default; the engines are bit-identical to it.
     """
     from repro.exec import make_engine
     name = getattr(args, "engine", "serial")
@@ -555,7 +531,6 @@ def _make_force(args, tracer=None, registry=None, flight=None):
                        tracer=tracer, metrics=registry,
                        fault_injector=injector,
                        max_retries=getattr(args, "max_retries", 2),
-                       kernels=getattr(args, "kernels", None),
                        cluster=_cluster_spec(args))
 
 
@@ -622,13 +597,11 @@ def cmd_info(args, out) -> int:
 
 def cmd_run(args, out) -> int:
     from repro.cosmo import SCDM
-    from repro.core.kernels import resolve_kernels
     from repro.sim import Simulation, slab
     from repro.sim.checkpoint import save_checkpoint
     from repro.sim.recipes import carve_run_region, run_schedule
     from repro.viz import surface_density, write_pgm
 
-    resolve_kernels(args.kernels)  # usage check before the (slow) ICs
     region = carve_run_region(ngrid=args.ngrid, seed=args.seed,
                               z_init=args.z_init)
     print(f"N = {region.n_particles} particles of "
@@ -671,8 +644,7 @@ def cmd_run(args, out) -> int:
         sim.close()
     _report_run(sim, backend, out)
     extra = {"backend": args.backend, "theta": args.theta,
-             "n_crit": args.ncrit, "seed": args.seed,
-             "kernels": force.kernels.name}
+             "n_crit": args.ncrit, "seed": args.seed}
     if getattr(backend, "is_cluster", False):
         extra["cluster"] = backend.summary()
     _emit_obs(args, tracer, registry, out, extra=extra, flight=flight)
@@ -730,8 +702,6 @@ def cmd_sweep(args, out) -> int:
     from repro.perf.report import format_table
     from repro.sim.models import plummer_model
 
-    from repro.core.kernels import resolve_kernels
-    kernels = resolve_kernels(args.kernels)  # fail fast on bad names
     rng = np.random.default_rng(args.seed)
     pos, _, mass = plummer_model(args.n, rng)
     tracer, registry = _make_obs(args)
@@ -746,7 +716,7 @@ def cmd_sweep(args, out) -> int:
         for ncrit in (64, 256, 1024, 4096):
             tc = TreeCode(theta=args.theta, n_crit=ncrit, engine=engine,
                           tracer=tracer, metrics=registry,
-                          kernels=kernels, cluster=_cluster_spec(args))
+                          cluster=_cluster_spec(args))
             tc.accelerations(pos, mass, 0.01)
             s = tc.last_stats
             rows.append({"n_crit": ncrit,
@@ -878,11 +848,9 @@ def _dispatch_bench(args, out, cmd) -> int:
                   f"(median {w['median']:.4g} s over "
                   f"{w['n_rounds']} round(s))", file=out, flush=True)
 
-    from repro.core.kernels import resolve_kernels
     config = RunnerConfig(tier=args.tier if not args.ids else "ids",
                           rounds=args.rounds, warmup=args.warmup,
                           profile=args.profile, progress=progress,
-                          kernels=resolve_kernels(args.kernels).name,
                           hosts=args.hosts, boards=args.boards)
     print(f"running {len(specs)} benchmark(s):", file=out)
     doc = run_benchmarks(specs, config)
@@ -1043,7 +1011,7 @@ def _submit_spec(args) -> dict:
             "engine": args.engine, "workers": args.workers,
             "checkpoint_every": args.checkpoint_every,
             "max_recoveries": args.max_recoveries,
-            "faults": args.faults, "kernels": args.kernels}
+            "faults": args.faults}
 
 
 def cmd_submit(args, out) -> int:

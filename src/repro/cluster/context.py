@@ -211,14 +211,14 @@ class ClusterContext:
 
     # -- evaluation ----------------------------------------------------
     def evaluate(self, tree, lists, sink_center, sink_start, sink_count,
-                 eps, out_acc, out_pot, *, batched: bool = True) -> None:
+                 eps, out_acc, out_pot) -> None:
         """One decomposed force sweep over the global CSR lists.
 
         Writes every sink's force rows into ``out_acc``/``out_pot`` in
         Morton order, charges each host's timing model for its share,
-        and accounts the LET exchange.  ``batched`` selects the same
-        CSR-block vs per-sink evaluation split as the serial path, so
-        each kernel set stays bit-identical to its serial self at K=1.
+        and accounts the LET exchange.  Each host evaluates its rows
+        through its backend's ``eval_lists``, the same call the serial
+        path makes, so K=1 is bit-identical to it.
         """
         self._require_open()
         spec = self.spec
@@ -228,27 +228,10 @@ class ClusterContext:
             rows = np.flatnonzero(owner == h)
             if rows.size == 0:
                 continue
-            backend = self.backends[h]
-            if batched:
-                sub = take_rows(lists, rows)
-                backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
-                                   tree.com, tree.mass, sub,
-                                   sink_start[rows], sink_count[rows],
-                                   eps, out_acc, out_pot)
-            else:
-                for g in rows:
-                    g = int(g)
-                    s, n = int(sink_start[g]), int(sink_count[g])
-                    cells = lists.cells_of(g)
-                    parts = lists.parts_of(g)
-                    xj = np.concatenate([tree.com[cells],
-                                         tree.pos_sorted[parts]])
-                    mj = np.concatenate([tree.mass[cells],
-                                         tree.mass_sorted[parts]])
-                    a, p = backend.compute(tree.pos_sorted[s:s + n],
-                                           xj, mj, eps)
-                    out_acc[s:s + n] = a
-                    out_pot[s:s + n] = p
+            self.backends[h].eval_lists(
+                tree.pos_sorted, tree.mass_sorted, tree.com, tree.mass,
+                take_rows(lists, rows), sink_start[rows],
+                sink_count[rows], eps, out_acc, out_pot)
         self._account_exchange(tree, lists, owner, sink_start, sink_count)
 
     def _account_exchange(self, tree, lists, owner, sink_start,
@@ -355,16 +338,6 @@ class ClusterBackend:
         """One dense force call on host 0's board set."""
         ctx = self.context._require_open()
         return ctx.backends[0].compute(xi, xj, mj, eps)
-
-    def submit(self, tag, xi, xj, mj, eps):
-        """Sequential shim, mirroring :class:`ForceBackend.submit`."""
-        self._pending = (tag, *self.compute(xi, xj, mj, eps))
-
-    def gather(self):
-        """Return the single pending result staged by :meth:`submit`."""
-        out = [self._pending]
-        self._pending = None
-        return out
 
     def set_domain(self, lo: float, hi: float) -> None:
         """Announce the tree domain to every host."""

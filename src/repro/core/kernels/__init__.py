@@ -1,132 +1,20 @@
-"""Kernel selection: the ``kernels=`` surface shared by the whole stack.
+"""Force kernels and the one seam through which lists are evaluated.
 
-A :class:`KernelSet` bundles the host-side tree kernels (Morton keys,
-octree construction, MAC traversal) with an *evaluation strategy* for
-the interaction lists:
-
-* ``python`` -- the reference set.  Tree construction and traversal are
-  the vectorised routines in :mod:`repro.core.{morton,octree,traversal}`
-  and force evaluation walks sink groups one at a time through
-  ``backend.submit``/``gather`` (one Python iteration per group).
-* ``numpy`` -- identical tree kernels (the tree and the interaction
-  lists are **bit-identical** by construction -- both sets call the very
-  same functions), but list evaluation is *batched*: whole CSR blocks of
-  sink groups go through :meth:`ForceBackend.eval_lists` in one call,
-  which bottoms out in the compiled list walk of
-  :mod:`repro.core.kernels.cnative` when available and in a NumPy
-  reference loop when not.
-
-Every layer that builds forces -- :class:`~repro.core.treecode.TreeCode`,
-:class:`~repro.cosmo.periodic_tree.PeriodicTreeCode`,
-:class:`~repro.sim.simulation.Simulation`,
-:func:`repro.sim.recipes.build_force`, the serve ``JobSpec``, and the
-CLI ``--kernels`` flag -- accepts the same ``kernels=`` value: a set
-name or a :class:`KernelSet`.  Unknown names raise :class:`ValueError`
-listing the registered sets, which the CLI maps to exit 2 and the
-service to HTTP 400.
-
-Third-party sets register with :func:`register_kernels`; see
-``docs/kernels.md`` for the contract a new backend has to satisfy.
-
-This module also re-exports the force-backend layer
-(:class:`ForceBackend`, :class:`Float64Backend`,
-:func:`pairwise_accpot`, ...) so historical ``repro.core.kernels``
-imports keep working unchanged.
+Every driver -- :class:`~repro.core.treecode.TreeCode`, the execution
+engines, the pipeline workers, the emulated cluster -- evaluates a CSR
+interaction-list sweep the same way: one call to
+:meth:`ForceBackend.eval_lists`.  The bundled backends override it with
+the compiled list walk of :mod:`repro.core.kernels.cnative`; the
+base-class body (one :meth:`ForceBackend.compute` per sink) is the
+reference loop the tests compare against and the path that runs when no
+C compiler is available.  See ``docs/kernels.md``.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Union
-
-from ..morton import bounding_cube, morton_keys
-from ..octree import build_octree
-from ..traversal import build_interaction_lists
 from .backend import (DEFAULT_TILE, BackendCaps, Float64Backend,
                       ForceBackend, pairwise_accpot,
                       self_potential_correction)
 
 __all__ = [
-    "KernelSet", "register_kernels", "resolve_kernels", "kernel_names",
-    # force-backend layer (historical flat-module surface)
     "ForceBackend", "Float64Backend", "BackendCaps", "pairwise_accpot",
     "self_potential_correction", "DEFAULT_TILE",
 ]
-
-
-@dataclass(frozen=True)
-class KernelSet:
-    """A named bundle of host kernels plus an evaluation strategy.
-
-    ``morton_keys`` / ``bounding_cube`` / ``build_tree`` / ``traverse``
-    are the host-computation kernels (the paper's tree-construction and
-    tree-traversal terms of the time model); ``batched`` selects how the
-    resulting interaction lists are evaluated -- per sink group through
-    ``submit``/``gather`` (False) or in whole CSR batches through
-    :meth:`ForceBackend.eval_lists` (True).
-    """
-
-    name: str
-    batched: bool
-    description: str = ""
-    morton_keys: Callable = field(default=morton_keys, repr=False)
-    bounding_cube: Callable = field(default=bounding_cube, repr=False)
-    build_tree: Callable = field(default=build_octree, repr=False)
-    traverse: Callable = field(default=build_interaction_lists, repr=False)
-
-
-_REGISTRY: Dict[str, KernelSet] = {}
-
-
-def register_kernels(kernels: KernelSet) -> KernelSet:
-    """Register (or replace) a kernel set under ``kernels.name``."""
-    if not isinstance(kernels, KernelSet):
-        raise TypeError("register_kernels expects a KernelSet")
-    if not kernels.name:
-        raise ValueError("kernel set needs a non-empty name")
-    _REGISTRY[kernels.name] = kernels
-    return kernels
-
-
-def kernel_names() -> tuple:
-    """The registered set names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def resolve_kernels(kernels: Union[str, KernelSet, None]) -> KernelSet:
-    """Resolve a ``kernels=`` value to a :class:`KernelSet`.
-
-    ``None`` means the default (``python``); a :class:`KernelSet` passes
-    through; a string is looked up in the registry.  Unknown names raise
-    :class:`ValueError` naming the valid choices -- every entry point
-    funnels bad values through here so the CLI (exit 2) and the service
-    (HTTP 400) reject them uniformly.
-    """
-    if kernels is None:
-        return _REGISTRY["python"]
-    if isinstance(kernels, KernelSet):
-        return kernels
-    if isinstance(kernels, str):
-        try:
-            return _REGISTRY[kernels]
-        except KeyError:
-            raise ValueError(
-                f"unknown kernels {kernels!r} (choose from "
-                f"{', '.join(kernel_names())})") from None
-    raise ValueError(f"kernels must be a name or KernelSet, "
-                     f"got {type(kernels).__name__}")
-
-
-register_kernels(KernelSet(
-    name="python",
-    batched=False,
-    description="reference per-group evaluation loop",
-))
-
-register_kernels(KernelSet(
-    name="numpy",
-    batched=True,
-    description="batched CSR list-walk evaluation (compiled fast path "
-                "with NumPy fallback); tree kernels identical to "
-                "'python'",
-))

@@ -26,20 +26,16 @@ Tiles are sized to keep the (n_i, n_j_chunk) temporaries inside the CPU
 cache region where NumPy broadcasting is efficient (guide: "beware of
 cache effects"; do not materialise the full N x M matrix).
 
-Backends additionally expose a **batch list protocol**
-(:meth:`ForceBackend.eval_lists` / :meth:`ForceBackend.compute_batched`)
-driven by the ``numpy`` kernel set (see :mod:`repro.core.kernels`): one
-call evaluates *every* sink of a CSR interaction-list sweep, with no
-per-sink Python round-trips.  The base implementations fall back to the
-per-sink submit/gather loop, so every backend is batch-complete; the
-bundled backends override them with vectorised CSR walks
-(:mod:`repro.core.kernels.batch`).
+Drivers hand a backend whole CSR interaction-list sweeps through
+:meth:`ForceBackend.eval_lists` (reference loop in the base class,
+compiled CSR walk of :mod:`repro.core.kernels.batch` in the bundled
+backends).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -136,17 +132,11 @@ class ForceBackend:
     inputs give the same outputs) but may accumulate performance
     statistics across calls.
 
-    The primary interface is the **batched submit/gather protocol**,
-    mirroring how the paper's host code drives the hardware: stage a
-    force *request* (``submit``), let the device work, read results back
-    asynchronously (``gather``).  The base class implements the protocol
-    as a *sequential shim* over :meth:`compute` -- each ``submit``
-    evaluates eagerly and ``gather`` drains the buffered results -- so
-    every existing backend is protocol-complete for free, while truly
-    asynchronous backends can overlap.  Direct ``compute()`` calls
-    remain supported as the one-shot convenience form (see
-    ``docs/parallel_engine.md`` for the deprecation path of hot-loop
-    ``compute`` callers).
+    :meth:`compute` is the one method an implementation must provide
+    (a dense sinks-x-sources force call, as ``g5_set_xmj``/``g5_run``
+    is on the hardware).  Drivers evaluate list sweeps through
+    :meth:`eval_lists`, whose base body loops ``compute`` over the
+    sinks; backends with a native kernel override it.
     """
 
     #: human-readable backend name for reports
@@ -157,39 +147,11 @@ class ForceBackend:
         """Return ``(acc, pot)`` on sinks ``xi`` from sources ``xj, mj``."""
         raise NotImplementedError
 
-    # -- batched submit/gather protocol --------------------------------
     def capabilities(self) -> BackendCaps:
         """Static capability descriptor used for batch planning."""
         return BackendCaps()
 
-    def submit(self, key: Any, xi: np.ndarray, xj: np.ndarray,
-               mj: np.ndarray, eps: float) -> Any:
-        """Stage one force request; returns ``key`` as its ticket.
-
-        The base implementation is the sequential shim: it evaluates
-        through :meth:`compute` immediately and buffers the result for
-        the next :meth:`gather`.
-        """
-        pending: List[Tuple[Any, np.ndarray, np.ndarray]] = \
-            self.__dict__.setdefault("_pending_results", [])
-        acc, pot = self.compute(xi, xj, mj, eps)
-        pending.append((key, acc, pot))
-        return key
-
-    def gather(self) -> List[Tuple[Any, np.ndarray, np.ndarray]]:
-        """Drain completed requests as ``[(key, acc, pot), ...]``.
-
-        Results are returned in completion order (submission order for
-        the sequential shim).  After the call the pending buffer is
-        empty; requests submitted later need a later ``gather``.
-        """
-        pending = self.__dict__.get("_pending_results")
-        if not pending:
-            return []
-        self.__dict__["_pending_results"] = []
-        return pending
-
-    # -- batch list protocol (the ``numpy`` kernel set) ----------------
+    # -- list sweeps ---------------------------------------------------
     def eval_lists(self, pos: np.ndarray, pmass: np.ndarray,
                    com: np.ndarray, cmass: np.ndarray, lists,
                    sink_start: np.ndarray, sink_count: np.ndarray,
@@ -201,15 +163,17 @@ class ForceBackend:
         whose sink ``g`` corresponds to rows
         ``sink_start[g]:sink_start[g]+sink_count[g]`` of ``pos`` (and of
         the output arrays).  Sources are cell monopoles then direct
-        particles, in the same concatenation order as the per-sink path.
+        particles, concatenated into one point-mass list -- the array
+        the host ships to the GRAPE's particle data memory.
 
         The base implementation is the reference loop -- one
-        submit/gather round-trip per sink, so any backend works; the
-        bundled backends override it with a vectorised CSR walk (the C
-        fast path of :mod:`repro.core.kernels.cnative` when a compiler
-        is available).  Output rows are *assigned*, never accumulated,
-        so re-evaluating a sink range is idempotent (the pipeline
-        engine's retry ladder depends on this).
+        :meth:`compute` per sink, so any backend works; it is the oracle
+        the equivalence tests compare against.  The bundled backends
+        override it with a vectorised CSR walk (the C fast path of
+        :mod:`repro.core.kernels.cnative`) and call back into this body
+        when no compiler is available.  Output rows are *assigned*,
+        never accumulated, so re-evaluating a sink range is idempotent
+        (the pipeline engine's retry ladder depends on this).
         """
         for g in range(int(sink_start.shape[0])):
             s, n = int(sink_start[g]), int(sink_count[g])
@@ -217,10 +181,8 @@ class ForceBackend:
             parts = lists.parts_of(g)
             xj = np.concatenate([com[cells], pos[parts]])
             mj = np.concatenate([cmass[cells], pmass[parts]])
-            self.submit(g, pos[s:s + n], xj, mj, eps)
-            for _, a, p in self.gather():
-                out_acc[s:s + n] = a
-                out_pot[s:s + n] = p
+            out_acc[s:s + n], out_pot[s:s + n] = self.compute(
+                pos[s:s + n], xj, mj, eps)
 
     def compute_batched(self, xi: np.ndarray, xj: np.ndarray,
                         mj: np.ndarray, eps: float

@@ -1,4 +1,4 @@
-"""Compiled CSR list-walk kernels (the ``numpy`` kernel set's fast path).
+"""Compiled CSR list-walk kernels (the fast path behind ``eval_lists``).
 
 The batch evaluators in :mod:`repro.core.kernels.batch` bottom out in
 four tiny C routines -- a CSR list walk and a dense pairwise call, each

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import logging
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -34,8 +33,8 @@ import numpy as np
 
 from ..obs.trace import as_tracer
 from .groups import GroupSet, make_groups
-from .kernels import (Float64Backend, ForceBackend, KernelSet,
-                      resolve_kernels, self_potential_correction)
+from .kernels import (Float64Backend, ForceBackend,
+                      self_potential_correction)
 from .mac import MAC, BarnesHutMAC
 from .multipole import compute_moments
 from .quadkernel import quadrupole_accpot
@@ -45,10 +44,6 @@ from .traversal import InteractionLists, build_interaction_lists
 __all__ = ["TreeCode", "TreeStats"]
 
 logger = logging.getLogger(__name__)
-
-#: subclasses already warned about the batched-kernels downgrade
-_batch_shim_warned: set = set()
-
 
 @dataclass
 class TreeStats:
@@ -116,16 +111,14 @@ class TreeCode:
         scheme would do).
     engine:
         A :class:`repro.exec.ForceEngine` driving the eval sweep.
-        ``None`` (the default) keeps the built-in sequential loop --
-        bit-identical to the historical behaviour.  A
-        :class:`~repro.exec.PipelineEngine` dispatches the per-group
-        force requests to worker processes and overlaps traversal of
-        later sink shards with evaluation of earlier ones (the paper's
-        host/GRAPE overlap).  Ignored (with the sequential loop used
-        instead) in quadrupole mode and in subclasses that override
-        ``_eval_sink`` -- their host-side per-sink work cannot ship to
-        workers.  The engine's lifecycle belongs to the caller; see
-        :meth:`close`.
+        ``None`` (the default) evaluates the sweep in-process.  A
+        :class:`~repro.exec.PipelineEngine` dispatches batches of the
+        list sweep to worker processes and overlaps traversal of later
+        sink shards with evaluation of earlier ones (the paper's
+        host/GRAPE overlap).  Ignored (with the in-process sweep used
+        instead) in quadrupole mode -- the host-side cell terms cannot
+        ship to workers.  The engine's lifecycle belongs to the caller;
+        see :meth:`close`.
     tracer:
         A :class:`repro.obs.trace.Tracer`; every force evaluation then
         opens ``tree_build`` / ``group`` / ``traverse`` / ``eval``
@@ -138,16 +131,6 @@ class TreeCode:
         counters (``tree.force_evals``, ``tree.interactions_total``)
         and histograms (``tree.list_length``, ``tree.group_size``) are
         recorded when present.
-    kernels:
-        Kernel-set name or :class:`~repro.core.kernels.KernelSet`
-        (``"python"`` default, ``"numpy"`` for batched CSR evaluation).
-        Both sets share the same tree kernels, so the tree and the
-        interaction lists are bit-identical; they differ only in how
-        lists are evaluated.  Subclasses that override ``_eval_sink``
-        without declaring ``_batched_eval_native = True`` are
-        transparently downgraded to ``"python"`` with a one-time
-        :class:`DeprecationWarning` -- the historical per-sink hook
-        cannot see batched sweeps.
     cluster:
         A :class:`~repro.cluster.ClusterSpec` (opened into a fresh
         :class:`~repro.cluster.ClusterContext`) or an already-built
@@ -159,11 +142,6 @@ class TreeCode:
         boards=2`` is bit-identical to the plain GRAPE path.
     """
 
-    #: subclasses that override ``_eval_sink`` but are batch-aware
-    #: (route their backend work through ``compute_batched``) set this
-    #: to keep ``kernels="numpy"`` instead of the deprecation shim
-    _batched_eval_native = False
-
     def __init__(self, *, theta: float = 0.75, n_crit: int = 2000,
                  leaf_size: int = 8,
                  backend: Optional[ForceBackend] = None,
@@ -172,7 +150,6 @@ class TreeCode:
                  engine: Optional[object] = None,
                  tracer: Optional[object] = None,
                  metrics: Optional[object] = None,
-                 kernels: Optional[object] = None,
                  cluster: Optional[object] = None) -> None:
         if n_crit < 1:
             raise ValueError("n_crit must be >= 1")
@@ -192,11 +169,6 @@ class TreeCode:
             if quadrupole:
                 raise ValueError("cluster mode is monopole-only (the "
                                  "GRAPE pipelines are)")
-            if type(self)._eval_sink is not TreeCode._eval_sink:
-                raise ValueError(
-                    f"{type(self).__name__} overrides _eval_sink; the "
-                    "cluster path evaluates whole row sets and cannot "
-                    "honour a per-sink hook")
             self._owns_cluster = isinstance(cluster, ClusterSpec)
             if self._owns_cluster:
                 cluster = ClusterContext(cluster, metrics=metrics)
@@ -207,20 +179,6 @@ class TreeCode:
         self.backend = backend if backend is not None else Float64Backend()
         self.mac = mac if mac is not None else BarnesHutMAC(theta=theta)
         self.quadrupole = bool(quadrupole)
-        self.kernels = resolve_kernels(kernels)
-        if (self.kernels.batched
-                and type(self)._eval_sink is not TreeCode._eval_sink
-                and not type(self)._batched_eval_native):
-            if type(self) not in _batch_shim_warned:
-                _batch_shim_warned.add(type(self))
-                warnings.warn(
-                    f"{type(self).__name__} overrides _eval_sink without "
-                    "declaring _batched_eval_native; falling back to "
-                    "kernels='python'.  Route backend work through "
-                    "compute_batched and set _batched_eval_native = True "
-                    "to use batched kernel sets.",
-                    DeprecationWarning, stacklevel=2)
-            self.kernels = resolve_kernels("python")
         self.engine = engine
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
@@ -249,8 +207,8 @@ class TreeCode:
         Also re-announces the root cube to the backend (the GRAPE's
         fixed-point coordinate window must track the particle extent).
         """
-        tree = self.kernels.build_tree(pos, mass, leaf_size=self.leaf_size,
-                                       tracer=self.tracer)
+        tree = build_octree(pos, mass, leaf_size=self.leaf_size,
+                            tracer=self.tracer)
         with self.tracer.span("moments", quadrupole=self.quadrupole):
             compute_moments(tree, quadrupole=self.quadrupole)
         lo = float(np.min(tree.corner))
@@ -296,9 +254,7 @@ class TreeCode:
         kernel_phase = ("grape_force" if "grape" in self.backend.name
                         else "host_kernel")
 
-        use_engine = (self.engine is not None and not self.quadrupole
-                      and type(self)._eval_sink is TreeCode._eval_sink)
-        if use_engine:
+        if self.engine is not None and not self.quadrupole:
             # Engine path: traversal and evaluation are interleaved (the
             # engine builds lists shard-by-shard and evaluates earlier
             # shards meanwhile), so traverse time is accumulated inside
@@ -324,16 +280,15 @@ class TreeCode:
         else:
             t0 = time.perf_counter()
             with tr.span("traverse", n_sinks=int(sink_center.shape[0])):
-                lists = self.kernels.traverse(tree, sink_center,
-                                              sink_radius, self.mac)
+                lists = build_interaction_lists(tree, sink_center,
+                                                sink_radius, self.mac)
             t_traverse = time.perf_counter() - t0
 
-            t0 = time.perf_counter()
             self._kernel_seconds = 0.0
-            batched = (self.kernels.batched
-                       and type(self)._eval_sink is TreeCode._eval_sink)
-            with tr.span("eval", algorithm=algorithm,
-                         kernels=self.kernels.name):
+            with tr.span("eval", algorithm=algorithm):
+                # timed from inside the span, so the attribution
+                # children recorded below can never outlast it
+                t0 = time.perf_counter()
                 acc_s = np.empty((tree.n_particles, 3), dtype=np.float64)
                 pot_s = np.empty(tree.n_particles, dtype=np.float64)
                 if algorithm == "modified":
@@ -345,25 +300,11 @@ class TreeCode:
                     k0 = time.perf_counter()
                     self.cluster.evaluate(tree, lists, sink_center,
                                           sink_start, sink_count, eps,
-                                          acc_s, pot_s, batched=batched)
+                                          acc_s, pot_s)
                     self._kernel_seconds += time.perf_counter() - k0
-                elif batched:
-                    self._eval_batched(tree, lists, sink_start, sink_count,
-                                       eps, acc_s, pot_s)
-                elif algorithm == "modified":
-                    for g in range(groups.n_groups):
-                        s, n = int(groups.start[g]), int(groups.count[g])
-                        xi = tree.pos_sorted[s:s + n]
-                        a, p = self._eval_sink(tree, lists, g, xi, eps)
-                        acc_s[s:s + n] = a
-                        pot_s[s:s + n] = p
                 else:
-                    for i in range(tree.n_particles):
-                        a, p = self._eval_sink(tree, lists, i,
-                                               tree.pos_sorted[i:i + 1],
-                                               eps)
-                        acc_s[i] = a[0]
-                        pot_s[i] = p[0]
+                    self._eval_sweep(tree, lists, sink_start, sink_count,
+                                     eps, acc_s, pot_s)
                 # remove the Plummer self term picked up from the direct
                 # list
                 pot_s += self_potential_correction(tree.mass_sorted, eps)
@@ -454,48 +395,46 @@ class TreeCode:
             sink_count = np.ones(tree.n_particles, dtype=np.int64)
 
         def build_lists(a: int, b: int) -> InteractionLists:
-            return self.kernels.traverse(tree, sink_center[a:b],
-                                         sink_radius[a:b], self.mac)
+            return build_interaction_lists(tree, sink_center[a:b],
+                                           sink_radius[a:b], self.mac)
 
         return SweepSpec(pos=tree.pos_sorted, pmass=tree.mass_sorted,
                          com=tree.com, cmass=tree.mass,
                          sink_start=sink_start, sink_count=sink_count,
                          eps=float(eps), domain=self._last_domain,
-                         build_lists=build_lists,
-                         kernels=self.kernels.name)
+                         build_lists=build_lists)
 
     # ------------------------------------------------------------------
-    def _eval_batched(self, tree: Octree, lists: InteractionLists,
-                      sink_start: np.ndarray, sink_count: np.ndarray,
-                      eps: float, acc_s: np.ndarray, pot_s: np.ndarray
-                      ) -> None:
-        """Evaluate every sink's list in one batched backend sweep.
+    def _eval_sweep(self, tree: Octree, lists: InteractionLists,
+                    sink_start: np.ndarray, sink_count: np.ndarray,
+                    eps: float, acc_s: np.ndarray, pot_s: np.ndarray
+                    ) -> None:
+        """Evaluate every sink's list into ``acc_s``/``pot_s``.
 
         Monopole mode ships the whole CSR block (cells + direct
-        particles) through :meth:`ForceBackend.eval_lists`.  Quadrupole
-        mode batches the direct-particle terms the same way and adds
-        the host-side monopole+quadrupole cell terms per sink group --
-        the same hybrid split as the per-sink path, evaluated on whole
-        i-particle batches.
+        particles, one point-mass list per sink, as on the hardware)
+        through :meth:`ForceBackend.eval_lists`.  Quadrupole mode sends
+        only the direct-particle terms that way and adds the
+        monopole+quadrupole cell terms on the host per sink group --
+        what a hybrid host/GRAPE quadrupole scheme would do.
+
+        Subclasses whose source lists depend on the sink (the periodic
+        treecode's anchored images) override this one hook.
         """
-        if not self.quadrupole:
-            k0 = time.perf_counter()
-            self.backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
-                                    tree.com, tree.mass, lists,
-                                    sink_start, sink_count, eps,
-                                    acc_s, pot_s)
-            self._kernel_seconds += time.perf_counter() - k0
-            return
-        parts_only = InteractionLists(
-            n_sinks=lists.n_sinks,
-            cell_idx=np.empty(0, dtype=np.int64),
-            cell_off=np.zeros(lists.n_sinks + 1, dtype=np.int64),
-            part_idx=lists.part_idx, part_off=lists.part_off)
+        sent = lists
+        if self.quadrupole:
+            sent = InteractionLists(
+                n_sinks=lists.n_sinks,
+                cell_idx=np.empty(0, dtype=np.int64),
+                cell_off=np.zeros(lists.n_sinks + 1, dtype=np.int64),
+                part_idx=lists.part_idx, part_off=lists.part_off)
         k0 = time.perf_counter()
         self.backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
-                                tree.com, tree.mass, parts_only,
+                                tree.com, tree.mass, sent,
                                 sink_start, sink_count, eps, acc_s, pot_s)
         self._kernel_seconds += time.perf_counter() - k0
+        if not self.quadrupole:
+            return
         for g in range(int(sink_start.shape[0])):
             s, n = int(sink_start[g]), int(sink_count[g])
             cells = lists.cells_of(g)
@@ -505,51 +444,3 @@ class TreeCode:
                                          tree.quad[cells], eps)
             acc_s[s:s + n] += a_c
             pot_s[s:s + n] += p_c
-
-    # ------------------------------------------------------------------
-    def _eval_sink(self, tree: Octree, lists: InteractionLists, sink: int,
-                   xi: np.ndarray, eps: float
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-        """Evaluate one sink\'s list through the configured path.
-
-        Monopole mode ships cells and particles together to the
-        backend (one point-mass list, as on the hardware).  Quadrupole
-        mode evaluates cell terms on the host with the
-        monopole+quadrupole kernel and only the direct particles on
-        the backend.  Both go through the backend's submit/gather
-        protocol (one blocking round-trip per sink -- the sequential
-        shim).
-        """
-        if not self.quadrupole:
-            xj, mj = self._sources(tree, lists, sink)
-            k0 = time.perf_counter()
-            self.backend.submit(sink, xi, xj, mj, eps)
-            ((_, a, p),) = self.backend.gather()
-            self._kernel_seconds += time.perf_counter() - k0
-            return a, p
-        cells = lists.cells_of(sink)
-        parts = lists.parts_of(sink)
-        a_c, p_c = quadrupole_accpot(xi, tree.com[cells],
-                                     tree.mass[cells], tree.quad[cells],
-                                     eps)
-        k0 = time.perf_counter()
-        self.backend.submit(sink, xi, tree.pos_sorted[parts],
-                            tree.mass_sorted[parts], eps)
-        ((_, a_p, p_p),) = self.backend.gather()
-        self._kernel_seconds += time.perf_counter() - k0
-        return a_p + a_c, p_p + p_c
-
-    @staticmethod
-    def _sources(tree: Octree, lists: InteractionLists, sink: int
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Assemble the (positions, masses) source list of one sink.
-
-        Cell monopoles and direct particles are concatenated into one
-        point-mass list -- precisely the array the host ships to the
-        GRAPE-5 particle data memory (``g5_set_xmj``).
-        """
-        cells = lists.cells_of(sink)
-        parts = lists.parts_of(sink)
-        xj = np.concatenate([tree.com[cells], tree.pos_sorted[parts]])
-        mj = np.concatenate([tree.mass[cells], tree.mass_sorted[parts]])
-        return xj, mj

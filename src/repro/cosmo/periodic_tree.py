@@ -23,7 +23,8 @@ expressed as point-mass interactions).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import time
+from typing import Optional
 
 import numpy as np
 
@@ -48,18 +49,11 @@ class PeriodicTreeCode(TreeCode):
         Precomputed :class:`~repro.cosmo.ewald.EwaldCorrectionTable`
         (built once per box size when omitted -- reuse tables across
         steps, they are position-independent).
-    kernels:
-        Kernel-set selection, as in :class:`~repro.core.treecode.
-        TreeCode`.  The periodic sweep is batch-aware: with a batched
-        set the anchored nearest-image kernel goes through
-        ``backend.compute_batched`` (one dense native call per group)
-        while the Ewald correction stays on the host, unchanged.
-    """
 
-    #: the overridden ``_eval_sink`` routes its backend work through
-    #: ``compute_batched``, so batched kernel sets apply directly
-    #: (no deprecation downgrade)
-    _batched_eval_native = True
+    The sweep is per group: the anchored nearest-image kernel goes
+    through ``backend.compute_batched`` (one dense call per group) and
+    the Ewald correction is added on the host.
+    """
 
     def __init__(self, *, box: float, theta: float = 0.75,
                  n_crit: int = 2000, leaf_size: int = 8,
@@ -67,19 +61,17 @@ class PeriodicTreeCode(TreeCode):
                  mac: Optional[MAC] = None,
                  ewald_table: Optional[EwaldCorrectionTable] = None,
                  tracer: Optional[object] = None,
-                 metrics: Optional[object] = None,
-                 kernels: Optional[object] = None
-                 ) -> None:
+                 metrics: Optional[object] = None) -> None:
         if box <= 0:
             raise ValueError("box must be positive")
         if mac is None:
             mac = BarnesHutMAC(theta=theta, box=box)
-        # note: no ``engine`` parameter -- the per-sink Ewald correction
+        # note: no ``engine`` parameter -- the per-group Ewald correction
         # is host-side work interleaved with the backend call, so the
-        # periodic sweep always runs the sequential submit/gather path
+        # periodic sweep always runs in-process
         super().__init__(theta=theta, n_crit=n_crit,
                          leaf_size=leaf_size, backend=backend, mac=mac,
-                         tracer=tracer, metrics=metrics, kernels=kernels)
+                         tracer=tracer, metrics=metrics)
         self.box = float(box)
         if ewald_table is None:
             ewald_table = EwaldCorrectionTable(self.box)
@@ -91,18 +83,17 @@ class PeriodicTreeCode(TreeCode):
     def build(self, pos: np.ndarray, mass: np.ndarray) -> Octree:
         """Build the octree over the wrapped fundamental box."""
         wrapped = np.mod(np.asarray(pos, dtype=np.float64), self.box)
-        tree = self.kernels.build_tree(wrapped, mass,
-                                       leaf_size=self.leaf_size,
-                                       corner=np.zeros(3), size=self.box)
+        tree = build_octree(wrapped, mass, leaf_size=self.leaf_size,
+                            corner=np.zeros(3), size=self.box)
         compute_moments(tree, quadrupole=self.quadrupole)
         self._last_domain = (-0.5 * self.box, 1.5 * self.box)
         self.backend.set_domain(-0.5 * self.box, 1.5 * self.box)
         return tree
 
     # ------------------------------------------------------------------
-    def _eval_sink(self, tree: Octree, lists, sink: int,
-                   xi: np.ndarray, eps: float
-                   ) -> Tuple[np.ndarray, np.ndarray]:
+    def _eval_sweep(self, tree: Octree, lists, sink_start: np.ndarray,
+                    sink_count: np.ndarray, eps: float,
+                    acc_s: np.ndarray, pot_s: np.ndarray) -> None:
         """Anchored-image kernel through the backend + exact correction.
 
         One shared j-list per group is what GRAPE needs, so every
@@ -119,15 +110,26 @@ class PeriodicTreeCode(TreeCode):
         pair, and collapses to the plain table value whenever
         ``d_a == d_w`` (the overwhelming majority of pairs).
         """
-        xj, mj = self._sources(tree, lists, sink)
-        anchor = xi[0]
-        xj_near = anchor + minimum_image(xj - anchor, self.box)
-        if self.kernels.batched:
+        for g in range(int(sink_start.shape[0])):
+            s, n = int(sink_start[g]), int(sink_count[g])
+            xi = tree.pos_sorted[s:s + n]
+            cells = lists.cells_of(g)
+            parts = lists.parts_of(g)
+            xj = np.concatenate([tree.com[cells], tree.pos_sorted[parts]])
+            mj = np.concatenate([tree.mass[cells], tree.mass_sorted[parts]])
+            xj_near = xi[0] + minimum_image(xj - xi[0], self.box)
+            k0 = time.perf_counter()
             acc, pot = self.backend.compute_batched(xi, xj_near, mj, eps)
-        else:
-            self.backend.submit(sink, xi, xj_near, mj, eps)
-            ((_, acc, pot),) = self.backend.gather()
+            self._kernel_seconds += time.perf_counter() - k0
+            self._add_ewald(xi, xj_near, mj, eps, acc, pot)
+            acc_s[s:s + n] = acc
+            pot_s[s:s + n] = pot
 
+    def _add_ewald(self, xi: np.ndarray, xj_near: np.ndarray,
+                   mj: np.ndarray, eps: float, acc: np.ndarray,
+                   pot: np.ndarray) -> None:
+        """Add the host-side correction of one group's anchored list
+        (the bracket in :meth:`_eval_sweep`) to ``acc``/``pot``."""
         n_i = xi.shape[0]
         eps2 = float(eps) ** 2
         tiny = np.finfo(np.float64).tiny
@@ -157,4 +159,3 @@ class PeriodicTreeCode(TreeCode):
                     * gc.reshape(n_i, j1 - j0, 3)).sum(axis=1)
             pot -= (m[None, :]
                     * pc.reshape(n_i, j1 - j0)).sum(axis=1)
-        return acc, pot

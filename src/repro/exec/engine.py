@@ -6,9 +6,10 @@ while the GRAPE integrates the current group's shared list, and the
 j-stream is chunked to the particle data memory's capacity.  An engine
 reifies exactly that structure in software:
 
-* :class:`SerialEngine` -- the reference implementation: one blocking
-  ``submit``/``gather`` round-trip per sink, bit-identical to the
-  historical inline loop (it *is* the same call sequence).
+* :class:`SerialEngine` -- the reference implementation: the whole
+  sweep in one :meth:`~repro.core.kernels.ForceBackend.eval_lists`
+  call on the calling process, exactly what the treecode does with no
+  engine.
 * :class:`PipelineEngine` -- a pool of worker processes over shared
   position/mass/list memory.  Sinks are traversed in contiguous
   *shards*; as soon as shard *k*'s interaction lists exist its batches
@@ -76,8 +77,8 @@ from ..core.traversal import InteractionLists, concatenate_lists
 from ..faults import as_fault_plan
 from ..obs.context import SpanContext, new_span_id
 from ..obs.trace import Span, as_tracer
-from .plan import (DEFAULT_BATCH_NJ, SweepSpec, assemble_sources,
-                   batch_message, plan_batches)
+from .plan import (DEFAULT_BATCH_NJ, SweepSpec, batch_message,
+                   plan_batches)
 from .workers import (STOP, _run_batch, batch_checksum, create_shm,
                       worker_main)
 
@@ -148,49 +149,25 @@ class ForceEngine:
 
 
 class SerialEngine(ForceEngine):
-    """One submit/gather round-trip per sink, on the calling process.
-
-    The call stream is exactly the historical inline loop's, so results
-    (and the backend's per-call statistics) are bit-identical to it.
+    """The whole sweep in one ``eval_lists`` call, on the calling
+    process -- the same call the treecode makes with no engine, so
+    results (and the backend's statistics) are bit-identical to it.
     """
 
     name = "serial"
 
     def evaluate(self, backend, spec, *, tracer=None, metrics=None):
-        from ..core.kernels import resolve_kernels
         t0 = time.perf_counter()
         lists = spec.build_lists(0, spec.n_sinks)
         t_traverse = time.perf_counter() - t0
 
         acc = np.empty((spec.n_particles, 3), dtype=np.float64)
         pot = np.empty(spec.n_particles, dtype=np.float64)
-        t_kernel = 0.0
-        if resolve_kernels(spec.kernels).batched:
-            sink_start = np.ascontiguousarray(spec.sink_start,
-                                              dtype=np.int64)
-            sink_count = np.ascontiguousarray(spec.sink_count,
-                                              dtype=np.int64)
-            k0 = time.perf_counter()
-            backend.eval_lists(spec.pos, spec.pmass, spec.com, spec.cmass,
-                               lists, sink_start, sink_count, spec.eps,
-                               acc, pot)
-            t_kernel = time.perf_counter() - k0
-            return EvalResult(acc=acc, pot=pot, lists=lists,
-                              traverse_seconds=t_traverse,
-                              kernel_seconds=t_kernel,
-                              stats={"workers": 0.0})
-        for g in range(spec.n_sinks):
-            s, n = int(spec.sink_start[g]), int(spec.sink_count[g])
-            xi = spec.pos[s:s + n]
-            xj, mj = assemble_sources(spec.pos, spec.pmass, spec.com,
-                                      spec.cmass, lists, g)
-            k0 = time.perf_counter()
-            backend.submit(g, xi, xj, mj, spec.eps)
-            results = backend.gather()
-            t_kernel += time.perf_counter() - k0
-            for _, a, p in results:
-                acc[s:s + n] = a
-                pot[s:s + n] = p
+        k0 = time.perf_counter()
+        backend.eval_lists(spec.pos, spec.pmass, spec.com, spec.cmass,
+                           lists, spec.sink_start, spec.sink_count,
+                           spec.eps, acc, pot)
+        t_kernel = time.perf_counter() - k0
         return EvalResult(acc=acc, pot=pot, lists=lists,
                           traverse_seconds=t_traverse,
                           kernel_seconds=t_kernel,
@@ -198,7 +175,7 @@ class SerialEngine(ForceEngine):
 
 
 class PipelineEngine(ForceEngine):
-    """Batched submit/gather over a pool of worker processes.
+    """Batched list evaluation over a pool of worker processes.
 
     Parameters
     ----------
@@ -491,7 +468,7 @@ class PipelineEngine(ForceEngine):
             bit-identical to the serial engine)."""
             nonlocal t_fallback
             task = pending_task[bid]
-            _, _, _, _, shard_meta, a0, g0, g1, _ctx, kern = task
+            _, _, _, _, shard_meta, a0, g0, g1, _ctx = task
             shard = shard_by_name[shard_meta[0]]
             _fault_event("serial_fallbacks", batch=bid)
             if fl is not None:
@@ -500,8 +477,7 @@ class PipelineEngine(ForceEngine):
             k0 = time.perf_counter()
             # domain already announced on the parent backend by the
             # driver (TreeCode.set_domain precedes the sweep)
-            _run_batch(backend, sweep_block, shard, a0, g0, g1, False,
-                       kern)
+            _run_batch(backend, sweep_block, shard, a0, g0, g1, False)
             t_fallback += time.perf_counter() - k0
             _complete(bid)
 
@@ -699,7 +675,7 @@ class PipelineEngine(ForceEngine):
                            if tracing else None)
                     pending_task[bid] = batch_message(
                         bid, sweep_id, sweep_meta, shard_block.meta,
-                        a, a + u, a + v, ctx, spec.kernels)
+                        a, a + u, a + v, ctx)
                     attempts[bid] = 0
                     _submit(bid)
                     if metrics is not None:

@@ -24,8 +24,8 @@ import numpy as np
 
 from ..core.traversal import InteractionLists
 
-__all__ = ["SweepSpec", "assemble_sources", "plan_batches",
-           "batch_message", "DEFAULT_BATCH_NJ"]
+__all__ = ["SweepSpec", "plan_batches", "batch_message",
+           "DEFAULT_BATCH_NJ"]
 
 #: j-terms per batch for unbounded backends: big enough to amortise the
 #: per-task IPC, small enough that a handful of batches per worker keeps
@@ -59,10 +59,6 @@ class SweepSpec:
     #: lists for the sink range [a, b) -- engines may call this in
     #: shards, interleaved with evaluation
     build_lists: Callable[[int, int], InteractionLists]
-    #: kernel-set name governing list evaluation ("python" = per-sink
-    #: reference loop, "numpy" = batched CSR eval_lists); shipped to
-    #: workers so every shard evaluates with the selected kernels
-    kernels: str = "python"
 
     @property
     def n_sinks(self) -> int:
@@ -73,27 +69,8 @@ class SweepSpec:
         return int(self.pos.shape[0])
 
 
-def assemble_sources(spec_pos: np.ndarray, spec_pmass: np.ndarray,
-                     spec_com: np.ndarray, spec_cmass: np.ndarray,
-                     lists: InteractionLists, local: int
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """The (positions, masses) source list of one sink.
-
-    Cell monopoles then direct particles, concatenated into one
-    point-mass list -- the exact array the host ships to the GRAPE's
-    particle data memory, and the exact concatenation order of the
-    serial treecode path (bit-identity depends on it).
-    """
-    cells = lists.cells_of(local)
-    parts = lists.parts_of(local)
-    xj = np.concatenate([spec_com[cells], spec_pos[parts]])
-    mj = np.concatenate([spec_cmass[cells], spec_pmass[parts]])
-    return xj, mj
-
-
 def batch_message(batch_id: int, sweep_id: int, sweep_meta, shard_meta,
-                  a0: int, g0: int, g1: int, ctx=None,
-                  kernels: str = "python") -> tuple:
+                  a0: int, g0: int, g1: int, ctx=None) -> tuple:
     """The pipeline task message for one batch (sans trailing attempt).
 
     One place owns the wire shape shared by
@@ -103,12 +80,11 @@ def batch_message(batch_id: int, sweep_id: int, sweep_meta, shard_meta,
     writing the named shared-memory blocks.  ``ctx`` is the optional
     :class:`~repro.obs.context.SpanContext` of the submitting trace --
     ``None`` when tracing is off, so the disabled path ships no extra
-    bytes and workers skip all span bookkeeping.  ``kernels`` names the
-    kernel set the worker must evaluate with.  The engine appends the
+    bytes and workers skip all span bookkeeping.  The engine appends the
     attempt number at submit time.
     """
     return ("batch", batch_id, sweep_id, sweep_meta, shard_meta,
-            a0, g0, g1, ctx, kernels)
+            a0, g0, g1, ctx)
 
 
 def plan_batches(lengths: np.ndarray, max_nj: Optional[int]

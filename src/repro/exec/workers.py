@@ -39,7 +39,6 @@ import numpy as np
 
 from ..core.traversal import InteractionLists
 from ..faults import FaultInjector, TransientBackendError
-from .plan import assemble_sources
 
 __all__ = ["worker_main", "ShmArrays", "create_shm", "open_shm",
            "batch_checksum"]
@@ -150,11 +149,10 @@ def _scribble(sweep: ShmArrays, g0: int, g1: int) -> None:
 
 
 def _run_batch(backend, sweep: ShmArrays, shard: ShmArrays,
-               a0: int, g0: int, g1: int, announce: bool,
-               kernels: str = "python") -> None:
+               a0: int, g0: int, g1: int, announce: bool) -> None:
     """Evaluate sinks ``[g0, g1)`` of one batch into the output arrays.
 
-    With a batched kernel set, the batch's CSR slice goes through
+    The batch's CSR slice goes through
     :meth:`~repro.core.kernels.ForceBackend.eval_lists` in one call;
     the offsets view is *not* rebased (the kernels index the shard's
     full index arrays directly), so no list data is copied.  The serial
@@ -166,31 +164,17 @@ def _run_batch(backend, sweep: ShmArrays, shard: ShmArrays,
     if announce and scalars[1] > 0.0:
         backend.set_domain(float(scalars[2]), float(scalars[3]))
     lists = _lists_from(shard)
-    pos, pmass = sweep["pos"], sweep["pmass"]
-    com, cmass = sweep["com"], sweep["cmass"]
     start, count = sweep["sink_start"], sweep["sink_count"]
-    out_acc, out_pot = sweep["out_acc"], sweep["out_pot"]
-    from ..core.kernels import resolve_kernels
-    if resolve_kernels(kernels).batched:
-        l0, l1 = g0 - a0, g1 - a0
-        view = InteractionLists(
-            n_sinks=g1 - g0,
-            cell_idx=lists.cell_idx,
-            cell_off=lists.cell_off[l0:l1 + 1],
-            part_idx=lists.part_idx,
-            part_off=lists.part_off[l0:l1 + 1])
-        backend.eval_lists(pos, pmass, com, cmass, view,
-                           start[g0:g1], count[g0:g1], eps,
-                           out_acc, out_pot)
-        return
-    for g in range(g0, g1):
-        s, n = int(start[g]), int(count[g])
-        xi = pos[s:s + n]
-        xj, mj = assemble_sources(pos, pmass, com, cmass, lists, g - a0)
-        backend.submit(g, xi, xj, mj, eps)
-        for _, a, p in backend.gather():
-            out_acc[s:s + n] = a
-            out_pot[s:s + n] = p
+    l0, l1 = g0 - a0, g1 - a0
+    view = InteractionLists(
+        n_sinks=g1 - g0,
+        cell_idx=lists.cell_idx,
+        cell_off=lists.cell_off[l0:l1 + 1],
+        part_idx=lists.part_idx,
+        part_off=lists.part_off[l0:l1 + 1])
+    backend.eval_lists(sweep["pos"], sweep["pmass"], sweep["com"],
+                       sweep["cmass"], view, start[g0:g1], count[g0:g1],
+                       eps, sweep["out_acc"], sweep["out_pot"])
 
 
 def worker_main(worker_id: int, factory_bytes: bytes,
@@ -202,7 +186,7 @@ def worker_main(worker_id: int, factory_bytes: bytes,
     parent side):
 
     ``("batch", batch_id, sweep_id, sweep_meta, shard_meta, a0, g0, g1,
-    ctx, kernels, attempt)`` (see :func:`repro.exec.plan.batch_message`)
+    ctx, attempt)`` (see :func:`repro.exec.plan.batch_message`)
         Evaluate sinks ``[g0, g1)`` (global ids; the shard's lists start
         at sink ``a0``).  The worker first announces
         ``("start", batch_id, worker_id, sweep_id)`` -- the parent's
@@ -259,7 +243,7 @@ def worker_main(worker_id: int, factory_bytes: bytes,
             if msg[0] == STOP:
                 break
             (_, batch_id, sweep_id, sweep_meta, shard_meta,
-             a0, g0, g1, ctx, kernels, attempt) = msg
+             a0, g0, g1, ctx, attempt) = msg
             spans: Optional[list] = [] if ctx is not None else None
             if spans is not None and ctx.t_origin:
                 spans.append({"name": "exec.queue_wait",
@@ -308,8 +292,7 @@ def worker_main(worker_id: int, factory_bytes: bytes,
                     domain_announced.add(sweep_id)
                 # scoped helper: no shared-memory view survives the call,
                 # so cached segments can be closed cleanly later
-                _run_batch(backend, sweep, shard, a0, g0, g1, announce,
-                           kernels)
+                _run_batch(backend, sweep, shard, a0, g0, g1, announce)
                 stats1 = backend.snapshot_stats()
                 delta = {k: stats1[k] - stats0.get(k, 0.0)
                          for k in stats1}

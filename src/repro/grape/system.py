@@ -282,13 +282,15 @@ class GrapeBackend(ForceBackend):
 
     name = "grape5"
 
-    def compute(self, xi, xj, mj, eps):
+    def _call(self, fn):
+        """One backend force call: consult the ``grape.compute`` fault
+        site, run ``fn``, and re-issue it after a transient error."""
         attempt = 0
         while True:
             try:
                 if self.fault_injector is not None:
                     self.fault_injector.maybe_raise("grape.compute")
-                return self.system.compute(xi, xj, mj, eps)
+                return fn()
             except TransientBackendError:
                 attempt += 1
                 self.transient_retries += 1
@@ -299,6 +301,9 @@ class GrapeBackend(ForceBackend):
                               "backend error").inc()
                 if attempt > self.max_retries:
                     raise
+
+    def compute(self, xi, xj, mj, eps):
+        return self._call(lambda: self.system.compute(xi, xj, mj, eps))
 
     def _coord_format(self):
         """The fixed-point format every pipeline currently holds, or
@@ -329,27 +334,10 @@ class GrapeBackend(ForceBackend):
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
             return
-        attempt = 0
-        while True:
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.maybe_raise("grape.compute")
-                done = _batch.g5_eval_lists(
-                    pos, pmass, com, cmass, lists, sink_start, sink_count,
-                    eps, out_acc, out_pot,
-                    numerics=self.system.numerics,
-                    fixed=self._coord_format())
-                break
-            except TransientBackendError:
-                attempt += 1
-                self.transient_retries += 1
-                m = self.system.metrics
-                if m is not None:
-                    m.counter("exec.fault.backend_retries",
-                              "force calls re-issued after a transient "
-                              "backend error").inc()
-                if attempt > self.max_retries:
-                    raise
+        done = self._call(lambda: _batch.g5_eval_lists(
+            pos, pmass, com, cmass, lists, sink_start, sink_count,
+            eps, out_acc, out_pot, numerics=self.system.numerics,
+            fixed=self._coord_format()))
         if not done:
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
@@ -364,25 +352,9 @@ class GrapeBackend(ForceBackend):
         from ..core.kernels import batch as _batch
         if self.system.coordinate_range is None:
             return self.compute(xi, xj, mj, eps)
-        attempt = 0
-        while True:
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.maybe_raise("grape.compute")
-                res = _batch.g5_pairwise(
-                    xi, xj, mj, eps, numerics=self.system.numerics,
-                    fixed=self._coord_format())
-                break
-            except TransientBackendError:
-                attempt += 1
-                self.transient_retries += 1
-                m = self.system.metrics
-                if m is not None:
-                    m.counter("exec.fault.backend_retries",
-                              "force calls re-issued after a transient "
-                              "backend error").inc()
-                if attempt > self.max_retries:
-                    raise
+        res = self._call(lambda: _batch.g5_pairwise(
+            xi, xj, mj, eps, numerics=self.system.numerics,
+            fixed=self._coord_format()))
         if res is None:
             return self.compute(xi, xj, mj, eps)
         n_i = int(np.asarray(xi).shape[0])

@@ -43,7 +43,7 @@ import itertools
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Optional
 
 __all__ = ["JOB_SCHEMA", "JOB_KINDS", "JOB_STATES", "TERMINAL_STATES",
@@ -131,9 +131,6 @@ class JobSpec:
     faults: Optional[str] = None
     #: engine/backend retry budget
     max_retries: int = 2
-    #: kernel-set selection (``repro.core.kernels`` registry name);
-    #: ``None`` means the default pure-python reference set
-    kernels: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.kind not in JOB_KINDS:
@@ -141,12 +138,6 @@ class JobSpec:
                            f"(choose from {', '.join(JOB_KINDS)})")
         if self.engine not in ("serial", "pipeline"):
             raise JobError(f"unknown engine {self.engine!r}")
-        if self.kernels is not None:
-            from ..core.kernels import resolve_kernels
-            try:
-                self.kernels = resolve_kernels(self.kernels).name
-            except (TypeError, ValueError) as e:
-                raise JobError(str(e)) from e
         if self.max_recoveries < 0 or self.max_retries < 0:
             raise JobError("retry/recovery budgets must be >= 0")
         if self.checkpoint_every < 0:
@@ -180,7 +171,6 @@ class JobSpec:
             "max_recoveries": self.max_recoveries,
             "checkpoint_every": self.checkpoint_every,
             "faults": self.faults, "max_retries": self.max_retries,
-            "kernels": self.kernels,
         }
 
     @classmethod
@@ -195,10 +185,7 @@ class JobSpec:
                            f"(this server speaks {JOB_SCHEMA})")
         if "kind" not in doc:
             raise JobError("job document is missing 'kind'")
-        known = {"kind", "params", "priority", "tenant", "engine",
-                 "workers", "max_recoveries", "checkpoint_every",
-                 "faults", "max_retries", "kernels"}
-        unknown = sorted(set(doc) - known)
+        unknown = sorted(set(doc) - set(_SPEC_FIELDS))
         if unknown:
             raise JobError(f"unknown job field(s): {', '.join(unknown)}")
         try:
@@ -206,6 +193,9 @@ class JobSpec:
         except TypeError as e:
             raise JobError(str(e)) from e
 
+
+#: the wire fields of a job spec; anything else in a POST body is a 400
+_SPEC_FIELDS = tuple(f.name for f in fields(JobSpec))
 
 _job_counter = itertools.count(1)
 
@@ -357,11 +347,7 @@ class Job:
         from the store's event log.
         """
         spec = JobSpec.from_dict(
-            {k: doc[k] for k in ("kind", "params", "priority",
-                                 "tenant", "engine", "workers",
-                                 "max_recoveries", "checkpoint_every",
-                                 "faults", "max_retries", "kernels")
-             if k in doc})
+            {k: doc[k] for k in _SPEC_FIELDS if k in doc})
         job = cls(spec=spec, id=doc["id"])
         job.seq = int(doc.get("seq", 0))
         job.state = doc.get("state", "queued")

@@ -105,8 +105,7 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
         system=(lease.context.system if p["backend"] == "grape"
                 else None),
         engine=engine, tracer=tracer, metrics=metrics,
-        fault_injector=injector, max_retries=spec.max_retries,
-        kernels=spec.kernels)
+        fault_injector=injector, max_retries=spec.max_retries)
 
     ckpt = (Path(job.workdir) / "checkpoint.npz" if job.workdir
             else None)
@@ -198,8 +197,7 @@ def _run_sweep(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
         tc, _ = build_force(theta=p["theta"], ncrit=ncrit,
                             system=lease.context.system,
                             tracer=tracer, metrics=metrics,
-                            max_retries=spec.max_retries,
-                            kernels=spec.kernels)
+                            max_retries=spec.max_retries)
         tc.accelerations(pos, mass, _EPS_SYNTH)
         s = tc.last_stats
         rows.append({"n_crit": ncrit,
@@ -225,8 +223,7 @@ def _run_force_eval(job: Job, lease, *, tracer,
     tc, _ = build_force(theta=p["theta"], ncrit=p["ncrit"],
                         system=lease.context.system,
                         tracer=tracer, metrics=metrics,
-                        max_retries=spec.max_retries,
-                        kernels=spec.kernels)
+                        max_retries=spec.max_retries)
     acc, pot = tc.accelerations(pos, mass, p["eps"])
     s = tc.last_stats
     job.steps_done = job.steps_total = 1

@@ -29,7 +29,7 @@ Retry-After`` through :class:`~repro.serve.quotas.AdmissionError`:
 * per-tenant active-job quotas and token-bucket rate limits
   (:class:`~repro.serve.quotas.AdmissionController`).
 
-A repeated identical submission (same kind/params/kernels, no fault
+A repeated identical submission (same kind/params, no fault
 plan) is served from the store's content-addressed result cache
 without acquiring a GRAPE lease -- ``serve.cache_hits`` counts them
 and the job document carries ``cache_hit: true``.

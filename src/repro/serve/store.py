@@ -43,7 +43,7 @@ PR 3 made bit-identical to an uninterrupted run.
 Result cache
 ------------
 :func:`spec_hash` canonicalises the result-determining part of a
-:class:`~repro.serve.jobs.JobSpec` (kind, params, kernel set) into a
+:class:`~repro.serve.jobs.JobSpec` (kind, params) into a
 SHA-256 key.  A finished job's result document is stored under that
 key together with its ``state_digest``; an identical later submission
 is served from the cache without acquiring a GRAPE lease.  Entries
@@ -95,7 +95,7 @@ CLAIMABLE_STATES = frozenset({"scheduled", "running"})
 
 #: spec fields that determine a job's result bit-for-bit (everything
 #: else -- priority, tenant, budgets -- is scheduling policy)
-_CACHE_KEY_FIELDS = ("kind", "params", "kernels")
+_CACHE_KEY_FIELDS = ("kind", "params")
 
 
 class StoreError(RuntimeError):
@@ -112,13 +112,15 @@ def spec_hash(spec) -> str:
 
     Accepts a :class:`~repro.serve.jobs.JobSpec` or a plain job
     document.  Two submissions share a hash iff their results are
-    bit-identical by construction (kind + validated params + kernel
-    set; kernel sets are themselves proven bit-identical but keyed
-    separately out of caution).
+    bit-identical by construction (kind + validated params).  The
+    version tag changes whenever the arithmetic behind a spec does:
+    ``v2`` retired the per-sink evaluation path, whose forces differ
+    from the current ones at the 1e-15 level, so rows cached under
+    ``v1`` keys are never served again.
     """
     doc = spec if isinstance(spec, dict) else spec.to_dict()
     key = {f: doc.get(f) for f in _CACHE_KEY_FIELDS}
-    blob = json.dumps(["repro.cachekey/v1", key], sort_keys=True,
+    blob = json.dumps(["repro.cachekey/v2", key], sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -46,7 +46,6 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
                 metrics: Optional[object] = None,
                 fault_injector: Optional[object] = None,
                 max_retries: int = 2,
-                kernels: Optional[object] = None,
                 cluster: Optional[object] = None
                 ) -> Tuple[object, Optional[object]]:
     """Build the treecode force solver the way ``repro run`` does.
@@ -58,10 +57,7 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
     job the accelerator behind its lease, so concurrent jobs never
     share boards.  The arithmetic is identical either way (every
     default system is the same paper configuration), which keeps
-    leased runs bit-identical to interactive ones.  ``kernels`` is the
-    uniform kernel-set selection (see
-    :func:`repro.core.kernels.resolve_kernels`); bad values raise
-    :class:`ValueError` before any resources are built.
+    leased runs bit-identical to interactive ones.
 
     ``cluster`` (a :class:`~repro.cluster.ClusterSpec` or an opened
     :class:`~repro.cluster.ClusterContext`) swaps the single emulated
@@ -71,12 +67,10 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
     no engine (it is its own parallel structure).
     """
     from ..core import TreeCode
-    from ..core.kernels import resolve_kernels
     from ..grape import GrapeBackend
     if backend not in ("grape", "host"):
         raise ValueError(f"unknown backend {backend!r} "
                          "(choose 'grape' or 'host')")
-    kernels = resolve_kernels(kernels)
     if cluster is not None:
         from ..cluster import ClusterContext, ClusterSpec
         if backend != "grape":
@@ -95,8 +89,7 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
                                      max_retries=int(max_retries))
             cluster.open()
         tc = TreeCode(theta=float(theta), n_crit=int(ncrit),
-                      cluster=cluster, tracer=tracer, metrics=metrics,
-                      kernels=kernels)
+                      cluster=cluster, tracer=tracer, metrics=metrics)
         if built_here:
             # close the context we opened when the treecode is closed
             tc._owns_cluster = True
@@ -110,8 +103,7 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
         gb.max_retries = int(max_retries)
         gb.fault_injector = fault_injector
     tc = TreeCode(theta=float(theta), n_crit=int(ncrit), backend=gb,
-                  engine=engine, tracer=tracer, metrics=metrics,
-                  kernels=kernels)
+                  engine=engine, tracer=tracer, metrics=metrics)
     return tc, gb
 
 

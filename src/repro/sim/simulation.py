@@ -94,12 +94,6 @@ class Simulation:
         ``force`` solver is supplied -- configure that solver's engine
         directly).  :meth:`close` releases it either way; use the
         simulation as a context manager for pipeline runs.
-    kernels:
-        Kernel-set selection handed to the default
-        :class:`~repro.core.treecode.TreeCode` (same rule as
-        ``engine``: ignored when an explicit ``force`` solver is
-        supplied).  A name or :class:`~repro.core.kernels.KernelSet`;
-        bad names raise :class:`ValueError` at construction.
     cluster:
         A :class:`~repro.cluster.ClusterSpec` (or opened
         :class:`~repro.cluster.ClusterContext`) handed to the default
@@ -118,7 +112,6 @@ class Simulation:
     tracer: object = None
     metrics: object = None
     engine: object = None
-    kernels: object = None
     cluster: object = None
 
     history: List[StepRecord] = field(default_factory=list)
@@ -143,7 +136,6 @@ class Simulation:
                                   engine=self.engine,
                                   tracer=self.tracer,
                                   metrics=self.metrics,
-                                  kernels=self.kernels,
                                   cluster=self.cluster)
         self._mass_eff = self.G * self.mass
         self._integrator = LeapfrogKDK(force=self._eval)
@@ -162,7 +154,6 @@ class Simulation:
                     force: object = None, t: float = 0.0,
                     tracer: object = None,
                     metrics: object = None,
-                    kernels: object = None,
                     cluster: object = None) -> "Simulation":
         """Build a run from a carved cosmological sphere.
 
@@ -177,8 +168,7 @@ class Simulation:
             eps = 0.04 * spacing
         return cls(pos=region.pos.copy(), vel=region.vel.copy(),
                    mass=region.mass.copy(), eps=float(eps), force=force,
-                   t=t, tracer=tracer, metrics=metrics, kernels=kernels,
-                   cluster=cluster)
+                   t=t, tracer=tracer, metrics=metrics, cluster=cluster)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -69,6 +69,26 @@ class TestGrapeBackendRetry:
         assert be.system.n_calls == ref.system.n_calls
         assert be.system.interactions == ref.system.interactions
 
+    def test_site_counts_one_call_per_sweep(self):
+        """The unit of ``call=`` at ``grape.compute`` is one backend
+        force call, and a treecode sweep is one such call however many
+        Barnes groups it holds -- so ``call=1`` hits the second force
+        evaluation, not the second group of the first."""
+        from repro.core import TreeCode
+        rng = np.random.default_rng(11)
+        pos = rng.normal(size=(400, 3))
+        mass = np.full(400, 1.0 / 400)
+        plan = FaultPlan([FaultSpec("transient_error", call=1, count=1,
+                                    site="grape.compute")])
+        be = GrapeBackend(fault_injector=FaultInjector(plan),
+                          max_retries=2)
+        tc = TreeCode(n_crit=16, backend=be)
+        tc.accelerations(pos, mass, 0.01)
+        assert tc.last_stats.n_groups > 2
+        assert be.transient_retries == 0
+        tc.accelerations(pos, mass, 0.01)
+        assert be.transient_retries == 1
+
 
 class TestG5ContextRetry:
     def _staged(self, call_args, **kwargs):

@@ -139,7 +139,7 @@ class TestTransportFaultSweep:
 
 RUN_SPEC = {
     "kind": "run",
-    "params": {"ngrid": 8, "steps": 8, "z_final": 12.0},
+    "params": {"ngrid": 16, "steps": 48, "z_final": 12.0},
     "checkpoint_every": 1,
 }
 

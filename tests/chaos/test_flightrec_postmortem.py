@@ -17,7 +17,8 @@ pytestmark = pytest.mark.chaos
 
 RUN = {"ngrid": 6, "steps": 3, "z_final": 12.0}
 
-#: crash the final step's force call, after two checkpoint
+#: crash the final step's force sweep (the site counts one call per
+#: sweep: 0 = initial forces, 1..3 = the steps), after two checkpoint
 #: generations exist (same deterministic plan as the scheduler
 #: chaos tests)
 CRASH = "transient_error@site=grape.compute,call=3,count=1"

@@ -18,9 +18,10 @@ pytestmark = pytest.mark.chaos
 #: three-step tiny paper run with a rotated checkpoint per step
 RUN = {"ngrid": 6, "steps": 3, "z_final": 12.0}
 
-#: backend call indices: 0 = initial forces, then one call per step
-#: (one treecode group at this N); call=3 crashes the final step,
-#: after two checkpoint generations exist
+#: ``grape.compute`` is consulted once per backend force call, i.e.
+#: once per list sweep: call 0 = initial forces, then one call per
+#: step; call=3 crashes the final step, after two checkpoint
+#: generations exist
 CRASH = "transient_error@site=grape.compute,call=3,count=1"
 
 

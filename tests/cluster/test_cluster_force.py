@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, let_exchange, take_rows
+from repro.core.kernels import cnative
 from repro.core.treecode import TreeCode
 from repro.grape.system import GrapeBackend
 from repro.sim.recipes import build_force
@@ -21,21 +22,35 @@ def plummerish():
     return pos, mass
 
 
-def _serial(pos, mass, kernels):
-    tc = TreeCode(theta=THETA, n_crit=NCRIT, backend=GrapeBackend(),
-                  kernels=kernels)
+def _serial(pos, mass):
+    tc = TreeCode(theta=THETA, n_crit=NCRIT, backend=GrapeBackend())
     acc, pot = tc.accelerations(pos, mass, EPS)
     return tc, acc, pot
 
 
-@pytest.mark.parametrize("kernels", ["python", "numpy"])
-def test_k1_b2_bit_identical(plummerish, kernels):
+BOTH_PATHS = pytest.mark.parametrize("eval_path", ["python", "numpy"],
+                                     indirect=True)
+
+
+@pytest.fixture
+def eval_path(request, monkeypatch):
+    """Both bodies ``eval_lists`` can run: ``numpy`` is the compiled
+    CSR walk over the arrays, ``python`` the per-sink reference loop
+    the backends fall back to when ``cnative.load()`` finds no
+    compiler.  The cluster contracts hold on either."""
+    if request.param == "python":
+        monkeypatch.setattr(cnative, "load", lambda: None)
+    return request.param
+
+
+@BOTH_PATHS
+def test_k1_b2_bit_identical(plummerish, eval_path):
     """hosts=1, boards=2 reproduces today's path bit for bit, and its
     timing model reproduces the single-host predicted seconds exactly."""
     pos, mass = plummerish
-    tc0, acc0, pot0 = _serial(pos, mass, kernels)
+    tc0, acc0, pot0 = _serial(pos, mass)
     tc1 = TreeCode(theta=THETA, n_crit=NCRIT,
-                   cluster=ClusterSpec(hosts=1, boards=2), kernels=kernels)
+                   cluster=ClusterSpec(hosts=1, boards=2))
     acc1, pot1 = tc1.accelerations(pos, mass, EPS)
     np.testing.assert_array_equal(acc1, acc0)
     np.testing.assert_array_equal(pot1, pot0)
@@ -48,13 +63,13 @@ def test_k1_b2_bit_identical(plummerish, kernels):
     tc1.close()
 
 
-@pytest.mark.parametrize("kernels", ["python", "numpy"])
+@BOTH_PATHS
 @pytest.mark.parametrize("hosts", [2, 4])
-def test_multi_host_matches_serial(plummerish, kernels, hosts):
+def test_multi_host_matches_serial(plummerish, eval_path, hosts):
     pos, mass = plummerish
-    _, acc0, pot0 = _serial(pos, mass, kernels)
+    _, acc0, pot0 = _serial(pos, mass)
     tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                  cluster=ClusterSpec(hosts=hosts), kernels=kernels)
+                  cluster=ClusterSpec(hosts=hosts))
     acc, pot = tc.accelerations(pos, mass, EPS)
     np.testing.assert_allclose(acc, acc0, rtol=1e-12, atol=0)
     np.testing.assert_allclose(pot, pot0, rtol=1e-12, atol=0)
@@ -67,10 +82,9 @@ def test_multi_host_matches_serial(plummerish, kernels, hosts):
 @pytest.mark.parametrize("decomp", ["orb", "slab"])
 def test_decomposition_strategies_agree(plummerish, decomp):
     pos, mass = plummerish
-    _, acc0, _ = _serial(pos, mass, "numpy")
+    _, acc0, _ = _serial(pos, mass)
     tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                  cluster=ClusterSpec(hosts=3, decomp=decomp),
-                  kernels="numpy")
+                  cluster=ClusterSpec(hosts=3, decomp=decomp))
     acc, _ = tc.accelerations(pos, mass, EPS)
     np.testing.assert_allclose(acc, acc0, rtol=1e-12, atol=0)
     tc.close()
@@ -79,11 +93,10 @@ def test_decomposition_strategies_agree(plummerish, decomp):
 def test_original_algorithm_under_cluster(plummerish):
     """Per-particle sinks decompose too (the paper's 'original' lists)."""
     pos, mass = plummerish
-    tc0 = TreeCode(theta=THETA, n_crit=NCRIT, backend=GrapeBackend(),
-                   kernels="numpy")
+    tc0 = TreeCode(theta=THETA, n_crit=NCRIT, backend=GrapeBackend())
     acc0, _ = tc0.accelerations(pos, mass, EPS, algorithm="original")
     tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                  cluster=ClusterSpec(hosts=2), kernels="numpy")
+                  cluster=ClusterSpec(hosts=2))
     acc, _ = tc.accelerations(pos, mass, EPS, algorithm="original")
     np.testing.assert_allclose(acc, acc0, rtol=1e-12, atol=0)
     tc.close()
@@ -94,7 +107,7 @@ def test_more_hosts_shrink_predicted_seconds(plummerish):
     pred = {}
     for hosts in (1, 2, 4):
         tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                      cluster=ClusterSpec(hosts=hosts), kernels="numpy")
+                      cluster=ClusterSpec(hosts=hosts))
         tc.accelerations(pos, mass, EPS)
         pred[hosts] = tc.cluster.model_seconds
         tc.close()
@@ -107,7 +120,7 @@ def test_exchange_grows_with_hosts(plummerish):
     vol = {}
     for hosts in (2, 4):
         tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                      cluster=ClusterSpec(hosts=hosts), kernels="numpy")
+                      cluster=ClusterSpec(hosts=hosts))
         tc.accelerations(pos, mass, EPS)
         vol[hosts] = tc.cluster.summary()["let_exchange_bytes"]
         tc.close()
@@ -116,7 +129,7 @@ def test_exchange_grows_with_hosts(plummerish):
 
 def test_take_rows_full_selection_is_identity(plummerish):
     pos, mass = plummerish
-    tc, _, _ = _serial(pos, mass, "numpy")
+    tc, _, _ = _serial(pos, mass)
     lists = tc.last_lists
     sub = take_rows(lists, np.arange(lists.n_sinks, dtype=np.int64))
     np.testing.assert_array_equal(sub.cell_idx, lists.cell_idx)
@@ -127,7 +140,7 @@ def test_take_rows_full_selection_is_identity(plummerish):
 
 def test_take_rows_subset(plummerish):
     pos, mass = plummerish
-    tc, _, _ = _serial(pos, mass, "numpy")
+    tc, _, _ = _serial(pos, mass)
     lists = tc.last_lists
     rows = np.array([3, 0, 7], dtype=np.int64)
     sub = take_rows(lists, rows)
@@ -141,7 +154,7 @@ def test_take_rows_subset(plummerish):
 
 def test_let_exchange_single_host_is_zero(plummerish):
     pos, mass = plummerish
-    tc, _, _ = _serial(pos, mass, "numpy")
+    tc, _, _ = _serial(pos, mass)
     tree, groups, lists = tc.last_tree, tc.last_groups, tc.last_lists
     owner = np.zeros(lists.n_sinks, dtype=np.int64)
     ex = let_exchange(tree, lists, owner, groups.start, groups.count, 1)

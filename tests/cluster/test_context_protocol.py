@@ -213,8 +213,7 @@ def test_stats_survive_close():
     pos = rng.standard_normal((300, 3))
     mass = np.full(300, 1.0 / 300)
     from repro.core.treecode import TreeCode
-    tc = TreeCode(theta=0.75, n_crit=64, cluster=ClusterSpec(hosts=2),
-                  kernels="numpy")
+    tc = TreeCode(theta=0.75, n_crit=64, cluster=ClusterSpec(hosts=2))
     tc.accelerations(pos, mass, 0.01)
     c = tc.cluster
     tc.close()

@@ -1,37 +1,43 @@
-"""Differential harness for the kernel-set registry (docs/kernels.md).
+"""Differential harness for the one evaluation path (docs/kernels.md).
 
-The contract between the ``python`` reference set and the vectorized
-``numpy`` set:
+Every driver evaluates interaction lists through
+``ForceBackend.eval_lists``.  The bundled backends override it with the
+compiled CSR walk over the NumPy arrays; the base-class body -- a plain
+Python loop, one ``compute()`` per sink -- is the oracle, and the path
+that runs when no C compiler is available.  The contract between them:
 
-* **tree structure and Morton keys are bit-identical** -- both sets
-  share the same construction kernels, and this suite pins that as an
-  observable property, not an implementation accident;
+* **tree structure and interaction lists are bit-identical** -- both
+  are built by the same functions before evaluation starts, and this
+  suite pins that as an observable property;
 * **forces and potentials agree to tight float tolerance** -- the
-  batched evaluators re-associate sums, so exact equality is not
-  required, but the error budget is a few ULPs per interaction;
-* the selection is **uniform**: the same ``kernels=`` value works on
-  :class:`~repro.core.treecode.TreeCode`,
-  :class:`~repro.cosmo.periodic_tree.PeriodicTreeCode`, the serial
-  engine and the pipeline engine, and unknown names fail loudly.
+  native walk re-associates sums, so exact equality is not required,
+  but the error budget is a few ULPs per interaction;
+* on the GRAPE emulator the **model** (call count, interactions,
+  modelled seconds) does not notice which body ran;
+* the pipeline engine and its crash recovery are bit-identical to the
+  in-process sweep.
 """
 
-import warnings
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core import TreeCode
-from repro.core.kernels import (KernelSet, kernel_names,
-                                register_kernels, resolve_kernels)
+from repro.core.kernels import Float64Backend, ForceBackend
 from repro.cosmo.periodic_tree import PeriodicTreeCode
 from repro.exec import PipelineEngine
 from repro.grape import GrapeBackend
 from repro.sim.models import plummer_model
 
-#: relative tolerance of the batched-vs-reference force comparison;
-#: the observed error is ~1e-15 (re-association of per-interaction
-#: sums), so 1e-12 is two-plus decades of headroom without masking a
-#: real kernel bug
+#: relative tolerance of the native-vs-oracle force comparison; the
+#: observed error is ~1e-15 (re-association of per-interaction sums),
+#: so 1e-12 is two-plus decades of headroom without masking a real
+#: kernel bug
 RTOL = 1e-12
 
 EPS = 0.01
@@ -49,6 +55,18 @@ CASES = [
     (10000, "open", 0.75),
     (10000, "periodic", 0.75),
 ]
+
+
+class OracleFloat64(Float64Backend):
+    """Float64 arithmetic through the base-class bodies only."""
+    eval_lists = ForceBackend.eval_lists
+    compute_batched = ForceBackend.compute_batched
+
+
+class OracleGrape(GrapeBackend):
+    """The emulator through the base-class bodies only."""
+    eval_lists = ForceBackend.eval_lists
+    compute_batched = ForceBackend.compute_batched
 
 
 @pytest.fixture(scope="module")
@@ -72,133 +90,114 @@ def ewald_table():
     return EwaldCorrectionTable(BOX)
 
 
-def _treecode(geometry, theta, kernels, ewald_table, n_crit=256,
-              engine=None):
+def _treecode(geometry, theta, backend, ewald_table, n_crit=256):
     if geometry == "open":
-        return TreeCode(theta=theta, n_crit=n_crit, kernels=kernels,
-                        engine=engine)
+        return TreeCode(theta=theta, n_crit=n_crit, backend=backend)
     return PeriodicTreeCode(box=BOX, theta=theta, n_crit=n_crit,
-                            kernels=kernels, ewald_table=ewald_table)
+                            backend=backend, ewald_table=ewald_table)
 
 
-class TestRegistry:
-    def test_known_names(self):
-        assert "python" in kernel_names()
-        assert "numpy" in kernel_names()
-
-    def test_resolve_default_is_python(self):
-        assert resolve_kernels(None).name == "python"
-        assert resolve_kernels(None).batched is False
-
-    def test_resolve_passthrough(self):
-        ks = resolve_kernels("numpy")
-        assert resolve_kernels(ks) is ks
-
-    def test_unknown_name_lists_choices(self):
-        with pytest.raises(ValueError, match="choose from"):
-            resolve_kernels("fortran")
-
-    def test_register_rejects_non_kernelset(self):
-        with pytest.raises(TypeError):
-            register_kernels("numpy")
-
-    def test_shared_tree_kernels(self):
-        """Tree bit-identity by construction: both sets run the very
-        same build/traverse callables."""
-        py, nx = resolve_kernels("python"), resolve_kernels("numpy")
-        assert py.morton_keys is nx.morton_keys
-        assert py.build_tree is nx.build_tree
-        assert py.traverse is nx.traverse
-
-    def test_uniform_rejection_across_surfaces(self):
-        from repro.sim.recipes import build_force
-        with pytest.raises(ValueError, match="unknown kernels"):
-            TreeCode(kernels="bogus")
-        with pytest.raises(ValueError, match="unknown kernels"):
-            PeriodicTreeCode(box=1.0, kernels="bogus")
-        with pytest.raises(ValueError, match="unknown kernels"):
-            build_force(theta=0.75, ncrit=256, kernels="bogus")
+def _assert_close(acc1, pot1, acc0, pot0):
+    np.testing.assert_allclose(acc1, acc0, rtol=RTOL,
+                               atol=RTOL * np.max(np.abs(acc0)))
+    # potentials cancel strongly in periodic boxes, so judge them
+    # against the field's magnitude, not each near-zero entry
+    np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
+                               atol=RTOL * np.max(np.abs(pot0)))
 
 
 class TestTreeBitIdentity:
     @pytest.mark.parametrize("n", [64, 1000])
     def test_morton_and_structure_identical(self, snapshots, n):
+        """Which body evaluates the lists cannot reach back into the
+        tree or the lists it was handed."""
         pos, mass = snapshots[(n, "open")]
-        py, nx = resolve_kernels("python"), resolve_kernels("numpy")
-        corner, size = py.bounding_cube(pos)
-        assert np.array_equal(py.morton_keys(pos, corner, size),
-                              nx.morton_keys(pos, corner, size))
-        tp = TreeCode(theta=0.75, n_crit=256, kernels=py).build(pos, mass)
-        tn = TreeCode(theta=0.75, n_crit=256, kernels=nx).build(pos, mass)
-        assert np.array_equal(tp.keys, tn.keys)
-        assert np.array_equal(tp.order, tn.order)
-        assert np.array_equal(tp.prefix, tn.prefix)
-        assert np.array_equal(tp.start, tn.start)
-        assert np.array_equal(tp.count, tn.count)
-        assert np.array_equal(tp.child, tn.child)
-        assert np.array_equal(tp.is_leaf, tn.is_leaf)
+        tp = TreeCode(theta=0.75, n_crit=256, backend=OracleFloat64())
+        tn = TreeCode(theta=0.75, n_crit=256)
+        tp.accelerations(pos, mass, EPS)
+        tn.accelerations(pos, mass, EPS)
+        for name in ("keys", "order", "prefix", "start", "count",
+                     "child", "is_leaf"):
+            assert np.array_equal(getattr(tp.last_tree, name),
+                                  getattr(tn.last_tree, name)), name
+        for name in ("cell_idx", "cell_off", "part_idx", "part_off"):
+            assert np.array_equal(getattr(tp.last_lists, name),
+                                  getattr(tn.last_lists, name)), name
 
 
 class TestForceEquivalence:
     @pytest.mark.parametrize("n,geometry,theta", CASES)
     def test_numpy_matches_python(self, snapshots, ewald_table, n,
                                   geometry, theta):
+        """The compiled walk over the NumPy arrays against the Python
+        reference loop, through the whole treecode."""
         pos, mass = snapshots[(n, geometry)]
-        ref = _treecode(geometry, theta, "python", ewald_table)
+        ref = _treecode(geometry, theta, OracleFloat64(), ewald_table)
         acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        tc = _treecode(geometry, theta, "numpy", ewald_table)
+        tc = _treecode(geometry, theta, Float64Backend(), ewald_table)
         acc1, pot1 = tc.accelerations(pos, mass, EPS)
-        scale = np.max(np.abs(acc0))
-        np.testing.assert_allclose(acc1, acc0, rtol=RTOL,
-                                   atol=RTOL * scale)
-        # potentials cancel strongly in periodic boxes, so judge them
-        # against the field's magnitude, not each near-zero entry
-        np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
-                                   atol=RTOL * np.max(np.abs(pot0)))
-        # identical lists -> identical interaction counts
+        _assert_close(acc1, pot1, acc0, pot0)
+        # identical lists -> identical interaction counts, both in the
+        # tree's statistics and in what the backends were handed
         assert (tc.last_stats.total_interactions
                 == ref.last_stats.total_interactions)
+        assert tc.backend.interactions == ref.backend.interactions
+
+    def test_override_matches_base_loop_on_same_lists(self, snapshots):
+        """The seam itself: the same CSR block through the override and
+        through ``ForceBackend.eval_lists`` called unbound."""
+        pos, mass = snapshots[(1000, "open")]
+        tc = TreeCode(theta=0.75, n_crit=64)
+        tc.accelerations(pos, mass, EPS)
+        tree, groups, lists = tc.last_tree, tc.last_groups, tc.last_lists
+        args = (tree.pos_sorted, tree.mass_sorted, tree.com, tree.mass,
+                lists, groups.start, groups.count, EPS)
+        out = {}
+        for name, call in (("native", Float64Backend.eval_lists),
+                           ("oracle", ForceBackend.eval_lists)):
+            acc = np.empty((tree.n_particles, 3))
+            pot = np.empty(tree.n_particles)
+            call(Float64Backend(), *args, acc, pot)
+            out[name] = (acc, pot)
+        _assert_close(*out["native"], *out["oracle"])
 
     def test_quadrupole_path(self, snapshots):
         pos, mass = snapshots[(1000, "open")]
         ref = TreeCode(theta=0.75, n_crit=256, quadrupole=True,
-                       kernels="python")
+                       backend=OracleFloat64())
         acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        tc = TreeCode(theta=0.75, n_crit=256, quadrupole=True,
-                      kernels="numpy")
+        tc = TreeCode(theta=0.75, n_crit=256, quadrupole=True)
         acc1, pot1 = tc.accelerations(pos, mass, EPS)
-        scale = np.max(np.abs(acc0))
-        np.testing.assert_allclose(acc1, acc0, rtol=RTOL,
-                                   atol=RTOL * scale)
-        # potentials cancel strongly in periodic boxes, so judge them
-        # against the field's magnitude, not each near-zero entry
-        np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
-                                   atol=RTOL * np.max(np.abs(pot0)))
+        _assert_close(acc1, pot1, acc0, pot0)
 
     def test_grape_backend_counters_and_forces(self, snapshots):
-        """On the emulator the batched path must preserve the *model*:
-        same call count, same interaction totals, same modelled
-        seconds -- the paper's time accounting must not notice the
-        host-side vectorization."""
+        """On the emulator the native walk must preserve the *model*:
+        the very same force calls, hence the same call count and
+        interaction total, and the same modelled seconds -- the
+        paper's time accounting must not notice the host-side
+        vectorization."""
         pos, mass = snapshots[(1000, "open")]
         refs = {}
-        for mode in ("python", "numpy"):
-            gb = GrapeBackend()
-            tc = TreeCode(theta=0.5, n_crit=256, backend=gb,
-                          kernels=mode)
+        for name, cls in (("oracle", OracleGrape),
+                          ("native", GrapeBackend)):
+            gb = cls()
+            gb.system.record_calls = True
+            tc = TreeCode(theta=0.5, n_crit=256, backend=gb)
             acc, pot = tc.accelerations(pos, mass, EPS)
-            refs[mode] = (acc, pot, gb.system.n_calls,
-                          gb.system.interactions,
-                          gb.system.model_seconds)
-        a0, p0, calls0, inter0, sec0 = refs["python"]
-        a1, p1, calls1, inter1, sec1 = refs["numpy"]
-        scale = np.max(np.abs(a0))
+            refs[name] = (acc, pot, gb.system)
+        a0, p0, sys0 = refs["oracle"]
+        a1, p1, sys1 = refs["native"]
         np.testing.assert_allclose(a1, a0, rtol=RTOL,
-                                   atol=RTOL * scale)
+                                   atol=RTOL * np.max(np.abs(a0)))
         np.testing.assert_allclose(p1, p0, rtol=RTOL)
-        assert calls1 == calls0
-        assert inter1 == inter0
-        assert sec1 == pytest.approx(sec0, rel=1e-12)
+        assert sys1.n_calls == sys0.n_calls
+        assert sys1.interactions == sys0.interactions
+        # the model is a function of the (n_i, n_j) call log alone
+        assert sys1.call_log == sys0.call_log
+        # ... summed pairwise by the batch charge and sequentially by
+        # per-call charging: the same seconds up to the last bit
+        assert sys1.model_seconds == pytest.approx(sys0.model_seconds,
+                                                   rel=1e-12)
 
 
 class TestEngines:
@@ -207,49 +206,40 @@ class TestEngines:
         """Worker batches see CSR *slices*; the per-sink arithmetic is
         row-independent, so slicing must not change a single bit."""
         pos, mass = snapshots[(1000, "open")]
-        tc = TreeCode(theta=0.75, n_crit=64, kernels="numpy")
+        tc = TreeCode(theta=0.75, n_crit=64)
         acc0, pot0 = tc.accelerations(pos, mass, EPS)
         with PipelineEngine(workers=2, batch_nj=2048) as eng:
-            tcp = TreeCode(theta=0.75, n_crit=64, kernels="numpy",
-                           engine=eng)
+            tcp = TreeCode(theta=0.75, n_crit=64, engine=eng)
             acc1, pot1 = tcp.accelerations(pos, mass, EPS)
         assert np.array_equal(acc1, acc0)
         assert np.array_equal(pot1, pot0)
 
     def test_pipeline_numpy_matches_python_reference(self, snapshots):
         pos, mass = snapshots[(1000, "open")]
-        ref = TreeCode(theta=0.75, n_crit=64, kernels="python")
+        ref = TreeCode(theta=0.75, n_crit=64, backend=OracleFloat64())
         acc0, pot0 = ref.accelerations(pos, mass, EPS)
         with PipelineEngine(workers=2, batch_nj=2048) as eng:
-            tcp = TreeCode(theta=0.75, n_crit=64, kernels="numpy",
-                           engine=eng)
+            tcp = TreeCode(theta=0.75, n_crit=64, engine=eng)
             acc1, pot1 = tcp.accelerations(pos, mass, EPS)
-        scale = np.max(np.abs(acc0))
-        np.testing.assert_allclose(acc1, acc0, rtol=RTOL,
-                                   atol=RTOL * scale)
-        # potentials cancel strongly in periodic boxes, so judge them
-        # against the field's magnitude, not each near-zero entry
-        np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
-                                   atol=RTOL * np.max(np.abs(pot0)))
+        _assert_close(acc1, pot1, acc0, pot0)
 
 
 @pytest.mark.chaos
 class TestChaosSmoke:
     def test_worker_crash_recovers_bit_identical(self, snapshots):
-        """The retry ladder re-executes crashed batches; because the
-        batched evaluator *assigns* output rows (never accumulates),
-        the recovered sweep equals the undisturbed one exactly."""
+        """The retry ladder re-executes crashed batches; because
+        ``eval_lists`` *assigns* output rows (never accumulates), the
+        recovered sweep equals the undisturbed one exactly."""
         pos, mass = snapshots[(1000, "open")]
         with PipelineEngine(workers=2, batch_nj=2048) as eng:
-            tc = TreeCode(theta=0.75, n_crit=64, kernels="numpy",
-                          engine=eng)
+            tc = TreeCode(theta=0.75, n_crit=64, engine=eng)
             acc0, pot0 = tc.accelerations(pos, mass, EPS)
         from repro.obs import MetricsRegistry
         reg = MetricsRegistry()
         with PipelineEngine(workers=2, batch_nj=2048,
                             faults="worker_crash@batch=1") as eng:
-            tc = TreeCode(theta=0.75, n_crit=64, kernels="numpy",
-                          engine=eng, metrics=reg)
+            tc = TreeCode(theta=0.75, n_crit=64, engine=eng,
+                          metrics=reg)
             acc1, pot1 = tc.accelerations(pos, mass, EPS)
         assert np.array_equal(acc1, acc0)
         assert np.array_equal(pot1, pot0)
@@ -257,28 +247,64 @@ class TestChaosSmoke:
         assert reg.value("exec.fault.batch_retries") >= 1
 
 
-class TestDeprecationShim:
-    def test_legacy_eval_sink_override_downgrades_once(self, snapshots):
-        """A pre-registry subclass that overrides ``_eval_sink``
-        without declaring batch support keeps working on the python
-        set, with a single warning per class."""
-        pos, mass = snapshots[(64, "open")]
+class TestNoCompilerFallback:
+    """``REPRO_KERNELS_NO_CNATIVE=1`` is what a machine without a C
+    compiler looks like: ``cnative.load()`` returns ``None`` and every
+    backend runs the reference loop.  Nothing selects this; the code
+    observes it."""
 
-        class LegacyTree(TreeCode):
-            def _eval_sink(self, tree, lists, sink, xi, eps):
-                return super()._eval_sink(tree, lists, sink, xi, eps)
+    def _run(self, tmp_path, tag, env_extra):
+        summary = tmp_path / f"{tag}.json"
+        ck = tmp_path / f"{tag}.npz"
+        env = dict(os.environ)
+        env.pop("REPRO_KERNELS_NO_CNATIVE", None)
+        env.update(env_extra)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2]
+                                / "src")
+        probe = ("import sys, json; from repro.cli import main; "
+                 "from repro.core.kernels import cnative; "
+                 "code = main(sys.argv[1:]); "
+                 "print(json.dumps({'native': cnative.available()})); "
+                 "sys.exit(code)")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, "run", "--ngrid", "8",
+             "--steps", "2", "--z-final", "16", "--ncrit", "64",
+             "--json-summary", str(summary), "--checkpoint", str(ck)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        native = json.loads(proc.stdout.splitlines()[-1])["native"]
+        from repro.sim.checkpoint import load_checkpoint
+        sim = load_checkpoint(ck)
+        return native, json.loads(summary.read_text()), sim
 
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            tc = LegacyTree(theta=0.75, n_crit=32, kernels="numpy")
-            tc2 = LegacyTree(theta=0.75, n_crit=32, kernels="numpy")
-        deps = [w for w in caught
-                if issubclass(w.category, DeprecationWarning)]
-        assert len(deps) == 1
-        assert tc.kernels.name == "python"
-        assert tc2.kernels.name == "python"
-        ref = TreeCode(theta=0.75, n_crit=32, kernels="python")
-        acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        acc1, pot1 = tc.accelerations(pos, mass, EPS)
-        assert np.array_equal(acc1, acc0)
-        assert np.array_equal(pot1, pot0)
+    def test_run_without_cnative_matches_native(self, tmp_path):
+        native0, ref, sim0 = self._run(tmp_path, "native", {})
+        native1, fb, sim1 = self._run(
+            tmp_path, "fallback", {"REPRO_KERNELS_NO_CNATIVE": "1"})
+        assert native1 is False
+        if not native0:
+            pytest.skip("no C compiler here: both runs took the "
+                        "fallback, nothing to compare against")
+        # every TreeStats-derived counter and the GRAPE call stream agree
+        for key in ("n_particles", "steps", "interactions",
+                    "mean_list_length", "grape_force_calls"):
+            assert fb[key] == ref[key], key
+        exact = [k for k in ref["metrics"]
+                 if (k.startswith("tree.")
+                     and not k.startswith("tree.seconds."))
+                 or k in ("grape.force_calls", "grape.call_ni",
+                          "grape.call_nj", "grape.interactions_total",
+                          "sim.interactions_total")]
+        assert len(exact) >= 12
+        for key in exact:
+            assert fb["metrics"][key] == ref["metrics"][key], key
+        assert fb["grape_model_seconds"] == pytest.approx(
+            ref["grape_model_seconds"], rel=1e-12)
+        # two leapfrog steps of forces within RTOL leave the phase
+        # space within the same tolerance
+        np.testing.assert_allclose(
+            sim1.pos, sim0.pos, rtol=RTOL,
+            atol=RTOL * np.max(np.abs(sim0.pos)))
+        np.testing.assert_allclose(
+            sim1.vel, sim0.vel, rtol=RTOL,
+            atol=RTOL * np.max(np.abs(sim0.vel)))

@@ -64,6 +64,21 @@ def test_documented_flags_exist(doc, live_flags):
         f"{sorted(phantom)} -- update the doc or restore the flag")
 
 
+def test_retired_kernels_selector_is_not_documented(live_flags):
+    """There is one evaluation path and nothing selects it: neither the
+    ``--kernels`` flag nor the ``kernels=`` keyword may reappear in any
+    file under ``docs/`` or in the README (nor be excused as another
+    tool's flag)."""
+    assert "--kernels" not in live_flags | _EXTERNAL
+    files = [p for p in (REPO / "docs").rglob("*") if p.is_file()]
+    for path in files + [REPO / "README.md"]:
+        text = path.read_text(errors="replace")
+        for token in ("--kernels", "kernels="):
+            assert token not in text, (
+                f"{path.relative_to(REPO)} mentions the retired "
+                f"{token!r} selector")
+
+
 def test_cluster_flags_are_documented(live_flags):
     """The PR-9 cluster surface is both live and documented."""
     assert {"--hosts", "--boards"} <= live_flags

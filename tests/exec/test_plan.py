@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.traversal import InteractionLists, concatenate_lists
-from repro.exec.plan import assemble_sources, plan_batches
+from repro.core.kernels import ForceBackend
+from repro.exec.plan import plan_batches
 
 
 class TestPlanBatches:
@@ -41,6 +42,15 @@ class TestPlanBatches:
 
 class TestAssembleSources:
     def test_order_is_cells_then_particles(self):
+        """The reference loop ships one point-mass list per sink: cell
+        monopoles first, then direct particles, in list order."""
+        seen = []
+
+        class Recording(ForceBackend):
+            def compute(self, xi, xj, mj, eps):
+                seen.append((xi.copy(), xj, mj))
+                return np.zeros((len(xi), 3)), np.zeros(len(xi))
+
         pos = np.arange(12, dtype=np.float64).reshape(4, 3)
         pmass = np.array([1.0, 2.0, 3.0, 4.0])
         com = 100.0 + np.arange(6, dtype=np.float64).reshape(2, 3)
@@ -51,7 +61,11 @@ class TestAssembleSources:
             cell_off=np.array([0, 2], dtype=np.int64),
             part_idx=np.array([3], dtype=np.int64),
             part_off=np.array([0, 1], dtype=np.int64))
-        xj, mj = assemble_sources(pos, pmass, com, cmass, lists, 0)
+        Recording().eval_lists(pos, pmass, com, cmass, lists,
+                               np.array([1]), np.array([2]), 0.0,
+                               np.empty((4, 3)), np.empty(4))
+        ((xi, xj, mj),) = seen
+        assert np.array_equal(xi, pos[1:3])
         assert np.array_equal(xj, np.vstack([com[1], com[0], pos[3]]))
         assert np.array_equal(mj, np.array([20.0, 10.0, 4.0]))
 

@@ -26,7 +26,9 @@ def worker(store, tmp_path, name, **kw):
 
 
 def run_spec(**kw):
-    params = {"ngrid": 6, "steps": 6, "z_final": 12.0}
+    # enough ~5 ms steps that a drain requested once the job is seen
+    # running still finds it mid-run
+    params = {"ngrid": 6, "steps": 40, "z_final": 12.0}
     params.update(kw.pop("params", {}))
     return JobSpec(kind="run", params=params, checkpoint_every=1,
                    **kw)

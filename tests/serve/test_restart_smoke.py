@@ -25,11 +25,12 @@ from repro.serve.client import ServeClient
 
 ROOT = Path(__file__).resolve().parents[2]
 
-#: slow enough to be killed mid-flight (the kill window is the ~6
-#: steps left after progress is observed), fast enough for a smoke
+#: slow enough to be killed mid-flight (a step is ~20 ms at this N, so
+#: the kill window is the ~1 s of steps left after progress is
+#: observed), fast enough for a smoke
 RUN_SPEC = {
     "kind": "run",
-    "params": {"ngrid": 8, "steps": 8, "z_final": 12.0},
+    "params": {"ngrid": 16, "steps": 48, "z_final": 12.0},
     "checkpoint_every": 1,
 }
 

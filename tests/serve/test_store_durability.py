@@ -356,12 +356,41 @@ class TestDamageDetection:
             SQLiteJobStore(tmp_path / "jobs.db")
 
 
+class TestLegacyDocuments:
+    """Stores written before the ``kernels`` spec field was retired
+    carry it in every job row; those rows must still load and run."""
+
+    @pytest.mark.parametrize("value", [None, "numpy"])
+    def test_stored_kernels_key_loads_and_finishes(self, tmp_path,
+                                                   value):
+        store = SQLiteJobStore(tmp_path / "jobs.db")
+        jid, seq = store.allocate()
+        job = Job(spec=JobSpec(kind="force_eval", params={"n": 64}),
+                  id=jid)
+        job.seq = seq
+        store.insert({**job.to_store_doc(), "kernels": value})
+        assert store.get(jid)["kernels"] == value
+        assert Job.from_store_doc(store.get(jid)).spec == job.spec
+        s = Scheduler(slots=1, workdir=tmp_path / "work", store=store,
+                      poll_interval=0.02).start()
+        try:
+            assert s.wait(jid, timeout=120)
+            done = s.get(jid)
+            assert done.state == "done", (done.state, done.error)
+            assert "kernels" not in done.to_dict()
+        finally:
+            s.stop(drain=False)
+            store.close()
+
+
 class TestCrashResume:
     """The acceptance path: a worker dies mid-run; a fresh scheduler
     on the same store resumes from the last-good checkpoint and
     reaches a bit-identical ``state_digest``."""
 
-    RUN = {"ngrid": 6, "steps": 4, "z_final": 12.0}
+    #: enough ~5 ms steps that a pause requested after two of them
+    #: still lands mid-run
+    RUN = {"ngrid": 6, "steps": 40, "z_final": 12.0}
 
     def _spec(self):
         return JobSpec(kind="run", params=dict(self.RUN),
