@@ -15,7 +15,8 @@ size-bounded shared asset.
     :class:`StoreUnavailable`).
 ``netstore``
     :class:`StoreServer`: any local :class:`~repro.serve.store.JobStore`
-    behind a stdlib asyncio HTTP socket (``repro store serve``).
+    behind a socket on :mod:`repro.serve.transport`
+    (``repro store serve``).
 ``remote``
     :class:`RemoteJobStore`: the ``JobStore`` contract as a client
     driver -- ``open_store("http://host:port")`` -- with bounded

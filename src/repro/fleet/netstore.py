@@ -3,9 +3,8 @@
 A :class:`StoreServer` wraps any local
 :class:`~repro.serve.store.JobStore` (SQLite-WAL in production, the
 in-memory store in tests) and exposes the whole store contract over
-the ``repro.fleet-rpc/v1`` envelope of :mod:`repro.fleet.protocol` --
-stdlib asyncio HTTP, single-request connections, the exact server
-shape of :mod:`repro.serve.server`.  Any number of
+the ``repro.fleet-rpc/v1`` envelope of :mod:`repro.fleet.protocol`,
+on the wire layer of :mod:`repro.serve.transport`.  Any number of
 :class:`~repro.serve.scheduler.Scheduler` workers on any number of
 hosts point their ``store`` at ``http://host:port`` (via
 :func:`~repro.serve.store.open_store`) and share claims, heartbeats,
@@ -28,23 +27,25 @@ POST     /rpc/v1      one sealed request envelope in, one sealed
 GET      /healthz     liveness: store kind/path, job counts, request
                       counters (plain JSON, curl-friendly)
 =======  ===========  ==============================================
+
+A request the transport refuses (400/413/431) or fails on (500) is
+answered with a sealed error envelope, so an RPC client raises it
+typed instead of retrying it as wire damage.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
-import logging
 import time
 from typing import Optional
 
 from ..serve.store import JobStore, StoreError
+from ..serve.transport import (HTTPServer, json_response, response,
+                               serve_until_signal)
 from .protocol import (ProtocolError, RPC_SCHEMA, pack_error,
                        pack_result, unpack_request)
 
 __all__ = ["DEFAULT_STORE_PORT", "StoreServer", "run_store_server"]
-
-logger = logging.getLogger(__name__)
 
 #: default listening port of ``repro store serve`` (the job API's
 #: 8014 plus a fleet offset)
@@ -55,126 +56,57 @@ DEFAULT_STORE_PORT = 8024
 MAX_BODY = 1 << 22
 
 
-def _response(status: int, reason: str, body: bytes,
-              content_type: str = "application/json") -> bytes:
-    head = [f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: close"]
-    return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
-
-
-class StoreServer:
+class StoreServer(HTTPServer):
     """One :class:`~repro.serve.store.JobStore` behind one listening
     socket.
 
-    ``port=0`` binds an ephemeral port (tests); the bound port is the
-    ``port`` attribute after :meth:`start`.  The server owns no store
-    policy -- budgets, TTLs and CAS semantics are all the wrapped
-    store's; it only seals/unseals envelopes and keeps counters.
+    The server owns no store policy -- budgets, TTLs and CAS semantics
+    are all the wrapped store's; it only seals/unseals envelopes and
+    keeps counters.  Stopping it leaves the wrapped store open (the
+    caller's).
     """
+
+    prog = "repro store"
+    max_body = MAX_BODY
 
     def __init__(self, store: JobStore, *, host: str = "127.0.0.1",
                  port: int = 0) -> None:
+        super().__init__(host, port)
         self.store = store
-        self.host = host
-        self.port = int(port)
-        self.started_at: Optional[float] = None
         self.requests = 0
         self.errors = 0
-        self._server: Optional[asyncio.AbstractServer] = None
 
-    @property
-    def url(self) -> str:
-        """The ``http://host:port`` clients pass to ``open_store``."""
-        return f"http://{self.host}:{self.port}"
+    def error_response(self, status: int, message: str) -> bytes:
+        """A sealed error envelope: the peer's bug below 500, ours at
+        500."""
+        cls = ProtocolError if status < 500 else StoreError
+        return response(status, pack_error(cls(message)))
 
-    # -- lifecycle -----------------------------------------------------
-    async def start(self) -> "StoreServer":
-        """Bind and begin accepting; resolves ``port=0`` bindings."""
-        self.started_at = time.time()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        logger.info("store server: %s over %s store", self.url,
-                    self.store.kind)
-        return self
+    def banner(self) -> str:
+        """The ``repro store serve`` listening line."""
+        return (f"serving {self.store.kind} store "
+                f"{getattr(self.store, 'path', '')} on {self.url}/")
 
-    async def stop(self) -> None:
-        """Stop accepting; the wrapped store stays open (caller's)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def serve_forever(self) -> None:
-        """Block serving requests until cancelled."""
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
-    # -- request plumbing ----------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        """Minimal HTTP/1.1: parse one request, route, close."""
-        try:
-            line = await reader.readline()
-            if not line:
-                return
-            parts = line.decode("latin-1").split()
-            if len(parts) < 2:
-                return
-            method, path = parts[0].upper(), parts[1].split("?")[0]
-            length = 0
-            while True:
-                h = await reader.readline()
-                if h in (b"\r\n", b"\n", b""):
-                    break
-                name, _, value = h.decode("latin-1").partition(":")
-                if name.strip().lower() == "content-length":
-                    try:
-                        length = min(MAX_BODY, int(value.strip()))
-                    except ValueError:
-                        length = 0
-            body = await reader.readexactly(length) if length else b""
-            self.requests += 1
-            if method == "POST" and path == "/rpc/v1":
-                writer.write(await self._rpc(body))
-            elif method == "GET" and path == "/healthz":
-                writer.write(self._healthz())
-            else:
-                writer.write(_response(
-                    404, "Not Found",
-                    (json.dumps({"error":
-                                 f"no route {method} {path}"}) + "\n"
-                     ).encode("utf-8")))
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except Exception as e:  # pragma: no cover - defensive 500
-            logger.exception("store request handling failed")
-            try:
-                writer.write(_response(500, "Internal Server Error",
-                                       pack_error(e)))
-            except Exception:
-                pass
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+    async def respond(self, method: str, path: str,
+                      body: bytes) -> bytes:
+        """Route one request: the RPC endpoint or the liveness doc."""
+        path = path.split("?")[0]
+        self.requests += 1
+        if method == "POST" and path == "/rpc/v1":
+            return await self._rpc(body)
+        if method == "GET" and path == "/healthz":
+            return self._healthz()
+        return json_response(404, {"error": f"no route {method} {path}"})
 
     async def _rpc(self, body: bytes) -> bytes:
         """One envelope in, one envelope out.  Typed store errors ride
         *inside* a 200 response -- they are answers, not transport
         failures; only an unreachable server looks like one."""
-        loop = asyncio.get_running_loop()
         try:
             op, kwargs = unpack_request(body)
-            fn = getattr(self.store, op)
             try:
-                result = await loop.run_in_executor(
-                    None, lambda: fn(**kwargs))
+                result = await asyncio.to_thread(
+                    getattr(self.store, op), **kwargs)
             except TypeError as e:
                 # bad argument shape for a known op: the caller's bug
                 raise ProtocolError(f"op {op!r}: {e}") from e
@@ -182,7 +114,7 @@ class StoreServer:
         except StoreError as e:
             self.errors += 1
             payload = pack_error(e)
-        return _response(200, "OK", payload)
+        return response(200, payload)
 
     def _healthz(self) -> bytes:
         """Liveness document: store identity, job counts, counters."""
@@ -198,27 +130,7 @@ class StoreServer:
             "uptime_seconds": (time.time() - self.started_at
                                if self.started_at else 0.0),
         }
-        return _response(200, "OK",
-                         (json.dumps(doc) + "\n").encode("utf-8"))
-
-
-async def _run(server: StoreServer) -> None:
-    """Serve until SIGINT/SIGTERM, then shut down cleanly."""
-    import signal
-    await server.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # non-Unix event loops
-    print(f"repro store: serving {server.store.kind} store "
-          f"{getattr(server.store, 'path', '')} on {server.url}/",
-          flush=True)
-    await stop.wait()
-    print("repro store: shutting down", flush=True)
-    await server.stop()
+        return json_response(200, doc)
 
 
 def run_store_server(*, store, host: str = "127.0.0.1",
@@ -237,7 +149,7 @@ def run_store_server(*, store, host: str = "127.0.0.1",
                          f"not another store server ({store})")
     server = StoreServer(st, host=host, port=port)
     try:
-        asyncio.run(_run(server))
+        asyncio.run(serve_until_signal(server))
     except KeyboardInterrupt:
         pass
     finally:

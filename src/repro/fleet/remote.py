@@ -4,7 +4,11 @@
 *driver*, not a cache: every call is one ``repro.fleet-rpc/v1``
 request to a :class:`~repro.fleet.netstore.StoreServer`, so claims,
 heartbeats and cache hits have exactly the cross-worker semantics of
-the backing SQLite store, just across hosts.
+the backing SQLite store, just across hosts.  The methods are not
+written out here: one forwarding proxy per name in
+:data:`~repro.fleet.protocol.RPC_OPS` is generated from the
+:class:`~repro.serve.store.JobStore` signature it overrides, so the
+contract is declared there and allow-listed there, nowhere else.
 
 Transport robustness
 --------------------
@@ -31,16 +35,20 @@ all three and assert the store underneath never corrupts.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import logging
 import time
-from http.client import HTTPConnection, HTTPException
-from typing import Any, Dict, List, Optional, Tuple
+from http.client import HTTPException
+from typing import Any, Callable, Dict, Optional
 from urllib.parse import urlsplit
 
 from ..faults import TransientBackendError
 from ..serve.store import JobStore, StoreError
+from ..serve.transport import exchange
 from .netstore import DEFAULT_STORE_PORT
-from .protocol import (PayloadCorrupt, pack_request, unpack_response)
+from .protocol import (PayloadCorrupt, RPC_OPS, pack_request,
+                       unpack_response)
 
 __all__ = ["RemoteJobStore", "RPC_SITE"]
 
@@ -107,16 +115,10 @@ class RemoteJobStore(JobStore):
         if spec is not None and spec.kind == "transient_error":
             raise TransientBackendError(
                 f"injected transient error at {RPC_SITE} ({op})")
-        conn = HTTPConnection(self.host, self.port,
-                              timeout=self.timeout)
-        try:
-            conn.request("POST", "/rpc/v1",
-                         body=pack_request(op, args),
-                         headers={"Content-Type": "application/json"})
-            resp = conn.getresponse()
+        with exchange(self.host, self.port, "POST", "/rpc/v1",
+                      pack_request(op, args),
+                      timeout=self.timeout) as resp:
             raw = resp.read()
-        finally:
-            conn.close()
         if spec is not None and spec.kind == "corrupt_result":
             raw = raw[:len(raw) // 2]
         return unpack_response(raw)
@@ -160,109 +162,24 @@ class RemoteJobStore(JobStore):
             f"store {self.url}: {op} failed after "
             f"{self.retries + 1} attempt(s): {last}") from last
 
-    # -- identity ------------------------------------------------------
-    def allocate(self) -> Tuple[str, int]:
-        """Reserve a fresh (job id, sequence) pair on the server."""
-        jid, seq = self._call("allocate")
-        return str(jid), int(seq)
 
-    # -- documents -----------------------------------------------------
-    def insert(self, doc: Dict[str, Any]) -> None:
-        """Store a new job document."""
-        self._call("insert", doc=doc)
+def _proxy(op: str) -> Callable:
+    """The forwarding method for one RPC op: binds the call against
+    the base-class signature, so every parameter -- defaults included
+    -- crosses the wire under its declared name."""
+    base = getattr(JobStore, op)
+    sig = inspect.signature(base)
 
-    def update(self, doc: Dict[str, Any], *,
-               worker: Optional[str] = None) -> bool:
-        """Persist ``doc``; claim-guarded when ``worker`` is set."""
-        return bool(self._call("update", doc=doc, worker=worker))
+    @functools.wraps(base)
+    def call(self, *args: Any, **kwargs: Any) -> Any:
+        bound = sig.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        del bound.arguments["self"]
+        result = self._call(op, **bound.arguments)
+        # JSON has no tuple; allocate's contract type is one
+        return tuple(result) if op == "allocate" else result
+    return call
 
-    def get(self, job_id: str) -> Optional[Dict[str, Any]]:
-        """The job document for ``job_id``, or ``None``."""
-        return self._call("get", job_id=job_id)
 
-    def list(self) -> List[Dict[str, Any]]:
-        """Every job document, in sequence order."""
-        return list(self._call("list"))
-
-    # -- claims --------------------------------------------------------
-    def claim(self, job_id: str, worker: str, *, now: float,
-              ttl: float) -> bool:
-        """Atomic ``queued -> scheduled`` CAS on the server."""
-        return bool(self._call("claim", job_id=job_id, worker=worker,
-                               now=now, ttl=ttl))
-
-    def heartbeat(self, job_id: str, worker: str, *, now: float,
-                  ttl: float,
-                  doc: Optional[Dict[str, Any]] = None
-                  ) -> Optional[Dict[str, Any]]:
-        """Renew a claim lease; ``None`` when not the owner."""
-        return self._call("heartbeat", job_id=job_id, worker=worker,
-                          now=now, ttl=ttl, doc=doc)
-
-    def recover(self, *, now: float,
-                worker: Optional[str] = None) -> List[str]:
-        """Requeue jobs whose claim lease expired server-side."""
-        return list(self._call("recover", now=now, worker=worker))
-
-    def request_cancel(self, job_id: str) -> Optional[str]:
-        """Flag or apply a cancel; returns the new state."""
-        return self._call("request_cancel", job_id=job_id)
-
-    def requeue(self, job_id: str, *,
-                from_state: str = "paused") -> bool:
-        """Return a ``from_state`` job to the queue."""
-        return bool(self._call("requeue", job_id=job_id,
-                               from_state=from_state))
-
-    # -- event log -----------------------------------------------------
-    def append_event(self, job_id: str, event: Dict[str, Any]) -> None:
-        """Append one event to the job's durable log."""
-        self._call("append_event", job_id=job_id, event=event)
-
-    def events(self, job_id: str) -> List[Dict[str, Any]]:
-        """The job's event history, oldest first."""
-        return list(self._call("events", job_id=job_id))
-
-    # -- result cache --------------------------------------------------
-    def cache_put(self, key: str, digest: Optional[str],
-                  result: Dict[str, Any]) -> None:
-        """Record a result in the fleet-wide bounded cache."""
-        self._call("cache_put", key=key, digest=digest, result=result)
-
-    def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
-        """Cache lookup; counts a hit and refreshes recency."""
-        return self._call("cache_get", key=key)
-
-    def cache_stats(self) -> Dict[str, Any]:
-        """Entries/bytes/budget/hit/eviction counters."""
-        return dict(self._call("cache_stats"))
-
-    # -- worker registry -----------------------------------------------
-    def fleet_register(self, doc: Dict[str, Any], *, now: float,
-                       ttl: float) -> None:
-        """Insert-or-replace this worker's registry row."""
-        self._call("fleet_register", doc=doc, now=now, ttl=ttl)
-
-    def fleet_heartbeat(self, worker: str, *, now: float, ttl: float,
-                        state: Optional[str] = None) -> bool:
-        """Renew the registry TTL; False if the row is gone."""
-        return bool(self._call("fleet_heartbeat", worker=worker,
-                               now=now, ttl=ttl, state=state))
-
-    def fleet_deregister(self, worker: str) -> bool:
-        """Drop the worker's registry row."""
-        return bool(self._call("fleet_deregister", worker=worker))
-
-    def fleet_workers(self, *, now: float) -> List[Dict[str, Any]]:
-        """Registry rows with liveness judged at ``now``."""
-        return list(self._call("fleet_workers", now=now))
-
-    # -- integrity / lifecycle -----------------------------------------
-    def verify(self) -> List[str]:
-        """The *server's* integrity sweep over its backing store --
-        wire damage cannot reach here (it would have failed typed in
-        transit)."""
-        return list(self._call("verify"))
-
-    def close(self) -> None:
-        """Connections are per-request; nothing to release."""
+for _op in RPC_OPS:
+    setattr(RemoteJobStore, _op, _proxy(_op))

@@ -30,8 +30,12 @@ Layering (each module only depends on the ones above it):
     A stateless worker over the store: priority + store-wide
     fair-share picking, admission control, cache serving,
     :class:`AdmissionError` backpressure.
+``transport``
+    The one wire layer: HTTP framing and caps, the listening-socket
+    lifecycle, the client connection primitive -- shared with
+    :mod:`repro.fleet`.
 ``server`` / ``client``
-    Asyncio HTTP API and its stdlib client (``repro serve`` /
+    The job API's routes and their client (``repro serve`` /
     ``repro submit`` / ``repro jobs``).
 
 Beyond one box, :mod:`repro.fleet` puts the store behind a TCP

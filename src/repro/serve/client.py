@@ -1,7 +1,7 @@
-"""Stdlib HTTP client for the simulation service.
+"""Stdlib client for the simulation service.
 
-A thin, dependency-free wrapper over :mod:`http.client` speaking the
-``repro.job/v1`` wire format of :mod:`repro.serve.server`.  Used by
+The ``repro.job/v1`` API of :mod:`repro.serve.server` as methods, over
+:func:`repro.serve.transport.exchange`.  Used by
 the ``repro submit`` / ``repro jobs`` CLI verbs, the acceptance
 tests, and the service benchmark -- one client implementation so they
 all exercise the same protocol.
@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import json
 import time
-from http.client import HTTPConnection
+from contextlib import contextmanager
+from http.client import HTTPResponse
 from typing import Any, Dict, Iterator, List, Optional
+
+from .transport import exchange
 
 __all__ = ["ServeHTTPError", "Backpressure", "ServeClient"]
 
@@ -43,9 +46,8 @@ class Backpressure(ServeHTTPError):
 class ServeClient:
     """Client for one service endpoint (``host:port``).
 
-    Connections are per-request (the server speaks ``Connection:
-    close``), so a client object is cheap, stateless and
-    thread-safe.
+    A client object holds no connection, so it is cheap, stateless
+    and thread-safe.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8014, *,
@@ -55,19 +57,17 @@ class ServeClient:
         self.timeout = float(timeout)
 
     # -- plumbing ------------------------------------------------------
-    def _request(self, method: str, path: str,
-                 body: Optional[dict] = None) -> Dict[str, Any]:
-        conn = HTTPConnection(self.host, self.port,
-                              timeout=self.timeout)
-        try:
-            payload = (json.dumps(body).encode("utf-8")
-                       if body is not None else None)
-            conn.request(method, path, body=payload,
-                         headers={"Content-Type": "application/json"}
-                         if payload else {})
-            resp = conn.getresponse()
-            raw = resp.read()
+    @contextmanager
+    def _exchange(self, method: str, path: str,
+                  body: Optional[dict] = None
+                  ) -> Iterator[HTTPResponse]:
+        """One request; yields the 2xx response, raises the rest."""
+        payload = (json.dumps(body).encode("utf-8")
+                   if body is not None else None)
+        with exchange(self.host, self.port, method, path, payload,
+                      timeout=self.timeout) as resp:
             if resp.status >= 400:
+                raw = resp.read()
                 try:
                     message = json.loads(raw).get("error", raw)
                 except ValueError:
@@ -77,9 +77,13 @@ class ServeClient:
                         message,
                         float(resp.headers.get("Retry-After", 1)))
                 raise ServeHTTPError(resp.status, message)
-            return json.loads(raw) if raw.strip() else {}
-        finally:
-            conn.close()
+            yield resp
+
+    def _request(self, method: str, path: str,
+                 body: Optional[dict] = None) -> Dict[str, Any]:
+        with self._exchange(method, path, body) as resp:
+            raw = resp.read()
+        return json.loads(raw) if raw.strip() else {}
 
     # -- API -----------------------------------------------------------
     def submit(self, spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -146,24 +150,11 @@ class ServeClient:
 
         Yields event dicts until the server closes the stream (job
         reached a resting state)."""
-        conn = HTTPConnection(self.host, self.port,
-                              timeout=self.timeout)
-        try:
-            conn.request("GET", f"/jobs/{job_id}/events")
-            resp = conn.getresponse()
-            if resp.status >= 400:
-                raw = resp.read()
-                try:
-                    message = json.loads(raw).get("error", raw)
-                except ValueError:
-                    message = raw.decode("utf-8", "replace")
-                raise ServeHTTPError(resp.status, message)
+        with self._exchange("GET", f"/jobs/{job_id}/events") as resp:
             for line in resp:
                 line = line.strip()
                 if line:
                     yield json.loads(line)
-        finally:
-            conn.close()
 
     def healthz(self) -> Dict[str, Any]:
         """The liveness snapshot: job/queue counts plus scheduler
@@ -192,15 +183,5 @@ class ServeClient:
 
     def metrics(self) -> str:
         """The Prometheus exposition text of /metrics."""
-        conn = HTTPConnection(self.host, self.port,
-                              timeout=self.timeout)
-        try:
-            conn.request("GET", "/metrics")
-            resp = conn.getresponse()
-            raw = resp.read()
-            if resp.status >= 400:
-                raise ServeHTTPError(resp.status,
-                                     raw.decode("utf-8", "replace"))
-            return raw.decode("utf-8")
-        finally:
-            conn.close()
+        with self._exchange("GET", "/metrics") as resp:
+            return resp.read().decode("utf-8")

@@ -1,9 +1,8 @@
-"""Asyncio HTTP front door for the simulation service.
+"""HTTP front door for the simulation service: the job API's routes.
 
-Stdlib-only HTTP/1.1 over :func:`asyncio.start_server` -- the same
-no-dependency discipline as the rest of the package.  Connections are
-single-request (``Connection: close``), which keeps the parser
-trivial and is plenty for a job-submission control plane.
+Framing, body caps, the socket lifecycle and the 400/413/431/500
+paths are :mod:`repro.serve.transport`'s; this module maps routes to
+:class:`~repro.serve.scheduler.Scheduler` calls and status codes.
 
 Endpoints
 ---------
@@ -52,16 +51,15 @@ from __future__ import annotations
 
 import asyncio
 import json
-import logging
 import time
-from typing import Dict, Optional, Tuple
+from typing import AsyncIterator, Dict, Optional
 
 from .jobs import JobError
 from .scheduler import AdmissionError, Scheduler
+from .transport import (HTTPServer, json_response, response,
+                        serve_until_signal)
 
 __all__ = ["ServeError", "Server", "run_server"]
-
-logger = logging.getLogger(__name__)
 
 #: cap on request bodies (a job spec is tiny; anything bigger is abuse)
 MAX_BODY = 1 << 20
@@ -74,120 +72,41 @@ class ServeError(RuntimeError):
     """Service configuration/usage error (CLI exit 2)."""
 
 
-def _response(status: int, reason: str, body: bytes,
-              content_type: str = "application/json",
-              extra: Optional[Dict[str, str]] = None) -> bytes:
-    head = [f"HTTP/1.1 {status} {reason}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(body)}",
-            "Connection: close"]
-    for k, v in (extra or {}).items():
-        head.append(f"{k}: {v}")
-    return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
-
-
-def _json_response(status: int, reason: str, doc,
-                   extra: Optional[Dict[str, str]] = None) -> bytes:
-    return _response(status, reason,
-                     (json.dumps(doc) + "\n").encode("utf-8"),
-                     extra=extra)
-
-
-def _error(status: int, reason: str, message: str,
+def _error(status: int, message: str,
            extra: Optional[Dict[str, str]] = None) -> bytes:
-    return _json_response(status, reason, {"error": message},
-                          extra=extra)
+    return json_response(status, {"error": message}, extra)
 
 
-class Server:
-    """One scheduler behind one listening socket.
+class Server(HTTPServer):
+    """One scheduler behind one listening socket; starting and
+    stopping the server starts and stops the scheduler."""
 
-    ``port=0`` binds an ephemeral port (tests); the bound port is the
-    ``port`` attribute after :meth:`start`.
-    """
+    prog = "repro serve"
+    max_body = MAX_BODY
 
     def __init__(self, scheduler: Scheduler, *,
                  host: str = "127.0.0.1", port: int = 0) -> None:
+        super().__init__(host, port)
         self.scheduler = scheduler
-        self.host = host
-        self.port = int(port)
-        self.started_at: Optional[float] = None
-        self._server: Optional[asyncio.AbstractServer] = None
 
-    # -- lifecycle -----------------------------------------------------
     async def start(self) -> "Server":
         self.scheduler.start()
-        self.started_at = time.time()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
-        logger.info("serving on http://%s:%d/", self.host, self.port)
-        return self
+        return await super().start()
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         # scheduler.stop joins worker threads; keep the loop responsive
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.scheduler.stop)
+        await asyncio.to_thread(self.scheduler.stop)
 
-    async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
+    error_response = staticmethod(_error)
 
-    # -- request plumbing ----------------------------------------------
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
-        try:
-            parsed = await self._read_request(reader)
-            if parsed is None:
-                return
-            method, path, body = parsed
-            await self._dispatch(method, path, body, writer)
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except Exception as e:  # pragma: no cover - defensive 500
-            logger.exception("request handling failed")
-            try:
-                writer.write(_error(500, "Internal Server Error",
-                                    f"{type(e).__name__}: {e}"))
-            except Exception:
-                pass
-        finally:
-            try:
-                await writer.drain()
-                writer.close()
-                await writer.wait_closed()
-            except Exception:
-                pass
+    def banner(self) -> str:
+        sched = self.scheduler
+        return (f"listening on {self.url}/ ({sched.slots} slot(s), "
+                f"queue bound {sched.queue_depth}, store "
+                f"{sched.store.kind}, worker {sched.worker_id})")
 
-    async def _read_request(self, reader
-                            ) -> Optional[Tuple[str, str, bytes]]:
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, path = parts[0].upper(), parts[1]
-        length = 0
-        while True:
-            h = await reader.readline()
-            if h in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = h.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                try:
-                    length = min(MAX_BODY, int(value.strip()))
-                except ValueError:
-                    length = 0
-        body = await reader.readexactly(length) if length else b""
-        return method, path, body
-
-    async def _dispatch(self, method: str, path: str, body: bytes,
-                        writer: asyncio.StreamWriter) -> None:
+    async def respond(self, method: str, path: str, body: bytes):
         sched = self.scheduler
         route = (method, *[p for p in path.split("?")[0].split("/")
                            if p])
@@ -205,9 +124,8 @@ class Server:
                 except Exception:
                     return {}, {}
 
-            fleet, cache = await asyncio.get_running_loop() \
-                .run_in_executor(None, _store_view)
-            writer.write(_json_response(200, "OK", {
+            fleet, cache = await asyncio.to_thread(_store_view)
+            return json_response(200, {
                 "status": "ok",
                 "jobs": len(with_jobs),
                 "queued": queued,
@@ -225,112 +143,88 @@ class Server:
                 "cache": cache,
                 "uptime_seconds": (time.time() - self.started_at
                                    if self.started_at else 0.0),
-            }))
-            return
+            })
         if route == ("GET", "fleet"):
             # fleet_status reads the registry -- possibly over RPC
-            status = await asyncio.get_running_loop() \
-                .run_in_executor(None, sched.fleet_status)
-            writer.write(_json_response(200, "OK", status))
-            return
+            return json_response(
+                200, await asyncio.to_thread(sched.fleet_status))
         if route == ("POST", "fleet", "drain"):
             # drain joins worker threads mid-job; off the event loop
-            summary = await asyncio.get_running_loop() \
-                .run_in_executor(None, sched.drain)
-            writer.write(_json_response(200, "OK", summary))
-            return
+            return json_response(
+                200, await asyncio.to_thread(sched.drain))
         if route == ("GET", "store"):
             store = sched.store
-            writer.write(_json_response(200, "OK", {
+            return json_response(200, {
                 "schema": "repro.store/v1",
                 "kind": store.kind,
                 "worker": sched.worker_id,
                 "jobs": store.counts(),
                 "cache": store.cache_stats(),
                 "findings": store.verify(),
-            }))
-            return
+            })
         if route == ("GET", "metrics"):
             from ..obs.export import format_prometheus
-            writer.write(_response(
-                200, "OK",
-                format_prometheus(sched.metrics).encode("utf-8"),
-                content_type="text/plain; version=0.0.4"))
-            return
+            return response(
+                200, format_prometheus(sched.metrics).encode("utf-8"),
+                content_type="text/plain; version=0.0.4")
         if route == ("POST", "jobs"):
-            await self._submit(body, writer)
-            return
+            return self._submit(body)
         if route == ("GET", "jobs"):
-            writer.write(_json_response(
-                200, "OK", {"jobs": [j.to_dict()
-                                     for j in sched.jobs()]}))
-            return
+            return json_response(
+                200, {"jobs": [j.to_dict() for j in sched.jobs()]})
         if len(route) >= 3 and route[1] == "jobs":
-            await self._job_route(route, writer)
-            return
-        writer.write(_error(404, "Not Found",
-                            f"no route {method} {path}"))
+            return self._job_route(route)
+        return _error(404, f"no route {method} {path}")
 
-    async def _submit(self, body: bytes,
-                      writer: asyncio.StreamWriter) -> None:
+    def _submit(self, body: bytes) -> bytes:
         from .jobs import JobSpec
         try:
             doc = json.loads(body.decode("utf-8") or "null")
             spec = JobSpec.from_dict(doc)
         except (ValueError, JobError) as e:
-            writer.write(_error(400, "Bad Request", str(e)))
-            return
+            return _error(400, str(e))
         try:
             job = self.scheduler.submit(spec)
         except AdmissionError as e:
-            writer.write(_error(
-                429, "Too Many Requests", str(e),
-                extra={"Retry-After":
-                       str(max(1, round(e.retry_after)))}))
-            return
-        writer.write(_json_response(201, "Created", job.to_dict()))
+            return _error(
+                429, str(e), extra={"Retry-After":
+                                    str(max(1, round(e.retry_after)))})
+        return json_response(201, job.to_dict())
 
-    async def _job_route(self, route, writer) -> None:
+    def _job_route(self, route):
         sched = self.scheduler
         method, _, job_id, *rest = route
         try:
             job = sched.get(job_id)
         except KeyError as e:
-            writer.write(_error(404, "Not Found", str(e)))
-            return
+            return _error(404, str(e))
         try:
             if method == "GET" and not rest:
-                writer.write(_json_response(200, "OK", job.to_dict()))
-            elif method == "GET" and rest == ["events"]:
-                await self._stream_events(job_id, writer)
-            elif method == "GET" and rest == ["trace"]:
+                return json_response(200, job.to_dict())
+            if method == "GET" and rest == ["events"]:
+                return self._stream_events(job_id)
+            if method == "GET" and rest == ["trace"]:
                 from ..obs.export import span_events
                 spans = (list(span_events(job.tracer))
                          if job.tracer is not None else [])
-                writer.write(_json_response(200, "OK", {
+                return json_response(200, {
                     "schema": "repro.trace/v1",
                     "job": job.id,
                     "state": job.state,
                     "trace_id": job.trace_id,
                     "spans": spans,
-                }))
-            elif method == "DELETE" and not rest:
-                writer.write(_json_response(
-                    200, "OK", sched.cancel(job_id).to_dict()))
-            elif method == "POST" and rest == ["pause"]:
-                writer.write(_json_response(
-                    200, "OK", sched.pause(job_id).to_dict()))
-            elif method == "POST" and rest == ["resume"]:
-                writer.write(_json_response(
-                    200, "OK", sched.resume(job_id).to_dict()))
-            else:
-                writer.write(_error(404, "Not Found",
-                                    "no such job operation"))
+                })
+            if method == "DELETE" and not rest:
+                return json_response(200, sched.cancel(job_id).to_dict())
+            if method == "POST" and rest == ["pause"]:
+                return json_response(200, sched.pause(job_id).to_dict())
+            if method == "POST" and rest == ["resume"]:
+                return json_response(200, sched.resume(job_id).to_dict())
+            return _error(404, "no such job operation")
         except JobError as e:
-            writer.write(_error(409, "Conflict", str(e)))
+            return _error(409, str(e))
 
-    async def _stream_events(self, job_id: str,
-                             writer: asyncio.StreamWriter) -> None:
+    async def _stream_events(self, job_id: str) -> AsyncIterator[bytes]:
         """NDJSON event stream: recorded events first, then live ones
         until the job reaches a resting state.  Events come through
         the scheduler (live list for locally-owned jobs, the store's
@@ -338,46 +232,21 @@ class Server:
         EOF-terminated (no Content-Length), so plain ``http.client``
         readers just read lines until the connection closes."""
         sched = self.scheduler
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: application/x-ndjson\r\n"
-                     b"Connection: close\r\n\r\n")
+        yield response(200, None, content_type="application/x-ndjson")
         sent = 0
         while True:
             job = sched.get(job_id)
             events = sched.events(job_id)
-            while sent < len(events):
-                writer.write((json.dumps(events[sent]) + "\n")
-                             .encode("utf-8"))
-                sent += 1
-            await writer.drain()
-            if job.terminal or job.state == "paused":
-                writer.write((json.dumps(
-                    {"event": "state", "state": job.state}) + "\n")
-                    .encode("utf-8"))
+            batch = events[sent:]
+            sent = len(events)
+            resting = job.terminal or job.state == "paused"
+            if resting:
+                batch.append({"event": "state", "state": job.state})
+            yield "".join(json.dumps(e) + "\n"
+                          for e in batch).encode("utf-8")
+            if resting:
                 return
             await asyncio.sleep(_EVENT_POLL)
-
-
-async def _run(server: Server) -> None:
-    """Serve until SIGINT/SIGTERM, then shut down cleanly."""
-    import signal
-    await server.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(sig, stop.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # non-Unix event loops
-    print(f"repro serve: listening on "
-          f"http://{server.host}:{server.port}/ "
-          f"({server.scheduler.slots} slot(s), queue bound "
-          f"{server.scheduler.queue_depth}, store "
-          f"{server.scheduler.store.kind}, worker "
-          f"{server.scheduler.worker_id})", flush=True)
-    await stop.wait()
-    print("repro serve: shutting down", flush=True)
-    await server.stop()
 
 
 def run_server(*, host: str = "127.0.0.1", port: int = 8014,
@@ -408,7 +277,7 @@ def run_server(*, host: str = "127.0.0.1", port: int = 8014,
                       metrics=metrics, tracer=tracer)
     server = Server(sched, host=host, port=port)
     try:
-        asyncio.run(_run(server))
+        asyncio.run(serve_until_signal(server))
     except KeyboardInterrupt:
         sched.stop()
     return 0

@@ -1,0 +1,261 @@
+"""The one wire layer under ``repro.serve`` and ``repro.fleet``.
+
+Every byte that crosses a socket in either package goes through this
+module.  The two servers (:class:`~repro.serve.server.Server`,
+:class:`~repro.fleet.netstore.StoreServer`) are :class:`HTTPServer`
+subclasses that supply routes, an error-body format, a banner and a
+body cap; the two clients (:class:`~repro.serve.client.ServeClient`,
+:class:`~repro.fleet.remote.RemoteJobStore`) call :func:`exchange` and
+supply status mapping and retry policy.
+
+Framing is HTTP/1.1, one request per connection: every response says
+``Connection: close`` and carries a ``Content-Length`` (a stream
+carries none and ends at EOF).  A request that breaks the framing is
+refused with a typed :class:`HTTPError` -- 400 for a malformed request
+line or ``Content-Length``, 413 for a declared body above the server's
+cap, 431 for a request head above :data:`MAX_HEAD` -- rendered in the
+server's own error format and logged at WARNING; anything a route
+raises becomes a logged 500.  See "Transport" in ``docs/service.md``.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import json
+import logging
+import signal
+import time
+from contextlib import contextmanager
+from http.client import HTTPConnection, HTTPResponse
+from typing import Any, Dict, Iterator, Optional, Tuple
+
+__all__ = ["MAX_HEAD", "HTTPError", "read_request", "response",
+           "json_response", "HTTPServer", "serve_until_signal",
+           "exchange"]
+
+logger = logging.getLogger(__name__)
+
+#: cap on the request head (request line + headers), which is also the
+#: longest single line the stream reader will buffer
+MAX_HEAD = 1 << 16
+
+#: how long a refused request's unread input is drained before closing
+LINGER_SECONDS = 2.0
+
+#: the status lines this layer can send
+REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
+           404: "Not Found", 409: "Conflict",
+           413: "Payload Too Large", 429: "Too Many Requests",
+           431: "Request Header Fields Too Large",
+           500: "Internal Server Error"}
+
+
+class HTTPError(Exception):
+    """A request that broke the framing; ``status`` is the answer."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # the stream reader's line limit
+        raise HTTPError(431, "request line or header longer than "
+                             f"{MAX_HEAD} bytes") from None
+
+
+async def read_request(reader: asyncio.StreamReader, max_body: int
+                       ) -> Optional[Tuple[str, str, bytes]]:
+    """Read one request as ``(METHOD, target, body)``; ``None`` when
+    the peer sent nothing.  Raises :class:`HTTPError` for anything but
+    a well-framed request with at most ``max_body`` body bytes; an
+    oversize body is refused on its declared length, unread."""
+    line = await _readline(reader)
+    if not line:
+        return None
+    parts = line.decode("latin-1").split()
+    if len(parts) < 2:
+        raise HTTPError(400, "malformed request line")
+    head, length = len(line), 0
+    while True:
+        h = await _readline(reader)
+        if h in (b"\r\n", b"\n", b""):
+            break
+        head += len(h)
+        if head > MAX_HEAD:
+            raise HTTPError(431, "request head longer than "
+                                 f"{MAX_HEAD} bytes")
+        name, _, value = h.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            try:
+                length = int(value)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise HTTPError(400, "Content-Length is not a "
+                                     "non-negative integer")
+            if length > max_body:
+                raise HTTPError(413, f"request body of {length} bytes "
+                                     f"exceeds the {max_body}-byte cap")
+    try:
+        body = await reader.readexactly(length) if length else b""
+    except asyncio.IncompleteReadError:
+        raise HTTPError(400, "request body shorter than its "
+                             "Content-Length") from None
+    return parts[0].upper(), parts[1], body
+
+
+def response(status: int, body: Optional[bytes],
+             content_type: str = "application/json",
+             extra: Optional[Dict[str, str]] = None) -> bytes:
+    """Render a response.  ``body=None`` renders only the head of an
+    EOF-terminated stream: the caller writes the body and the
+    connection closing ends it."""
+    head = [f"HTTP/1.1 {status} {REASONS[status]}",
+            f"Content-Type: {content_type}"]
+    if body is not None:
+        head.append(f"Content-Length: {len(body)}")
+    head.append("Connection: close")
+    for k, v in (extra or {}).items():
+        head.append(f"{k}: {v}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + (body or b"")
+
+
+def json_response(status: int, doc: Any,
+                  extra: Optional[Dict[str, str]] = None) -> bytes:
+    """Render ``doc`` as a one-line JSON response."""
+    return response(status, (json.dumps(doc) + "\n").encode("utf-8"),
+                    extra=extra)
+
+
+async def _discard(reader: asyncio.StreamReader) -> None:
+    """Drain and drop what a refused peer is still sending.  Closing
+    with unread input resets the connection, which would destroy the
+    refusal in flight and look like a transport failure to the peer."""
+    async def sink() -> None:
+        while await reader.read(MAX_HEAD):
+            pass
+    try:
+        await asyncio.wait_for(sink(), LINGER_SECONDS)
+    except asyncio.TimeoutError:
+        pass
+
+
+class HTTPServer:
+    """One listening socket serving single-request connections.
+
+    A subclass sets ``prog`` (the ``repro <verb>`` banner prefix) and
+    ``max_body`` (bytes) and defines ``async respond(method, path,
+    body)`` to route a well-framed request to its rendered response
+    (bytes, or an async iterator of chunks for a stream),
+    ``error_response(status, message) -> bytes`` to render a refusal
+    or a 500 in its own error format, and ``banner() -> str`` for
+    :func:`serve_until_signal`.  ``port=0`` binds an ephemeral port;
+    the bound port is the ``port`` attribute after :meth:`start`.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = int(port)
+        self.started_at: Optional[float] = None
+        self._server: Optional[asyncio.AbstractServer] = None
+
+    @property
+    def url(self) -> str:
+        """``http://host:port`` of the (bound) socket."""
+        return f"http://{self.host}:{self.port}"
+
+    async def start(self) -> "HTTPServer":
+        """Bind and begin accepting; resolves ``port=0`` bindings."""
+        self.started_at = time.time()
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port, limit=MAX_HEAD)
+        self.port = self._server.sockets[0].getsockname()[1]
+        logger.info("%s: serving on %s/", self.prog, self.url)
+        return self
+
+    async def stop(self) -> None:
+        """Stop accepting and close the socket."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+
+    async def serve_forever(self) -> None:
+        """Block serving requests until cancelled."""
+        if self._server is None:
+            raise RuntimeError("call start() first")
+        await self._server.serve_forever()
+
+    async def _handle(self, reader: asyncio.StreamReader,
+                      writer: asyncio.StreamWriter) -> None:
+        try:
+            try:
+                request = await read_request(reader, self.max_body)
+            except HTTPError as e:
+                logger.warning("%s: refused a request: %d %s",
+                               self.prog, e.status, e)
+                writer.write(self.error_response(e.status, str(e)))
+                await writer.drain()
+                await _discard(reader)
+                return
+            if request is not None:
+                out = await self.respond(*request)
+                if isinstance(out, bytes):
+                    writer.write(out)
+                else:
+                    async for chunk in out:
+                        writer.write(chunk)
+                        await writer.drain()
+        except (ConnectionError, asyncio.IncompleteReadError):
+            pass
+        except Exception as e:  # pragma: no cover - defensive 500
+            logger.exception("%s: request handling failed", self.prog)
+            try:
+                writer.write(self.error_response(
+                    500, f"{type(e).__name__}: {e}"))
+            except Exception:
+                pass
+        finally:
+            try:
+                await writer.drain()
+                writer.close()
+                await writer.wait_closed()
+            except Exception:
+                pass
+
+
+async def serve_until_signal(server: HTTPServer) -> None:
+    """Serve until SIGINT/SIGTERM, then shut down cleanly."""
+    await server.start()
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(sig, stop.set)
+        except (NotImplementedError, RuntimeError):
+            pass  # non-Unix event loops
+    print(f"{server.prog}: {server.banner()}", flush=True)
+    await stop.wait()
+    print(f"{server.prog}: shutting down", flush=True)
+    await server.stop()
+
+
+@contextmanager
+def exchange(host: str, port: int, method: str, path: str,
+             body: Optional[bytes] = None, *,
+             timeout: float) -> Iterator[HTTPResponse]:
+    """One request on one fresh connection, closed on exit.  Yields
+    the response with status and headers read; the caller ``read()``s
+    the body or iterates its lines inside the block.  A body is sent
+    as ``application/json`` -- the only kind either client sends."""
+    conn = HTTPConnection(host, port, timeout=timeout)
+    try:
+        conn.request(method, path, body=body,
+                     headers={"Content-Type": "application/json"}
+                     if body else {})
+        yield conn.getresponse()
+    finally:
+        conn.close()

@@ -1,6 +1,7 @@
 """The ``repro.fleet-rpc/v1`` envelope: sealing, digest checking,
 typed error round-trips -- pure protocol, no sockets."""
 
+import inspect
 import json
 
 import pytest
@@ -40,6 +41,40 @@ class TestEnvelopes:
             assert callable(getattr(JobStore, op, None)), op
             assert op in RemoteJobStore.__dict__, \
                 f"RemoteJobStore does not proxy {op!r}"
+            # ...and the proxy *is* the base declaration: same
+            # signature, same docstring, nothing restated
+            proxy, base = getattr(RemoteJobStore, op), getattr(JobStore, op)
+            assert inspect.signature(proxy) == inspect.signature(base), op
+            assert proxy.__doc__ == base.__doc__, op
+
+    @pytest.mark.parametrize("op,args,kwargs,sealed", [
+        ("update", ({"id": "j1"},), {},
+         {"doc": {"id": "j1"}, "worker": None}),
+        ("requeue", ("j1",), {},
+         {"job_id": "j1", "from_state": "paused"}),
+        ("fleet_heartbeat", ("w",), {"now": 1.0, "ttl": 2.0},
+         {"worker": "w", "now": 1.0, "ttl": 2.0, "state": None}),
+        ("heartbeat", ("j1", "w"), {"now": 1.0, "ttl": 2.0},
+         {"job_id": "j1", "worker": "w", "now": 1.0, "ttl": 2.0,
+          "doc": None}),
+        ("cache_put", ("k", None, {"n": 1}), {},
+         {"key": "k", "digest": None, "result": {"n": 1}}),
+    ])
+    def test_proxies_seal_every_argument_by_name(self, op, args,
+                                                 kwargs, sealed):
+        """A positional call and its all-keyword spelling put the same
+        envelope on the wire, defaulted arguments included."""
+        from repro.fleet import RemoteJobStore
+        sent = []
+        store = RemoteJobStore("http://127.0.0.1:1")
+        store._call = lambda op, **a: sent.append(pack_request(op, a))
+        getattr(store, op)(*args, **kwargs)
+        getattr(store, op)(**sealed)
+        assert sent == [pack_request(op, sealed)] * 2
+
+    def test_allocate_is_a_tuple_over_the_wire(self, remote):
+        pair = remote.allocate()
+        assert type(pair) is tuple and len(pair) == 2
 
 
 class TestDamage:

@@ -132,6 +132,22 @@ class TestContractOverTcp:
         # answer must come back in one round trip
         assert time.monotonic() - t0 < 1.0
 
+    def test_oversize_request_is_refused_typed_with_no_retry(
+            self, store_server):
+        """A body above the server's cap is a 413 carrying a sealed
+        ProtocolError -- an answer, so it is sent once, not re-sent as
+        if the wire had damaged it."""
+        from repro.fleet import ProtocolError
+        from repro.fleet.netstore import MAX_BODY
+        from repro.obs import MetricsRegistry
+        metrics = MetricsRegistry()
+        st = RemoteJobStore(store_server.url, retries=2, backoff=0.01,
+                            metrics=metrics)
+        with pytest.raises(ProtocolError, match="exceeds"):
+            st.cache_put("k", None, {"blob": "x" * (MAX_BODY + 1)})
+        assert metrics.counter("fleet.rpc_retries", "").value == 0
+        assert st.cache_get("k") is None
+
     def test_verify_runs_server_side(self, remote):
         seeded_doc(remote)
         assert remote.verify() == []

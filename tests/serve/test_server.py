@@ -64,6 +64,16 @@ class TestEndpoints:
             assert exc.value.status == 400
             assert "unknown job field(s): kernels" in str(exc.value)
 
+    def test_oversize_spec_is_413(self, server_pair):
+        """A body above the cap is refused as too large, not
+        truncated and mis-reported as malformed JSON."""
+        _, client = server_pair
+        with pytest.raises(ServeHTTPError) as exc:
+            client.submit({"schema": JOB_SCHEMA, "kind": "force_eval",
+                           "params": {"pad": "x" * (1 << 20)}})
+        assert exc.value.status == 413
+        assert "exceeds" in str(exc.value)
+
     def test_unknown_route_is_404(self, server_pair):
         _, client = server_pair
         with pytest.raises(ServeHTTPError) as exc:
