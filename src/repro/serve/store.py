@@ -10,23 +10,33 @@ any number of :class:`~repro.serve.scheduler.Scheduler` workers can
 share one store file, claim jobs with atomic compare-and-swap leases,
 and take over each other's work when a heartbeat expires.
 
-Two implementations share one contract:
+One implementation, :class:`SQLiteJobStore`, with two lifetimes:
 
-:class:`MemoryJobStore`
-    The in-process reference implementation (dicts under one lock).
-    Semantically identical to the SQLite store minus durability; the
-    contract tests in ``tests/serve/test_store_durability.py`` run
-    against both.
-
-:class:`SQLiteJobStore`
+a database file
     SQLite in WAL mode (one writer, many readers, safe across
     processes) plus an append-only JSONL event log next to the
-    database.  Every job row and cache row carries the SHA-256 of its
-    JSON payload, and every event-log line carries its own digest, so
-    torn writes and byte flips are *detected and typed* -- reads
-    either return exactly what was written or raise
-    :class:`StoreCorrupt`, never a plausible-but-wrong document
-    (the same discipline as ``sim.checkpoint``'s last-good pointer).
+    database.  Outlives the process; ``kind == "sqlite"``.
+
+``":memory:"``
+    The same code on a private in-memory database, the event log a
+    list of the same lines.  Identical semantics, lost with the
+    process; ``kind == "memory"``.  ``open_store(None)`` and
+    :class:`MemoryJobStore` are spellings of it.
+
+Every job, cache and worker row carries the SHA-256 of its JSON
+payload, and every event-log line carries its own digest, so torn
+writes and byte flips are *detected and typed* -- reads either return
+exactly what was written or raise :class:`StoreCorrupt`, never a
+plausible-but-wrong document (the same discipline as
+``sim.checkpoint``'s last-good pointer).
+
+Every op talks to the database inside :meth:`SQLiteJobStore._txn`, the
+one bracket that takes the store lock, opens ``BEGIN IMMEDIATE``,
+commits when the body returns and rolls back when it raises -- so a
+multi-statement op lands whole or leaves the rows as they were, the
+connection is never left inside a transaction, and every
+``sqlite3.Error`` surfaces as a typed :class:`StoreError` /
+:class:`StoreCorrupt`.
 
 Claim protocol
 --------------
@@ -69,17 +79,15 @@ worker is observable evidence) but count as dead.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import itertools
 import json
 import logging
-import os
 import sqlite3
 import threading
 import time
-from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = ["StoreError", "StoreCorrupt", "JobStore", "MemoryJobStore",
            "SQLiteJobStore", "open_store", "spec_hash",
@@ -153,6 +161,9 @@ class JobStore:
 
     # -- documents -----------------------------------------------------
     def insert(self, doc: Dict[str, Any]) -> None:
+        """Add a new job document.  Ids are unique: inserting an id
+        the store already holds raises :class:`StoreError` and leaves
+        the first row intact."""
         raise NotImplementedError
 
     def update(self, doc: Dict[str, Any], *,
@@ -160,10 +171,13 @@ class JobStore:
         """Persist ``doc`` (by id).  With ``worker`` the write only
         lands while that worker still holds the claim -- a write
         racing a takeover (claim expired, job re-queued) is dropped;
-        returns whether it landed."""
+        returns whether it landed.  An unknown id is a lost claim
+        (``False``) under ``worker`` and a :class:`StoreError`
+        without."""
         raise NotImplementedError
 
     def get(self, job_id: str) -> Optional[Dict[str, Any]]:
+        """One job document, or ``None`` for an unknown id."""
         raise NotImplementedError
 
     def list(self) -> List[Dict[str, Any]]:
@@ -206,24 +220,31 @@ class JobStore:
 
     # -- event log -----------------------------------------------------
     def append_event(self, job_id: str, event: Dict[str, Any]) -> None:
+        """Append one progress event to the job's log."""
         raise NotImplementedError
 
     def events(self, job_id: str) -> List[Dict[str, Any]]:
+        """The job's events, append order."""
         raise NotImplementedError
 
     # -- result cache --------------------------------------------------
     def cache_put(self, key: str, digest: Optional[str],
                   result: Dict[str, Any]) -> None:
+        """Store ``result`` under ``key`` (a :func:`spec_hash`),
+        replacing any earlier entry, then evict least-recently-used
+        entries until the cache fits its byte budget."""
         raise NotImplementedError
 
     def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
+        """The result stored under ``key`` (counted as a hit and
+        marked most recently used), or ``None``."""
         raise NotImplementedError
 
     def cache_stats(self) -> Dict[str, Any]:
-        """Cache counters: ``entries``, ``hits``, ``dropped`` (damaged
-        rows), ``bytes`` (canonical payload bytes held), ``evictions``
-        (LRU removals) and ``budget`` (byte bound, ``None`` =
-        unbounded)."""
+        """Cache figures: ``entries`` and ``bytes`` (canonical payload
+        bytes) held now, ``budget`` (byte bound, ``None`` = unbounded),
+        and three counters that only ever grow -- ``hits``, ``dropped``
+        (damaged rows) and ``evictions`` (LRU removals)."""
         raise NotImplementedError
 
     # -- worker registry -----------------------------------------------
@@ -256,12 +277,11 @@ class JobStore:
     # -- integrity / lifecycle -----------------------------------------
     def verify(self) -> List[str]:
         """Scan for damage; returns human-readable findings (empty =
-        clean).  Durable stores type their damage; the memory store is
-        trivially clean."""
+        clean)."""
         return []
 
     def close(self) -> None:
-        pass
+        """Release the store's resources (idempotent)."""
 
     # -- shared derived queries ----------------------------------------
     def queued(self) -> List[Dict[str, Any]]:
@@ -296,235 +316,27 @@ class JobStore:
                                 if w.get("state") == "draining")}
 
 
-class MemoryJobStore(JobStore):
-    """Reference implementation: plain dicts under one lock.
-
-    Exactly the SQLite store's semantics minus durability -- restarts
-    of the *process* lose it, restarts of a scheduler object over the
-    same store instance do not.  ``cache_budget`` bounds the result
-    cache to that many canonical-JSON payload bytes (LRU eviction);
-    ``None`` keeps it unbounded.
-    """
-
-    kind = "memory"
-
-    def __init__(self, *, cache_budget: Optional[int] = None) -> None:
-        self._lock = threading.Lock()
-        self._docs: Dict[str, Dict[str, Any]] = {}
-        self._claims: Dict[str, Tuple[str, float]] = {}
-        self._cancel: Dict[str, bool] = {}
-        self._events: Dict[str, List[Dict[str, Any]]] = {}
-        self._cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._cache_hits = 0
-        self._cache_bytes = 0
-        self._cache_evictions = 0
-        self.cache_budget = (int(cache_budget)
-                             if cache_budget is not None else None)
-        self._workers: Dict[str, Dict[str, Any]] = {}
-        self._counter = itertools.count(1)
-
-    def allocate(self) -> Tuple[str, int]:
-        with self._lock:
-            n = next(self._counter)
-            return f"j{n:06d}", n
-
-    def insert(self, doc: Dict[str, Any]) -> None:
-        with self._lock:
-            self._docs[doc["id"]] = json.loads(_canon(doc))
-
-    def update(self, doc: Dict[str, Any], *,
-               worker: Optional[str] = None) -> bool:
-        with self._lock:
-            jid = doc["id"]
-            if jid not in self._docs:
-                raise StoreError(f"no such job {jid!r}")
-            if worker is not None:
-                held = self._claims.get(jid)
-                if held is None or held[0] != worker:
-                    return False
-            self._docs[jid] = json.loads(_canon(doc))
-            return True
-
-    def get(self, job_id: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            d = self._docs.get(job_id)
-            return json.loads(_canon(d)) if d is not None else None
-
-    def list(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [json.loads(_canon(d)) for d in
-                    sorted(self._docs.values(),
-                           key=lambda d: d.get("seq", 0))]
-
-    def claim(self, job_id: str, worker: str, *, now: float,
-              ttl: float) -> bool:
-        with self._lock:
-            d = self._docs.get(job_id)
-            if d is None or d.get("state") != "queued":
-                return False
-            d["state"] = "scheduled"
-            d["worker"] = worker
-            self._claims[job_id] = (worker, now + ttl)
-            return True
-
-    def heartbeat(self, job_id: str, worker: str, *, now: float,
-                  ttl: float,
-                  doc: Optional[Dict[str, Any]] = None
-                  ) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            held = self._claims.get(job_id)
-            if held is None or held[0] != worker:
-                return None
-            self._claims[job_id] = (worker, now + ttl)
-            # progress only lands on a still-claimable row: the owning
-            # worker may have concurrently written a terminal state and
-            # a heartbeat must never resurrect it
-            d = self._docs.get(job_id)
-            if doc is not None and d is not None \
-                    and d.get("state") in CLAIMABLE_STATES:
-                self._docs[job_id] = json.loads(_canon(doc))
-            return {"cancel_requested":
-                    bool(self._cancel.get(job_id, False))}
-
-    def recover(self, *, now: float,
-                worker: Optional[str] = None) -> List[str]:
-        requeued = []
-        with self._lock:
-            for jid, d in self._docs.items():
-                if d.get("state") not in CLAIMABLE_STATES:
-                    continue
-                held = self._claims.get(jid)
-                expired = held is None or held[1] < now
-                owned = worker is not None and held is not None \
-                    and held[0] == worker
-                if expired or owned:
-                    d["state"] = "queued"
-                    d["worker"] = None
-                    d["attempt"] = int(d.get("attempt", 0)) + 1
-                    self._claims.pop(jid, None)
-                    requeued.append(jid)
-        return requeued
-
-    def request_cancel(self, job_id: str) -> Optional[str]:
-        with self._lock:
-            d = self._docs.get(job_id)
-            if d is None or d.get("state") in ("done", "failed",
-                                               "cancelled"):
-                return None
-            if d.get("state") in ("queued", "paused"):
-                d["state"] = "cancelled"
-                self._claims.pop(job_id, None)
-                return "cancelled"
-            self._cancel[job_id] = True
-            return "requested"
-
-    def requeue(self, job_id: str, *, from_state: str = "paused") -> bool:
-        with self._lock:
-            d = self._docs.get(job_id)
-            if d is None or d.get("state") != from_state:
-                return False
-            d["state"] = "queued"
-            d["worker"] = None
-            self._claims.pop(job_id, None)
-            return True
-
-    def append_event(self, job_id: str, event: Dict[str, Any]) -> None:
-        with self._lock:
-            self._events.setdefault(job_id, []).append(
-                json.loads(_canon(event)))
-
-    def events(self, job_id: str) -> List[Dict[str, Any]]:
-        with self._lock:
-            return [dict(e) for e in self._events.get(job_id, [])]
-
-    def cache_put(self, key: str, digest: Optional[str],
-                  result: Dict[str, Any]) -> None:
-        text = _canon(result)
-        with self._lock:
-            old = self._cache.pop(key, None)
-            if old is not None:
-                self._cache_bytes -= old["size"]
-            self._cache[key] = {"digest": digest,
-                                "result": json.loads(text),
-                                "size": len(text)}
-            self._cache_bytes += len(text)
-            while self.cache_budget is not None and self._cache \
-                    and self._cache_bytes > self.cache_budget:
-                _, evicted = self._cache.popitem(last=False)
-                self._cache_bytes -= evicted["size"]
-                self._cache_evictions += 1
-
-    def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            e = self._cache.get(key)
-            if e is None:
-                return None
-            self._cache.move_to_end(key)
-            self._cache_hits += 1
-            return json.loads(_canon(e["result"]))
-
-    def cache_stats(self) -> Dict[str, Any]:
-        with self._lock:
-            return {"entries": len(self._cache),
-                    "hits": self._cache_hits, "dropped": 0,
-                    "bytes": self._cache_bytes,
-                    "evictions": self._cache_evictions,
-                    "budget": self.cache_budget}
-
-    # -- worker registry -----------------------------------------------
-    def fleet_register(self, doc: Dict[str, Any], *, now: float,
-                       ttl: float) -> None:
-        worker = doc.get("worker")
-        if not worker:
-            raise StoreError("fleet_register: doc must carry 'worker'")
-        row = json.loads(_canon(doc))
-        row.setdefault("state", "up")
-        with self._lock:
-            self._workers[worker] = {"doc": row,
-                                     "expires": now + float(ttl)}
-
-    def fleet_heartbeat(self, worker: str, *, now: float, ttl: float,
-                        state: Optional[str] = None) -> bool:
-        with self._lock:
-            entry = self._workers.get(worker)
-            if entry is None:
-                return False
-            entry["expires"] = now + float(ttl)
-            entry["doc"]["last_seen"] = now
-            if state is not None:
-                entry["doc"]["state"] = state
-            return True
-
-    def fleet_deregister(self, worker: str) -> bool:
-        with self._lock:
-            return self._workers.pop(worker, None) is not None
-
-    def fleet_workers(self, *, now: float) -> List[Dict[str, Any]]:
-        with self._lock:
-            out = []
-            for worker in sorted(self._workers):
-                entry = self._workers[worker]
-                doc = json.loads(_canon(entry["doc"]))
-                doc["expires"] = entry["expires"]
-                doc["live"] = entry["expires"] >= now
-                out.append(doc)
-            return out
-
-
 class SQLiteJobStore(JobStore):
-    """SQLite-WAL job store + append-only JSONL event log.
+    """The job store: SQLite tables + an append-only event log.
 
-    One database file holds the ``jobs`` and ``cache`` tables (each
-    row storing its document as canonical JSON plus that JSON's
+    One database holds the ``jobs``, ``cache`` and ``workers`` tables
+    (each row storing its document as canonical JSON plus that JSON's
     SHA-256); progress events append to ``<db>.events.jsonl``, one
     self-digesting JSON line each, so a crash can at worst tear the
     final line -- which the tail scan detects, types and drops.
 
     Cross-process safety comes from SQLite itself: WAL journal mode,
-    ``BEGIN IMMEDIATE`` transactions around every compare-and-swap,
-    and a busy timeout instead of failing fast.  Two scheduler
-    processes (or two store instances in one process) can point at the
-    same path.
+    ``BEGIN IMMEDIATE`` transactions around every compare-and-swap
+    (:meth:`_txn`), and a busy timeout instead of failing fast.  Two
+    scheduler processes (or two store instances in one process) can
+    point at the same path.
+
+    The path ``":memory:"`` runs the same code on a database private
+    to this instance with the event lines kept in a list: no file is
+    created, and ``kind`` reads ``"memory"`` so callers know not to
+    leave work in it.  ``cache_budget`` bounds the result cache to
+    that many canonical-JSON payload bytes (LRU eviction); ``None``
+    keeps it unbounded.
     """
 
     kind = "sqlite"
@@ -536,14 +348,20 @@ class SQLiteJobStore(JobStore):
     def __init__(self, path: Union[str, Path], *,
                  timeout: float = 10.0,
                  cache_budget: Optional[int] = None) -> None:
+        """Open (creating if absent) the store at ``path``; raises
+        :class:`StoreCorrupt` when the file fails its integrity
+        check."""
         self.path = Path(path)
         self.cache_budget = (int(cache_budget)
                              if cache_budget is not None else None)
-        self.events_path = self.path.with_name(self.path.name
-                                               + ".events.jsonl")
+        if str(path) == ":memory:":
+            self.kind = "memory"
+            self.events_path = None
+        else:
+            self.events_path = self.path.with_name(self.path.name
+                                                   + ".events.jsonl")
+        self._memory_events: List[str] = []
         self._lock = threading.RLock()
-        self._event_seq = 0
-        self.event_damage: List[str] = []
         try:
             self._db = sqlite3.connect(self.path, timeout=timeout,
                                        check_same_thread=False,
@@ -552,9 +370,9 @@ class SQLiteJobStore(JobStore):
             self._db.execute("PRAGMA synchronous=NORMAL")
             self._db.execute(f"PRAGMA busy_timeout={int(timeout * 1e3)}")
             self._check_integrity()
-            self._create_schema()
         except sqlite3.Error as e:
             raise self._wrap(e) from e
+        self._create_schema()
         # prime the event sequence from the existing log's intact
         # prefix; damage found here is remembered for verify()
         events, self.event_damage = self._scan_event_log()
@@ -574,6 +392,37 @@ class SQLiteJobStore(JobStore):
             return StoreCorrupt(f"store {self.path}: {msg}")
         return StoreError(f"store {self.path}: {msg}")
 
+    @contextlib.contextmanager
+    def _txn(self, *, begin: bool = True) -> Iterator[sqlite3.Connection]:
+        """The one bracket every op's database access runs in.
+
+        Takes the store lock and opens ``BEGIN IMMEDIATE`` (the write
+        lock up front, so a compare-and-swap cannot lose a race
+        between its read and its write); commits when the body
+        finishes, an early ``return`` included; rolls back and
+        re-raises whatever the body raises; and types any
+        ``sqlite3.Error``, the bracket's own included, as
+        :class:`StoreError` / :class:`StoreCorrupt`.
+
+        ``begin=False`` keeps the lock and the error typing but opens
+        no transaction, so each statement commits by itself: for ops
+        whose one write (or read) is atomic without a bracket.
+        """
+        with self._lock:
+            try:
+                if begin:
+                    self._db.execute("BEGIN IMMEDIATE")
+                try:
+                    yield self._db
+                    if begin:
+                        self._db.execute("COMMIT")
+                except BaseException:
+                    if begin:
+                        self._db.execute("ROLLBACK")
+                    raise
+            except sqlite3.Error as e:
+                raise self._wrap(e) from e
+
     def _check_integrity(self) -> None:
         row = self._db.execute("PRAGMA quick_check").fetchone()
         if row is None or row[0] != "ok":
@@ -582,62 +431,60 @@ class SQLiteJobStore(JobStore):
                 f"{row[0] if row else 'no result'}")
 
     def _create_schema(self) -> None:
-        with self._lock:
-            self._db.execute("BEGIN IMMEDIATE")
-            try:
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS meta("
-                    " key TEXT PRIMARY KEY, value TEXT NOT NULL)")
-                self._db.execute(
-                    "INSERT OR IGNORE INTO meta VALUES"
-                    " ('schema', ?), ('job_seq', '0')",
-                    (STORE_SCHEMA,))
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS jobs("
-                    " seq INTEGER PRIMARY KEY,"
-                    " id TEXT UNIQUE NOT NULL,"
-                    " state TEXT NOT NULL,"
-                    " tenant TEXT NOT NULL DEFAULT 'default',"
-                    " claimed_by TEXT,"
-                    " claim_expires REAL,"
-                    " cancel_requested INTEGER NOT NULL DEFAULT 0,"
-                    " attempt INTEGER NOT NULL DEFAULT 0,"
-                    " doc TEXT NOT NULL,"
-                    " sha256 TEXT NOT NULL)")
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS cache("
-                    " key TEXT PRIMARY KEY,"
-                    " digest TEXT,"
-                    " result TEXT NOT NULL,"
-                    " sha256 TEXT NOT NULL,"
-                    " hits INTEGER NOT NULL DEFAULT 0,"
-                    " created_at REAL,"
-                    " size INTEGER NOT NULL DEFAULT 0,"
-                    " last_used REAL)")
-                # PR-8 stores predate the LRU columns; migrate in place
-                cols = {r[1] for r in self._db.execute(
-                    "PRAGMA table_info(cache)").fetchall()}
-                if "size" not in cols:
-                    self._db.execute(
-                        "ALTER TABLE cache ADD COLUMN size INTEGER"
-                        " NOT NULL DEFAULT 0")
-                    self._db.execute(
-                        "UPDATE cache SET size = LENGTH("
-                        "CAST(result AS BLOB))")
-                if "last_used" not in cols:
-                    self._db.execute(
-                        "ALTER TABLE cache ADD COLUMN last_used REAL")
-                self._db.execute(
-                    "CREATE TABLE IF NOT EXISTS workers("
-                    " worker TEXT PRIMARY KEY,"
-                    " state TEXT NOT NULL DEFAULT 'up',"
-                    " expires REAL NOT NULL,"
-                    " doc TEXT NOT NULL,"
-                    " sha256 TEXT NOT NULL)")
-                self._db.execute("COMMIT")
-            except BaseException:
-                self._db.execute("ROLLBACK")
-                raise
+        with self._txn() as db:
+            db.execute(
+                "CREATE TABLE IF NOT EXISTS meta("
+                " key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+            db.execute(
+                "INSERT OR IGNORE INTO meta VALUES"
+                " ('schema', ?), ('job_seq', '0')", (STORE_SCHEMA,))
+            db.execute(
+                "CREATE TABLE IF NOT EXISTS jobs("
+                " seq INTEGER PRIMARY KEY,"
+                " id TEXT UNIQUE NOT NULL,"
+                " state TEXT NOT NULL,"
+                " tenant TEXT NOT NULL DEFAULT 'default',"
+                " claimed_by TEXT,"
+                " claim_expires REAL,"
+                " cancel_requested INTEGER NOT NULL DEFAULT 0,"
+                " attempt INTEGER NOT NULL DEFAULT 0,"
+                " doc TEXT NOT NULL,"
+                " sha256 TEXT NOT NULL)")
+            db.execute(
+                "CREATE TABLE IF NOT EXISTS cache("
+                " key TEXT PRIMARY KEY,"
+                " digest TEXT,"
+                " result TEXT NOT NULL,"
+                " sha256 TEXT NOT NULL,"
+                " hits INTEGER NOT NULL DEFAULT 0,"
+                " created_at REAL,"
+                " size INTEGER NOT NULL DEFAULT 0,"
+                " last_used REAL)")
+            # PR-8 stores predate the LRU columns; migrate in place
+            cols = {r[1] for r in db.execute(
+                "PRAGMA table_info(cache)").fetchall()}
+            if "size" not in cols:
+                db.execute(
+                    "ALTER TABLE cache ADD COLUMN size INTEGER"
+                    " NOT NULL DEFAULT 0")
+                db.execute(
+                    "UPDATE cache SET size = LENGTH("
+                    "CAST(result AS BLOB))")
+            if "last_used" not in cols:
+                db.execute(
+                    "ALTER TABLE cache ADD COLUMN last_used REAL")
+            # seeded once from the per-row counts, so a file written
+            # before this counter existed keeps its history
+            db.execute(
+                "INSERT OR IGNORE INTO meta SELECT 'cache_hits',"
+                " COALESCE(SUM(hits), 0) FROM cache")
+            db.execute(
+                "CREATE TABLE IF NOT EXISTS workers("
+                " worker TEXT PRIMARY KEY,"
+                " state TEXT NOT NULL DEFAULT 'up',"
+                " expires REAL NOT NULL,"
+                " doc TEXT NOT NULL,"
+                " sha256 TEXT NOT NULL)")
 
     def _row_doc(self, row) -> Dict[str, Any]:
         """Decode one jobs/cache payload, verifying its digest."""
@@ -654,36 +501,23 @@ class SQLiteJobStore(JobStore):
 
     # -- identity ------------------------------------------------------
     def allocate(self) -> Tuple[str, int]:
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    row = self._db.execute(
-                        "UPDATE meta SET value = CAST(value AS INTEGER)"
-                        " + 1 WHERE key = 'job_seq'"
-                        " RETURNING CAST(value AS INTEGER)").fetchone()
-                    self._db.execute("COMMIT")
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
-        n = int(row[0])
+        with self._txn() as db:
+            n = int(db.execute(
+                "UPDATE meta SET value = CAST(value AS INTEGER)"
+                " + 1 WHERE key = 'job_seq'"
+                " RETURNING CAST(value AS INTEGER)").fetchone()[0])
         return f"j{n:06d}", n
 
     # -- documents -----------------------------------------------------
     def insert(self, doc: Dict[str, Any]) -> None:
         text = _canon(doc)
-        with self._lock:
-            try:
-                self._db.execute(
-                    "INSERT INTO jobs(seq, id, state, tenant, attempt,"
-                    " doc, sha256) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    (int(doc.get("seq", 0)), doc["id"], doc["state"],
-                     doc.get("tenant", "default"),
-                     int(doc.get("attempt", 0)), text, _doc_sha(text)))
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn(begin=False) as db:
+            db.execute(
+                "INSERT INTO jobs(seq, id, state, tenant, attempt,"
+                " doc, sha256) VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (int(doc.get("seq", 0)), doc["id"], doc["state"],
+                 doc.get("tenant", "default"),
+                 int(doc.get("attempt", 0)), text, _doc_sha(text)))
 
     def update(self, doc: Dict[str, Any], *,
                worker: Optional[str] = None) -> bool:
@@ -695,56 +529,32 @@ class SQLiteJobStore(JobStore):
         if worker is not None:
             where += " AND claimed_by = ?"
             args.append(worker)
-        with self._lock:
-            try:
-                cur = self._db.execute(
-                    f"UPDATE jobs SET state = ?, tenant = ?,"
-                    f" attempt = ?, doc = ?, sha256 = ? WHERE {where}",
-                    args)
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
-        if cur.rowcount == 0 and worker is None:
+        with self._txn(begin=False) as db:
+            landed = db.execute(
+                f"UPDATE jobs SET state = ?, tenant = ?,"
+                f" attempt = ?, doc = ?, sha256 = ? WHERE {where}",
+                args).rowcount > 0
+        if not landed and worker is None:
             raise StoreError(f"no such job {doc['id']!r}")
-        return cur.rowcount > 0
+        return landed
 
     def get(self, job_id: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            try:
-                row = self._db.execute(
-                    "SELECT doc, sha256 FROM jobs WHERE id = ?",
-                    (job_id,)).fetchone()
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn(begin=False) as db:
+            row = db.execute(
+                "SELECT doc, sha256 FROM jobs WHERE id = ?",
+                (job_id,)).fetchone()
         return self._row_doc(row) if row is not None else None
 
     def list(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            try:
-                rows = self._db.execute(
-                    "SELECT doc, sha256 FROM jobs ORDER BY seq"
-                    ).fetchall()
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn(begin=False) as db:
+            rows = db.execute(
+                "SELECT doc, sha256 FROM jobs ORDER BY seq").fetchall()
         return [self._row_doc(r) for r in rows]
 
     # -- claims --------------------------------------------------------
-    def _cas(self, sql: str, args: tuple) -> int:
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    cur = self._db.execute(sql, args)
-                    self._db.execute("COMMIT")
-                    return cur.rowcount
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
-
     def _patch_doc(self, job_id: str, **fields: Any) -> None:
         """Re-serialise a row's doc with ``fields`` folded in (called
-        inside a transaction by the CAS helpers)."""
+        inside a transaction by the CAS ops)."""
         row = self._db.execute(
             "SELECT doc, sha256 FROM jobs WHERE id = ?",
             (job_id,)).fetchone()
@@ -759,155 +569,92 @@ class SQLiteJobStore(JobStore):
 
     def claim(self, job_id: str, worker: str, *, now: float,
               ttl: float) -> bool:
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    cur = self._db.execute(
-                        "UPDATE jobs SET state = 'scheduled',"
-                        " claimed_by = ?, claim_expires = ?"
-                        " WHERE id = ? AND state = 'queued'",
-                        (worker, now + ttl, job_id))
-                    won = cur.rowcount > 0
-                    if won:
-                        self._patch_doc(job_id, state="scheduled",
-                                        worker=worker)
-                    self._db.execute("COMMIT")
-                    return won
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn() as db:
+            won = db.execute(
+                "UPDATE jobs SET state = 'scheduled',"
+                " claimed_by = ?, claim_expires = ?"
+                " WHERE id = ? AND state = 'queued'",
+                (worker, now + ttl, job_id)).rowcount > 0
+            if won:
+                self._patch_doc(job_id, state="scheduled", worker=worker)
+        return won
 
     def heartbeat(self, job_id: str, worker: str, *, now: float,
                   ttl: float,
                   doc: Optional[Dict[str, Any]] = None
                   ) -> Optional[Dict[str, Any]]:
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    cur = self._db.execute(
-                        "UPDATE jobs SET claim_expires = ?"
-                        " WHERE id = ? AND claimed_by = ?",
-                        (now + ttl, job_id, worker))
-                    if cur.rowcount == 0:
-                        self._db.execute("COMMIT")
-                        return None
-                    if doc is not None:
-                        # progress only lands on a still-claimable
-                        # row: a racing terminal write by the owner
-                        # must never be resurrected by a heartbeat
-                        text = _canon(doc)
-                        self._db.execute(
-                            "UPDATE jobs SET state = ?, attempt = ?,"
-                            " doc = ?, sha256 = ? WHERE id = ? AND"
-                            " state IN ('scheduled', 'running')",
-                            (doc["state"], int(doc.get("attempt", 0)),
-                             text, _doc_sha(text), job_id))
-                    row = self._db.execute(
-                        "SELECT cancel_requested FROM jobs WHERE id = ?",
-                        (job_id,)).fetchone()
-                    self._db.execute("COMMIT")
-                    return {"cancel_requested": bool(row and row[0])}
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn() as db:
+            if db.execute(
+                    "UPDATE jobs SET claim_expires = ?"
+                    " WHERE id = ? AND claimed_by = ?",
+                    (now + ttl, job_id, worker)).rowcount == 0:
+                return None
+            if doc is not None:
+                # progress only lands on a still-claimable row: a
+                # racing terminal write by the owner must never be
+                # resurrected by a heartbeat
+                text = _canon(doc)
+                db.execute(
+                    "UPDATE jobs SET state = ?, attempt = ?,"
+                    " doc = ?, sha256 = ? WHERE id = ? AND"
+                    " state IN ('scheduled', 'running')",
+                    (doc["state"], int(doc.get("attempt", 0)),
+                     text, _doc_sha(text), job_id))
+            row = db.execute(
+                "SELECT cancel_requested FROM jobs WHERE id = ?",
+                (job_id,)).fetchone()
+            return {"cancel_requested": bool(row and row[0])}
 
     def recover(self, *, now: float,
                 worker: Optional[str] = None) -> List[str]:
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    cond = ("claim_expires IS NULL"
-                            " OR claim_expires < ?")
-                    args: List[Any] = [now]
-                    if worker is not None:
-                        cond += " OR claimed_by = ?"
-                        args.append(worker)
-                    rows = self._db.execute(
-                        "SELECT id FROM jobs WHERE state IN"
-                        f" ('scheduled', 'running') AND ({cond})",
-                        args).fetchall()
-                    requeued = [r[0] for r in rows]
-                    for jid in requeued:
-                        self._db.execute(
-                            "UPDATE jobs SET state = 'queued',"
-                            " claimed_by = NULL, claim_expires = NULL,"
-                            " attempt = attempt + 1 WHERE id = ?",
-                            (jid,))
-                        row = self._db.execute(
-                            "SELECT attempt FROM jobs WHERE id = ?",
-                            (jid,)).fetchone()
-                        self._patch_doc(jid, state="queued",
-                                        worker=None,
-                                        attempt=int(row[0]))
-                    self._db.execute("COMMIT")
-                    return requeued
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        cond = "claim_expires IS NULL OR claim_expires < ?"
+        args: List[Any] = [now]
+        if worker is not None:
+            cond += " OR claimed_by = ?"
+            args.append(worker)
+        with self._txn() as db:
+            requeued = [r[0] for r in db.execute(
+                "SELECT id FROM jobs WHERE state IN"
+                f" ('scheduled', 'running') AND ({cond})",
+                args).fetchall()]
+            for jid in requeued:
+                attempt = db.execute(
+                    "UPDATE jobs SET state = 'queued',"
+                    " claimed_by = NULL, claim_expires = NULL,"
+                    " attempt = attempt + 1 WHERE id = ?"
+                    " RETURNING attempt", (jid,)).fetchone()[0]
+                self._patch_doc(jid, state="queued", worker=None,
+                                attempt=int(attempt))
+        return requeued
 
     def request_cancel(self, job_id: str) -> Optional[str]:
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    row = self._db.execute(
-                        "SELECT state FROM jobs WHERE id = ?",
-                        (job_id,)).fetchone()
-                    if row is None or row[0] in ("done", "failed",
-                                                 "cancelled"):
-                        self._db.execute("COMMIT")
-                        return None
-                    if row[0] in ("queued", "paused"):
-                        self._db.execute(
-                            "UPDATE jobs SET state = 'cancelled',"
-                            " claimed_by = NULL WHERE id = ?",
-                            (job_id,))
-                        self._patch_doc(job_id, state="cancelled",
-                                        worker=None)
-                        outcome = "cancelled"
-                    else:
-                        self._db.execute(
-                            "UPDATE jobs SET cancel_requested = 1"
-                            " WHERE id = ?", (job_id,))
-                        outcome = "requested"
-                    self._db.execute("COMMIT")
-                    return outcome
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn() as db:
+            row = db.execute(
+                "SELECT state FROM jobs WHERE id = ?",
+                (job_id,)).fetchone()
+            if row is None or row[0] in ("done", "failed", "cancelled"):
+                return None
+            if row[0] in ("queued", "paused"):
+                db.execute(
+                    "UPDATE jobs SET state = 'cancelled',"
+                    " claimed_by = NULL WHERE id = ?", (job_id,))
+                self._patch_doc(job_id, state="cancelled", worker=None)
+                return "cancelled"
+            db.execute(
+                "UPDATE jobs SET cancel_requested = 1 WHERE id = ?",
+                (job_id,))
+            return "requested"
 
     def requeue(self, job_id: str, *, from_state: str = "paused") -> bool:
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    cur = self._db.execute(
-                        "UPDATE jobs SET state = 'queued',"
-                        " claimed_by = NULL, claim_expires = NULL"
-                        " WHERE id = ? AND state = ?",
-                        (job_id, from_state))
-                    won = cur.rowcount > 0
-                    if won:
-                        self._patch_doc(job_id, state="queued",
-                                        worker=None)
-                    self._db.execute("COMMIT")
-                    return won
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn() as db:
+            won = db.execute(
+                "UPDATE jobs SET state = 'queued',"
+                " claimed_by = NULL, claim_expires = NULL"
+                " WHERE id = ? AND state = ?",
+                (job_id, from_state)).rowcount > 0
+            if won:
+                self._patch_doc(job_id, state="queued", worker=None)
+        return won
 
     # -- event log -----------------------------------------------------
     def append_event(self, job_id: str, event: Dict[str, Any]) -> None:
@@ -916,8 +663,10 @@ class SQLiteJobStore(JobStore):
             record = {"seq": self._event_seq, "job": job_id,
                       "event": json.loads(_canon(event))}
             record["sha256"] = _doc_sha(_canon(record))
-            line = json.dumps(record, sort_keys=True,
-                              separators=(",", ":")) + "\n"
+            line = _canon(record) + "\n"
+            if self.events_path is None:
+                self._memory_events.append(line)
+                return
             try:
                 with open(self.events_path, "a",
                           encoding="utf-8") as fh:
@@ -928,15 +677,18 @@ class SQLiteJobStore(JobStore):
                     f"event log {self.events_path}: {e}") from e
 
     def _scan_event_log(self) -> Tuple[List[Dict[str, Any]], List[str]]:
-        """Read the log; returns (intact prefix, typed damage).  The
+        """Read the log -- the sidecar file, or the in-memory list of
+        the same lines; returns (intact prefix, typed damage).  The
         scan stops at the first damaged line -- everything after a
         torn write is untrusted."""
         events: List[Dict[str, Any]] = []
         damage: List[str] = []
         try:
-            with open(self.events_path, encoding="utf-8",
-                      errors="replace") as fh:
-                for lineno, line in enumerate(fh, 1):
+            with (contextlib.nullcontext(self._memory_events)
+                  if self.events_path is None else
+                  open(self.events_path, encoding="utf-8",
+                       errors="replace")) as lines:
+                for lineno, line in enumerate(lines, 1):
                     stripped = line.strip()
                     if not stripped:
                         continue
@@ -964,13 +716,16 @@ class SQLiteJobStore(JobStore):
 
     # -- result cache --------------------------------------------------
     def _bump_meta_counter(self, key: str) -> None:
-        """Increment a persistent counter row in ``meta`` (called
-        inside a transaction)."""
+        """Increment a persistent counter row in ``meta`` (one upsert,
+        atomic inside a transaction or out of one)."""
         self._db.execute(
-            "INSERT OR IGNORE INTO meta VALUES (?, '0')", (key,))
-        self._db.execute(
-            "UPDATE meta SET value = CAST(value AS INTEGER) + 1"
-            " WHERE key = ?", (key,))
+            "INSERT INTO meta VALUES (?, '1') ON CONFLICT(key) DO"
+            " UPDATE SET value = CAST(value AS INTEGER) + 1", (key,))
+
+    def _meta_counter(self, key: str) -> int:
+        row = self._db.execute(
+            "SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
+        return int(row[0]) if row else 0
 
     def _evict_over_budget(self) -> None:
         """Drop least-recently-used cache rows until the summed
@@ -1000,69 +755,52 @@ class SQLiteJobStore(JobStore):
                   result: Dict[str, Any]) -> None:
         text = _canon(result)
         now = time.time()
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    self._db.execute(
-                        "INSERT OR REPLACE INTO cache"
-                        " (key, digest, result, sha256, hits,"
-                        " created_at, size, last_used)"
-                        " VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
-                        (key, digest, text, _doc_sha(text), now,
-                         len(text), now))
-                    self._evict_over_budget()
-                    self._db.execute("COMMIT")
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn() as db:
+            db.execute(
+                "INSERT OR REPLACE INTO cache"
+                " (key, digest, result, sha256, hits,"
+                " created_at, size, last_used)"
+                " VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
+                (key, digest, text, _doc_sha(text), now,
+                 len(text), now))
+            self._evict_over_budget()
 
     def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
+        with self._txn(begin=False) as db:
+            row = db.execute(
+                "SELECT result, sha256 FROM cache WHERE key = ?",
+                (key,)).fetchone()
+            if row is None:
+                return None
             try:
-                row = self._db.execute(
-                    "SELECT result, sha256 FROM cache WHERE key = ?",
-                    (key,)).fetchone()
-                if row is None:
-                    return None
-                try:
-                    doc = self._row_doc(row)
-                except StoreCorrupt:
-                    # content-addressing: a damaged entry is a miss,
-                    # never a wrong answer
-                    self._db.execute(
-                        "DELETE FROM cache WHERE key = ?", (key,))
-                    self._bump_meta_counter("cache_dropped")
-                    logger.warning("cache entry %s… dropped: payload "
-                                   "digest mismatch", key[:12])
-                    return None
-                self._db.execute(
-                    "UPDATE cache SET hits = hits + 1, last_used = ?"
-                    " WHERE key = ?", (time.time(), key))
-                return doc
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
-
-    def _meta_counter(self, key: str) -> int:
-        row = self._db.execute(
-            "SELECT value FROM meta WHERE key = ?", (key,)).fetchone()
-        return int(row[0]) if row else 0
+                doc = self._row_doc(row)
+            except StoreCorrupt:
+                # content-addressing: a damaged entry is a miss,
+                # never a wrong answer
+                db.execute("DELETE FROM cache WHERE key = ?", (key,))
+                self._bump_meta_counter("cache_dropped")
+                logger.warning("cache entry %s… dropped: payload "
+                               "digest mismatch", key[:12])
+                return None
+            db.execute(
+                "UPDATE cache SET hits = hits + 1, last_used = ?"
+                " WHERE key = ?", (time.time(), key))
+            self._bump_meta_counter("cache_hits")
+            return doc
 
     def cache_stats(self) -> Dict[str, Any]:
-        with self._lock:
-            try:
-                entries, hits, size = self._db.execute(
-                    "SELECT COUNT(*), COALESCE(SUM(hits), 0),"
-                    " COALESCE(SUM(size), 0) FROM cache").fetchone()
-                dropped = self._meta_counter("cache_dropped")
-                evicted = self._meta_counter("cache_evicted")
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
-        return {"entries": int(entries), "hits": int(hits),
-                "dropped": dropped, "bytes": int(size),
-                "evictions": evicted, "budget": self.cache_budget}
+        with self._txn(begin=False) as db:
+            # the counters live in meta, not on the rows, so evicting
+            # or re-putting an entry never lowers them
+            entries, size = db.execute(
+                "SELECT COUNT(*), COALESCE(SUM(size), 0)"
+                " FROM cache").fetchone()
+            return {"entries": int(entries),
+                    "hits": self._meta_counter("cache_hits"),
+                    "dropped": self._meta_counter("cache_dropped"),
+                    "bytes": int(size),
+                    "evictions": self._meta_counter("cache_evicted"),
+                    "budget": self.cache_budget}
 
     # -- worker registry -----------------------------------------------
     def fleet_register(self, doc: Dict[str, Any], *, now: float,
@@ -1073,64 +811,45 @@ class SQLiteJobStore(JobStore):
         row = json.loads(_canon(doc))
         row.setdefault("state", "up")
         text = _canon(row)
-        with self._lock:
-            try:
-                self._db.execute(
-                    "INSERT OR REPLACE INTO workers"
-                    " (worker, state, expires, doc, sha256)"
-                    " VALUES (?, ?, ?, ?, ?)",
-                    (worker, row["state"], now + float(ttl), text,
-                     _doc_sha(text)))
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn(begin=False) as db:
+            db.execute(
+                "INSERT OR REPLACE INTO workers"
+                " (worker, state, expires, doc, sha256)"
+                " VALUES (?, ?, ?, ?, ?)",
+                (worker, row["state"], now + float(ttl), text,
+                 _doc_sha(text)))
 
     def fleet_heartbeat(self, worker: str, *, now: float, ttl: float,
                         state: Optional[str] = None) -> bool:
-        with self._lock:
-            try:
-                self._db.execute("BEGIN IMMEDIATE")
-                try:
-                    row = self._db.execute(
-                        "SELECT doc, sha256 FROM workers"
-                        " WHERE worker = ?", (worker,)).fetchone()
-                    if row is None:
-                        self._db.execute("COMMIT")
-                        return False
-                    doc = self._row_doc(row)
-                    doc["last_seen"] = now
-                    if state is not None:
-                        doc["state"] = state
-                    text = _canon(doc)
-                    self._db.execute(
-                        "UPDATE workers SET state = ?, expires = ?,"
-                        " doc = ?, sha256 = ? WHERE worker = ?",
-                        (doc.get("state", "up"), now + float(ttl),
-                         text, _doc_sha(text), worker))
-                    self._db.execute("COMMIT")
-                    return True
-                except BaseException:
-                    self._db.execute("ROLLBACK")
-                    raise
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn() as db:
+            row = db.execute(
+                "SELECT doc, sha256 FROM workers"
+                " WHERE worker = ?", (worker,)).fetchone()
+            if row is None:
+                return False
+            doc = self._row_doc(row)
+            doc["last_seen"] = now
+            if state is not None:
+                doc["state"] = state
+            text = _canon(doc)
+            db.execute(
+                "UPDATE workers SET state = ?, expires = ?,"
+                " doc = ?, sha256 = ? WHERE worker = ?",
+                (doc.get("state", "up"), now + float(ttl),
+                 text, _doc_sha(text), worker))
+            return True
 
     def fleet_deregister(self, worker: str) -> bool:
-        with self._lock:
-            try:
-                cur = self._db.execute(
-                    "DELETE FROM workers WHERE worker = ?", (worker,))
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
-        return cur.rowcount > 0
+        with self._txn(begin=False) as db:
+            return db.execute(
+                "DELETE FROM workers WHERE worker = ?",
+                (worker,)).rowcount > 0
 
     def fleet_workers(self, *, now: float) -> List[Dict[str, Any]]:
-        with self._lock:
-            try:
-                rows = self._db.execute(
-                    "SELECT doc, sha256, expires FROM workers"
-                    " ORDER BY worker").fetchall()
-            except sqlite3.Error as e:
-                raise self._wrap(e) from e
+        with self._txn(begin=False) as db:
+            rows = db.execute(
+                "SELECT doc, sha256, expires FROM workers"
+                " ORDER BY worker").fetchall()
         out = []
         for text, sha, expires in rows:
             doc = self._row_doc((text, sha))
@@ -1179,23 +898,37 @@ class SQLiteJobStore(JobStore):
                 pass
 
 
+class MemoryJobStore(SQLiteJobStore):
+    """The name of ``SQLiteJobStore(":memory:")``, kept because the
+    scheduler's stop-drain default, ``/healthz`` and ``/fleet`` read
+    ``kind == "memory"`` and callers construct the store by this name.
+    It adds no behaviour: restarts of the *process* lose it, restarts
+    of a scheduler object over the same store instance do not."""
+
+    kind = "memory"
+
+    def __init__(self, *, cache_budget: Optional[int] = None) -> None:
+        """Open a fresh private in-memory store."""
+        super().__init__(":memory:", cache_budget=cache_budget)
+
+
 def open_store(store: Union[None, str, Path, JobStore], *,
                cache_budget: Optional[int] = None) -> JobStore:
-    """Coerce a store argument: ``None`` -> fresh in-memory store, an
-    ``http://host:port`` URL -> :class:`repro.fleet.RemoteJobStore`
-    (the fleet network store), any other path ->
-    :class:`SQLiteJobStore` (parent directory created), an existing
-    :class:`JobStore` -> itself.  ``cache_budget`` (bytes) bounds the
-    result cache of locally-opened stores; a remote store's budget is
-    the *server's* policy and the argument is ignored."""
-    if store is None:
-        return MemoryJobStore(cache_budget=cache_budget)
+    """Coerce a store argument: ``None`` or ``":memory:"`` -> a fresh
+    in-memory store, an ``http://host:port`` URL ->
+    :class:`repro.fleet.RemoteJobStore` (the fleet network store), any
+    other path -> :class:`SQLiteJobStore` on that file (parent
+    directory created), an existing :class:`JobStore` -> itself.
+    ``cache_budget`` (bytes) bounds the result cache of locally-opened
+    stores; a remote store's budget is the *server's* policy and the
+    argument is ignored."""
     if isinstance(store, JobStore):
         return store
-    text = str(store)
-    if text.startswith(("http://", "https://")):
+    if store is None or str(store) == ":memory:":
+        return MemoryJobStore(cache_budget=cache_budget)
+    if str(store).startswith(("http://", "https://")):
         from ..fleet.remote import RemoteJobStore
-        return RemoteJobStore(text)
+        return RemoteJobStore(str(store))
     path = Path(store)
     path.parent.mkdir(parents=True, exist_ok=True)
     return SQLiteJobStore(path, cache_budget=cache_budget)

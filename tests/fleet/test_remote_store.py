@@ -120,6 +120,10 @@ class TestContractOverTcp:
         assert remote.request_cancel(doc["id"]) == "cancelled"
         assert not remote.requeue(doc["id"])
 
+    def test_id_rules_hold_over_the_wire(self, remote):
+        from tests.serve.test_store_durability import assert_id_rules
+        assert_id_rules(remote)
+
     def test_typed_errors_propagate_without_retry(self, remote):
         """A server-side StoreError is an answer: it raises the same
         class client-side on the first trip (no retry storm)."""

@@ -4,7 +4,8 @@ Three layers, mirroring ``tests/chaos/test_checkpoint_faults.py``:
 
 * **contract** -- the :class:`~repro.serve.store.JobStore` semantics
   (claim CAS, heartbeat expiry, takeover, stale-write rejection) hold
-  identically for the in-memory reference store and the SQLite store;
+  identically for both lifetimes of the store, ``:memory:`` and a
+  database file;
 * **kill-and-reopen** -- at every lifecycle edge (inserted, claimed,
   running, paused, done) abandoning one store handle and opening a
   fresh one on the same file sees exactly the state that was written,
@@ -55,6 +56,24 @@ def seeded_job(store, *, state="queued", tenant="default",
     return job
 
 
+def assert_id_rules(store):
+    """The contract's two rules about ids, on any kind of store: an
+    id is inserted once, and an unknown id is a lost claim to a
+    guarded ``update`` but an error to an unguarded one."""
+    first = seeded_job(store)
+    again = dict(store.get(first.id), state="done", tenant="intruder")
+    with pytest.raises(StoreError):
+        store.insert(again)
+    kept = store.get(first.id)
+    assert kept["state"] == "queued" and kept["tenant"] == "default"
+    assert [d["id"] for d in store.list()] == [first.id]
+    ghost = dict(kept, id="j424242")
+    assert store.update(ghost, worker="w") is False
+    with pytest.raises(StoreError, match="no such job"):
+        store.update(ghost)
+    assert store.get("j424242") is None
+
+
 @pytest.fixture(params=["memory", "sqlite"])
 def store(request, tmp_path):
     s = make_store(request.param, tmp_path)
@@ -63,7 +82,7 @@ def store(request, tmp_path):
 
 
 class TestContract:
-    """Semantics shared by both implementations."""
+    """Semantics shared by both lifetimes of the store."""
 
     def test_allocate_is_unique_and_monotone(self, store):
         pairs = [store.allocate() for _ in range(5)]
@@ -181,6 +200,28 @@ class TestContract:
         stats = store.cache_stats()
         assert stats["entries"] == 1 and stats["hits"] == 1
 
+    def test_ids_insert_once_and_unknown_ids_are_typed(self, store):
+        assert_id_rules(store)
+
+    def test_cache_hits_counter_never_goes_down(self, store):
+        """``hits`` counts served reads: evicting or re-putting the
+        entry that was hit must not take them back, and a database
+        file remembers them across a reopen."""
+        store.cache_put("a" * 64, None, {"pad": "x" * 100})
+        assert store.cache_get("a" * 64) and store.cache_get("a" * 64)
+        store.cache_put("a" * 64, None, {"pad": "y" * 100})   # re-put
+        assert store.cache_stats()["hits"] == 2
+        store.cache_budget = 150          # room for one entry
+        store.cache_put("b" * 64, None, {"pad": "z" * 100})
+        stats = store.cache_stats()
+        assert stats["evictions"] == 1 and stats["entries"] == 1
+        assert stats["hits"] == 2
+        if store.kind == "sqlite":
+            store.close()
+            again = SQLiteJobStore(store.path)
+            assert again.cache_stats()["hits"] == 2
+            again.close()
+
     def test_tenant_active_counts_non_terminal(self, store):
         seeded_job(store, tenant="a")
         seeded_job(store, tenant="a", state="running")
@@ -195,8 +236,26 @@ class TestContract:
 
 
 class TestOpenStore:
-    def test_coercions(self, tmp_path):
+    def test_coercions(self, tmp_path, monkeypatch):
         assert open_store(None).kind == "memory"
+        # ":memory:" is one store however it is spelled: nothing on
+        # disk, and verify() is the real sweep, not a constant
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        for m in (open_store(None), open_store(":memory:"),
+                  SQLiteJobStore(":memory:"), MemoryJobStore()):
+            assert m.kind == "memory" and m.events_path is None
+            job = seeded_job(m)
+            m.append_event(job.id, {"event": "submitted"})
+            assert m.verify() == []
+            m._db.execute("UPDATE jobs SET doc = doc || ' '")
+            m._memory_events.append("torn")
+            findings = m.verify()
+            assert any("jobs" in f and "SHA-256" in f for f in findings)
+            assert any("event log line 2" in f for f in findings)
+            m.close()
+        assert list(cwd.iterdir()) == []
         s = SQLiteJobStore(tmp_path / "a.db")
         assert open_store(s) is s
         s.close()
@@ -354,6 +413,55 @@ class TestDamageDetection:
         corrupt_file(tmp_path / "jobs.db", mode="flip", offset=0)
         with pytest.raises(StoreCorrupt):
             SQLiteJobStore(tmp_path / "jobs.db")
+
+
+class TestTransactionBracket:
+    """Whatever is raised inside ``_txn()`` rolls the whole op back,
+    releases the lock and leaves the connection usable."""
+
+    def _still_serves(self, s):
+        healthy = seeded_job(s)
+        assert s.claim(healthy.id, "w2", now=time.time(), ttl=30.0)
+        assert s.get(healthy.id)["worker"] == "w2"
+
+    def test_corrupt_doc_inside_claim_rolls_the_cas_back(self, tmp_path):
+        s = SQLiteJobStore(tmp_path / "jobs.db")
+        job = seeded_job(s)
+        side = sqlite3.connect(tmp_path / "jobs.db")
+        side.execute("UPDATE jobs SET doc = doc || ' '")
+        side.commit()
+        # the state CAS lands, then _patch_doc meets the bad digest
+        with pytest.raises(StoreCorrupt):
+            s.claim(job.id, "w1", now=time.time(), ttl=30.0)
+        assert side.execute(
+            "SELECT state, claimed_by, claim_expires FROM jobs"
+            " WHERE id = ?", (job.id,)).fetchone() == \
+            ("queued", None, None)
+        side.close()
+        self._still_serves(s)
+        s.close()
+
+    def test_error_inside_cache_put_eviction_rolls_the_put_back(
+            self, tmp_path, monkeypatch):
+        s = SQLiteJobStore(tmp_path / "jobs.db", cache_budget=150)
+        s.cache_put("a" * 64, None, {"pad": "x" * 100})
+
+        def boom(key):
+            raise RuntimeError("mid-eviction")
+        with monkeypatch.context() as m:
+            m.setattr(s, "_bump_meta_counter", boom)
+            with pytest.raises(RuntimeError, match="mid-eviction"):
+                s.cache_put("b" * 64, None, {"pad": "y" * 100})
+        side = sqlite3.connect(tmp_path / "jobs.db")
+        assert side.execute("SELECT key FROM cache").fetchall() == \
+            [("a" * 64,)]
+        side.close()
+        assert s.cache_stats()["evictions"] == 0
+        s.cache_put("b" * 64, None, {"pad": "y" * 100})
+        assert s.cache_stats()["evictions"] == 1
+        assert s.cache_get("b" * 64) == {"pad": "y" * 100}
+        self._still_serves(s)
+        s.close()
 
 
 class TestLegacyDocuments:
