@@ -7,7 +7,7 @@ the cluster contract: K=1 is bit-identical to the serial GRAPE path
 exchange volume is zero at K=1 and grows with K, and the modelled
 cluster wall-clock shrinks as hosts are added.  Writes
 ``results/e14_cluster.json`` with the per-K exchange volume and
-predicted cluster Gflops; the gated scale-free metric is
+predicted cluster Gflops; the scale-free metric is
 ``cluster_predicted_gflops`` at K=4.
 """
 
@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from conftest import emit
-from repro.bench import register
 from repro.cluster import ClusterSpec
 from repro.core import TreeCode
 from repro.grape.system import GrapeBackend
@@ -41,8 +40,6 @@ def _cluster_sweep(pos, mass, hosts):
     return acc, pot, wall, summary
 
 
-@register("cluster_scaling", tier="fast", section="E14",
-          summary="emulated PC-GRAPE cluster: K-host scaling + LET volume")
 def test_cluster_scaling(benchmark, results_dir):
     rng = np.random.default_rng(14)
     pos, _, mass = plummer_model(N, rng)

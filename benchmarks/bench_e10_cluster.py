@@ -16,7 +16,6 @@ exactly the trajectory the GRAPE project took for later, larger N.
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.grape.cluster import ClusterConfig, GrapeCluster
 from repro.perf.model import PAPER_N, PAPER_NG, PAPER_STEPS
 from repro.perf.report import format_table
@@ -24,8 +23,6 @@ from repro.perf.report import format_table
 EFFECTIVE_FRACTION = 1 / 6.18  # the paper's measured correction
 
 
-@register("e10_cluster", tier="fast", section="4 (ext.)",
-          summary="cost-optimal configuration sweep")
 def test_e10_cluster_costs(benchmark, results_dir):
     def sweep():
         rows = []

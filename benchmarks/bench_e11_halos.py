@@ -19,15 +19,12 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.analysis.fof import friends_of_friends
 from repro.analysis.profile import fit_nfw, radial_density_profile
 from repro.cosmo.massfunction import PressSchechter
 from repro.perf.report import format_table
 
 
-@register("e11_halos", tier="slow", section="fig. 4 (ext.)",
-          summary="FoF halo catalogue vs Press-Schechter")
 def test_e11_halo_mass_function(benchmark, evolved_sphere_z0,
                                 results_dir):
     sim, _ = evolved_sphere_z0

@@ -17,10 +17,8 @@ scale split is precisely the division of labour TreePM exploits.
 """
 
 import numpy as np
-import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.cosmo.periodic_tree import PeriodicTreeCode
 from repro.cosmo.pm import ParticleMesh
 from repro.perf.report import format_table
@@ -29,16 +27,6 @@ BOX = 1.0
 N_SIDE = 12   # 1728 particles
 
 
-@pytest.fixture(scope="module")
-def periodic_workload():
-    # the clustered periodic realisation + Ewald-exact reference;
-    # shared with the standalone runner through repro.bench.workloads
-    from repro.bench import workloads
-    return workloads.periodic_workload()
-
-
-@register("e12_solvers", tier="fast", section="ext. (TreePM)",
-          summary="periodic solver shoot-out: Ewald/tree/PM")
 def test_e12_periodic_solvers(benchmark, periodic_workload, results_dir):
     pos, mass, eps, table, ref = periodic_workload
     scale = float(np.mean(np.linalg.norm(ref, axis=1)))

@@ -22,7 +22,6 @@ import time
 import numpy as np
 
 from conftest import emit
-from repro.bench import register
 from repro.core import TreeCode
 from repro.exec import PipelineEngine
 from repro.perf.report import format_table
@@ -43,8 +42,6 @@ def _sweep(pos, mass, engine=None):
     return acc, pot, wall, tc.last_stats
 
 
-@register("e13_parallel", tier="fast", section="ext. (engine)",
-          summary="serial vs pipeline engine: bit-identity + speedup")
 def test_e13_parallel(benchmark, results_dir):
     rng = np.random.default_rng(13)
     pos, _, mass = plummer_model(N, rng)

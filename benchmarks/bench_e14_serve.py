@@ -16,7 +16,6 @@ import asyncio
 import threading
 
 from conftest import emit
-from repro.bench import register
 from repro.perf.report import format_table
 from repro.serve import JOB_SCHEMA, Scheduler, ServeClient, Server
 
@@ -61,8 +60,6 @@ def _serve_burst():
         loop.close()
 
 
-@register("serve_throughput", tier="fast", section="ISSUE 5",
-          summary="service jobs/sec + latency at queue depth 16")
 def test_serve_throughput(benchmark, results_dir):
     jps, lat = benchmark.pedantic(_serve_burst, rounds=1,
                                   iterations=1, warmup_rounds=1)

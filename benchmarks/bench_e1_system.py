@@ -11,13 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.grape import Grape5System, OPS_PER_INTERACTION
 from repro.perf.report import format_table
 
 
-@register("e1_system", tier="fast", section="2",
-          summary="GRAPE-5 configuration table and 109.44 Gflops peak")
 def test_e1_system_table(benchmark, results_dir):
     s = Grape5System()
     d = benchmark(s.describe)
@@ -46,8 +43,6 @@ def test_e1_system_table(benchmark, results_dir):
     assert d["peak_Gflops"] == pytest.approx(109.44)
 
 
-@register("e1_throughput", tier="fast", section="2",
-          summary="emulator vs modelled-hardware force-call throughput")
 def test_e1_emulator_throughput(benchmark, results_dir):
     """Time one production-shaped force call through the emulator."""
     rng = np.random.default_rng(1)

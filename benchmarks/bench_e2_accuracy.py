@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.core import DirectSummation, TreeCode
 from repro.core.kernels import pairwise_accpot
 from repro.grape import G5Numerics, G5Pipeline, Grape5System, GrapeBackend
@@ -28,8 +27,6 @@ def _rms(a, ref):
     return float(np.sqrt(np.mean(e**2)))
 
 
-@register("e2_pairwise", tier="fast", section="2",
-          summary="~0.3% RMS pairwise pipeline error")
 def test_e2_pairwise_error(benchmark, results_dir):
     """RMS relative error of single pairwise interactions."""
     rng = np.random.default_rng(2)
@@ -56,8 +53,6 @@ def test_e2_pairwise_error(benchmark, results_dir):
     assert 0.0015 < rms < 0.006
 
 
-@register("e2_total_error", tier="slow", section="2",
-          summary="total force error vs theta: tree-dominated")
 def test_e2_total_force_error(benchmark, cosmo_snapshot, plummer_snapshot,
                               results_dir):
     """Total force error vs theta: tree-dominated, hardware-insensitive.

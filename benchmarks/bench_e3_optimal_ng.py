@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.core import TreeCode
 from repro.perf.model import (FittedListLength, PAPER_LIST_LENGTH, PAPER_N,
                               PAPER_NG, PerformanceModel)
@@ -32,8 +31,6 @@ from repro.perf.report import format_table
 NCRITS = (100, 400, 1600, 6400)
 
 
-@register("e3_optimal_ng", tier="fast", section="3",
-          summary="list-length law and the optimal group size n_g")
 def test_e3_optimal_group_size(benchmark, cosmo_snapshot, results_dir):
     pos, mass, eps = cosmo_snapshot
 

@@ -9,13 +9,10 @@ present exchange rate of 1 dollar = 115 JYE, is about 40,900 dollars."
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.host.cost import PAPER_SYSTEM_COST
 from repro.perf.report import format_table
 
 
-@register("e4_cost", tier="fast", section="4",
-          summary="the 4.7 M JPY / $40,900 cost ledger")
 def test_e4_cost_table(benchmark, results_dir):
     ledger = benchmark(PAPER_SYSTEM_COST.ledger)
     rows = list(ledger)
@@ -27,8 +24,6 @@ def test_e4_cost_table(benchmark, results_dir):
     assert PAPER_SYSTEM_COST.total_usd == pytest.approx(40_900, rel=2e-3)
 
 
-@register("e4_price_sensitivity", tier="fast", section="4",
-          summary="$/Mflops across effective/raw/peak speed bases")
 def test_e4_price_per_mflops_sensitivity(benchmark, results_dir):
     """$/Mflops across the effective-speed range: the headline 7.0
     plus what raw-speed crediting would have claimed (2.1 -- the

@@ -19,8 +19,6 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.bench import register
-from repro.bench.runner import current_tracer
 from repro.core import TreeCode
 from repro.grape import GrapeBackend
 from repro.host.machine import ALPHASERVER_DS10
@@ -29,16 +27,13 @@ from repro.perf.opcount import original_interaction_count
 from repro.perf.report import HeadlineReport, PAPER_HEADLINE, format_table
 
 
-@register("e5_headline", tier="fast", section="5",
-          summary="the headline run: 2.90e13 interactions, $7.0/Mflops")
 def test_e5_headline(benchmark, cosmo_snapshot, results_dir):
     pos, mass, eps = cosmo_snapshot
     n = len(pos)
     theta = 0.5  # the ~0.1 % total-error operating point (see E2)
 
     backend = GrapeBackend()
-    tc = TreeCode(theta=theta, n_crit=400, backend=backend,
-                  tracer=current_tracer())
+    tc = TreeCode(theta=theta, n_crit=400, backend=backend)
 
     def force_step():
         backend.reset_stats()
@@ -92,10 +87,10 @@ def test_e5_headline(benchmark, cosmo_snapshot, results_dir):
         original_interactions=4.69e12,
         wall_seconds=pred["total_seconds"])
 
-    # the headline numbers as machine-readable metrics: the live
-    # (emulator) throughput of the measured force sweep plus the
-    # scale-free model row at the paper's N -- these are what the
-    # regression gate watches (BENCH_PR4.json, docs/benchmarking.md)
+    # the headline numbers as machine-readable metrics (they land in
+    # pytest-benchmark's --benchmark-json): the live (emulator)
+    # throughput of the measured force sweep plus the scale-free model
+    # row at the paper's N, which the asserts below hold
     live_wall = float(benchmark.stats["median"])
     benchmark.extra_info.update({
         "live_n_particles": int(n),
@@ -133,8 +128,6 @@ def test_e5_headline(benchmark, cosmo_snapshot, results_dir):
     assert round(model_pc.price_per_mflops) in (6, 7, 8)
 
 
-@register("e5_ratio_vs_ng", tier="fast", section="5",
-          summary="modified/original overhead ratio vs group size")
 def test_e5_ratio_vs_ng(benchmark, cosmo_snapshot, results_dir):
     """The overhead ratio grows with n_g: the correction the paper
     applies is exactly the price of its own host-offload knob."""

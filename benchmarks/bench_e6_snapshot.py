@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from conftest import RESULTS, emit
-from repro.bench import register
 from repro.core import TreeCode
 from repro.cosmo import SCDM, ZeldovichIC, carve_sphere
 from repro.cosmo.correlation import correlation_function, power_law_fit
@@ -28,8 +27,6 @@ from repro.viz import ascii_render, line_plot, surface_density, write_pgm
 N_STEPS = 60        # scaled from the paper's 999
 
 
-@register("e6_figure4", tier="slow", section="5 (fig. 4)",
-          summary="the z=0 snapshot slab: clustered structure")
 def test_e6_figure4(benchmark, evolved_sphere_z0, results_dir):
     sim, backend = evolved_sphere_z0
     assert len(sim.history) >= N_STEPS
@@ -82,8 +79,6 @@ def test_e6_figure4(benchmark, evolved_sphere_z0, results_dir):
     assert np.all(np.isfinite(sim.pos))
 
 
-@register("e6_correlation", tier="slow", section="5 (fig. 4)",
-          summary="xi(r) power law of the evolved sphere")
 def test_e6_correlation_function(benchmark, evolved_sphere_z0, results_dir):
     """Quantify the figure's visual content: the two-point correlation
     function of the evolved sphere is a steep declining power law

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.core import DirectSummation, TreeCode
 from repro.perf.report import format_table
 
@@ -26,8 +25,6 @@ def _rms(a, ref):
     return float(np.sqrt(np.mean(e**2)))
 
 
-@register("e7_modified_vs_original", tier="fast", section="3",
-          summary="host cost / n_g, GRAPE work up, accuracy better")
 def test_e7_modified_vs_original(benchmark, cosmo_snapshot, results_dir):
     pos, mass, eps = cosmo_snapshot
     # subsample so the per-particle original evaluation stays snappy

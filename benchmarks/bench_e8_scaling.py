@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.core import TreeCode
 from repro.grape import GrapeTimingModel
 from repro.perf.report import format_table
@@ -26,8 +25,6 @@ from repro.sim.models import plummer_model
 SIZES = (512, 1024, 2048, 4096, 8192, 16384)
 
 
-@register("e8_scaling", tier="fast", section="1",
-          summary="O(N log N) vs O(N^2): the treecode motivation")
 def test_e8_scaling(benchmark, results_dir):
     rng = np.random.default_rng(8)
     tm = GrapeTimingModel()

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from conftest import emit
-from repro.bench import register
 from repro.core import (AbsoluteErrorMAC, BarnesHutMAC, DirectSummation,
                         TreeCode)
 from repro.perf.report import format_table
@@ -34,8 +33,6 @@ def _rms(a, ref):
     return float(np.sqrt(np.mean(e**2)))
 
 
-@register("e9a_mono_vs_quad", tier="fast", section="DESIGN 5",
-          summary="monopole vs quadrupole accuracy/offload trade")
 def test_e9a_monopole_vs_quadrupole(benchmark, plummer_snapshot,
                                     results_dir):
     pos, mass, eps = plummer_snapshot
@@ -65,8 +62,6 @@ def test_e9a_monopole_vs_quadrupole(benchmark, plummer_snapshot,
         assert r["quadrupole err [%]"] < r["monopole err [%]"]
 
 
-@register("e9b_mac_tradeoff", tier="slow", section="DESIGN 5",
-          summary="opening-angle vs absolute-error MAC tradeoff")
 def test_e9b_mac_comparison(benchmark, cosmo_snapshot, results_dir):
     pos, mass, eps = cosmo_snapshot
     acc_ref, _ = DirectSummation().accelerations(pos, mass, eps)
@@ -104,8 +99,6 @@ def test_e9b_mac_comparison(benchmark, cosmo_snapshot, results_dir):
     assert ae[0]["err RMS [%]"] > ae[-1]["err RMS [%]"]
 
 
-@register("e9c_leaf_size", tier="fast", section="DESIGN 5",
-          summary="leaf size: tree depth vs list length trade")
 def test_e9c_leaf_size(benchmark, plummer_snapshot, results_dir):
     pos, mass, eps = plummer_snapshot
 

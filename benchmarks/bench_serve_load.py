@@ -18,10 +18,10 @@ heartbeat, cache lookup and result write crosses the
 ``repro.fleet-rpc/v1`` wire.  The delta against ``serve_load`` is the
 price of cross-host operation.
 
-Gates: ``jobs_per_second`` (baseline ratio, higher is better) plus
-hard in-test ceilings on the submit-to-done latency distribution
-(p50/p95/p99) -- percentile regressions fail the benchmark itself,
-not just the compare step.
+Gates: hard in-test ceilings on the submit-to-done latency
+distribution (p50/p95/p99).  ``jobs_per_second`` is reported, not
+gated here -- service wall clock is gated by the spine's
+``serve_local`` / ``serve_fleet`` workloads (``BENCHMARK.json``).
 """
 
 import asyncio
@@ -31,7 +31,6 @@ import time
 from pathlib import Path
 
 from conftest import emit
-from repro.bench import register
 from repro.fleet import StoreServer
 from repro.perf.report import format_table
 from repro.serve import (JOB_SCHEMA, Scheduler, ServeClient, Server,
@@ -43,8 +42,8 @@ SLOTS = 2
 QUEUE_DEPTH = 32
 FLEET_WORKERS = 3  #: serve_fleet_load: workers sharing one net store
 
-# generous ceilings -- CI boxes are slow; the real regression gate is
-# the jobs_per_second ratio against the baseline
+# generous ceilings -- CI boxes are slow; throughput regressions are
+# the spine's to catch (serve_local / serve_fleet)
 P50_CEILING_S = 30.0
 P95_CEILING_S = 60.0
 P99_CEILING_S = 90.0
@@ -181,9 +180,6 @@ def _fleet_round():
         tmp.cleanup()
 
 
-@register("serve_load", tier="fast", section="ISSUE 8",
-          summary="concurrent clients on the durable store + cache: "
-                  "jobs/sec and p50/p95/p99 latency")
 def test_serve_load(benchmark, results_dir):
     jps, lat, cache = benchmark.pedantic(_load_round, rounds=1,
                                          iterations=1)
@@ -217,9 +213,6 @@ def test_serve_load(benchmark, results_dir):
     assert p99 < P99_CEILING_S
 
 
-@register("serve_fleet_load", tier="fast", section="ISSUE 10",
-          summary="96 clients across 3 workers on one network store: "
-                  "jobs/sec and p50/p95/p99 over the fleet RPC wire")
 def test_serve_fleet_load(benchmark, results_dir):
     jps, lat, cache, workers = benchmark.pedantic(_fleet_round,
                                                   rounds=1,

@@ -18,13 +18,6 @@ Subcommands
 ``halos``
     Friends-of-friends halo catalogue of a checkpointed state, with
     the Press--Schechter reference counts.
-``bench``
-    The unified benchmark harness (``repro.bench``): ``bench list``
-    shows the registry, ``bench run`` executes a tier or explicit ids
-    and emits the versioned ``BENCH_PR4.json`` result document,
-    ``bench compare`` gates a run against a stored baseline (nonzero
-    exit past the regression thresholds), ``bench report`` pretty-
-    prints a result document.  See docs/benchmarking.md.
 ``serve``
     The multi-tenant simulation service (``repro.serve``): an HTTP
     job API in front of a priority/fair-share scheduler leasing
@@ -58,11 +51,11 @@ Subcommands
 
 All subcommands are deterministic for a fixed ``--seed``.
 
-Exit codes: 0 success, 1 runtime failure (e.g. a failed job or a
-benchmark regression), 2 usage error (bad arguments, missing files,
-malformed documents -- consistent across every subcommand), 3 a
-submission rejected by service backpressure, or a store whose
-integrity sweep reported findings (``store verify``).
+Exit codes: 0 success, 1 runtime failure (e.g. a failed job), 2 usage
+error (bad arguments, missing files, malformed documents --
+consistent across every subcommand), 3 a submission rejected by
+service backpressure, or a store whose integrity sweep reported
+findings (``store verify``).
 
 Parallel execution (``run``/``resume``/``sweep``): ``--engine
 pipeline`` evaluates forces on a pool of worker processes (size
@@ -207,76 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--b", type=float, default=0.2,
                    help="linking length in mean-separation units")
     h.add_argument("--min-members", type=int, default=10)
-
-    b = sub.add_parser("bench",
-                       help="benchmark harness: list/run/compare/report")
-    bsub = b.add_subparsers(dest="bench_command", required=True)
-
-    gate = argparse.ArgumentParser(add_help=False)
-    gate.add_argument("--wall-ratio", type=float, default=1.5,
-                      metavar="R",
-                      help="fail when median wall time exceeds "
-                           "baseline*R (default: 1.5)")
-    gate.add_argument("--metric-ratio", type=float, default=0.7,
-                      metavar="R",
-                      help="fail when a *_per_second/*_gflops metric "
-                           "drops below baseline*R (default: 0.7)")
-    gate.add_argument("--wall-floor", type=float, default=0.01,
-                      metavar="SECONDS",
-                      help="skip the wall gate when both medians are "
-                           "under this (timer-noise floor, "
-                           "default: 0.01)")
-    gate.add_argument("--strict-machine", action="store_true",
-                      help="enforce wall-time thresholds even when the "
-                           "baseline came from a different machine")
-
-    bl = bsub.add_parser("list", help="show the benchmark registry")
-    bl.add_argument("--tier", choices=("fast", "slow", "full"),
-                    default="full")
-
-    br = bsub.add_parser("run", parents=[gate],
-                         help="run benchmarks, emit BENCH_PR4.json")
-    br.add_argument("ids", nargs="*", metavar="ID",
-                    help="benchmark ids (or experiment families like "
-                         "'e5'); default: the selected --tier")
-    br.add_argument("--tier", choices=("fast", "slow", "full"),
-                    default="fast",
-                    help="tier to run when no ids are given "
-                         "(default: fast)")
-    br.add_argument("--rounds", type=int, default=None, metavar="N",
-                    help="override every benchmark's timed rounds")
-    br.add_argument("--warmup", type=int, default=None, metavar="N",
-                    help="untimed warmup invocations before timing")
-    br.add_argument("--out", type=Path, default=Path("BENCH_PR4.json"),
-                    metavar="JSON",
-                    help="result document path (default: "
-                         "BENCH_PR4.json)")
-    br.add_argument("--profile", action="store_true",
-                    help="per-benchmark cProfile dump + top-N hot-path "
-                         "table + repro.obs phase timers")
-    br.add_argument("--compare", metavar="BASELINE", default=None,
-                    help="after running, gate against this baseline "
-                         "(a path, or a name under "
-                         "benchmarks/baselines/)")
-    br.add_argument("--hosts", type=int, default=None, metavar="K",
-                    help="emulated cluster hosts exposed to benchmark "
-                         "bodies via current_cluster() (default: "
-                         "single host)")
-    br.add_argument("--boards", type=int, default=None, metavar="B",
-                    help="boards per emulated host for "
-                         "current_cluster() (default: 2)")
-
-    bc = bsub.add_parser("compare", parents=[gate],
-                         help="gate a result document against a "
-                              "baseline (exit 1 on regression)")
-    bc.add_argument("current", type=Path,
-                    help="result document of the run under test")
-    bc.add_argument("baseline",
-                    help="baseline document (a path, or a name under "
-                         "benchmarks/baselines/)")
-
-    bp = bsub.add_parser("report", help="pretty-print a result document")
-    bp.add_argument("result", type=Path)
 
     endpoint = argparse.ArgumentParser(add_help=False)
     endpoint.add_argument("--host", default="127.0.0.1",
@@ -761,120 +684,6 @@ def cmd_halos(args, out) -> int:
     return 0
 
 
-def _resolve_baseline(name: str) -> Path:
-    """A baseline argument is a path, or a name under
-    ``benchmarks/baselines/`` (``baseline`` -> the fast-tier default)."""
-    from repro.bench.registry import suite_dir
-    p = Path(name)
-    if p.is_file():
-        return p
-    stem = "fast" if name == "baseline" else name
-    candidate = suite_dir() / "baselines" / f"{stem}.json"
-    if candidate.is_file():
-        return candidate
-    raise FileNotFoundError(
-        f"baseline {name!r} not found (tried {p} and {candidate})")
-
-
-def _bench_thresholds(args):
-    from repro.bench import Thresholds
-    return Thresholds(wall_ratio=args.wall_ratio,
-                      metric_ratio=args.metric_ratio,
-                      wall_floor=args.wall_floor,
-                      strict_machine=args.strict_machine)
-
-
-def cmd_bench(args, out) -> int:
-    """Benchmark harness entry point: import, discover, dispatch.
-
-    Usage-level errors (unknown benchmark id, malformed result
-    document, missing baseline file) are reported on ``out`` and turn
-    into exit code 2 instead of tracebacks.
-    """
-    from repro.bench import discover
-    from repro.bench.schema import SchemaError
-
-    discover()
-    cmd = args.bench_command
-
-    try:
-        return _dispatch_bench(args, out, cmd)
-    except (KeyError, SchemaError, FileNotFoundError,
-            ValueError) as exc:
-        print(f"bench {cmd}: {exc}", file=out)
-        return 2
-
-
-def _dispatch_bench(args, out, cmd) -> int:
-    """Body of ``cmd_bench`` with usage errors left to the caller."""
-    from repro.bench import (RunnerConfig, compare_documents,
-                             load_document, run_benchmarks, select_specs,
-                             write_document)
-    from repro.bench.report import fingerprint_line, format_document
-    from repro.perf.report import format_table
-
-    if cmd == "list":
-        specs = select_specs(tier=None if args.tier == "full"
-                             else args.tier)
-        print(format_table([s.describe() for s in specs]), file=out)
-        print(f"{len(specs)} benchmark(s)", file=out)
-        return 0
-
-    if cmd == "report":
-        doc = load_document(args.result)
-        print(format_document(doc), file=out)
-        return 0
-
-    if cmd == "compare":
-        current = load_document(args.current)
-        baseline = load_document(_resolve_baseline(args.baseline))
-        report = compare_documents(current, baseline,
-                                   _bench_thresholds(args))
-        print(report.format(), file=out)
-        return report.exit_code
-
-    # cmd == "run"
-    specs = select_specs(args.ids, tier=args.tier)
-    if not specs:
-        print(f"no benchmarks selected (tier {args.tier})", file=out)
-        return 2
-
-    def progress(spec, row):
-        if row is None:
-            print(f"  {spec.id} ...", file=out, flush=True)
-        else:
-            w = row["wall_seconds"]
-            print(f"  {spec.id}: {row['status']} "
-                  f"(median {w['median']:.4g} s over "
-                  f"{w['n_rounds']} round(s))", file=out, flush=True)
-
-    config = RunnerConfig(tier=args.tier if not args.ids else "ids",
-                          rounds=args.rounds, warmup=args.warmup,
-                          profile=args.profile, progress=progress,
-                          hosts=args.hosts, boards=args.boards)
-    print(f"running {len(specs)} benchmark(s):", file=out)
-    doc = run_benchmarks(specs, config)
-    write_document(args.out, doc)
-    print(f"\n{format_document(doc)}", file=out)
-    print(f"result document written to {args.out}", file=out)
-
-    bad = [r for r in doc["results"] if r["status"] not in ("ok",
-                                                            "skipped")]
-    code = 1 if bad else 0
-    if bad:
-        for r in bad:
-            print(f"NOT OK: {r['id']} ({r['status']})\n{r['error']}",
-                  file=out)
-    if args.compare is not None:
-        baseline = load_document(_resolve_baseline(args.compare))
-        report = compare_documents(doc, baseline,
-                                   _bench_thresholds(args))
-        print(f"\nbaseline: {fingerprint_line(baseline)}", file=out)
-        print(report.format(), file=out)
-        code = max(code, report.exit_code)
-    return code
-
-
 def cmd_serve(args, out) -> int:
     """Run the simulation service until SIGINT/SIGTERM."""
     from repro.serve import ServeError, TenantPolicy, run_server
@@ -1163,9 +972,9 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
 
     Usage-level errors -- bad argument values, missing or corrupt
     files, malformed fault plans/job specs, an unreachable service --
-    exit 2 across every subcommand, matching both argparse's own
-    convention and ``bench``'s behaviour.  Runtime failures keep their
-    subcommand-specific nonzero codes.
+    exit 2 across every subcommand, matching argparse's own
+    convention.  Runtime failures keep their subcommand-specific
+    nonzero codes.
     """
     if out is None:
         out = sys.stdout
@@ -1173,9 +982,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     _configure_logging(args.verbose)
     handler = {"info": cmd_info, "run": cmd_run,
                "resume": cmd_resume, "sweep": cmd_sweep,
-               "halos": cmd_halos, "bench": cmd_bench,
-               "serve": cmd_serve, "submit": cmd_submit,
-               "jobs": cmd_jobs, "obs": cmd_obs,
+               "halos": cmd_halos, "serve": cmd_serve,
+               "submit": cmd_submit, "jobs": cmd_jobs, "obs": cmd_obs,
                "store": cmd_store, "fleet": cmd_fleet}[args.command]
     try:
         return handler(args, out)

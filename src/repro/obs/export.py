@@ -19,7 +19,7 @@ Three consumers, three formats:
   untraced remainder of a parent phase shows up against the parent.
 
 :func:`run_summary` assembles the stable JSON schema
-(``repro.run_summary/v1``) the benchmark-trajectory tooling consumes.
+(``repro.run_summary/v1``) that ``repro run --json-summary`` writes.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .metrics import Histogram, MetricsRegistry
 from .trace import Span, Tracer
 
 __all__ = ["span_events", "write_jsonl", "format_prometheus",
-           "write_prometheus", "phase_totals", "format_phase_table",
-           "run_summary", "write_json_summary", "RUN_SUMMARY_SCHEMA"]
+           "write_prometheus", "phase_totals", "format_table",
+           "format_phase_table", "run_summary", "write_json_summary",
+           "RUN_SUMMARY_SCHEMA"]
 
 RUN_SUMMARY_SCHEMA = "repro.run_summary/v1"
 
@@ -220,12 +221,17 @@ def format_phase_table(source: Union[Tracer, Iterable[Span]], *,
     rows.append({"phase": "total (wall)", "calls": "",
                  "seconds": f"{wall_seconds:.4f}",
                  "self_s": f"{wall_seconds:.4f}", "%wall": "100.0"})
-    return _format_table(rows)
+    return format_table(rows)
 
 
-def _format_table(rows: List[Dict[str, Any]], sep: str = "  ") -> str:
-    """Minimal aligned-table formatter (kept local so ``repro.obs``
-    stays importable on its own)."""
+def format_table(rows: List[Dict[str, Any]], *, sep: str = "  ") -> str:
+    """Plain-text aligned table from a list of dict rows.
+
+    The one table formatter: keys of the first row become the header;
+    all values are str()-ed.  It lives here so ``repro.obs`` stays
+    importable on its own; ``repro.perf.report.format_table`` is this
+    same function.
+    """
     if not rows:
         return "(empty table)"
     keys = list(rows[0].keys())

@@ -16,9 +16,10 @@ our formulas -- and they are, to rounding).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..host.cost import PAPER_SYSTEM_COST, SystemCost
+from ..obs.export import format_table
 from .opcount import OPS_PER_INTERACTION, OperationCounter
 
 __all__ = ["HeadlineReport", "PAPER_HEADLINE", "PAPER_OVERHEAD_RATIO",
@@ -134,24 +135,3 @@ PAPER_HEADLINE = HeadlineReport(
     original_interactions=4.69e12,
     wall_seconds=30_141.0,
 )
-
-
-def format_table(rows: List[Dict[str, object]], *, sep: str = "  ") -> str:
-    """Plain-text aligned table from a list of dict rows.
-
-    Shared by every benchmark target: keys of the first row become the
-    header; all values are str()-ed.
-    """
-    if not rows:
-        return "(empty table)"
-    keys = list(rows[0].keys())
-    cells = [[str(k) for k in keys]]
-    for r in rows:
-        cells.append([str(r.get(k, "")) for k in keys])
-    widths = [max(len(row[i]) for row in cells) for i in range(len(keys))]
-    lines = []
-    for j, row in enumerate(cells):
-        lines.append(sep.join(c.rjust(w) for c, w in zip(row, widths)))
-        if j == 0:
-            lines.append(sep.join("-" * w for w in widths))
-    return "\n".join(lines)

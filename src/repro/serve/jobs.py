@@ -5,8 +5,7 @@ service: a scaled paper run, a group-size sweep, or a single force
 evaluation.  The spec is plain data (JSON in, JSON out) under the
 versioned ``repro.job/v1`` schema so clients, the wire format and
 stored job documents stay mutually intelligible across releases --
-the same discipline as ``repro.bench_result/v1`` and
-``repro.run_summary/v1``.
+the same discipline as ``repro.run_summary/v1``.
 
 Lifecycle
 ---------

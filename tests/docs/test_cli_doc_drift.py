@@ -21,9 +21,11 @@ REPO = Path(__file__).resolve().parents[2]
 DOC_FILES = sorted(p for p in (REPO / "docs").glob("*.md")) + [REPO / "README.md"]
 
 #: flags that belong to *other* tools shown in shell snippets
-#: (pytest/pytest-benchmark, pip, coverage tooling), not to repro
+#: (pytest, the measurement spine, coverage tooling), not to repro
 _EXTERNAL = {
-    "--benchmark-only",   # pytest-benchmark
+    "--ignore",           # pytest
+    "--smoke",            # benchmarks/spine/run.py
+    "--workload",         # benchmarks/spine/run.py
     "--fail-under",       # tools/docstring_coverage.py
     "--cov",              # pytest-cov
     "--tb",               # pytest
@@ -77,6 +79,20 @@ def test_retired_kernels_selector_is_not_documented(live_flags):
             assert token not in text, (
                 f"{path.relative_to(REPO)} mentions the retired "
                 f"{token!r} selector")
+
+
+def test_retired_bench_harness_is_not_documented():
+    """There is one benchmark system per question (the spine for wall
+    clock, plain pytest for the paper tables): the ``repro bench`` verb,
+    its package, its result trajectory and its baseline may not
+    reappear in ``docs/``, the README or EXPERIMENTS.md."""
+    for path in DOC_FILES + [REPO / "EXPERIMENTS.md"]:
+        text = path.read_text()
+        for token in ("repro bench", "repro.bench", "BENCH_PR",
+                      "baselines/fast.json"):
+            assert token not in text, (
+                f"{path.relative_to(REPO)} mentions the retired "
+                f"{token!r}")
 
 
 def test_cluster_flags_are_documented(live_flags):

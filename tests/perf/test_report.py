@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro.obs.export
+import repro.perf
 from repro.perf.report import HeadlineReport, PAPER_HEADLINE, format_table
 
 
@@ -62,6 +64,9 @@ class TestHeadlineReport:
 class TestFormatTable:
     def test_empty(self):
         assert "empty" in format_table([])
+        # one formatter: the perf name is the obs function, not a copy
+        assert format_table is repro.obs.export.format_table
+        assert repro.perf.format_table is format_table
 
     def test_alignment_and_header(self):
         rows = [{"a": 1, "b": "xy"}, {"a": 222, "b": "z"}]

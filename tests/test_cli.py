@@ -278,9 +278,7 @@ class TestExitCodes:
         ("resume", "/nonexistent/checkpoint.npz"),
         ("sweep", "--faults", "bogus@@selector"),
         ("sweep", "--kernels", "bogus"),
-        ("bench", "run", "--kernels", "cuda", "e3"),
         ("halos", "/nonexistent/checkpoint.npz"),
-        ("bench", "report", "/nonexistent/result.json"),
         ("serve", "--slots", "0"),
         ("submit", "-p", "missing-equals-sign"),
         ("submit", "--spec", "/nonexistent/spec.json"),
@@ -300,3 +298,11 @@ class TestExitCodes:
         assert code == 2
         assert argv[0] in text            # "<command>: <reason>"
         assert "Traceback" not in text
+
+    def test_retired_bench_verb_is_rejected(self, capsys):
+        """``repro bench`` is gone, not aliased: wall clock is
+        ``benchmarks/spine/run.py``, paper tables ``pytest benchmarks``."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("bench", "list")
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err

@@ -18,7 +18,7 @@ skipped: they are implementation detail, not API surface.
 
 Usage::
 
-    python tools/docstring_coverage.py src/repro/bench src/repro/perf \
+    python tools/docstring_coverage.py src/repro/perf src/repro/cluster \
         --fail-under 80 [--verbose]
 """
 
