@@ -2,7 +2,7 @@
 
 The paper's machine overlaps host tree traversal with GRAPE force
 integration; ``repro.exec.PipelineEngine`` reproduces that overlap
-with worker processes.  This benchmark runs one force sweep of an
+with a thread pool.  This benchmark runs one force sweep of an
 E8-style clustered workload through the serial path and through the
 pipeline at several worker counts, checks bit-identity, and writes
 ``results/e13_parallel.json`` (wall seconds, speedups, achieved

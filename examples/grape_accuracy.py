@@ -17,8 +17,8 @@ Run:  python examples/grape_accuracy.py
 import numpy as np
 
 from repro.core import DirectSummation, TreeCode
-from repro.grape import (G5Numerics, Grape5System, GrapeBackend,
-                         api as g5)
+from repro.grape import (G5Context, G5Numerics, Grape5System,
+                         GrapeBackend)
 from repro.perf.report import format_table
 from repro.sim.models import plummer_model
 
@@ -65,14 +65,13 @@ def main():
     # ---- the same calculation through the libg5-style API ------------
     print("libg5-style API, 64 sinks vs the full particle set:")
     system = Grape5System(numerics=G5Numerics())  # paper numerics
-    g5.g5_open(system)
-    g5.g5_set_range(float(pos.min()) - 1.0, float(pos.max()) + 1.0)
-    g5.g5_set_eps_to_all(eps)
-    g5.g5_set_xmj(0, len(pos), pos, mass)
-    g5.g5_set_xi(64, pos[:64])
-    g5.g5_run()
-    acc64, pot64 = g5.g5_get_force(64)
-    g5.g5_close()
+    with G5Context().open(system) as g5:
+        g5.set_range(float(pos.min()) - 1.0, float(pos.max()) + 1.0)
+        g5.set_eps_to_all(eps)
+        g5.set_xmj(0, len(pos), pos, mass)
+        g5.set_xi(64, pos[:64])
+        g5.run()
+        acc64, pot64 = g5.get_force(64)
     err = rms(acc64, acc_ref[:64])
     print(f"  -> {100 * err:.3f} % RMS error on 64 forces, "
           f"{system.interactions} interactions, "

@@ -47,7 +47,7 @@ def linear_growth_demo():
     mom = np.zeros_like(q)
     mom[:, 0] = a_i**2 * float(SCDM.H(a_i)) * amp0 * np.sin(k * q[:, 0])
 
-    lf = ComovingLeapfrog(force=force, cosmology=SCDM)
+    lf = ComovingLeapfrog(cosmology=SCDM)
     t = SCDM.age(z_i)
     basis = np.sin(k * q[:, 0])
     print("   z     measured A/A0    theory D/D_i")
@@ -56,7 +56,7 @@ def linear_growth_demo():
         n = 12
         dt = (t_end - t) / n
         for _ in range(n):
-            x, mom = lf.step(x, mom, t, dt)
+            x, mom = lf.step(x, mom, t, dt, force)
             t += dt
         amp = (x[:, 0] - q[:, 0]) @ basis / (basis @ basis)
         theory = float(SCDM.growth_factor(z_target)
@@ -82,14 +82,14 @@ def cdm_box_demo():
     def force(x):
         return tc.accelerations(np.mod(x, box), G_ASTRO * m, eps)
 
-    lf = ComovingLeapfrog(force=force, cosmology=SCDM)
+    lf = ComovingLeapfrog(cosmology=SCDM)
     t = SCDM.age(24.0)
     t_end = SCDM.age(0.0)
     n_steps = 30
     dt = (t_end - t) / n_steps
     x = x_c.copy()
     for i in range(n_steps):
-        x, mom = lf.step(x, mom, t, dt)
+        x, mom = lf.step(x, mom, t, dt, force)
         t += dt
     x = np.mod(x, box)
 

@@ -58,17 +58,17 @@ service backpressure, or a store whose integrity sweep reported
 findings (``store verify``).
 
 Parallel execution (``run``/``resume``/``sweep``): ``--engine
-pipeline`` evaluates forces on a pool of worker processes (size
+pipeline`` evaluates forces on a pool of threads (size
 ``--workers``) that overlaps tree traversal with force evaluation;
-the default ``--engine serial`` evaluates each sweep in-process.
+the default ``--engine serial`` evaluates each sweep in one call.
 Either way every interaction-list sweep goes through the backend's
 ``eval_lists`` (docs/kernels.md) and the results are bit-identical.
 
 Observability (``run``/``resume``/``sweep``): ``--profile`` prints the
 section-5-style per-phase wall-time table at the end, ``--trace
 out.jsonl`` writes the span tree as JSON lines (with ``--engine
-pipeline`` the worker-process spans are stitched in under their
-submitting batch spans -- one coherent cross-process trace),
+pipeline`` each shard's ``exec.batch`` span, timed on its pool
+thread, is stitched in under the submitting ``eval`` span),
 ``--metrics out.prom`` writes a Prometheus text exposition of the run
 counters, ``--flightrec out.jsonl`` attaches the black-box flight
 recorder and dumps its ring at the end, and ``run --json-summary
@@ -117,11 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--engine", choices=("serial", "pipeline"),
                      default="serial",
                      help="force-evaluation engine: 'serial' (default, "
-                          "in-process) or "
-                          "'pipeline' (multiprocess workers overlapping "
+                          "one call per sweep) or "
+                          "'pipeline' (a thread pool overlapping "
                           "traversal and force evaluation)")
     obs.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="pipeline worker processes "
+                     help="pipeline worker threads "
                           "(default: all cores)")
     obs.add_argument("--hosts", type=int, default=None, metavar="K",
                      help="emulate a K-host PC-GRAPE cluster (domain-"
@@ -136,17 +136,12 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--faults", type=str, default=None, metavar="PLAN",
                      help="deterministic fault plan: a JSON file, a "
                           "JSON string, or the compact DSL (e.g. "
-                          "'worker_crash@batch=1;latency@prob=0.1,"
+                          "'transient_error@batch=1;latency@prob=0.1,"
                           "count=5') -- chaos testing only")
     obs.add_argument("--max-retries", type=int, default=2, metavar="K",
-                     help="batch resubmissions (pipeline) and force-"
+                     help="shard re-runs (pipeline) and force-"
                           "call re-issues (backend) before giving up "
                           "(default: 2)")
-    obs.add_argument("--batch-timeout", type=float, default=None,
-                     metavar="S",
-                     help="seconds a started pipeline batch may take "
-                          "before its worker is declared hung and "
-                          "replaced (default: no hang detection)")
 
     sub.add_parser("info", help="machine configuration + price ledger")
 
@@ -401,21 +396,19 @@ def _make_flight(args):
     return FlightRecorder(path=path)
 
 
-def _make_engine(args, plan=None):
-    """Build the requested force-evaluation engine (or None for serial).
+def _pipeline_engine(args, plan=None, flight=None):
+    """The pipeline engine for ``--engine pipeline``, else None.
 
     ``None`` keeps the treecode on its in-process sweep, which is the
-    default; the engines are bit-identical to it.
+    default; the engine is bit-identical to it.
     """
-    from repro.exec import make_engine
-    name = getattr(args, "engine", "serial")
-    if name == "serial":
+    if getattr(args, "engine", "serial") != "pipeline":
         return None
-    return make_engine(name,
-                       workers=getattr(args, "workers", None),
-                       faults=plan,
-                       max_retries=getattr(args, "max_retries", 2),
-                       batch_timeout=getattr(args, "batch_timeout", None))
+    from repro.exec import PipelineEngine
+    return PipelineEngine(workers=getattr(args, "workers", None),
+                          faults=plan,
+                          max_retries=getattr(args, "max_retries", 2),
+                          flight=flight)
 
 
 def _cluster_spec(args):
@@ -446,9 +439,7 @@ def _make_force(args, tracer=None, registry=None, flight=None):
     if plan is not None:
         from repro.faults import FaultInjector
         injector = FaultInjector(plan, flight=flight)
-    engine = _make_engine(args, plan)
-    if engine is not None and flight is not None:
-        engine.flight = flight
+    engine = _pipeline_engine(args, plan, flight)
     return build_force(theta=args.theta, ncrit=args.ncrit,
                        backend=args.backend, engine=engine,
                        tracer=tracer, metrics=registry,
@@ -629,12 +620,10 @@ def cmd_sweep(args, out) -> int:
     pos, _, mass = plummer_model(args.n, rng)
     tracer, registry = _make_obs(args)
     flight = _make_flight(args)
-    engine = _make_engine(args, _fault_plan(args))
-    if engine is not None and flight is not None:
-        engine.flight = flight
+    engine = _pipeline_engine(args, _fault_plan(args), flight)
     rows = []
     try:
-        # one engine (and its worker pool) is shared across every
+        # one engine (and its thread pool) is shared across every
         # n_crit setting -- the pool outlives individual TreeCodes
         for ncrit in (64, 256, 1024, 4096):
             tc = TreeCode(theta=args.theta, n_crit=ncrit, engine=engine,

@@ -1,7 +1,7 @@
 """Force kernels and the one seam through which lists are evaluated.
 
-Every driver -- :class:`~repro.core.treecode.TreeCode`, the execution
-engines, the pipeline workers, the emulated cluster -- evaluates a CSR
+Every driver -- :class:`~repro.core.treecode.TreeCode`, the pipeline
+engine's pool threads, the emulated cluster -- evaluates a CSR
 interaction-list sweep the same way: one call to
 :meth:`ForceBackend.eval_lists`.  The bundled backends override it with
 the compiled list walk of :mod:`repro.core.kernels.cnative`; the
@@ -10,11 +10,10 @@ reference loop the tests compare against and the path that runs when no
 C compiler is available.  See ``docs/kernels.md``.
 """
 
-from .backend import (DEFAULT_TILE, BackendCaps, Float64Backend,
-                      ForceBackend, pairwise_accpot,
-                      self_potential_correction)
+from .backend import (DEFAULT_TILE, Float64Backend, ForceBackend,
+                      pairwise_accpot, self_potential_correction)
 
 __all__ = [
-    "ForceBackend", "Float64Backend", "BackendCaps", "pairwise_accpot",
+    "ForceBackend", "Float64Backend", "pairwise_accpot",
     "self_potential_correction", "DEFAULT_TILE",
 ]

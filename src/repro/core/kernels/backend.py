@@ -40,7 +40,6 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 __all__ = [
-    "BackendCaps",
     "ForceBackend",
     "Float64Backend",
     "pairwise_accpot",
@@ -106,25 +105,6 @@ def self_potential_correction(m: np.ndarray, eps: float) -> np.ndarray:
     return np.asarray(m, dtype=np.float64) / float(eps)
 
 
-@dataclass(frozen=True)
-class BackendCaps:
-    """Capability descriptor of a :class:`ForceBackend`.
-
-    The execution engines (:mod:`repro.exec`) plan their batches from
-    this: ``max_nj`` is the j-memory capacity of one force call (the
-    GRAPE's particle data memory; ``None`` means unbounded, as for a
-    host-RAM backend), and ``parallel_safe`` declares that independent
-    worker processes may each construct their own instance (via
-    :meth:`ForceBackend.worker_factory`) and evaluate requests
-    concurrently with results identical to a single instance.
-    """
-
-    #: j-particles one force call can hold (None = unbounded)
-    max_nj: Optional[int] = None
-    #: worker processes may run private instances concurrently
-    parallel_safe: bool = False
-
-
 class ForceBackend:
     """Something that evaluates the softened point-mass kernel.
 
@@ -133,10 +113,11 @@ class ForceBackend:
     statistics across calls.
 
     :meth:`compute` is the one method an implementation must provide
-    (a dense sinks-x-sources force call, as ``g5_set_xmj``/``g5_run``
-    is on the hardware).  Drivers evaluate list sweeps through
-    :meth:`eval_lists`, whose base body loops ``compute`` over the
-    sinks; backends with a native kernel override it.
+    (a dense sinks-x-sources force call, as libg5's
+    ``g5_set_xmj``/``g5_run`` pair is on the hardware).  Drivers
+    evaluate list sweeps through :meth:`eval_lists`, whose base body
+    loops ``compute`` over the sinks; backends with a native kernel
+    override it.
     """
 
     #: human-readable backend name for reports
@@ -146,10 +127,6 @@ class ForceBackend:
                 eps: float) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(acc, pot)`` on sinks ``xi`` from sources ``xj, mj``."""
         raise NotImplementedError
-
-    def capabilities(self) -> BackendCaps:
-        """Static capability descriptor used for batch planning."""
-        return BackendCaps()
 
     # -- list sweeps ---------------------------------------------------
     def eval_lists(self, pos: np.ndarray, pmass: np.ndarray,
@@ -173,7 +150,7 @@ class ForceBackend:
         :mod:`repro.core.kernels.cnative`) and call back into this body
         when no compiler is available.  Output rows are *assigned*,
         never accumulated, so re-evaluating a sink range is idempotent
-        (the pipeline engine's retry ladder depends on this).
+        (the pipeline engine's shard retry depends on this).
         """
         for g in range(int(sink_start.shape[0])):
             s, n = int(sink_start[g]), int(sink_count[g])
@@ -196,27 +173,29 @@ class ForceBackend:
         """
         return self.compute(xi, xj, mj, eps)
 
-    # -- worker-process support ----------------------------------------
+    # -- private instances for the pipeline engine ---------------------
     def worker_factory(self) -> Optional[Tuple[Callable[..., "ForceBackend"],
                                                tuple, dict]]:
         """``(callable, args, kwargs)`` building an equivalent private
-        instance inside a worker process, or ``None`` when the backend
-        cannot be replicated (then it is not ``parallel_safe``).
+        instance with zeroed counters, or ``None`` when the backend
+        cannot be replicated (the pipeline engine then refuses it).
 
-        The spec must be small and picklable -- configuration only,
-        never live state (the GRAPE backend, for instance, ships its
-        numerics and timing constants, not its 6 MB j-memory arrays).
+        Configuration only, never live state (the GRAPE backend, for
+        instance, passes its numerics and timing constants, not its
+        6 MB j-memory arrays): the engine evaluates every shard of a
+        sweep on its own instance, concurrently, and results must be
+        identical to a single instance's.
         """
         return None
 
     def snapshot_stats(self) -> Dict[str, float]:
-        """Cumulative performance counters as a plain dict (workers
-        difference two snapshots to report a delta)."""
+        """Cumulative performance counters as a plain dict (on a
+        private instance: the counters of the one shard it ran)."""
         return {"interactions": float(self.interactions)}
 
     def absorb_stats(self, delta: Dict[str, float]) -> None:
-        """Fold a worker's stats delta into this (parent) instance, so
-        run totals are identical whichever engine evaluated the calls."""
+        """Fold private instances' counters into this one, so run
+        totals are identical whichever engine evaluated the calls."""
 
     def reset_stats(self) -> None:
         """Clear accumulated performance counters (optional)."""
@@ -270,9 +249,6 @@ class Float64Backend(ForceBackend):
         self._interactions += int(np.asarray(xi).shape[0]) \
             * int(np.asarray(xj).shape[0])
         return res
-
-    def capabilities(self) -> BackendCaps:
-        return BackendCaps(max_nj=None, parallel_safe=True)
 
     def worker_factory(self):
         return (Float64Backend, (), {"tile": self.tile})

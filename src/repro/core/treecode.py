@@ -110,15 +110,14 @@ class TreeCode:
         the backend -- exactly what a hybrid host/GRAPE quadrupole
         scheme would do).
     engine:
-        A :class:`repro.exec.ForceEngine` driving the eval sweep.
-        ``None`` (the default) evaluates the sweep in-process.  A
-        :class:`~repro.exec.PipelineEngine` dispatches batches of the
-        list sweep to worker processes and overlaps traversal of later
-        sink shards with evaluation of earlier ones (the paper's
-        host/GRAPE overlap).  Ignored (with the in-process sweep used
-        instead) in quadrupole mode -- the host-side cell terms cannot
-        ship to workers.  The engine's lifecycle belongs to the caller;
-        see :meth:`close`.
+        A :class:`repro.exec.PipelineEngine` driving the eval sweep.
+        ``None`` (the default) evaluates the sweep in-process.  The
+        engine hands shards of the list sweep to a thread pool and
+        overlaps traversal of later sink shards with evaluation of
+        earlier ones (the paper's host/GRAPE overlap).  Ignored (with
+        the in-process sweep used instead) in quadrupole mode -- the
+        host-side cell terms do not go through ``eval_lists``.  The
+        engine's lifecycle belongs to the caller; see :meth:`close`.
     tracer:
         A :class:`repro.obs.trace.Tracer`; every force evaluation then
         opens ``tree_build`` / ``group`` / ``traverse`` / ``eval``
@@ -190,7 +189,7 @@ class TreeCode:
         self._last_domain: Optional[Tuple[float, float]] = None
 
     def close(self) -> None:
-        """Release the configured engine's worker pool, if any, and any
+        """Release the configured engine's thread pool, if any, and any
         cluster context this treecode opened itself (one passed in
         already-built belongs to the caller)."""
         if self.engine is not None:

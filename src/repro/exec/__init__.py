@@ -1,24 +1,20 @@
-"""Parallel force-evaluation engines (the host/GRAPE overlap, in software).
+"""The pipeline engine (the host/GRAPE overlap, in software).
 
 Public surface:
 
-* :class:`~repro.exec.engine.SerialEngine` /
-  :class:`~repro.exec.engine.PipelineEngine` -- evaluate a
+* :class:`~repro.exec.engine.PipelineEngine` -- evaluates a
   :class:`~repro.exec.plan.SweepSpec` over any
-  :class:`~repro.core.kernels.ForceBackend`;
-* :func:`~repro.exec.engine.make_engine` -- name-based factory used by
-  the CLI (``--engine {serial,pipeline} --workers N``);
-* :func:`~repro.exec.plan.plan_batches` -- j-memory-capacity batching.
+  :class:`~repro.core.kernels.ForceBackend` that offers a
+  ``worker_factory()``, sharded over a thread pool; selected with
+  ``TreeCode(engine=...)`` or ``--engine pipeline --workers N``;
+* :class:`~repro.exec.engine.EngineError` -- its one typed failure.
 
-See ``docs/parallel_engine.md`` for the protocol and the paper mapping.
+The default (``engine=None``, ``--engine serial``) is the treecode's
+in-process sweep and involves nothing in this package.  See
+``docs/parallel_engine.md`` for the contracts and the paper mapping.
 """
 
-from .engine import (ENGINE_NAMES, EngineError, EvalResult, ForceEngine,
-                     PipelineEngine, SerialEngine, make_engine)
-from .plan import DEFAULT_BATCH_NJ, SweepSpec, plan_batches
+from .engine import EngineError, EvalResult, PipelineEngine
+from .plan import SweepSpec
 
-__all__ = [
-    "ENGINE_NAMES", "EngineError", "EvalResult", "ForceEngine",
-    "PipelineEngine", "SerialEngine", "make_engine",
-    "DEFAULT_BATCH_NJ", "SweepSpec", "plan_batches",
-]
+__all__ = ["EngineError", "EvalResult", "PipelineEngine", "SweepSpec"]

@@ -8,8 +8,8 @@ that way.  It provides:
   serialisable descriptions of exactly which faults fire where
   (``--faults`` on the CLI);
 * :class:`~repro.faults.inject.FaultInjector` -- the per-process
-  consumption state consulted by pipeline workers, device backends and
-  the checkpoint loop;
+  consumption state consulted by the pipeline engine, device backends
+  and the checkpoint loop;
 * :class:`~repro.faults.inject.TransientBackendError` -- the retryable
   error class honoured by the retry budgets in
   :class:`~repro.grape.system.GrapeBackend`,
@@ -18,7 +18,7 @@ that way.  It provides:
   truncation/bit-flips for checkpoint chaos tests.
 
 The self-healing machinery these faults exercise lives with the code
-it protects: worker respawn and batch retry in
+it protects: shard retry in
 :class:`repro.exec.PipelineEngine`, atomic writes and the last-good
 pointer in :mod:`repro.sim.checkpoint`, and run-level auto-recovery in
 :meth:`repro.sim.Simulation.run`.  See ``docs/fault_tolerance.md``.

@@ -9,9 +9,8 @@ reorderings.
 
 Four hook surfaces, one per layer of the stack:
 
-* :meth:`FaultInjector.batch_fault` -- consulted by pipeline workers
-  once per batch (crash / hang / latency / transient error / result
-  corruption);
+* :meth:`FaultInjector.batch_fault` -- consulted by the pipeline
+  engine once per shard execution (latency / transient error);
 * :meth:`FaultInjector.maybe_raise` -- consulted by backends at named
   call sites (``grape.compute``, ``g5.run``), raising
   :class:`TransientBackendError` when a transient spec matches;
@@ -38,9 +37,8 @@ from .plan import FaultPlan, FaultSpec
 
 __all__ = ["TransientBackendError", "FaultInjector", "corrupt_file"]
 
-#: fault kinds handled at worker batch level (no ``site``)
-_BATCH_KINDS = frozenset({"worker_crash", "worker_hang", "latency",
-                          "transient_error", "corrupt_result"})
+#: fault kinds handled at the pipeline engine's shard call (no ``site``)
+_BATCH_KINDS = frozenset({"latency", "transient_error"})
 
 #: fault kinds the network-store transport hook understands: latency
 #: delays the request, ``transient_error`` fails it retryably,
@@ -62,21 +60,15 @@ class TransientBackendError(RuntimeError):
 class FaultInjector:
     """Consumable, per-process view over a fault plan.
 
-    ``worker`` is the owning worker id (``None`` in the parent or in
-    backend-only contexts); specs selecting a different worker never
-    fire here.  ``flight`` is an optional
+    ``flight`` is an optional
     :class:`~repro.obs.flightrec.FlightRecorder`: every fault that
     fires is recorded into it (kind, site, selectors), so a postmortem
-    dump names the exact injection point.  The recorder is *not*
-    shipped to worker processes -- workers build their own injector
-    from the pickled plan.
+    dump names the exact injection point.
     """
 
     def __init__(self, plan: FaultPlan, *,
-                 worker: Optional[int] = None,
                  flight: Optional[object] = None) -> None:
         self.plan = plan
-        self.worker = worker
         self.flight = flight
         self._remaining = [s.count for s in plan.specs]
         self._site_calls: dict = {}
@@ -84,7 +76,7 @@ class FaultInjector:
     def _note(self, spec: FaultSpec, site: str, **attrs) -> None:
         if self.flight is not None:
             self.flight.record("fault.injected", fault=spec.kind,
-                               site=site, worker=self.worker, **attrs)
+                               site=site, **attrs)
 
     # -- matching ------------------------------------------------------
     @staticmethod
@@ -116,11 +108,9 @@ class FaultInjector:
                 continue
             if not (self._sel(s.sweep, sweep)
                     and self._sel(s.batch, batch)
-                    and self._sel(s.worker, self.worker)
                     and self._sel(s.attempt, attempt)):
                 continue
-            if self._fire(i, s, ("batch", sweep, batch, self.worker,
-                                 attempt)):
+            if self._fire(i, s, ("batch", sweep, batch, attempt)):
                 self._note(s, "batch", sweep=sweep, batch=batch,
                            attempt=attempt)
                 return s

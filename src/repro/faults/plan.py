@@ -6,28 +6,23 @@ transfers and mid-run crashes -- the PC-GRAPE cluster line made
 host-side recovery a first-class concern.  A :class:`FaultPlan` is the
 reproducible stand-in for that flakiness: a list of :class:`FaultSpec`
 entries, each naming a *kind* of fault and the exact site where it
-fires (sweep, batch, worker, call index, retry attempt).  Plans are
-plain data -- picklable, JSON-serialisable, and shippable to worker
-processes -- so an injected failure is replayed bit-for-bit by anyone
-holding the same plan and seed.
+fires (sweep, batch, call index, retry attempt).  Plans are plain
+data -- picklable and JSON-serialisable -- so an injected failure is
+replayed bit-for-bit by anyone holding the same plan and seed.
 
 Fault kinds
 -----------
-``worker_crash``
-    The worker process exits hard (``os._exit``) while holding a batch.
-``worker_hang``
-    The worker sleeps for ``seconds`` (default 30) mid-batch,
-    exercising the engine's per-batch timeout.
 ``latency``
-    The worker sleeps for ``seconds`` (default 0.05) and then proceeds
-    normally -- a slow batch, not a failure.
+    The call sleeps for ``seconds`` (default 0.05) and then proceeds
+    normally -- a slow batch or request, not a failure.
 ``transient_error``
     A retryable device error: batch-level when ``site`` is unset
-    (the worker reports the batch failed), call-level when ``site``
-    names a backend hook (``grape.compute``, ``g5.run``).
+    (the pipeline engine's shard call raises), call-level when
+    ``site`` names a backend or transport hook (``grape.compute``,
+    ``g5.run``, ``fleet.rpc``).
 ``corrupt_result``
-    The worker's output slice is scribbled *after* its integrity
-    checksum was computed, modelling corruption on the result path.
+    The response bytes of a ``fleet.rpc`` request are truncated, so
+    the payload digest check fires (transport site only).
 ``checkpoint_truncate``
     The just-written checkpoint file is truncated, exercising the
     last-good-pointer fallback.
@@ -40,10 +35,10 @@ process; ``prob`` makes firing probabilistic but still deterministic,
 via a hash of ``(seed, spec index, site key)``.
 
 Plans parse from three sources (see :func:`parse_fault_plan`): a JSON
-document (``{"seed": 7, "faults": [{"kind": "worker_crash", ...}]}``),
+document (``{"seed": 7, "faults": [{"kind": "latency", ...}]}``),
 a path to such a document, or the compact CLI DSL::
 
-    worker_crash@batch=1;transient_error@site=grape.compute,call=2,count=3
+    latency@batch=1;transient_error@site=grape.compute,call=2,count=3
 """
 
 from __future__ import annotations
@@ -57,12 +52,8 @@ __all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "parse_fault_plan",
            "as_fault_plan"]
 
 FAULT_KINDS = frozenset({
-    "worker_crash", "worker_hang", "latency", "transient_error",
-    "corrupt_result", "checkpoint_truncate",
+    "latency", "transient_error", "corrupt_result", "checkpoint_truncate",
 })
-
-#: spec fields holding integer selectors (``None`` = wildcard)
-_INT_SELECTORS = ("sweep", "batch", "worker", "call", "step")
 
 
 @dataclass
@@ -75,7 +66,6 @@ class FaultSpec:
     site: Optional[str] = None
     sweep: Optional[int] = None
     batch: Optional[int] = None
-    worker: Optional[int] = None
     #: backend call index (fires once ``call_index >= call``)
     call: Optional[int] = None
     #: simulation step (checkpoint faults)
@@ -87,7 +77,7 @@ class FaultSpec:
     count: int = 1
     #: probabilistic firing (deterministic under the plan seed)
     prob: Optional[float] = None
-    #: duration of hang/latency faults
+    #: duration of latency faults
     seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -113,7 +103,8 @@ class FaultSpec:
 
 @dataclass
 class FaultPlan:
-    """A seedable list of faults; the unit shipped to every process."""
+    """A seedable list of faults; the unit every injector is built
+    from."""
 
     specs: List[FaultSpec] = field(default_factory=list)
     seed: int = 0

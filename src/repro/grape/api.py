@@ -12,17 +12,17 @@ sequence, for one force evaluation, is::
     g5_get_force(ni, a, p);
     g5_close();
 
-This module reproduces that interface over the emulator so that code
-written against libg5 (and the paper's treecode driver, which calls it
-per interaction list) ports line-for-line.
+This module reproduces that interface over the emulator, one method
+per call (``g5_set_xmj`` is :meth:`G5Context.set_xmj`, and so on), so
+that code written against libg5 (and the paper's treecode driver,
+which calls it per interaction list) ports line-for-line.
 
 State lives in a :class:`G5Context` -- a handle owning one attached
 :class:`~repro.grape.system.Grape5System` plus its staged i/j sets.
-The module-level ``g5_*`` functions are thin shims over a default
-context (``_state``), preserving the one-GRAPE-per-process flavour of
-libg5; code that needs more than one board set at a time -- worker
-processes of the pipeline engine, multi-board experiments -- opens its
-own contexts instead, and they never clobber each other::
+libg5 keeps that state in the process (one GRAPE per process); here
+every user opens its own context, so several board sets -- one per
+lease slot of the job service, multi-board experiments -- never
+clobber each other::
 
     ctx = G5Context()
     ctx.open(Grape5System(n_boards=1))
@@ -51,12 +51,7 @@ import numpy as np
 from ..faults import TransientBackendError
 from .system import Grape5System
 
-__all__ = [
-    "G5Error", "G5Context",
-    "g5_open", "g5_close", "g5_set_range", "g5_set_eps_to_all",
-    "g5_set_n", "g5_set_xmj", "g5_set_xi", "g5_run", "g5_get_force",
-    "g5_get_number_of_pipelines", "g5_get_peak_flops",
-]
+__all__ = ["G5Error", "G5Context"]
 
 
 class G5Error(RuntimeError):
@@ -68,8 +63,7 @@ class G5Context:
 
     Each context is fully independent: opening, loading, and running
     one never affects another, so a process may drive several board
-    sets (or several worker processes may each drive their own)
-    concurrently.  The context starts *closed*; :meth:`open` attaches
+    sets concurrently.  The context starts *closed*; :meth:`open` attaches
     a system and :meth:`close` detaches it, after which the context is
     reusable (open/close cycles leave no residue).
 
@@ -305,67 +299,3 @@ class G5Context:
 
     def get_peak_flops(self) -> float:
         return self._require_open().system.peak_flops
-
-
-#: the default context behind the module-level ``g5_*`` shims
-_state = G5Context()
-
-
-def g5_open(system: Optional[Grape5System] = None) -> Grape5System:
-    """Attach the (emulated) GRAPE-5; returns the system handle."""
-    return _state.open(system).system
-
-
-def g5_close() -> None:
-    """Detach the GRAPE-5 and clear all staged state."""
-    _state.close()
-
-
-def g5_set_range(xmin: float, xmax: float, mmin: float = 0.0) -> None:
-    """Announce coordinate window (and minimum mass, accepted for API
-    fidelity; the emulator's mass format needs no floor)."""
-    _state.set_range(xmin, xmax, mmin)
-
-
-def g5_set_eps_to_all(eps: float) -> None:
-    """Set the Plummer softening used by every pipeline."""
-    _state.set_eps_to_all(eps)
-
-
-def g5_set_n(nj: int) -> None:
-    """Declare the number of resident j-particles."""
-    _state.set_n(nj)
-
-
-def g5_set_xmj(adr: int, nj: int, xj: np.ndarray, mj: np.ndarray) -> None:
-    """Write ``nj`` j-particles at address ``adr`` of the j-memory."""
-    _state.set_xmj(adr, nj, xj, mj)
-
-
-def g5_set_xi(ni: int, xi: np.ndarray) -> None:
-    """Stage ``ni`` i-particles for the next run."""
-    _state.set_xi(ni, xi)
-
-
-def g5_run() -> None:
-    """Fire the pipelines on the staged i-set against the j-memory."""
-    _state.run()
-
-
-def g5_get_force(ni: int, a: Optional[np.ndarray] = None,
-                 p: Optional[np.ndarray] = None
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Read back ``(acc, pot)`` of the last run's first ``ni`` sinks.
-
-    See :meth:`G5Context.get_force` for the out-parameter overload
-    matching the C signature.
-    """
-    return _state.get_force(ni, a, p)
-
-
-def g5_get_number_of_pipelines() -> int:
-    return _state.get_number_of_pipelines()
-
-
-def g5_get_peak_flops() -> float:
-    return _state.get_peak_flops()

@@ -7,8 +7,8 @@ board.  Since the pipelines run at 90 MHz, each physical pipeline
 multiplexes 6 *virtual* pipelines, so one pass of the j-stream computes
 forces on 8 x 2 x 6 = 96 i-particles.
 
-The board emulator owns the j-particle store (the ``g5_set_xmj`` /
-``g5_set_n`` state) and evaluates force calls against it with the
+The board emulator owns the j-particle store (libg5's ``g5_set_xmj``
+/ ``g5_set_n`` state) and evaluates force calls against it with the
 reduced-precision pipeline, charging the timing model per call.
 """
 
@@ -85,7 +85,7 @@ class ProcessorBoard:
     def load_j(self, xj: np.ndarray, mj: np.ndarray, adr: int = 0) -> None:
         """Write j-particles into the particle data memory at ``adr``.
 
-        Mirrors ``g5_set_xmj(adr, nj, x, m)``: partial updates at an
+        Mirrors libg5's ``g5_set_xmj(adr, nj, x, m)``: partial updates at an
         offset are allowed (the treecode reuses resident prefixes when
         lists share cells).
         """

@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.kernels import BackendCaps, ForceBackend
+from ..core.kernels import ForceBackend
 from ..faults import TransientBackendError
 from .board import ProcessorBoard
 from .numerics import G5Numerics, G5_NUMERICS
@@ -362,18 +362,11 @@ class GrapeBackend(ForceBackend):
         self.system.charge_batch(np.asarray([n_i]), np.asarray([n_j]))
         return res
 
-    def capabilities(self) -> BackendCaps:
-        """Batch planning data: the combined particle data memory is the
-        j-capacity of one call; private per-worker systems reproduce the
-        deterministic reduced-precision datapath exactly."""
-        return BackendCaps(
-            max_nj=sum(b.jmem_capacity for b in self.system.boards),
-            parallel_safe=True)
-
     def worker_factory(self):
-        """Configuration-only spec: workers rebuild a fresh system from
-        the numerics and timing constants (boards and their j-memory are
-        re-allocated worker-side, never shipped)."""
+        """Configuration-only spec: a fresh system from the numerics
+        and timing constants (boards and their j-memory are allocated
+        anew, never shared); private systems reproduce the
+        deterministic reduced-precision datapath exactly."""
         return (_fresh_grape_backend,
                 (self.system.numerics, self.system.timing), {})
 
@@ -383,8 +376,8 @@ class GrapeBackend(ForceBackend):
                 "model_seconds": float(self.system.model_seconds)}
 
     def absorb_stats(self, delta):
-        """Fold a worker's counters back in, keeping run totals (and the
-        ``grape.*`` metrics, when bound) engine-independent."""
+        """Fold private instances' counters back in, keeping run totals
+        (and the ``grape.*`` metrics, when bound) engine-independent."""
         n_calls = int(delta.get("n_calls", 0))
         inter = int(delta.get("interactions", 0))
         model_s = float(delta.get("model_seconds", 0.0))
@@ -425,6 +418,7 @@ class GrapeBackend(ForceBackend):
 
 
 def _fresh_grape_backend(numerics, timing) -> "GrapeBackend":
-    """Worker-side constructor (see :meth:`GrapeBackend.worker_factory`)."""
+    """Private-instance constructor (see
+    :meth:`GrapeBackend.worker_factory`)."""
     return GrapeBackend(system=Grape5System(numerics=numerics,
                                             timing=timing))

@@ -9,7 +9,7 @@ statistics, host-vs-GRAPE attribution) into first-class run artefacts:
     instrumented hot paths cost nothing when tracing is off.
 ``repro.obs.context``
     Trace/span identity and the cross-process :class:`SpanContext`
-    (pipeline workers and served jobs stitch into one trace).
+    (served jobs stitch into one trace).
 ``repro.obs.metrics``
     Counters, gauges and histograms in a registry with snapshot/reset.
 ``repro.obs.flightrec``

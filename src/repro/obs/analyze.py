@@ -10,7 +10,7 @@ section-5-style performance postmortem asks:
     and attributes (:func:`format_tree`).
 ``critical-path``
     Where the wall time went, by *resource*: GRAPE/kernel seconds vs
-    worker-process seconds vs host seconds (:func:`critical_path`).
+    pipeline-worker seconds vs host seconds (:func:`critical_path`).
     Attribution is a timeline partition, not a span-duration sum:
     every instant of the traced interval is charged to exactly one
     resource -- the *deepest* resource-mapped span covering it (ties
@@ -49,11 +49,10 @@ SPAN_RESOURCE: Dict[str, str] = {
     # device/kernel seconds: the paper's "GRAPE force time" column
     "grape_force": "grape",
     "host_kernel": "grape",
-    # worker-process seconds of the pipeline engine
+    # pool-thread seconds of the pipeline engine
     "exec.batch": "worker",
     "exec.eval": "worker",
     "exec.worker": "worker",
-    "exec.shm_attach": "worker",
 }
 
 

@@ -3,8 +3,8 @@
 Distributed tracing needs two things the in-process :class:`Tracer`
 did not have: globally unique identities (so spans recorded in
 different processes can be stitched into one tree) and a *propagated
-context* (so a worker knows which trace, and which parent span, its
-measurements belong to).
+context* (so a remote party knows which trace, and which parent span,
+its measurements belong to).
 
 Identities are random hex strings from :func:`os.urandom` -- no
 coordination, no clock, collision probability negligible at the span
@@ -12,8 +12,7 @@ counts this stack produces (64-bit span ids, 128-bit trace ids, the
 OpenTelemetry convention).
 
 :class:`SpanContext` is the wire form: a small immutable tuple that is
-cheap to pickle into a :class:`~repro.exec.engine.PipelineEngine` task
-message or serialise into a job document.  ``t_origin`` carries the
+cheap to serialise into a job document.  ``t_origin`` carries the
 propagating side's ``time.perf_counter()`` reading; on Linux
 ``perf_counter`` is ``CLOCK_MONOTONIC``, which is shared across
 forked processes, so the receiver can compute queue-wait times and
@@ -44,11 +43,10 @@ class SpanContext(NamedTuple):
     ``trace_id``
         The trace every stitched span joins.
     ``span_id``
-        The *parent* span id remote spans hang under (for a pipeline
-        batch: the ``exec.batch`` span pre-allocated at submit time).
+        The *parent* span id remote spans hang under.
     ``t_origin``
-        The sender's ``perf_counter()`` at propagation time (batch
-        enqueue, job admission); receivers on the same host may
+        The sender's ``perf_counter()`` at propagation time (job
+        admission); receivers on the same host may
         subtract their own readings from it.
     """
 

@@ -167,12 +167,12 @@ class Tracer:
     def attach(self, span: Span) -> Span:
         """Adopt an externally built, already-finished span (tree).
 
-        The stitching entry point for cross-process tracing: a span
-        assembled from worker-recorded timings is attached under the
-        currently open span (or as a root at top level), exactly like
-        :meth:`record` but with caller-controlled interval and
-        children.  Ids are assigned to any span in the subtree that
-        lacks one.
+        The stitching entry point: a span assembled from timestamps
+        taken elsewhere (the pipeline engine's pool threads) is
+        attached under the currently open span (or as a root at top
+        level), exactly like :meth:`record` but with caller-controlled
+        interval and children.  Ids are assigned to any span in the
+        subtree that lacks one.
         """
         for sp in span.walk():
             if not sp.span_id:

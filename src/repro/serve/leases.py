@@ -1,14 +1,15 @@
-"""Resource leases: exclusive accelerator/engine handles per job.
+"""Resource leases: exclusive accelerator handles per job.
 
 The paper's GRAPE-5 is one shared device fed by one host process; a
 service running many jobs at once must give each job the same
-illusion -- *my* board set, *my* worker pool -- without letting two
-jobs interleave staging traffic on one device.  The broker models
-that: it owns a fixed pool of slots, each slot backed by its own
+illusion -- *my* board set -- without letting two jobs interleave
+staging traffic on one device.  The broker models that: it owns a
+fixed pool of slots, each slot backed by its own
 :class:`~repro.grape.api.G5Context` (wrapping a private
 :class:`~repro.grape.system.Grape5System` in the paper configuration,
-so arithmetic is identical across slots) and, for pipeline jobs, a
-lazily built :class:`~repro.exec.engine.PipelineEngine`.
+so arithmetic is identical across slots).  A pipeline job's
+:class:`~repro.exec.engine.PipelineEngine` is not leased: a thread
+pool starts in microseconds, so the runner builds one per job.
 
 A :class:`Lease` is checked out with :meth:`LeaseBroker.acquire`
 (blocking with timeout) and returned with
@@ -34,8 +35,7 @@ class LeaseError(RuntimeError):
 
 @dataclass
 class Lease:
-    """One checked-out slot: the accelerator context behind it plus an
-    optional prewarmed pipeline engine.
+    """One checked-out slot and the accelerator context behind it.
 
     ``context.system`` is the :class:`Grape5System` the leased job
     must compute on -- the runner passes it to
@@ -48,7 +48,6 @@ class Lease:
     context: object
     #: ident of the thread the context latch belongs to
     holder: int = 0
-    engine: Optional[object] = None
     #: physical board ids reserved for this lease, exclusively, for its
     #: whole lifetime (see :class:`repro.cluster.BoardSetRegistry`)
     board_set: tuple = ()
@@ -109,7 +108,6 @@ class LeaseBroker:
             ctx = G5Context()
             ctx.open(factory())
             self._contexts.append(ctx)
-        self._engines: List[Optional[object]] = [None] * self.slots
         self._free: List[int] = list(range(self.slots))
         self._by_id: Dict[str, Lease] = {}
         self._next = 0
@@ -133,19 +131,12 @@ class LeaseBroker:
             return len(self._free)
 
     # -- checkout ------------------------------------------------------
-    def acquire(self, *, engine: str = "serial",
-                workers: Optional[int] = None,
-                timeout: Optional[float] = None,
-                engine_options: Optional[dict] = None) -> Lease:
+    def acquire(self, *, timeout: Optional[float] = None) -> Lease:
         """Check out a slot, blocking up to ``timeout`` seconds.
 
         The slot's :class:`G5Context` is latched to the *calling*
         thread (jobs lease from their own worker thread), so staging
-        calls from anywhere else fail.  ``engine="pipeline"`` attaches
-        the slot's worker pool, built on first use with ``workers``
-        processes and any ``engine_options`` (fault plans, retry
-        budgets) and prewarmed against a probe backend so the job's
-        first sweep does not pay worker startup.
+        calls from anywhere else fail.
         """
         with self._cv:
             if self._closed:
@@ -188,9 +179,6 @@ class LeaseBroker:
                 self._set_gauge()
                 self._cv.notify()
             raise
-        if engine == "pipeline":
-            lease.engine = self._slot_engine(slot, workers,
-                                             engine_options or {})
         return lease
 
     def release(self, lease: Lease) -> None:
@@ -218,19 +206,6 @@ class LeaseBroker:
             self._cv.notify()
 
     # -- internals -----------------------------------------------------
-    def _slot_engine(self, slot: int, workers: Optional[int],
-                     options: dict):
-        """The slot's pipeline engine, built and prewarmed on first
-        use and reused (worker pools are expensive) until close."""
-        from ..exec import PipelineEngine
-        from ..grape import GrapeBackend
-        eng = self._engines[slot]
-        if eng is None or getattr(eng, "closed", False):
-            eng = PipelineEngine(workers=workers, **options)
-            eng.prewarm(GrapeBackend())
-            self._engines[slot] = eng
-        return eng
-
     def _set_gauge(self) -> None:
         if self._metrics is not None:
             self._metrics.gauge(
@@ -247,9 +222,6 @@ class LeaseBroker:
             self._closed = True
             self._by_id.clear()
             self._cv.notify_all()
-        for eng in self._engines:
-            if eng is not None:
-                eng.close()
         for ctx in self._contexts:
             # administrative teardown: the holder thread may be gone,
             # so drop any latch directly rather than via release()

@@ -5,7 +5,11 @@ the simulation stack.  It executes on the scheduler's worker thread,
 *inside* the job's lease: every force evaluation goes through the
 leased slot's :class:`~repro.grape.api.G5Context` system (via
 :func:`repro.sim.recipes.build_force`'s ``system=`` hook), so two
-concurrent jobs never interleave staging traffic on one device.
+concurrent jobs never interleave staging traffic on one device.  A
+``"engine": "pipeline"`` job builds its own
+:class:`~repro.exec.PipelineEngine` -- threads in this process, no
+``fork()`` from a server that is running scheduler, heartbeat and HTTP
+threads -- and closes it when the simulation ends.
 
 Bit-identity
 ------------
@@ -46,31 +50,6 @@ logger = logging.getLogger(__name__)
 _EPS_SYNTH = 0.01
 
 
-def _job_engine(spec, lease, plan, flight=None):
-    """The force-evaluation engine for this job (None = serial).
-
-    Pipeline jobs normally ride the lease slot's prewarmed pool; a job
-    carrying its own fault plan gets a *private* engine instead so the
-    injected faults stay scoped to it.  With ``max_retries=0`` the
-    private engine's self-healing ladder is fully disabled
-    (``degrade=False``), so an injected worker crash escalates to
-    :class:`~repro.exec.EngineError` and the job recovers through its
-    own checkpoints -- the chaos path the scheduler tests exercise.
-    The job's flight recorder rides into the private engine so every
-    ladder decision lands in the job's black box.
-    """
-    if spec.engine != "pipeline":
-        return None, False
-    if plan is None:
-        return lease.engine, False
-    from ..exec import PipelineEngine
-    eng = PipelineEngine(workers=spec.workers, faults=plan,
-                         max_retries=spec.max_retries,
-                         degrade=spec.max_retries > 0,
-                         flight=flight)
-    return eng, True
-
-
 def _poll_flags(job: Job, sim, ckpt: Optional[Path]) -> None:
     """Between-step control point: honour cancel/pause requests."""
     if job.cancel_event.is_set():
@@ -98,8 +77,16 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
     plan = parse_fault_plan(spec.faults) if spec.faults else None
     injector = (FaultInjector(plan, flight=job.flight)
                 if plan is not None else None)
-    engine, private_engine = _job_engine(spec, lease, plan,
-                                         flight=job.flight)
+    engine = None
+    if spec.engine == "pipeline":
+        # built per job (a thread pool starts in microseconds), so an
+        # injected fault plan stays scoped to it and every retry
+        # decision lands in the job's black box; its threads start
+        # with the first sweep and sim.close() below joins them
+        from ..exec import PipelineEngine
+        engine = PipelineEngine(workers=spec.workers, faults=plan,
+                                max_retries=spec.max_retries,
+                                flight=job.flight)
     force, gb = build_force(
         theta=p["theta"], ncrit=p["ncrit"], backend=p["backend"],
         system=(lease.context.system if p["backend"] == "grape"
@@ -160,8 +147,6 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
         job.recoveries += sim.fault_recoveries
     finally:
         sim.close()
-        if private_engine and engine is not None:
-            engine.close()
     if ckpt is not None:
         c0 = time.perf_counter()
         save_checkpoint(ckpt, sim, rotate=True)

@@ -894,14 +894,17 @@ class Scheduler:
             logger.warning("cache put failed: %s", e)
 
     def _execute(self, job: Job) -> None:
-        """One slot occupancy: lease, run, record the outcome."""
-        spec = job.spec
+        """One slot occupancy: lease, run, release, record the outcome.
+
+        The lease goes back as soon as ``run_job`` returns or raises,
+        *before* any terminal state is published: a ``wait()`` that
+        has returned never finds the slot still counted in
+        ``serve.leases_in_use``.
+        """
         jtr = job.tracer if job.tracer is not None else self.tracer
         t_lease = time.perf_counter()
         try:
-            lease = self.broker.acquire(engine=spec.engine,
-                                        workers=spec.workers,
-                                        timeout=60.0)
+            lease = self.broker.acquire(timeout=60.0)
         except Exception as e:
             with self._cv:
                 job.error = f"lease acquisition failed: {e}"
@@ -918,14 +921,20 @@ class Scheduler:
         job.add_event("leased", lease=lease.id, slot=lease.slot,
                       attempt=job.attempt)
         try:
-            with self._cv:
-                job.advance("running")
-                self._persist(job)
-                self._set_gauges_locked()
-            if job.cancel_event.is_set():
-                raise JobCancelled(job.id)
-            result = run_job(job, lease, tracer=jtr,
-                             metrics=self.metrics)
+            try:
+                with self._cv:
+                    job.advance("running")
+                    self._persist(job)
+                    self._set_gauges_locked()
+                if job.cancel_event.is_set():
+                    raise JobCancelled(job.id)
+                result = run_job(job, lease, tracer=jtr,
+                                 metrics=self.metrics)
+            finally:
+                try:
+                    self.broker.release(lease)
+                except Exception:  # pragma: no cover - broker closed
+                    pass
             with self._cv:
                 job.result = result
                 job.advance("done")
@@ -963,7 +972,3 @@ class Scheduler:
             job.add_event("failed", error=job.error)
         finally:
             self._flight_dump(job)
-            try:
-                self.broker.release(lease)
-            except Exception:  # pragma: no cover - broker closed
-                pass

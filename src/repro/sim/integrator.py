@@ -40,16 +40,19 @@ class LeapfrogKDK:
     The object is stateless between calls except for caching the last
     accelerations, so that each :meth:`step` costs a single force
     evaluation (the closing half-kick of step ``n`` reuses the force
-    that opens step ``n+1``).
+    that opens step ``n+1``).  The force provider is an argument of
+    every call, not a field: an owner that integrates over one of its
+    own bound methods (:class:`~repro.sim.simulation.Simulation` does)
+    would otherwise be a reference cycle, and a finished run's arrays
+    would outlive it until a gc pass.
     """
 
-    force: ForceFunction
     _acc: np.ndarray = None
     _pot: np.ndarray = None
 
-    def prime(self, pos: np.ndarray) -> None:
+    def prime(self, pos: np.ndarray, force: ForceFunction) -> None:
         """Evaluate the initial force (once, before the first step)."""
-        self._acc, self._pot = self.force(pos)
+        self._acc, self._pot = force(pos)
 
     @property
     def potentials(self) -> np.ndarray:
@@ -58,17 +61,17 @@ class LeapfrogKDK:
             raise RuntimeError("no force evaluated yet; call prime()")
         return self._pot
 
-    def step(self, pos: np.ndarray, vel: np.ndarray, dt: float
-             ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, pos: np.ndarray, vel: np.ndarray, dt: float,
+             force: ForceFunction) -> Tuple[np.ndarray, np.ndarray]:
         """Advance one step of size ``dt``; returns new (pos, vel).
 
         Exactly one force evaluation (at the new positions).
         """
         if self._acc is None:
-            self.prime(pos)
+            self.prime(pos, force)
         v_half = vel + 0.5 * dt * self._acc
         x_new = pos + dt * v_half
-        self._acc, self._pot = self.force(x_new)
+        self._acc, self._pot = force(x_new)
         v_new = v_half + 0.5 * dt * self._acc
         return x_new, v_new
 
@@ -84,10 +87,10 @@ class ComovingLeapfrog:
         K(t1, t2) = Int dt / a,   D(t1, t2) = Int dt / a^2
 
     are evaluated by quadrature of the background expansion (Quinn et
-    al. 1997 operators).  Forces are evaluated with comoving positions.
+    al. 1997 operators).  Forces are evaluated with comoving positions;
+    as for :class:`LeapfrogKDK`, the provider is passed per call.
     """
 
-    force: ForceFunction
     cosmology: Cosmology
     _acc: np.ndarray = None
     _pot: np.ndarray = None
@@ -104,17 +107,17 @@ class ComovingLeapfrog:
     def drift_factor(self, t1: float, t2: float) -> float:
         return self._factor(t1, t2, 2)
 
-    def prime(self, pos: np.ndarray) -> None:
-        self._acc, self._pot = self.force(pos)
+    def prime(self, pos: np.ndarray, force: ForceFunction) -> None:
+        self._acc, self._pot = force(pos)
 
-    def step(self, pos: np.ndarray, mom: np.ndarray, t: float, dt: float
-             ) -> Tuple[np.ndarray, np.ndarray]:
+    def step(self, pos: np.ndarray, mom: np.ndarray, t: float, dt: float,
+             force: ForceFunction) -> Tuple[np.ndarray, np.ndarray]:
         """One comoving KDK step from ``t`` to ``t + dt``."""
         if self._acc is None:
-            self.prime(pos)
+            self.prime(pos, force)
         tm = t + 0.5 * dt
         p_half = mom + self.kick_factor(t, tm) * self._acc
         x_new = pos + self.drift_factor(t, t + dt) * p_half
-        self._acc, self._pot = self.force(x_new)
+        self._acc, self._pot = force(x_new)
         p_new = p_half + self.kick_factor(tm, t + dt) * self._acc
         return x_new, p_new

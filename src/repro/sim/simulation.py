@@ -89,7 +89,7 @@ class Simulation:
         counters (``sim.steps_total``, ``sim.interactions_total``) and
         the ``sim.step_seconds`` histogram are recorded when present.
     engine:
-        Optional :class:`repro.exec.ForceEngine` handed to the default
+        Optional :class:`repro.exec.PipelineEngine` handed to the default
         :class:`~repro.core.treecode.TreeCode` (ignored when an explicit
         ``force`` solver is supplied -- configure that solver's engine
         directly).  :meth:`close` releases it either way; use the
@@ -138,7 +138,7 @@ class Simulation:
                                   metrics=self.metrics,
                                   cluster=self.cluster)
         self._mass_eff = self.G * self.mass
-        self._integrator = LeapfrogKDK(force=self._eval)
+        self._integrator = LeapfrogKDK()
         #: checkpoint recoveries performed by :meth:`run` so far
         self.fault_recoveries = 0
         #: optional :class:`~repro.obs.flightrec.FlightRecorder`;
@@ -201,8 +201,8 @@ class Simulation:
         n_step = len(self.history) + 1
         w0 = time.perf_counter()
         with self.tracer.span("step", step=n_step, dt=float(dt)):
-            self.pos, self.vel = self._integrator.step(self.pos, self.vel,
-                                                       dt)
+            self.pos, self.vel = self._integrator.step(
+                self.pos, self.vel, dt, self._eval)
             self.t += dt
         wall = time.perf_counter() - w0
 
@@ -344,7 +344,7 @@ class Simulation:
         self._mass_eff = self.G * self.mass
         # fresh integrator: the cached kick acceleration belongs to the
         # abandoned trajectory
-        self._integrator = LeapfrogKDK(force=self._eval)
+        self._integrator = LeapfrogKDK()
 
     def run_adaptive(self, t_end: float, policy, *,
                      max_steps: int = 100_000,
@@ -365,7 +365,7 @@ class Simulation:
         out = []
         for _ in range(max_steps):
             if self._integrator._acc is None:
-                self._integrator.prime(self.pos)
+                self._integrator.prime(self.pos, self._eval)
             dt = float(policy(self._integrator._acc))
             if not dt > 0:
                 raise ValueError("policy returned a non-positive step")

@@ -17,13 +17,14 @@ from repro.faults import (FAULT_KINDS, FaultInjector, FaultPlan,
 class TestParsing:
     def test_dsl_roundtrip(self):
         plan = parse_fault_plan(
-            "worker_crash@batch=1;"
+            "transient_error@batch=1;"
             "transient_error@site=grape.compute,call=2,count=3;"
             "latency@prob=0.25,seconds=0.01,seed=7")
         assert len(plan) == 3
         assert plan.seed == 7
-        crash, trans, lat = plan.specs
-        assert crash.kind == "worker_crash" and crash.batch == 1
+        batch, trans, lat = plan.specs
+        assert batch.kind == "transient_error" and batch.batch == 1
+        assert batch.site is None
         assert trans.site == "grape.compute" and trans.call == 2
         assert trans.count == 3
         assert lat.prob == 0.25 and lat.seconds == 0.01
@@ -31,8 +32,8 @@ class TestParsing:
         assert again.to_dict() == plan.to_dict()
 
     def test_json_and_file_sources(self, tmp_path):
-        doc = {"seed": 11, "faults": [{"kind": "worker_hang",
-                                       "worker": 0, "seconds": 2.0}]}
+        doc = {"seed": 11, "faults": [{"kind": "latency",
+                                       "batch": 0, "seconds": 2.0}]}
         from_text = parse_fault_plan(json.dumps(doc))
         path = tmp_path / "plan.json"
         path.write_text(json.dumps(doc))
@@ -40,8 +41,8 @@ class TestParsing:
         from_path = parse_fault_plan(path)
         for plan in (from_text, from_file, from_path):
             assert plan.seed == 11
-            assert plan.specs[0].kind == "worker_hang"
-            assert plan.specs[0].worker == 0
+            assert plan.specs[0].kind == "latency"
+            assert plan.specs[0].batch == 0
 
     def test_as_fault_plan_normalises(self):
         assert as_fault_plan(None) is None
@@ -54,9 +55,9 @@ class TestParsing:
         assert from_dict.seed == 3
 
     def test_wildcard_selectors(self):
-        spec = parse_fault_plan("worker_crash@batch=any,worker=*"
+        spec = parse_fault_plan("latency@batch=any,sweep=*"
                                 ).specs[0]
-        assert spec.batch is None and spec.worker is None
+        assert spec.batch is None and spec.sweep is None
         # attempt defaults to 0 (first execution only) unless widened
         assert spec.attempt == 0
         persistent = parse_fault_plan(
@@ -73,21 +74,21 @@ class TestParsing:
         with pytest.raises(ValueError):
             FaultSpec("latency", seconds=-1.0)
         with pytest.raises(ValueError):
-            parse_fault_plan("worker_crash@batch")
-        assert "worker_crash" in FAULT_KINDS
+            parse_fault_plan("latency@batch")
+        assert FAULT_KINDS == {"latency", "transient_error",
+                               "corrupt_result", "checkpoint_truncate"}
 
 
 class TestInjector:
     def test_batch_selectors_and_count(self):
-        plan = FaultPlan([FaultSpec("worker_crash", batch=3, worker=1)])
-        right = FaultInjector(plan, worker=1)
-        wrong = FaultInjector(plan, worker=0)
-        assert wrong.batch_fault(sweep=0, batch=3) is None
-        assert right.batch_fault(sweep=0, batch=2) is None
-        fired = right.batch_fault(sweep=0, batch=3)
-        assert fired is not None and fired.kind == "worker_crash"
+        plan = FaultPlan([FaultSpec("latency", batch=3, sweep=1)])
+        inj = FaultInjector(plan)
+        assert inj.batch_fault(sweep=0, batch=3) is None
+        assert inj.batch_fault(sweep=1, batch=2) is None
+        fired = inj.batch_fault(sweep=1, batch=3)
+        assert fired is not None and fired.kind == "latency"
         # count=1 consumed: never fires again in this process
-        assert right.batch_fault(sweep=0, batch=3) is None
+        assert inj.batch_fault(sweep=1, batch=3) is None
 
     def test_attempt_gating(self):
         plan = FaultPlan([FaultSpec("transient_error", batch=0,

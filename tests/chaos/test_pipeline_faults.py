@@ -1,10 +1,11 @@
-"""Chaos tests for the self-healing pipeline engine.
+"""Chaos tests for the pipeline engine's one recovery rung.
 
-The acceptance criterion of the fault-tolerance work: a pipeline sweep
-with injected worker crashes / hangs / transient errors / result
-corruption still produces forces *bit-identical* to the serial path,
-and every recovery action is visible in the ``exec.fault.*`` counters
-and trace events.
+What can fail in a thread-pool engine is ``eval_lists`` raising.  The
+contract: a shard hit by an injected transient error is re-run and the
+sweep stays *bit-identical* to the in-process path; an exhausted retry
+budget is a prompt, typed :class:`EngineError` that leaves the engine
+usable; every fault and decision is visible in the ``exec.fault.*``
+counters, the trace and the flight recorder.
 """
 
 import time
@@ -13,12 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core import TreeCode
+from repro.core.kernels import Float64Backend
 from repro.exec import EngineError, PipelineEngine
-from repro.obs import MetricsRegistry, Tracer
+from repro.faults import parse_fault_plan
+from repro.obs import FlightRecorder, MetricsRegistry, Tracer
 from repro.sim.models import plummer_model
 
 pytestmark = pytest.mark.chaos
-
 
 @pytest.fixture(scope="module")
 def cloud():
@@ -34,158 +36,129 @@ def reference(cloud):
     return tc.accelerations(pos, mass, 0.01)
 
 
-def _forces(pos, mass, engine, metrics=None, tracer=None):
-    tc = TreeCode(theta=0.75, n_crit=64, engine=engine,
+def _forces(pos, mass, engine, metrics=None, tracer=None, backend=None):
+    tc = TreeCode(theta=0.75, n_crit=64, engine=engine, backend=backend,
                   metrics=metrics, tracer=tracer)
     return tc.accelerations(pos, mass, 0.01)
 
 
-#: (fault DSL, extra engine kwargs, counters that must be > 0)
-SCENARIOS = {
-    "crash": ("worker_crash@batch=1", {},
-              ("worker_deaths", "respawns", "batch_retries")),
-    "hang": ("worker_hang@batch=1,seconds=30",
-             {"batch_timeout": 0.5},
-             ("timeouts", "respawns", "batch_retries")),
-    "transient": ("transient_error@batch=0", {},
-                  ("transient_errors", "batch_retries")),
-    "corrupt": ("corrupt_result@batch=2", {},
-                ("corrupt_batches", "batch_retries")),
-}
-
-
 class TestRecoveryBitIdentity:
     @pytest.mark.parametrize("workers", [1, 4])
-    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
     def test_injected_fault_recovers_bit_identical(
-            self, cloud, reference, scenario, workers):
+            self, cloud, reference, workers):
         pos, mass = cloud
         a0, p0 = reference
-        faults, kwargs, counters = SCENARIOS[scenario]
         reg = MetricsRegistry()
-        with PipelineEngine(workers=workers, batch_nj=2048,
-                            faults=faults, **kwargs) as eng:
+        with PipelineEngine(workers=workers,
+                            faults="transient_error@batch=0") as eng:
             acc, pot = _forces(pos, mass, eng, metrics=reg)
         assert np.array_equal(acc, a0)
         assert np.array_equal(pot, p0)
-        for name in counters:
-            assert reg.value(f"exec.fault.{name}") >= 1, name
-
-    def test_fault_counts_exact_for_single_shot_faults(self, cloud,
-                                                       reference):
-        """A count=1 spec fires exactly once; duplicates of the
-        re-executed batch never double-count backend statistics."""
-        pos, mass = cloud
-        reg = MetricsRegistry()
-        with PipelineEngine(workers=2, batch_nj=2048,
-                            faults="transient_error@batch=1") as eng:
-            acc, _ = _forces(pos, mass, eng, metrics=reg)
-        assert np.array_equal(acc, reference[0])
         assert reg.value("exec.fault.transient_errors") == 1
         assert reg.value("exec.fault.batch_retries") == 1
 
-    def test_repeated_sweeps_after_crash(self, cloud, reference):
-        """The respawned pool keeps serving later sweeps correctly."""
+    def test_fault_counts_exact_for_single_shot_faults(self, cloud,
+                                                       reference):
+        """A count=1 spec fires exactly once; the failed attempt's
+        private backend is dropped, so backend statistics never
+        double-count."""
         pos, mass = cloud
-        with PipelineEngine(workers=2, batch_nj=2048,
-                            faults="worker_crash@batch=1") as eng:
-            first = _forces(pos, mass, eng)
-            second = _forces(pos, mass, eng)
-        assert np.array_equal(first[0], reference[0])
-        assert np.array_equal(second[0], reference[0])
+        reg = MetricsRegistry()
+        clean, faulted = Float64Backend(), Float64Backend()
+        _forces(pos, mass, None, backend=clean)
+        with PipelineEngine(workers=2,
+                            faults="transient_error@batch=1") as eng:
+            acc, _ = _forces(pos, mass, eng, metrics=reg,
+                             backend=faulted)
+        assert np.array_equal(acc, reference[0])
+        assert reg.value("exec.fault.transient_errors") == 1
+        assert reg.value("exec.fault.batch_retries") == 1
+        assert faulted.interactions == clean.interactions > 0
 
 
 class TestDegradationLadder:
-    def test_retry_exhaustion_falls_back_to_serial(self, cloud,
-                                                   reference):
-        """A persistently failing batch (attempt=any) ends up evaluated
-        in-process -- still bit-identical."""
-        pos, mass = cloud
-        reg = MetricsRegistry()
-        with PipelineEngine(workers=2, batch_nj=2048, max_retries=1,
-                            faults="transient_error@batch=1,"
-                                   "attempt=any,count=99") as eng:
-            acc, pot = _forces(pos, mass, eng, metrics=reg)
-        assert np.array_equal(acc, reference[0])
-        assert np.array_equal(pot, reference[1])
-        assert reg.value("exec.fault.serial_fallbacks") == 1
+    """What is left of the ladder: one retry rung, then EngineError."""
 
     def test_healing_disabled_raises_promptly(self, cloud):
-        """Satellite contract: with the ladder off, a dead worker is an
-        EngineError within the poll period -- not a hung gather loop."""
+        """With ``max_retries=0`` the first transient error is an
+        EngineError -- no retry, no hang."""
         pos, mass = cloud
-        with PipelineEngine(workers=2, batch_nj=2048, max_retries=0,
-                            degrade=False,
-                            faults="worker_crash@batch=1") as eng:
+        reg = MetricsRegistry()
+        with PipelineEngine(workers=2, max_retries=0,
+                            faults="transient_error@batch=1") as eng:
             t0 = time.perf_counter()
-            with pytest.raises(EngineError, match="died"):
-                _forces(pos, mass, eng)
+            with pytest.raises(EngineError, match="transient_error"):
+                _forces(pos, mass, eng, metrics=reg)
             assert time.perf_counter() - t0 < 5.0
+        assert reg.value("exec.fault.transient_errors") == 1
+        assert reg.value("exec.fault.batch_retries") == 0
 
-    def test_retries_exhausted_without_degrade_raises(self, cloud):
+    def test_retries_exhausted_without_degrade_raises(self, cloud,
+                                                      reference):
+        """A persistently failing shard (attempt=any) exhausts the
+        budget and raises; the same engine then serves the next sweep
+        (the spec selects sweep 0 only)."""
         pos, mass = cloud
-        with PipelineEngine(workers=2, batch_nj=2048, max_retries=1,
-                            degrade=False,
-                            faults="transient_error@batch=1,"
+        with PipelineEngine(workers=2, max_retries=1,
+                            faults="transient_error@sweep=0,batch=1,"
                                    "attempt=any,count=99") as eng:
+            t0 = time.perf_counter()
             with pytest.raises(EngineError, match="retries"):
                 _forces(pos, mass, eng)
-
-
-class TestIdleWorkerDeath:
-    def test_death_between_sweeps_is_healed(self, cloud, reference):
-        pos, mass = cloud
-        with PipelineEngine(workers=2, batch_nj=2048) as eng:
-            first = _forces(pos, mass, eng)
-            wid = next(iter(eng._workers_map))
-            eng._workers_map[wid].terminate()
-            eng._workers_map[wid].join(timeout=5.0)
-            second = _forces(pos, mass, eng)
-        assert np.array_equal(first[0], reference[0])
-        assert np.array_equal(second[0], reference[0])
-
-    def test_death_between_sweeps_raises_promptly_unhealed(self, cloud):
-        pos, mass = cloud
-        with PipelineEngine(workers=2, batch_nj=2048, max_retries=0,
-                            degrade=False) as eng:
-            _forces(pos, mass, eng)
-            wid = next(iter(eng._workers_map))
-            eng._workers_map[wid].terminate()
-            eng._workers_map[wid].join(timeout=5.0)
-            t0 = time.perf_counter()
-            with pytest.raises(EngineError, match="died"):
-                _forces(pos, mass, eng)
             assert time.perf_counter() - t0 < 5.0
+            acc, pot = _forces(pos, mass, eng)
+        assert np.array_equal(acc, reference[0])
+        assert np.array_equal(pot, reference[1])
 
 
 class TestObservability:
-    def test_fault_events_appear_in_trace_and_stats(self, cloud):
+    def test_fault_events_appear_in_trace_and_stats(self, cloud,
+                                                    tmp_path):
         pos, mass = cloud
         tracer = Tracer()
-        with PipelineEngine(workers=2, batch_nj=2048,
-                            faults="worker_crash@batch=1") as eng:
-            tc = TreeCode(theta=0.75, n_crit=64, engine=eng,
-                          tracer=tracer)
-            tc.accelerations(pos, mass, 0.01)
+        reg = MetricsRegistry()
+        flight = FlightRecorder(path=tmp_path / "fr.jsonl")
+        with PipelineEngine(workers=2, flight=flight,
+                            faults="transient_error@batch=1") as eng:
+            _forces(pos, mass, eng, metrics=reg, tracer=tracer)
 
-        def walk(spans):
-            for s in spans:
-                yield s
-                yield from walk(s.children)
-
-        events = [s for s in walk(tracer.roots) if s.name == "exec.fault"]
-        kinds = {s.attrs.get("kind") for s in events}
-        assert "worker_deaths" in kinds
-        assert "respawns" in kinds
+        events = [s for s in tracer.iter_spans()
+                  if s.name == "exec.fault"]
+        assert {s.attrs["kind"] for s in events} == {
+            "transient_errors", "batch_retries"}
+        assert all(s.attrs["batch"] == 1 for s in events)
+        assert reg.value("exec.fault.transient_errors") == 1
+        kinds = [ev["kind"] for ev in flight.snapshot()]
+        assert "fault.injected" in kinds
+        assert "fault.transient_errors" in kinds
+        retry = [ev for ev in flight.snapshot()
+                 if ev["kind"] == "recovery"]
+        assert [ev["decision"] for ev in retry] == ["retry"]
+        # a sweep that saw faults flushes the black box
+        assert (tmp_path / "fr.jsonl").exists()
 
     def test_latency_fault_only_slows(self, cloud, reference):
         """The latency kind is a perturbation, not a failure: no
         recovery machinery runs, results stay identical."""
         pos, mass = cloud
         reg = MetricsRegistry()
-        with PipelineEngine(workers=2, batch_nj=2048,
+        with PipelineEngine(workers=2,
                             faults="latency@batch=0,seconds=0.2") as eng:
+            t0 = time.perf_counter()
             acc, _ = _forces(pos, mass, eng, metrics=reg)
+            assert time.perf_counter() - t0 >= 0.2
         assert np.array_equal(acc, reference[0])
         assert reg.value("exec.fault.batch_retries") == 0
-        assert reg.value("exec.fault.worker_deaths") == 0
+        assert reg.value("exec.fault.transient_errors") == 0
+
+
+class TestRetiredKinds:
+    @pytest.mark.parametrize("plan", ["worker_crash@batch=1",
+                                      "worker_hang@batch=1,seconds=30"])
+    def test_process_fault_kinds_are_rejected_at_parse(self, plan):
+        """Nothing can crash or hang a worker *process* any more; the
+        kinds fail like any other unknown kind."""
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            parse_fault_plan(plan)
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            PipelineEngine(workers=1, faults=plan)

@@ -203,12 +203,12 @@ class TestForceEquivalence:
 class TestEngines:
     def test_pipeline_numpy_bit_identical_to_serial_numpy(self,
                                                           snapshots):
-        """Worker batches see CSR *slices*; the per-sink arithmetic is
+        """Shards see CSR *slices*; the per-sink arithmetic is
         row-independent, so slicing must not change a single bit."""
         pos, mass = snapshots[(1000, "open")]
         tc = TreeCode(theta=0.75, n_crit=64)
         acc0, pot0 = tc.accelerations(pos, mass, EPS)
-        with PipelineEngine(workers=2, batch_nj=2048) as eng:
+        with PipelineEngine(workers=2) as eng:
             tcp = TreeCode(theta=0.75, n_crit=64, engine=eng)
             acc1, pot1 = tcp.accelerations(pos, mass, EPS)
         assert np.array_equal(acc1, acc0)
@@ -218,33 +218,10 @@ class TestEngines:
         pos, mass = snapshots[(1000, "open")]
         ref = TreeCode(theta=0.75, n_crit=64, backend=OracleFloat64())
         acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        with PipelineEngine(workers=2, batch_nj=2048) as eng:
+        with PipelineEngine(workers=2) as eng:
             tcp = TreeCode(theta=0.75, n_crit=64, engine=eng)
             acc1, pot1 = tcp.accelerations(pos, mass, EPS)
         _assert_close(acc1, pot1, acc0, pot0)
-
-
-@pytest.mark.chaos
-class TestChaosSmoke:
-    def test_worker_crash_recovers_bit_identical(self, snapshots):
-        """The retry ladder re-executes crashed batches; because
-        ``eval_lists`` *assigns* output rows (never accumulates), the
-        recovered sweep equals the undisturbed one exactly."""
-        pos, mass = snapshots[(1000, "open")]
-        with PipelineEngine(workers=2, batch_nj=2048) as eng:
-            tc = TreeCode(theta=0.75, n_crit=64, engine=eng)
-            acc0, pot0 = tc.accelerations(pos, mass, EPS)
-        from repro.obs import MetricsRegistry
-        reg = MetricsRegistry()
-        with PipelineEngine(workers=2, batch_nj=2048,
-                            faults="worker_crash@batch=1") as eng:
-            tc = TreeCode(theta=0.75, n_crit=64, engine=eng,
-                          metrics=reg)
-            acc1, pot1 = tc.accelerations(pos, mass, EPS)
-        assert np.array_equal(acc1, acc0)
-        assert np.array_equal(pot1, pot0)
-        assert reg.value("exec.fault.worker_deaths") >= 1
-        assert reg.value("exec.fault.batch_retries") >= 1
 
 
 class TestNoCompilerFallback:

@@ -1,43 +1,9 @@
-"""Unit tests of the batch planner and source assembly."""
+"""Unit tests of source assembly and shard-list concatenation."""
 
 import numpy as np
-import pytest
 
 from repro.core.traversal import InteractionLists, concatenate_lists
 from repro.core.kernels import ForceBackend
-from repro.exec.plan import plan_batches
-
-
-class TestPlanBatches:
-    def test_empty(self):
-        assert plan_batches(np.array([], dtype=np.int64), 100) == []
-
-    def test_single_batch_when_under_cap(self):
-        assert plan_batches(np.array([10, 20, 30]), 100) == [(0, 3)]
-
-    def test_splits_at_cap(self):
-        batches = plan_batches(np.array([60, 60, 60]), 100)
-        assert batches == [(0, 1), (1, 2), (2, 3)]
-
-    def test_packs_consecutively_and_covers_all(self):
-        rng = np.random.default_rng(7)
-        lengths = rng.integers(1, 50, size=200)
-        batches = plan_batches(lengths, 128)
-        # contiguous, gap-free cover of [0, 200)
-        assert batches[0][0] == 0 and batches[-1][1] == 200
-        for (a0, b0), (a1, _) in zip(batches, batches[1:]):
-            assert b0 == a1
-        # every batch except possibly singletons respects the cap
-        for a, b in batches:
-            if b - a > 1:
-                assert int(lengths[a:b].sum()) <= 128
-
-    def test_oversize_list_gets_own_batch(self):
-        batches = plan_batches(np.array([5, 500, 5]), 100)
-        assert (1, 2) in batches
-
-    def test_no_cap(self):
-        assert plan_batches(np.array([10, 20]), None) == [(0, 2)]
 
 
 class TestAssembleSources:

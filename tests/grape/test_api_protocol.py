@@ -1,4 +1,4 @@
-"""Protocol-misuse matrix for the g5 API and G5Context isolation.
+"""Protocol-misuse matrix for the G5Context API and context isolation.
 
 Complements tests/grape/test_api.py: that file checks the canonical
 sequence and results; this one sweeps every call against wrong-state
@@ -10,19 +10,18 @@ each other's staged state.
 import numpy as np
 import pytest
 
-from repro.grape import api
 from repro.grape.api import G5Context, G5Error
 from repro.grape.system import Grape5System
 from repro.grape.timing import GrapeTimingModel
 
 
-@pytest.fixture(autouse=True)
-def _clean_api_state():
-    if api._state.system is not None:
-        api.g5_close()
-    yield
-    if api._state.system is not None:
-        api.g5_close()
+@pytest.fixture
+def g5():
+    """A closed context; whatever the test leaves open is closed."""
+    ctx = G5Context()
+    yield ctx
+    if ctx.system is not None:
+        ctx.close()
 
 
 def _stage_and_run(ctx, rng, n_i=4, n_j=16):
@@ -35,104 +34,101 @@ def _stage_and_run(ctx, rng, n_i=4, n_j=16):
     ctx.run()
 
 
-# every module-level call that requires an open device, with minimal
-# valid-looking arguments
+# every call that requires an open device, under its libg5 name, with
+# minimal valid-looking arguments
 _CALLS = [
-    ("g5_close", lambda: api.g5_close()),
-    ("g5_set_range", lambda: api.g5_set_range(0.0, 1.0)),
-    ("g5_set_eps_to_all", lambda: api.g5_set_eps_to_all(0.01)),
-    ("g5_set_n", lambda: api.g5_set_n(1)),
-    ("g5_set_xmj", lambda: api.g5_set_xmj(0, 1, np.zeros((1, 3)),
-                                          np.ones(1))),
-    ("g5_set_xi", lambda: api.g5_set_xi(1, np.zeros((1, 3)))),
-    ("g5_run", lambda: api.g5_run()),
-    ("g5_get_force", lambda: api.g5_get_force(1)),
+    ("g5_close", lambda g5: g5.close()),
+    ("g5_set_range", lambda g5: g5.set_range(0.0, 1.0)),
+    ("g5_set_eps_to_all", lambda g5: g5.set_eps_to_all(0.01)),
+    ("g5_set_n", lambda g5: g5.set_n(1)),
+    ("g5_set_xmj", lambda g5: g5.set_xmj(0, 1, np.zeros((1, 3)),
+                                         np.ones(1))),
+    ("g5_set_xi", lambda g5: g5.set_xi(1, np.zeros((1, 3)))),
+    ("g5_run", lambda g5: g5.run()),
+    ("g5_get_force", lambda g5: g5.get_force(1)),
     ("g5_get_number_of_pipelines",
-     lambda: api.g5_get_number_of_pipelines()),
-    ("g5_get_peak_flops", lambda: api.g5_get_peak_flops()),
+     lambda g5: g5.get_number_of_pipelines()),
+    ("g5_get_peak_flops", lambda g5: g5.get_peak_flops()),
 ]
 
 
 class TestCallOrderMatrix:
     @pytest.mark.parametrize("name,call", _CALLS,
                              ids=[c[0] for c in _CALLS])
-    def test_before_open_raises(self, name, call):
+    def test_before_open_raises(self, name, call, g5):
         with pytest.raises(G5Error):
-            call()
+            call(g5)
 
     @pytest.mark.parametrize("name,call", _CALLS,
                              ids=[c[0] for c in _CALLS])
-    def test_use_after_close_raises(self, name, call, rng):
-        api.g5_open()
-        api.g5_set_xmj(0, 4, rng.standard_normal((4, 3)), np.ones(4))
-        api.g5_set_xi(2, rng.standard_normal((2, 3)))
-        api.g5_run()
-        api.g5_close()
+    def test_use_after_close_raises(self, name, call, g5, rng):
+        g5.open()
+        g5.set_xmj(0, 4, rng.standard_normal((4, 3)), np.ones(4))
+        g5.set_xi(2, rng.standard_normal((2, 3)))
+        g5.run()
+        g5.close()
         with pytest.raises(G5Error):
-            call()
+            call(g5)
 
-    def test_double_open_rejected_and_state_kept(self):
-        sys1 = api.g5_open()
+    def test_double_open_rejected_and_state_kept(self, g5):
+        sys1 = g5.open().system
         with pytest.raises(G5Error):
-            api.g5_open()
+            g5.open()
         # the failed second open must not have replaced the system
-        assert api._state.system is sys1
+        assert g5.system is sys1
 
-    def test_set_xi_invalidates_previous_run(self, rng):
-        api.g5_open()
-        api.g5_set_xmj(0, 4, rng.standard_normal((4, 3)), np.ones(4))
-        api.g5_set_xi(2, rng.standard_normal((2, 3)))
-        api.g5_run()
-        api.g5_get_force(2)
-        api.g5_set_xi(2, rng.standard_normal((2, 3)))
+    def test_set_xi_invalidates_previous_run(self, g5, rng):
+        g5.open()
+        g5.set_xmj(0, 4, rng.standard_normal((4, 3)), np.ones(4))
+        g5.set_xi(2, rng.standard_normal((2, 3)))
+        g5.run()
+        g5.get_force(2)
+        g5.set_xi(2, rng.standard_normal((2, 3)))
         with pytest.raises(G5Error):
-            api.g5_get_force(2)
+            g5.get_force(2)
 
 
 class TestCloseReopen:
-    def test_reopen_starts_clean(self, rng):
-        api.g5_open()
-        api.g5_set_eps_to_all(0.5)
-        api.g5_set_xmj(0, 8, rng.standard_normal((8, 3)), np.ones(8))
-        api.g5_set_xi(2, rng.standard_normal((2, 3)))
-        api.g5_run()
-        api.g5_close()
+    def test_reopen_starts_clean(self, g5, rng):
+        g5.open()
+        g5.set_eps_to_all(0.5)
+        g5.set_xmj(0, 8, rng.standard_normal((8, 3)), np.ones(8))
+        g5.set_xi(2, rng.standard_normal((2, 3)))
+        g5.run()
+        g5.close()
 
-        api.g5_open()
-        st = api._state
-        assert st.nj == 0 and st.xi is None and not st.ran
-        assert st.acc is None and st.pot is None
-        assert np.all(st.xj == 0.0) and np.all(st.mj == 0.0)
+        g5.open()
+        assert g5.nj == 0 and g5.xi is None and not g5.ran
+        assert g5.acc is None and g5.pot is None
+        assert np.all(g5.xj == 0.0) and np.all(g5.mj == 0.0)
         # j-memory was cleared, so running again needs a fresh j-set
-        api.g5_set_xi(1, np.zeros((1, 3)))
+        g5.set_xi(1, np.zeros((1, 3)))
         with pytest.raises(G5Error):
-            api.g5_run()
+            g5.run()
 
-    def test_many_cycles(self):
+    def test_many_cycles(self, g5):
         for _ in range(3):
-            api.g5_open()
-            api.g5_close()
-        assert api._state.system is None
+            g5.open()
+            g5.close()
+        assert g5.system is None
 
 
 class TestMemoryBounds:
-    def test_set_n_beyond_capacity(self):
-        api.g5_open()
-        cap = api._state.xj.shape[0]
+    def test_set_n_beyond_capacity(self, g5):
+        g5.open()
+        cap = g5.xj.shape[0]
         with pytest.raises(G5Error):
-            api.g5_set_n(cap + 1)
+            g5.set_n(cap + 1)
         with pytest.raises(G5Error):
-            api.g5_set_n(-1)
+            g5.set_n(-1)
 
-    def test_set_xmj_beyond_capacity(self, rng):
-        api.g5_open()
-        cap = api._state.xj.shape[0]
+    def test_set_xmj_beyond_capacity(self, g5, rng):
+        g5.open()
+        cap = g5.xj.shape[0]
         with pytest.raises(G5Error):
-            api.g5_set_xmj(cap, 1, rng.standard_normal((1, 3)),
-                           np.ones(1))
+            g5.set_xmj(cap, 1, rng.standard_normal((1, 3)), np.ones(1))
         with pytest.raises(G5Error):
-            api.g5_set_xmj(-1, 1, rng.standard_normal((1, 3)),
-                           np.ones(1))
+            g5.set_xmj(-1, 1, rng.standard_normal((1, 3)), np.ones(1))
 
 
 class TestContextIsolation:
@@ -149,17 +145,6 @@ class TestContextIsolation:
             a1b, _ = c1.get_force(4)
             assert np.array_equal(a1, a1b)
 
-    def test_default_context_is_a_g5context(self):
-        assert isinstance(api._state, G5Context)
-
-    def test_module_shims_hit_default_context(self, rng):
-        api.g5_open()
-        api.g5_set_xmj(0, 4, rng.standard_normal((4, 3)), np.ones(4))
-        assert api._state.nj == 4
-        # an explicit context is untouched by the shims
-        ctx = G5Context()
-        assert ctx.system is None
-
     def test_context_manager_closes(self):
         ctx = G5Context()
         with ctx.open():
@@ -170,29 +155,29 @@ class TestContextIsolation:
 
 
 class TestGetForceOutParams:
-    def test_out_parameter_overload(self, rng):
-        api.g5_open()
-        api.g5_set_range(-4, 4)
-        api.g5_set_eps_to_all(0.05)
-        api.g5_set_xmj(0, 8, rng.standard_normal((8, 3)), np.ones(8))
-        api.g5_set_xi(3, rng.standard_normal((3, 3)))
-        api.g5_run()
-        ref_a, ref_p = api.g5_get_force(3)
+    def test_out_parameter_overload(self, g5, rng):
+        g5.open()
+        g5.set_range(-4, 4)
+        g5.set_eps_to_all(0.05)
+        g5.set_xmj(0, 8, rng.standard_normal((8, 3)), np.ones(8))
+        g5.set_xi(3, rng.standard_normal((3, 3)))
+        g5.run()
+        ref_a, ref_p = g5.get_force(3)
         a = np.empty((3, 3))
         p = np.empty(3)
-        ra, rp = api.g5_get_force(3, a, p)
+        ra, rp = g5.get_force(3, a, p)
         assert ra is a and rp is p
         assert np.array_equal(a, ref_a) and np.array_equal(p, ref_p)
 
-    def test_out_parameter_validation(self, rng):
-        api.g5_open()
-        api.g5_set_xmj(0, 4, rng.standard_normal((4, 3)), np.ones(4))
-        api.g5_set_xi(2, rng.standard_normal((2, 3)))
-        api.g5_run()
+    def test_out_parameter_validation(self, g5, rng):
+        g5.open()
+        g5.set_xmj(0, 4, rng.standard_normal((4, 3)), np.ones(4))
+        g5.set_xi(2, rng.standard_normal((2, 3)))
+        g5.run()
         with pytest.raises(G5Error):
-            api.g5_get_force(2, np.empty((2, 3)), None)
+            g5.get_force(2, np.empty((2, 3)), None)
         with pytest.raises(G5Error):
-            api.g5_get_force(2, np.empty((3, 3)), np.empty(2))
+            g5.get_force(2, np.empty((3, 3)), np.empty(2))
 
 
 class TestConcurrencyLatch:

@@ -50,6 +50,51 @@ class TestExecution:
         assert sched.metrics.value("serve.jobs_done") == 1
         assert sched.metrics.value("serve.leases_in_use") == 0
 
+    def test_lease_is_back_before_the_terminal_state_is_visible(
+            self, sched, monkeypatch):
+        """``wait()`` returning means the slot is free: the lease is
+        released before ``done`` is published, never after.  (It used
+        to go back in a ``finally`` behind the publish, so under load
+        the gauge could still read 1 right after ``wait()``.)"""
+        at_release = []
+        release = sched.broker.release
+
+        def spy(lease):
+            at_release.extend(j.state for j in sched.jobs()
+                              if j.lease == lease.id)
+            release(lease)
+
+        monkeypatch.setattr(sched.broker, "release", spy)
+        for seed in range(30):
+            job = sched.submit(JobSpec(kind="force_eval",
+                                       params={"n": 64, "seed": seed}))
+            assert sched.wait(job.id, timeout=60)
+            assert job.state == "done"
+            assert sched.metrics.value("serve.leases_in_use") == 0
+        assert at_release == ["running"] * 30
+
+    def test_pipeline_job_matches_serial_digest(self, tmp_path):
+        """A served pipeline run builds its own thread-pool engine:
+        same digest as the serial job, pool threads gone when it is
+        done, nothing forked from this (threaded) process."""
+        import multiprocessing
+        import threading
+        params = {"ngrid": 6, "steps": 2, "z_final": 12.0}
+        s = Scheduler(slots=1, workdir=tmp_path, cache=False).start()
+        serial = s.submit(JobSpec(kind="run", params=params))
+        piped = s.submit(JobSpec(kind="run", params=params,
+                                 engine="pipeline", workers=2))
+        assert s.wait(serial.id, timeout=120)
+        assert s.wait(piped.id, timeout=120)
+        try:
+            assert (serial.state, piped.state) == ("done", "done")
+            assert piped.result["digest"] == serial.result["digest"]
+            assert not [t for t in threading.enumerate()
+                        if t.name.startswith("repro-exec")]
+            assert multiprocessing.active_children() == []
+        finally:
+            s.stop()
+
     def test_failed_job_leaves_scheduler_serving(self, sched):
         bad = sched.submit(JobSpec(kind="run", params={"ngrid": 6,
                                                        "steps": 1},

@@ -138,6 +138,10 @@ class TestAcceptance:
 
     def test_concurrent_http_jobs_disjoint_leases_bit_identical(
             self, tmp_path, serve_factory, tiny_run):
+        # long enough (~0.2 s) that the 20 ms poll below cannot miss
+        # the window in which both jobs run: at 2 steps a job lasts
+        # ~25 ms and the first poll lands within ~5 ms of its end
+        tiny_run["steps"] = 24
         expected = self._reference_digest(tmp_path, tiny_run)
         with serve_factory(slots=2, workdir=tmp_path / "serve") as \
                 (server, client):

@@ -19,18 +19,18 @@ class TestLeapfrogKDK:
     def test_circular_orbit_period(self):
         """Unit circular orbit: after one period 2*pi the particle must
         return to its start (second-order accurate)."""
-        lf = LeapfrogKDK(force=_kepler_force())
+        lf, force = LeapfrogKDK(), _kepler_force()
         pos = np.array([[1.0, 0.0, 0.0]])
         vel = np.array([[0.0, 1.0, 0.0]])
         n = 2000
         dt = 2.0 * np.pi / n
         for _ in range(n):
-            pos, vel = lf.step(pos, vel, dt)
+            pos, vel = lf.step(pos, vel, dt, force)
         assert np.linalg.norm(pos[0] - [1.0, 0.0, 0.0]) < 2e-3
 
     def test_energy_conservation_eccentric(self):
         """Energy error stays bounded over many orbits (symplectic)."""
-        lf = LeapfrogKDK(force=_kepler_force())
+        lf, force = LeapfrogKDK(), _kepler_force()
         pos = np.array([[1.0, 0.0, 0.0]])
         vel = np.array([[0.0, 0.7, 0.0]])  # eccentric
 
@@ -40,19 +40,19 @@ class TestLeapfrogKDK:
         e0 = energy(pos, vel)
         errs = []
         for _ in range(4000):
-            pos, vel = lf.step(pos, vel, 0.002)
+            pos, vel = lf.step(pos, vel, 0.002, force)
             errs.append(abs(energy(pos, vel) - e0) / abs(e0))
         assert max(errs) < 5e-3
 
     def test_second_order_convergence(self):
         """Halving dt must reduce the position error ~4x."""
         def run(n):
-            lf = LeapfrogKDK(force=_kepler_force())
+            lf, force = LeapfrogKDK(), _kepler_force()
             pos = np.array([[1.0, 0.0, 0.0]])
             vel = np.array([[0.0, 1.0, 0.0]])
             dt = 1.0 / n
             for _ in range(n):
-                pos, vel = lf.step(pos, vel, dt)
+                pos, vel = lf.step(pos, vel, dt, force)
             return pos[0]
 
         ref = np.array([np.cos(1.0), np.sin(1.0), 0.0])
@@ -67,34 +67,34 @@ class TestLeapfrogKDK:
             calls.append(1)
             return np.zeros_like(pos), np.zeros(len(pos))
 
-        lf = LeapfrogKDK(force=force)
+        lf = LeapfrogKDK()
         pos = np.zeros((3, 3))
         vel = np.zeros((3, 3))
         for _ in range(10):
-            pos, vel = lf.step(pos, vel, 0.1)
+            pos, vel = lf.step(pos, vel, 0.1, force)
         # 1 priming call + 1 per step
         assert sum(calls) == 11
 
     def test_free_particle_drifts(self):
         def force(pos):
             return np.zeros_like(pos), np.zeros(len(pos))
-        lf = LeapfrogKDK(force=force)
+        lf = LeapfrogKDK()
         pos = np.zeros((1, 3))
         vel = np.array([[1.0, 2.0, 3.0]])
-        pos, vel = lf.step(pos, vel, 0.5)
+        pos, vel = lf.step(pos, vel, 0.5, force)
         assert np.allclose(pos, [[0.5, 1.0, 1.5]])
 
     def test_potentials_exposed(self):
-        lf = LeapfrogKDK(force=_kepler_force())
+        lf = LeapfrogKDK()
         with pytest.raises(RuntimeError):
             lf.potentials
-        lf.prime(np.array([[1.0, 0.0, 0.0]]))
+        lf.prime(np.array([[1.0, 0.0, 0.0]]), _kepler_force())
         assert lf.potentials[0] == pytest.approx(-1.0)
 
 
 class TestComovingLeapfrog:
     def test_factors_positive_and_ordered(self):
-        cl = ComovingLeapfrog(force=_kepler_force(), cosmology=SCDM)
+        cl = ComovingLeapfrog(cosmology=SCDM)
         t1 = SCDM.age(9.0)
         t2 = SCDM.age(4.0)
         k = cl.kick_factor(t1, t2)
@@ -108,17 +108,17 @@ class TestComovingLeapfrog:
         momentum times the drift factor."""
         def force(pos):
             return np.zeros_like(pos), np.zeros(len(pos))
-        cl = ComovingLeapfrog(force=force, cosmology=SCDM)
+        cl = ComovingLeapfrog(cosmology=SCDM)
         pos = np.array([[1.0, 0.0, 0.0]])
         mom = np.zeros((1, 3))
         t = SCDM.age(9.0)
-        p2, m2 = cl.step(pos, mom, t, 1e-4)
+        p2, m2 = cl.step(pos, mom, t, 1e-4, force)
         assert np.allclose(p2, pos)
         assert np.allclose(m2, 0.0)
 
     def test_eds_factors_analytic(self):
         """EdS a = (t/t0)^(2/3): kick = Int t^(-2/3) dt * t0^(2/3)."""
-        cl = ComovingLeapfrog(force=_kepler_force(), cosmology=SCDM)
+        cl = ComovingLeapfrog(cosmology=SCDM)
         t0 = SCDM.age(0.0)
         t1, t2 = 0.3 * t0, 0.5 * t0
         expect = 3.0 * t0 ** (2.0 / 3.0) * (t2 ** (1.0 / 3.0)

@@ -66,6 +66,27 @@ class TestBasics:
         assert sim.mean_list_length > 0
         assert sim.history[0].n_groups > 1
 
+    def test_finished_run_is_freed_without_a_gc_pass(self, rng):
+        """A Simulation is not a reference cycle (the integrator takes
+        the force callable per call instead of holding a bound method),
+        so a dead run's arrays go with its last reference."""
+        import gc
+        import weakref
+        pos, vel, mass = plummer_model(64, rng)
+        gc.collect()
+        gc.disable()
+        try:
+            sim = Simulation(pos=pos, vel=vel, mass=mass, eps=0.02,
+                             G=1.0)
+            sim.run([0.01] * 2)
+            sim._restore_from(sim)   # the second construction site
+            sim.step(0.01)
+            ref = weakref.ref(sim)
+            del sim
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_validation(self, rng):
         pos, vel, mass = plummer_model(10, rng)
         with pytest.raises(ValueError):

@@ -167,7 +167,7 @@ class TestObservability:
         code, text = run_cli("run", "--ngrid", "6", "--steps", "1",
                              "--z-final", "16",
                              "--engine", "pipeline", "--workers", "2",
-                             "--faults", "worker_crash@batch=0",
+                             "--faults", "transient_error@batch=0",
                              "--flightrec", str(fr))
         assert code == 0
         assert f"flight recorder dumped to {fr}" in text
@@ -298,6 +298,20 @@ class TestExitCodes:
         assert code == 2
         assert argv[0] in text            # "<command>: <reason>"
         assert "Traceback" not in text
+
+    def test_retired_process_engine_flag_and_kinds_exit_2(self, capsys):
+        """``--batch-timeout`` steered hang detection of worker
+        processes and ``worker_crash``/``worker_hang`` injected their
+        deaths; the engine is a thread pool now, so argparse rejects
+        the flag and the plan parser the kinds."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--engine", "pipeline", "--batch-timeout", "1")
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --batch-timeout"
+                in capsys.readouterr().err)
+        code, text = run_cli("run", "--faults", "worker_crash@batch=1")
+        assert code == 2
+        assert "unknown fault kind 'worker_crash'" in text
 
     def test_retired_bench_verb_is_rejected(self, capsys):
         """``repro bench`` is gone, not aliased: wall clock is

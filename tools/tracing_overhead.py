@@ -4,8 +4,8 @@
 The observability layer's contract is that an *untraced* run pays
 almost nothing for the instrumentation wired through the hot paths:
 every span site routes through the shared no-op ``NULL_TRACER``, the
-pipeline engine ships ``ctx=None`` (no extra bytes, no worker span
-dicts), and flight-recorder hooks are ``None`` checks.
+pipeline engine builds no ``exec.batch`` spans, and flight-recorder
+hooks are ``None`` checks.
 
 A direct traced-vs-untraced wall-clock A/B is far too noisy on shared
 CI runners to gate at the few-percent level, so the gate measures the
@@ -95,7 +95,7 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=5,
                     help="untraced evaluation repetitions (median)")
     ap.add_argument("--workers", type=int, default=2,
-                    help="pipeline worker processes")
+                    help="pipeline worker threads")
     args = ap.parse_args(argv)
 
     from repro.obs import Tracer
@@ -111,7 +111,7 @@ def main(argv=None) -> int:
 
     # site count: every span a traced evaluation emits is one span
     # site in the untraced run, plus per-batch engine bookkeeping
-    # (context build probe, worker-side perf_counter reads)
+    # (the ``tracing`` probe, pool-thread perf_counter reads)
     tr = Tracer()
     _evaluate(pos, mass, workers=args.workers, tracer=tr)
     events = list(span_events(tr))
