@@ -1,12 +1,20 @@
-"""E14 -- emulated PC-GRAPE cluster scaling (the cluster extension).
+"""E14 -- emulated PC-GRAPE cluster: scaling and price/performance.
 
 One force sweep of a Plummer workload through ``ClusterSpec(hosts=K)``
 for K in {1, 2, 4}, two boards per host.  The correctness content is
 the cluster contract: K=1 is bit-identical to the serial GRAPE path
 (including the predicted model seconds), K>1 matches to 1e-12, LET
 exchange volume is zero at K=1 and grows with K, and the modelled
-cluster wall-clock shrinks as hosts are added.  Writes
-``results/e14_cluster.json`` with the per-K exchange volume and
+cluster wall-clock shrinks as hosts are added.
+
+The price/performance content is the multi-host half of the paper's
+section-4 question (E10 is the single-host half), asked where the
+exchange traffic is *measured* rather than assumed: each K is priced by
+``ClusterSpec.cost()`` and divided by the raw Gflops this sweep
+sustains on it.  Hosts buy wall clock, not price/performance -- the
+trajectory the GRAPE project took for later, larger N.
+
+Writes ``results/e14_cluster.json`` with the per-K exchange volume and
 predicted cluster Gflops; the scale-free metric is
 ``cluster_predicted_gflops`` at K=4.
 """
@@ -30,13 +38,17 @@ HOST_COUNTS = (1, 2, 4)
 
 
 def _cluster_sweep(pos, mass, hosts):
-    tc = TreeCode(theta=0.75, n_crit=N_CRIT,
-                  cluster=ClusterSpec(hosts=hosts, boards=2))
+    spec = ClusterSpec(hosts=hosts, boards=2)
+    tc = TreeCode(theta=0.75, n_crit=N_CRIT, cluster=spec)
     t0 = time.perf_counter()
     acc, pot = tc.accelerations(pos, mass, EPS)
     wall = time.perf_counter() - t0
     summary = tc.cluster.summary()
     tc.close()
+    cost = spec.cost()
+    summary["cost_usd"] = cost.total_usd
+    summary["usd_per_mflops"] = cost.price_per_mflops(
+        summary["predicted_gflops"] * 1e9)
     return acc, pot, wall, summary
 
 
@@ -67,6 +79,9 @@ def test_cluster_scaling(benchmark, results_dir):
         pred = {r["hosts"]: r["predicted_seconds"] for r in runs}
         assert pred[4] < pred[2] < pred[1], \
             "predicted cluster seconds did not shrink with hosts"
+        price = {r["hosts"]: r["usd_per_mflops"] for r in runs}
+        assert price[1] <= price[2] <= price[4], \
+            "hosts buy wall clock, not price/performance"
         return serial_model, runs
 
     serial_model, runs = benchmark.pedantic(measure, rounds=1,
@@ -99,9 +114,13 @@ def test_cluster_scaling(benchmark, results_dir):
              "Gflops": round(r["predicted_gflops"], 2),
              "LET cells": r["let_import_cells"],
              "LET parts": r["let_import_particles"],
-             "LET [kB]": round(r["let_exchange_bytes"] / 1e3, 1)}
+             "LET [kB]": round(r["let_exchange_bytes"] / 1e3, 1),
+             "cost [$]": round(r["cost_usd"]),
+             "$/Mflops": round(r["usd_per_mflops"], 2)}
             for r in runs]
     emit(results_dir, "e14_cluster",
          format_table(rows)
          + "\n(K=1 bit-identical to the serial GRAPE path; its "
-         "predicted seconds equal the single-host timing model)")
+         "predicted seconds equal the single-host timing model)"
+         "\n($/Mflops: ClusterSpec.cost() over the raw Gflops of this "
+         f"N = {N} sweep)")

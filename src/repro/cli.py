@@ -559,8 +559,8 @@ def cmd_run(args, out) -> int:
     _report_run(sim, backend, out)
     extra = {"backend": args.backend, "theta": args.theta,
              "n_crit": args.ncrit, "seed": args.seed}
-    if getattr(backend, "is_cluster", False):
-        extra["cluster"] = backend.summary()
+    if force.cluster is not None:
+        extra["cluster"] = force.cluster.summary()
     _emit_obs(args, tracer, registry, out, extra=extra, flight=flight)
 
     if args.figure4 is not None:

@@ -1,16 +1,18 @@
-"""The live emulated cluster: per-host contexts, sharded evaluation.
+"""The live emulated cluster: per-host backends, sharded evaluation.
 
 :class:`ClusterContext` is to a :class:`~repro.cluster.spec.ClusterSpec`
 what a :class:`~repro.grape.api.G5Context` is to one board set: the
-opened, stateful object.  It owns K host slots, each an opened
-``G5Context`` over its own :class:`~repro.grape.system.Grape5System`
-whose timing model splits the j-stream over that host's B boards, plus
-a :class:`~repro.cluster.boards.BoardSetRegistry` ledger proving the
+opened, stateful object -- and the object a cluster
+:class:`~repro.core.treecode.TreeCode` holds as its ``backend``.  Per
+host it owns one :class:`~repro.grape.system.Grape5System`, whose
+timing model splits the j-stream over that host's B boards, and one
+:class:`~repro.grape.system.GrapeBackend` driving it, plus a
+:class:`~repro.cluster.boards.BoardSetRegistry` ledger proving the
 hosts' physical board sets are disjoint.
 
 One force evaluation (:meth:`ClusterContext.evaluate`):
 
-1. :func:`~repro.cluster.decompose.partition_sinks` assigns every sink
+1. :func:`~repro.cluster.decompose.orb_partition` assigns every sink
    (Barnes group) to a host, weighted by group population;
 2. each host evaluates exactly its own rows of the *global* CSR lists
    on its own emulated boards (j-sharding inside
@@ -32,31 +34,34 @@ term), so K=1 reproduces the single-host model exactly.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..grape.api import G5Context
 from ..grape.system import Grape5System, GrapeBackend
 from ..grape.timing import GrapeTimingModel, OPS_PER_INTERACTION
 from .boards import BoardSetRegistry
-from .decompose import partition_sinks
+from .decompose import orb_partition
 from .let import ExchangeStats, let_exchange, take_rows
 from .spec import ClusterError, ClusterSpec
 
-__all__ = ["ClusterContext", "ClusterBackend"]
+__all__ = ["ClusterContext"]
 
 
 class ClusterContext:
-    """K opened host contexts evaluating one decomposed force sweep.
+    """K emulated hosts evaluating one decomposed force sweep.
 
-    Mirrors the :class:`~repro.grape.api.G5Context` lifecycle and latch
-    discipline: :meth:`open` before use, :meth:`close` to detach (the
-    context is then reusable), :meth:`acquire`/:meth:`release` latch it
-    to one thread, and every misuse raises :class:`ClusterError` --
-    call-order violations, double acquire, double release.
+    Mirrors the :class:`~repro.grape.api.G5Context` lifecycle:
+    :meth:`open` before use, :meth:`close` to detach, and every
+    call-order violation raises :class:`ClusterError`.  A closed
+    context can be opened again; the per-host systems -- and so the
+    performance counters -- are built on the first :meth:`open` and
+    live until :meth:`reset_stats`, whatever the open/close history.
     """
+
+    #: backend name for reports (the ``"grape"`` substring selects the
+    #: ``grape_force`` phase attribution)
+    name = "grape5-cluster"
 
     def __init__(self, spec: ClusterSpec, *,
                  system_factory: Optional[Callable[[], Grape5System]] = None,
@@ -70,9 +75,9 @@ class ClusterContext:
         self.fault_injector = fault_injector
         self.max_retries = int(max_retries)
         self._factory = system_factory
-        self.hosts: List[G5Context] = []
+        #: per-host backends, one per system; non-empty iff open
         self.backends: List[GrapeBackend] = []
-        #: per-host systems; survives close() so performance counters
+        #: per-host systems; survive close() so performance counters
         #: stay readable after teardown (like a detached GrapeBackend)
         self.systems: List[Grape5System] = []
         #: per-host physical board sets, reserved while open
@@ -85,8 +90,6 @@ class ClusterContext:
         self.let_import_particles: int = 0
         self.let_bytes: float = 0.0
         self.last_exchange: Optional[ExchangeStats] = None
-        self._lock = threading.RLock()
-        self._holder: Optional[int] = None
 
     # -- lifecycle -----------------------------------------------------
     def _make_system(self) -> Grape5System:
@@ -96,28 +99,26 @@ class ClusterContext:
             timing=GrapeTimingModel(n_boards=self.spec.boards))
 
     def open(self) -> "ClusterContext":
-        """Attach every host's emulated board set; chains like
-        ``G5Context.open``."""
-        if self.hosts:
+        """Reserve every host's board set and attach its backend;
+        chains like ``G5Context.open``."""
+        if self.backends:
             raise ClusterError("cluster already open; call close() first")
         spec = self.spec
         self.registry = BoardSetRegistry(spec.total_boards)
-        sets = []
-        for h in range(spec.hosts):
-            ids = range(h * spec.boards, (h + 1) * spec.boards)
-            sets.append(self.registry.reserve(ids, owner=f"host{h}"))
-        self.board_sets = tuple(sets)
-        self.systems = []
-        for h in range(spec.hosts):
-            system = self._make_system()
+        self.board_sets = tuple(
+            self.registry.reserve(range(h * spec.boards,
+                                        (h + 1) * spec.boards),
+                                  owner=f"host{h}")
+            for h in range(spec.hosts))
+        if not self.systems:
+            self.systems = [self._make_system() for _ in range(spec.hosts)]
+            self.exchange_seconds = [0.0] * spec.hosts
+        for system in self.systems:
             if self.metrics is not None:
                 system.metrics = self.metrics
-            self.systems.append(system)
-            self.hosts.append(G5Context().open(system))
             self.backends.append(GrapeBackend(
                 system=system, fault_injector=self.fault_injector,
                 max_retries=self.max_retries))
-        self.exchange_seconds = [0.0] * spec.hosts
         if self.metrics is not None:
             m = self.metrics
             m.gauge("cluster.hosts", "emulated cluster hosts (K)"
@@ -126,28 +127,18 @@ class ClusterContext:
                     "GRAPE-5 boards per host (B)").set(spec.boards)
         return self
 
-    def _require_open(self) -> "ClusterContext":
-        if not self.hosts:
+    def _require_open(self) -> None:
+        if not self.backends:
             raise ClusterError("cluster open() has not been called")
-        holder = self._holder
-        if holder is not None and holder != threading.get_ident():
-            raise ClusterError(
-                "cluster is held by another thread (acquire() it first, "
-                "or use a separate ClusterContext)")
-        return self
 
     def close(self) -> None:
-        """Detach every host context and free the board ledger; the
-        cluster may be re-opened afterwards."""
+        """Detach every host backend and free the board ledger; the
+        systems and the exchange accumulators survive, so the run's
+        performance numbers stay readable and a re-open carries on
+        from them."""
         self._require_open()
-        for ctx in self.hosts:
-            ctx.close()
         for ids in self.board_sets:
             self.registry.release(ids)
-        # hosts/backends/registry are torn down; systems and the
-        # exchange accumulators survive so the run's performance
-        # numbers stay readable after close
-        self.hosts = []
         self.backends = []
         self.registry = None
 
@@ -155,54 +146,23 @@ class ClusterContext:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if self.hosts:
+        if self.backends:
             self.close()
         return False
-
-    # -- concurrency ---------------------------------------------------
-    @property
-    def held(self) -> bool:
-        """Whether some thread currently holds the latch."""
-        return self._holder is not None
-
-    def acquire(self) -> "ClusterContext":
-        """Latch the cluster to the calling thread (exclusive,
-        non-reentrant, fails fast like the G5 latch)."""
-        with self._lock:
-            if self._holder is not None:
-                owner = ("this thread"
-                         if self._holder == threading.get_ident()
-                         else f"thread {self._holder}")
-                raise ClusterError(f"cluster already acquired by {owner}")
-            self._holder = threading.get_ident()
-        return self
-
-    def release(self) -> None:
-        """Free the latch; double release or a non-holder release
-        raises :class:`ClusterError`."""
-        with self._lock:
-            if self._holder is None:
-                raise ClusterError("release() without acquire() "
-                                   "(double-release?)")
-            if self._holder != threading.get_ident():
-                raise ClusterError(
-                    f"cluster is held by thread {self._holder}; only "
-                    "the holder may release it")
-            self._holder = None
 
     # -- configuration passthrough -------------------------------------
     def set_domain(self, lo: float, hi: float) -> None:
         """Announce the coordinate window to every host's boards."""
         self._require_open()
-        for ctx in self.hosts:
-            ctx.system.set_range(lo, hi)
+        for system in self.systems:
+            system.set_range(lo, hi)
 
     def reset_stats(self) -> None:
         """Zero every host's performance counters and the exchange
         accumulators (counterpart of ``Grape5System.reset_stats``)."""
         self._require_open()
-        for ctx in self.hosts:
-            ctx.system.reset_stats()
+        for system in self.systems:
+            system.reset_stats()
         self.exchange_seconds = [0.0] * self.spec.hosts
         self.let_import_cells = 0
         self.let_import_particles = 0
@@ -223,7 +183,7 @@ class ClusterContext:
         self._require_open()
         spec = self.spec
         weights = np.asarray(sink_count, dtype=np.float64)
-        owner = partition_sinks(sink_center, weights, spec)
+        owner = orb_partition(sink_center, weights, spec.hosts)
         for h in range(spec.hosts):
             rows = np.flatnonzero(owner == h)
             if rows.size == 0:
@@ -304,7 +264,6 @@ class ClusterContext:
         """Flat cluster block for ``--json-summary`` and reports."""
         self._require_opened_once()
         return {"hosts": self.spec.hosts, "boards": self.spec.boards,
-                "decomp": self.spec.decomp,
                 "board_sets": [list(s) for s in self.board_sets],
                 "let_import_cells": int(self.let_import_cells),
                 "let_import_particles": int(self.let_import_particles),
@@ -312,56 +271,3 @@ class ClusterContext:
                 "exchange_seconds": float(sum(self.exchange_seconds)),
                 "predicted_seconds": float(self.model_seconds),
                 "predicted_gflops": float(self.predicted_gflops)}
-
-
-class ClusterBackend:
-    """:class:`~repro.core.kernels.ForceBackend` facade over a
-    :class:`ClusterContext`.
-
-    Lets the existing ``TreeCode`` plumbing (domain announcements,
-    ``model_seconds`` reporting, ``"grape"``-substring phase
-    attribution) see the cluster as one backend.  The treecode routes
-    whole evaluations through :meth:`ClusterContext.evaluate`; the
-    per-call ``compute`` entry point (used by direct-summation
-    validators) runs on host 0's boards.
-    """
-
-    name = "grape5-cluster"
-
-    def __init__(self, context: ClusterContext) -> None:
-        self.context = context
-
-    #: marker the CLI uses to attach a ``cluster`` summary block
-    is_cluster = True
-
-    def compute(self, xi, xj, mj, eps):
-        """One dense force call on host 0's board set."""
-        ctx = self.context._require_open()
-        return ctx.backends[0].compute(xi, xj, mj, eps)
-
-    def set_domain(self, lo: float, hi: float) -> None:
-        """Announce the tree domain to every host."""
-        self.context.set_domain(lo, hi)
-
-    def bind_metrics(self, registry) -> "ClusterBackend":
-        """Route host and cluster counters into ``registry``."""
-        self.context.metrics = registry
-        for ctx in self.context.hosts:
-            ctx.system.metrics = registry
-        return self
-
-    def reset_stats(self) -> None:
-        self.context.reset_stats()
-
-    @property
-    def interactions(self) -> int:
-        return self.context.interactions
-
-    @property
-    def model_seconds(self) -> float:
-        """Cluster predicted seconds (slowest-host timeline)."""
-        return self.context.model_seconds
-
-    def summary(self) -> dict:
-        """Delegate to :meth:`ClusterContext.summary`."""
-        return self.context.summary()

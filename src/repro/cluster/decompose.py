@@ -8,43 +8,21 @@ own groups' lists on its own boards; only the summation order across
 hosts can differ from serial, which is why K>1 forces agree with
 serial to float tolerance while K=1 stays bit-identical.
 
-Two deterministic strategies are provided:
-
-* :func:`orb_partition` -- recursive orthogonal bisection: split the
-  sink set at the weight median along its widest axis, recurse on the
-  halves.  This is the decomposition of the GRAPE-6A PC-cluster
-  (astro-ph/0504407) and handles non-power-of-two host counts by
-  splitting weights proportionally (``K -> K//2 + (K - K//2)``).
-* :func:`slab_partition` -- one weight-balanced cut axis (sorted
-  slices), the classic 1-D slab scheme; cheaper, but clustering along
-  the slab axis costs balance.
-
-Both take per-sink weights (group populations), so hosts receive
-near-equal *particle* counts rather than group counts, and both use
-stable sorts only -- the same inputs always give the same owners.
+The decomposition is :func:`orb_partition`, recursive orthogonal
+bisection: split the sink set at the weight median along its widest
+axis, recurse on the halves.  This is the scheme of the GRAPE-6A
+PC-cluster (astro-ph/0504407); non-power-of-two host counts split the
+weights proportionally (``K -> K//2 + (K - K//2)``).  It takes per-sink
+weights (group populations), so hosts receive near-equal *particle*
+counts rather than group counts, and uses stable sorts only -- the same
+inputs always give the same owners.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from .spec import ClusterSpec
-
-__all__ = ["orb_partition", "slab_partition", "partition_sinks"]
-
-
-def _as_centers_weights(centers, weights):
-    centers = np.asarray(centers, dtype=np.float64)
-    if centers.ndim != 2 or centers.shape[1] != 3:
-        raise ValueError("centers must have shape (S, 3)")
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.shape != (centers.shape[0],):
-        raise ValueError("weights must have shape (S,)")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    return centers, weights
+__all__ = ["orb_partition"]
 
 
 def orb_partition(centers: np.ndarray, weights: np.ndarray,
@@ -55,7 +33,14 @@ def orb_partition(centers: np.ndarray, weights: np.ndarray,
     ``0..hosts-1``.  Deterministic: stable sorts, widest-axis splits,
     weight-proportional targets.
     """
-    centers, weights = _as_centers_weights(centers, weights)
+    centers = np.asarray(centers, dtype=np.float64)
+    if centers.ndim != 2 or centers.shape[1] != 3:
+        raise ValueError("centers must have shape (S, 3)")
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (centers.shape[0],):
+        raise ValueError("weights must have shape (S,)")
+    if np.any(weights < 0):
+        raise ValueError("weights must be non-negative")
     if hosts < 1:
         raise ValueError(f"hosts must be >= 1, got {hosts}")
     n = centers.shape[0]
@@ -82,43 +67,3 @@ def orb_partition(centers: np.ndarray, weights: np.ndarray,
 
     split(np.arange(n, dtype=np.int64), int(hosts), 0)
     return owner
-
-
-def slab_partition(centers: np.ndarray, weights: np.ndarray,
-                   hosts: int, axis: Optional[int] = None) -> np.ndarray:
-    """Weight-balanced 1-D slabs along ``axis`` (widest by default).
-
-    Returns an ``(S,)`` int64 owner array; slab h holds the sinks
-    whose cumulative weight falls in ``[h/K, (h+1)/K)`` of the total
-    along the sorted axis.
-    """
-    centers, weights = _as_centers_weights(centers, weights)
-    if hosts < 1:
-        raise ValueError(f"hosts must be >= 1, got {hosts}")
-    n = centers.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if axis is None:
-        spans = centers.max(axis=0) - centers.min(axis=0)
-        axis = int(np.argmax(spans))
-    order = np.argsort(centers[:, int(axis)], kind="stable")
-    w = weights[order]
-    total = float(w.sum())
-    if total <= 0.0:
-        # all-zero weights: fall back to equal sink counts
-        owner_sorted = (np.arange(n, dtype=np.int64) * hosts) // n
-    else:
-        before = np.cumsum(w) - w   # weight strictly left of each sink
-        owner_sorted = np.minimum(
-            np.floor(before / total * hosts).astype(np.int64), hosts - 1)
-    owner = np.empty(n, dtype=np.int64)
-    owner[order] = owner_sorted
-    return owner
-
-
-def partition_sinks(centers: np.ndarray, weights: np.ndarray,
-                    spec: ClusterSpec) -> np.ndarray:
-    """Dispatch to the spec's decomposition strategy."""
-    if spec.decomp == "orb":
-        return orb_partition(centers, weights, spec.hosts)
-    return slab_partition(centers, weights, spec.hosts)

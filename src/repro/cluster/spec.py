@@ -18,12 +18,16 @@ exit-2 usage error; *protocol* misuse of live cluster objects raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+from ..host.cost import PAPER_SYSTEM_COST, CostItem, SystemCost
 
 __all__ = ["ClusterError", "ClusterSpec"]
 
-#: decomposition strategies understood by :mod:`repro.cluster.decompose`
-DECOMPOSITIONS = ("orb", "slab")
+#: network gear per host (NIC + switch share), JPY, once there is a
+#: network at all; boards and hosts are priced as in the paper's
+#: section 4 (:data:`~repro.host.cost.PAPER_SYSTEM_COST`)
+NETWORK_PRICE_JPY = 0.1e6
 
 
 class ClusterError(RuntimeError):
@@ -46,10 +50,6 @@ class ClusterSpec:
         its j-stream over these boards, like
         :class:`~repro.grape.timing.GrapeTimingModel` does for the
         paper's two.
-    decomp:
-        Sink domain decomposition: ``"orb"`` (recursive orthogonal
-        bisection, the GRAPE-6A cluster's scheme) or ``"slab"``
-        (1-D weight-balanced slices along the widest axis).
     exchange_bandwidth:
         Sustained host-to-host network bandwidth in bytes/s used by the
         timing model for locally-essential-tree imports (default: a
@@ -62,7 +62,6 @@ class ClusterSpec:
 
     hosts: int = 1
     boards: int = 2
-    decomp: str = "orb"
     exchange_bandwidth: float = 125.0e6
     exchange_latency: float = 100.0e-6
 
@@ -73,9 +72,6 @@ class ClusterSpec:
             raise ValueError(f"cluster needs boards >= 1, got {self.boards}")
         object.__setattr__(self, "hosts", int(self.hosts))
         object.__setattr__(self, "boards", int(self.boards))
-        if self.decomp not in DECOMPOSITIONS:
-            raise ValueError(f"unknown decomposition {self.decomp!r}; "
-                             f"expected one of {DECOMPOSITIONS}")
         if not self.exchange_bandwidth > 0.0:
             raise ValueError("exchange_bandwidth must be positive")
         if self.exchange_latency < 0.0:
@@ -86,9 +82,14 @@ class ClusterSpec:
         """Boards across the whole cluster (K x B)."""
         return self.hosts * self.boards
 
-    def describe(self) -> dict:
-        """Flat summary for reports and run documents."""
-        return {"hosts": self.hosts, "boards": self.boards,
-                "decomp": self.decomp,
-                "exchange_bandwidth": self.exchange_bandwidth,
-                "exchange_latency": self.exchange_latency}
+    def cost(self) -> SystemCost:
+        """The installation's price ledger: K x B boards and K hosts at
+        the paper's catalogue prices, plus network gear per host when
+        K > 1 -- so ``hosts=1, boards=2`` prices the paper's machine."""
+        board, host = PAPER_SYSTEM_COST.items
+        items = [replace(board, quantity=self.total_boards),
+                 replace(host, quantity=self.hosts)]
+        if self.hosts > 1:
+            items.append(CostItem("network (NIC + switch share)",
+                                  NETWORK_PRICE_JPY, self.hosts))
+        return SystemCost(items=tuple(items))

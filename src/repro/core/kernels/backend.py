@@ -161,18 +161,6 @@ class ForceBackend:
             out_acc[s:s + n], out_pot[s:s + n] = self.compute(
                 pos[s:s + n], xj, mj, eps)
 
-    def compute_batched(self, xi: np.ndarray, xj: np.ndarray,
-                        mj: np.ndarray, eps: float
-                        ) -> Tuple[np.ndarray, np.ndarray]:
-        """One-shot dense force call through the batch fast path.
-
-        Same contract as :meth:`compute`; backends with a native kernel
-        override this to bypass their per-pair reference arithmetic
-        (used by drivers whose source lists are rebuilt per sink, e.g.
-        the periodic treecode's minimum-image near field).
-        """
-        return self.compute(xi, xj, mj, eps)
-
     # -- private instances for the pipeline engine ---------------------
     def worker_factory(self) -> Optional[Tuple[Callable[..., "ForceBackend"],
                                                tuple, dict]]:
@@ -240,15 +228,6 @@ class Float64Backend(ForceBackend):
                                sink_count, eps, out_acc, out_pot)
             return
         self._interactions += inter
-
-    def compute_batched(self, xi, xj, mj, eps):
-        from .batch import f64_pairwise
-        res = f64_pairwise(xi, xj, mj, eps)
-        if res is None:
-            return self.compute(xi, xj, mj, eps)
-        self._interactions += int(np.asarray(xi).shape[0]) \
-            * int(np.asarray(xj).shape[0])
-        return res
 
     def worker_factory(self):
         return (Float64Backend, (), {"tile": self.tile})

@@ -1,11 +1,11 @@
 """Batch drivers: NumPy arrays in, compiled CSR list walk out.
 
 These functions marshal :class:`~repro.core.traversal.InteractionLists`
-CSR blocks and dense source sets into the compiled kernels of
+CSR blocks into the compiled kernels of
 :mod:`repro.core.kernels.cnative`.  Every driver is *total*: when the
 native library is unavailable (no compiler, kill-switch set, unsupported
-numerics) it reports failure -- ``(False, 0)`` / ``False`` / ``None`` --
-and the caller falls back to the per-sink reference loop.  Callers never
+numerics) it reports failure -- ``(False, 0)`` / ``False`` -- and the
+caller falls back to the per-sink reference loop.  Callers never
 need to know whether the fast path exists.
 
 Two properties the execution layer depends on:
@@ -22,14 +22,13 @@ Two properties the execution layer depends on:
 from __future__ import annotations
 
 import ctypes
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from . import cnative
 
-__all__ = ["f64_eval_lists", "g5_eval_lists", "f64_pairwise",
-           "g5_pairwise", "native_available"]
+__all__ = ["f64_eval_lists", "g5_eval_lists", "native_available"]
 
 
 def native_available() -> bool:
@@ -139,57 +138,3 @@ def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
         _dp(scratch[0]), _dp(scratch[1]), _dp(scratch[2]), _dp(scratch[3]),
         _dp(out_acc), _dp(out_pot))
     return True
-
-
-def f64_pairwise(xi, xj, mj, eps
-                 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Dense one-shot IEEE-double call; ``None`` → use the NumPy path."""
-    lib = cnative.load()
-    if lib is None:
-        return None
-    xi = _f64c(xi)
-    xj = _f64c(xj)
-    mj = _f64c(mj)
-    n_i, n_j = int(xi.shape[0]), int(xj.shape[0])
-    acc = np.empty((n_i, 3), dtype=np.float64)
-    pot = np.empty(n_i, dtype=np.float64)
-    if n_i == 0:
-        return acc, pot
-    if n_j == 0:
-        acc[:] = 0.0
-        pot[:] = 0.0
-        return acc, pot
-    lib.repro_f64_pairwise(_dp(xi), n_i, _dp(xj), _dp(mj), n_j,
-                           float(eps) ** 2, _dp(acc), _dp(pot))
-    return acc, pot
-
-
-def g5_pairwise(xi, xj, mj, eps, *, numerics, fixed
-                ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Dense one-shot GRAPE-datapath call; ``None`` → use G5Pipeline."""
-    lib = cnative.load()
-    if lib is None:
-        return None
-    params = _g5_params(eps, numerics, fixed)
-    if params is None:
-        return None
-    eps2q, fb, use_quant, xmin, res, qmax = params
-    xi = _f64c(xi)
-    xj = _f64c(xj)
-    mj = _f64c(mj)
-    n_i, n_j = int(xi.shape[0]), int(xj.shape[0])
-    acc = np.empty((n_i, 3), dtype=np.float64)
-    pot = np.empty(n_i, dtype=np.float64)
-    if n_i == 0:
-        return acc, pot
-    if n_j == 0:
-        acc[:] = 0.0
-        pot[:] = 0.0
-        return acc, pot
-    scratch = np.empty((4, n_j), dtype=np.float64)
-    lib.repro_g5_pairwise(
-        _dp(xi), n_i, _dp(xj), _dp(mj), n_j, eps2q, fb,
-        use_quant, xmin, res, qmax,
-        _dp(scratch[0]), _dp(scratch[1]), _dp(scratch[2]), _dp(scratch[3]),
-        _dp(acc), _dp(pot))
-    return acc, pot

@@ -1,8 +1,9 @@
 """Compiled CSR list-walk kernels (the fast path behind ``eval_lists``).
 
 The batch evaluators in :mod:`repro.core.kernels.batch` bottom out in
-four tiny C routines -- a CSR list walk and a dense pairwise call, each
-in two arithmetic flavours:
+two tiny C routines -- one CSR list walk in two arithmetic flavours (a
+dense sinks-x-sources call is the one-sink list whose sources are all
+"cells"):
 
 * ``f64``: plain IEEE double precision (the :class:`Float64Backend`
   datapath);
@@ -230,109 +231,6 @@ int repro_g5_csr(const double *pos, const double *pmass,
     }
     return 0;
 }
-
-/* ----------------------------------------------------------------- */
-/* Dense one-shot calls (the periodic near field rebuilds its source
-   list per group, so there is no CSR to walk).                       */
-int repro_f64_pairwise(const double *xi, i64 n_i,
-                       const double *xj, const double *mj, i64 n_j,
-                       double eps2, double *out_acc, double *out_pot)
-{
-    for (i64 i = 0; i < n_i; i++) {
-        double x = xi[3*i], y = xi[3*i+1], z = xi[3*i+2];
-        double ax = 0.0, ay = 0.0, az = 0.0, pp = 0.0;
-        if (eps2 > 0.0) {
-            for (i64 j = 0; j < n_j; j++) {
-                double dx = xj[3*j] - x, dy = xj[3*j+1] - y,
-                       dz = xj[3*j+2] - z;
-                double r2 = ((dx*dx + dy*dy) + dz*dz) + eps2;
-                double rinv = 1.0 / sqrt(r2);
-                double mr = mj[j] * rinv;
-                double mr3 = mr * rinv * rinv;
-                pp -= mr;
-                ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
-            }
-        } else {
-            for (i64 j = 0; j < n_j; j++) {
-                double dx = xj[3*j] - x, dy = xj[3*j+1] - y,
-                       dz = xj[3*j+2] - z;
-                double r2 = (dx*dx + dy*dy) + dz*dz;
-                double rs = r2 > 0.0 ? r2 : 1.0;
-                double rinv = r2 > 0.0 ? 1.0 / sqrt(rs) : 0.0;
-                double mr = mj[j] * rinv;
-                double mr3 = mr * rinv * rinv;
-                pp -= mr;
-                ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
-            }
-        }
-        out_acc[3*i] = ax; out_acc[3*i+1] = ay; out_acc[3*i+2] = az;
-        out_pot[i] = pp;
-    }
-    return 0;
-}
-
-int repro_g5_pairwise(const double *xi, i64 n_i,
-                      const double *xj, const double *mj, i64 n_j,
-                      double eps2q, int fb,
-                      int use_quant, double xmin, double res, double qmax,
-                      double *sx, double *sy, double *sz, double *sm,
-                      double *out_acc, double *out_pot)
-{
-    const int s = 53 - fb;
-    for (i64 j = 0; j < n_j; j++) {
-        if (use_quant) {
-            sx[j] = quant(xj[3*j],   xmin, res, qmax);
-            sy[j] = quant(xj[3*j+1], xmin, res, qmax);
-            sz[j] = quant(xj[3*j+2], xmin, res, qmax);
-        } else {
-            sx[j] = xj[3*j]; sy[j] = xj[3*j+1]; sz[j] = xj[3*j+2];
-        }
-        sm[j] = rd_mant(mj[j], s);
-    }
-    for (i64 i = 0; i < n_i; i++) {
-        double x = xi[3*i], y = xi[3*i+1], z = xi[3*i+2];
-        if (use_quant) {
-            x = quant(x, xmin, res, qmax);
-            y = quant(y, xmin, res, qmax);
-            z = quant(z, xmin, res, qmax);
-        }
-        double ax = 0.0, ay = 0.0, az = 0.0, pp = 0.0;
-        if (eps2q > 0.0) {
-            for (i64 j = 0; j < n_j; j++) {
-                double dx = sx[j] - x, dy = sy[j] - y, dz = sz[j] - z;
-                double dx2 = rd_mant(dx*dx, s);
-                double dy2 = rd_mant(dy*dy, s);
-                double dz2 = rd_mant(dz*dz, s);
-                double r2 = rd_mant(((dx2 + dy2) + dz2) + eps2q, s);
-                double rinv = rd_mant(1.0 / sqrt(r2), s);
-                double rinv3 = rd_mant(rinv * rinv * rinv, s);
-                double mr = rd_mant(sm[j] * rinv, s);
-                double mr3 = rd_mant(sm[j] * rinv3, s);
-                pp -= mr;
-                ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
-            }
-        } else {
-            for (i64 j = 0; j < n_j; j++) {
-                double dx = sx[j] - x, dy = sy[j] - y, dz = sz[j] - z;
-                double dx2 = rd_mant(dx*dx, s);
-                double dy2 = rd_mant(dy*dy, s);
-                double dz2 = rd_mant(dz*dz, s);
-                double r2 = rd_mant((dx2 + dy2) + dz2, s);
-                double rs = r2 > 0.0 ? r2 : 1.0;
-                double rinv = r2 > 0.0 ? 1.0 / sqrt(rs) : 0.0;
-                rinv = rd_mant(rinv, s);
-                double rinv3 = rd_mant(rinv * rinv * rinv, s);
-                double mr = rd_mant(sm[j] * rinv, s);
-                double mr3 = rd_mant(sm[j] * rinv3, s);
-                pp -= mr;
-                ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
-            }
-        }
-        out_acc[3*i] = ax; out_acc[3*i+1] = ay; out_acc[3*i+2] = az;
-        out_pot[i] = pp;
-    }
-    return 0;
-}
 """
 
 #: base flags; ``-ffp-contract=off`` forbids FMA contraction so the C
@@ -353,14 +251,6 @@ _SIGNATURES = {
     "repro_g5_csr": [_c_double_p] * 4 + [_c_i64_p] * 6
     + [ctypes.c_longlong, ctypes.c_double, ctypes.c_int, ctypes.c_int,
        ctypes.c_double, ctypes.c_double, ctypes.c_double]
-    + [_c_double_p] * 6,
-    "repro_f64_pairwise": [_c_double_p, ctypes.c_longlong, _c_double_p,
-                           _c_double_p, ctypes.c_longlong,
-                           ctypes.c_double, _c_double_p, _c_double_p],
-    "repro_g5_pairwise": [_c_double_p, ctypes.c_longlong, _c_double_p,
-                          _c_double_p, ctypes.c_longlong, ctypes.c_double,
-                          ctypes.c_int, ctypes.c_int, ctypes.c_double,
-                          ctypes.c_double, ctypes.c_double]
     + [_c_double_p] * 6,
 }
 

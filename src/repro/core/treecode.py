@@ -116,8 +116,8 @@ class TreeCode:
         overlaps traversal of later sink shards with evaluation of
         earlier ones (the paper's host/GRAPE overlap).  Ignored (with
         the in-process sweep used instead) in quadrupole mode -- the
-        host-side cell terms do not go through ``eval_lists``.  The
-        engine's lifecycle belongs to the caller; see :meth:`close`.
+        host-side cell terms do not go through ``eval_lists``.
+        :meth:`close` closes it.
     tracer:
         A :class:`repro.obs.trace.Tracer`; every force evaluation then
         opens ``tree_build`` / ``group`` / ``traverse`` / ``eval``
@@ -133,12 +133,14 @@ class TreeCode:
     cluster:
         A :class:`~repro.cluster.ClusterSpec` (opened into a fresh
         :class:`~repro.cluster.ClusterContext`) or an already-built
-        context: the eval sweep is then decomposed across K emulated
-        hosts x B boards, each evaluating its own sinks' rows of the
-        shared global lists.  Mutually exclusive with ``backend``,
-        ``engine`` and ``quadrupole`` (the cluster owns its GRAPE
-        backends and its own parallel structure).  ``hosts=1,
-        boards=2`` is bit-identical to the plain GRAPE path.
+        context, opened here if it is not: the eval sweep is then
+        decomposed across K emulated hosts x B boards, each evaluating
+        its own sinks' rows of the shared global lists, and the
+        context is what the treecode holds as ``backend``.  Mutually
+        exclusive with ``backend``, ``engine`` and ``quadrupole`` (the
+        cluster owns its GRAPE backends and its own parallel
+        structure).  ``hosts=1, boards=2`` is bit-identical to the
+        plain GRAPE path.  :meth:`close` closes it.
     """
 
     def __init__(self, *, theta: float = 0.75, n_crit: int = 2000,
@@ -157,7 +159,7 @@ class TreeCode:
         self.leaf_size = int(leaf_size)
         self.cluster = None
         if cluster is not None:
-            from ..cluster import ClusterBackend, ClusterContext, ClusterSpec
+            from ..cluster import ClusterContext, ClusterSpec
             if backend is not None:
                 raise ValueError("cluster= and backend= are mutually "
                                  "exclusive; the cluster owns its backends")
@@ -168,13 +170,11 @@ class TreeCode:
             if quadrupole:
                 raise ValueError("cluster mode is monopole-only (the "
                                  "GRAPE pipelines are)")
-            self._owns_cluster = isinstance(cluster, ClusterSpec)
-            if self._owns_cluster:
+            if isinstance(cluster, ClusterSpec):
                 cluster = ClusterContext(cluster, metrics=metrics)
-            if not cluster.hosts:
+            if not cluster.backends:
                 cluster.open()
-            self.cluster = cluster
-            backend = ClusterBackend(cluster)
+            self.cluster = backend = cluster
         self.backend = backend if backend is not None else Float64Backend()
         self.mac = mac if mac is not None else BarnesHutMAC(theta=theta)
         self.quadrupole = bool(quadrupole)
@@ -189,14 +189,13 @@ class TreeCode:
         self._last_domain: Optional[Tuple[float, float]] = None
 
     def close(self) -> None:
-        """Release the configured engine's thread pool, if any, and any
-        cluster context this treecode opened itself (one passed in
-        already-built belongs to the caller)."""
+        """Close what this treecode holds: the engine's thread pool and
+        the cluster context, whoever built them.  Both can be used
+        again afterwards (a context re-opens with its counters intact);
+        safe to call repeatedly."""
         if self.engine is not None:
             self.engine.close()
-        if (self.cluster is not None
-                and getattr(self, "_owns_cluster", False)
-                and self.cluster.hosts):
+        if self.cluster is not None and self.cluster.backends:
             self.cluster.close()
 
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ from ..core.kernels import ForceBackend
 from ..core.mac import MAC, BarnesHutMAC
 from ..core.multipole import compute_moments
 from ..core.octree import Octree, build_octree
+from ..core.traversal import InteractionLists
 from ..core.treecode import TreeCode
 from .ewald import EwaldCorrectionTable, minimum_image
 
@@ -51,8 +52,8 @@ class PeriodicTreeCode(TreeCode):
         steps, they are position-independent).
 
     The sweep is per group: the anchored nearest-image kernel goes
-    through ``backend.compute_batched`` (one dense call per group) and
-    the Ewald correction is added on the host.
+    through ``backend.eval_lists`` (one dense call per group, phrased
+    as a one-sink list) and the Ewald correction is added on the host.
     """
 
     def __init__(self, *, box: float, theta: float = 0.75,
@@ -109,7 +110,13 @@ class PeriodicTreeCode(TreeCode):
         with ``d_w = wrap(d_a)``: the bracket is evaluated here per
         pair, and collapses to the plain table value whenever
         ``d_a == d_w`` (the overwhelming majority of pairs).
+
+        The anchored sources are rebuilt per group, so each group is
+        its own backend call: a one-sink list whose "cells" are those
+        sources, evaluated straight into the group's output rows.
         """
+        no_parts = np.empty(0, dtype=np.int64)
+        no_parts_off = np.zeros(2, dtype=np.int64)
         for g in range(int(sink_start.shape[0])):
             s, n = int(sink_start[g]), int(sink_count[g])
             xi = tree.pos_sorted[s:s + n]
@@ -118,12 +125,18 @@ class PeriodicTreeCode(TreeCode):
             xj = np.concatenate([tree.com[cells], tree.pos_sorted[parts]])
             mj = np.concatenate([tree.mass[cells], tree.mass_sorted[parts]])
             xj_near = xi[0] + minimum_image(xj - xi[0], self.box)
+            n_j = int(mj.shape[0])
+            dense = InteractionLists(
+                n_sinks=1, cell_idx=np.arange(n_j, dtype=np.int64),
+                cell_off=np.array([0, n_j], dtype=np.int64),
+                part_idx=no_parts, part_off=no_parts_off)
             k0 = time.perf_counter()
-            acc, pot = self.backend.compute_batched(xi, xj_near, mj, eps)
+            self.backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
+                                    xj_near, mj, dense, sink_start[g:g + 1],
+                                    sink_count[g:g + 1], eps, acc_s, pot_s)
             self._kernel_seconds += time.perf_counter() - k0
-            self._add_ewald(xi, xj_near, mj, eps, acc, pot)
-            acc_s[s:s + n] = acc
-            pot_s[s:s + n] = pot
+            self._add_ewald(xi, xj_near, mj, eps, acc_s[s:s + n],
+                            pot_s[s:s + n])
 
     def _add_ewald(self, xi: np.ndarray, xj_near: np.ndarray,
                    mj: np.ndarray, eps: float, acc: np.ndarray,

@@ -44,7 +44,7 @@ a path to such a document, or the compact CLI DSL::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
@@ -92,6 +92,24 @@ class FaultSpec:
         if self.seconds is not None and self.seconds < 0:
             raise ValueError("seconds must be non-negative")
 
+    @classmethod
+    def from_dict(cls, doc: Dict[str, object]) -> "FaultSpec":
+        """Build one fault from its parsed ``{"kind": ..., selector:
+        value}`` form.  Plans arrive from the command line and from job
+        documents, so a key that is no selector is a :class:`ValueError`
+        naming it -- the usage error every entry point reports -- never
+        the ``TypeError`` of a bad keyword argument."""
+        selectors = [f.name for f in fields(cls) if f.name != "kind"]
+        if not isinstance(doc, dict) or "kind" not in doc:
+            raise ValueError(f"a fault is an object with a 'kind', "
+                             f"got {doc!r}")
+        unknown = sorted(set(doc) - {"kind", *selectors})
+        if unknown:
+            raise ValueError(
+                f"unknown fault selector {', '.join(map(repr, unknown))}"
+                f" (valid selectors: {', '.join(selectors)})")
+        return cls(**doc)
+
     def to_dict(self) -> Dict[str, object]:
         """Dict form with default-valued fields omitted."""
         d = asdict(self)
@@ -121,7 +139,7 @@ class FaultPlan:
         faults = doc.get("faults", [])
         if not isinstance(faults, list):
             raise ValueError("'faults' must be a list of fault objects")
-        specs = [f if isinstance(f, FaultSpec) else FaultSpec(**f)
+        specs = [f if isinstance(f, FaultSpec) else FaultSpec.from_dict(f)
                  for f in faults]
         return cls(specs=specs, seed=int(doc.get("seed", 0)))
 
@@ -154,7 +172,8 @@ class FaultPlan:
                 raise ValueError("set the seed as seed=N inside a "
                                  "selector list, e.g. latency@seed=7")
             seed = int(kwargs.pop("seed", seed))
-            specs.append(FaultSpec(kind=kind.strip(), **kwargs))
+            specs.append(FaultSpec.from_dict({"kind": kind.strip(),
+                                              **kwargs}))
         return cls(specs=specs, seed=seed)
 
     # -- serialisation -------------------------------------------------

@@ -20,7 +20,6 @@ Quick use::
 from .api import G5Context, G5Error
 from .board import BoardMemoryError, ProcessorBoard
 from .chip import G5Chip
-from .cluster import ClusterConfig, GrapeCluster
 from .erroranalysis import (ErrorSample, pairwise_error_sample,
                             required_fraction_bits, summed_error_sample)
 from .numerics import FixedPointFormat, G5Numerics, G5_NUMERICS, round_mantissa
@@ -30,8 +29,7 @@ from .timing import GrapeTimingModel, OPS_PER_INTERACTION
 
 __all__ = [
     "ErrorSample", "pairwise_error_sample", "required_fraction_bits",
-    "summed_error_sample", "ClusterConfig", "GrapeCluster",
-    "G5Context", "G5Error",
+    "summed_error_sample", "G5Context", "G5Error",
     "BoardMemoryError", "ProcessorBoard", "G5Chip", "FixedPointFormat",
     "G5Numerics", "G5_NUMERICS", "round_mantissa", "G5Pipeline",
     "Grape5System", "GrapeBackend", "GrapeTimingModel",

@@ -175,37 +175,19 @@ class Grape5System:
             acc += a
             pot += p
 
-        self.n_calls += 1
-        self.interactions += n_i * n_j
-        t_call = self.timing.force_call_time(n_i, n_j)
-        self.model_seconds += t_call
-        if self.record_calls:
-            self.call_log.append((n_i, n_j))
-        if self.metrics is not None:
-            m = self.metrics
-            m.counter("grape.force_calls",
-                      "force calls shipped to the boards").inc()
-            m.counter("grape.interactions_total",
-                      "pairwise interactions on the pipelines"
-                      ).inc(n_i * n_j)
-            m.counter("grape.model_seconds",
-                      "modelled GRAPE-5 wall seconds").inc(t_call)
-            m.histogram("grape.call_ni",
-                        "i-particles (sinks) per force call").observe(n_i)
-            m.histogram("grape.call_nj",
-                        "j-particles (list length) per force call"
-                        ).observe(n_j)
+        self.charge_batch([n_i], [n_j])
 
     def charge_batch(self, n_i: np.ndarray, n_j: np.ndarray) -> None:
         """Charge a batch of force calls to the performance model.
 
-        The batched kernel path evaluates whole CSR blocks of calls in
-        one native sweep, so the per-call accounting of
-        :meth:`_compute_resident` is replayed here vectorised: empty
-        calls are dropped (the functional path returns before charging
-        them) and calls whose j-set exceeds the combined particle
-        memory are expanded into the same sequential passes
-        :meth:`compute` would have issued.
+        The one place a force call is priced.  The batched kernel path
+        evaluates whole CSR blocks of calls in one native sweep and
+        charges them here vectorised; :meth:`_compute_resident` charges
+        its single pass through the same code.  Empty calls are dropped
+        (the functional path returns before charging them) and calls
+        whose j-set exceeds the combined particle memory are expanded
+        into the same sequential passes :meth:`compute` would have
+        issued.
         """
         n_i = np.asarray(n_i, dtype=np.int64)
         n_j = np.asarray(n_j, dtype=np.int64)
@@ -224,24 +206,33 @@ class Grape5System:
             n_i = np.concatenate([n_i[~over], np.asarray(extra_i)])
             n_j = np.concatenate([n_j[~over], np.asarray(extra_j)])
 
-        calls = int(n_i.size)
-        inter = int(np.sum(n_i * n_j))
         t = self.timing.force_call_time_batch(n_i, n_j)
-        t_total = float(np.sum(t))
-        self.n_calls += calls
-        self.interactions += inter
-        self.model_seconds += t_total
         if self.record_calls:
             self.call_log.extend(
                 (int(a), int(b)) for a, b in zip(n_i, n_j))
-        if self.metrics is not None:
-            m = self.metrics
-            m.counter("grape.force_calls",
-                      "force calls shipped to the boards").inc(calls)
-            m.counter("grape.interactions_total",
-                      "pairwise interactions on the pipelines").inc(inter)
-            m.counter("grape.model_seconds",
-                      "modelled GRAPE-5 wall seconds").inc(t_total)
+        self._record(int(n_i.size), int(np.sum(n_i * n_j)),
+                     float(np.sum(t)), n_i, n_j)
+
+    def _record(self, calls: int, inter: int, seconds: float,
+                n_i=None, n_j=None) -> None:
+        """Add priced force calls to the counters and, when a registry
+        is bound, to the ``grape.*`` metrics -- the only place either
+        is written.  ``n_i``/``n_j`` are the per-call shapes for the
+        histograms; counters folded back from an engine's private
+        backends arrive without them."""
+        self.n_calls += calls
+        self.interactions += inter
+        self.model_seconds += seconds
+        m = self.metrics
+        if m is None or not calls:
+            return
+        m.counter("grape.force_calls",
+                  "force calls shipped to the boards").inc(calls)
+        m.counter("grape.interactions_total",
+                  "pairwise interactions on the pipelines").inc(inter)
+        m.counter("grape.model_seconds",
+                  "modelled GRAPE-5 wall seconds").inc(seconds)
+        if n_i is not None:
             m.histogram("grape.call_ni",
                         "i-particles (sinks) per force call"
                         ).observe_many(n_i)
@@ -345,23 +336,6 @@ class GrapeBackend(ForceBackend):
         self.system.charge_batch(np.asarray(sink_count),
                                  lists.list_lengths)
 
-    def compute_batched(self, xi, xj, mj, eps):
-        """One dense call on the native datapath (periodic near field);
-        charged exactly like :meth:`compute`, falls back to it whenever
-        the native kernel or an announced range is unavailable."""
-        from ..core.kernels import batch as _batch
-        if self.system.coordinate_range is None:
-            return self.compute(xi, xj, mj, eps)
-        res = self._call(lambda: _batch.g5_pairwise(
-            xi, xj, mj, eps, numerics=self.system.numerics,
-            fixed=self._coord_format()))
-        if res is None:
-            return self.compute(xi, xj, mj, eps)
-        n_i = int(np.asarray(xi).shape[0])
-        n_j = int(np.asarray(xj).shape[0])
-        self.system.charge_batch(np.asarray([n_i]), np.asarray([n_j]))
-        return res
-
     def worker_factory(self):
         """Configuration-only spec: a fresh system from the numerics
         and timing constants (boards and their j-memory are allocated
@@ -378,20 +352,9 @@ class GrapeBackend(ForceBackend):
     def absorb_stats(self, delta):
         """Fold private instances' counters back in, keeping run totals
         (and the ``grape.*`` metrics, when bound) engine-independent."""
-        n_calls = int(delta.get("n_calls", 0))
-        inter = int(delta.get("interactions", 0))
-        model_s = float(delta.get("model_seconds", 0.0))
-        self.system.n_calls += n_calls
-        self.system.interactions += inter
-        self.system.model_seconds += model_s
-        m = self.system.metrics
-        if m is not None and n_calls:
-            m.counter("grape.force_calls",
-                      "force calls shipped to the boards").inc(n_calls)
-            m.counter("grape.interactions_total",
-                      "pairwise interactions on the pipelines").inc(inter)
-            m.counter("grape.model_seconds",
-                      "modelled GRAPE-5 wall seconds").inc(model_s)
+        self.system._record(int(delta.get("n_calls", 0)),
+                            int(delta.get("interactions", 0)),
+                            float(delta.get("model_seconds", 0.0)))
 
     def bind_metrics(self, registry) -> "GrapeBackend":
         """Route per-force-call counters into ``registry``

@@ -8,8 +8,7 @@ statistics, host-vs-GRAPE attribution) into first-class run artefacts:
     Nested wall-time spans with attributes; a shared no-op tracer so
     instrumented hot paths cost nothing when tracing is off.
 ``repro.obs.context``
-    Trace/span identity and the cross-process :class:`SpanContext`
-    (served jobs stitch into one trace).
+    Trace/span identity (served jobs stitch into one trace).
 ``repro.obs.metrics``
     Counters, gauges and histograms in a registry with snapshot/reset.
 ``repro.obs.flightrec``
@@ -36,7 +35,7 @@ or from the CLI: ``python -m repro run --profile --trace out.jsonl
 --metrics out.prom --json-summary out.json``.
 """
 
-from .context import SpanContext, new_span_id, new_trace_id
+from .context import new_span_id, new_trace_id
 from .flightrec import FlightRecorder
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       DEFAULT_BUCKETS)
@@ -46,7 +45,7 @@ from .trace import (NULL_TRACER, NullSpan, NullTracer, Span, Tracer,
 __all__ = [
     "Span", "Tracer", "NullSpan", "NullTracer", "NULL_TRACER",
     "as_tracer",
-    "SpanContext", "new_span_id", "new_trace_id",
+    "new_span_id", "new_trace_id",
     "FlightRecorder",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_BUCKETS",
 ]

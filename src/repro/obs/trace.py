@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from .context import SpanContext, new_span_id, new_trace_id
+from .context import new_span_id, new_trace_id
 
 __all__ = ["Span", "Tracer", "NullSpan", "NullTracer", "NULL_TRACER",
            "as_tracer"]
@@ -179,21 +179,6 @@ class Tracer:
                 sp.span_id = new_span_id()
         self._attach(span)
         return span
-
-    def context(self) -> SpanContext:
-        """The propagation context of the innermost open span.
-
-        Carries this tracer's ``trace_id``, the current span's id (a
-        fresh root id when no span is open) and the current clock
-        reading -- everything a worker needs to parent its spans here.
-        """
-        cur = self.current
-        if cur is not None and not cur.span_id:
-            cur.span_id = new_span_id()
-        return SpanContext(self.trace_id,
-                           cur.span_id if cur is not None
-                           else new_span_id(),
-                           self.clock())
 
     # -- internals -----------------------------------------------------
     def _push(self, span: Span) -> None:

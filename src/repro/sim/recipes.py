@@ -59,12 +59,13 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
     default system is the same paper configuration), which keeps
     leased runs bit-identical to interactive ones.
 
-    ``cluster`` (a :class:`~repro.cluster.ClusterSpec` or an opened
+    ``cluster`` (a :class:`~repro.cluster.ClusterSpec` or a
     :class:`~repro.cluster.ClusterContext`) swaps the single emulated
     GRAPE for the decomposed K-hosts-x-B-boards path; the returned
-    second element is then the :class:`~repro.cluster.ClusterBackend`.
-    Requires the GRAPE backend (the cluster *is* a set of GRAPEs) and
-    no engine (it is its own parallel structure).
+    second element is then the opened context, which the treecode holds
+    as its backend and closes with itself.  Requires the GRAPE backend
+    (the cluster *is* a set of GRAPEs) and no engine (it is its own
+    parallel structure).
     """
     from ..core import TreeCode
     from ..grape import GrapeBackend
@@ -82,17 +83,12 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
         if system is not None:
             raise ValueError("cluster mode builds its own per-host "
                              "systems; system= cannot be adopted")
-        built_here = isinstance(cluster, ClusterSpec)
-        if built_here:
+        if isinstance(cluster, ClusterSpec):
             cluster = ClusterContext(cluster, metrics=metrics,
                                      fault_injector=fault_injector,
                                      max_retries=int(max_retries))
-            cluster.open()
         tc = TreeCode(theta=float(theta), n_crit=int(ncrit),
                       cluster=cluster, tracer=tracer, metrics=metrics)
-        if built_here:
-            # close the context we opened when the treecode is closed
-            tc._owns_cluster = True
         return tc, tc.backend
     gb = None
     if backend == "grape":

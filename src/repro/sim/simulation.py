@@ -88,18 +88,6 @@ class Simulation:
         Optional :class:`repro.obs.metrics.MetricsRegistry`; step
         counters (``sim.steps_total``, ``sim.interactions_total``) and
         the ``sim.step_seconds`` histogram are recorded when present.
-    engine:
-        Optional :class:`repro.exec.PipelineEngine` handed to the default
-        :class:`~repro.core.treecode.TreeCode` (ignored when an explicit
-        ``force`` solver is supplied -- configure that solver's engine
-        directly).  :meth:`close` releases it either way; use the
-        simulation as a context manager for pipeline runs.
-    cluster:
-        A :class:`~repro.cluster.ClusterSpec` (or opened
-        :class:`~repro.cluster.ClusterContext`) handed to the default
-        treecode -- the run's forces are then evaluated on the
-        decomposed K-hosts-x-B-boards emulated cluster.  Ignored, like
-        ``engine``, when an explicit ``force`` solver is supplied.
     """
 
     pos: np.ndarray
@@ -111,8 +99,6 @@ class Simulation:
     t: float = 0.0
     tracer: object = None
     metrics: object = None
-    engine: object = None
-    cluster: object = None
 
     history: List[StepRecord] = field(default_factory=list)
     _integrator: LeapfrogKDK = field(default=None, repr=False)
@@ -133,10 +119,8 @@ class Simulation:
         if self.force is None:
             self.force = TreeCode(theta=0.75,
                                   n_crit=min(2000, max(1, n // 8)),
-                                  engine=self.engine,
                                   tracer=self.tracer,
-                                  metrics=self.metrics,
-                                  cluster=self.cluster)
+                                  metrics=self.metrics)
         self._mass_eff = self.G * self.mass
         self._integrator = LeapfrogKDK()
         #: checkpoint recoveries performed by :meth:`run` so far
@@ -153,8 +137,7 @@ class Simulation:
     def from_sphere(cls, region: SphereRegion, *, eps: Optional[float] = None,
                     force: object = None, t: float = 0.0,
                     tracer: object = None,
-                    metrics: object = None,
-                    cluster: object = None) -> "Simulation":
+                    metrics: object = None) -> "Simulation":
         """Build a run from a carved cosmological sphere.
 
         ``eps`` defaults to 4% of the mean interparticle spacing of the
@@ -168,17 +151,16 @@ class Simulation:
             eps = 0.04 * spacing
         return cls(pos=region.pos.copy(), vel=region.vel.copy(),
                    mass=region.mass.copy(), eps=float(eps), force=force,
-                   t=t, tracer=tracer, metrics=metrics, cluster=cluster)
+                   t=t, tracer=tracer, metrics=metrics)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the force solver's execution engine (worker pool),
-        if it has one.  Safe to call repeatedly; serial runs no-op."""
+        """Close the force solver (its engine's thread pool, its
+        cluster context), if it has a ``close``.  Safe to call
+        repeatedly; serial runs no-op."""
         closer = getattr(self.force, "close", None)
         if callable(closer):
             closer()
-        elif self.engine is not None:
-            self.engine.close()
 
     def __enter__(self) -> "Simulation":
         return self

@@ -78,6 +78,21 @@ class TestParsing:
         assert FAULT_KINDS == {"latency", "transient_error",
                                "corrupt_result", "checkpoint_truncate"}
 
+    @pytest.mark.parametrize("source", [
+        "latency@worker=1",
+        '{"faults": [{"kind": "latency", "worker": 1}]}',
+        '[{"batch": 1}]',
+    ], ids=["dsl", "json", "json-no-kind"])
+    def test_unknown_selector_is_a_value_error(self, source):
+        """Plans come from the command line and from job documents: a
+        key that is no selector is a usage error naming it (and the
+        valid ones), not the TypeError of a bad keyword."""
+        with pytest.raises(ValueError) as exc:
+            parse_fault_plan(source)
+        if "worker" in source:
+            assert "unknown fault selector 'worker'" in str(exc.value)
+            assert "batch" in str(exc.value)
+
 
 class TestInjector:
     def test_batch_selectors_and_count(self):

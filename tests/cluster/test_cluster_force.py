@@ -4,7 +4,8 @@ exchange accounting, and the cluster timing model."""
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, let_exchange, take_rows
+from repro.cluster import (ClusterContext, ClusterSpec, let_exchange,
+                           take_rows)
 from repro.core.kernels import cnative
 from repro.core.treecode import TreeCode
 from repro.grape.system import GrapeBackend
@@ -56,7 +57,9 @@ def test_k1_b2_bit_identical(plummerish, eval_path):
     np.testing.assert_array_equal(pot1, pot0)
     assert tc1.cluster.model_seconds == tc0.backend.model_seconds
     assert tc1.cluster.interactions == tc0.backend.interactions
+    assert tc1.backend is tc1.cluster
     s = tc1.cluster.summary()
+    assert s["predicted_seconds"] == tc0.backend.model_seconds
     assert s["let_exchange_bytes"] == 0.0
     assert s["let_import_cells"] == 0
     assert s["let_import_particles"] == 0
@@ -64,8 +67,9 @@ def test_k1_b2_bit_identical(plummerish, eval_path):
 
 
 @BOTH_PATHS
-@pytest.mark.parametrize("hosts", [2, 4])
+@pytest.mark.parametrize("hosts", [2, 3, 4])
 def test_multi_host_matches_serial(plummerish, eval_path, hosts):
+    """ORB handles the non-power-of-two K=3 like the others."""
     pos, mass = plummerish
     _, acc0, pot0 = _serial(pos, mass)
     tc = TreeCode(theta=THETA, n_crit=NCRIT,
@@ -76,17 +80,6 @@ def test_multi_host_matches_serial(plummerish, eval_path, hosts):
     s = tc.cluster.summary()
     assert s["let_exchange_bytes"] > 0.0
     assert s["predicted_gflops"] > 0.0
-    tc.close()
-
-
-@pytest.mark.parametrize("decomp", ["orb", "slab"])
-def test_decomposition_strategies_agree(plummerish, decomp):
-    pos, mass = plummerish
-    _, acc0, _ = _serial(pos, mass)
-    tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                  cluster=ClusterSpec(hosts=3, decomp=decomp))
-    acc, _ = tc.accelerations(pos, mass, EPS)
-    np.testing.assert_allclose(acc, acc0, rtol=1e-12, atol=0)
     tc.close()
 
 
@@ -168,12 +161,13 @@ def test_build_force_cluster_path(plummerish):
     pos, mass = plummerish
     tc, backend = build_force(theta=THETA, ncrit=NCRIT,
                               cluster=ClusterSpec(hosts=2))
-    assert backend.is_cluster
+    assert backend is tc.backend is tc.cluster
     assert "grape" in backend.name
     acc, _ = tc.accelerations(pos, mass, EPS)
     assert backend.model_seconds > 0
     assert backend.summary()["hosts"] == 2
     tc.close()
+    assert not backend.backends         # the treecode closed it
     # counters survive close
     assert backend.model_seconds > 0
 
@@ -197,3 +191,43 @@ def test_treecode_cluster_rejects_conflicts():
         TreeCode(cluster=ClusterSpec(), engine=object())
     with pytest.raises(ValueError):
         TreeCode(cluster=ClusterSpec(), quadrupole=True)
+
+
+def test_treecode_close_closes_a_handed_context(plummerish):
+    """One ownership rule: ``TreeCode.close()`` closes the context it
+    holds, whoever built it; the context re-opens with its counters
+    intact and keeps counting."""
+    pos, mass = plummerish
+    ctx = ClusterContext(ClusterSpec(hosts=2)).open()
+    tc = TreeCode(theta=THETA, n_crit=NCRIT, cluster=ctx)
+    assert tc.cluster is ctx
+    tc.accelerations(pos, mass, EPS)
+    tc.close()
+    assert ctx.backends == [] and ctx.registry is None
+    tc.close()                          # idempotent
+    before = ctx.summary()
+    assert before["predicted_seconds"] > 0
+
+    ctx.open()
+    assert ctx.summary() == before
+    tc.accelerations(pos, mass, EPS)
+    after = ctx.summary()
+    assert after["predicted_seconds"] == pytest.approx(
+        2 * before["predicted_seconds"], rel=1e-12)
+    assert after["let_exchange_bytes"] == 2 * before["let_exchange_bytes"]
+    ctx.reset_stats()
+    assert ctx.interactions == 0 and ctx.model_seconds == 0.0
+    tc.close()
+
+
+def test_cluster_metrics_have_one_owner():
+    """``cluster.*`` metric names are registered by exactly one module,
+    the model that measures what it reports."""
+    import re
+    from pathlib import Path
+    import repro
+    root = Path(repro.__file__).parent
+    pat = re.compile(r'(?:counter|gauge|histogram)\(\s*"cluster\.')
+    owners = sorted(str(p.relative_to(root)) for p in root.rglob("*.py")
+                    if pat.search(p.read_text()))
+    assert owners == ["cluster/context.py"]

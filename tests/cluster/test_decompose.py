@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterSpec, orb_partition, partition_sinks, slab_partition
-from repro.cluster.decompose import _as_centers_weights
+from repro.cluster import orb_partition
 
 
 def _sinks(rng, n=500):
@@ -13,7 +12,7 @@ def _sinks(rng, n=500):
     return centers, weights
 
 
-@pytest.mark.parametrize("partition", [orb_partition, slab_partition])
+@pytest.mark.parametrize("partition", [orb_partition])
 @pytest.mark.parametrize("hosts", [1, 2, 3, 4, 7])
 def test_partition_covers_all_hosts(partition, hosts, rng):
     centers, weights = _sinks(rng)
@@ -23,7 +22,7 @@ def test_partition_covers_all_hosts(partition, hosts, rng):
     assert set(np.unique(owner)) == set(range(hosts))
 
 
-@pytest.mark.parametrize("partition", [orb_partition, slab_partition])
+@pytest.mark.parametrize("partition", [orb_partition])
 def test_partition_deterministic(partition, rng):
     centers, weights = _sinks(rng)
     a = partition(centers, weights, 4)
@@ -31,7 +30,7 @@ def test_partition_deterministic(partition, rng):
     np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("partition", [orb_partition, slab_partition])
+@pytest.mark.parametrize("partition", [orb_partition])
 def test_partition_weight_balance(partition, rng):
     """Every host's weight share is within 2x of perfect balance."""
     centers, weights = _sinks(rng, n=2000)
@@ -47,8 +46,6 @@ def test_single_host_is_all_zeros(rng):
     centers, weights = _sinks(rng, n=50)
     np.testing.assert_array_equal(orb_partition(centers, weights, 1),
                                   np.zeros(50, dtype=np.int64))
-    np.testing.assert_array_equal(slab_partition(centers, weights, 1),
-                                  np.zeros(50, dtype=np.int64))
 
 
 def test_orb_handles_tiny_inputs(rng):
@@ -57,21 +54,6 @@ def test_orb_handles_tiny_inputs(rng):
     owner = orb_partition(centers, weights, 4)
     # two sinks cannot cover four hosts, but all owners stay in range
     assert np.all((owner >= 0) & (owner < 4))
-
-
-def test_slab_zero_weights_fall_back_to_counts(rng):
-    centers = rng.standard_normal((10, 3))
-    owner = slab_partition(centers, np.zeros(10), 2)
-    assert np.sum(owner == 0) == 5
-    assert np.sum(owner == 1) == 5
-
-
-def test_slab_explicit_axis(rng):
-    centers = rng.standard_normal((100, 3))
-    weights = np.ones(100)
-    owner = slab_partition(centers, weights, 2, axis=2)
-    # slabs split along z: host 0's max z below host 1's min z
-    assert centers[owner == 0, 2].max() <= centers[owner == 1, 2].min()
 
 
 def test_validation_errors(rng):
@@ -85,17 +67,4 @@ def test_validation_errors(rng):
     with pytest.raises(ValueError):
         orb_partition(centers, weights, 0)
     with pytest.raises(ValueError):
-        slab_partition(centers, weights, 0)
-    with pytest.raises(ValueError):
-        _as_centers_weights(centers.ravel(), weights)
-
-
-def test_partition_sinks_dispatch(rng):
-    centers, weights = _sinks(rng, n=100)
-    np.testing.assert_array_equal(
-        partition_sinks(centers, weights, ClusterSpec(hosts=2, decomp="orb")),
-        orb_partition(centers, weights, 2))
-    np.testing.assert_array_equal(
-        partition_sinks(centers, weights,
-                        ClusterSpec(hosts=2, decomp="slab")),
-        slab_partition(centers, weights, 2))
+        orb_partition(centers.ravel(), weights, 2)

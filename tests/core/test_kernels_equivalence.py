@@ -60,13 +60,11 @@ CASES = [
 class OracleFloat64(Float64Backend):
     """Float64 arithmetic through the base-class bodies only."""
     eval_lists = ForceBackend.eval_lists
-    compute_batched = ForceBackend.compute_batched
 
 
 class OracleGrape(GrapeBackend):
     """The emulator through the base-class bodies only."""
     eval_lists = ForceBackend.eval_lists
-    compute_batched = ForceBackend.compute_batched
 
 
 @pytest.fixture(scope="module")

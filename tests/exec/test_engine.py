@@ -247,7 +247,8 @@ class TestObservability:
         from repro.sim import Simulation
         pos, mass = cloud
         vel = np.zeros_like(pos)
+        force = TreeCode(n_crit=64, engine=PipelineEngine(workers=1))
         with Simulation(pos=pos, vel=vel, mass=mass, eps=0.01,
-                        engine=PipelineEngine(workers=1)) as sim:
+                        force=force) as sim:
             rec = sim.step(1e-4)
             assert rec.interactions > 0

@@ -217,3 +217,68 @@ class TestCallRecording:
         s.compute(rng.standard_normal((5, 3)), rng.standard_normal((7, 3)),
                   np.ones(7), 0.1)
         assert s.call_log == []
+
+
+class TestOneChargeSite:
+    """Dense ``compute`` calls, one list ``eval_lists`` sweep and a
+    pipeline-engine sweep of the same force calls are priced by the
+    same code (``Grape5System._record`` behind ``charge_batch``), so
+    the counters and the ``grape.*`` metrics do not depend on the
+    route."""
+
+    @staticmethod
+    def _sweep(pos, mass, *, dense=False, engine=None):
+        from repro.core import TreeCode
+        from repro.core.kernels import ForceBackend
+        from repro.obs import MetricsRegistry
+
+        class Dense(GrapeBackend):
+            # one compute() per sink: the base-class reference loop
+            eval_lists = ForceBackend.eval_lists
+
+        reg = MetricsRegistry()
+        backend = (Dense if dense else GrapeBackend)().bind_metrics(reg)
+        tc = TreeCode(theta=0.75, n_crit=64, backend=backend, engine=engine)
+        tc.accelerations(pos, mass, 0.01)
+        return backend.system, reg
+
+    def test_three_routes_charge_alike(self, rng):
+        from repro.exec import PipelineEngine
+        pos = rng.standard_normal((600, 3))
+        mass = np.full(600, 1.0 / 600)
+        lists_sys, lists_reg = self._sweep(pos, mass)
+        dense_sys, dense_reg = self._sweep(pos, mass, dense=True)
+        with PipelineEngine(workers=2) as engine:
+            pipe_sys, pipe_reg = self._sweep(pos, mass, engine=engine)
+
+        assert lists_sys.n_calls > 1
+        for system in (dense_sys, pipe_sys):
+            assert system.n_calls == lists_sys.n_calls
+            assert system.interactions == lists_sys.interactions
+            # same per-call terms; only the order they are summed in
+            # differs between the routes
+            assert system.model_seconds == pytest.approx(
+                lists_sys.model_seconds, rel=1e-12)
+        for system, reg in ((lists_sys, lists_reg), (dense_sys, dense_reg),
+                            (pipe_sys, pipe_reg)):
+            assert reg.value("grape.force_calls") == system.n_calls
+            assert reg.value("grape.interactions_total") \
+                == system.interactions
+            assert reg.value("grape.model_seconds") == system.model_seconds
+        # per-call shapes reach the histograms wherever they are known
+        for reg in (lists_reg, dense_reg):
+            assert reg.get("grape.call_ni").count == lists_sys.n_calls
+            assert reg.value("grape.call_nj") == lists_reg.value(
+                "grape.call_nj")
+
+    def test_each_metric_is_registered_once(self):
+        import re
+        from pathlib import Path
+        import repro
+        src = "".join(p.read_text()
+                      for p in Path(repro.__file__).parent.rglob("*.py"))
+        sites = re.findall(r'(?:counter|histogram)\(\s*"(grape\.\w+)"', src)
+        assert sorted(sites) == ["grape.call_ni", "grape.call_nj",
+                                 "grape.force_calls",
+                                 "grape.interactions_total",
+                                 "grape.model_seconds"]

@@ -1,8 +1,6 @@
-"""Span identity and cross-process context propagation."""
+"""Span and trace identity."""
 
-import pickle
-
-from repro.obs import SpanContext, Tracer, new_span_id, new_trace_id
+from repro.obs import Tracer, new_span_id, new_trace_id
 
 
 class TestIds:
@@ -17,34 +15,12 @@ class TestIds:
         assert len({new_trace_id() for _ in range(256)}) == 256
 
 
-class TestSpanContext:
-    def test_create_fills_ids(self):
-        ctx = SpanContext.create()
-        assert len(ctx.trace_id) == 32
-        assert len(ctx.span_id) == 16
-        assert ctx.t_origin == 0.0
-
-    def test_create_keeps_given_trace(self):
-        ctx = SpanContext.create("ab" * 16, t_origin=1.5)
-        assert ctx.trace_id == "ab" * 16
-        assert ctx.t_origin == 1.5
-
-    def test_picklable_wire_form(self):
-        """The context rides in pipeline task tuples -- it must
-        survive pickling without growing (plain NamedTuple)."""
-        ctx = SpanContext.create()
-        clone = pickle.loads(pickle.dumps(ctx))
-        assert clone == ctx
-        assert isinstance(clone, tuple)
-
-
 class TestTracerContext:
     def test_context_names_current_span(self):
         tr = Tracer(clock=iter([0.0, 1.0, 2.0]).__next__)
         with tr.span("eval") as sp:
-            ctx = tr.context()
-            assert ctx.trace_id == tr.trace_id
-            assert ctx.span_id == sp.span_id
+            assert len(tr.trace_id) == 32
+            assert tr.current is sp
         assert sp.span_id  # spans get real ids under a real tracer
 
     def test_tracer_accepts_external_trace_id(self):

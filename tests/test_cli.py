@@ -313,6 +313,17 @@ class TestExitCodes:
         assert code == 2
         assert "unknown fault kind 'worker_crash'" in text
 
+    @pytest.mark.parametrize("plan", [
+        "latency@worker=1",
+        '{"faults": [{"kind": "latency", "worker": 1}]}',
+    ], ids=["dsl", "json"])
+    def test_unknown_fault_selector_exits_2(self, plan):
+        code, text = run_cli("run", "--ngrid", "5", "--steps", "1",
+                             "--faults", plan)
+        assert code == 2
+        assert "run: unknown fault selector 'worker'" in text
+        assert "Traceback" not in text
+
     def test_retired_bench_verb_is_rejected(self, capsys):
         """``repro bench`` is gone, not aliased: wall clock is
         ``benchmarks/spine/run.py``, paper tables ``pytest benchmarks``."""
