@@ -12,7 +12,6 @@ Layers (see ``docs/cluster.md``):
 * :mod:`~repro.cluster.decompose` -- ORB sink decomposition;
 * :mod:`~repro.cluster.let` -- locally-essential-tree exchange
   accounting (:func:`let_exchange`, CSR row extraction);
-* :mod:`~repro.cluster.boards` -- exclusive board-set reservations;
 * :mod:`~repro.cluster.context` -- the live :class:`ClusterContext`,
   which a cluster treecode holds as its backend.
 
@@ -25,14 +24,12 @@ Entry points: ``TreeCode(cluster=...)``, ``build_force(cluster=...)``,
 and the CLI's ``--hosts`` / ``--boards`` flags.
 """
 
-from .boards import BoardSetRegistry
 from .context import ClusterContext
 from .decompose import orb_partition
 from .let import ExchangeStats, HostExchange, let_exchange, take_rows
 from .spec import ClusterError, ClusterSpec
 
 __all__ = [
-    "BoardSetRegistry", "ClusterContext", "ClusterError", "ClusterSpec",
-    "ExchangeStats", "HostExchange", "let_exchange", "orb_partition",
-    "take_rows",
+    "ClusterContext", "ClusterError", "ClusterSpec", "ExchangeStats",
+    "HostExchange", "let_exchange", "orb_partition", "take_rows",
 ]

@@ -6,9 +6,9 @@ opened, stateful object -- and the object a cluster
 :class:`~repro.core.treecode.TreeCode` holds as its ``backend``.  Per
 host it owns one :class:`~repro.grape.system.Grape5System`, whose
 timing model splits the j-stream over that host's B boards, and one
-:class:`~repro.grape.system.GrapeBackend` driving it, plus a
-:class:`~repro.cluster.boards.BoardSetRegistry` ledger proving the
-hosts' physical board sets are disjoint.
+:class:`~repro.grape.system.GrapeBackend` driving it.  Host ``h`` is
+wired to physical boards ``[h*B, (h+1)*B)``
+(:attr:`ClusterContext.board_sets`), disjoint by arithmetic.
 
 One force evaluation (:meth:`ClusterContext.evaluate`):
 
@@ -40,7 +40,6 @@ import numpy as np
 
 from ..grape.system import Grape5System, GrapeBackend
 from ..grape.timing import GrapeTimingModel, OPS_PER_INTERACTION
-from .boards import BoardSetRegistry
 from .decompose import orb_partition
 from .let import ExchangeStats, let_exchange, take_rows
 from .spec import ClusterError, ClusterSpec
@@ -80,9 +79,8 @@ class ClusterContext:
         #: per-host systems; survive close() so performance counters
         #: stay readable after teardown (like a detached GrapeBackend)
         self.systems: List[Grape5System] = []
-        #: per-host physical board sets, reserved while open
+        #: per-host physical board ids, ``[h*B, (h+1)*B)``; set by open()
         self.board_sets: Tuple[Tuple[int, ...], ...] = ()
-        self.registry: Optional[BoardSetRegistry] = None
         #: accumulated per-host LET exchange seconds since last reset
         self.exchange_seconds: List[float] = []
         #: accumulated LET exchange volume since last reset
@@ -99,16 +97,13 @@ class ClusterContext:
             timing=GrapeTimingModel(n_boards=self.spec.boards))
 
     def open(self) -> "ClusterContext":
-        """Reserve every host's board set and attach its backend;
-        chains like ``G5Context.open``."""
+        """Attach every host's backend to its board set; chains like
+        ``G5Context.open``."""
         if self.backends:
             raise ClusterError("cluster already open; call close() first")
         spec = self.spec
-        self.registry = BoardSetRegistry(spec.total_boards)
         self.board_sets = tuple(
-            self.registry.reserve(range(h * spec.boards,
-                                        (h + 1) * spec.boards),
-                                  owner=f"host{h}")
+            tuple(range(h * spec.boards, (h + 1) * spec.boards))
             for h in range(spec.hosts))
         if not self.systems:
             self.systems = [self._make_system() for _ in range(spec.hosts)]
@@ -132,15 +127,11 @@ class ClusterContext:
             raise ClusterError("cluster open() has not been called")
 
     def close(self) -> None:
-        """Detach every host backend and free the board ledger; the
-        systems and the exchange accumulators survive, so the run's
-        performance numbers stay readable and a re-open carries on
-        from them."""
+        """Detach every host backend; the systems and the exchange
+        accumulators survive, so the run's performance numbers stay
+        readable and a re-open carries on from them."""
         self._require_open()
-        for ids in self.board_sets:
-            self.registry.release(ids)
         self.backends = []
-        self.registry = None
 
     def __enter__(self) -> "ClusterContext":
         return self

@@ -11,9 +11,10 @@ that way.  It provides:
   consumption state consulted by the pipeline engine, device backends
   and the checkpoint loop;
 * :class:`~repro.faults.inject.TransientBackendError` -- the retryable
-  error class honoured by the retry budgets in
-  :class:`~repro.grape.system.GrapeBackend`,
-  :class:`~repro.grape.api.G5Context` and the pipeline engine;
+  error class honoured by the pipeline engine's shard retry and by
+  :func:`~repro.faults.inject.retry_transient`, the one device retry
+  loop :class:`~repro.grape.system.GrapeBackend` and
+  :class:`~repro.grape.api.G5Context` both run their calls through;
 * :func:`~repro.faults.inject.corrupt_file` -- deterministic file
   truncation/bit-flips for checkpoint chaos tests.
 
@@ -24,12 +25,13 @@ pointer in :mod:`repro.sim.checkpoint`, and run-level auto-recovery in
 :meth:`repro.sim.Simulation.run`.  See ``docs/fault_tolerance.md``.
 """
 
-from .inject import FaultInjector, TransientBackendError, corrupt_file
+from .inject import (FaultInjector, TransientBackendError, corrupt_file,
+                     retry_transient)
 from .plan import (FAULT_KINDS, FaultPlan, FaultSpec, as_fault_plan,
                    parse_fault_plan)
 
 __all__ = [
     "FAULT_KINDS", "FaultPlan", "FaultSpec", "FaultInjector",
     "TransientBackendError", "as_fault_plan", "parse_fault_plan",
-    "corrupt_file",
+    "corrupt_file", "retry_transient",
 ]

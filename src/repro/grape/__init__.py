@@ -1,9 +1,11 @@
 """GRAPE-5 hardware emulator.
 
-The paper's machine, in software: the reduced-precision G5 force
-pipeline, the chip/board/system hierarchy, a cycle-level timing model
-(peak 109.44 Gflops for the paper's 2-board installation), and a
-libg5-style procedural API.
+The paper's machine, in software, described once: the reduced-precision
+G5 force pipeline (:class:`G5Pipeline`), a cycle-level timing model that
+is the only geometry and the only clocks (:class:`GrapeTimingModel`:
+2 boards x 8 chips x 2 pipelines, peak 109.44 Gflops), the device that
+puts the two together (:class:`Grape5System`), and a libg5-style
+call-sequence handle over it (:class:`G5Context`).
 
 Quick use::
 
@@ -18,8 +20,6 @@ Quick use::
 """
 
 from .api import G5Context, G5Error
-from .board import BoardMemoryError, ProcessorBoard
-from .chip import G5Chip
 from .erroranalysis import (ErrorSample, pairwise_error_sample,
                             required_fraction_bits, summed_error_sample)
 from .numerics import FixedPointFormat, G5Numerics, G5_NUMERICS, round_mantissa
@@ -29,8 +29,7 @@ from .timing import GrapeTimingModel, OPS_PER_INTERACTION
 
 __all__ = [
     "ErrorSample", "pairwise_error_sample", "required_fraction_bits",
-    "summed_error_sample", "G5Context", "G5Error",
-    "BoardMemoryError", "ProcessorBoard", "G5Chip", "FixedPointFormat",
+    "summed_error_sample", "G5Context", "G5Error", "FixedPointFormat",
     "G5Numerics", "G5_NUMERICS", "round_mantissa", "G5Pipeline",
     "Grape5System", "GrapeBackend", "GrapeTimingModel",
     "OPS_PER_INTERACTION",

@@ -20,12 +20,11 @@ which calls it per interaction list) ports line-for-line.
 State lives in a :class:`G5Context` -- a handle owning one attached
 :class:`~repro.grape.system.Grape5System` plus its staged i/j sets.
 libg5 keeps that state in the process (one GRAPE per process); here
-every user opens its own context, so several board sets -- one per
-lease slot of the job service, multi-board experiments -- never
-clobber each other::
+every user opens its own context, so several installations --
+multi-board experiments, say -- never clobber each other::
 
     ctx = G5Context()
-    ctx.open(Grape5System(n_boards=1))
+    ctx.open(Grape5System(timing=GrapeTimingModel(n_boards=1)))
     ctx.set_n(nj); ctx.set_xmj(0, nj, xj, mj)
     ...
     ctx.close()
@@ -43,12 +42,11 @@ library's hard failure on protocol misuse.
 
 from __future__ import annotations
 
-import threading
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ..faults import TransientBackendError
+from ..faults import retry_transient
 from .system import Grape5System
 
 __all__ = ["G5Error", "G5Context"]
@@ -73,18 +71,11 @@ class G5Context:
             g5.set_eps_to_all(eps)
             ...
 
-    Concurrency
-    -----------
-    A context is single-holder hardware state, exactly like the board
-    set it models: interleaved staging from two threads would silently
-    corrupt j-memory.  :meth:`acquire` latches the context to the
-    calling thread and :meth:`release` frees it; while held, every
-    staging/run call from any *other* thread raises :class:`G5Error`,
-    as does releasing twice or releasing from a non-holder thread.
-    Unheld contexts behave exactly as before, so single-threaded code
-    (and the module-level shims) never notices the latch.  The lease
-    broker of :mod:`repro.serve` acquires each pooled context on the
-    job's worker thread for the lifetime of the lease.
+    A context is the call-sequence handle and nothing more: it takes
+    no lock and names no owner.  Who may drive an installation is
+    decided where installations are handed out (one per job from
+    :class:`repro.serve.leases.LeaseBroker`'s slot pool, one per host
+    in :class:`repro.cluster.ClusterContext`).
     """
 
     def __init__(self, *, fault_injector: Optional[object] = None,
@@ -106,61 +97,12 @@ class G5Context:
         self.acc: Optional[np.ndarray] = None
         self.pot: Optional[np.ndarray] = None
         self.ran: bool = False
-        self._lock = threading.RLock()
-        #: ident of the thread holding the latch, or None when free
-        self._holder: Optional[int] = None
 
     # -- lifecycle -----------------------------------------------------
     def _require_open(self) -> "G5Context":
         if self.system is None:
             raise G5Error("g5_open() has not been called")
-        holder = self._holder
-        if holder is not None and holder != threading.get_ident():
-            raise G5Error(
-                "context is held by another thread (acquire() it "
-                "first, or use a separate G5Context)")
         return self
-
-    # -- concurrency ---------------------------------------------------
-    @property
-    def held(self) -> bool:
-        """Whether some thread currently holds the latch."""
-        return self._holder is not None
-
-    def acquire(self) -> "G5Context":
-        """Latch the context to the calling thread.
-
-        Exclusive and non-reentrant: acquiring a context some thread
-        (including this one) already holds raises :class:`G5Error`
-        rather than blocking -- a second holder is always a bug, and
-        hardware drivers fail fast on double-attach.  Returns ``self``
-        for chaining.
-        """
-        with self._lock:
-            if self._holder is not None:
-                owner = ("this thread"
-                         if self._holder == threading.get_ident()
-                         else f"thread {self._holder}")
-                raise G5Error(f"context already acquired by {owner}")
-            self._holder = threading.get_ident()
-        return self
-
-    def release(self) -> None:
-        """Free the latch taken by :meth:`acquire`.
-
-        Only the holding thread may release; releasing an unheld
-        context (double-release) or another thread's latch raises
-        :class:`G5Error`.
-        """
-        with self._lock:
-            if self._holder is None:
-                raise G5Error("release() without acquire() "
-                              "(double-release?)")
-            if self._holder != threading.get_ident():
-                raise G5Error(
-                    f"context is held by thread {self._holder}; only "
-                    "the holder may release it")
-            self._holder = None
 
     def open(self, system: Optional[Grape5System] = None) -> "G5Context":
         """Attach an (emulated) GRAPE-5; returns ``self`` for chaining.
@@ -170,7 +112,7 @@ class G5Context:
         if self.system is not None:
             raise G5Error("GRAPE-5 already open; call g5_close() first")
         self.system = system if system is not None else Grape5System()
-        cap = self.system.boards[0].jmem_capacity
+        cap = self.system.jmem_total
         self.xj = np.zeros((cap, 3), dtype=np.float64)
         self.mj = np.zeros(cap, dtype=np.float64)
         self.nj = 0
@@ -251,20 +193,9 @@ class G5Context:
             raise G5Error("g5_set_xi() must precede g5_run()")
         if self.nj == 0:
             raise G5Error("no j-particles loaded (g5_set_xmj/g5_set_n)")
-        attempt = 0
-        while True:
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.maybe_raise("g5.run")
-                self.acc, self.pot = self.system.compute(
-                    self.xi, self.xj[:self.nj], self.mj[:self.nj],
-                    self.eps)
-                break
-            except TransientBackendError:
-                attempt += 1
-                self.transient_retries += 1
-                if attempt > self.max_retries:
-                    raise
+        self.acc, self.pot = retry_transient(
+            self, "g5.run", lambda: self.system.compute(
+                self.xi, self.xj[:self.nj], self.mj[:self.nj], self.eps))
         self.ran = True
 
     def get_force(self, ni: int, a: Optional[np.ndarray] = None,

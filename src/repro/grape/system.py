@@ -1,8 +1,15 @@
-"""The full GRAPE-5 system: processor boards + host interface.
+"""The GRAPE-5 system: the emulated device.
 
-This is the top of the emulator hierarchy (paper figure 1): two
-processor boards, each behind a host interface board, attached to the
-host.  It exposes:
+The paper's machine (figure 1, section 2) is two processor boards of
+eight G5 chips of two *identical* pipelines, every pipeline of a board
+reading one broadcast j-stream from the board's particle data memory.
+Which physical pipeline computed an interaction is unobservable in the
+results, so the emulator holds the machine as two things:
+:class:`~repro.grape.timing.GrapeTimingModel` -- the only description
+of the geometry and the clocks -- and :class:`Grape5System`, the
+device: one :class:`~repro.grape.pipeline.G5Pipeline` (the datapath and
+the coordinate format), the per-board j-memory size, and the counters.
+It exposes:
 
 * the **functional** path -- :meth:`Grape5System.compute` evaluates a
   force call in the hardware's reduced precision, splitting the j-set
@@ -21,21 +28,18 @@ host.  It exposes:
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.kernels import ForceBackend
-from ..faults import TransientBackendError
-from .board import ProcessorBoard
+from ..faults import retry_transient
 from .numerics import G5Numerics, G5_NUMERICS
+from .pipeline import G5Pipeline
 from .timing import GrapeTimingModel, OPS_PER_INTERACTION
 
 __all__ = ["Grape5System", "GrapeBackend"]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -43,12 +47,16 @@ class Grape5System:
     """An emulated GRAPE-5 installation.
 
     The default configuration is the paper's: 2 boards x 8 chips x 2
-    pipelines, 109.44 Gflops peak.
+    pipelines, 109.44 Gflops peak.  Geometry and clocks are read from
+    :attr:`timing` and nowhere else.
     """
 
     numerics: G5Numerics = G5_NUMERICS
     timing: GrapeTimingModel = field(default_factory=GrapeTimingModel)
-    boards: List[ProcessorBoard] = field(default_factory=list)
+    #: particle data memory of one board, in j-particles.  The real
+    #: board stores 2^18 -- comfortably larger than any interaction
+    #: list the treecode produces (the paper's average is ~13,000).
+    jmem_capacity: int = 1 << 18
     #: when True, every force call's (n_i, n_j) shape is appended to
     #: :attr:`call_log` -- the raw material for validating the timing
     #: model against a real run's call-size distribution
@@ -60,56 +68,63 @@ class Grape5System:
     metrics: Optional[object] = field(default=None, repr=False)
 
     # accumulated performance counters
-    n_calls: int = field(default=0, repr=False)
-    interactions: int = field(default=0, repr=False)
-    model_seconds: float = field(default=0.0, repr=False)
+    n_calls: int = field(default=0, init=False, repr=False)
+    interactions: int = field(default=0, init=False, repr=False)
+    model_seconds: float = field(default=0.0, init=False, repr=False)
     call_log: List[Tuple[int, int]] = field(default_factory=list,
-                                            repr=False)
+                                            init=False, repr=False)
 
-    _range: Optional[Tuple[float, float]] = field(default=None, repr=False)
+    #: the datapath.  All 32 physical pipelines are this one function,
+    #: and its ``coord_format`` is *the* coordinate format: the one
+    #: :meth:`compute` and the compiled list walk both read.
+    pipeline: G5Pipeline = field(init=False, repr=False)
+    _range: Optional[Tuple[float, float]] = field(default=None, init=False,
+                                                  repr=False)
 
     def __post_init__(self):
-        if not self.boards:
-            self.boards = [
-                ProcessorBoard(numerics=self.numerics,
-                               n_chips=self.timing.chips_per_board)
-                for _ in range(self.timing.n_boards)
-            ]
+        self.pipeline = G5Pipeline(numerics=self.numerics)
 
     # ------------------------------------------------------------------
     @property
     def n_pipelines(self) -> int:
-        return sum(b.n_pipelines for b in self.boards)
+        return self.timing.n_pipelines
 
     @property
     def peak_flops(self) -> float:
         """Theoretical peak under the 38-op convention."""
-        return sum(b.peak_flops for b in self.boards)
+        return self.timing.peak_flops
+
+    @property
+    def jmem_total(self) -> int:
+        """j-particles one resident pass holds across all boards."""
+        return self.timing.n_boards * self.jmem_capacity
 
     def describe(self) -> Dict[str, object]:
         """Configuration summary -- the block-diagram data of figure 1."""
+        t = self.timing
         return {
-            "boards": len(self.boards),
-            "chips_per_board": self.boards[0].n_chips,
-            "pipelines_per_chip": self.boards[0].chips[0].n_pipelines,
-            "pipelines_total": self.n_pipelines,
-            "pipeline_clock_MHz": self.timing.pipeline_clock_hz / 1e6,
-            "memory_clock_MHz": self.timing.memory_clock_hz / 1e6,
-            "virtual_multiplexing": self.timing.vmp,
-            "i_particles_per_pass": self.timing.i_per_pass,
+            "boards": t.n_boards,
+            "chips_per_board": t.chips_per_board,
+            "pipelines_per_chip": t.pipes_per_chip,
+            "pipelines_total": t.n_pipelines,
+            "pipeline_clock_MHz": t.pipeline_clock_hz / 1e6,
+            "memory_clock_MHz": t.memory_clock_hz / 1e6,
+            "virtual_multiplexing": t.vmp,
+            "i_particles_per_pass": t.i_per_pass,
             "ops_per_interaction": OPS_PER_INTERACTION,
-            "peak_Gflops": self.peak_flops / 1e9,
+            "peak_Gflops": t.peak_flops / 1e9,
             "pairwise_rel_error_target": 3e-3,
-            "jmem_capacity_per_board": self.boards[0].jmem_capacity,
+            "jmem_capacity_per_board": self.jmem_capacity,
         }
 
     # ------------------------------------------------------------------
     def set_range(self, xmin: float, xmax: float) -> None:
-        """Announce the coordinate window to every pipeline
-        (the ``g5_set_range`` call of libg5)."""
+        """Announce the coordinate window (the ``g5_set_range`` call of
+        libg5).  The only writer of the window: with none announced,
+        :meth:`compute` covers each call on its own and stores
+        nothing."""
         self._range = (float(xmin), float(xmax))
-        for b in self.boards:
-            b.set_range(xmin, xmax)
+        self.pipeline.set_range(xmin, xmax)
 
     @property
     def coordinate_range(self) -> Optional[Tuple[float, float]]:
@@ -141,37 +156,42 @@ class Grape5System:
         if n_i == 0 or n_j == 0:
             return acc, pot
 
+        pipe = self.pipeline
         if self._range is None:
-            # Hosts normally announce the simulation box once; absent
-            # that, emulate a cautious library default covering the call.
+            # Hosts normally announce the simulation box; absent that,
+            # emulate a cautious library default covering *this* call.
             lo = min(xi.min(), xj.min())
             hi = max(xi.max(), xj.max())
             pad = 0.5 * (hi - lo) + 1e-12
-            self.set_range(lo - pad, hi + pad)
+            pipe = G5Pipeline(numerics=self.numerics)
+            pipe.set_range(lo - pad, hi + pad)
 
         # A j-set larger than the combined particle memory is split
         # into sequential passes, exactly as the library does: each
         # pass loads, runs and accumulates, and each is charged to the
         # timing model as a separate call.
-        capacity = sum(b.jmem_capacity for b in self.boards)
+        capacity = self.jmem_total
         for c0 in range(0, n_j, capacity):
             c1 = min(c0 + capacity, n_j)
-            self._compute_resident(xi, xj[c0:c1], mj[c0:c1], eps,
+            self._compute_resident(pipe, xi, xj[c0:c1], mj[c0:c1], eps,
                                    acc, pot)
         return acc, pot
 
-    def _compute_resident(self, xi, xj, mj, eps, acc, pot) -> None:
-        """One memory-resident pass: scatter j over boards, sum."""
+    def _compute_resident(self, pipe, xi, xj, mj, eps, acc, pot) -> None:
+        """One memory-resident pass: scatter j over boards, sum.
+
+        Every pipeline of every board is the same deterministic
+        datapath, so each board's block is one vectorised call on
+        ``pipe``; the pipeline *count* matters only to the timing
+        model."""
         n_i, n_j = xi.shape[0], xj.shape[0]
-        nb = len(self.boards)
+        nb = self.timing.n_boards
         bounds = np.linspace(0, n_j, nb + 1).astype(np.int64)
-        for b, board in enumerate(self.boards):
+        for b in range(nb):
             j0, j1 = int(bounds[b]), int(bounds[b + 1])
             if j1 <= j0:
                 continue
-            board.set_n(0)
-            board.load_j(xj[j0:j1], mj[j0:j1])
-            a, p = board.compute(xi, eps)
+            a, p = pipe.compute(xi, xj[j0:j1], mj[j0:j1], eps)
             acc += a
             pot += p
 
@@ -195,7 +215,7 @@ class Grape5System:
         n_i, n_j = n_i[live], n_j[live]
         if n_i.size == 0:
             return
-        capacity = sum(b.jmem_capacity for b in self.boards)
+        capacity = self.jmem_total
         over = n_j > capacity
         if np.any(over):
             extra_i, extra_j = [], []
@@ -274,39 +294,19 @@ class GrapeBackend(ForceBackend):
     name = "grape5"
 
     def _call(self, fn):
-        """One backend force call: consult the ``grape.compute`` fault
-        site, run ``fn``, and re-issue it after a transient error."""
-        attempt = 0
-        while True:
-            try:
-                if self.fault_injector is not None:
-                    self.fault_injector.maybe_raise("grape.compute")
-                return fn()
-            except TransientBackendError:
-                attempt += 1
-                self.transient_retries += 1
-                m = self.system.metrics
-                if m is not None:
-                    m.counter("exec.fault.backend_retries",
-                              "force calls re-issued after a transient "
-                              "backend error").inc()
-                if attempt > self.max_retries:
-                    raise
+        """One backend force call: ``fn`` under the ``grape.compute``
+        fault site and the transient-retry budget."""
+        return retry_transient(self, "grape.compute", fn, self._count_retry)
+
+    def _count_retry(self) -> None:
+        m = self.system.metrics
+        if m is not None:
+            m.counter("exec.fault.backend_retries",
+                      "force calls re-issued after a transient "
+                      "backend error").inc()
 
     def compute(self, xi, xj, mj, eps):
         return self._call(lambda: self.system.compute(xi, xj, mj, eps))
-
-    def _coord_format(self):
-        """The fixed-point format every pipeline currently holds, or
-        ``None`` when quantisation is off or no range is announced."""
-        from .numerics import FixedPointFormat
-        if self.system.numerics.position_bits <= 0:
-            return None
-        if self.system.coordinate_range is None:
-            return None
-        lo, hi = self.system.coordinate_range
-        return FixedPointFormat(bits=self.system.numerics.position_bits,
-                                xmin=lo, xmax=hi)
 
     def eval_lists(self, pos, pmass, com, cmass, lists, sink_start,
                    sink_count, eps, out_acc, out_pot):
@@ -328,7 +328,7 @@ class GrapeBackend(ForceBackend):
         done = self._call(lambda: _batch.g5_eval_lists(
             pos, pmass, com, cmass, lists, sink_start, sink_count,
             eps, out_acc, out_pot, numerics=self.system.numerics,
-            fixed=self._coord_format()))
+            fixed=self.system.pipeline.coord_format))
         if not done:
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
@@ -337,12 +337,13 @@ class GrapeBackend(ForceBackend):
                                  lists.list_lengths)
 
     def worker_factory(self):
-        """Configuration-only spec: a fresh system from the numerics
-        and timing constants (boards and their j-memory are allocated
-        anew, never shared); private systems reproduce the
-        deterministic reduced-precision datapath exactly."""
+        """Configuration-only spec: a fresh system from the numerics,
+        the timing constants and the j-memory size (no state is
+        shared); private systems reproduce the deterministic
+        reduced-precision datapath, and price it, exactly."""
+        s = self.system
         return (_fresh_grape_backend,
-                (self.system.numerics, self.system.timing), {})
+                (s.numerics, s.timing, s.jmem_capacity), {})
 
     def snapshot_stats(self):
         return {"interactions": float(self.system.interactions),
@@ -380,8 +381,8 @@ class GrapeBackend(ForceBackend):
         return self.system.model_seconds
 
 
-def _fresh_grape_backend(numerics, timing) -> "GrapeBackend":
+def _fresh_grape_backend(numerics, timing, jmem_capacity) -> "GrapeBackend":
     """Private-instance constructor (see
     :meth:`GrapeBackend.worker_factory`)."""
-    return GrapeBackend(system=Grape5System(numerics=numerics,
-                                            timing=timing))
+    return GrapeBackend(system=Grape5System(
+        numerics=numerics, timing=timing, jmem_capacity=jmem_capacity))

@@ -20,8 +20,9 @@ Layering (each module only depends on the ones above it):
     Per-tenant admission policy: active-job quotas and token-bucket
     rate limits (:class:`AdmissionController`).
 ``leases``
-    :class:`LeaseBroker`: exclusive :class:`~repro.grape.api.G5Context`
-    (+ optional pipeline-engine pool) per running job.
+    :class:`LeaseBroker`: one exclusive
+    :class:`~repro.grape.system.Grape5System` from a fixed slot pool
+    per running job.
 ``runner``
     Executes one job inside its lease through
     :mod:`repro.sim.recipes` -- the same construction path as the

@@ -2,10 +2,11 @@
 
 The runner is the bridge between a :class:`~repro.serve.jobs.Job` and
 the simulation stack.  It executes on the scheduler's worker thread,
-*inside* the job's lease: every force evaluation goes through the
-leased slot's :class:`~repro.grape.api.G5Context` system (via
+*inside* the job's lease: every force evaluation goes through
+``lease.system``, the leased slot's
+:class:`~repro.grape.system.Grape5System` (via
 :func:`repro.sim.recipes.build_force`'s ``system=`` hook), so two
-concurrent jobs never interleave staging traffic on one device.  A
+concurrent jobs never compute on one device.  A
 ``"engine": "pipeline"`` job builds its own
 :class:`~repro.exec.PipelineEngine` -- threads in this process, no
 ``fork()`` from a server that is running scheduler, heartbeat and HTTP
@@ -89,7 +90,7 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
                                 flight=job.flight)
     force, gb = build_force(
         theta=p["theta"], ncrit=p["ncrit"], backend=p["backend"],
-        system=(lease.context.system if p["backend"] == "grape"
+        system=(lease.system if p["backend"] == "grape"
                 else None),
         engine=engine, tracer=tracer, metrics=metrics,
         fault_injector=injector, max_retries=spec.max_retries)
@@ -180,7 +181,7 @@ def _run_sweep(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
     for ncrit in (64, 256, 1024, 4096):
         _poll_flags(job, None, None)
         tc, _ = build_force(theta=p["theta"], ncrit=ncrit,
-                            system=lease.context.system,
+                            system=lease.system,
                             tracer=tracer, metrics=metrics,
                             max_retries=spec.max_retries)
         tc.accelerations(pos, mass, _EPS_SYNTH)
@@ -206,7 +207,7 @@ def _run_force_eval(job: Job, lease, *, tracer,
     rng = np.random.default_rng(p["seed"])
     pos, _, mass = plummer_model(p["n"], rng)
     tc, _ = build_force(theta=p["theta"], ncrit=p["ncrit"],
-                        system=lease.context.system,
+                        system=lease.system,
                         tracer=tracer, metrics=metrics,
                         max_retries=spec.max_retries)
     acc, pot = tc.accelerations(pos, mass, p["eps"])
@@ -231,8 +232,8 @@ def run_job(job: Job, lease, *, tracer=None,
             metrics=None) -> Dict[str, Any]:
     """Execute ``job`` inside ``lease`` and return its result document.
 
-    Called on the scheduler's worker thread (the thread holding the
-    lease's context latch).  Raises :class:`JobCancelled` /
+    Called on the scheduler's worker thread, which holds the lease
+    for the whole call.  Raises :class:`JobCancelled` /
     :class:`JobPaused` when the corresponding flag is observed, and
     lets simulation errors propagate for the scheduler to record.
     The whole execution runs inside an *open* ``serve.job`` span (job

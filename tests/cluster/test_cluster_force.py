@@ -203,7 +203,7 @@ def test_treecode_close_closes_a_handed_context(plummerish):
     assert tc.cluster is ctx
     tc.accelerations(pos, mass, EPS)
     tc.close()
-    assert ctx.backends == [] and ctx.registry is None
+    assert ctx.backends == []
     tc.close()                          # idempotent
     before = ctx.summary()
     assert before["predicted_seconds"] > 0

@@ -1,11 +1,11 @@
 """ClusterContext protocol misuse, mirroring tests/grape/test_api_protocol.py:
-call-order violations, overlapping board sets, double release, K=0."""
+call-order violations, K=0; and the board-set arithmetic (host or lease
+slot k is wired to boards [k*B, (k+1)*B))."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import (BoardSetRegistry, ClusterContext, ClusterError,
-                           ClusterSpec)
+from repro.cluster import ClusterContext, ClusterError, ClusterSpec
 
 
 @pytest.fixture
@@ -73,7 +73,7 @@ class TestCallOrder:
         ctx.open()
         first_sets = ctx.board_sets
         ctx.close()
-        assert ctx.backends == [] and ctx.registry is None
+        assert ctx.backends == []
         ctx.open()
         assert ctx.board_sets == first_sets
         assert len(ctx.backends) == 2
@@ -89,44 +89,10 @@ class TestBoardSets:
     def test_hosts_get_disjoint_sets(self, ctx):
         ctx.open()
         assert ctx.board_sets == ((0, 1), (2, 3))
-        assert ctx.registry.available == 0
-
-    def test_overlapping_reservation_fails(self, ctx):
-        ctx.open()
-        with pytest.raises(ClusterError, match="overlaps"):
-            ctx.registry.reserve([1, 2])
-
-    def test_registry_overlap_names_holder(self):
-        reg = BoardSetRegistry(4)
-        reg.reserve([0, 1], owner="host0")
-        with pytest.raises(ClusterError, match="host0"):
-            reg.reserve([1, 2], owner="host1")
-        # failed reservation left the registry untouched
-        assert reg.reserved == (0, 1)
-        reg.reserve([2, 3], owner="host1")
-
-    def test_registry_double_release(self):
-        reg = BoardSetRegistry(4)
-        ids = reg.reserve([0, 1])
-        reg.release(ids)
-        with pytest.raises(ClusterError, match="double release"):
-            reg.release(ids)
-
-    def test_registry_rejects_bad_sets(self):
-        reg = BoardSetRegistry(2)
-        with pytest.raises(ClusterError, match="empty"):
-            reg.reserve([])
-        with pytest.raises(ClusterError, match="duplicate"):
-            reg.reserve([0, 0])
-        with pytest.raises(ClusterError, match="outside"):
-            reg.reserve([0, 5])
-        with pytest.raises(ValueError):
-            BoardSetRegistry(0)
-
-    def test_holder_of_free_board(self):
-        reg = BoardSetRegistry(2)
-        with pytest.raises(ClusterError, match="not reserved"):
-            reg.holder_of(0)
+        assert ctx.summary()["board_sets"] == [[0, 1], [2, 3]]
+        wide = ClusterContext(ClusterSpec(hosts=3, boards=3)).open()
+        assert wide.board_sets == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        wide.close()
 
 
 class TestBrokerBoardLeases:
@@ -139,27 +105,20 @@ class TestBrokerBoardLeases:
             assert l1.board_set == (0, 1, 2)
             assert l2.board_set == (3, 4, 5)
             assert set(l1.board_set).isdisjoint(l2.board_set)
-            assert broker.board_registry.holder_of(0) == l1.id
+            assert l1.system is not l2.system
         finally:
             broker.release(l1)
             broker.release(l2)
             broker.close()
-
-    def test_release_returns_boards(self):
-        from repro.serve.leases import LeaseBroker
-        broker = LeaseBroker(slots=1, boards=2)
-        lease = broker.acquire(timeout=1.0)
-        assert broker.board_registry.available == 0
-        broker.release(lease)
-        assert broker.board_registry.available == 2
-        broker.close()
 
     def test_nonpaper_board_count_reshapes_slots(self):
         from repro.serve.leases import LeaseBroker
         broker = LeaseBroker(slots=1, boards=4)
         lease = broker.acquire(timeout=1.0)
         try:
-            assert len(lease.context.system.boards) == 4
+            assert lease.system.timing.n_boards == 4
+            assert lease.system.describe()["boards"] == 4
+            assert lease.board_set == (0, 1, 2, 3)
         finally:
             broker.release(lease)
             broker.close()

@@ -64,6 +64,24 @@ class TestDirectAccelerations:
             direct_accelerations(np.zeros((3, 3)), np.ones(4), 0.1)
 
 
+    def test_one_grape_backend_two_extents(self, rng):
+        """Direct summation never announces a coordinate window, so the
+        emulator covers each call on its own: a second, ten times
+        larger system on the same backend is as accurate as the first
+        (a first-call-forever window saturated it to ~1000 % error)."""
+        from repro.grape import GrapeBackend
+        pos = rng.standard_normal((300, 3))
+        mass = np.full(300, 1.0 / 300)
+        backend = GrapeBackend()
+        for scale in (1.0, 10.0):
+            a, _ = direct_accelerations(scale * pos, mass, 0.05 * scale,
+                                        backend=backend)
+            r, _ = direct_accelerations(scale * pos, mass, 0.05 * scale)
+            err = np.linalg.norm(a - r, axis=1) / np.linalg.norm(r, axis=1)
+            assert np.sqrt(np.mean(err**2)) < 3e-3
+        assert backend.system.coordinate_range is None
+
+
 class TestDirectSummation:
     def test_interface_matches_function(self, rng):
         pos = rng.standard_normal((40, 3))

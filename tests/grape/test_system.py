@@ -1,82 +1,155 @@
-"""Chip/board/system hierarchy and backend-adapter tests."""
+"""The one GRAPE: system + timing-model geometry, and the backend adapter."""
 
 import numpy as np
 import pytest
 
 from repro.core.kernels import pairwise_accpot
-from repro.grape.board import BoardMemoryError, ProcessorBoard
-from repro.grape.chip import G5Chip
+from repro.grape.api import G5Context
 from repro.grape.system import Grape5System, GrapeBackend
+from repro.grape.timing import GrapeTimingModel
 
 
 class TestChip:
+    """Chip-level figures, read off the only geometry there is."""
+
     def test_two_pipelines(self):
-        assert G5Chip().n_pipelines == 2
+        assert GrapeTimingModel().pipes_per_chip == 2
+        assert Grape5System().describe()["pipelines_per_chip"] == 2
 
     def test_peak(self):
         # 2 pipes x 90 MHz x 38 ops = 6.84 Gflops
-        assert G5Chip().peak_flops == pytest.approx(6.84e9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            G5Chip(n_pipelines=0)
+        one_chip = GrapeTimingModel(n_boards=1, chips_per_board=1)
+        assert one_chip.peak_flops == pytest.approx(6.84e9)
+        assert Grape5System(timing=one_chip).peak_flops == pytest.approx(
+            6.84e9)
 
 
 class TestBoard:
+    """One-board behaviour: a single-board system is the board."""
+
+    @staticmethod
+    def _board():
+        s = Grape5System(timing=GrapeTimingModel(n_boards=1))
+        s.set_range(-6, 6)  # must cover the data: out-of-range saturates
+        return s
+
     def test_board_peak(self):
         # 8 chips x 6.84 = 54.72 Gflops
-        assert ProcessorBoard().peak_flops == pytest.approx(54.72e9)
+        assert self._board().peak_flops == pytest.approx(54.72e9)
 
     def test_load_and_compute(self, rng):
-        b = ProcessorBoard()
-        b.set_range(-6, 6)  # must cover the data: out-of-range saturates
+        b = self._board()
         xj = rng.standard_normal((100, 3))
         mj = rng.uniform(0.5, 1.0, 100)
-        b.load_j(xj, mj)
-        assert b.nj == 100
         xi = rng.standard_normal((10, 3))
         # generous softening keeps any single near pair from dominating
         # the total force, so the summed error tracks the pairwise one
-        a, p = b.compute(xi, 0.25)
+        a, p = b.compute(xi, xj, mj, 0.25)
+        assert b.interactions == 1000
         r, q = pairwise_accpot(xi, xj, mj, 0.25)
         rel = np.linalg.norm(a - r, axis=1) / np.linalg.norm(r, axis=1)
         assert np.sqrt(np.mean(rel**2)) < 0.02
 
     def test_partial_update_at_offset(self, rng):
-        b = ProcessorBoard()
-        b.set_range(-6, 6)
+        """j-memory written in two pieces (the second at an offset)
+        computes exactly what one write of the whole set does."""
         xj = rng.standard_normal((20, 3))
         mj = rng.uniform(0.5, 1.0, 20)
-        b.load_j(xj[:10], mj[:10])
-        b.load_j(xj[10:], mj[10:], adr=10)
-        assert b.nj == 20
         xi = rng.standard_normal((4, 3))
-        a1, _ = b.compute(xi, 0.05)
-        b2 = ProcessorBoard()
-        b2.set_range(-6, 6)
-        b2.load_j(xj, mj)
-        a2, _ = b2.compute(xi, 0.05)
-        assert np.array_equal(a1, a2)
-
-    def test_memory_overflow(self):
-        b = ProcessorBoard(jmem_capacity=16)
-        with pytest.raises(BoardMemoryError):
-            b.load_j(np.zeros((17, 3)), np.ones(17))
-        with pytest.raises(BoardMemoryError):
-            b.load_j(np.zeros((10, 3)), np.ones(10), adr=10)
-        with pytest.raises(BoardMemoryError):
-            b.set_n(17)
+        forces = []
+        for pieces in ([(0, 10), (10, 20)], [(0, 20)]):
+            g5 = G5Context().open(self._board())
+            g5.set_eps_to_all(0.05)
+            for j0, j1 in pieces:
+                g5.set_xmj(j0, j1 - j0, xj[j0:j1], mj[j0:j1])
+            assert g5.nj == 20
+            g5.set_xi(4, xi)
+            g5.run()
+            forces.append(g5.get_force(4)[0])
+        assert np.array_equal(*forces)
 
     def test_empty_board_zero_force(self):
-        b = ProcessorBoard()
-        a, p = b.compute(np.zeros((3, 3)), 0.1)
+        a, p = self._board().compute(np.zeros((3, 3)), np.zeros((0, 3)),
+                                     np.zeros(0), 0.1)
+        assert a.shape == (3, 3) and p.shape == (3,)
         assert np.allclose(a, 0) and np.allclose(p, 0)
+
+
+#: the paper machine and three that are not it
+GEOMETRIES = [
+    GrapeTimingModel(),
+    GrapeTimingModel(pipes_per_chip=4),
+    GrapeTimingModel(chips_per_board=4),
+    GrapeTimingModel(n_boards=3, pipeline_clock_hz=60.0e6),
+]
+
+
+class TestOneGeometry:
+    """``GrapeTimingModel`` is the only description of the machine:
+    whatever it says, the system reports."""
+
+    @pytest.mark.parametrize("timing", GEOMETRIES)
+    def test_system_reports_the_timing_models_machine(self, timing):
+        s = Grape5System(timing=timing)
+        assert s.n_pipelines == timing.n_pipelines
+        assert s.peak_flops == timing.peak_flops
+        d = s.describe()
+        assert d["pipelines_total"] == (
+            d["boards"] * d["chips_per_board"] * d["pipelines_per_chip"])
+        assert d["pipelines_total"] == timing.n_pipelines
+        assert d["i_particles_per_pass"] == (
+            d["chips_per_board"] * d["pipelines_per_chip"]
+            * d["virtual_multiplexing"])
+        assert d["peak_Gflops"] == timing.peak_flops / 1e9
+        assert d["pipeline_clock_MHz"] == timing.pipeline_clock_hz / 1e6
+
+
+class TestOneCoordinateFormat:
+    """After ``set_range`` the reference ``compute()`` and the compiled
+    list walk quantise with one format object, the pipeline's."""
+
+    @pytest.mark.parametrize("native", [True, False])
+    def test_reannouncing_changes_both(self, rng, monkeypatch, native):
+        from repro.core import TreeCode
+        from repro.core.kernels import batch, cnative
+        from repro.grape.pipeline import G5Pipeline
+        if not native:  # what REPRO_KERNELS_NO_CNATIVE=1 does at load()
+            monkeypatch.setattr(cnative, "load", lambda: None)
+        walk, ref = [], []  # formats the list walk / the datapath read
+        real_walk, real_ref = batch.g5_eval_lists, G5Pipeline.compute
+
+        def spy_walk(*args, **kw):
+            walk.append(kw["fixed"])
+            return real_walk(*args, **kw)
+
+        def spy_ref(self, *args):
+            ref.append(self.coord_format)
+            return real_ref(self, *args)
+
+        monkeypatch.setattr(batch, "g5_eval_lists", spy_walk)
+        monkeypatch.setattr(G5Pipeline, "compute", spy_ref)
+        backend = GrapeBackend()
+        tc = TreeCode(theta=0.75, n_crit=64, backend=backend)
+        pos = rng.standard_normal((300, 3))
+        mass = np.full(300, 1.0 / 300)
+        formats = []
+        for scale in (1.0, 3.0):  # each tree build announces its domain
+            del walk[:], ref[:]
+            tc.accelerations(scale * pos, mass, 0.01)
+            backend.compute(scale * pos[:4], scale * pos, mass, 0.01)
+            fmt = backend.system.pipeline.coord_format
+            assert walk and ref
+            assert all(f is fmt for f in walk + ref)
+            assert (fmt.xmin, fmt.xmax) == backend.system.coordinate_range
+            formats.append(fmt)
+        assert formats[1] is not formats[0]
+        assert formats[1].xmax > formats[0].xmax
 
 
 class TestSystem:
     def test_paper_configuration(self):
         s = Grape5System()
-        assert len(s.boards) == 2
+        assert s.timing.n_boards == 2
         assert s.n_pipelines == 32
         assert s.peak_flops == pytest.approx(109.44e9)
 
@@ -88,6 +161,9 @@ class TestSystem:
         assert d["pipelines_total"] == 32
         assert d["pipeline_clock_MHz"] == 90.0
         assert d["peak_Gflops"] == pytest.approx(109.44)
+        # all twelve rows of `repro info`, in order
+        assert list(d.values()) == [2, 8, 2, 32, 90.0, 15.0, 6, 96, 38,
+                                    109.44, 3e-3, 262_144]
 
     def test_board_split_matches_single_board_sum(self, rng):
         """j split across boards + host sum == one-board computation."""
@@ -97,7 +173,6 @@ class TestSystem:
         s2 = Grape5System()
         s2.set_range(-3, 3)
         a2, p2 = s2.compute(xi, xj, mj, 0.05)
-        from repro.grape.timing import GrapeTimingModel
         s1 = Grape5System(timing=GrapeTimingModel(n_boards=1))
         s1.set_range(-3, 3)
         a1, p1 = s1.compute(xi, xj, mj, 0.05)
@@ -121,12 +196,18 @@ class TestSystem:
         assert s.model_seconds == 0.0
 
     def test_auto_range_on_first_call(self, rng):
+        """With no window announced a call is covered on its own, the
+        first like every later one; ``set_range`` is the only writer."""
         s = Grape5System()
         assert s.coordinate_range is None
-        s.compute(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)),
-                  np.ones(4), 0.1)
-        lo, hi = s.coordinate_range
-        assert lo < hi
+        xi, xj = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
+        a, _ = s.compute(xi, xj, np.ones(4), 0.1)
+        assert s.coordinate_range is None
+        assert s.pipeline.coord_format is None
+        r, _ = pairwise_accpot(xi, xj, np.ones(4), 0.1)
+        assert np.allclose(a, r, rtol=0.02)
+        s.set_range(-5, 5)
+        assert s.coordinate_range == (-5.0, 5.0)
 
     def test_model_flops_below_peak(self, rng):
         s = Grape5System()
@@ -162,11 +243,7 @@ class TestJMemoryChunking:
     def test_oversized_jset_split_into_passes(self, rng):
         """A j-set beyond the particle memory is processed in
         sequential resident passes with identical results."""
-        from repro.grape.board import ProcessorBoard
-        from repro.grape.timing import GrapeTimingModel
-        small = Grape5System(
-            boards=[ProcessorBoard(jmem_capacity=32),
-                    ProcessorBoard(jmem_capacity=32)])
+        small = Grape5System(jmem_capacity=32)
         small.set_range(-4, 4)
         big = Grape5System()
         big.set_range(-4, 4)
@@ -183,10 +260,7 @@ class TestJMemoryChunking:
         assert small.interactions == big.interactions == 5 * 200
 
     def test_chunked_costs_more_model_time(self, rng):
-        from repro.grape.board import ProcessorBoard
-        small = Grape5System(
-            boards=[ProcessorBoard(jmem_capacity=16),
-                    ProcessorBoard(jmem_capacity=16)])
+        small = Grape5System(jmem_capacity=16)
         small.set_range(-4, 4)
         big = Grape5System()
         big.set_range(-4, 4)
@@ -270,6 +344,33 @@ class TestOneChargeSite:
             assert reg.get("grape.call_ni").count == lists_sys.n_calls
             assert reg.value("grape.call_nj") == lists_reg.value(
                 "grape.call_nj")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_engine_matches_serial_on_a_small_memory_system(self, rng,
+                                                            workers):
+        """The engine's private backends carry the j-memory size, so a
+        system that must multi-pass is priced the same on either
+        route."""
+        from repro.core import TreeCode
+        from repro.exec import PipelineEngine
+        pos = rng.standard_normal((600, 3))
+        mass = np.full(600, 1.0 / 600)
+
+        def sweep(engine=None):
+            backend = GrapeBackend(system=Grape5System(jmem_capacity=32))
+            tc = TreeCode(theta=0.75, n_crit=64, backend=backend,
+                          engine=engine)
+            return backend.system, tc.accelerations(pos, mass, 0.01)
+
+        serial, (a0, p0) = sweep()
+        with PipelineEngine(workers=workers) as engine:
+            piped, (a1, p1) = sweep(engine)
+        assert serial.n_calls > 64  # lists over 2 x 32 slots: multi-pass
+        assert piped.n_calls == serial.n_calls
+        assert piped.interactions == serial.interactions
+        assert piped.model_seconds == pytest.approx(serial.model_seconds,
+                                                    rel=1e-12)
+        assert np.array_equal(a0, a1) and np.array_equal(p0, p1)
 
     def test_each_metric_is_registered_once(self):
         import re

@@ -23,11 +23,11 @@ class TestSection2:
 
     def test_system_composition(self):
         """'2 processor boards ... 8 processor chips ... 2 pipelines'."""
-        s = Grape5System()
-        assert len(s.boards) == 2
-        assert all(b.n_chips == 8 for b in s.boards)
-        assert all(c.n_pipelines == 2
-                   for b in s.boards for c in b.chips)
+        d = Grape5System().describe()
+        assert d["boards"] == 2
+        assert d["chips_per_board"] == 8
+        assert d["pipelines_per_chip"] == 2
+        assert Grape5System().n_pipelines == 2 * 8 * 2 == 32
 
 
 class TestSection4:

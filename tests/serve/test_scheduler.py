@@ -213,32 +213,66 @@ class TestLeaseBroker:
     def test_leased_contexts_are_disjoint_systems(self):
         broker = LeaseBroker(2)
         l1, l2 = broker.acquire(), broker.acquire()
-        assert l1.context is not l2.context
-        assert l1.context.system is not l2.context.system
+        assert l1.system is not l2.system
+        assert l1.system.pipeline is not l2.system.pipeline
+        assert set(l1.board_set).isdisjoint(l2.board_set)
         # both model the same paper configuration
-        assert (l1.context.system.peak_flops
-                == l2.context.system.peak_flops)
+        assert l1.system.describe() == l2.system.describe()
         broker.release(l1)
         broker.release(l2)
         broker.close()
 
-    def test_leased_context_is_latched_to_holder(self):
+    @staticmethod
+    def _blocked_acquire(broker, m, waits):
+        """Start a thread in a blocking ``acquire()``; return it and
+        its outcome list once the broker has counted the wait."""
         import threading
-        from repro.grape.api import G5Error
-        broker = LeaseBroker(1)
-        lease = broker.acquire()
-        errors = []
+        out = []
 
-        def intruder():
+        def waiter():
             try:
-                lease.context.set_eps_to_all(0.01)
-            except G5Error as e:
-                errors.append(str(e))
+                out.append(broker.acquire())
+            except LeaseError as e:
+                out.append(e)
 
-        t = threading.Thread(target=intruder)
+        t = threading.Thread(target=waiter)
         t.start()
-        t.join()
-        assert errors, "cross-thread staging on a leased context " \
-                       "must fail"
-        broker.release(lease)
+        deadline = time.monotonic() + 5.0
+        while (m.value("serve.lease_waits") < waits
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        return t, out
+
+    def test_every_wait_is_counted(self):
+        """``serve.lease_waits`` counts an acquire that finds no free
+        slot, with a timeout or blocking without one."""
+        from repro.obs import MetricsRegistry
+        m = MetricsRegistry()
+        broker = LeaseBroker(1, metrics=m)
+        held = broker.acquire()
+        assert m.value("serve.lease_waits") == 0  # a slot was free
+        with pytest.raises(LeaseError):
+            broker.acquire(timeout=0.01)
+        assert m.value("serve.lease_waits") == 1
+        t, out = self._blocked_acquire(broker, m, waits=2)
+        assert m.value("serve.lease_waits") == 2
+        broker.release(held)
+        t.join(5.0)
+        assert out and out[0].slot == held.slot
+        broker.release(out[0])
         broker.close()
+
+    def test_closed_broker_refuses_and_wakes_waiters(self):
+        from repro.obs import MetricsRegistry
+        m = MetricsRegistry()
+        broker = LeaseBroker(1, metrics=m)
+        lease = broker.acquire()
+        t, out = self._blocked_acquire(broker, m, waits=1)
+        broker.close()
+        broker.close()  # idempotent
+        t.join(5.0)
+        assert out and isinstance(out[0], LeaseError)
+        with pytest.raises(LeaseError, match="closed"):
+            broker.acquire(timeout=0.05)
+        with pytest.raises(LeaseError):
+            broker.release(lease)
