@@ -2,8 +2,10 @@
 
 One force sweep of a Plummer workload through ``ClusterSpec(hosts=K)``
 for K in {1, 2, 4}, two boards per host.  The correctness content is
-the cluster contract: K=1 is bit-identical to the serial GRAPE path
-(including the predicted model seconds), K>1 matches to 1e-12, LET
+the cluster contract: K=1 is bit-identical to the single-host GRAPE
+path (and predicts its model seconds to rel 1e-12: the same per-call
+terms, summed per host here and per shard there), K>1 matches to
+1e-12, LET
 exchange volume is zero at K=1 and grows with K, and the modelled
 cluster wall-clock shrinks as hosts are added.
 
@@ -69,7 +71,8 @@ def test_cluster_scaling(benchmark, results_dir):
             if hosts == 1:
                 assert np.array_equal(acc, acc0), \
                     "K=1 diverged bitwise from the serial GRAPE path"
-                assert summary["predicted_seconds"] == serial_model, \
+                assert abs(summary["predicted_seconds"] - serial_model) \
+                    <= 1e-12 * serial_model, \
                     "K=1 cluster timing != single-host timing model"
                 assert summary["let_exchange_bytes"] == 0.0
             else:

@@ -1,12 +1,13 @@
-"""E13 -- serial vs pipeline force evaluation (the engine extension).
+"""E13 -- the sweep's host/GRAPE overlap vs pool size (the engine
+extension).
 
 The paper's machine overlaps host tree traversal with GRAPE force
-integration; ``repro.exec.PipelineEngine`` reproduces that overlap
-with a thread pool.  This benchmark runs one force sweep of an
-E8-style clustered workload through the serial path and through the
-pipeline at several worker counts, checks bit-identity, and writes
-``results/e13_parallel.json`` (wall seconds, speedups, achieved
-overlap) as a machine-readable artifact.
+integration; ``repro.exec.PipelineEngine``, the path every treecode
+sweep takes, reproduces that overlap with a thread pool.  This
+benchmark runs one force sweep of an E8-style clustered workload at
+several pool sizes, checks bit-identity against the one-thread row, and
+writes ``results/e13_parallel.json`` (wall seconds, speedups over one
+pool thread) as a machine-readable artifact.
 
 The >= 1.3x speedup acceptance bound for 4 workers only applies where
 the hardware can express it: it is asserted when the machine has >= 4
@@ -34,7 +35,7 @@ WORKER_COUNTS = (1, 2, 4)
 SPEEDUP_BOUND = 1.3
 
 
-def _sweep(pos, mass, engine=None):
+def _sweep(pos, mass, engine):
     tc = TreeCode(theta=0.75, n_crit=N_CRIT, engine=engine)
     t0 = time.perf_counter()
     acc, pot = tc.accelerations(pos, mass, EPS)
@@ -47,51 +48,47 @@ def test_e13_parallel(benchmark, results_dir):
     pos, _, mass = plummer_model(N, rng)
 
     def measure():
-        acc0, pot0, t_serial, stats0 = _sweep(pos, mass)
-        runs = []
+        runs, base = [], None
         for w in WORKER_COUNTS:
             with PipelineEngine(workers=w) as eng:
-                _sweep(pos, mass, engine=eng)  # warm the pool
-                acc1, pot1, t_pipe, stats1 = _sweep(pos, mass,
-                                                    engine=eng)
-            assert np.array_equal(acc0, acc1), \
-                f"pipeline({w}) diverged from serial"
-            assert np.array_equal(pot0, pot1)
-            assert stats1.total_interactions == stats0.total_interactions
+                _sweep(pos, mass, eng)  # warm the pool
+                acc, pot, wall, stats = _sweep(pos, mass, eng)
+            if base is None:            # the workers=1 row
+                base = (acc, pot, wall, stats)
+            assert np.array_equal(base[0], acc), \
+                f"workers={w} diverged from workers=1"
+            assert np.array_equal(base[1], pot)
+            assert stats.total_interactions == base[3].total_interactions
             runs.append({
                 "workers": w,
-                "wall_seconds": t_pipe,
-                "speedup": t_serial / t_pipe,
-                "traverse_seconds": stats1.times.get("traverse", 0.0),
-                "eval_seconds": stats1.times.get("eval", 0.0),
+                "wall_seconds": wall,
+                "speedup": base[2] / wall,
+                "traverse_seconds": stats.times.get("traverse", 0.0),
+                "eval_seconds": stats.times.get("eval", 0.0),
             })
-        return t_serial, stats0, runs
+        return base[3], runs
 
-    t_serial, stats0, runs = benchmark.pedantic(measure, rounds=1,
-                                                iterations=1)
+    stats0, runs = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     cores = os.cpu_count() or 1
     doc = {
-        "schema": "repro.e13_parallel/v1",
+        "schema": "repro.e13_parallel/v2",
         "n_particles": N,
         "n_crit": N_CRIT,
         "interactions": int(stats0.total_interactions),
         "cpu_cores": cores,
-        "serial_wall_seconds": t_serial,
-        "pipeline": runs,
+        "sweeps": runs,
         "bit_identical": True,
     }
     (results_dir / "e13_parallel.json").write_text(
         json.dumps(doc, indent=2) + "\n")
 
-    rows = [{"engine": "serial", "workers": "-",
-             "wall [s]": round(t_serial, 3), "speedup": 1.0}]
-    rows += [{"engine": "pipeline", "workers": r["workers"],
-              "wall [s]": round(r["wall_seconds"], 3),
-              "speedup": round(r["speedup"], 2)} for r in runs]
+    rows = [{"workers": r["workers"],
+             "wall [s]": round(r["wall_seconds"], 3),
+             "speedup": round(r["speedup"], 2)} for r in runs]
     emit(results_dir, "e13_parallel",
          format_table(rows)
-         + f"\n(bit-identical to serial at every worker count; "
+         + f"\n(bit-identical at every worker count; "
          f"{cores} cores available)")
 
     if cores >= 4:

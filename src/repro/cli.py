@@ -57,18 +57,18 @@ consistent across every subcommand), 3 a submission rejected by
 service backpressure, or a store whose integrity sweep reported
 findings (``store verify``).
 
-Parallel execution (``run``/``resume``/``sweep``): ``--engine
-pipeline`` evaluates forces on a pool of threads (size
-``--workers``) that overlaps tree traversal with force evaluation;
-the default ``--engine serial`` evaluates each sweep in one call.
-Either way every interaction-list sweep goes through the backend's
-``eval_lists`` (docs/kernels.md) and the results are bit-identical.
+Parallel execution (``run``/``resume``/``sweep``): every force sweep
+is cut into sink shards and evaluated on a pool of threads (size
+``--workers``, default all cores) that overlaps tree traversal with
+force evaluation (docs/parallel_engine.md).  Every shard goes through
+the backend's ``eval_lists`` (docs/kernels.md) and the results are
+bit-identical at any ``--workers``.
 
 Observability (``run``/``resume``/``sweep``): ``--profile`` prints the
 section-5-style per-phase wall-time table at the end, ``--trace
-out.jsonl`` writes the span tree as JSON lines (with ``--engine
-pipeline`` each shard's ``exec.batch`` span, timed on its pool
-thread, is stitched in under the submitting ``eval`` span),
+out.jsonl`` writes the span tree as JSON lines (each shard's
+``exec.batch`` span, timed on its pool thread, is stitched in under
+the submitting ``eval`` span),
 ``--metrics out.prom`` writes a Prometheus text exposition of the run
 counters, ``--flightrec out.jsonl`` attaches the black-box flight
 recorder and dumps its ring at the end, and ``run --json-summary
@@ -114,22 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
                      help="attach a flight recorder (bounded ring of "
                           "recent fault/recovery events) and dump it "
                           "here at the end of the run")
-    obs.add_argument("--engine", choices=("serial", "pipeline"),
-                     default="serial",
-                     help="force-evaluation engine: 'serial' (default, "
-                          "one call per sweep) or "
-                          "'pipeline' (a thread pool overlapping "
-                          "traversal and force evaluation)")
     obs.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="pipeline worker threads "
-                          "(default: all cores)")
+                     help="pool threads evaluating each force sweep's "
+                          "sink shards (default: all cores); results "
+                          "are bit-identical at any N")
     obs.add_argument("--hosts", type=int, default=None, metavar="K",
                      help="emulate a K-host PC-GRAPE cluster (domain-"
                           "decomposed sinks, locally-essential-tree "
                           "exchange accounting; default: single host). "
                           "K=1 with 2 boards is bit-identical to the "
-                          "plain path; incompatible with --engine "
-                          "pipeline")
+                          "plain path; incompatible with --workers")
     obs.add_argument("--boards", type=int, default=None, metavar="B",
                      help="GRAPE-5 boards per emulated host (default: "
                           "2, the paper machine)")
@@ -139,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "'transient_error@batch=1;latency@prob=0.1,"
                           "count=5') -- chaos testing only")
     obs.add_argument("--max-retries", type=int, default=2, metavar="K",
-                     help="shard re-runs (pipeline) and force-"
+                     help="shard re-runs (engine) and force-"
                           "call re-issues (backend) before giving up "
                           "(default: 2)")
 
@@ -261,8 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "other spec flags)")
     u.add_argument("--priority", type=int, default=0)
     u.add_argument("--tenant", default="default")
-    u.add_argument("--engine", choices=("serial", "pipeline"),
-                   default="serial")
     u.add_argument("--workers", type=int, default=None, metavar="N")
     u.add_argument("--checkpoint-every", type=int, default=0,
                    metavar="N")
@@ -378,15 +370,6 @@ def _make_obs(args):
     return tracer, MetricsRegistry()
 
 
-def _fault_plan(args):
-    """Parse ``--faults`` once per invocation (None when unset)."""
-    source = getattr(args, "faults", None)
-    if not source:
-        return None
-    from repro.faults import parse_fault_plan
-    return parse_fault_plan(source)
-
-
 def _make_flight(args):
     """Flight recorder pointed at ``--flightrec`` (None when unset)."""
     path = getattr(args, "flightrec", None)
@@ -394,21 +377,6 @@ def _make_flight(args):
         return None
     from repro.obs import FlightRecorder
     return FlightRecorder(path=path)
-
-
-def _pipeline_engine(args, plan=None, flight=None):
-    """The pipeline engine for ``--engine pipeline``, else None.
-
-    ``None`` keeps the treecode on its in-process sweep, which is the
-    default; the engine is bit-identical to it.
-    """
-    if getattr(args, "engine", "serial") != "pipeline":
-        return None
-    from repro.exec import PipelineEngine
-    return PipelineEngine(workers=getattr(args, "workers", None),
-                          faults=plan,
-                          max_retries=getattr(args, "max_retries", 2),
-                          flight=flight)
 
 
 def _cluster_spec(args):
@@ -423,7 +391,8 @@ def _cluster_spec(args):
                        boards=boards if boards is not None else 2)
 
 
-def _make_force(args, tracer=None, registry=None, flight=None):
+def _make_force(args, tracer=None, registry=None, flight=None, *,
+                ncrit=None, backend=None):
     """``(treecode, grape_backend_or_None)`` via the shared recipe.
 
     Delegates to :func:`repro.sim.recipes.build_force` -- the same
@@ -431,20 +400,15 @@ def _make_force(args, tracer=None, registry=None, flight=None):
     served runs bit-identical to CLI runs.  ``flight`` (a
     :class:`~repro.obs.FlightRecorder`) rides into the engine and the
     force-layer fault injector so ``--flightrec`` captures fault and
-    recovery events from every layer.
+    recovery events from every layer.  ``ncrit``/``backend`` stand in
+    for the flags ``sweep`` does not have.
     """
     from repro.sim.recipes import build_force
-    plan = _fault_plan(args)
-    injector = None
-    if plan is not None:
-        from repro.faults import FaultInjector
-        injector = FaultInjector(plan, flight=flight)
-    engine = _pipeline_engine(args, plan, flight)
-    return build_force(theta=args.theta, ncrit=args.ncrit,
-                       backend=args.backend, engine=engine,
-                       tracer=tracer, metrics=registry,
-                       fault_injector=injector,
-                       max_retries=getattr(args, "max_retries", 2),
+    return build_force(theta=args.theta, ncrit=ncrit or args.ncrit,
+                       backend=backend or args.backend,
+                       workers=args.workers, faults=args.faults or None,
+                       flight=flight, tracer=tracer, metrics=registry,
+                       max_retries=args.max_retries,
                        cluster=_cluster_spec(args))
 
 
@@ -540,17 +504,12 @@ def cmd_run(args, out) -> int:
                   f"{rec.mean_list_length:.0f}, "
                   f"{rec.wall_seconds:.2f} s", file=out)
 
-    injector = None
-    plan = _fault_plan(args)
-    if plan is not None:
-        from repro.faults import FaultInjector
-        injector = FaultInjector(plan, flight=flight)
     try:
         sim.run(sched, callback=_progress,
                 checkpoint_path=args.checkpoint,
                 checkpoint_every=args.checkpoint_every,
                 resume_on_fault=args.resume_on_fault,
-                fault_injector=injector)
+                fault_injector=force.engine.fault_injector)
         if sim.fault_recoveries:
             print(f"  recovered from {sim.fault_recoveries} fault(s) "
                   "via checkpoint rollback", file=out)
@@ -612,7 +571,6 @@ def cmd_resume(args, out) -> int:
 
 
 def cmd_sweep(args, out) -> int:
-    from repro.core import TreeCode
     from repro.perf.report import format_table
     from repro.sim.models import plummer_model
 
@@ -620,26 +578,24 @@ def cmd_sweep(args, out) -> int:
     pos, _, mass = plummer_model(args.n, rng)
     tracer, registry = _make_obs(args)
     flight = _make_flight(args)
-    engine = _pipeline_engine(args, _fault_plan(args), flight)
+    # one solver -- one engine and its thread pool, one cluster context
+    # -- for every n_crit setting; n_g is its knob.  Counts do not
+    # depend on the arithmetic, so the host backend unless --hosts
+    tc, _ = _make_force(
+        args, tracer, registry, flight, ncrit=64,
+        backend="host" if _cluster_spec(args) is None else "grape")
     rows = []
     try:
-        # one engine (and its thread pool) is shared across every
-        # n_crit setting -- the pool outlives individual TreeCodes
         for ncrit in (64, 256, 1024, 4096):
-            tc = TreeCode(theta=args.theta, n_crit=ncrit, engine=engine,
-                          tracer=tracer, metrics=registry,
-                          cluster=_cluster_spec(args))
+            tc.n_crit = ncrit
             tc.accelerations(pos, mass, 0.01)
             s = tc.last_stats
             rows.append({"n_crit": ncrit,
                          "n_g": round(s.mean_group_size, 1),
                          "mean list": round(s.interactions_per_particle),
                          "interactions": s.total_interactions})
-            if tc.cluster is not None:
-                tc.cluster.close()
     finally:
-        if engine is not None:
-            engine.close()
+        tc.close()
     print(format_table(rows), file=out)
     _emit_obs(args, tracer, registry, out, flight=flight)
     return 0
@@ -806,7 +762,7 @@ def _submit_spec(args) -> dict:
         params[key] = value
     return {"schema": JOB_SCHEMA, "kind": args.kind, "params": params,
             "priority": args.priority, "tenant": args.tenant,
-            "engine": args.engine, "workers": args.workers,
+            "workers": args.workers,
             "checkpoint_every": args.checkpoint_every,
             "max_recoveries": args.max_recoveries,
             "faults": args.faults}

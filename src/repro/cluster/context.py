@@ -10,7 +10,8 @@ timing model splits the j-stream over that host's B boards, and one
 wired to physical boards ``[h*B, (h+1)*B)``
 (:attr:`ClusterContext.board_sets`), disjoint by arithmetic.
 
-One force evaluation (:meth:`ClusterContext.evaluate`):
+One force evaluation (:meth:`ClusterContext.evaluate`, called where a
+plain treecode calls its :class:`~repro.exec.PipelineEngine`):
 
 1. :func:`~repro.cluster.decompose.orb_partition` assigns every sink
    (Barnes group) to a host, weighted by group population;
@@ -25,19 +26,23 @@ One force evaluation (:meth:`ClusterContext.evaluate`):
    timeline.
 
 Because every host reads the same global tree and the same global
-lists, forces match the serial path: bit-identical at K=1 (same rows,
-same order, same datapath) and within summation-order tolerance for
-K>1.  The cluster's predicted wall-clock is the *slowest host's*
+lists, forces match the single-host sweep: bit-identical at K=1 (same
+rows, same order, same datapath) and within summation-order tolerance
+for K>1.  The cluster's predicted wall-clock is the *slowest host's*
 timeline (compute + DMA from its own timing model, plus its exchange
-term), so K=1 reproduces the single-host model exactly.
+term), so K=1 reproduces the single-host model (to rel 1e-12: one
+call per host sums the per-call seconds in another order than one per
+shard).
 """
 
 from __future__ import annotations
 
+import time
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ..exec.engine import EvalResult
 from ..grape.system import Grape5System, GrapeBackend
 from ..grape.timing import GrapeTimingModel, OPS_PER_INTERACTION
 from .decompose import orb_partition
@@ -161,29 +166,39 @@ class ClusterContext:
         self.last_exchange = None
 
     # -- evaluation ----------------------------------------------------
-    def evaluate(self, tree, lists, sink_center, sink_start, sink_count,
-                 eps, out_acc, out_pot) -> None:
-        """One decomposed force sweep over the global CSR lists.
+    def evaluate(self, backend, spec, *, tracer=None,
+                 metrics=None) -> EvalResult:
+        """One decomposed force sweep, in the engine's place and with
+        its signature (``backend`` is this context).
 
-        Writes every sink's force rows into ``out_acc``/``out_pot`` in
-        Morton order, charges each host's timing model for its share,
-        and accounts the LET exchange.  Each host evaluates its rows
-        through its backend's ``eval_lists``, the same call the serial
-        path makes, so K=1 is bit-identical to it.
+        The ORB partition and the LET accounting are defined on the
+        *global* CSR lists, so the whole sweep is traversed first; each
+        host then evaluates its rows through its backend's
+        ``eval_lists`` -- the call every shard of the plain path makes,
+        so K=1 is bit-identical to it -- charging its own timing model.
         """
         self._require_open()
-        spec = self.spec
-        weights = np.asarray(sink_count, dtype=np.float64)
-        owner = orb_partition(sink_center, weights, spec.hosts)
-        for h in range(spec.hosts):
+        hosts, tree = self.spec.hosts, spec.tree
+        t0 = time.perf_counter()
+        lists = spec.build_lists(0, spec.n_sinks)
+        t1 = time.perf_counter()
+        acc = np.empty((spec.n_particles, 3), dtype=np.float64)
+        pot = np.empty(spec.n_particles, dtype=np.float64)
+        weights = np.asarray(spec.sink_count, dtype=np.float64)
+        owner = orb_partition(spec.sink_center, weights, hosts)
+        for h in range(hosts):
             rows = np.flatnonzero(owner == h)
             if rows.size == 0:
                 continue
             self.backends[h].eval_lists(
                 tree.pos_sorted, tree.mass_sorted, tree.com, tree.mass,
-                take_rows(lists, rows), sink_start[rows],
-                sink_count[rows], eps, out_acc, out_pot)
-        self._account_exchange(tree, lists, owner, sink_start, sink_count)
+                take_rows(lists, rows), spec.sink_start[rows],
+                spec.sink_count[rows], spec.eps, acc, pot)
+        self._account_exchange(tree, lists, owner, spec.sink_start,
+                               spec.sink_count)
+        return EvalResult(acc=acc, pot=pot, lists=lists,
+                          traverse_seconds=t1 - t0,
+                          kernel_seconds=time.perf_counter() - t1)
 
     def _account_exchange(self, tree, lists, owner, sink_start,
                           sink_count) -> None:

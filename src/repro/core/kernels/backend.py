@@ -35,7 +35,7 @@ backends).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -161,12 +161,18 @@ class ForceBackend:
             out_acc[s:s + n], out_pot[s:s + n] = self.compute(
                 pos[s:s + n], xj, mj, eps)
 
-    # -- private instances for the pipeline engine ---------------------
-    def worker_factory(self) -> Optional[Tuple[Callable[..., "ForceBackend"],
-                                               tuple, dict]]:
-        """``(callable, args, kwargs)`` building an equivalent private
-        instance with zeroed counters, or ``None`` when the backend
-        cannot be replicated (the pipeline engine then refuses it).
+    # -- the sweep engine's seams --------------------------------------
+    def force_call(self, fn: Callable[[], object]):
+        """Run ``fn`` as one backend force call.  A device backend puts
+        its fault site and transient-retry budget around it; the engine
+        passes every sweep's submission through here exactly once."""
+        return fn()
+
+    def worker_factory(self) -> Optional[Callable[[], "ForceBackend"]]:
+        """A callable building an equivalent private instance *of the
+        caller's class* with zeroed counters, or ``None`` when the
+        backend cannot be replicated (the engine then evaluates its
+        shards one at a time on this instance).
 
         Configuration only, never live state (the GRAPE backend, for
         instance, passes its numerics and timing constants, not its
@@ -176,14 +182,11 @@ class ForceBackend:
         """
         return None
 
-    def snapshot_stats(self) -> Dict[str, float]:
-        """Cumulative performance counters as a plain dict (on a
-        private instance: the counters of the one shard it ran)."""
-        return {"interactions": float(self.interactions)}
-
-    def absorb_stats(self, delta: Dict[str, float]) -> None:
-        """Fold private instances' counters into this one, so run
-        totals are identical whichever engine evaluated the calls."""
+    def absorb_stats(self, private: "ForceBackend") -> None:
+        """Fold the counters of a private instance -- those of the one
+        shard it ran -- into this one (the engine calls this once per
+        shard, in shard order), so run totals do not depend on how the
+        sweep was cut."""
 
     def reset_stats(self) -> None:
         """Clear accumulated performance counters (optional)."""
@@ -230,10 +233,11 @@ class Float64Backend(ForceBackend):
         self._interactions += inter
 
     def worker_factory(self):
-        return (Float64Backend, (), {"tile": self.tile})
+        cls, tile = type(self), self.tile
+        return lambda: cls(tile=tile)
 
-    def absorb_stats(self, delta):
-        self._interactions += int(delta.get("interactions", 0))
+    def absorb_stats(self, private):
+        self._interactions += private.interactions
 
     def reset_stats(self):
         self._interactions = 0

@@ -31,6 +31,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..exec.plan import SweepSpec
 from ..obs.trace import as_tracer
 from .groups import GroupSet, make_groups
 from .kernels import (Float64Backend, ForceBackend,
@@ -44,6 +45,15 @@ from .traversal import InteractionLists, build_interaction_lists
 __all__ = ["TreeCode", "TreeStats"]
 
 logger = logging.getLogger(__name__)
+
+
+def _default_engine():
+    """The engine a treecode builds for itself: one pool thread per
+    core, none started before the first sweep.  (Imported here: the
+    engine module imports ``repro.core``.)"""
+    from ..exec.engine import PipelineEngine
+    return PipelineEngine()
+
 
 @dataclass
 class TreeStats:
@@ -110,21 +120,22 @@ class TreeCode:
         the backend -- exactly what a hybrid host/GRAPE quadrupole
         scheme would do).
     engine:
-        A :class:`repro.exec.PipelineEngine` driving the eval sweep.
-        ``None`` (the default) evaluates the sweep in-process.  The
-        engine hands shards of the list sweep to a thread pool and
-        overlaps traversal of later sink shards with evaluation of
-        earlier ones (the paper's host/GRAPE overlap).  Ignored (with
-        the in-process sweep used instead) in quadrupole mode -- the
-        host-side cell terms do not go through ``eval_lists``.
-        :meth:`close` closes it.
+        The :class:`repro.exec.PipelineEngine` that evaluates every
+        sweep: it hands shards of the sinks to a thread pool and
+        overlaps traversal of later shards with evaluation of earlier
+        ones (the paper's host/GRAPE overlap).  ``None`` (the default)
+        builds one owned by this treecode; pass one to share a pool
+        across solvers or to carry a fault plan / flight recorder.
+        :meth:`close` closes it (and replaces an owned one).
     tracer:
         A :class:`repro.obs.trace.Tracer`; every force evaluation then
         opens ``tree_build`` / ``group`` / ``traverse`` / ``eval``
-        spans (with ``grape_force``/``host_kernel`` and ``host_direct``
-        attribution children under ``eval``).  ``None`` installs the
-        shared no-op tracer -- the instrumented path then costs a few
-        dict lookups per *phase*, not per interaction.
+        spans (``traverse``, ``grape_force``/``host_kernel`` and
+        ``host_direct`` partition ``eval`` on the calling thread's
+        clock: list building, waiting on shard evaluation, the rest).
+        ``None`` installs the shared no-op tracer -- the instrumented
+        path then costs a few dict lookups per *phase*, not per
+        interaction.
     metrics:
         A :class:`repro.obs.metrics.MetricsRegistry`; per-call
         counters (``tree.force_evals``, ``tree.interactions_total``)
@@ -136,11 +147,12 @@ class TreeCode:
         context, opened here if it is not: the eval sweep is then
         decomposed across K emulated hosts x B boards, each evaluating
         its own sinks' rows of the shared global lists, and the
-        context is what the treecode holds as ``backend``.  Mutually
-        exclusive with ``backend``, ``engine`` and ``quadrupole`` (the
-        cluster owns its GRAPE backends and its own parallel
-        structure).  ``hosts=1, boards=2`` is bit-identical to the
-        plain GRAPE path.  :meth:`close` closes it.
+        context is what the treecode holds as ``backend`` and as
+        ``engine``.  Mutually exclusive with ``backend``, ``engine``
+        and ``quadrupole`` (the cluster owns its GRAPE backends and
+        its own parallel structure).  ``hosts=1, boards=2`` is
+        bit-identical to the plain GRAPE path.  :meth:`close` closes
+        it.
     """
 
     def __init__(self, *, theta: float = 0.75, n_crit: int = 2000,
@@ -178,25 +190,28 @@ class TreeCode:
         self.backend = backend if backend is not None else Float64Backend()
         self.mac = mac if mac is not None else BarnesHutMAC(theta=theta)
         self.quadrupole = bool(quadrupole)
-        self.engine = engine
+        self._owns_engine = engine is None and cluster is None
+        if self._owns_engine:
+            engine = _default_engine()
+        self.engine = engine if cluster is None else cluster
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
         self.last_stats: Optional[TreeStats] = None
         self.last_tree: Optional[Octree] = None
         self.last_groups: Optional[GroupSet] = None
         self.last_lists: Optional[InteractionLists] = None
-        self._kernel_seconds = 0.0
         self._last_domain: Optional[Tuple[float, float]] = None
 
     def close(self) -> None:
-        """Close what this treecode holds: the engine's thread pool and
-        the cluster context, whoever built them.  Both can be used
-        again afterwards (a context re-opens with its counters intact);
-        safe to call repeatedly."""
-        if self.engine is not None:
+        """Close what this treecode holds: the engine's thread pool or
+        the cluster context, whoever built them.  An owned engine is
+        replaced by a fresh one and a closed context re-opens with its
+        counters intact, so both can be used again afterwards; safe to
+        call repeatedly."""
+        if self.cluster is None or self.cluster.backends:
             self.engine.close()
-        if self.cluster is not None and self.cluster.backends:
-            self.cluster.close()
+        if self._owns_engine:
+            self.engine = _default_engine()
 
     # ------------------------------------------------------------------
     def build(self, pos: np.ndarray, mass: np.ndarray) -> Octree:
@@ -237,83 +252,48 @@ class TreeCode:
                 groups = make_groups(tree, self.n_crit)
             t_group = time.perf_counter() - t0
             sink_center, sink_radius = groups.center, groups.radius
+            sink_start, sink_count = groups.start, groups.count
         else:
             t_group = 0.0
             groups = None
             sink_center = tree.pos_sorted
             sink_radius = np.zeros(tree.n_particles, dtype=np.float64)
-
-        if algorithm == "modified":
-            sink_weights = groups.count
-        else:
-            sink_weights = np.ones(tree.n_particles, dtype=np.int64)
-        n_sinks = (groups.n_groups if groups is not None
-                   else tree.n_particles)
+            sink_start = np.arange(tree.n_particles, dtype=np.int64)
+            sink_count = np.ones(tree.n_particles, dtype=np.int64)
+        n_sinks = int(sink_start.shape[0])
         kernel_phase = ("grape_force" if "grape" in self.backend.name
                         else "host_kernel")
 
-        if self.engine is not None and not self.quadrupole:
-            # Engine path: traversal and evaluation are interleaved (the
-            # engine builds lists shard-by-shard and evaluates earlier
-            # shards meanwhile), so traverse time is accumulated inside
-            # and attributed afterwards.
-            spec = self._sweep_spec(tree, groups, sink_center, sink_radius,
-                                    eps)
-            t0 = time.perf_counter()
-            with tr.span("eval", algorithm=algorithm,
-                         engine=self.engine.name):
-                res = self.engine.evaluate(self.backend, spec, tracer=tr,
-                                           metrics=self.metrics)
-                acc_s, pot_s = res.acc, res.pot
-                pot_s += self_potential_correction(tree.mass_sorted, eps)
-                t_kernel = res.kernel_seconds
-                tr.record(kernel_phase, t_kernel, calls=int(n_sinks),
-                          backend=self.backend.name)
-            lists = res.lists
-            t_traverse = res.traverse_seconds
-            t_eval = max(0.0, time.perf_counter() - t0 - t_traverse)
-            tr.record("traverse", t_traverse,
-                      n_sinks=int(sink_center.shape[0]))
-            tr.record("host_direct", max(0.0, t_eval - t_kernel))
-        else:
-            t0 = time.perf_counter()
-            with tr.span("traverse", n_sinks=int(sink_center.shape[0])):
-                lists = build_interaction_lists(tree, sink_center,
-                                                sink_radius, self.mac)
-            t_traverse = time.perf_counter() - t0
+        def build_lists(a: int, b: int) -> InteractionLists:
+            # any contiguous sink range: the engine streams traversal
+            # of later shards against evaluation of earlier ones
+            return build_interaction_lists(tree, sink_center[a:b],
+                                           sink_radius[a:b], self.mac)
 
-            self._kernel_seconds = 0.0
-            with tr.span("eval", algorithm=algorithm):
-                # timed from inside the span, so the attribution
-                # children recorded below can never outlast it
-                t0 = time.perf_counter()
-                acc_s = np.empty((tree.n_particles, 3), dtype=np.float64)
-                pot_s = np.empty(tree.n_particles, dtype=np.float64)
-                if algorithm == "modified":
-                    sink_start, sink_count = groups.start, groups.count
-                else:
-                    sink_start = np.arange(tree.n_particles, dtype=np.int64)
-                    sink_count = np.ones(tree.n_particles, dtype=np.int64)
-                if self.cluster is not None:
-                    k0 = time.perf_counter()
-                    self.cluster.evaluate(tree, lists, sink_center,
-                                          sink_start, sink_count, eps,
-                                          acc_s, pot_s)
-                    self._kernel_seconds += time.perf_counter() - k0
-                else:
-                    self._eval_sweep(tree, lists, sink_start, sink_count,
-                                     eps, acc_s, pot_s)
-                # remove the Plummer self term picked up from the direct
-                # list
-                pot_s += self_potential_correction(tree.mass_sorted, eps)
-                t_eval = time.perf_counter() - t0
-                t_kernel = self._kernel_seconds
-                # attribute the eval sweep: backend kernel wall time vs
-                # the host-side remainder (list assembly, scatter,
-                # bookkeeping)
-                tr.record(kernel_phase, t_kernel, calls=int(n_sinks),
-                          backend=self.backend.name)
-                tr.record("host_direct", max(0.0, t_eval - t_kernel))
+        spec = SweepSpec(tree=tree, sink_center=sink_center,
+                         sink_start=sink_start, sink_count=sink_count,
+                         eps=float(eps), domain=self._last_domain,
+                         build_lists=build_lists,
+                         eval_sweep=self._eval_sweep)
+        with tr.span("eval", algorithm=algorithm):
+            # timed from inside the span, so the attribution children
+            # recorded below can never outlast it
+            t0 = time.perf_counter()
+            res = self.engine.evaluate(self.backend, spec, tracer=tr,
+                                       metrics=self.metrics)
+            acc_s, pot_s, lists = res.acc, res.pot, res.lists
+            # remove the Plummer self term picked up from the direct
+            # list
+            pot_s += self_potential_correction(tree.mass_sorted, eps)
+            # attribute the sweep on this thread's clock: building
+            # lists, waiting on their evaluation, and the host-side
+            # remainder (shard bookkeeping, list merge)
+            t_traverse, t_kernel = res.traverse_seconds, res.kernel_seconds
+            t_eval = time.perf_counter() - t0 - t_traverse
+            tr.record("traverse", t_traverse, n_sinks=n_sinks)
+            tr.record(kernel_phase, t_kernel, calls=n_sinks,
+                      backend=self.backend.name)
+            tr.record("host_direct", max(0.0, t_eval - t_kernel))
 
         acc = np.empty_like(acc_s)
         pot = np.empty_like(pot_s)
@@ -321,7 +301,7 @@ class TreeCode:
         pot[tree.order] = pot_s
 
         lengths = lists.list_lengths
-        total = int(np.sum(lengths * sink_weights))
+        total = int(np.sum(lengths * sink_count))
         if self.metrics is not None:
             m = self.metrics
             m.counter("tree.force_evals",
@@ -359,8 +339,7 @@ class TreeCode:
             n_particles=tree.n_particles,
             n_cells=tree.n_cells,
             depth=tree.depth,
-            n_groups=(groups.n_groups if groups is not None
-                      else tree.n_particles),
+            n_groups=n_sinks,
             mean_group_size=(groups.mean_size if groups is not None else 1.0),
             cell_terms=int(lists.cell_off[-1]),
             part_terms=int(lists.part_off[-1]),
@@ -376,38 +355,14 @@ class TreeCode:
         return acc, pot
 
     # ------------------------------------------------------------------
-    def _sweep_spec(self, tree: Octree, groups: Optional[GroupSet],
-                    sink_center: np.ndarray, sink_radius: np.ndarray,
-                    eps: float):
-        """Package this evaluation as a :class:`repro.exec.SweepSpec`.
-
-        The ``build_lists`` closure traverses an arbitrary contiguous
-        sink range, letting the engine stream traversal against
-        evaluation.
-        """
-        from ..exec.plan import SweepSpec
-        if groups is not None:
-            sink_start, sink_count = groups.start, groups.count
-        else:
-            sink_start = np.arange(tree.n_particles, dtype=np.int64)
-            sink_count = np.ones(tree.n_particles, dtype=np.int64)
-
-        def build_lists(a: int, b: int) -> InteractionLists:
-            return build_interaction_lists(tree, sink_center[a:b],
-                                           sink_radius[a:b], self.mac)
-
-        return SweepSpec(pos=tree.pos_sorted, pmass=tree.mass_sorted,
-                         com=tree.com, cmass=tree.mass,
-                         sink_start=sink_start, sink_count=sink_count,
-                         eps=float(eps), domain=self._last_domain,
-                         build_lists=build_lists)
-
-    # ------------------------------------------------------------------
-    def _eval_sweep(self, tree: Octree, lists: InteractionLists,
-                    sink_start: np.ndarray, sink_count: np.ndarray,
-                    eps: float, acc_s: np.ndarray, pot_s: np.ndarray
-                    ) -> None:
-        """Evaluate every sink's list into ``acc_s``/``pot_s``.
+    def _eval_sweep(self, backend: ForceBackend, tree: Octree,
+                    lists: InteractionLists, sink_start: np.ndarray,
+                    sink_count: np.ndarray, eps: float,
+                    acc_s: np.ndarray, pot_s: np.ndarray) -> None:
+        """Evaluate these sinks' lists on ``backend`` into their rows
+        of ``acc_s``/``pot_s``: the engine's per-shard hook, run on
+        several pool threads at once (each with a private backend), so
+        it writes nothing but those rows.
 
         Monopole mode ships the whole CSR block (cells + direct
         particles, one point-mass list per sink, as on the hardware)
@@ -426,11 +381,9 @@ class TreeCode:
                 cell_idx=np.empty(0, dtype=np.int64),
                 cell_off=np.zeros(lists.n_sinks + 1, dtype=np.int64),
                 part_idx=lists.part_idx, part_off=lists.part_off)
-        k0 = time.perf_counter()
-        self.backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
-                                tree.com, tree.mass, sent,
-                                sink_start, sink_count, eps, acc_s, pot_s)
-        self._kernel_seconds += time.perf_counter() - k0
+        backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
+                           tree.com, tree.mass, sent,
+                           sink_start, sink_count, eps, acc_s, pot_s)
         if not self.quadrupole:
             return
         for g in range(int(sink_start.shape[0])):

@@ -23,7 +23,6 @@ expressed as point-mass interactions).
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
@@ -53,7 +52,9 @@ class PeriodicTreeCode(TreeCode):
 
     The sweep is per group: the anchored nearest-image kernel goes
     through ``backend.eval_lists`` (one dense call per group, phrased
-    as a one-sink list) and the Ewald correction is added on the host.
+    as a one-sink list) and the Ewald correction is added on the host
+    -- both inside the engine's per-shard hook, so groups of different
+    shards are corrected on different pool threads.
     """
 
     def __init__(self, *, box: float, theta: float = 0.75,
@@ -67,9 +68,6 @@ class PeriodicTreeCode(TreeCode):
             raise ValueError("box must be positive")
         if mac is None:
             mac = BarnesHutMAC(theta=theta, box=box)
-        # note: no ``engine`` parameter -- the per-group Ewald correction
-        # is host-side work interleaved with the backend call, so the
-        # periodic sweep always runs in-process
         super().__init__(theta=theta, n_crit=n_crit,
                          leaf_size=leaf_size, backend=backend, mac=mac,
                          tracer=tracer, metrics=metrics)
@@ -92,9 +90,10 @@ class PeriodicTreeCode(TreeCode):
         return tree
 
     # ------------------------------------------------------------------
-    def _eval_sweep(self, tree: Octree, lists, sink_start: np.ndarray,
-                    sink_count: np.ndarray, eps: float,
-                    acc_s: np.ndarray, pot_s: np.ndarray) -> None:
+    def _eval_sweep(self, backend: ForceBackend, tree: Octree, lists,
+                    sink_start: np.ndarray, sink_count: np.ndarray,
+                    eps: float, acc_s: np.ndarray, pot_s: np.ndarray
+                    ) -> None:
         """Anchored-image kernel through the backend + exact correction.
 
         One shared j-list per group is what GRAPE needs, so every
@@ -130,11 +129,9 @@ class PeriodicTreeCode(TreeCode):
                 n_sinks=1, cell_idx=np.arange(n_j, dtype=np.int64),
                 cell_off=np.array([0, n_j], dtype=np.int64),
                 part_idx=no_parts, part_off=no_parts_off)
-            k0 = time.perf_counter()
-            self.backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
-                                    xj_near, mj, dense, sink_start[g:g + 1],
-                                    sink_count[g:g + 1], eps, acc_s, pot_s)
-            self._kernel_seconds += time.perf_counter() - k0
+            backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
+                               xj_near, mj, dense, sink_start[g:g + 1],
+                               sink_count[g:g + 1], eps, acc_s, pot_s)
             self._add_ewald(xi, xj_near, mj, eps, acc_s[s:s + n],
                             pot_s[s:s + n])
 

@@ -4,14 +4,14 @@ Public surface:
 
 * :class:`~repro.exec.engine.PipelineEngine` -- evaluates a
   :class:`~repro.exec.plan.SweepSpec` over any
-  :class:`~repro.core.kernels.ForceBackend` that offers a
-  ``worker_factory()``, sharded over a thread pool; selected with
-  ``TreeCode(engine=...)`` or ``--engine pipeline --workers N``;
+  :class:`~repro.core.kernels.ForceBackend`, sharded over a thread
+  pool.  Every :class:`~repro.core.treecode.TreeCode` sweep goes
+  through one: its own by default, a shared one with
+  ``TreeCode(engine=...)``; ``--workers N`` sizes a run's pool;
 * :class:`~repro.exec.engine.EngineError` -- its one typed failure.
 
-The default (``engine=None``, ``--engine serial``) is the treecode's
-in-process sweep and involves nothing in this package.  See
-``docs/parallel_engine.md`` for the contracts and the paper mapping.
+See ``docs/parallel_engine.md`` for the contracts and the paper
+mapping.
 """
 
 from .engine import EngineError, EvalResult, PipelineEngine

@@ -4,12 +4,14 @@ The paper's throughput rests on an overlap the stock treecode loop
 cannot express: the host walks the tree for the *next* Barnes group
 while the GRAPE integrates the current group's shared list.  GRAPE-5's
 32 pipelines do that behind one host process in one address space, and
-so does :class:`PipelineEngine`: the submitting thread traverses the
-sinks in contiguous *shards* (``spec.build_lists(a, b)``) and hands
-each, as soon as its lists exist, to a pool thread that makes one call
-to the one evaluation seam,
-:meth:`~repro.core.kernels.ForceBackend.eval_lists`, writing straight
-into the sweep's ``acc``/``pot``.
+so does :class:`PipelineEngine`, the only way a
+:class:`~repro.core.treecode.TreeCode` evaluates: the submitting thread
+traverses the sinks in contiguous *shards* (``spec.build_lists(a, b)``)
+and hands each, as soon as its lists exist, to a pool thread that runs
+the sweep's ``eval_sweep`` hook -- one call to the one evaluation seam,
+:meth:`~repro.core.kernels.ForceBackend.eval_lists`, plus whatever
+host-side terms the treecode variant adds -- writing straight into the
+sweep's ``acc``/``pot``.
 
 Threads are enough because the compiled list walk is loaded with
 ``ctypes.CDLL`` (the GIL is released for the whole call), its scratch
@@ -18,13 +20,14 @@ output rows.  Each shard still runs on a *private* backend (from the
 caller's ``worker_factory()``): without a compiler ``eval_lists`` is
 the reference loop, which stages every force call in the emulated
 board's j-memory -- and a fresh instance's counters are exactly that
-shard's delta.
+shard's delta.  A backend that has no factory runs its shards one at a
+time on the caller's instance, on the submitting thread.
 
 Pool threads return plain timestamps; only the submitting thread
 touches the fault injector, the tracer, the metrics registry and the
-caller's backend.  Contracts (bit-identity, engine-independent
-counters, one retry rung) are stated in ``docs/parallel_engine.md``
-and pinned by ``tests/exec`` and ``tests/chaos``.
+caller's backend.  Contracts (bit-identity, cut-independent counters,
+one retry rung) are stated in ``docs/parallel_engine.md`` and pinned by
+``tests/exec`` and ``tests/chaos``.
 """
 
 from __future__ import annotations
@@ -51,13 +54,21 @@ __all__ = ["EngineError", "EvalResult", "PipelineEngine",
 
 logger = logging.getLogger(__name__)
 
-#: shards one sweep is cut into (fewer when it has fewer sinks).  A
+#: shards one sweep is cut into at most (a small sweep into fewer).  A
 #: constant, not a function of ``workers`` or the core count: shard
 #: boundaries decide the order model seconds are summed in, and that
 #: sum must not depend on the machine.  16 keeps a handful of shards
 #: per thread in flight at any plausible worker count while the
 #: per-shard traversal overhead stays in the noise.
 SHARDS_PER_SWEEP = 16
+
+#: particles a shard carries at least.  Every shard pays one tree walk's
+#: fixed cost (a few NumPy calls per level, ~1 ms); below this size that
+#: outweighs anything a second thread could overlap, so a small sweep is
+#: cut into fewer shards and a tiny one not at all (it is evaluated on
+#: the submitting thread).  A function of the sweep alone, like the
+#: constant above.
+MIN_SHARD_PARTICLES = 512
 
 #: one-line help strings for the ``exec.fault.*`` counters
 _FAULT_HELP = {
@@ -78,9 +89,11 @@ class EvalResult:
     pot: np.ndarray
     #: merged interaction lists of every sink (feeds TreeStats)
     lists: InteractionLists
-    #: host seconds spent inside ``spec.build_lists`` calls
+    #: seconds the submitting thread spent inside ``spec.build_lists``
     traverse_seconds: float
-    #: summed ``eval_lists`` seconds over the pool threads
+    #: seconds the same thread then spent waiting on shard evaluation
+    #: (the un-overlapped device time: T_grape as the paper's host
+    #: sees it)
     kernel_seconds: float
 
 
@@ -99,9 +112,9 @@ class _Shard:
 def _eval_shard(backend: ForceBackend, spec: SweepSpec, shard_lists,
                 a: int, b: int, acc: np.ndarray, pot: np.ndarray,
                 fault: Optional[FaultSpec]):
-    """Pool-thread body: evaluate sinks ``[a, b)`` on the private
-    ``backend`` into their rows of ``acc``/``pot``.  Returns ``(thread
-    ident, t_dequeue, t_eval_start, t_done, backend counters)``.
+    """One shard's task: evaluate sinks ``[a, b)`` on ``backend`` into
+    their rows of ``acc``/``pot``.  Returns ``(thread ident, t_dequeue,
+    t_eval_start, t_done, backend)``.
     """
     t_dequeue = time.perf_counter()
     kind = fault.kind if fault is not None else None
@@ -110,14 +123,12 @@ def _eval_shard(backend: ForceBackend, spec: SweepSpec, shard_lists,
     if kind == "transient_error":
         raise TransientBackendError(
             f"injected transient error in sinks [{a}, {b})")
-    if spec.domain is not None:
-        backend.set_domain(*spec.domain)
+    backend.set_domain(*spec.domain)
     t_eval = time.perf_counter()
-    backend.eval_lists(spec.pos, spec.pmass, spec.com, spec.cmass,
-                       shard_lists, spec.sink_start[a:b],
-                       spec.sink_count[a:b], spec.eps, acc, pot)
-    return (threading.get_ident(), t_dequeue, t_eval,
-            time.perf_counter(), backend.snapshot_stats())
+    spec.eval_sweep(backend, spec.tree, shard_lists, spec.sink_start[a:b],
+                    spec.sink_count[a:b], spec.eps, acc, pot)
+    return (threading.get_ident(), t_dequeue, t_eval, time.perf_counter(),
+            backend)
 
 
 def _span(name: str, t_start: float, t_end: float, **attrs) -> Span:
@@ -152,8 +163,6 @@ class PipelineEngine:
         in its ring, flushed whenever a sweep saw faults or aborted.
     """
 
-    name = "pipeline"
-
     def __init__(self, workers: Optional[int] = None, *,
                  faults: Optional[object] = None,
                  max_retries: int = 2,
@@ -168,33 +177,30 @@ class PipelineEngine:
         self.max_retries = int(max_retries)
         self.flight = flight
         plan = as_fault_plan(faults)
-        self._injector = (FaultInjector(plan, flight=flight)
-                          if plan is not None else None)
+        #: the run's injector (``None`` without a plan): consulted here
+        #: per shard, and the one to hand the backend and
+        #: ``Simulation.run`` so every layer draws on the same counts
+        self.fault_injector = (FaultInjector(plan, flight=flight)
+                               if plan is not None else None)
         # threads start on first submit and are joined by close()
         self._pool = ThreadPoolExecutor(self.workers,
                                         thread_name_prefix="repro-exec")
         self._sweeps = 0
         self._closed = False
 
-    def _factory(self, backend: ForceBackend):
-        if self._closed:
-            raise EngineError("engine is closed")
-        factory = backend.worker_factory()
-        if factory is None:
-            raise EngineError(
-                f"backend {backend.name!r} has no worker_factory(), so "
-                "shards cannot get private instances; use the "
-                "in-process sweep (engine=None)")
-        return factory
-
     def prewarm(self, backend: ForceBackend) -> "PipelineEngine":
         """Check ahead of the first sweep that ``backend`` can ride
-        this engine: raises :class:`EngineError` for a closed engine or
-        a backend whose ``worker_factory()`` is ``None``, as
-        :meth:`evaluate` would.  There is nothing to start.  Returns
-        ``self`` for chaining.
+        the pool: raises :class:`EngineError` for a closed engine and
+        for a backend whose ``worker_factory()`` is ``None`` (its
+        shards would take turns on the submitting thread).  There is
+        nothing to start.  Returns ``self`` for chaining.
         """
-        self._factory(backend)
+        if self._closed:
+            raise EngineError("engine is closed")
+        if backend.worker_factory() is None:
+            raise EngineError(
+                f"backend {backend.name!r} has no worker_factory(), so "
+                "its shards cannot get private instances")
         return self
 
     def close(self) -> None:
@@ -213,8 +219,11 @@ class PipelineEngine:
                  tracer: Optional[object] = None,
                  metrics: Optional[object] = None) -> EvalResult:
         """Evaluate ``spec``; fold the shards' counters into
-        ``backend`` (once, summed in shard order)."""
-        make, args, kwargs = self._factory(backend)
+        ``backend`` (once per shard, in shard order, after the whole
+        sweep succeeded)."""
+        if self._closed:
+            raise EngineError("engine is closed")
+        factory = backend.worker_factory()
         tr = as_tracer(tracer)
         tracing = bool(getattr(tr, "enabled", False))
         fl = self.flight
@@ -224,14 +233,20 @@ class PipelineEngine:
 
         acc = np.empty((spec.n_particles, 3), dtype=np.float64)
         pot = np.empty(spec.n_particles, dtype=np.float64)
-        size = max(1, -(-spec.n_sinks // SHARDS_PER_SWEEP))
+        n_shards = max(1, min(SHARDS_PER_SWEEP, spec.n_sinks,
+                              spec.n_particles // MIN_SHARD_PARTICLES))
+        size = max(1, -(-spec.n_sinks // n_shards))
+        # a backend without private instances takes its shards one at a
+        # time on the caller's, and an uncut sweep has nothing to
+        # overlap a thread hand-off with: both run on this thread
+        pooled = factory is not None and n_shards > 1
         shards: List[_Shard] = []
         fault_counts: Dict[str, int] = {}
-        totals: Dict[str, float] = {}
+        privates: List[ForceBackend] = []
         worker_of: Dict[int, int] = {}
         busy: Dict[int, float] = {}
         batches: Dict[int, int] = {}
-        t_traverse = 0.0
+        t_traverse = t_blocked = 0.0
 
         def fault_event(kind: str, **attrs) -> None:
             fault_counts[kind] = fault_counts.get(kind, 0) + 1
@@ -245,14 +260,27 @@ class PipelineEngine:
                            attrs)
 
         def submit(k: int, a: int, b: int, lists, attempt: int):
-            fault = (self._injector.batch_fault(sweep=sweep, batch=k,
-                                                attempt=attempt)
-                     if self._injector is not None else None)
-            return time.perf_counter(), self._pool.submit(
-                _eval_shard, make(*args, **kwargs), spec, lists, a, b,
-                acc, pot, fault)
+            nonlocal t_blocked
+            fault = (self.fault_injector.batch_fault(
+                sweep=sweep, batch=k, attempt=attempt)
+                if self.fault_injector is not None else None)
+            private = backend if factory is None else factory()
+            t_submit = time.perf_counter()
+            if pooled:
+                return t_submit, self._pool.submit(
+                    _eval_shard, private, spec, lists, a, b, acc, pot,
+                    fault)
+            future: Future = Future()
+            try:
+                future.set_result(_eval_shard(private, spec, lists, a, b,
+                                              acc, pot, fault))
+            except Exception as e:
+                future.set_exception(e)
+            t_blocked += time.perf_counter() - t_submit
+            return t_submit, future
 
-        try:
+        def submit_sweep() -> None:
+            nonlocal t_traverse
             for k, a in enumerate(range(0, spec.n_sinks, size)):
                 b = min(a + size, spec.n_sinks)
                 t0 = time.perf_counter()
@@ -266,8 +294,21 @@ class PipelineEngine:
                 shards.append(_Shard(a, b, lists,
                                      *submit(k, a, b, lists, 0)))
 
+        def failure(sh: _Shard) -> Optional[BaseException]:
+            nonlocal t_blocked
+            t0 = time.perf_counter()
+            err = sh.future.exception()
+            t_blocked += time.perf_counter() - t0
+            return err
+
+        try:
+            # the sweep's submission is the backend's one force call:
+            # a device's fault site fires (and is retried) before any
+            # shard exists, so nothing is ever evaluated twice
+            backend.force_call(submit_sweep)
+
             for k, sh in enumerate(shards):
-                while (err := sh.future.exception()) is not None:
+                while (err := failure(sh)) is not None:
                     if not isinstance(err, TransientBackendError):
                         raise EngineError(
                             f"batch {k} failed: "
@@ -288,9 +329,8 @@ class PipelineEngine:
                                   attempt=sh.attempt)
                     sh.t_submit, sh.future = submit(
                         k, sh.a, sh.b, sh.lists, sh.attempt)
-                ident, t_dequeue, t_eval, t_done, delta = sh.future.result()
-                for key, v in delta.items():
-                    totals[key] = totals.get(key, 0.0) + v
+                ident, t_dequeue, t_eval, t_done, private = sh.future.result()
+                privates.append(private)
                 worker = worker_of.setdefault(ident, len(worker_of))
                 busy[worker] = busy.get(worker, 0.0) + t_done - t_eval
                 batches[worker] = batches.get(worker, 0) + 1
@@ -318,13 +358,17 @@ class PipelineEngine:
                 fl.flush()
             raise
 
-        backend.absorb_stats(totals)
+        if factory is not None:
+            for private in privates:
+                backend.absorb_stats(private)
         wall = time.perf_counter() - w0
         busy_total = sum(busy.values())
         overlap = busy_total / wall if wall > 0 else 0.0
-        for worker in sorted(busy):
-            tr.record("exec.worker", busy[worker], worker=worker,
-                      batches=batches[worker])
+        if tracing:
+            for worker in sorted(busy):
+                tr.attach(_span("exec.worker", w0 + wall - busy[worker],
+                                w0 + wall, worker=worker,
+                                batches=batches[worker]))
         if metrics is not None:
             m = metrics
             m.counter("exec.sweeps", "pipeline evaluation sweeps").inc()
@@ -332,7 +376,7 @@ class PipelineEngine:
                       ).inc(len(shards))
             m.counter("exec.sinks", "sinks evaluated").inc(spec.n_sinks)
             m.counter("exec.worker_busy_seconds",
-                      "summed pool-thread eval_lists seconds"
+                      "summed pool-thread shard evaluation seconds"
                       ).inc(busy_total)
             m.gauge("exec.workers", "pipeline worker threads"
                     ).set(self.workers)
@@ -348,4 +392,4 @@ class PipelineEngine:
         return EvalResult(
             acc=acc, pot=pot,
             lists=concatenate_lists([sh.lists for sh in shards]),
-            traverse_seconds=t_traverse, kernel_seconds=busy_total)
+            traverse_seconds=t_traverse, kernel_seconds=t_blocked)

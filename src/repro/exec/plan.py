@@ -2,22 +2,24 @@
 
 One *sweep* is the eval phase of one tree force evaluation: a set of
 sinks (Barnes groups, or single particles for the original algorithm),
-each owning an interaction list over the shared source arrays (cell
+each owning an interaction list over the tree's source arrays (cell
 monopoles + Morton-sorted particles).  :class:`SweepSpec` carries the
-arrays plus a ``build_lists(a, b)`` callback so an engine can *stream*
-the traversal: lists for sinks ``[a, b)`` are built on the host while
+tree plus two callbacks so an engine can *stream* the sweep:
+``build_lists(a, b)`` traverses sinks ``[a, b)`` on the host while
 earlier sinks are already being evaluated -- the software analogue of
 the paper's host/GRAPE overlap (host walks the tree for group *k+1*
-while the GRAPE integrates the shared list of group *k*).
+while the GRAPE integrates the shared list of group *k*) -- and
+``eval_sweep`` evaluates one such range on the backend it is handed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
+from ..core.octree import Octree
 from ..core.traversal import InteractionLists
 
 __all__ = ["SweepSpec"]
@@ -32,23 +34,26 @@ class SweepSpec:
     original order).
     """
 
-    #: (N, 3) sorted particle positions / (N,) masses (G-scaled)
-    pos: np.ndarray
-    pmass: np.ndarray
-    #: (C, 3) cell centers of mass / (C,) cell masses
-    com: np.ndarray
-    cmass: np.ndarray
+    #: the octree with its moments: sources are ``tree.com``/``mass``
+    #: (cells) and ``tree.pos_sorted``/``mass_sorted`` (particles)
+    tree: Octree
+    #: (S, 3) sink centers (what a cluster decomposes the sinks by)
+    sink_center: np.ndarray
     #: (S,)/(S,) slice of each sink into the sorted particle arrays
     sink_start: np.ndarray
     sink_count: np.ndarray
     #: Plummer softening of this sweep
     eps: float
-    #: coordinate window to announce to device backends (lo, hi); None
-    #: when the driver has not announced one
-    domain: Optional[Tuple[float, float]]
+    #: coordinate window to announce to device backends (lo, hi)
+    domain: Tuple[float, float]
     #: lists for the sink range [a, b) -- engines may call this in
     #: shards, interleaved with evaluation
     build_lists: Callable[[int, int], InteractionLists]
+    #: ``eval_sweep(backend, tree, lists, sink_start, sink_count, eps,
+    #: acc, pot)``: evaluate those sinks' lists on ``backend`` into
+    #: their rows of ``acc``/``pot`` -- called once per shard, possibly
+    #: from several threads at once, each with its own backend
+    eval_sweep: Callable[..., None]
 
     @property
     def n_sinks(self) -> int:
@@ -56,4 +61,4 @@ class SweepSpec:
 
     @property
     def n_particles(self) -> int:
-        return int(self.pos.shape[0])
+        return self.tree.n_particles

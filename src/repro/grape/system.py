@@ -227,22 +227,20 @@ class Grape5System:
             n_j = np.concatenate([n_j[~over], np.asarray(extra_j)])
 
         t = self.timing.force_call_time_batch(n_i, n_j)
-        if self.record_calls:
-            self.call_log.extend(
-                (int(a), int(b)) for a, b in zip(n_i, n_j))
-        self._record(int(n_i.size), int(np.sum(n_i * n_j)),
-                     float(np.sum(t)), n_i, n_j)
+        self._record(int(np.sum(n_i * n_j)), float(np.sum(t)), n_i, n_j)
 
-    def _record(self, calls: int, inter: int, seconds: float,
-                n_i=None, n_j=None) -> None:
-        """Add priced force calls to the counters and, when a registry
-        is bound, to the ``grape.*`` metrics -- the only place either
-        is written.  ``n_i``/``n_j`` are the per-call shapes for the
-        histograms; counters folded back from an engine's private
-        backends arrive without them."""
+    def _record(self, inter: int, seconds: float, n_i, n_j) -> None:
+        """Add priced force calls of shapes ``n_i`` x ``n_j`` to the
+        counters, the call log and, when a registry is bound, the
+        ``grape.*`` metrics -- the only place any of them is written,
+        whether the calls were priced here or on an engine's private
+        backend."""
+        calls = len(n_i)
         self.n_calls += calls
         self.interactions += inter
         self.model_seconds += seconds
+        if self.record_calls:
+            self.call_log.extend(zip(n_i.tolist(), n_j.tolist()))
         m = self.metrics
         if m is None or not calls:
             return
@@ -252,13 +250,11 @@ class Grape5System:
                   "pairwise interactions on the pipelines").inc(inter)
         m.counter("grape.model_seconds",
                   "modelled GRAPE-5 wall seconds").inc(seconds)
-        if n_i is not None:
-            m.histogram("grape.call_ni",
-                        "i-particles (sinks) per force call"
-                        ).observe_many(n_i)
-            m.histogram("grape.call_nj",
-                        "j-particles (list length) per force call"
-                        ).observe_many(n_j)
+        m.histogram("grape.call_ni", "i-particles (sinks) per force call"
+                    ).observe_many(n_i)
+        m.histogram("grape.call_nj",
+                    "j-particles (list length) per force call"
+                    ).observe_many(n_j)
 
     # ------------------------------------------------------------------
     @property
@@ -293,9 +289,10 @@ class GrapeBackend(ForceBackend):
 
     name = "grape5"
 
-    def _call(self, fn):
+    def force_call(self, fn):
         """One backend force call: ``fn`` under the ``grape.compute``
-        fault site and the transient-retry budget."""
+        fault site and the transient-retry budget.  The site precedes
+        ``fn``, so a retried call is never charged twice."""
         return retry_transient(self, "grape.compute", fn, self._count_retry)
 
     def _count_retry(self) -> None:
@@ -306,7 +303,8 @@ class GrapeBackend(ForceBackend):
                       "backend error").inc()
 
     def compute(self, xi, xj, mj, eps):
-        return self._call(lambda: self.system.compute(xi, xj, mj, eps))
+        return self.force_call(
+            lambda: self.system.compute(xi, xj, mj, eps))
 
     def eval_lists(self, pos, pmass, com, cmass, lists, sink_start,
                    sink_count, eps, out_acc, out_pot):
@@ -325,7 +323,7 @@ class GrapeBackend(ForceBackend):
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
             return
-        done = self._call(lambda: _batch.g5_eval_lists(
+        done = self.force_call(lambda: _batch.g5_eval_lists(
             pos, pmass, com, cmass, lists, sink_start, sink_count,
             eps, out_acc, out_pot, numerics=self.system.numerics,
             fixed=self.system.pipeline.coord_format))
@@ -337,25 +335,24 @@ class GrapeBackend(ForceBackend):
                                  lists.list_lengths)
 
     def worker_factory(self):
-        """Configuration-only spec: a fresh system from the numerics,
-        the timing constants and the j-memory size (no state is
-        shared); private systems reproduce the deterministic
-        reduced-precision datapath, and price it, exactly."""
-        s = self.system
-        return (_fresh_grape_backend,
-                (s.numerics, s.timing, s.jmem_capacity), {})
+        """Configuration-only spec: the caller's class around a fresh
+        system from the numerics, the timing constants and the j-memory
+        size (no state is shared); private systems reproduce the
+        deterministic reduced-precision datapath, and price it,
+        exactly -- and log every priced call's shape for
+        :meth:`absorb_stats`."""
+        cls, s = type(self), self.system
+        config = dict(numerics=s.numerics, timing=s.timing,
+                      jmem_capacity=s.jmem_capacity, record_calls=True)
+        return lambda: cls(system=Grape5System(**config))
 
-    def snapshot_stats(self):
-        return {"interactions": float(self.system.interactions),
-                "n_calls": float(self.system.n_calls),
-                "model_seconds": float(self.system.model_seconds)}
-
-    def absorb_stats(self, delta):
-        """Fold private instances' counters back in, keeping run totals
-        (and the ``grape.*`` metrics, when bound) engine-independent."""
-        self.system._record(int(delta.get("n_calls", 0)),
-                            int(delta.get("interactions", 0)),
-                            float(delta.get("model_seconds", 0.0)))
+    def absorb_stats(self, private):
+        """Fold a private instance's priced calls back in, keeping run
+        totals, the call log and the ``grape.*`` metrics (when bound)
+        what a single instance would have recorded."""
+        p = private.system
+        n_i, n_j = np.array(p.call_log, dtype=np.int64).reshape(-1, 2).T
+        self.system._record(p.interactions, p.model_seconds, n_i, n_j)
 
     def bind_metrics(self, registry) -> "GrapeBackend":
         """Route per-force-call counters into ``registry``
@@ -379,10 +376,3 @@ class GrapeBackend(ForceBackend):
     def model_seconds(self) -> float:
         """Modelled GRAPE wall-clock seconds since the last reset."""
         return self.system.model_seconds
-
-
-def _fresh_grape_backend(numerics, timing, jmem_capacity) -> "GrapeBackend":
-    """Private-instance constructor (see
-    :meth:`GrapeBackend.worker_factory`)."""
-    return GrapeBackend(system=Grape5System(
-        numerics=numerics, timing=timing, jmem_capacity=jmem_capacity))

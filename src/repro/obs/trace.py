@@ -39,7 +39,7 @@ class Span:
     """
 
     __slots__ = ("name", "attrs", "children", "t_start", "t_end",
-                 "span_id", "_tracer")
+                 "span_id", "stitched", "_tracer")
 
     def __init__(self, name: str, tracer: Optional["Tracer"] = None,
                  attrs: Optional[Dict[str, Any]] = None,
@@ -52,6 +52,9 @@ class Span:
         #: persistent 64-bit hex identity, assigned by the owning
         #: tracer (empty on spans never attached to a real tracer)
         self.span_id = span_id
+        #: timed on another thread and adopted by :meth:`Tracer.attach`
+        #: (it ran *beside* its parent's own work, not inside it)
+        self.stitched = False
         self._tracer = tracer
 
     # -- lifecycle -----------------------------------------------------
@@ -79,9 +82,14 @@ class Span:
 
     @property
     def self_seconds(self) -> float:
-        """Duration minus the time covered by child spans."""
-        return max(0.0, self.duration
-                   - sum(c.duration for c in self.children))
+        """Duration minus the time covered by child spans.  A stitched
+        span overlapped the tracing thread's own work: it has no self
+        time and takes none from its parent, so self times partition
+        the traced wall at any thread count."""
+        if self.stitched:
+            return 0.0
+        return max(0.0, self.duration - sum(
+            c.duration for c in self.children if not c.stitched))
 
     def set(self, **attrs: Any) -> "Span":
         """Attach key/value attributes; returns the span for chaining."""
@@ -175,6 +183,7 @@ class Tracer:
         subtree that lacks one.
         """
         for sp in span.walk():
+            sp.stitched = True
             if not sp.span_id:
                 sp.span_id = new_span_id()
         self._attach(span)

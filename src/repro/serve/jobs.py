@@ -118,7 +118,7 @@ class JobSpec:
     priority: int = 0
     #: fair-share accounting key
     tenant: str = "default"
-    engine: str = "serial"
+    #: pool threads of the job's force engine (``None``: all cores)
     workers: Optional[int] = None
     #: run-level checkpoint recoveries (``Simulation.run``)
     max_recoveries: int = 3
@@ -135,8 +135,6 @@ class JobSpec:
         if self.kind not in JOB_KINDS:
             raise JobError(f"unknown job kind {self.kind!r} "
                            f"(choose from {', '.join(JOB_KINDS)})")
-        if self.engine not in ("serial", "pipeline"):
-            raise JobError(f"unknown engine {self.engine!r}")
         if self.max_recoveries < 0 or self.max_retries < 0:
             raise JobError("retry/recovery budgets must be >= 0")
         if self.checkpoint_every < 0:
@@ -166,7 +164,7 @@ class JobSpec:
         return {
             "kind": self.kind, "params": dict(self.params),
             "priority": self.priority, "tenant": self.tenant,
-            "engine": self.engine, "workers": self.workers,
+            "workers": self.workers,
             "max_recoveries": self.max_recoveries,
             "checkpoint_every": self.checkpoint_every,
             "faults": self.faults, "max_retries": self.max_retries,

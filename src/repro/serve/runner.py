@@ -6,11 +6,13 @@ the simulation stack.  It executes on the scheduler's worker thread,
 ``lease.system``, the leased slot's
 :class:`~repro.grape.system.Grape5System` (via
 :func:`repro.sim.recipes.build_force`'s ``system=`` hook), so two
-concurrent jobs never compute on one device.  A
-``"engine": "pipeline"`` job builds its own
-:class:`~repro.exec.PipelineEngine` -- threads in this process, no
-``fork()`` from a server that is running scheduler, heartbeat and HTTP
-threads -- and closes it when the simulation ends.
+concurrent jobs never compute on one device.  The recipe also gives
+every job its own :class:`~repro.exec.PipelineEngine` (``workers``
+threads in this process -- no ``fork()`` from a server that is running
+scheduler, heartbeat and HTTP threads), so an injected fault plan stays
+scoped to the job and every retry decision lands in the job's black
+box; the threads start with the first sweep and are joined when the
+solver is closed.
 
 Bit-identity
 ------------
@@ -66,7 +68,6 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
     """Kind ``run``: the scaled paper experiment, shared recipe with
     ``repro run``, checkpoint-backed restart/recovery."""
     from ..cosmo import SCDM
-    from ..faults import FaultInjector, parse_fault_plan
     from ..sim import Simulation
     from ..sim.checkpoint import (CheckpointCorrupt, last_good_entries,
                                   load_latest, save_checkpoint)
@@ -75,25 +76,13 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
                                run_schedule, state_digest)
 
     spec, p = job.spec, job.spec.params
-    plan = parse_fault_plan(spec.faults) if spec.faults else None
-    injector = (FaultInjector(plan, flight=job.flight)
-                if plan is not None else None)
-    engine = None
-    if spec.engine == "pipeline":
-        # built per job (a thread pool starts in microseconds), so an
-        # injected fault plan stays scoped to it and every retry
-        # decision lands in the job's black box; its threads start
-        # with the first sweep and sim.close() below joins them
-        from ..exec import PipelineEngine
-        engine = PipelineEngine(workers=spec.workers, faults=plan,
-                                max_retries=spec.max_retries,
-                                flight=job.flight)
     force, gb = build_force(
         theta=p["theta"], ncrit=p["ncrit"], backend=p["backend"],
         system=(lease.system if p["backend"] == "grape"
                 else None),
-        engine=engine, tracer=tracer, metrics=metrics,
-        fault_injector=injector, max_retries=spec.max_retries)
+        workers=spec.workers, faults=spec.faults or None,
+        flight=job.flight,
+        tracer=tracer, metrics=metrics, max_retries=spec.max_retries)
 
     ckpt = (Path(job.workdir) / "checkpoint.npz" if job.workdir
             else None)
@@ -144,7 +133,7 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
                     resume_on_fault=ckpt is not None
                     and spec.checkpoint_every > 0,
                     max_recoveries=spec.max_recoveries,
-                    fault_injector=injector)
+                    fault_injector=force.engine.fault_injector)
         job.recoveries += sim.fault_recoveries
     finally:
         sim.close()
@@ -178,20 +167,24 @@ def _run_sweep(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
     rng = np.random.default_rng(p["seed"])
     pos, _, mass = plummer_model(p["n"], rng)
     rows = []
-    for ncrit in (64, 256, 1024, 4096):
-        _poll_flags(job, None, None)
-        tc, _ = build_force(theta=p["theta"], ncrit=ncrit,
-                            system=lease.system,
-                            tracer=tracer, metrics=metrics,
-                            max_retries=spec.max_retries)
-        tc.accelerations(pos, mass, _EPS_SYNTH)
-        s = tc.last_stats
-        rows.append({"n_crit": ncrit,
-                     "n_g": round(s.mean_group_size, 1),
-                     "mean_list": round(s.interactions_per_particle),
-                     "interactions": int(s.total_interactions)})
-        job.steps_done += 1
-        job.add_event("sweep_point", n_crit=ncrit)
+    # one solver (one engine) for the whole sweep; n_g is its knob
+    tc, _ = build_force(theta=p["theta"], ncrit=64, system=lease.system,
+                        workers=spec.workers, tracer=tracer,
+                        metrics=metrics, max_retries=spec.max_retries)
+    try:
+        for ncrit in (64, 256, 1024, 4096):
+            _poll_flags(job, None, None)
+            tc.n_crit = ncrit
+            tc.accelerations(pos, mass, _EPS_SYNTH)
+            s = tc.last_stats
+            rows.append({"n_crit": ncrit,
+                         "n_g": round(s.mean_group_size, 1),
+                         "mean_list": round(s.interactions_per_particle),
+                         "interactions": int(s.total_interactions)})
+            job.steps_done += 1
+            job.add_event("sweep_point", n_crit=ncrit)
+    finally:
+        tc.close()
     return {"rows": rows, "n": p["n"]}
 
 
@@ -207,10 +200,13 @@ def _run_force_eval(job: Job, lease, *, tracer,
     rng = np.random.default_rng(p["seed"])
     pos, _, mass = plummer_model(p["n"], rng)
     tc, _ = build_force(theta=p["theta"], ncrit=p["ncrit"],
-                        system=lease.system,
+                        system=lease.system, workers=spec.workers,
                         tracer=tracer, metrics=metrics,
                         max_retries=spec.max_retries)
-    acc, pot = tc.accelerations(pos, mass, p["eps"])
+    try:
+        acc, pot = tc.accelerations(pos, mass, p["eps"])
+    finally:
+        tc.close()
     s = tc.last_stats
     job.steps_done = job.steps_total = 1
     h = hashlib.sha256()

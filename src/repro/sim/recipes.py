@@ -42,9 +42,11 @@ def carve_run_region(*, ngrid: int, seed: int, z_init: float,
 def build_force(*, theta: float, ncrit: int, backend: str = "grape",
                 system: Optional[object] = None,
                 engine: Optional[object] = None,
+                workers: Optional[int] = None,
+                faults: Optional[object] = None,
+                flight: Optional[object] = None,
                 tracer: Optional[object] = None,
                 metrics: Optional[object] = None,
-                fault_injector: Optional[object] = None,
                 max_retries: int = 2,
                 cluster: Optional[object] = None
                 ) -> Tuple[object, Optional[object]]:
@@ -59,15 +61,26 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
     default system is the same paper configuration), which keeps
     leased runs bit-identical to interactive ones.
 
+    This is the one place a run's :class:`~repro.exec.PipelineEngine`
+    is built (unless one is passed, the way to share a pool across
+    solvers): ``workers`` pool threads (all cores when ``None``), the
+    ``faults`` plan in any form :func:`repro.faults.as_fault_plan`
+    takes, ``max_retries`` shard re-runs / force-call re-issues, and
+    the ``flight`` recorder.  Its ``fault_injector`` is the run's: the
+    GRAPE backend consults it too, and the caller hands it to
+    ``Simulation.run``.  The treecode closes the engine it holds.
+
     ``cluster`` (a :class:`~repro.cluster.ClusterSpec` or a
     :class:`~repro.cluster.ClusterContext`) swaps the single emulated
     GRAPE for the decomposed K-hosts-x-B-boards path; the returned
     second element is then the opened context, which the treecode holds
     as its backend and closes with itself.  Requires the GRAPE backend
-    (the cluster *is* a set of GRAPEs) and no engine (it is its own
-    parallel structure).
+    (the cluster *is* a set of GRAPEs) and neither ``engine`` nor
+    ``workers`` (it is its own parallel structure).
     """
     from ..core import TreeCode
+    from ..exec import PipelineEngine
+    from ..faults import FaultInjector, as_fault_plan
     from ..grape import GrapeBackend
     if backend not in ("grape", "host"):
         raise ValueError(f"unknown backend {backend!r} "
@@ -77,19 +90,24 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
         if backend != "grape":
             raise ValueError("cluster mode requires backend='grape' "
                              "(the cluster is a set of emulated GRAPEs)")
-        if engine is not None:
-            raise ValueError("cluster mode and --engine are mutually "
-                             "exclusive")
+        if engine is not None or workers is not None:
+            raise ValueError("cluster mode and an engine (--workers) "
+                             "are mutually exclusive")
         if system is not None:
             raise ValueError("cluster mode builds its own per-host "
                              "systems; system= cannot be adopted")
         if isinstance(cluster, ClusterSpec):
-            cluster = ClusterContext(cluster, metrics=metrics,
-                                     fault_injector=fault_injector,
-                                     max_retries=int(max_retries))
+            plan = as_fault_plan(faults)
+            cluster = ClusterContext(
+                cluster, metrics=metrics, max_retries=int(max_retries),
+                fault_injector=(FaultInjector(plan, flight=flight)
+                                if plan is not None else None))
         tc = TreeCode(theta=float(theta), n_crit=int(ncrit),
                       cluster=cluster, tracer=tracer, metrics=metrics)
         return tc, tc.backend
+    if engine is None:
+        engine = PipelineEngine(workers=workers, faults=faults,
+                                max_retries=int(max_retries), flight=flight)
     gb = None
     if backend == "grape":
         gb = (GrapeBackend(system=system) if system is not None
@@ -97,7 +115,7 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
         if metrics is not None:
             gb.bind_metrics(metrics)
         gb.max_retries = int(max_retries)
-        gb.fault_injector = fault_injector
+        gb.fault_injector = engine.fault_injector
     tc = TreeCode(theta=float(theta), n_crit=int(ncrit), backend=gb,
                   engine=engine, tracer=tracer, metrics=metrics)
     return tc, gb

@@ -157,7 +157,7 @@ class Simulation:
     def close(self) -> None:
         """Close the force solver (its engine's thread pool, its
         cluster context), if it has a ``close``.  Safe to call
-        repeatedly; serial runs no-op."""
+        repeatedly."""
         closer = getattr(self.force, "close", None)
         if callable(closer):
             closer()

@@ -46,8 +46,12 @@ def eval_path(request, monkeypatch):
 
 @BOTH_PATHS
 def test_k1_b2_bit_identical(plummerish, eval_path):
-    """hosts=1, boards=2 reproduces today's path bit for bit, and its
-    timing model reproduces the single-host predicted seconds exactly."""
+    """hosts=1, boards=2 reproduces the plain path bit for bit, and its
+    timing model the single-host predicted seconds.  The one host makes
+    one call over the global lists where the plain path makes one per
+    shard, so the seconds are summed in a different order: the same
+    rel 1e-12 every route-to-route comparison of ``model_seconds`` is
+    held to (docs/parallel_engine.md)."""
     pos, mass = plummerish
     tc0, acc0, pot0 = _serial(pos, mass)
     tc1 = TreeCode(theta=THETA, n_crit=NCRIT,
@@ -55,11 +59,13 @@ def test_k1_b2_bit_identical(plummerish, eval_path):
     acc1, pot1 = tc1.accelerations(pos, mass, EPS)
     np.testing.assert_array_equal(acc1, acc0)
     np.testing.assert_array_equal(pot1, pot0)
-    assert tc1.cluster.model_seconds == tc0.backend.model_seconds
+    assert tc1.cluster.model_seconds == pytest.approx(
+        tc0.backend.model_seconds, rel=1e-12, abs=0)
     assert tc1.cluster.interactions == tc0.backend.interactions
     assert tc1.backend is tc1.cluster
     s = tc1.cluster.summary()
-    assert s["predicted_seconds"] == tc0.backend.model_seconds
+    assert s["predicted_seconds"] == pytest.approx(
+        tc0.backend.model_seconds, rel=1e-12, abs=0)
     assert s["let_exchange_bytes"] == 0.0
     assert s["let_import_cells"] == 0
     assert s["let_import_particles"] == 0
@@ -178,6 +184,9 @@ def test_build_force_cluster_rejects_conflicts():
                     cluster=ClusterSpec(hosts=2))
     with pytest.raises(ValueError):
         build_force(theta=THETA, ncrit=NCRIT, engine=object(),
+                    cluster=ClusterSpec(hosts=2))
+    with pytest.raises(ValueError):
+        build_force(theta=THETA, ncrit=NCRIT, workers=2,
                     cluster=ClusterSpec(hosts=2))
     with pytest.raises(ValueError):
         build_force(theta=THETA, ncrit=NCRIT, system=object(),

@@ -56,7 +56,7 @@ class TestCallOrder:
         with pytest.raises(ClusterError, match="open"):
             ctx.close()
         with pytest.raises(ClusterError, match="open"):
-            ctx.evaluate(None, None, None, None, None, 0.0, None, None)
+            ctx.evaluate(ctx, None)
         with pytest.raises(ClusterError, match="open"):
             ctx.reset_stats()
         with pytest.raises(ClusterError, match="open"):
@@ -128,7 +128,7 @@ def test_evaluate_after_close_fails():
     c = ClusterContext(ClusterSpec(hosts=1)).open()
     c.close()
     with pytest.raises(ClusterError, match="open"):
-        c.evaluate(None, None, None, None, None, 0.0, None, None)
+        c.evaluate(c, None)
 
 
 def test_stats_survive_close():

@@ -10,6 +10,36 @@ import pytest
 from repro.sim.models import plummer_model, uniform_sphere
 
 
+def uncut_sweep(tc, backend, eps, hook=None):
+    """The reference for "the shard cut is invisible": ``tc``'s whole
+    ``last_lists`` through ONE ``backend.eval_lists`` call (or, for a
+    treecode variant, one call of its per-shard ``hook`` over every
+    sink), finished like ``accelerations`` finishes a sweep.  Returns
+    ``(acc, pot)`` in input order.  ``src/`` keeps no second
+    evaluation body, so the tests that pin the contract make the
+    uncut call themselves."""
+    from repro.core.kernels import self_potential_correction
+    tree, groups = tc.last_tree, tc.last_groups
+    if groups is not None:
+        start, count = groups.start, groups.count
+    else:
+        start = np.arange(tree.n_particles, dtype=np.int64)
+        count = np.ones(tree.n_particles, dtype=np.int64)
+    backend.set_domain(*tc._last_domain)
+    acc_s = np.empty((tree.n_particles, 3))
+    pot_s = np.empty(tree.n_particles)
+    if hook is None:
+        backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
+                           tree.mass, tc.last_lists, start, count, eps,
+                           acc_s, pot_s)
+    else:
+        hook(backend, tree, tc.last_lists, start, count, eps, acc_s, pot_s)
+    pot_s += self_potential_correction(tree.mass_sorted, eps)
+    acc, pot = np.empty_like(acc_s), np.empty_like(pot_s)
+    acc[tree.order], pot[tree.order] = acc_s, pot_s
+    return acc, pot
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260705)

@@ -14,7 +14,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 
 #: measured ``src/repro`` total after PR 19
-CEILING = 16071
+CEILING = 16056
 
 
 def test_source_line_count_is_under_the_ceiling():

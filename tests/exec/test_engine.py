@@ -1,19 +1,26 @@
-"""Engine equivalence: pipeline results must match the in-process sweep.
+"""The sweep contract: the shard cut is invisible.
 
-The contract under test: for any worker count the pipeline engine is
-*bit-identical* to ``engine=None`` on both bundled backends (every
-sink's arithmetic is independent of which ``eval_lists`` call evaluates
-it, and every sink owns a disjoint output slice), the backend's
-counters are engine-independent, and ``model_seconds`` is the same
-number at every worker count (shard boundaries do not depend on
-``workers``) -- with the native kernel and with the reference loop.
+Every ``TreeCode`` evaluates through the pipeline engine, so there is
+no second path in ``src/`` to compare against.  The reference is the
+seam itself: ONE ``eval_lists`` call over the finished sweep's
+``last_lists`` on a fresh backend of the same class, made here.  For
+any worker count the sweep must be *bit-identical* to that call on both
+bundled backends (every sink's arithmetic is independent of which
+``eval_lists`` call evaluates it, and every sink owns a disjoint output
+slice), the backend's counters must not notice the cut, and
+``model_seconds`` must be the same number at every worker count (shard
+boundaries do not depend on ``workers``) -- with the native kernel and
+with the reference loop, and for the variants that add host-side terms
+per shard (quadrupole cells, the periodic Ewald bracket).
 """
 
+import gc
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +28,16 @@ import pytest
 
 from repro.core import TreeCode
 from repro.core.kernels import Float64Backend, ForceBackend, cnative
+from repro.cosmo.periodic_tree import PeriodicTreeCode
 from repro.exec import EngineError, PipelineEngine
 from repro.grape import GrapeBackend
 from repro.obs import MetricsRegistry
 from repro.sim.models import plummer_model
+from tests.conftest import uncut_sweep
 
 WORKERS = (1, 2, 4)
 BACKENDS = {"host": Float64Backend, "grape": GrapeBackend}
+EPS = 0.01
 
 
 @pytest.fixture(scope="module")
@@ -42,32 +52,64 @@ def _forces(pos, mass, *, backend=None, engine=None, n_crit=64,
     tc = TreeCode(theta=0.75, n_crit=n_crit, backend=backend,
                   engine=engine, metrics=metrics)
     try:
-        acc, pot = tc.accelerations(pos, mass, 0.01)
+        acc, pot = tc.accelerations(pos, mass, EPS)
         return acc, pot, tc.last_stats
     finally:
         tc.close()
 
 
-def _assert_engine_contract(pos, mass, make_backend, workers=WORKERS):
-    """acc/pot/counters at each worker count against ``engine=None``."""
-    ref = make_backend()
-    a0, p0, s0 = _forces(pos, mass, backend=ref)
-    assert ref.interactions > 0
+def _plain(**kw):
+    return TreeCode(theta=0.75, n_crit=64, **kw)
+
+
+def _assert_engine_contract(pos, mass, make_backend, workers=WORKERS,
+                            make_tc=_plain, variant=False):
+    """acc/pot/counters at each worker count against the one uncut
+    call, and ``model_seconds`` identical across worker counts."""
     model_seconds = set()
     for w in workers:
-        be = make_backend()
-        a1, p1, s1 = _forces(pos, mass, backend=be,
-                             engine=PipelineEngine(workers=w))
+        be, ref = make_backend(), make_backend()
+        tc = make_tc(backend=be, engine=PipelineEngine(workers=w))
+        try:
+            a1, p1 = tc.accelerations(pos, mass, EPS)
+            a0, p0 = uncut_sweep(tc, ref, EPS,
+                                 tc._eval_sweep if variant else None)
+        finally:
+            tc.close()
         assert np.array_equal(a0, a1) and np.array_equal(p0, p1), w
-        assert s0.total_interactions == s1.total_interactions
-        assert s0.n_groups == s1.n_groups
-        assert be.interactions == ref.interactions
+        assert be.interactions == ref.interactions > 0
         if isinstance(be, GrapeBackend):
             assert be.system.n_calls == ref.system.n_calls
             assert be.model_seconds == pytest.approx(ref.model_seconds,
                                                      rel=1e-12, abs=0)
             model_seconds.add(be.model_seconds)
     assert len(model_seconds) <= 1, model_seconds
+
+
+class OracleFloat64(Float64Backend):
+    """Float64 arithmetic through the base-class loop only."""
+    eval_lists = ForceBackend.eval_lists
+
+
+class HostOnly(ForceBackend):
+    """A third-party backend: ``compute()`` and nothing else.  Records
+    which threads called it and whether two calls ever overlapped."""
+
+    name = "host-only"
+
+    def __init__(self):
+        self.calls = self.active = self.overlapped = 0
+        self.threads = set()
+
+    def compute(self, xi, xj, mj, eps):
+        self.calls += 1
+        self.threads.add(threading.get_ident())
+        self.active += 1
+        self.overlapped += self.active > 1
+        try:
+            return Float64Backend().compute(xi, xj, mj, eps)
+        finally:
+            self.active -= 1
 
 
 class TestFloat64Equivalence:
@@ -79,26 +121,37 @@ class TestFloat64Equivalence:
         """The acceptance-criterion scale: >= 10k particles."""
         rng = np.random.default_rng(1999)
         pos, _, mass = plummer_model(10_000, rng)
-        a0, p0, s0 = _forces(pos, mass, n_crit=256)
-        a1, p1, s1 = _forces(pos, mass, n_crit=256,
-                             engine=PipelineEngine(workers=2))
+        tc = TreeCode(theta=0.75, n_crit=256,
+                      engine=PipelineEngine(workers=2))
+        try:
+            a1, p1 = tc.accelerations(pos, mass, EPS)
+        finally:
+            tc.close()
+        ref = Float64Backend()
+        a0, p0 = uncut_sweep(tc, ref, EPS)
         assert np.array_equal(a0, a1)
         assert np.array_equal(p0, p1)
-        assert s0.total_interactions == s1.total_interactions
+        assert tc.last_stats.total_interactions == ref.interactions
 
     def test_interaction_stats_aggregate_exactly(self, cloud):
+        """What the backend was handed is what the tree counted, at
+        any worker count."""
         pos, mass = cloud
-        be0, be1 = Float64Backend(), Float64Backend()
-        _forces(pos, mass, backend=be0)
-        _forces(pos, mass, backend=be1,
-                engine=PipelineEngine(workers=2))
-        assert be1.interactions == be0.interactions > 0
+        seen = set()
+        for w in WORKERS:
+            be = Float64Backend()
+            _, _, stats = _forces(pos, mass, backend=be,
+                                  engine=PipelineEngine(workers=w))
+            assert be.interactions == stats.total_interactions > 0
+            seen.add(be.interactions)
+        assert len(seen) == 1
 
 
 class TestGrapeEquivalence:
     def test_pipeline_matches_serial_grape(self, cloud):
         pos, mass = cloud
-        a0, p0, _ = _forces(pos, mass, backend=GrapeBackend())
+        a0, p0, _ = _forces(pos, mass, backend=GrapeBackend(),
+                            engine=PipelineEngine(workers=1))
         a1, p1, _ = _forces(pos, mass, backend=GrapeBackend(),
                             engine=PipelineEngine(workers=2))
         # identical call stream through the deterministic emulator
@@ -111,8 +164,36 @@ class TestGrapeEquivalence:
 
     def test_grape_counters_aggregate_exactly(self, cloud):
         """n_calls / interactions exact, model_seconds identical at
-        workers 1/2/4 and within 1e-12 of the in-process sweep."""
+        workers 1/2/4 and within 1e-12 of the one uncut call."""
         _assert_engine_contract(*cloud, GrapeBackend)
+
+
+class TestVariantsRideTheSameShards:
+    """The quadrupole ablation and the periodic treecode add host-side
+    terms inside the per-shard hook; the cut must stay invisible."""
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_quadrupole(self, cloud, backend):
+        def make_tc(**kw):
+            return _plain(quadrupole=True, **kw)
+        _assert_engine_contract(*cloud, BACKENDS[backend],
+                                make_tc=make_tc, variant=True)
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_periodic(self, backend):
+        from repro.cosmo.ewald import EwaldCorrectionTable
+        rng = np.random.default_rng(44)
+        pos = rng.uniform(0.0, 10.0, size=(600, 3))
+        table = EwaldCorrectionTable(10.0)
+
+        def make_tc(backend, engine):
+            tc = PeriodicTreeCode(box=10.0, theta=0.75, n_crit=64,
+                                  backend=backend, ewald_table=table)
+            tc.engine = engine    # the constructor takes none
+            return tc
+        _assert_engine_contract(pos, np.full(600, 1.0 / 600),
+                                BACKENDS[backend], make_tc=make_tc,
+                                variant=True)
 
 
 class TestReferenceLoop:
@@ -141,9 +222,10 @@ class TestEngineLifecycle:
             a1, _ = tc1.accelerations(pos, mass, 0.01)
             tc2 = TreeCode(theta=0.75, n_crit=64, engine=eng)
             a2, _ = tc2.accelerations(pos2, mass2, 0.01)
-        r1, _, _ = _forces(pos, mass)
-        r2, _, _ = _forces(pos2, mass2)
-        assert np.array_equal(a1, r1) and np.array_equal(a2, r2)
+        assert np.array_equal(
+            a1, uncut_sweep(tc1, Float64Backend(), EPS)[0])
+        assert np.array_equal(
+            a2, uncut_sweep(tc2, Float64Backend(), EPS)[0])
 
     def test_closed_engine_rejects_work(self, cloud):
         pos, mass = cloud
@@ -159,23 +241,63 @@ class TestEngineLifecycle:
         eng.close()
         eng.close()
 
-    def test_non_parallel_safe_backend_rejected(self, cloud):
+    def test_non_parallel_safe_backend_rejected(self):
         """A backend with no ``worker_factory()`` cannot give shards
-        private instances: refused by ``prewarm`` and ``evaluate``."""
-        pos, mass = cloud
-
-        class HostOnly(ForceBackend):
-            name = "host-only"
-
-            def compute(self, xi, xj, mj, eps):
-                return Float64Backend().compute(xi, xj, mj, eps)
-
+        private instances, so it cannot ride the pool: ``prewarm``
+        says so ahead of time."""
         with PipelineEngine(workers=1) as eng:
             assert eng.prewarm(GrapeBackend()) is eng
             with pytest.raises(EngineError):
                 eng.prewarm(HostOnly())
-            with pytest.raises(EngineError):
-                _forces(pos, mass, backend=HostOnly(), engine=eng)
+
+    def test_compute_only_backend_runs_shard_by_shard(self, cloud):
+        """...and ``evaluate`` still serves it -- "any backend works"
+        -- on the caller's one instance, on the submitting thread, one
+        shard after the other."""
+        pos, mass = cloud
+        be = HostOnly()
+        with PipelineEngine(workers=4) as eng:
+            acc, pot, stats = _forces(pos, mass, backend=be, engine=eng)
+        ref, ref_pot, _ = _forces(pos, mass, backend=OracleFloat64())
+        assert np.array_equal(acc, ref) and np.array_equal(pot, ref_pot)
+        assert be.calls == stats.n_groups
+        assert be.threads == {threading.get_ident()}
+        assert be.overlapped == 0
+
+    def test_owned_engine_sweeps_again_after_close(self, cloud):
+        """A treecode that built its own engine replaces it on close;
+        an injected one stays closed (the caller owns its lifetime)."""
+        pos, mass = cloud
+        tc = TreeCode(theta=0.75, n_crit=64)
+        a0, _ = tc.accelerations(pos, mass, EPS)
+        tc.close()
+        tc.close()
+        a1, _ = tc.accelerations(pos, mass, EPS)
+        tc.close()
+        assert np.array_equal(a0, a1)
+        injected = TreeCode(theta=0.75, n_crit=64,
+                            engine=PipelineEngine(workers=1))
+        injected.accelerations(pos, mass, EPS)
+        injected.close()
+        with pytest.raises(EngineError):
+            injected.accelerations(pos, mass, EPS)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("base", sorted(BACKENDS))
+    def test_subclass_sees_every_shard(self, cloud, base, workers):
+        """A private backend is the caller's class: an ``eval_lists``
+        override is what every shard runs."""
+        pos, mass = cloud
+        seen = []
+
+        class Spy(BACKENDS[base]):
+            def eval_lists(self, pos, pmass, com, cmass, lists, *rest):
+                seen.append(lists.n_sinks)
+                super().eval_lists(pos, pmass, com, cmass, lists, *rest)
+
+        with PipelineEngine(workers=workers) as eng:
+            _, _, stats = _forces(pos, mass, backend=Spy(), engine=eng)
+        assert len(seen) > 1 and sum(seen) == stats.n_groups
 
     def test_workers_validated(self):
         with pytest.raises(EngineError):
@@ -194,9 +316,6 @@ class TestEngineLifecycle:
         pos, mass = cloud
 
         class Broken(Float64Backend):
-            def worker_factory(self):
-                return (Broken, (), {})
-
             def eval_lists(self, *args):
                 raise ZeroDivisionError("boom")
 
@@ -218,6 +337,23 @@ class TestNoLeftovers:
         _forces(pos, mass, engine=eng)   # TreeCode.close() closes it
         assert set(threading.enumerate()) == before
         assert multiprocessing.active_children() == []
+
+    def test_dropped_default_treecodes_leave_no_thread(self):
+        """Nobody closes a default ``TreeCode()``: its pool threads
+        must go when it is collected, or a long-lived process that
+        builds solvers (the job service, a test session) piles them
+        up."""
+        rng = np.random.default_rng(6)
+        pos, _, mass = plummer_model(1100, rng)     # two shards
+        before = threading.active_count()
+        for _ in range(200):
+            TreeCode(n_crit=64).accelerations(pos, mass, EPS)
+        gc.collect()
+        deadline = time.monotonic() + 10.0
+        while (threading.active_count() > before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert threading.active_count() == before
 
     def test_import_pulls_in_no_process_machinery(self):
         """Fresh interpreter: ``repro.exec`` is threads only."""

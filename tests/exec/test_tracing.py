@@ -1,14 +1,15 @@
-"""Cross-process trace stitching: worker spans join the host trace.
+"""Cross-thread trace stitching: pool-thread spans join the host trace.
 
-The acceptance criterion under test: a pipeline-engine evaluation
-traced on the host produces ONE coherent trace -- every batch
-evaluated in a worker process appears as an ``exec.batch`` span
-parented under the submitting host-side ``eval`` span, carrying the
-worker's own ``exec.queue_wait`` / ``exec.eval`` children on the
-host's ``perf_counter`` timeline -- and the critical-path analysis
-partitions the traced wall clock into host/worker/GRAPE buckets that
-sum to the total (within 5%; the partition is exact by construction,
-so we assert much tighter).
+The acceptance criterion under test: a traced force evaluation
+produces ONE coherent trace -- every shard evaluated on a pool thread
+appears as an ``exec.batch`` span parented under the submitting
+``eval`` span, carrying the pool thread's own ``exec.queue_wait`` /
+``exec.eval`` children on the same ``perf_counter`` timeline -- the
+critical-path analysis partitions the traced wall clock into
+host/worker/GRAPE buckets that sum to the total (within 5%; the
+partition is exact by construction, so we assert much tighter), and
+the phase table's ``eval`` children, all timed on the submitting
+thread, partition the sweep however many threads overlapped it.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from repro.core import TreeCode
 from repro.exec import PipelineEngine
+from repro.grape import GrapeBackend
 from repro.obs import Tracer
 from repro.obs.analyze import critical_path
 from repro.obs.export import span_events
@@ -115,3 +117,37 @@ class TestCriticalPathAttribution:
         finally:
             tc.close()
         assert list(span_events(tr)) == []
+
+
+class TestPhasePartition:
+    def test_eval_children_partition_the_sweep_with_two_threads(self):
+        """``traverse`` + ``grape_force`` + ``host_direct`` are the
+        submitting thread's seconds, so they sum to the ``eval`` span
+        and self times sum to the traced wall -- two overlapping pool
+        threads (whose busy seconds alone can exceed the wall) change
+        neither."""
+        rng = np.random.default_rng(9)
+        pos, _, mass = plummer_model(2500, rng)
+        tr = Tracer()
+        tc = TreeCode(theta=0.75, n_crit=64, backend=GrapeBackend(),
+                      engine=PipelineEngine(workers=2), tracer=tr)
+        try:
+            tc.accelerations(pos, mass, 0.01)
+        finally:
+            tc.close()
+        t = tc.last_stats.times
+        assert t["kernel"] + t["host_direct"] == pytest.approx(
+            t["eval"], rel=1e-9)
+        (ev,) = [sp for root in tr.roots for sp in root.walk()
+                 if sp.name == "eval"]
+        own = {c.name: c.duration for c in ev.children if not c.stitched}
+        assert set(own) == {"traverse", "grape_force", "host_direct"}
+        assert own["traverse"] == pytest.approx(t["traverse"], rel=1e-6)
+        assert own["grape_force"] == pytest.approx(t["kernel"], rel=1e-6)
+        assert sum(own.values()) <= ev.duration
+        assert sum(own.values()) == pytest.approx(ev.duration, rel=0.05,
+                                                  abs=2e-3)
+        assert any(c.stitched for c in ev.children)     # exec.batch
+        for root in tr.roots:
+            assert sum(sp.self_seconds for sp in root.walk()) \
+                == pytest.approx(root.duration, rel=1e-9)

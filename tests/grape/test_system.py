@@ -7,6 +7,7 @@ from repro.core.kernels import pairwise_accpot
 from repro.grape.api import G5Context
 from repro.grape.system import Grape5System, GrapeBackend
 from repro.grape.timing import GrapeTimingModel
+from tests.conftest import uncut_sweep
 
 
 class TestChip:
@@ -134,8 +135,15 @@ class TestOneCoordinateFormat:
         mass = np.full(300, 1.0 / 300)
         formats = []
         for scale in (1.0, 3.0):  # each tree build announces its domain
-            del walk[:], ref[:]
             tc.accelerations(scale * pos, mass, 0.01)
+            # the sweep's shards ran on private systems; the contract
+            # is about *one* system, so make its two calls here
+            del walk[:], ref[:]
+            tree, groups = tc.last_tree, tc.last_groups
+            backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
+                               tree.mass, tc.last_lists, groups.start,
+                               groups.count, 0.01, np.empty((300, 3)),
+                               np.empty(300))
             backend.compute(scale * pos[:4], scale * pos, mass, 0.01)
             fmt = backend.system.pipeline.coord_format
             assert walk and ref
@@ -294,11 +302,10 @@ class TestCallRecording:
 
 
 class TestOneChargeSite:
-    """Dense ``compute`` calls, one list ``eval_lists`` sweep and a
-    pipeline-engine sweep of the same force calls are priced by the
-    same code (``Grape5System._record`` behind ``charge_batch``), so
-    the counters and the ``grape.*`` metrics do not depend on the
-    route."""
+    """Dense ``compute`` calls, one uncut ``eval_lists`` call and a
+    sharded sweep of the same force calls are priced by the same code
+    (``Grape5System._record`` behind ``charge_batch``), so the counters
+    and the ``grape.*`` metrics do not depend on the route."""
 
     @staticmethod
     def _sweep(pos, mass, *, dense=False, engine=None):
@@ -314,16 +321,19 @@ class TestOneChargeSite:
         backend = (Dense if dense else GrapeBackend)().bind_metrics(reg)
         tc = TreeCode(theta=0.75, n_crit=64, backend=backend, engine=engine)
         tc.accelerations(pos, mass, 0.01)
-        return backend.system, reg
+        return backend.system, reg, tc
 
     def test_three_routes_charge_alike(self, rng):
         from repro.exec import PipelineEngine
+        from repro.obs import MetricsRegistry
         pos = rng.standard_normal((600, 3))
         mass = np.full(600, 1.0 / 600)
-        lists_sys, lists_reg = self._sweep(pos, mass)
-        dense_sys, dense_reg = self._sweep(pos, mass, dense=True)
+        dense_sys, dense_reg, _ = self._sweep(pos, mass, dense=True)
         with PipelineEngine(workers=2) as engine:
-            pipe_sys, pipe_reg = self._sweep(pos, mass, engine=engine)
+            pipe_sys, pipe_reg, tc = self._sweep(pos, mass, engine=engine)
+        lists_reg = MetricsRegistry()
+        lists_sys = Grape5System(metrics=lists_reg)
+        uncut_sweep(tc, GrapeBackend(system=lists_sys), 0.01)
 
         assert lists_sys.n_calls > 1
         for system in (dense_sys, pipe_sys):
@@ -339,8 +349,9 @@ class TestOneChargeSite:
             assert reg.value("grape.interactions_total") \
                 == system.interactions
             assert reg.value("grape.model_seconds") == system.model_seconds
-        # per-call shapes reach the histograms wherever they are known
-        for reg in (lists_reg, dense_reg):
+        # per-call shapes reach the histograms on every route: a
+        # shard's come back with its counters
+        for reg in (lists_reg, dense_reg, pipe_reg):
             assert reg.get("grape.call_ni").count == lists_sys.n_calls
             assert reg.value("grape.call_nj") == lists_reg.value(
                 "grape.call_nj")
@@ -349,22 +360,24 @@ class TestOneChargeSite:
     def test_engine_matches_serial_on_a_small_memory_system(self, rng,
                                                             workers):
         """The engine's private backends carry the j-memory size, so a
-        system that must multi-pass is priced the same on either
-        route."""
+        system that must multi-pass is priced the same sharded as in
+        one uncut call."""
         from repro.core import TreeCode
         from repro.exec import PipelineEngine
         pos = rng.standard_normal((600, 3))
         mass = np.full(600, 1.0 / 600)
 
-        def sweep(engine=None):
-            backend = GrapeBackend(system=Grape5System(jmem_capacity=32))
+        def small():
+            return GrapeBackend(system=Grape5System(jmem_capacity=32))
+
+        backend = small()
+        with PipelineEngine(workers=workers) as engine:
             tc = TreeCode(theta=0.75, n_crit=64, backend=backend,
                           engine=engine)
-            return backend.system, tc.accelerations(pos, mass, 0.01)
-
-        serial, (a0, p0) = sweep()
-        with PipelineEngine(workers=workers) as engine:
-            piped, (a1, p1) = sweep(engine)
+            a1, p1 = tc.accelerations(pos, mass, 0.01)
+        uncut, piped = small(), backend.system
+        a0, p0 = uncut_sweep(tc, uncut, 0.01)
+        serial = uncut.system
         assert serial.n_calls > 64  # lists over 2 x 32 slots: multi-pass
         assert piped.n_calls == serial.n_calls
         assert piped.interactions == serial.interactions

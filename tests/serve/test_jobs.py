@@ -23,7 +23,7 @@ class TestJobSpec:
 
     @pytest.mark.parametrize("bad", [
         dict(kind="telepathy"),
-        dict(kind="run", engine="quantum"),
+        dict(kind="run", max_retries=-1),
         dict(kind="run", params={"warp": 9}),
         dict(kind="run", params={"ngrid": "lots"}),
         dict(kind="run", max_recoveries=-1),
@@ -47,6 +47,10 @@ class TestJobSpec:
             JobSpec.from_dict({})
         with pytest.raises(JobError, match="unknown job field"):
             JobSpec.from_dict({"kind": "run", "color": "red"})
+        # one way to evaluate a sweep: nothing on the wire selects it
+        with pytest.raises(JobError,
+                           match=r"unknown job field\(s\): engine"):
+            JobSpec.from_dict({"kind": "run", "engine": "pipeline"})
         with pytest.raises(JobError):
             JobSpec.from_dict("not an object")
 

@@ -74,16 +74,15 @@ class TestExecution:
         assert at_release == ["running"] * 30
 
     def test_pipeline_job_matches_serial_digest(self, tmp_path):
-        """A served pipeline run builds its own thread-pool engine:
-        same digest as the serial job, pool threads gone when it is
-        done, nothing forked from this (threaded) process."""
+        """A served run builds its own thread-pool engine: the same
+        digest at one pool thread and at two, pool threads gone when it
+        is done, nothing forked from this (threaded) process."""
         import multiprocessing
         import threading
         params = {"ngrid": 6, "steps": 2, "z_final": 12.0}
         s = Scheduler(slots=1, workdir=tmp_path, cache=False).start()
-        serial = s.submit(JobSpec(kind="run", params=params))
-        piped = s.submit(JobSpec(kind="run", params=params,
-                                 engine="pipeline", workers=2))
+        serial = s.submit(JobSpec(kind="run", params=params, workers=1))
+        piped = s.submit(JobSpec(kind="run", params=params, workers=2))
         assert s.wait(serial.id, timeout=120)
         assert s.wait(piped.id, timeout=120)
         try:

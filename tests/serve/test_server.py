@@ -53,16 +53,19 @@ class TestEndpoints:
         assert "unknown job field" in str(exc.value)
 
     def test_bad_kernels_is_400(self, server_pair):
-        """The retired ``kernels`` field gets the standard unknown-field
-        rejection whatever it carries -- no silent-ignore shim."""
+        """The retired ``kernels`` and ``engine`` fields get the
+        standard unknown-field rejection whatever they carry -- no
+        silent-ignore shim."""
         _, client = server_pair
-        for value in ("numpy", "python", None):
+        for field, value in (("kernels", "numpy"), ("kernels", "python"),
+                             ("kernels", None), ("engine", "serial"),
+                             ("engine", "pipeline")):
             with pytest.raises(ServeHTTPError) as exc:
                 client.submit({"schema": JOB_SCHEMA,
                                "kind": "force_eval",
-                               "params": {"n": 64}, "kernels": value})
+                               "params": {"n": 64}, field: value})
             assert exc.value.status == 400
-            assert "unknown job field(s): kernels" in str(exc.value)
+            assert f"unknown job field(s): {field}" in str(exc.value)
 
     def test_oversize_spec_is_413(self, server_pair):
         """A body above the cap is refused as too large, not

@@ -465,19 +465,22 @@ class TestTransactionBracket:
 
 
 class TestLegacyDocuments:
-    """Stores written before the ``kernels`` spec field was retired
-    carry it in every job row; those rows must still load and run."""
+    """Stores written before the ``kernels`` and ``engine`` spec
+    fields were retired carry them in every job row; those rows must
+    still load, run and be persisted again without them."""
 
-    @pytest.mark.parametrize("value", [None, "numpy"])
-    def test_stored_kernels_key_loads_and_finishes(self, tmp_path,
+    @pytest.mark.parametrize("key,value", [
+        ("kernels", None), ("kernels", "numpy"), ("engine", "serial"),
+    ], ids=["None", "numpy", "engine-serial"])
+    def test_stored_kernels_key_loads_and_finishes(self, tmp_path, key,
                                                    value):
         store = SQLiteJobStore(tmp_path / "jobs.db")
         jid, seq = store.allocate()
         job = Job(spec=JobSpec(kind="force_eval", params={"n": 64}),
                   id=jid)
         job.seq = seq
-        store.insert({**job.to_store_doc(), "kernels": value})
-        assert store.get(jid)["kernels"] == value
+        store.insert({**job.to_store_doc(), key: value})
+        assert store.get(jid)[key] == value
         assert Job.from_store_doc(store.get(jid)).spec == job.spec
         s = Scheduler(slots=1, workdir=tmp_path / "work", store=store,
                       poll_interval=0.02).start()
@@ -485,7 +488,9 @@ class TestLegacyDocuments:
             assert s.wait(jid, timeout=120)
             done = s.get(jid)
             assert done.state == "done", (done.state, done.error)
-            assert "kernels" not in done.to_dict()
+            assert key not in done.to_dict()
+            assert key not in store.get(jid)
+            assert store.get(jid)["state"] == "done"
         finally:
             s.stop(drain=False)
             store.close()

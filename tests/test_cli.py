@@ -165,8 +165,7 @@ class TestObservability:
         import json
         fr = tmp_path / "flightrec.jsonl"
         code, text = run_cli("run", "--ngrid", "6", "--steps", "1",
-                             "--z-final", "16",
-                             "--engine", "pipeline", "--workers", "2",
+                             "--z-final", "16", "--workers", "2",
                              "--faults", "transient_error@batch=0",
                              "--flightrec", str(fr))
         assert code == 0
@@ -178,14 +177,45 @@ class TestObservability:
         assert any(k.startswith("fault.") for k in kinds)
         assert "recovery" in kinds
 
+    def test_batch_fault_fires_on_a_plain_run(self, tmp_path):
+        """No flag selects the sharded sweep, so a batch-level plan is
+        live on every run: shard 1 of the first sweep is retried."""
+        prom = tmp_path / "m.prom"
+        code, _ = run_cli("run", "--ngrid", "16", "--steps", "1",
+                          "--z-final", "16",
+                          "--faults", "transient_error@batch=1",
+                          "--metrics", str(prom))
+        assert code == 0
+        text = prom.read_text()
+        assert "repro_exec_fault_transient_errors 1" in text
+        assert "repro_exec_fault_batch_retries 1" in text
+
+    def test_device_fault_fires_at_any_worker_count(self, tmp_path):
+        """The ``grape.compute`` site is consulted once per sweep on
+        the submitting thread, under the backend's retry budget: a
+        plan that never stops firing exhausts it (initial try + 2
+        retries) and the run fails -- pool threads or not."""
+        import json
+        from repro.faults import TransientBackendError
+        fr = tmp_path / "fr.jsonl"
+        with pytest.raises(TransientBackendError, match="grape.compute"):
+            run_cli("run", "--ngrid", "6", "--steps", "1", "--z-final",
+                    "16", "--workers", "2", "--max-retries", "2",
+                    "--faults", "transient_error@site=grape.compute,"
+                    "count=99", "--flightrec", str(fr))
+        events = [json.loads(l) for l in fr.read_text().splitlines()]
+        fired = [e for e in events if e.get("kind") == "fault.injected"]
+        assert [e["site"] for e in fired] == ["grape.compute"] * 3
+        assert events[-1]["kind"] == "sweep_abort"
+
 
 class TestObsVerbs:
     @pytest.fixture(scope="class")
     def pipeline_trace(self, tmp_path_factory):
         trace = tmp_path_factory.mktemp("obs") / "t.jsonl"
         code, _ = run_cli("run", "--ngrid", "6", "--steps", "2",
-                          "--z-final", "12", "--engine", "pipeline",
-                          "--workers", "2", "--trace", str(trace))
+                          "--z-final", "12", "--workers", "2",
+                          "--trace", str(trace))
         assert code == 0
         return trace
 
@@ -212,15 +242,16 @@ class TestObsVerbs:
 
     def test_diff_compares_two_traces(self, pipeline_trace,
                                       tmp_path):
-        serial = tmp_path / "serial.jsonl"
+        one = tmp_path / "one.jsonl"
         code, _ = run_cli("run", "--ngrid", "6", "--steps", "2",
-                          "--z-final", "12", "--trace", str(serial))
+                          "--z-final", "12", "--workers", "1",
+                          "--trace", str(one))
         assert code == 0
-        code, text = run_cli("obs", "diff", str(serial),
+        code, text = run_cli("obs", "diff", str(one),
                              str(pipeline_trace))
         assert code == 0
         assert "delta s" in text
-        assert "exec.batch" in text  # pipeline-only phase shows up
+        assert "exec.batch" in text  # pool-thread phases line up too
 
     def test_traceless_file_is_usage_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -305,13 +336,25 @@ class TestExitCodes:
         deaths; the engine is a thread pool now, so argparse rejects
         the flag and the plan parser the kinds."""
         with pytest.raises(SystemExit) as exc:
-            run_cli("run", "--engine", "pipeline", "--batch-timeout", "1")
+            run_cli("run", "--batch-timeout", "1")
         assert exc.value.code == 2
         assert ("unrecognized arguments: --batch-timeout"
                 in capsys.readouterr().err)
         code, text = run_cli("run", "--faults", "worker_crash@batch=1")
         assert code == 2
         assert "unknown fault kind 'worker_crash'" in text
+
+    @pytest.mark.parametrize("argv", [
+        ("run",), ("resume", "ck.npz"), ("sweep",), ("submit",),
+    ], ids=lambda a: a[0])
+    def test_retired_engine_flag_exits_2(self, argv, capsys):
+        """There is one way to evaluate a sweep, so nothing selects
+        it: ``--engine`` is gone, not aliased."""
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--engine", "pipeline")
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --engine"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("plan", [
         "latency@worker=1",

@@ -4,8 +4,9 @@
 The observability layer's contract is that an *untraced* run pays
 almost nothing for the instrumentation wired through the hot paths:
 every span site routes through the shared no-op ``NULL_TRACER``, the
-pipeline engine builds no ``exec.batch`` spans, and flight-recorder
-hooks are ``None`` checks.
+engine every sweep goes through builds no ``exec.batch`` spans, and
+flight-recorder hooks are ``None`` checks.  The gated evaluation is a
+default ``TreeCode`` -- the path every run takes.
 
 A direct traced-vs-untraced wall-clock A/B is far too noisy on shared
 CI runners to gate at the few-percent level, so the gate measures the
@@ -26,7 +27,7 @@ Exit 1 when the bound exceeds the threshold (default 2%).
 Usage::
 
     PYTHONPATH=src python tools/tracing_overhead.py [--threshold 0.02]
-        [--n 3000] [--rounds 5] [--workers 2]
+        [--n 3000] [--rounds 5]
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ def _per_op_costs() -> dict:
     return costs
 
 
-def _workload(n: int, workers: int):
-    """``(pos, mass, engine_factory)`` for the gated evaluation."""
+def _workload(n: int):
+    """``(pos, mass)`` for the gated evaluation."""
     import numpy as np
     from repro.sim.models import plummer_model
 
@@ -69,14 +70,11 @@ def _workload(n: int, workers: int):
     return pos, mass
 
 
-def _evaluate(pos, mass, *, workers, tracer=None):
-    """One full treecode force evaluation; returns (wall_s, tracer)."""
+def _evaluate(pos, mass, *, tracer=None):
+    """One full treecode force evaluation; returns its wall seconds."""
     from repro.core import TreeCode
-    from repro.exec import PipelineEngine
 
-    engine = PipelineEngine(workers=workers)
-    tc = TreeCode(theta=0.75, n_crit=256, engine=engine,
-                  tracer=tracer)
+    tc = TreeCode(theta=0.75, n_crit=256, tracer=tracer)
     try:
         t0 = time.perf_counter()
         tc.accelerations(pos, mass, 0.01)
@@ -94,8 +92,6 @@ def main(argv=None) -> int:
                     help="particles in the gated evaluation")
     ap.add_argument("--rounds", type=int, default=5,
                     help="untraced evaluation repetitions (median)")
-    ap.add_argument("--workers", type=int, default=2,
-                    help="pipeline worker threads")
     args = ap.parse_args(argv)
 
     from repro.obs import Tracer
@@ -107,21 +103,20 @@ def main(argv=None) -> int:
     for name, c in sorted(costs.items()):
         print(f"  {name:<15} {c * 1e9:8.1f} ns/call")
 
-    pos, mass = _workload(args.n, args.workers)
+    pos, mass = _workload(args.n)
 
     # site count: every span a traced evaluation emits is one span
     # site in the untraced run, plus per-batch engine bookkeeping
     # (the ``tracing`` probe, pool-thread perf_counter reads)
     tr = Tracer()
-    _evaluate(pos, mass, workers=args.workers, tracer=tr)
+    _evaluate(pos, mass, tracer=tr)
     events = list(span_events(tr))
     batches = sum(1 for e in events if e["name"] == "exec.batch")
     sites = len(events) + 4 * max(1, batches)
     print(f"\ninstrumentation sites per evaluation: {sites} "
           f"({len(events)} spans, {batches} batches)")
 
-    walls = [_evaluate(pos, mass, workers=args.workers)
-             for _ in range(args.rounds)]
+    walls = [_evaluate(pos, mass) for _ in range(args.rounds)]
     wall = statistics.median(walls)
     overhead = sites * per_site
     ratio = overhead / wall if wall > 0 else float("inf")
