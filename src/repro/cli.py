@@ -50,6 +50,10 @@ Subcommands
     docs/observability.md.
 
 All subcommands are deterministic for a fixed ``--seed``.
+``run``/``resume``/``sweep`` are adapters over the one body per job
+kind in :mod:`repro.sim.recipes` (argv in, a print callback out), as
+:mod:`repro.serve.runner` is for served jobs; this module imports
+``repro.serve`` only inside the service verbs.
 
 Exit codes: 0 success, 1 runtime failure (e.g. a failed job), 2 usage
 error (bad arguments, missing files, malformed documents --
@@ -355,30 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _make_obs(args):
-    """(tracer, registry) for one command invocation.
-
-    A real tracer is created only when span data will be consumed
-    (--trace/--profile); otherwise the shared no-op tracer keeps the
-    instrumented hot paths at seed-level cost.  The registry is always
-    created -- counters are cheap and feed the report/summary paths.
-    """
-    from repro.obs import MetricsRegistry, NULL_TRACER, Tracer
-    want_spans = bool(getattr(args, "trace", None)
-                      or getattr(args, "profile", False))
-    tracer = Tracer() if want_spans else NULL_TRACER
-    return tracer, MetricsRegistry()
-
-
-def _make_flight(args):
-    """Flight recorder pointed at ``--flightrec`` (None when unset)."""
-    path = getattr(args, "flightrec", None)
-    if path is None:
-        return None
-    from repro.obs import FlightRecorder
-    return FlightRecorder(path=path)
-
-
 def _cluster_spec(args):
     """The ``--hosts``/``--boards`` flags as a ClusterSpec (or None
     when neither is given -- the plain single-host path)."""
@@ -391,25 +371,35 @@ def _cluster_spec(args):
                        boards=boards if boards is not None else 2)
 
 
-def _make_force(args, tracer=None, registry=None, flight=None, *,
-                ncrit=None, backend=None):
-    """``(treecode, grape_backend_or_None)`` via the shared recipe.
+def _open(args, *, ncrit=None, backend=None):
+    """``(tracer, registry, flight, treecode, grape_backend_or_None)``
+    for one ``run``/``resume``/``sweep`` invocation.
 
-    Delegates to :func:`repro.sim.recipes.build_force` -- the same
-    construction path ``repro.serve`` jobs use, which is what keeps
-    served runs bit-identical to CLI runs.  ``flight`` (a
-    :class:`~repro.obs.FlightRecorder`) rides into the engine and the
-    force-layer fault injector so ``--flightrec`` captures fault and
-    recovery events from every layer.  ``ncrit``/``backend`` stand in
-    for the flags ``sweep`` does not have.
+    A real tracer is created only when span data will be consumed
+    (--trace/--profile); otherwise the shared no-op tracer keeps the
+    instrumented hot paths at seed-level cost.  The registry is always
+    created -- counters are cheap and feed the report/summary paths.
+    The flight recorder (``--flightrec``, else None) rides into the
+    engine and the force-layer fault injector so it captures fault and
+    recovery events from every layer.  The solver comes from
+    :func:`repro.sim.recipes.build_force`, where ``repro.serve`` jobs
+    build theirs; ``ncrit``/``backend`` stand in for the flags
+    ``sweep`` does not have.
     """
+    from repro.obs import (FlightRecorder, MetricsRegistry, NULL_TRACER,
+                           Tracer)
     from repro.sim.recipes import build_force
-    return build_force(theta=args.theta, ncrit=ncrit or args.ncrit,
-                       backend=backend or args.backend,
-                       workers=args.workers, faults=args.faults or None,
-                       flight=flight, tracer=tracer, metrics=registry,
-                       max_retries=args.max_retries,
-                       cluster=_cluster_spec(args))
+    tracer = Tracer() if args.trace or args.profile else NULL_TRACER
+    registry = MetricsRegistry()
+    flight = (FlightRecorder(path=args.flightrec)
+              if args.flightrec is not None else None)
+    force, gb = build_force(
+        theta=args.theta, ncrit=ncrit or args.ncrit,
+        backend=backend or args.backend, workers=args.workers,
+        faults=args.faults or None, flight=flight, tracer=tracer,
+        metrics=registry, max_retries=args.max_retries,
+        cluster=_cluster_spec(args))
+    return tracer, registry, flight, force, gb
 
 
 def _emit_obs(args, tracer, registry, out, *, extra=None,
@@ -442,16 +432,20 @@ def _emit_obs(args, tracer, registry, out, *, extra=None,
               f"({n} events)", file=out)
 
 
-def _report_run(sim, backend, out) -> None:
+def _step_line(step, mean_list: float, wall: float) -> str:
+    """One step of progress, as ``run`` and ``jobs --follow`` print it."""
+    return f"  step {step}: list = {mean_list:.0f}, {wall:.2f} s"
+
+
+def _report_run(sim, result, backend, out) -> None:
     from repro.perf.report import format_table
-    from repro.sim.diagnostics import interaction_totals
-    d = interaction_totals(sim)
     rows = [{
-        "N": sim.n_particles,
-        "steps": d["steps"],
-        "interactions": f"{d['interactions']:.4g}",
-        "mean list": round(d["mean_list_length"], 1),
-        "host wall [s]": round(d["wall_seconds_host"], 1),
+        "N": result["n_particles"],
+        "steps": result["steps"],
+        "interactions": f"{result['interactions']:.4g}",
+        "mean list": round(result["mean_list_length"], 1),
+        "host wall [s]": round(sum(r.wall_seconds
+                                   for r in sim.history), 1),
         "GRAPE model [s]": (round(backend.model_seconds, 2)
                             if backend else "-"),
     }]
@@ -474,48 +468,35 @@ def cmd_info(args, out) -> int:
 
 
 def cmd_run(args, out) -> int:
-    from repro.cosmo import SCDM
-    from repro.sim import Simulation, slab
+    from repro.sim import slab
     from repro.sim.checkpoint import save_checkpoint
-    from repro.sim.recipes import carve_run_region, run_schedule
+    from repro.sim.recipes import new_simulation, paper_run, run_schedule
     from repro.viz import surface_density, write_pgm
 
-    region = carve_run_region(ngrid=args.ngrid, seed=args.seed,
-                              z_init=args.z_init)
-    print(f"N = {region.n_particles} particles of "
-          f"{region.mass[0]:.3g} M_sun", file=out)
+    tracer, registry, flight, force, backend = _open(args)
+    sim = new_simulation(force, ngrid=args.ngrid, seed=args.seed,
+                         z_init=args.z_init)
+    print(f"N = {sim.n_particles} particles of "
+          f"{sim.mass[0]:.3g} M_sun", file=out)
     logger.info("run: N=%d ngrid=%d steps=%d backend=%s",
-                region.n_particles, args.ngrid, args.steps, args.backend)
-    tracer, registry = _make_obs(args)
-    flight = _make_flight(args)
-    force, backend = _make_force(args, tracer, registry, flight)
-    sim = Simulation.from_sphere(region, force=force, tracer=tracer,
-                                 metrics=registry)
-    sim.flight = flight
-    sim.t = SCDM.age(args.z_init)
-    sched = run_schedule(z_init=args.z_init, z_final=args.z_final,
-                         steps=args.steps)
+                sim.n_particles, args.ngrid, args.steps, args.backend)
     every = max(1, args.steps // 5)
-    n0 = len(sim.history)
 
     def _progress(s, rec):
-        if (rec.step - n0) % every == 0:
-            print(f"  step {rec.step}: list = "
-                  f"{rec.mean_list_length:.0f}, "
-                  f"{rec.wall_seconds:.2f} s", file=out)
+        if rec.step % every == 0:
+            print(_step_line(rec.step, rec.mean_list_length,
+                             rec.wall_seconds), file=out)
 
-    try:
-        sim.run(sched, callback=_progress,
-                checkpoint_path=args.checkpoint,
-                checkpoint_every=args.checkpoint_every,
-                resume_on_fault=args.resume_on_fault,
-                fault_injector=force.engine.fault_injector)
-        if sim.fault_recoveries:
-            print(f"  recovered from {sim.fault_recoveries} fault(s) "
-                  "via checkpoint rollback", file=out)
-    finally:
-        sim.close()
-    _report_run(sim, backend, out)
+    sched = run_schedule(z_init=args.z_init, z_final=args.z_final,
+                         steps=args.steps)
+    result = paper_run(sim, sched, flight=flight, on_step=_progress,
+                       checkpoint_path=args.checkpoint,
+                       checkpoint_every=args.checkpoint_every,
+                       resume_on_fault=args.resume_on_fault)
+    if result["fault_recoveries"]:
+        print(f"  recovered from {result['fault_recoveries']} fault(s) "
+              "via checkpoint rollback", file=out)
+    _report_run(sim, result, backend, out)
     extra = {"backend": args.backend, "theta": args.theta,
              "n_crit": args.ncrit, "seed": args.seed}
     if force.cluster is not None:
@@ -536,33 +517,25 @@ def cmd_run(args, out) -> int:
 
 def cmd_resume(args, out) -> int:
     from repro.cosmo import SCDM
-    from repro.sim import paper_schedule
     from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+    from repro.sim.recipes import paper_run, run_schedule
 
-    tracer, registry = _make_obs(args)
-    flight = _make_flight(args)
-    force, backend = _make_force(args, tracer, registry, flight)
+    tracer, registry, flight, force, backend = _open(args)
     sim = load_checkpoint(args.checkpoint, force=force)
-    sim.tracer, sim.metrics = tracer, registry
-    sim.flight = flight
-    registry.gauge("sim.n_particles",
-                   "particles in the run").set(sim.n_particles)
-    z_now = SCDM.z_of_a(SCDM.a_of_t(sim.t))
-    print(f"resumed at t = {sim.t:.3g} (z = {float(z_now):.2f}), "
+    z_now = float(SCDM.z_of_a(SCDM.a_of_t(sim.t)))
+    print(f"resumed at t = {sim.t:.3g} (z = {z_now:.2f}), "
           f"{len(sim.history)} steps done", file=out)
     logger.info("resume: N=%d from t=%.4g (z=%.2f)", sim.n_particles,
-                sim.t, float(z_now))
-    if float(z_now) <= args.z_final + 1e-9:
+                sim.t, z_now)
+    if z_now <= args.z_final + 1e-9:
         print("already past requested redshift; nothing to do",
               file=out)
         sim.close()
         return 0
-    sched = paper_schedule(SCDM, float(z_now), args.z_final, args.steps)
-    try:
-        sim.run(sched)
-    finally:
-        sim.close()
-    _report_run(sim, backend, out)
+    sched = run_schedule(z_init=z_now, z_final=args.z_final,
+                         steps=args.steps)
+    result = paper_run(sim, sched, flight=flight)
+    _report_run(sim, result, backend, out)
     _emit_obs(args, tracer, registry, out, flight=flight)
     if args.checkpoint_out is not None:
         save_checkpoint(args.checkpoint_out, sim)
@@ -572,31 +545,17 @@ def cmd_resume(args, out) -> int:
 
 def cmd_sweep(args, out) -> int:
     from repro.perf.report import format_table
-    from repro.sim.models import plummer_model
+    from repro.sim.recipes import ng_sweep
 
-    rng = np.random.default_rng(args.seed)
-    pos, _, mass = plummer_model(args.n, rng)
-    tracer, registry = _make_obs(args)
-    flight = _make_flight(args)
-    # one solver -- one engine and its thread pool, one cluster context
-    # -- for every n_crit setting; n_g is its knob.  Counts do not
-    # depend on the arithmetic, so the host backend unless --hosts
-    tc, _ = _make_force(
-        args, tracer, registry, flight, ncrit=64,
+    # counts do not depend on the arithmetic, so the host backend
+    # unless --hosts
+    tracer, registry, flight, tc, _ = _open(
+        args, ncrit=64,
         backend="host" if _cluster_spec(args) is None else "grape")
-    rows = []
-    try:
-        for ncrit in (64, 256, 1024, 4096):
-            tc.n_crit = ncrit
-            tc.accelerations(pos, mass, 0.01)
-            s = tc.last_stats
-            rows.append({"n_crit": ncrit,
-                         "n_g": round(s.mean_group_size, 1),
-                         "mean list": round(s.interactions_per_particle),
-                         "interactions": s.total_interactions})
-    finally:
-        tc.close()
-    print(format_table(rows), file=out)
+    rows = ng_sweep(tc, n=args.n, seed=args.seed)
+    print(format_table([{("mean list" if k == "mean_list" else k): v
+                         for k, v in r.items()} for r in rows]),
+          file=out)
     _emit_obs(args, tracer, registry, out, flight=flight)
     return 0
 
@@ -808,10 +767,8 @@ def _follow_job(client, job_id: str, out) -> int:
             state = ev.get("state")
             print(f"{job_id}: {state}", file=out, flush=True)
         elif kind == "step":
-            print(f"  step {ev.get('step')}: "
-                  f"list = {ev.get('mean_list', 0.0):.0f}, "
-                  f"{ev.get('wall', 0.0):.2f} s", file=out,
-                  flush=True)
+            print(_step_line(ev.get("step"), ev.get("mean_list", 0.0),
+                             ev.get("wall", 0.0)), file=out, flush=True)
         else:
             attrs = " ".join(f"{k}={v}" for k, v in ev.items())
             print(f"  {kind}" + (f" {attrs}" if attrs else ""),

@@ -338,29 +338,34 @@ class Job:
         """Rebuild a runtime :class:`Job` from a stored document.
 
         The spec round-trips through validation; runtime state is
-        restored field-by-field (``advance`` is bypassed -- the store
-        is authoritative about where the job already is).  Events are
-        *not* loaded here; the caller decides whether to hydrate them
-        from the store's event log.
+        :meth:`absorb`-ed.  Events are *not* loaded here; the caller
+        decides whether to hydrate them from the store's event log.
         """
         spec = JobSpec.from_dict(
             {k: doc[k] for k in _SPEC_FIELDS if k in doc})
         job = cls(spec=spec, id=doc["id"])
         job.seq = int(doc.get("seq", 0))
-        job.state = doc.get("state", "queued")
         job.submitted_at = float(doc.get("submitted_at", 0.0))
-        job.started_at = doc.get("started_at")
-        job.finished_at = doc.get("finished_at")
-        job.error = doc.get("error")
-        job.result = doc.get("result")
-        job.lease = doc.get("lease")
-        job.recoveries = int(doc.get("recoveries", 0))
         job.trace_id = doc.get("trace_id", "")
         job.workdir = doc.get("workdir")
-        job.attempt = int(doc.get("attempt", 0))
-        job.worker = doc.get("worker")
-        job.cache_hit = bool(doc.get("cache_hit", False))
-        progress = doc.get("progress", {})
-        job.steps_done = int(progress.get("steps_done", 0))
-        job.steps_total = int(progress.get("steps_total", 0))
+        job.absorb(doc)
         return job
+
+    def absorb(self, doc: Dict[str, Any]) -> None:
+        """Adopt the store's view of where this job is: every field a
+        worker writes while it owns the job (``advance`` is bypassed --
+        the store is authoritative)."""
+        self.state = doc.get("state", self.state)
+        self.started_at = doc.get("started_at")
+        self.finished_at = doc.get("finished_at")
+        self.error = doc.get("error")
+        self.result = doc.get("result")
+        self.lease = doc.get("lease")
+        self.recoveries = int(doc.get("recoveries", 0))
+        self.attempt = int(doc.get("attempt", 0))
+        self.worker = doc.get("worker")
+        self.cache_hit = bool(doc.get("cache_hit", False))
+        progress = doc.get("progress", {})
+        self.steps_done = int(progress.get("steps_done", self.steps_done))
+        self.steps_total = int(progress.get("steps_total",
+                                            self.steps_total))

@@ -1,26 +1,30 @@
-"""Job execution: one leased accelerator, one simulation, one result.
+"""Job execution: one leased accelerator, one solver, one result.
 
-The runner is the bridge between a :class:`~repro.serve.jobs.Job` and
-the simulation stack.  It executes on the scheduler's worker thread,
-*inside* the job's lease: every force evaluation goes through
-``lease.system``, the leased slot's
-:class:`~repro.grape.system.Grape5System` (via
-:func:`repro.sim.recipes.build_force`'s ``system=`` hook), so two
-concurrent jobs never compute on one device.  The recipe also gives
-every job its own :class:`~repro.exec.PipelineEngine` (``workers``
-threads in this process -- no ``fork()`` from a server that is running
-scheduler, heartbeat and HTTP threads), so an injected fault plan stays
-scoped to the job and every retry decision lands in the job's black
-box; the threads start with the first sweep and are joined when the
-solver is closed.
+The runner is the service-side adapter over :mod:`repro.sim.recipes`
+(``repro.cli`` is the terminal-side one): it turns a
+:class:`~repro.serve.jobs.Job` and its lease into the recipes' plain
+parameters plus a progress-event / cancel-pause-poll callback.  It
+executes on the scheduler's worker thread, *inside* the job's lease.
+
+:func:`run_job` builds every kind's solver at ONE
+:func:`~repro.sim.recipes.build_force` call: ``system=lease.system``
+(the leased slot's :class:`~repro.grape.system.Grape5System`) where
+the kind computes on the GRAPE, so two concurrent jobs never share a
+device -- a ``sweep`` returns counts, equal on any arithmetic, and
+holds its lease but computes on the host backend -- and always the
+job's own :class:`~repro.exec.PipelineEngine` (``workers`` threads in
+this process, started by the first sweep and joined when the solver
+closes), its fault plan, retry budget and flight recorder.  A plan is
+therefore scoped to its job, fires on every kind, and every retry
+decision lands in the job's black box.
 
 Bit-identity
 ------------
-A ``run`` job is constructed through :mod:`repro.sim.recipes` -- the
-same code path as ``repro run`` -- and its result carries
-``state_digest(pos, vel, t)``.  Served and interactive runs of the
-same parameters therefore produce equal digests; the acceptance tests
-check exactly that.
+A ``run`` job is :func:`repro.sim.recipes.paper_run` -- the body
+``repro run`` executes -- and its result carries ``state_digest(pos,
+vel, t)``.  Served and interactive runs of the same parameters
+therefore produce equal digests; the acceptance tests check exactly
+that.
 
 Robustness
 ----------
@@ -48,10 +52,6 @@ __all__ = ["run_job"]
 
 logger = logging.getLogger(__name__)
 
-#: fixed eps of the sweep/force_eval synthetic snapshots (matches the
-#: CLI's ``sweep`` hard-coded softening)
-_EPS_SYNTH = 0.01
-
 
 def _poll_flags(job: Job, sim, ckpt: Optional[Path]) -> None:
     """Between-step control point: honour cancel/pause requests."""
@@ -64,26 +64,15 @@ def _poll_flags(job: Job, sim, ckpt: Optional[Path]) -> None:
         raise JobPaused(job.id)
 
 
-def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
-    """Kind ``run``: the scaled paper experiment, shared recipe with
-    ``repro run``, checkpoint-backed restart/recovery."""
-    from ..cosmo import SCDM
-    from ..sim import Simulation
+def _run_run(job: Job, force) -> Dict[str, Any]:
+    """Kind ``run``: :func:`repro.sim.recipes.paper_run` on the job's
+    original schedule, continued from the workdir's newest intact
+    checkpoint generation when there is one."""
     from ..sim.checkpoint import (CheckpointCorrupt, last_good_entries,
                                   load_latest, save_checkpoint)
-    from ..sim.diagnostics import interaction_totals
-    from ..sim.recipes import (build_force, carve_run_region,
-                               run_schedule, state_digest)
+    from ..sim.recipes import new_simulation, paper_run, run_schedule
 
     spec, p = job.spec, job.spec.params
-    force, gb = build_force(
-        theta=p["theta"], ncrit=p["ncrit"], backend=p["backend"],
-        system=(lease.system if p["backend"] == "grape"
-                else None),
-        workers=spec.workers, faults=spec.faults or None,
-        flight=job.flight,
-        tracer=tracer, metrics=metrics, max_retries=spec.max_retries)
-
     ckpt = (Path(job.workdir) / "checkpoint.npz" if job.workdir
             else None)
     sim = None
@@ -93,7 +82,6 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
     if has_ckpt:
         try:
             sim = load_latest(ckpt, force=force)
-            sim.tracer, sim.metrics = tracer, metrics
             gens = last_good_entries(ckpt)
             job.add_event("resumed", steps_done=len(sim.history),
                           attempt=job.attempt,
@@ -105,18 +93,12 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
         except (FileNotFoundError, CheckpointCorrupt):
             sim = None
     if sim is None:
-        region = carve_run_region(ngrid=p["ngrid"], seed=p["seed"],
-                                  z_init=p["z_init"])
-        sim = Simulation.from_sphere(region, force=force,
-                                     tracer=tracer, metrics=metrics)
-        sim.t = SCDM.age(p["z_init"])
-    sim.flight = job.flight
-
+        sim = new_simulation(force, ngrid=p["ngrid"], seed=p["seed"],
+                             z_init=p["z_init"])
     dts = run_schedule(z_init=p["z_init"], z_final=p["z_final"],
                        steps=p["steps"])
     job.steps_total = len(dts)
     job.steps_done = len(sim.history)
-    remaining = dts[len(sim.history):]
 
     def _progress(s, rec):
         job.steps_done = len(s.history)
@@ -125,89 +107,51 @@ def _run_run(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
                       mean_list=rec.mean_list_length)
         _poll_flags(job, s, ckpt)
 
-    try:
-        if remaining:
-            sim.run(remaining, callback=_progress,
-                    checkpoint_path=ckpt,
-                    checkpoint_every=spec.checkpoint_every,
-                    resume_on_fault=ckpt is not None
-                    and spec.checkpoint_every > 0,
-                    max_recoveries=spec.max_recoveries,
-                    fault_injector=force.engine.fault_injector)
-        job.recoveries += sim.fault_recoveries
-    finally:
-        sim.close()
+    result = paper_run(
+        sim, dts[len(sim.history):], flight=job.flight,
+        on_step=_progress, checkpoint_path=ckpt,
+        checkpoint_every=spec.checkpoint_every,
+        resume_on_fault=ckpt is not None and spec.checkpoint_every > 0,
+        max_recoveries=spec.max_recoveries)
+    job.recoveries += result["fault_recoveries"]
     if ckpt is not None:
         c0 = time.perf_counter()
         save_checkpoint(ckpt, sim, rotate=True)
-        from ..obs import as_tracer
-        as_tracer(tracer).record("serve.checkpoint",
-                                 time.perf_counter() - c0,
-                                 job=job.id, final=True)
-    d = interaction_totals(sim)
-    return {
-        "digest": state_digest(sim.pos, sim.vel, sim.t),
-        "n_particles": sim.n_particles,
-        "steps": int(d["steps"]),
-        "interactions": float(d["interactions"]),
-        "mean_list_length": float(d["mean_list_length"]),
-        "t_final": float(sim.t),
-        "fault_recoveries": int(sim.fault_recoveries),
-    }
+        force.tracer.record("serve.checkpoint",
+                            time.perf_counter() - c0, job=job.id,
+                            final=True)
+    return result
 
 
-def _run_sweep(job: Job, lease, *, tracer, metrics) -> Dict[str, Any]:
-    """Kind ``sweep``: the section-3 group-size sweep (as ``repro
-    sweep``), on the leased accelerator."""
-    import numpy as np
-    from ..sim.models import plummer_model
-    from ..sim.recipes import build_force
+def _run_sweep(job: Job, force) -> Dict[str, Any]:
+    """Kind ``sweep``: :func:`repro.sim.recipes.ng_sweep`, polled
+    between points."""
+    from ..sim.recipes import ng_sweep
 
-    spec, p = job.spec, job.spec.params
-    rng = np.random.default_rng(p["seed"])
-    pos, _, mass = plummer_model(p["n"], rng)
-    rows = []
-    # one solver (one engine) for the whole sweep; n_g is its knob
-    tc, _ = build_force(theta=p["theta"], ncrit=64, system=lease.system,
-                        workers=spec.workers, tracer=tracer,
-                        metrics=metrics, max_retries=spec.max_retries)
-    try:
-        for ncrit in (64, 256, 1024, 4096):
-            _poll_flags(job, None, None)
-            tc.n_crit = ncrit
-            tc.accelerations(pos, mass, _EPS_SYNTH)
-            s = tc.last_stats
-            rows.append({"n_crit": ncrit,
-                         "n_g": round(s.mean_group_size, 1),
-                         "mean_list": round(s.interactions_per_particle),
-                         "interactions": int(s.total_interactions)})
-            job.steps_done += 1
-            job.add_event("sweep_point", n_crit=ncrit)
-    finally:
-        tc.close()
-    return {"rows": rows, "n": p["n"]}
+    def _point(row):
+        job.steps_done += 1
+        job.add_event("sweep_point", n_crit=row["n_crit"])
+        _poll_flags(job, None, None)
+
+    p = job.spec.params
+    return {"rows": ng_sweep(force, n=p["n"], seed=p["seed"],
+                             on_point=_point), "n": p["n"]}
 
 
-def _run_force_eval(job: Job, lease, *, tracer,
-                    metrics) -> Dict[str, Any]:
+def _run_force_eval(job: Job, force) -> Dict[str, Any]:
     """Kind ``force_eval``: one treecode force sweep over a Plummer
     snapshot; the digest makes repeated evaluations comparable."""
     import numpy as np
     from ..sim.models import plummer_model
-    from ..sim.recipes import build_force
 
-    spec, p = job.spec, job.spec.params
+    p = job.spec.params
     rng = np.random.default_rng(p["seed"])
     pos, _, mass = plummer_model(p["n"], rng)
-    tc, _ = build_force(theta=p["theta"], ncrit=p["ncrit"],
-                        system=lease.system, workers=spec.workers,
-                        tracer=tracer, metrics=metrics,
-                        max_retries=spec.max_retries)
     try:
-        acc, pot = tc.accelerations(pos, mass, p["eps"])
+        acc, pot = force.accelerations(pos, mass, p["eps"])
     finally:
-        tc.close()
-    s = tc.last_stats
+        force.close()
+    s = force.last_stats
     job.steps_done = job.steps_total = 1
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(acc, dtype=np.float64).tobytes())
@@ -238,16 +182,27 @@ def run_job(job: Job, lease, *, tracer=None,
     under it in the job's trace.
     """
     from ..obs import NULL_TRACER
+    from ..sim.recipes import build_force
     tr = tracer if tracer is not None else NULL_TRACER
     t0 = time.perf_counter()
     outcome = "done"
-    sp = tr.span("serve.job", job=job.id, kind=job.spec.kind,
+    spec, p = job.spec, job.spec.params
+    sp = tr.span("serve.job", job=job.id, kind=spec.kind,
                  lease=lease.id)
     try:
         with sp:
-            result = _KIND_RUNNERS[job.spec.kind](job, lease,
-                                                  tracer=tr,
-                                                  metrics=metrics)
+            # a sweep's rows are counts: host arithmetic gives the same
+            # (and it sets its own n_crit per point)
+            backend = ("host" if spec.kind == "sweep"
+                       else p.get("backend", "grape"))
+            force, _ = build_force(
+                theta=p["theta"], ncrit=p.get("ncrit", 64),
+                backend=backend,
+                system=lease.system if backend == "grape" else None,
+                workers=spec.workers, faults=spec.faults or None,
+                flight=job.flight, tracer=tr, metrics=metrics,
+                max_retries=spec.max_retries)
+            result = _KIND_RUNNERS[spec.kind](job, force)
             result["lease"] = lease.id
             return result
     except JobCancelled:

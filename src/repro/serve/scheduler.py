@@ -575,23 +575,8 @@ class Scheduler:
     def _sync_from_store(self, job: Job, doc: Dict) -> None:
         """Fold the store's view of a job *not* owned by this worker
         into its local runtime object (callers hold the cv lock)."""
-        if doc.get("worker") == self.worker_id:
-            return
-        job.state = doc.get("state", job.state)
-        job.started_at = doc.get("started_at")
-        job.finished_at = doc.get("finished_at")
-        job.error = doc.get("error")
-        job.result = doc.get("result")
-        job.lease = doc.get("lease")
-        job.recoveries = int(doc.get("recoveries", 0))
-        job.attempt = int(doc.get("attempt", 0))
-        job.worker = doc.get("worker")
-        job.cache_hit = bool(doc.get("cache_hit", False))
-        progress = doc.get("progress", {})
-        job.steps_done = int(progress.get("steps_done",
-                                          job.steps_done))
-        job.steps_total = int(progress.get("steps_total",
-                                           job.steps_total))
+        if doc.get("worker") != self.worker_id:
+            job.absorb(doc)
 
     def _retry_after(self, queued: int) -> float:
         """Backoff hint: about one average job duration per queued job

@@ -1,29 +1,32 @@
-"""Shared run construction: one recipe for the CLI and the service.
+"""The work: one body per job kind, shared by the CLI and the service.
 
-``repro run`` and a ``repro.serve`` job of kind ``run`` must produce
-**bit-identical** trajectories for the same parameters -- the service
-acceptance criterion mirrors the paper's setup, where the same
-simulation gives the same answer whether the host is driven
-interactively or from a job queue.  The only way to guarantee that is
-to construct the workload, the force solver and the step schedule
-through one code path, so this module hoists the construction logic
-that used to live inline in :mod:`repro.cli` and shares it with
-:mod:`repro.serve.runner`.
+``repro run|resume|sweep`` and a served ``run|sweep`` job are the same
+work started two ways -- the paper's one host program driving the
+GRAPE through one call sequence, whoever launched it -- so the work
+lives here once, and :mod:`repro.cli` and :mod:`repro.serve.runner`
+are adapters over it: each turns its input (argv; a ``Job`` and its
+lease) into plain parameters and one callback (a print; a progress
+event plus the cancel/pause poll) and keeps only what its side alone
+has.  Nothing here knows of argparse, jobs, leases or stdout.
 
-:func:`state_digest` is the comparison primitive: a SHA-256 over the
-exact phase-space bytes plus the time, so "bit-identical" is checked
-as digest equality instead of shipping arrays around.
+:func:`carve_run_region`, :func:`build_force` and :func:`run_schedule`
+are the workload, the solver and the step schedule of a scaled paper
+run; :func:`new_simulation` + :func:`paper_run` are the ``run`` kind
+and :func:`ng_sweep` the ``sweep`` kind.  One body is what makes a
+served run **bit-identical** to an interactive one, and
+:func:`state_digest` is how that is checked: a SHA-256 over the exact
+phase-space bytes plus the time, compared instead of shipping arrays.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["carve_run_region", "build_force", "run_schedule",
-           "state_digest"]
+           "new_simulation", "paper_run", "ng_sweep", "state_digest"]
 
 
 def carve_run_region(*, ngrid: int, seed: int, z_init: float,
@@ -129,6 +132,84 @@ def run_schedule(*, z_init: float, z_final: float,
     return [float(dt) for dt in
             paper_schedule(SCDM, float(z_init), float(z_final),
                            int(steps))]
+
+
+def new_simulation(force, *, ngrid: int, seed: int, z_init: float):
+    """A paper run's initial state: the carved sphere on ``force``, its
+    clock at the age of the universe at ``z_init``."""
+    from ..cosmo import SCDM
+    from .simulation import Simulation
+    sim = Simulation.from_sphere(
+        carve_run_region(ngrid=ngrid, seed=seed, z_init=z_init),
+        force=force)
+    sim.t = SCDM.age(z_init)
+    return sim
+
+
+def paper_run(sim, schedule: Sequence[float], *, flight=None,
+              on_step: Optional[Callable] = None,
+              **checkpointing) -> Dict[str, object]:
+    """Kind ``run``: step ``sim`` -- fresh from :func:`new_simulation`
+    or loaded from a checkpoint -- through ``schedule``, and close its
+    solver whatever happens.
+
+    The run observes itself through its solver's tracer and registry
+    (:func:`build_force` gave it them) and the ``flight`` recorder;
+    ``on_step(sim, record)`` fires after every step; ``checkpointing``
+    is ``Simulation.run``'s policy (``checkpoint_path``,
+    ``checkpoint_every``, ``resume_on_fault``, ``max_recoveries``) and
+    the injector it consults is the solver's own.  Returns the run's
+    exact facts -- no wall clock, so the document can be cached and
+    compared.
+    """
+    from .diagnostics import interaction_totals
+    force = sim.force
+    sim.tracer, sim.metrics, sim.flight = force.tracer, force.metrics, flight
+    if sim.metrics is not None:
+        sim.metrics.gauge("sim.n_particles",
+                          "particles in the run").set(sim.n_particles)
+    try:
+        sim.run(schedule, callback=on_step, **checkpointing,
+                fault_injector=force.engine.fault_injector)
+    finally:
+        sim.close()
+    d = interaction_totals(sim)
+    return {"digest": state_digest(sim.pos, sim.vel, sim.t),
+            "n_particles": sim.n_particles,
+            "steps": int(d["steps"]),
+            "interactions": float(d["interactions"]),
+            "mean_list_length": float(d["mean_list_length"]),
+            "t_final": float(sim.t),
+            "fault_recoveries": int(sim.fault_recoveries)}
+
+
+def ng_sweep(tc, *, n: int, seed: int,
+             on_point: Optional[Callable] = None) -> List[Dict]:
+    """Kind ``sweep``: the section-3 group-size sweep of an ``n``-body
+    Plummer snapshot on ONE solver (one engine and thread pool, one
+    cluster context), which it closes; n_g is the solver's knob.
+
+    The rows are counts and do not depend on the arithmetic, so callers
+    build ``tc`` on the host float64 backend unless asked for a
+    cluster.  ``on_point(row)`` fires after every point.
+    """
+    from .models import plummer_model
+    pos, _, mass = plummer_model(n, np.random.default_rng(seed))
+    rows: List[Dict] = []
+    try:
+        for ncrit in (64, 256, 1024, 4096):
+            tc.n_crit = ncrit
+            tc.accelerations(pos, mass, 0.01)
+            s = tc.last_stats
+            rows.append({"n_crit": ncrit,
+                         "n_g": round(s.mean_group_size, 1),
+                         "mean_list": round(s.interactions_per_particle),
+                         "interactions": int(s.total_interactions)})
+            if on_point is not None:
+                on_point(rows[-1])
+    finally:
+        tc.close()
+    return rows
 
 
 def state_digest(pos: np.ndarray, vel: np.ndarray,

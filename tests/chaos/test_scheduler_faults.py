@@ -9,6 +9,9 @@ way: the recovered job's state digest equals a clean run of the same
 spec.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.serve import JobSpec, Scheduler
@@ -74,3 +77,46 @@ class TestSchedulerUnderFaults:
         assert "TransientBackendError" in doomed.error
         assert after.state == "done"
         s.stop()
+
+
+class TestFaultPlansReachEveryKind:
+    """``run_job`` builds every kind's solver at one ``build_force``
+    call, so ``spec.faults`` and the job's flight recorder ride into
+    ``force_eval`` and ``sweep`` exactly as into ``run``."""
+
+    def test_device_fault_fails_a_force_eval_and_is_recorded(
+            self, tmp_path):
+        s = Scheduler(slots=1, workdir=tmp_path).start()
+        doomed = s.submit(JobSpec(
+            kind="force_eval", params={"n": 128}, max_retries=1,
+            faults="transient_error@site=grape.compute,count=99"))
+        bystander = s.submit(JobSpec(kind="force_eval",
+                                     params={"n": 128}))
+        assert s.wait(doomed.id, timeout=120)
+        assert s.wait(bystander.id, timeout=120)
+        s.stop()
+        assert doomed.state == "failed"
+        assert "TransientBackendError" in doomed.error
+        assert bystander.state == "done"
+        # the black box holds the force layer's events, not only the
+        # scheduler's job.* bookkeeping
+        box = (Path(doomed.workdir) / "flightrec.jsonl").read_text()
+        kinds = [json.loads(line).get("kind")
+                 for line in box.splitlines()]
+        assert kinds.count("fault.injected") == 2  # 1 try + 1 retry
+        assert "job.failed" in kinds
+
+    def test_batch_fault_is_retried_and_counted_on_a_sweep(
+            self, tmp_path):
+        """n = 3000 cuts into five shards, so ``batch=1`` exists; the
+        counter is the one ``repro sweep --faults`` reports."""
+        s = Scheduler(slots=1, workdir=tmp_path).start()
+        job = s.submit(JobSpec(kind="sweep", params={"n": 3000},
+                               faults="transient_error@batch=1"))
+        assert s.wait(job.id, timeout=120)
+        s.stop()
+        assert job.state == "done"
+        assert [r["n_crit"] for r in job.result["rows"]] \
+            == [64, 256, 1024, 4096]
+        assert s.metrics.value("exec.fault.batch_retries") == 1
+        assert s.metrics.value("exec.fault.transient_errors") == 1

@@ -13,8 +13,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
 
-#: measured ``src/repro`` total after PR 19
-CEILING = 16056
+#: measured ``src/repro`` total at the last PR that removed lines
+CEILING = 16039
 
 
 def test_source_line_count_is_under_the_ceiling():

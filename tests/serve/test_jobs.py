@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.serve import JOB_SCHEMA, Job, JobError, JobSpec
+from repro.serve.jobs import JOB_STATES
 
 
 class TestJobSpec:
@@ -108,3 +109,53 @@ class TestLifecycle:
         a, b = Job(spec=JobSpec(kind="run")), Job(spec=JobSpec(kind="run"))
         assert a.id != b.id
         assert b.seq > a.seq
+
+
+class TestStoreDocument:
+    """One document -> ``Job`` mapping: ``from_store_doc`` and the
+    scheduler's sync of jobs it does not own both go through
+    ``Job.absorb``."""
+
+    #: a full life, with the fields a worker writes on the way
+    PATH = [
+        ("scheduled", dict(worker="w1", attempt=1)),
+        ("running", dict(lease="L0001", steps_done=1, steps_total=3)),
+        ("paused", dict(recoveries=2)),
+        ("queued", dict()),
+        ("scheduled", dict(worker="w2", attempt=2)),
+        ("running", dict(lease="L0002", steps_done=2)),
+        ("done", dict(result={"digest": "ab", "steps": 3},
+                      steps_done=3, cache_hit=True)),
+    ]
+
+    def test_round_trip_at_every_lifecycle_state(self):
+        job = Job(spec=JobSpec(kind="run", tenant="bob", priority=2),
+                  workdir="/w/j1", trace_id="t-1")
+        docs = [job.to_store_doc()]
+        for state, written in self.PATH:
+            job.advance(state)
+            for name, value in written.items():
+                setattr(job, name, value)
+            docs.append(job.to_store_doc())
+        for end, error in (("failed", "Boom: x"), ("cancelled", None)):
+            other = Job(spec=JobSpec(kind="sweep"))
+            other.state, other.error = "running", error
+            other.advance(end)
+            docs.append(other.to_store_doc())
+        assert {d["state"] for d in docs} == set(JOB_STATES)
+        for doc in docs:
+            doc = json.loads(json.dumps(doc))  # as a store returns it
+            assert Job.from_store_doc(doc).to_store_doc() == doc
+
+    def test_absorb_follows_a_foreign_worker_and_keeps_identity(self):
+        job = Job(spec=JobSpec(kind="run"), workdir="/w/j1")
+        before = (job.id, job.seq, job.submitted_at, job.workdir)
+        remote = Job.from_store_doc(job.to_store_doc())
+        remote.advance("scheduled")
+        remote.advance("running")
+        remote.worker, remote.lease, remote.steps_done = "w2", "L0007", 5
+        job.absorb(remote.to_store_doc())
+        assert (job.state, job.worker, job.lease, job.steps_done) \
+            == ("running", "w2", "L0007", 5)
+        assert job.started_at == remote.started_at
+        assert (job.id, job.seq, job.submitted_at, job.workdir) == before

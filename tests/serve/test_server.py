@@ -186,3 +186,35 @@ class TestAcceptance:
                 client.submit(FE_SPEC)
             assert exc.value.retry_after >= 1.0
             client.wait(runner["id"], timeout=120)
+
+
+class TestSweepAcceptance:
+    """The ``sweep`` kind across the two adapters: one body, so the
+    served rows are the table ``repro sweep`` prints -- on the host
+    arithmetic both use, since the rows are counts."""
+
+    def test_served_rows_equal_the_cli_table_on_host_arithmetic(
+            self, tmp_path, serve_factory):
+        from repro import cli
+        params = {"n": 1500, "theta": 0.6, "seed": 11}
+        out = io.StringIO()
+        assert cli.main(["sweep", "--n", "1500", "--theta", "0.6",
+                         "--seed", "11"], out=out) == 0
+        table = [line.split() for line in out.getvalue().splitlines()]
+        with serve_factory(slots=1, workdir=tmp_path) as (server, client):
+            doc = client.submit({"schema": JOB_SCHEMA, "kind": "sweep",
+                                 "params": params})
+            final = client.wait(doc["id"], timeout=120)
+            assert final["state"] == "done" and final["lease"]
+            assert final["result"]["n"] == 1500
+            rows = final["result"]["rows"]
+            assert list(rows[0]) == ["n_crit", "n_g", "mean_list",
+                                     "interactions"]
+            assert [[str(v) for v in r.values()] for r in rows] \
+                == table[2:]
+            # counts need no GRAPE: the job held its lease but paid
+            # for no emulated arithmetic
+            metrics = server.scheduler.metrics
+            assert metrics.value("tree.interactions_total") > 0
+            assert metrics.value("grape.interactions_total") == 0
+            assert metrics.value("grape.force_calls") == 0
