@@ -19,7 +19,6 @@ import pytest
 
 from repro.core import TreeCode
 from repro.cosmo import SCDM, ZeldovichIC, carve_sphere
-from repro.cosmo.ewald import EwaldCorrectionTable, PeriodicDirectSummation
 from repro.grape import GrapeBackend
 from repro.sim import Simulation, paper_schedule
 from repro.sim.models import plummer_model
@@ -88,24 +87,3 @@ def evolved_sphere_z0():
     # step would be ~2x the initial age) -- see repro.sim.timestep
     sim.run(paper_schedule(SCDM, 24.0, 0.0, 60, spacing="loga"))
     return sim, backend
-
-
-@pytest.fixture(scope="session")
-def periodic_workload():
-    """A clustered periodic box plus its Ewald-exact reference forces
-    (E12).  Returns ``(pos, mass, eps, table, ref)`` in box units.
-    """
-    box, n_side = 1.0, 12  # 1728 particles
-    # clustered positions: Zel'dovich realisation wrapped into the box
-    # (pre-shell-crossing epoch, plus softening: an unsoftened
-    # shell-crossed workload is singular for every pairwise solver)
-    ic = ZeldovichIC(box=100.0, ngrid=n_side, seed=12)
-    x, _ = ic.comoving(4.0)
-    pos = np.mod(x / 100.0, 1.0) * box
-    n = pos.shape[0]
-    mass = np.full(n, 1.0 / n)
-    eps = 0.25 * box / n_side
-    table = EwaldCorrectionTable(box)
-    ref, _ = PeriodicDirectSummation(
-        box=box, table=table).accelerations(pos, mass, eps)
-    return pos, mass, eps, table, ref

@@ -22,7 +22,6 @@ sits far from its geometric center.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -54,17 +53,9 @@ class MAC:
 
 
 def _pair_dmin(tree: Octree, cells: np.ndarray, sink_center: np.ndarray,
-               sink_radius: np.ndarray, box: Optional[float] = None
-               ) -> np.ndarray:
-    """Lower bound on the distance from any sink point to the cell com.
-
-    With ``box`` set, distances are minimum-image (periodic traversal:
-    each sink interacts with the *nearest* image of every cell; all
-    other images enter through the Ewald correction).
-    """
+               sink_radius: np.ndarray) -> np.ndarray:
+    """Lower bound on the distance from any sink point to the cell com."""
     d = tree.com[cells] - sink_center
-    if box is not None:
-        d = d - box * np.round(d / box)
     dist = np.sqrt(np.einsum("ij,ij->i", d, d))
     return np.maximum(dist - sink_radius, 0.0)
 
@@ -83,16 +74,13 @@ class BarnesHutMAC(MAC):
     """
 
     theta: float = 0.75
-    #: minimum-image period for periodic-box traversal (None = isolated)
-    box: Optional[float] = None
 
     def __post_init__(self):
         if not 0.0 < self.theta:
             raise ValueError(f"theta must be positive, got {self.theta}")
 
     def accept(self, tree, cells, sink_center, sink_radius):
-        dmin = _pair_dmin(tree, cells, sink_center, sink_radius,
-                          self.box)
+        dmin = _pair_dmin(tree, cells, sink_center, sink_radius)
         edge = 2.0 * tree.half[cells]
         delta = tree.com[cells] - tree.center[cells]
         delta = np.sqrt(np.einsum("ij,ij->i", delta, delta))

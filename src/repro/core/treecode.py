@@ -370,9 +370,6 @@ class TreeCode:
         only the direct-particle terms that way and adds the
         monopole+quadrupole cell terms on the host per sink group --
         what a hybrid host/GRAPE quadrupole scheme would do.
-
-        Subclasses whose source lists depend on the sink (the periodic
-        treecode's anchored images) override this one hook.
         """
         sent = lists
         if self.quadrupole:

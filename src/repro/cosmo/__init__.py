@@ -3,7 +3,8 @@
 Builds the paper's initial conditions from first principles: a BBKS
 standard-CDM power spectrum normalised to sigma_8, a Gaussian random
 realisation on a periodic mesh, Zel'dovich displacements, and the
-selection of a comoving sphere (the paper's 50 Mpc region at z = 24).
+selection of a comoving sphere (the paper's 50 Mpc region at z = 24),
+which is then evolved as an isolated system.
 
 Typical use::
 
@@ -17,11 +18,7 @@ Typical use::
 from .correlation import (correlation_function, pair_counts,
                           power_law_fit, sphere_rr)
 from .cosmology import Cosmology, SCDM
-from .ewald import (EwaldCorrectionTable, PeriodicDirectSummation,
-                    ewald_kernels, minimum_image)
 from .massfunction import DELTA_C, PressSchechter
-from .periodic_tree import PeriodicTreeCode
-from .pm import ParticleMesh
 from .gaussian import (displacement_field, gaussian_density_field,
                        grid_wavenumbers)
 from .power import PowerSpectrum, bbks_transfer
@@ -31,10 +28,9 @@ from .zeldovich import ZeldovichIC, lattice_positions
 
 __all__ = [
     "correlation_function", "pair_counts", "power_law_fit", "sphere_rr",
-    "EwaldCorrectionTable", "PeriodicDirectSummation", "ewald_kernels",
-    "minimum_image", "DELTA_C", "PressSchechter", "PeriodicTreeCode", "ParticleMesh",
-    "Cosmology", "SCDM", "displacement_field", "gaussian_density_field",
-    "grid_wavenumbers", "PowerSpectrum", "bbks_transfer", "SphereRegion",
-    "carve_sphere", "G", "GYR_PER_TIME_UNIT", "RHO_CRIT_H100", "Units",
+    "DELTA_C", "PressSchechter", "Cosmology", "SCDM",
+    "displacement_field", "gaussian_density_field", "grid_wavenumbers",
+    "PowerSpectrum", "bbks_transfer", "SphereRegion", "carve_sphere",
+    "G", "GYR_PER_TIME_UNIT", "RHO_CRIT_H100", "Units",
     "ZeldovichIC", "lattice_positions",
 ]

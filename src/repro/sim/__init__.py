@@ -17,7 +17,7 @@ from .checkpoint import (CheckpointCorrupt, load_checkpoint, load_latest,
                          save_checkpoint)
 from .diagnostics import (EnergyLedger, interaction_totals,
                           lagrangian_radii, virial_ratio)
-from .integrator import ComovingLeapfrog, LeapfrogKDK
+from .integrator import LeapfrogKDK
 from .simulation import Simulation, StepRecord
 from .snapshot import Snapshot, load_snapshot, save_snapshot, slab
 from .models import (cold_lattice_sphere, hernquist_model, plummer_model,
@@ -27,7 +27,7 @@ from .timestep import AccelerationTimestep, paper_schedule
 __all__ = [
     "CheckpointCorrupt", "load_checkpoint", "load_latest",
     "save_checkpoint", "EnergyLedger", "interaction_totals", "lagrangian_radii",
-    "virial_ratio", "ComovingLeapfrog", "LeapfrogKDK", "Simulation",
+    "virial_ratio", "LeapfrogKDK", "Simulation",
     "StepRecord", "Snapshot", "load_snapshot", "save_snapshot", "slab",
     "AccelerationTimestep", "paper_schedule", "plummer_model",
     "hernquist_model", "uniform_sphere", "cold_lattice_sphere",

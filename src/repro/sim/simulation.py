@@ -14,8 +14,7 @@ from an expanding universe needs no comoving trick -- the expansion is
 entirely contained in the initial Hubble-flow velocities, and the
 Newtonian evolution of the physical coordinates is exact (this is the
 classic setup of the sphere-geometry cosmological runs of the GRAPE
-group).  The comoving integrator in :mod:`repro.sim.integrator` serves
-periodic-box extensions.
+group), and it is the only geometry the code solves.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ import pytest
 
 from repro.core import TreeCode
 from repro.core.kernels import Float64Backend, ForceBackend
-from repro.cosmo.periodic_tree import PeriodicTreeCode
 from repro.exec import PipelineEngine
 from repro.grape import GrapeBackend
 from repro.sim.models import plummer_model
@@ -41,19 +40,14 @@ from repro.sim.models import plummer_model
 RTOL = 1e-12
 
 EPS = 0.01
-BOX = 10.0
 
 #: (n, geometry, theta) sweep; the large-N points run one theta to
 #: keep the suite inside tier-1 budgets
 CASES = [
     (64, "open", 0.75),
-    (64, "periodic", 0.75),
     (1000, "open", 0.5),
     (1000, "open", 0.75),
-    (1000, "periodic", 0.5),
-    (1000, "periodic", 0.75),
     (10000, "open", 0.75),
-    (10000, "periodic", 0.75),
 ]
 
 
@@ -75,31 +69,12 @@ def snapshots():
         rng = np.random.default_rng(1000 + n)
         pos, _, mass = plummer_model(n, rng)
         cache[(n, "open")] = (pos, mass)
-        cache[(n, "periodic")] = (rng.uniform(0.0, BOX, size=(n, 3)),
-                                  np.full(n, 1.0 / n))
     return cache
-
-
-@pytest.fixture(scope="module")
-def ewald_table():
-    """One correction table shared by every periodic case (it is
-    position-independent and costs more than the sweeps themselves)."""
-    from repro.cosmo.ewald import EwaldCorrectionTable
-    return EwaldCorrectionTable(BOX)
-
-
-def _treecode(geometry, theta, backend, ewald_table, n_crit=256):
-    if geometry == "open":
-        return TreeCode(theta=theta, n_crit=n_crit, backend=backend)
-    return PeriodicTreeCode(box=BOX, theta=theta, n_crit=n_crit,
-                            backend=backend, ewald_table=ewald_table)
 
 
 def _assert_close(acc1, pot1, acc0, pot0):
     np.testing.assert_allclose(acc1, acc0, rtol=RTOL,
                                atol=RTOL * np.max(np.abs(acc0)))
-    # potentials cancel strongly in periodic boxes, so judge them
-    # against the field's magnitude, not each near-zero entry
     np.testing.assert_allclose(pot1, pot0, rtol=RTOL,
                                atol=RTOL * np.max(np.abs(pot0)))
 
@@ -125,14 +100,13 @@ class TestTreeBitIdentity:
 
 class TestForceEquivalence:
     @pytest.mark.parametrize("n,geometry,theta", CASES)
-    def test_numpy_matches_python(self, snapshots, ewald_table, n,
-                                  geometry, theta):
+    def test_numpy_matches_python(self, snapshots, n, geometry, theta):
         """The compiled walk over the NumPy arrays against the Python
         reference loop, through the whole treecode."""
         pos, mass = snapshots[(n, geometry)]
-        ref = _treecode(geometry, theta, OracleFloat64(), ewald_table)
+        ref = TreeCode(theta=theta, n_crit=256, backend=OracleFloat64())
         acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        tc = _treecode(geometry, theta, Float64Backend(), ewald_table)
+        tc = TreeCode(theta=theta, n_crit=256, backend=Float64Backend())
         acc1, pot1 = tc.accelerations(pos, mass, EPS)
         _assert_close(acc1, pot1, acc0, pot0)
         # identical lists -> identical interaction counts, both in the

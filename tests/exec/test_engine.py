@@ -10,8 +10,8 @@ bundled backends (every sink's arithmetic is independent of which
 slice), the backend's counters must not notice the cut, and
 ``model_seconds`` must be the same number at every worker count (shard
 boundaries do not depend on ``workers``) -- with the native kernel and
-with the reference loop, and for the variants that add host-side terms
-per shard (quadrupole cells, the periodic Ewald bracket).
+with the reference loop, and for the variant that adds host-side terms
+per shard (quadrupole cells).
 """
 
 import gc
@@ -28,7 +28,6 @@ import pytest
 
 from repro.core import TreeCode
 from repro.core.kernels import Float64Backend, ForceBackend, cnative
-from repro.cosmo.periodic_tree import PeriodicTreeCode
 from repro.exec import EngineError, PipelineEngine
 from repro.grape import GrapeBackend
 from repro.obs import MetricsRegistry
@@ -169,8 +168,8 @@ class TestGrapeEquivalence:
 
 
 class TestVariantsRideTheSameShards:
-    """The quadrupole ablation and the periodic treecode add host-side
-    terms inside the per-shard hook; the cut must stay invisible."""
+    """The quadrupole ablation adds host-side terms inside the
+    per-shard hook; the cut must stay invisible."""
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_quadrupole(self, cloud, backend):
@@ -178,22 +177,6 @@ class TestVariantsRideTheSameShards:
             return _plain(quadrupole=True, **kw)
         _assert_engine_contract(*cloud, BACKENDS[backend],
                                 make_tc=make_tc, variant=True)
-
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_periodic(self, backend):
-        from repro.cosmo.ewald import EwaldCorrectionTable
-        rng = np.random.default_rng(44)
-        pos = rng.uniform(0.0, 10.0, size=(600, 3))
-        table = EwaldCorrectionTable(10.0)
-
-        def make_tc(backend, engine):
-            tc = PeriodicTreeCode(box=10.0, theta=0.75, n_crit=64,
-                                  backend=backend, ewald_table=table)
-            tc.engine = engine    # the constructor takes none
-            return tc
-        _assert_engine_contract(pos, np.full(600, 1.0 / 600),
-                                BACKENDS[backend], make_tc=make_tc,
-                                variant=True)
 
 
 class TestReferenceLoop:

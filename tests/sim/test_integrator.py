@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cosmo.cosmology import SCDM
-from repro.sim.integrator import ComovingLeapfrog, LeapfrogKDK
+from repro.sim.integrator import LeapfrogKDK
 
 
 def _kepler_force(m_central=1.0):
@@ -91,36 +90,3 @@ class TestLeapfrogKDK:
         lf.prime(np.array([[1.0, 0.0, 0.0]]), _kepler_force())
         assert lf.potentials[0] == pytest.approx(-1.0)
 
-
-class TestComovingLeapfrog:
-    def test_factors_positive_and_ordered(self):
-        cl = ComovingLeapfrog(cosmology=SCDM)
-        t1 = SCDM.age(9.0)
-        t2 = SCDM.age(4.0)
-        k = cl.kick_factor(t1, t2)
-        d = cl.drift_factor(t1, t2)
-        assert k > 0 and d > 0
-        # a < 1 throughout, so Int dt/a^2 > Int dt/a > Int dt
-        assert d > k > (t2 - t1)
-
-    def test_unperturbed_comoving_positions_static(self):
-        """With zero force, comoving positions move only by the initial
-        momentum times the drift factor."""
-        def force(pos):
-            return np.zeros_like(pos), np.zeros(len(pos))
-        cl = ComovingLeapfrog(cosmology=SCDM)
-        pos = np.array([[1.0, 0.0, 0.0]])
-        mom = np.zeros((1, 3))
-        t = SCDM.age(9.0)
-        p2, m2 = cl.step(pos, mom, t, 1e-4, force)
-        assert np.allclose(p2, pos)
-        assert np.allclose(m2, 0.0)
-
-    def test_eds_factors_analytic(self):
-        """EdS a = (t/t0)^(2/3): kick = Int t^(-2/3) dt * t0^(2/3)."""
-        cl = ComovingLeapfrog(cosmology=SCDM)
-        t0 = SCDM.age(0.0)
-        t1, t2 = 0.3 * t0, 0.5 * t0
-        expect = 3.0 * t0 ** (2.0 / 3.0) * (t2 ** (1.0 / 3.0)
-                                            - t1 ** (1.0 / 3.0))
-        assert cl.kick_factor(t1, t2) == pytest.approx(expect, rel=1e-6)

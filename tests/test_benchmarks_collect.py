@@ -19,7 +19,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 def test_every_bench_script_collects_under_plain_pytest():
     scripts = sorted(p.name for p in (REPO / "benchmarks").glob("bench_*.py"))
-    assert len(scripts) == 16
+    assert len(scripts) == 15
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q",

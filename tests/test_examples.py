@@ -28,13 +28,12 @@ class TestExamplesImportable:
         names = {p.stem for p in EXAMPLES}
         assert {"quickstart", "cosmological_sphere",
                 "optimal_group_size", "grape_accuracy",
-                "galaxy_collision", "periodic_box"} <= names
+                "galaxy_collision"} <= names
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
     def test_importable_with_main(self, path):
         mod = _load(path)
-        assert callable(getattr(mod, "main", None) or
-                        getattr(mod, "linear_growth_demo", None))
+        assert callable(getattr(mod, "main", None))
 
 
 class TestTinyEndToEnd:
