@@ -28,12 +28,7 @@ import numpy as np
 
 from . import cnative
 
-__all__ = ["f64_eval_lists", "g5_eval_lists", "native_available"]
-
-
-def native_available() -> bool:
-    """Whether the compiled fast path is usable in this process."""
-    return cnative.available()
+__all__ = ["f64_eval_lists", "g5_eval_lists"]
 
 
 def _dp(a: np.ndarray):
@@ -97,34 +92,36 @@ def f64_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
 
 def _g5_params(eps, numerics, fixed):
     """The reduced-precision constants, or None when the datapath falls
-    outside what the compiled kernel models (then use the Python
-    pipeline, which is authoritative)."""
+    outside what the compiled kernel's stage-4 table reproduces exactly
+    -- no quantised window, fb outside [1, 11], or a window whose r^2
+    range (slack included) reaches an exponent of +-680 -- and the
+    Python pipeline, which is authoritative, takes the call."""
     fb = int(numerics.force_fraction_bits)
-    if not 1 <= fb <= 52:
+    if fixed is None or not 1 <= fb <= 11:
         return None
     from repro.grape.numerics import round_mantissa
     eps2q = float(round_mantissa(np.float64(eps) ** 2, fb))
-    if fixed is not None:
-        use_quant = 1
-        xmin = float(fixed.xmin)
-        res = float(fixed.resolution)
-        qmax = float((1 << int(fixed.bits)) - 1)
-    else:
-        use_quant, xmin, res, qmax = 0, 0.0, 1.0, 0.0
-    return eps2q, fb, use_quant, xmin, res, qmax
+    xmin, res = float(fixed.xmin), float(fixed.resolution)
+    qmax = float((1 << int(fixed.bits)) - 1)
+    width = qmax * res
+    lo = min(res * res, eps2q or res * res) / 16  # 16, 4: rounding slack
+    hi = 4 * (3 * width * width + eps2q)
+    if not (2.0 ** -679 < lo and hi < 2.0 ** 679):
+        return None
+    return eps2q, fb, xmin, res, qmax
 
 
 def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
                   eps, out_acc, out_pot, *, numerics, fixed) -> bool:
     """GRAPE-5 datapath CSR list walk, bit-identical per pair to
-    :class:`repro.grape.pipeline.G5Pipeline`.  Returns ``done``."""
+    :class:`repro.grape.pipeline.G5Pipeline`, each sink summing in list
+    order.  Returns ``done``."""
     lib = cnative.load()
     if lib is None or not (_writable(out_acc) and _writable(out_pot)):
         return False
     params = _g5_params(eps, numerics, fixed)
     if params is None:
         return False
-    eps2q, fb, use_quant, xmin, res, qmax = params
     (cell_idx, cell_off, part_idx, part_off, start, count,
      n_groups, scratch, _) = _csr_args(lists, sink_start, sink_count)
     if n_groups == 0:
@@ -133,8 +130,7 @@ def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
     lib.repro_g5_csr(
         _dp(pos), _dp(_f64c(pmass)), _dp(_f64c(com)), _dp(_f64c(cmass)),
         _ip(cell_idx), _ip(cell_off), _ip(part_idx), _ip(part_off),
-        _ip(start), _ip(count), n_groups, eps2q, fb,
-        use_quant, xmin, res, qmax,
+        _ip(start), _ip(count), n_groups, *params,
         _dp(scratch[0]), _dp(scratch[1]), _dp(scratch[2]), _dp(scratch[3]),
         _dp(out_acc), _dp(out_pot))
     return True

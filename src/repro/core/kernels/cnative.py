@@ -9,28 +9,34 @@ dense sinks-x-sources call is the one-sink list whose sources are all
   datapath);
 * ``g5``: the GRAPE-5 reduced-precision datapath -- fixed-point
   coordinate quantisation plus short-mantissa rounding after every
-  pipeline stage, *bit-identical per pair* to
-  :class:`repro.grape.pipeline.G5Pipeline` (only the accumulation order
-  over a sink's sources differs, which the documented force tolerance
-  covers; see ``docs/kernels.md``).
+  pipeline stage, *bit-identical* to a list-order loop over
+  :class:`repro.grape.pipeline.G5Pipeline` (see ``docs/kernels.md``).
 
-The mantissa rounding is the branch-free integer form of
-:func:`repro.grape.numerics.round_mantissa`: add the round bit plus a
-ties-to-even correction to the IEEE fraction field, clear the dropped
-bits, and pass subnormals/infinities through untouched.  ``shift =
-53 - fraction_bits`` reproduces the frexp-mantissa convention exactly.
+The g5 walk streams each group's j-list past ``B`` = 8 sinks at once
+(portable ``vector_size`` lanes; a short block's spare lanes repeat a
+live row and are never stored), every lane running the scalar
+datapath's IEEE operations in list order.  The mantissa rounding is the
+branch-free integer form of :func:`repro.grape.numerics.round_mantissa`:
+add the round bit plus a ties-to-even correction to the IEEE fraction
+field, clear the dropped bits, and pass subnormals/infinities through
+untouched.  ``shift = 53 - fraction_bits`` reproduces the
+frexp-mantissa convention exactly.  The r^-1/2, r^-3/2 stage is a
+2^fb-entry table per call, exact only for a quantised window, 1 <= fb
+<= 11 and r^2 exponents inside +-680; the driver sends anything else
+to the Python pipeline.
 
 Compilation happens **at first use** with the system C compiler
 (``$CC``, else ``gcc``, else ``cc``) into a per-user cache directory
-keyed by the source hash; a container with no compiler, a read-only
-filesystem, or ``REPRO_KERNELS_NO_CNATIVE=1`` in the environment simply
-leaves :func:`available` false and every caller falls back to the
-NumPy path.  No third-party build dependency is involved.
+keyed by source, flags and CPU; a container with no compiler, a
+read-only filesystem, or ``REPRO_KERNELS_NO_CNATIVE=1`` in the
+environment simply leaves :func:`available` false and every caller
+falls back to the NumPy path.  No third-party build dependency is
+involved.
 
 ``-ffp-contract=off`` keeps the arithmetic FMA-free (matching NumPy's
-separate multiply/add), so results are reproducible across compilers on
-the same ISA; ``-march=native`` is attempted first and dropped if the
-compiler rejects it.
+separate multiply/add), so results are reproducible across compilers
+and lane widths on the same ISA; ``-march=native`` is attempted first
+and dropped if the compiler rejects it.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import subprocess
 import tempfile
 import threading
@@ -51,16 +58,22 @@ SOURCE = r"""
 typedef long long i64;
 typedef unsigned long long u64;
 
-/* round-to-nearest-even mantissa rounding; s = 53 - fraction_bits */
+#define B 8  /* sinks per j-pass: the lanes */
+typedef double vd __attribute__((vector_size(8 * B)));
+typedef u64 vu __attribute__((vector_size(8 * B)));
+typedef i64 vi __attribute__((vector_size(8 * B)));
+
+/* round-to-nearest-even mantissa rounding per lane; s = 53 - fb */
+static inline vd rd_mant_v(vd x, int s) {
+    vu u = (vu)x, expo = (u >> 52) & 0x7FF;
+    vu r = (u + (((u >> s) & 1) + ((1ULL << (s - 1)) - 1)))
+           & ~((1ULL << s) - 1);
+    vu keep = (vu)((expo == 0) | (expo == 0x7FF));  /* subnormal, inf */
+    return (vd)((u & keep) | (r & ~keep));
+}
+
 static inline double rd_mant(double x, int s) {
-    union {double d; u64 u;} v; v.d = x;
-    u64 u = v.u;
-    u64 expo = (u >> 52) & 0x7FFULL;
-    u64 half = 1ULL << (s - 1);
-    u64 r = u + (((u >> s) & 1ULL) + (half - 1ULL));
-    r &= ~((1ULL << s) - 1ULL);
-    v.u = (expo == 0ULL || expo == 0x7FFULL) ? u : r;
-    return v.d;
+    return rd_mant_v((vd){x}, s)[0];
 }
 
 /* fixed-point coordinate roundtrip (g5_set_range grid, saturating) */
@@ -136,97 +149,77 @@ int repro_f64_csr(const double *pos, const double *pmass,
 }
 
 /* ----------------------------------------------------------------- */
-/* G5-datapath CSR list walk: same structure, with the reduced
-   precision applied per stage exactly as G5Pipeline.compute does.    */
+/* G5-datapath CSR list walk: same structure, the reduced precision
+   applied per stage exactly as G5Pipeline.compute does, B sinks per
+   pass.  With 1 <= fb <= 11 and every r^2 exponent inside +-680 (the
+   caller checks) a rounded r^2 = m 2^(2k+p) has rinv = T1[p,m] 2^-k and
+   rinv3 = T3[p,m] 2^-3k exactly, all intermediates normal.  Adding
+   eps2q = +0 is exact; a zero r^2 (eps2q == 0 only) has rinv 0.     */
 int repro_g5_csr(const double *pos, const double *pmass,
                  const double *com, const double *cmass,
                  const i64 *cell_idx, const i64 *cell_off,
                  const i64 *part_idx, const i64 *part_off,
                  const i64 *sink_start, const i64 *sink_count,
                  i64 n_groups, double eps2q, int fb,
-                 int use_quant, double xmin, double res, double qmax,
+                 double xmin, double res, double qmax,
                  double *sx, double *sy, double *sz, double *sm,
                  double *out_acc, double *out_pot)
 {
     const int s = 53 - fb;
+    const u64 nt = 1ULL << fb;  /* index: exponent low bit, fraction */
+    u64 t1[1 << 11], t3[1 << 11];
+    for (u64 t = 0; t < nt; t++) {  /* r^2 in [1, 4): E = 1 - (t >> fb-1) */
+        union {double d; u64 u;} r, a, c;
+        r.u = ((1024 - (t >> (fb - 1))) << 52) | ((t & (nt / 2 - 1)) << s);
+        a.d = rd_mant(1.0 / sqrt(r.d), s);
+        c.d = rd_mant(a.d * a.d * a.d, s);
+        t1[t] = a.u; t3[t] = c.u;
+    }
     for (i64 g = 0; g < n_groups; g++) {
-        i64 c0 = cell_off[g], c1 = cell_off[g + 1];
-        i64 p0 = part_off[g], p1 = part_off[g + 1];
-        i64 nj = (c1 - c0) + (p1 - p0);
-        i64 k = 0;
-        if (use_quant) {
-            for (i64 c = c0; c < c1; c++, k++) {
-                i64 j = cell_idx[c];
-                sx[k] = quant(com[3*j],   xmin, res, qmax);
-                sy[k] = quant(com[3*j+1], xmin, res, qmax);
-                sz[k] = quant(com[3*j+2], xmin, res, qmax);
-                sm[k] = rd_mant(cmass[j], s);
-            }
-            for (i64 p = p0; p < p1; p++, k++) {
-                i64 j = part_idx[p];
-                sx[k] = quant(pos[3*j],   xmin, res, qmax);
-                sy[k] = quant(pos[3*j+1], xmin, res, qmax);
-                sz[k] = quant(pos[3*j+2], xmin, res, qmax);
-                sm[k] = rd_mant(pmass[j], s);
-            }
-        } else {
-            for (i64 c = c0; c < c1; c++, k++) {
-                i64 j = cell_idx[c];
-                sx[k] = com[3*j]; sy[k] = com[3*j+1]; sz[k] = com[3*j+2];
-                sm[k] = rd_mant(cmass[j], s);
-            }
-            for (i64 p = p0; p < p1; p++, k++) {
-                i64 j = part_idx[p];
-                sx[k] = pos[3*j]; sy[k] = pos[3*j+1]; sz[k] = pos[3*j+2];
-                sm[k] = rd_mant(pmass[j], s);
-            }
+        i64 nc = cell_off[g + 1] - cell_off[g];
+        i64 nj = nc + part_off[g + 1] - part_off[g];
+        for (i64 k = 0; k < nj; k++) {
+            i64 j = k < nc ? cell_idx[cell_off[g] + k]
+                           : part_idx[part_off[g] + k - nc];
+            const double *x = k < nc ? com + 3*j : pos + 3*j;
+            sx[k] = quant(x[0], xmin, res, qmax);
+            sy[k] = quant(x[1], xmin, res, qmax);
+            sz[k] = quant(x[2], xmin, res, qmax);
+            sm[k] = rd_mant(k < nc ? cmass[j] : pmass[j], s);
         }
         i64 s0 = sink_start[g], n_i = sink_count[g];
-        for (i64 i = 0; i < n_i; i++) {
-            i64 row = s0 + i;
-            double xi = pos[3*row], yi = pos[3*row+1], zi = pos[3*row+2];
-            if (use_quant) {
-                xi = quant(xi, xmin, res, qmax);
-                yi = quant(yi, xmin, res, qmax);
-                zi = quant(zi, xmin, res, qmax);
+        for (i64 i0 = 0; i0 < n_i; i0 += B) {
+            vd xi = {0}, yi = {0}, zi = {0};
+            vd ax = {0}, ay = {0}, az = {0}, pp = {0};
+            for (int l = 0; l < B; l++) {
+                i64 row = s0 + (i0 + l < n_i ? i0 + l : n_i - 1);
+                xi[l] = quant(pos[3*row], xmin, res, qmax);
+                yi[l] = quant(pos[3*row+1], xmin, res, qmax);
+                zi[l] = quant(pos[3*row+2], xmin, res, qmax);
             }
-            double ax = 0.0, ay = 0.0, az = 0.0, pp = 0.0;
-            if (eps2q > 0.0) {
-                for (i64 j = 0; j < nj; j++) {
-                    double dx = sx[j] - xi, dy = sy[j] - yi,
-                           dz = sz[j] - zi;
-                    double dx2 = rd_mant(dx*dx, s);
-                    double dy2 = rd_mant(dy*dy, s);
-                    double dz2 = rd_mant(dz*dz, s);
-                    double r2 = rd_mant(((dx2 + dy2) + dz2) + eps2q, s);
-                    double rinv = rd_mant(1.0 / sqrt(r2), s);
-                    double rinv3 = rd_mant(rinv * rinv * rinv, s);
-                    double mr = rd_mant(sm[j] * rinv, s);
-                    double mr3 = rd_mant(sm[j] * rinv3, s);
-                    pp -= mr;
-                    ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
-                }
-            } else {
-                for (i64 j = 0; j < nj; j++) {
-                    double dx = sx[j] - xi, dy = sy[j] - yi,
-                           dz = sz[j] - zi;
-                    double dx2 = rd_mant(dx*dx, s);
-                    double dy2 = rd_mant(dy*dy, s);
-                    double dz2 = rd_mant(dz*dz, s);
-                    double r2 = rd_mant((dx2 + dy2) + dz2, s);
-                    double rs = r2 > 0.0 ? r2 : 1.0;
-                    double rinv = r2 > 0.0 ? 1.0 / sqrt(rs) : 0.0;
-                    rinv = rd_mant(rinv, s);
-                    double rinv3 = rd_mant(rinv * rinv * rinv, s);
-                    double mr = rd_mant(sm[j] * rinv, s);
-                    double mr3 = rd_mant(sm[j] * rinv3, s);
-                    pp -= mr;
-                    ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
-                }
+            for (i64 j = 0; j < nj; j++) {
+                vd dx = sx[j] - xi, dy = sy[j] - yi, dz = sz[j] - zi;
+                vd dx2 = rd_mant_v(dx*dx, s);
+                vd dy2 = rd_mant_v(dy*dy, s);
+                vd dz2 = rd_mant_v(dz*dz, s);
+                vd r2 = rd_mant_v(((dx2 + dy2) + dz2) + eps2q, s);
+                vu u = (vu)r2, idx = (u >> s) & (nt - 1), e1, e3;
+                vu k = (vu)(((vi)(u >> 52) - 1023) >> 1) << 52;
+                for (int l = 0; l < B; l++)
+                    e1[l] = t1[idx[l]], e3[l] = t3[idx[l]];
+                vu live = (vu)(r2 > 0.0);
+                vd rinv = (vd)((e1 - k) & live);
+                vd rinv3 = (vd)((e3 - 3 * k) & live);
+                vd mr = rd_mant_v(sm[j] * rinv, s);
+                vd mr3 = rd_mant_v(sm[j] * rinv3, s);
+                pp -= mr;
+                ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
             }
-            out_acc[3*row] = ax; out_acc[3*row+1] = ay;
-            out_acc[3*row+2] = az;
-            out_pot[row] = pp;
+            for (int l = 0; l < B && i0 + l < n_i; l++) {
+                i64 row = s0 + i0 + l;
+                out_acc[3*row] = ax[l]; out_acc[3*row+1] = ay[l];
+                out_acc[3*row+2] = az[l]; out_pot[row] = pp[l];
+            }
         }
     }
     return 0;
@@ -249,9 +242,8 @@ _SIGNATURES = {
     "repro_f64_csr": [_c_double_p] * 4 + [_c_i64_p] * 6
     + [ctypes.c_longlong, ctypes.c_double] + [_c_double_p] * 6,
     "repro_g5_csr": [_c_double_p] * 4 + [_c_i64_p] * 6
-    + [ctypes.c_longlong, ctypes.c_double, ctypes.c_int, ctypes.c_int,
-       ctypes.c_double, ctypes.c_double, ctypes.c_double]
-    + [_c_double_p] * 6,
+    + [ctypes.c_longlong, ctypes.c_double, ctypes.c_int]
+    + [ctypes.c_double] * 3 + [_c_double_p] * 6,
 }
 
 
@@ -287,16 +279,40 @@ def _compiler() -> Optional[str]:
     return None
 
 
+def _so_path(cache: str) -> str:
+    """The cached library for this source, these flags and this CPU: a
+    ``-march=native`` object from a shared cache (an NFS home, a baked
+    image) must not load on another CPU and die with SIGILL."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            flags = next((ln for ln in f if ln.startswith("flags")), "")
+    except OSError:
+        flags = ""
+    key = " ".join([SOURCE] + _BASE_FLAGS + [platform.machine(), flags])
+    tag = hashlib.sha256(key.encode()).hexdigest()[:16]
+    return os.path.join(cache, f"repro_kernels_{tag}.so")
+
+
+def _bind(so_path: str) -> Optional[ctypes.CDLL]:
+    """Load a built library and declare its entry points."""
+    try:
+        lib = ctypes.CDLL(so_path)
+    except OSError:
+        return None
+    for name, argtypes in _SIGNATURES.items():
+        getattr(lib, name).argtypes = argtypes
+        getattr(lib, name).restype = ctypes.c_int
+    return lib
+
+
 def _compile_and_load() -> Optional[ctypes.CDLL]:
     cache = _cache_dir()
     cc = _compiler()
     if cache is None or cc is None:
         return None
-    tag = hashlib.sha256(
-        (SOURCE + " ".join(_BASE_FLAGS)).encode()).hexdigest()[:16]
-    so_path = os.path.join(cache, f"repro_kernels_{tag}.so")
+    so_path = _so_path(cache)
     if not os.path.exists(so_path):
-        c_path = os.path.join(cache, f"repro_kernels_{tag}.c")
+        c_path = so_path[:-3] + ".c"
         try:
             with open(c_path, "w") as f:
                 f.write(SOURCE)
@@ -317,15 +333,7 @@ def _compile_and_load() -> Optional[ctypes.CDLL]:
             os.replace(tmp, so_path)  # atomic: concurrent builds race safely
         except OSError:
             return None
-    try:
-        lib = ctypes.CDLL(so_path)
-    except OSError:
-        return None
-    for name, argtypes in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = ctypes.c_int
-    return lib
+    return _bind(so_path)
 
 
 def load() -> Optional[ctypes.CDLL]:

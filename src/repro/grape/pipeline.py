@@ -74,7 +74,9 @@ class G5Pipeline:
         1. coordinates quantised to the fixed-point grid; dx exact;
         2. component squares rounded to the log-format fraction;
         3. r^2 = sum + eps^2 rounded;
-        4. r^-1/2 and r^-3/2 (log-domain shift-and-halve) rounded;
+        4. r^-1/2 and r^-3/2 (log-domain shift-and-halve) rounded: a
+           function of r^2's fb-bit mantissa and exponent parity times
+           an exact power of two (the compiled walk's 2^fb table);
         5. m_j multiply rounded;
         6. per-component products accumulated wide (exact here).
         """

@@ -308,21 +308,15 @@ class GrapeBackend(ForceBackend):
 
     def eval_lists(self, pos, pmass, com, cmass, lists, sink_start,
                    sink_count, eps, out_acc, out_pot):
-        """Batched CSR evaluation on the emulated datapath.
-
-        Requires an announced coordinate range (the treecode always
-        announces the tree domain before evaluating); without one the
-        per-call auto-range of :meth:`Grape5System.compute` is the
-        authoritative behaviour, so evaluation falls back to the
-        reference loop.  Per-pair arithmetic is bit-identical to
-        :class:`~repro.grape.pipeline.G5Pipeline`; only the summation
-        order over a list differs (documented force tolerance).
+        """Batched CSR evaluation on the emulated datapath: the compiled
+        walk -- bit-identical to adding one
+        :class:`~repro.grape.pipeline.G5Pipeline` pair at a time in
+        list order -- when it models the numerics and an announced
+        coordinate window (the treecode always announces one), else
+        the reference loop, where the per-call auto-range of
+        :meth:`Grape5System.compute` is authoritative.
         """
         from ..core.kernels import batch as _batch
-        if self.system.coordinate_range is None:
-            super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
-                               sink_count, eps, out_acc, out_pot)
-            return
         done = self.force_call(lambda: _batch.g5_eval_lists(
             pos, pmass, com, cmass, lists, sink_start, sink_count,
             eps, out_acc, out_pot, numerics=self.system.numerics,
