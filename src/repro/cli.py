@@ -32,8 +32,8 @@ Subcommands
     ``store serve`` exposes a SQLite store over the versioned
     ``repro.fleet-rpc/v1`` network protocol so workers on other hosts
     share it via ``serve --store http://host:port``, and ``store
-    verify PATH|URL`` runs the integrity sweep (per-row SHA-256,
-    event-log hashes) against a store file or a running store server.
+    verify PATH|URL`` runs the integrity sweep (SQLite quick_check,
+    per-row SHA-256) against a store file or a running store server.
     See docs/fleet.md.
 ``fleet``
     Fleet operations against a running worker: ``fleet status`` shows

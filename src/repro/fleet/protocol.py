@@ -4,12 +4,11 @@ Every request and response between :class:`~repro.fleet.remote.RemoteJobStore`
 and :class:`~repro.fleet.netstore.StoreServer` is one
 ``repro.fleet-rpc/v1`` document carrying its own SHA-256 over the
 canonical JSON of the envelope minus the digest field -- the same
-self-digesting discipline as the store's per-row hashes and the
-event log's per-line hashes, extended over the wire.  A truncated,
-bit-flipped or otherwise damaged payload therefore *fails typed*
-(:class:`PayloadCorrupt`) instead of decoding into a
-plausible-but-wrong document; the client treats that as a transport
-fault and retries, never as data.
+self-digesting discipline as the store's per-row hashes, extended
+over the wire.  A truncated, bit-flipped or otherwise damaged
+payload therefore *fails typed* (:class:`PayloadCorrupt`) instead of
+decoding into a plausible-but-wrong document; the client treats
+that as a transport fault and retries, never as data.
 
 Envelope shapes::
 

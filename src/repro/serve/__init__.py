@@ -12,9 +12,9 @@ Layering (each module only depends on the ones above it):
     Typed :class:`JobSpec`/:class:`Job`, the versioned
     ``repro.job/v1`` document format, the lifecycle state machine.
 ``store``
-    Durable :class:`JobStore` (in-memory reference + SQLite-WAL with
-    an append-only event log): job documents, compare-and-swap claim
-    leases, the content-addressed result cache.  Multiple scheduler
+    Durable :class:`JobStore` (SQLite-WAL, on a file or in memory):
+    job documents, progress events, compare-and-swap claim leases,
+    the content-addressed result cache.  Multiple scheduler
     workers share one store and take over each other's expired claims.
 ``quotas``
     Per-tenant admission policy: active-job quotas and token-bucket

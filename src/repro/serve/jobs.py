@@ -43,7 +43,7 @@ import json
 import threading
 import time
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 __all__ = ["JOB_SCHEMA", "JOB_KINDS", "JOB_STATES", "TERMINAL_STATES",
            "JobError", "JobCancelled", "JobPaused", "JobSpec", "Job"]
@@ -221,8 +221,9 @@ class Job:
     recoveries: int = 0
     #: monotone submission sequence (FIFO tie-break)
     seq: int = 0
-    #: progress events appended by the runner, streamed by the server
-    events: List[Dict[str, Any]] = field(default_factory=list)
+    #: progress events recorded so far (the events themselves live in
+    #: the job store; this count is ``progress.events``)
+    event_count: int = 0
     #: steps completed / planned (run kind)
     steps_done: int = 0
     steps_total: int = 0
@@ -253,8 +254,8 @@ class Job:
                                           repr=False)
     pause_event: threading.Event = field(default_factory=threading.Event,
                                          repr=False)
-    #: optional durable event sink (the scheduler points this at
-    #: ``JobStore.append_event`` so progress survives restarts)
+    #: where events go (the scheduler points this at
+    #: ``JobStore.append_event``, the one event log)
     event_sink: Optional[Any] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
@@ -283,10 +284,11 @@ class Job:
             self.finished_at = time.time()
 
     def add_event(self, kind: str, **attrs: Any) -> Dict[str, Any]:
-        """Append one progress event (thread-safe by list append);
-        mirrored into the flight-recorder ring when one is attached."""
+        """Record one progress event: written through ``event_sink``
+        (the job store's event log) and mirrored into the
+        flight-recorder ring when one is attached."""
         ev = {"event": kind, "t_wall": time.time(), **attrs}
-        self.events.append(ev)
+        self.event_count += 1
         if self.flight is not None:
             self.flight.record(f"job.{kind}", job=self.id, **attrs)
         if self.event_sink is not None:
@@ -317,7 +319,7 @@ class Job:
             "cache_hit": self.cache_hit,
             "progress": {"steps_done": self.steps_done,
                          "steps_total": self.steps_total,
-                         "events": len(self.events)},
+                         "events": self.event_count},
         }
 
     def to_json(self) -> str:
@@ -338,8 +340,9 @@ class Job:
         """Rebuild a runtime :class:`Job` from a stored document.
 
         The spec round-trips through validation; runtime state is
-        :meth:`absorb`-ed.  Events are *not* loaded here; the caller
-        decides whether to hydrate them from the store's event log.
+        :meth:`absorb`-ed.  The events stay in the store
+        (:meth:`~repro.serve.store.JobStore.events`); only their count
+        comes along.
         """
         spec = JobSpec.from_dict(
             {k: doc[k] for k in _SPEC_FIELDS if k in doc})
@@ -369,3 +372,4 @@ class Job:
         self.steps_done = int(progress.get("steps_done", self.steps_done))
         self.steps_total = int(progress.get("steps_total",
                                             self.steps_total))
+        self.event_count = int(progress.get("events", self.event_count))

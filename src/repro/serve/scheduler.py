@@ -481,12 +481,8 @@ class Scheduler:
         return sorted(out, key=lambda j: j.seq)
 
     def events(self, job_id: str) -> List[Dict]:
-        """A job's progress events: live for locally owned jobs,
-        from the store's event log otherwise."""
-        with self._cv:
-            job = self._jobs.get(job_id)
-            if job is not None:
-                return job.events
+        """A job's progress events, append order, from the store --
+        the same answer on every worker, whichever one ran it."""
         return self.store.events(job_id)
 
     def cancel(self, job_id: str) -> Job:
@@ -669,7 +665,6 @@ class Scheduler:
         job = self._jobs.get(doc["id"])
         if job is None:
             job = Job.from_store_doc(doc)
-            job.events = []
             job.trace_id = job.trace_id or new_trace_id()
             job.tracer = Tracer(trace_id=job.trace_id)
             if job.workdir:
@@ -882,9 +877,10 @@ class Scheduler:
         """One slot occupancy: lease, run, release, record the outcome.
 
         The lease goes back as soon as ``run_job`` returns or raises,
-        *before* any terminal state is published: a ``wait()`` that
-        has returned never finds the slot still counted in
-        ``serve.leases_in_use``.
+        and the outcome's event is in the store, *before* any
+        terminal state is published: a ``wait()`` that has returned
+        never finds the slot still counted in ``serve.leases_in_use``
+        nor the event log one entry short.
         """
         jtr = job.tracer if job.tracer is not None else self.tracer
         t_lease = time.perf_counter()
@@ -893,10 +889,10 @@ class Scheduler:
         except Exception as e:
             with self._cv:
                 job.error = f"lease acquisition failed: {e}"
+                job.add_event("failed", error=job.error)
                 job.advance("failed")
                 self._count_terminal(job)
                 self._persist(job)
-            job.add_event("failed", error=job.error)
             self._flight_dump(job)
             return
         jtr.record("serve.lease_acquire",
@@ -922,6 +918,7 @@ class Scheduler:
                     pass
             with self._cv:
                 job.result = result
+                job.add_event("done")
                 job.advance("done")
                 self._count_terminal(job)
                 if job.finished_at and job.started_at:
@@ -935,25 +932,24 @@ class Scheduler:
                     job.finished_at - job.submitted_at)
                 self._persist(job)
             self._cache_store(job)
-            job.add_event("done")
         except JobCancelled:
             with self._cv:
+                job.add_event("cancelled")
                 job.advance("cancelled")
                 self._count_terminal(job)
                 self._persist(job)
-            job.add_event("cancelled")
         except JobPaused:
             with self._cv:
+                job.add_event("paused", steps_done=job.steps_done)
                 job.advance("paused")
                 self._persist(job)
-            job.add_event("paused", steps_done=job.steps_done)
         except Exception as e:
             logger.exception("job %s failed", job.id)
             with self._cv:
                 job.error = f"{type(e).__name__}: {e}"
+                job.add_event("failed", error=job.error)
                 job.advance("failed")
                 self._count_terminal(job)
                 self._persist(job)
-            job.add_event("failed", error=job.error)
         finally:
             self._flight_dump(job)

@@ -226,11 +226,11 @@ class Server(HTTPServer):
 
     async def _stream_events(self, job_id: str) -> AsyncIterator[bytes]:
         """NDJSON event stream: recorded events first, then live ones
-        until the job reaches a resting state.  Events come through
-        the scheduler (live list for locally-owned jobs, the store's
-        durable event log for jobs another worker runs).  The body is
-        EOF-terminated (no Content-Length), so plain ``http.client``
-        readers just read lines until the connection closes."""
+        until the job reaches a resting state.  Events come from the
+        store's event log, so every worker streams the same events
+        whichever one runs the job.  The body is EOF-terminated (no
+        Content-Length), so plain ``http.client`` readers just read
+        lines until the connection closes."""
         sched = self.scheduler
         yield response(200, None, content_type="application/x-ndjson")
         sent = 0

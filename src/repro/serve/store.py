@@ -4,7 +4,7 @@ The paper's economics only hold while the host keeps the GRAPE busy;
 a scheduler restart that forgets every queued and running job breaks
 that promise.  This module makes the scheduler *stateless*: all
 durable job state -- the ``repro.job/v1`` document, the lifecycle
-state, claim ownership, heartbeats, the append-only event log and the
+state, claim ownership, heartbeats, the progress events and the
 content-addressed result cache -- lives in a :class:`JobStore`, and
 any number of :class:`~repro.serve.scheduler.Scheduler` workers can
 share one store file, claim jobs with atomic compare-and-swap leases,
@@ -14,21 +14,19 @@ One implementation, :class:`SQLiteJobStore`, with two lifetimes:
 
 a database file
     SQLite in WAL mode (one writer, many readers, safe across
-    processes) plus an append-only JSONL event log next to the
-    database.  Outlives the process; ``kind == "sqlite"``.
+    processes).  Outlives the process; ``kind == "sqlite"``.
 
 ``":memory:"``
-    The same code on a private in-memory database, the event log a
-    list of the same lines.  Identical semantics, lost with the
-    process; ``kind == "memory"``.  ``open_store(None)`` and
-    :class:`MemoryJobStore` are spellings of it.
+    The same code on a private in-memory database.  Identical
+    semantics, lost with the process; ``kind == "memory"``.
+    ``open_store(None)`` and :class:`MemoryJobStore` are spellings
+    of it.
 
-Every job, cache and worker row carries the SHA-256 of its JSON
-payload, and every event-log line carries its own digest, so torn
-writes and byte flips are *detected and typed* -- reads either return
-exactly what was written or raise :class:`StoreCorrupt`, never a
-plausible-but-wrong document (the same discipline as
-``sim.checkpoint``'s last-good pointer).
+Every job, event, cache and worker row carries the SHA-256 of its
+JSON payload, so torn writes and byte flips are *detected and
+typed* -- reads either return exactly what was written or raise
+:class:`StoreCorrupt`, never a plausible-but-wrong document (the
+same discipline as ``sim.checkpoint``'s last-good pointer).
 
 Every op talks to the database inside :meth:`SQLiteJobStore._txn`, the
 one bracket that takes the store lock, opens ``BEGIN IMMEDIATE``,
@@ -317,13 +315,15 @@ class JobStore:
 
 
 class SQLiteJobStore(JobStore):
-    """The job store: SQLite tables + an append-only event log.
+    """The job store: four SQLite tables.
 
-    One database holds the ``jobs``, ``cache`` and ``workers`` tables
-    (each row storing its document as canonical JSON plus that JSON's
-    SHA-256); progress events append to ``<db>.events.jsonl``, one
-    self-digesting JSON line each, so a crash can at worst tear the
-    final line -- which the tail scan detects, types and drops.
+    One database holds the ``jobs``, ``events``, ``cache`` and
+    ``workers`` tables, each row storing its document as canonical
+    JSON plus that JSON's SHA-256.  Progress events are rows like any
+    other: one ``INSERT`` each, numbered by the database, so an append
+    lands whole or not at all and every handle on the file sees one
+    order.  A file written before the ``events`` table existed gains
+    it on open; its old event history is not imported.
 
     Cross-process safety comes from SQLite itself: WAL journal mode,
     ``BEGIN IMMEDIATE`` transactions around every compare-and-swap
@@ -332,11 +332,11 @@ class SQLiteJobStore(JobStore):
     point at the same path.
 
     The path ``":memory:"`` runs the same code on a database private
-    to this instance with the event lines kept in a list: no file is
-    created, and ``kind`` reads ``"memory"`` so callers know not to
-    leave work in it.  ``cache_budget`` bounds the result cache to
-    that many canonical-JSON payload bytes (LRU eviction); ``None``
-    keeps it unbounded.
+    to this instance: no file is created, and ``kind`` reads
+    ``"memory"`` so callers know not to leave work in it.
+    ``cache_budget`` bounds the result cache to that many
+    canonical-JSON payload bytes (LRU eviction); ``None`` keeps it
+    unbounded.
     """
 
     kind = "sqlite"
@@ -356,11 +356,6 @@ class SQLiteJobStore(JobStore):
                              if cache_budget is not None else None)
         if str(path) == ":memory:":
             self.kind = "memory"
-            self.events_path = None
-        else:
-            self.events_path = self.path.with_name(self.path.name
-                                                   + ".events.jsonl")
-        self._memory_events: List[str] = []
         self._lock = threading.RLock()
         try:
             self._db = sqlite3.connect(self.path, timeout=timeout,
@@ -373,13 +368,6 @@ class SQLiteJobStore(JobStore):
         except sqlite3.Error as e:
             raise self._wrap(e) from e
         self._create_schema()
-        # prime the event sequence from the existing log's intact
-        # prefix; damage found here is remembered for verify()
-        events, self.event_damage = self._scan_event_log()
-        self._event_seq = events[-1]["seq"] if events else 0
-        if self.event_damage:
-            logger.warning("event log %s: %d damaged line(s) ignored",
-                           self.events_path, len(self.event_damage))
 
     # -- plumbing ------------------------------------------------------
     def _wrap(self, e: Exception) -> StoreError:
@@ -451,6 +439,15 @@ class SQLiteJobStore(JobStore):
                 " doc TEXT NOT NULL,"
                 " sha256 TEXT NOT NULL)")
             db.execute(
+                "CREATE TABLE IF NOT EXISTS events("
+                " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
+                " job TEXT NOT NULL,"
+                " doc TEXT NOT NULL,"
+                " sha256 TEXT NOT NULL)")
+            db.execute(
+                "CREATE INDEX IF NOT EXISTS events_by_job"
+                " ON events(job, seq)")
+            db.execute(
                 "CREATE TABLE IF NOT EXISTS cache("
                 " key TEXT PRIMARY KEY,"
                 " digest TEXT,"
@@ -487,7 +484,7 @@ class SQLiteJobStore(JobStore):
                 " sha256 TEXT NOT NULL)")
 
     def _row_doc(self, row) -> Dict[str, Any]:
-        """Decode one jobs/cache payload, verifying its digest."""
+        """Decode one row's payload, verifying its digest."""
         text, sha = row
         if _doc_sha(text) != sha:
             raise StoreCorrupt(
@@ -658,61 +655,18 @@ class SQLiteJobStore(JobStore):
 
     # -- event log -----------------------------------------------------
     def append_event(self, job_id: str, event: Dict[str, Any]) -> None:
-        with self._lock:
-            self._event_seq += 1
-            record = {"seq": self._event_seq, "job": job_id,
-                      "event": json.loads(_canon(event))}
-            record["sha256"] = _doc_sha(_canon(record))
-            line = _canon(record) + "\n"
-            if self.events_path is None:
-                self._memory_events.append(line)
-                return
-            try:
-                with open(self.events_path, "a",
-                          encoding="utf-8") as fh:
-                    fh.write(line)
-                    fh.flush()
-            except OSError as e:
-                raise StoreError(
-                    f"event log {self.events_path}: {e}") from e
-
-    def _scan_event_log(self) -> Tuple[List[Dict[str, Any]], List[str]]:
-        """Read the log -- the sidecar file, or the in-memory list of
-        the same lines; returns (intact prefix, typed damage).  The
-        scan stops at the first damaged line -- everything after a
-        torn write is untrusted."""
-        events: List[Dict[str, Any]] = []
-        damage: List[str] = []
-        try:
-            with (contextlib.nullcontext(self._memory_events)
-                  if self.events_path is None else
-                  open(self.events_path, encoding="utf-8",
-                       errors="replace")) as lines:
-                for lineno, line in enumerate(lines, 1):
-                    stripped = line.strip()
-                    if not stripped:
-                        continue
-                    try:
-                        rec = json.loads(stripped)
-                        sha = rec.pop("sha256")
-                        if _doc_sha(_canon(rec)) != sha:
-                            raise ValueError("digest mismatch")
-                    except (ValueError, KeyError, TypeError) as e:
-                        damage.append(
-                            f"event log line {lineno}: {e} "
-                            "(torn write?)")
-                        break
-                    events.append(rec)
-        except FileNotFoundError:
-            pass
-        except OSError as e:  # pragma: no cover - permission etc.
-            damage.append(f"event log unreadable: {e}")
-        return events, damage
+        text = _canon(event)
+        with self._txn(begin=False) as db:
+            db.execute(
+                "INSERT INTO events(job, doc, sha256) VALUES (?, ?, ?)",
+                (job_id, text, _doc_sha(text)))
 
     def events(self, job_id: str) -> List[Dict[str, Any]]:
-        with self._lock:
-            scanned, _ = self._scan_event_log()
-        return [r["event"] for r in scanned if r["job"] == job_id]
+        with self._txn(begin=False) as db:
+            rows = db.execute(
+                "SELECT doc, sha256 FROM events WHERE job = ?"
+                " ORDER BY seq", (job_id,)).fetchall()
+        return [self._row_doc(r) for r in rows]
 
     # -- result cache --------------------------------------------------
     def _bump_meta_counter(self, key: str) -> None:
@@ -860,9 +814,9 @@ class SQLiteJobStore(JobStore):
 
     # -- integrity / lifecycle -----------------------------------------
     def verify(self) -> List[str]:
-        """Full damage scan: SQLite integrity check, per-row payload
-        digests, the event-log tail.  Every finding is the message of
-        the :class:`StoreCorrupt` that reads of that datum raise."""
+        """Full damage scan: SQLite integrity check and per-row
+        payload digests.  Every finding is the message of the
+        :class:`StoreCorrupt` that reads of that datum raise."""
         findings: List[str] = []
         with self._lock:
             try:
@@ -871,7 +825,7 @@ class SQLiteJobStore(JobStore):
                 findings.append(str(e))
             except sqlite3.Error as e:
                 findings.append(str(self._wrap(e)))
-            for table in ("jobs", "cache", "workers"):
+            for table in ("jobs", "events", "cache", "workers"):
                 col = "result" if table == "cache" else "doc"
                 try:
                     rows = self._db.execute(
@@ -884,10 +838,6 @@ class SQLiteJobStore(JobStore):
                         self._row_doc(row)
                     except StoreCorrupt as e:
                         findings.append(f"{table}: {e}")
-            _, event_damage = self._scan_event_log()
-            findings.extend(self.event_damage)
-            findings.extend(d for d in event_damage
-                            if d not in self.event_damage)
         return findings
 
     def close(self) -> None:

@@ -93,8 +93,10 @@ class TestTakeover:
         after the TTL and completed by a live worker."""
         from tests.serve.test_store_durability import seeded_job
         job = seeded_job(store)
+        store.append_event(job.id, {"event": "submitted"})
         assert store.claim(job.id, "dead", now=time.time() - 60.0,
                            ttl=1.0)
+        store.append_event(job.id, {"event": "leased", "lease": "Ldead"})
         b = worker(store, tmp_path, "B", claim_ttl=5.0,
                    heartbeat_interval=0.05).start()
         try:
@@ -103,6 +105,11 @@ class TestTakeover:
             assert doc["state"] == "done"
             assert doc["worker"] == "B"
             assert doc["attempt"] == 1
+            # the new owner tells the whole story, pre-takeover included
+            events = b.events(job.id)
+            assert [e["event"] for e in events] == \
+                ["submitted", "leased", "leased", "done"]
+            assert events[1]["lease"] == "Ldead"
         finally:
             b.stop(drain=False)
 
@@ -161,6 +168,11 @@ class TestCrossWorkerControl:
             assert a.wait(job.id, timeout=10)
             assert a.get(job.id).state == "done"
             assert a.get(job.id).result is not None
+            # one event log: both workers and the store agree
+            events = store.events(job.id)
+            assert a.events(job.id) == b.events(job.id) == events
+            assert [e["event"] for e in events] == \
+                ["submitted", "leased", "done"]
         finally:
             b.stop(drain=False)
             a.stop(drain=False)

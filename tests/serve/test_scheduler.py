@@ -173,7 +173,7 @@ class TestPauseResume:
         # resumed from checkpoint, not restarted: digests agree with
         # the uninterrupted reference run
         assert job.result["digest"] == rj.result["digest"]
-        assert any(e["event"] == "resumed" for e in job.events)
+        assert any(e["event"] == "resumed" for e in s.events(job.id))
         s.stop()
 
     def test_resume_of_non_paused_job_raises(self, sched):

@@ -12,22 +12,24 @@ Three layers, mirroring ``tests/chaos/test_checkpoint_faults.py``:
   and :meth:`~repro.serve.store.JobStore.recover` turns orphaned
   claims back into work;
 * **damage sweep** -- property-based (hypothesis, derandomized):
-  torn writes and truncation of the event log and tampered row
-  payloads are always *detected and typed* (:class:`StoreCorrupt` /
-  ``verify()`` findings / a dropped cache entry) -- never returned as
-  a plausible-but-wrong document.
+  tampered job and event row payloads and a torn database file are
+  always *detected and typed* (:class:`StoreCorrupt` / ``verify()``
+  findings / a dropped cache entry) -- never returned as a
+  plausible-but-wrong document.
 
 The crash-resume acceptance test fabricates a dead worker's store row
 over a real checkpointed workdir and asserts the resumed job reaches
 a ``state_digest`` bit-identical to an uninterrupted run.
 """
 
+import io
 import sqlite3
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cli import main as cli_main
 from repro.faults import corrupt_file
 from repro.serve import (JobSpec, MemoryJobStore, Scheduler,
                          SQLiteJobStore, StoreCorrupt, StoreError,
@@ -245,15 +247,18 @@ class TestOpenStore:
         monkeypatch.chdir(cwd)
         for m in (open_store(None), open_store(":memory:"),
                   SQLiteJobStore(":memory:"), MemoryJobStore()):
-            assert m.kind == "memory" and m.events_path is None
+            assert m.kind == "memory"
             job = seeded_job(m)
             m.append_event(job.id, {"event": "submitted"})
             assert m.verify() == []
             m._db.execute("UPDATE jobs SET doc = doc || ' '")
-            m._memory_events.append("torn")
+            m._db.execute("UPDATE events SET doc = doc || ' '")
             findings = m.verify()
             assert any("jobs" in f and "SHA-256" in f for f in findings)
-            assert any("event log line 2" in f for f in findings)
+            assert any("events" in f and "SHA-256" in f
+                       for f in findings)
+            with pytest.raises(StoreCorrupt):
+                m.events(job.id)
             m.close()
         assert list(cwd.iterdir()) == []
         s = SQLiteJobStore(tmp_path / "a.db")
@@ -319,68 +324,70 @@ class TestKillAndReopen:
         s1.close()
         s2.close()
 
+    def test_handles_share_one_event_order(self, tmp_path):
+        """Handles on one file append into one sequence: a fresh
+        handle reads every event in append order, a crashed handle's
+        included, and its own next append reaches the others."""
+        path = tmp_path / "jobs.db"
+        s1, s2 = SQLiteJobStore(path), SQLiteJobStore(path)
+        job = seeded_job(s1)
+        for i in range(6):
+            (s1, s2)[i % 2].append_event(job.id,
+                                         {"event": "step", "step": i})
+        crashed = SQLiteJobStore(path)
+        crashed.append_event(job.id, {"event": "step", "step": 6})
+        # crash: no close() on ``crashed`` before the fresh handle reads
+        fresh = SQLiteJobStore(path)
+        assert [e["step"] for e in fresh.events(job.id)] == \
+            list(range(7))
+        fresh.append_event(job.id, {"event": "resumed"})
+        for s in (s1, s2, crashed, fresh):
+            got = s.events(job.id)
+            assert len(got) == 8 and got[-1] == {"event": "resumed"}
+        assert fresh.verify() == []
+        for s in (s1, s2, crashed, fresh):
+            s.close()
+
 
 class TestDamageDetection:
     """Damage is always detected and typed, never served."""
 
-    def _event_store(self, tmp_path, n=6):
-        s = SQLiteJobStore(tmp_path / "jobs.db")
-        job = seeded_job(s)
-        for i in range(n):
-            s.append_event(job.id, {"event": "step", "step": i})
-        originals = s.events(job.id)
-        s.close()
-        return job.id, originals
-
-    @settings(derandomize=True, max_examples=30, deadline=None)
-    @given(frac=st.floats(min_value=0.0, max_value=1.0),
-           mode=st.sampled_from(["truncate", "flip"]))
-    def test_event_log_damage_sweep(self, tmp_path_factory, frac, mode):
-        """Any torn write / byte flip in the event log yields an
-        intact *prefix* of what was written plus typed damage -- never
-        an invented or altered event."""
-        tmp_path = tmp_path_factory.mktemp("dmg")
-        jid, originals = self._event_store(tmp_path)
-        log = tmp_path / "jobs.db.events.jsonl"
-        size = log.stat().st_size
-        offset = min(int(frac * size), size - 1)
-        corrupt_file(log, mode=mode, offset=offset)
-        s = SQLiteJobStore(tmp_path / "jobs.db")
-        got = s.events(jid)
-        assert got == originals[:len(got)], \
-            "damaged log must yield a prefix, never altered events"
-        if mode == "flip":
-            # a flipped byte always breaks a line's self-digest
-            assert len(got) < len(originals)
-            assert s.verify(), "flip must be reported by verify()"
-            assert any("event log" in f for f in s.verify())
-        s.close()
-
     @settings(derandomize=True, max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     def test_job_row_tamper_is_typed(self, tmp_path_factory, seed):
-        """A torn row payload (byte flipped under SQLite's nose)
-        raises StoreCorrupt on read and shows in verify()."""
-        tmp_path = tmp_path_factory.mktemp("row")
-        s = SQLiteJobStore(tmp_path / "jobs.db")
-        job = seeded_job(s)
-        s.close()
-        db = sqlite3.connect(tmp_path / "jobs.db")
-        text = db.execute("SELECT doc FROM jobs").fetchone()[0]
-        i = seed % len(text)
-        tampered = text[:i] + chr((ord(text[i]) + 1) % 128) + \
-            text[i + 1:]
-        db.execute("UPDATE jobs SET doc = ?", (tampered,))
-        db.commit()
-        db.close()
-        s = SQLiteJobStore(tmp_path / "jobs.db")
-        with pytest.raises(StoreCorrupt):
-            s.get(job.id)
-        with pytest.raises(StoreCorrupt):
-            s.list()
-        findings = s.verify()
-        assert any("jobs" in f and "SHA-256" in f for f in findings)
-        s.close()
+        """A torn row payload (byte flipped under SQLite's nose) in
+        the jobs or the events table raises StoreCorrupt on read and
+        shows in verify() under that table's name."""
+        for table in ("jobs", "events"):
+            tmp_path = tmp_path_factory.mktemp("row")
+            s = SQLiteJobStore(tmp_path / "jobs.db")
+            job = seeded_job(s)
+            s.append_event(job.id, {"event": "submitted",
+                                    "tenant": "default"})
+            s.close()
+            db = sqlite3.connect(tmp_path / "jobs.db")
+            text = db.execute(f"SELECT doc FROM {table}").fetchone()[0]
+            i = seed % len(text)
+            tampered = text[:i] + chr((ord(text[i]) + 1) % 128) + \
+                text[i + 1:]
+            db.execute(f"UPDATE {table} SET doc = ?", (tampered,))
+            db.commit()
+            db.close()
+            s = SQLiteJobStore(tmp_path / "jobs.db")
+            if table == "jobs":
+                with pytest.raises(StoreCorrupt):
+                    s.get(job.id)
+                with pytest.raises(StoreCorrupt):
+                    s.list()
+            else:
+                with pytest.raises(StoreCorrupt):
+                    s.events(job.id)
+                assert s.get(job.id)["id"] == job.id
+            findings = s.verify()
+            assert findings and all(
+                f.startswith(f"{table}: ") and "SHA-256" in f
+                for f in findings), findings
+            s.close()
 
     def test_cache_row_tamper_is_a_miss_never_wrong(self, tmp_path):
         s = SQLiteJobStore(tmp_path / "jobs.db")
@@ -494,6 +501,39 @@ class TestLegacyDocuments:
         finally:
             s.stop(drain=False)
             store.close()
+
+    def test_file_without_events_table_upgrades_in_place(self, tmp_path):
+        """A store file from before events were rows (no ``events``
+        table; events in a ``jobs.db.events.jsonl`` sidecar) opens,
+        gains the table, verifies clean and finishes its queued job.
+        The sidecar is neither read nor reported: the history it holds
+        is not imported."""
+        path = tmp_path / "jobs.db"
+        old = SQLiteJobStore(path)
+        jid = seeded_job(old).id
+        old.close()
+        db = sqlite3.connect(path)
+        db.execute("DROP TABLE events")
+        db.commit()
+        db.close()
+        sidecar = tmp_path / "jobs.db.events.jsonl"
+        sidecar.write_text('{"seq": 1, "job": "%s", "event": {"ev' % jid)
+        out = io.StringIO()
+        assert cli_main(["store", "verify", str(path)], out=out) == 0, \
+            out.getvalue()
+        store = SQLiteJobStore(path)
+        assert store.verify() == [] and store.events(jid) == []
+        s = Scheduler(slots=1, workdir=tmp_path / "work", store=store,
+                      poll_interval=0.02).start()
+        try:
+            assert s.wait(jid, timeout=120)
+            assert store.get(jid)["state"] == "done"
+            assert [e["event"] for e in s.events(jid)] == \
+                ["leased", "done"]
+        finally:
+            s.stop(drain=False)
+            store.close()
+        assert sidecar.read_text().endswith('"ev')
 
 
 class TestCrashResume:
