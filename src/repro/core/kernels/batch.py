@@ -1,11 +1,12 @@
-"""Batch drivers: NumPy arrays in, compiled CSR list walk out.
+"""Batch drivers: NumPy arrays in, compiled tree and list walks out.
 
-These functions marshal :class:`~repro.core.traversal.InteractionLists`
-CSR blocks into the compiled kernels of
-:mod:`repro.core.kernels.cnative`.  Every driver is *total*: when the
-native library is unavailable (no compiler, kill-switch set, unsupported
-numerics) it reports failure -- ``(False, 0)`` / ``False`` -- and the
-caller falls back to the per-sink reference loop.  Callers never
+These functions marshal the octree and
+:class:`~repro.core.traversal.InteractionLists` CSR blocks into the
+compiled kernels of :mod:`repro.core.kernels.cnative`.  Every driver is
+*total*: when the native library is unavailable (no compiler,
+kill-switch set, unsupported numerics) it reports failure --
+``(False, 0)`` / ``False`` / ``None`` -- and the caller falls back to
+the NumPy frontier walk or the per-sink reference loop.  Callers never
 need to know whether the fast path exists.
 
 Two properties the execution layer depends on:
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import cnative
 
-__all__ = ["f64_eval_lists", "g5_eval_lists"]
+__all__ = ["f64_eval_lists", "g5_eval_lists", "tree_walk"]
 
 
 def _dp(a: np.ndarray):
@@ -134,3 +135,37 @@ def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
         _dp(scratch[0]), _dp(scratch[1]), _dp(scratch[2]), _dp(scratch[3]),
         _dp(out_acc), _dp(out_pot))
     return True
+
+
+def tree_walk(tree, mac, sink_center, sink_radius, collect):
+    """The compiled per-sink breadth-first walk (``repro_walk``) for a
+    MAC with a per-cell ``threshold``: the CSR ``(cell_off, cell_idx,
+    part_off, part_idx)`` with ``collect``, else per-sink ``(cell
+    counts, part counts)`` from the counts pass alone; ``None`` without
+    the native library."""
+    lib = cnative.load()
+    if lib is None:
+        return None
+    n = int(sink_radius.shape[0])
+    cell_off = np.zeros(n + 1, dtype=np.int64)
+    part_off = np.zeros(n + 1, dtype=np.int64)
+    child = np.ascontiguousarray(tree.child, dtype=np.int32)
+    leaf = np.ascontiguousarray(tree.is_leaf, dtype=np.uint8)
+    args = (_dp(_f64c(tree.com)), _dp(_f64c(mac.threshold(tree))),
+            _dp(_f64c(tree.mass)),
+            child.ctypes.data_as(ctypes.POINTER(ctypes.c_int)),
+            leaf.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+            _ip(_i64c(tree.start)), _ip(_i64c(tree.count)),
+            _dp(_f64c(sink_center)), _dp(_f64c(sink_radius)), n,
+            _ip(np.empty(tree.n_cells, dtype=np.int64)))
+    lib.repro_walk(*args, _ip(cell_off[1:]), _ip(part_off[1:]),
+                   None, None, 0)
+    if not collect:
+        return cell_off[1:], part_off[1:]
+    np.cumsum(cell_off, out=cell_off)
+    np.cumsum(part_off, out=part_off)
+    cell_idx = np.empty(int(cell_off[-1]), dtype=np.int64)
+    part_idx = np.empty(int(part_off[-1]), dtype=np.int64)
+    lib.repro_walk(*args, _ip(cell_off), _ip(part_off), _ip(cell_idx),
+                   _ip(part_idx), 1)
+    return cell_off, cell_idx, part_off, part_idx

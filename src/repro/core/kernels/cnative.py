@@ -1,8 +1,12 @@
-"""Compiled CSR list-walk kernels (the fast path behind ``eval_lists``).
+"""Compiled kernels: the tree walk that builds the lists and the CSR
+list walk behind ``eval_lists``.
 
+``repro_walk`` is the per-sink breadth-first tree walk behind
+:func:`repro.core.traversal.build_interaction_lists`; it emits the
+NumPy frontier walk's lists bit for bit (see ``docs/kernels.md``).
 The batch evaluators in :mod:`repro.core.kernels.batch` bottom out in
-two tiny C routines -- one CSR list walk in two arithmetic flavours (a
-dense sinks-x-sources call is the one-sink list whose sources are all
+one CSR list walk in two arithmetic flavours (a dense
+sinks-x-sources call is the one-sink list whose sources are all
 "cells"):
 
 * ``f64``: plain IEEE double precision (the :class:`Float64Backend`
@@ -116,29 +120,14 @@ int repro_f64_csr(const double *pos, const double *pmass,
             i64 row = s0 + i;
             double xi = pos[3*row], yi = pos[3*row+1], zi = pos[3*row+2];
             double ax = 0.0, ay = 0.0, az = 0.0, pp = 0.0;
-            if (eps2 > 0.0) {
-                for (i64 j = 0; j < nj; j++) {
-                    double dx = sx[j] - xi, dy = sy[j] - yi,
-                           dz = sz[j] - zi;
-                    double r2 = ((dx*dx + dy*dy) + dz*dz) + eps2;
-                    double rinv = 1.0 / sqrt(r2);
-                    double mr = sm[j] * rinv;
-                    double mr3 = mr * rinv * rinv;
-                    pp -= mr;
-                    ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
-                }
-            } else {
-                for (i64 j = 0; j < nj; j++) {
-                    double dx = sx[j] - xi, dy = sy[j] - yi,
-                           dz = sz[j] - zi;
-                    double r2 = (dx*dx + dy*dy) + dz*dz;
-                    double rs = r2 > 0.0 ? r2 : 1.0;
-                    double rinv = r2 > 0.0 ? 1.0 / sqrt(rs) : 0.0;
-                    double mr = sm[j] * rinv;
-                    double mr3 = mr * rinv * rinv;
-                    pp -= mr;
-                    ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
-                }
+            for (i64 j = 0; j < nj; j++) {  /* eps2 = +0 adds exactly */
+                double dx = sx[j] - xi, dy = sy[j] - yi, dz = sz[j] - zi;
+                double r2 = ((dx*dx + dy*dy) + dz*dz) + eps2;
+                double rinv = r2 > 0.0 ? 1.0 / sqrt(r2) : 0.0;
+                double mr = sm[j] * rinv;
+                double mr3 = mr * rinv * rinv;
+                pp -= mr;
+                ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
             }
             out_acc[3*row] = ax; out_acc[3*row+1] = ay;
             out_acc[3*row+2] = az;
@@ -224,6 +213,50 @@ int repro_g5_csr(const double *pos, const double *pmass,
     }
     return 0;
 }
+
+/* ----------------------------------------------------------------- */
+/* Per-sink breadth-first walk over the flat octree, the NumPy frontier
+   walk's rules on a FIFO queue from the root: a massless cell is
+   dropped, an accepted one (thr[c] < d_min, the squares summed
+   (x + z) + y as the NumPy side does) emitted, a rejected leaf emits
+   its particle range and a rejected internal cell queues its children
+   in slot order.  Counts pass (fill = 0): cell_off[i], part_off[i] get
+   sink i's list lengths.  Fill pass: sink i's lists are written from
+   those offsets.  queue holds n_cells entries.                      */
+int repro_walk(const double *com, const double *thr, const double *cmass,
+               const int *child, const unsigned char *leaf,
+               const i64 *start, const i64 *count,
+               const double *sink_c, const double *sink_r, i64 n_sinks,
+               i64 *queue, i64 *cell_off, i64 *part_off,
+               i64 *cell_idx, i64 *part_idx, int fill)
+{
+    for (i64 i = 0; i < n_sinks; i++) {
+        const double *x = sink_c + 3*i;
+        i64 nc = 0, np = 0, head = 0, tail = 1;
+        queue[0] = 0;
+        while (head < tail) {
+            i64 c = queue[head++];
+            if (cmass[c] <= 0.0)
+                continue;
+            double dx = com[3*c] - x[0], dy = com[3*c+1] - x[1],
+                   dz = com[3*c+2] - x[2];
+            double d = sqrt((dx*dx + dz*dz) + dy*dy) - sink_r[i];
+            if (thr[c] < (d < 0.0 ? 0.0 : d)) {
+                if (fill) cell_idx[cell_off[i] + nc] = c;
+                nc++;
+            } else if (leaf[c]) {
+                for (i64 k = 0; fill && k < count[c]; k++)
+                    part_idx[part_off[i] + np + k] = start[c] + k;
+                np += count[c];
+            } else {
+                for (int k = 0; k < 8; k++)
+                    if (child[8*c + k] >= 0) queue[tail++] = child[8*c + k];
+            }
+        }
+        if (!fill) cell_off[i] = nc, part_off[i] = np;
+    }
+    return 0;
+}
 """
 
 #: base flags; ``-ffp-contract=off`` forbids FMA contraction so the C
@@ -244,6 +277,10 @@ _SIGNATURES = {
     "repro_g5_csr": [_c_double_p] * 4 + [_c_i64_p] * 6
     + [ctypes.c_longlong, ctypes.c_double, ctypes.c_int]
     + [ctypes.c_double] * 3 + [_c_double_p] * 6,
+    "repro_walk": [_c_double_p] * 3 + [ctypes.POINTER(ctypes.c_int),
+                                       ctypes.POINTER(ctypes.c_ubyte)]
+    + [_c_i64_p] * 2 + [_c_double_p] * 2 + [ctypes.c_longlong]
+    + [_c_i64_p] * 5 + [ctypes.c_int],
 }
 
 

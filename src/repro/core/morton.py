@@ -24,9 +24,7 @@ __all__ = [
     "encode_grid",
     "decode_grid",
     "morton_keys",
-    "keys_to_positions",
     "cell_prefix",
-    "octant_at_level",
     "bounding_cube",
 ]
 
@@ -136,14 +134,6 @@ def morton_keys(pos: np.ndarray, corner: np.ndarray, size: float) -> np.ndarray:
     return encode_grid(grid[:, 0], grid[:, 1], grid[:, 2])
 
 
-def keys_to_positions(keys: np.ndarray, corner: np.ndarray, size: float) -> np.ndarray:
-    """Centers of the finest-level grid cells addressed by ``keys``."""
-    ix, iy, iz = decode_grid(keys)
-    cell = size / float(np.uint64(1) << np.uint64(MAX_LEVEL))
-    grid = np.stack([ix, iy, iz], axis=-1).astype(np.float64)
-    return np.asarray(corner, dtype=np.float64) + (grid + 0.5) * cell
-
-
 def cell_prefix(keys: np.ndarray, level: int) -> np.ndarray:
     """Key prefix identifying each particle's octree cell at ``level``.
 
@@ -154,14 +144,3 @@ def cell_prefix(keys: np.ndarray, level: int) -> np.ndarray:
         raise ValueError(f"level must be in [0, {MAX_LEVEL}], got {level}")
     shift = np.uint64(3 * (MAX_LEVEL - level))
     return np.asarray(keys, dtype=np.uint64) >> shift
-
-
-def octant_at_level(keys: np.ndarray, level: int) -> np.ndarray:
-    """Octant digit (0..7) selecting the child at depth ``level``.
-
-    ``level`` = 1 returns the child-of-root octant.
-    """
-    if not 1 <= level <= MAX_LEVEL:
-        raise ValueError(f"level must be in [1, {MAX_LEVEL}], got {level}")
-    shift = np.uint64(3 * (MAX_LEVEL - level))
-    return ((np.asarray(keys, dtype=np.uint64) >> shift) & np.uint64(7)).astype(np.int8)

@@ -116,49 +116,9 @@ class Octree:
         """Deepest level present in the tree (root = 0)."""
         return int(self.level.max())
 
-    def cell_particles(self, c: int) -> np.ndarray:
-        """Original indices of the particles inside cell ``c``."""
-        s, n = int(self.start[c]), int(self.count[c])
-        return self.order[s:s + n]
-
     def leaves(self) -> np.ndarray:
         """Ids of all leaf cells."""
         return np.flatnonzero(self.is_leaf)
-
-    def validate(self) -> None:
-        """Check structural invariants; raises ``AssertionError`` on failure.
-
-        Used by the test-suite; cheap enough to call on any tree built in
-        tests (all checks are vectorised).
-        """
-        C = self.n_cells
-        assert self.parent[0] == -1 and self.level[0] == 0
-        assert self.start[0] == 0 and self.count[0] == self.n_particles
-        nonroot = np.arange(1, C)
-        if C > 1:
-            p = self.parent[nonroot]
-            assert np.all(p >= 0) and np.all(p < nonroot), "parents precede children"
-            assert np.all(self.level[nonroot] == self.level[p] + 1)
-            # each child slice inside parent slice
-            assert np.all(self.start[nonroot] >= self.start[p])
-            assert np.all(self.start[nonroot] + self.count[nonroot]
-                          <= self.start[p] + self.count[p])
-        # children of a split cell partition it exactly
-        internal = np.flatnonzero(~self.is_leaf)
-        for c in internal:  # test-only helper; fine as a loop
-            kids = self.child[c][self.child[c] >= 0]
-            assert len(kids) >= 1
-            assert self.count[kids].sum() == self.count[c]
-            ks = np.sort(self.start[kids])
-            assert ks[0] == self.start[c]
-            widths = self.count[kids][np.argsort(self.start[kids])]
-            assert np.all(ks[1:] == ks[:-1] + widths[:-1])
-        # particles geometrically inside their cells (within grid rounding)
-        tol = 1e-9 * self.size
-        for c in np.flatnonzero(self.is_leaf):
-            s, n = int(self.start[c]), int(self.count[c])
-            d = np.abs(self.pos_sorted[s:s + n] - self.center[c])
-            assert np.all(d <= self.half[c] + tol)
 
 
 def _cell_geometry(prefix: np.ndarray, level: int, corner: np.ndarray,
@@ -262,12 +222,8 @@ def build_octree(pos: np.ndarray, mass: np.ndarray, *,
         c_parent = sid[seg[bpos]].astype(np.int32)
         c_octant = (c_prefix & np.uint64(7)).astype(np.int64)
 
-        # Degenerate guard: a cell whose particles all share one key would
-        # produce a single identical child forever.  Keep such single-child
-        # chains (they terminate at MAX_LEVEL), but cells that have already
-        # reached a unique key need no further refinement: drop children
-        # identical to their parents in both slice and count when the key
-        # range is a single value *and* we are at the last level.
+        # coincident particles (one shared key) make a single-child
+        # chain; the level loop ends it at MAX_LEVEL
         k = len(c_start)
         c_ids = np.arange(n_cells, n_cells + k, dtype=np.int64)
         n_cells += k

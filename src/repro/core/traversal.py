@@ -1,4 +1,4 @@
-"""Vectorised tree traversal: interaction-list construction.
+"""Tree traversal: interaction-list construction.
 
 This module implements both tree walks the paper discusses:
 
@@ -9,40 +9,33 @@ This module implements both tree walks the paper discusses:
   (the algorithm actually run on GRAPE-5; section 3).
 
 Both are the same traversal with different sinks: a sink is a center and
-a bounding radius (zero for single particles).  Instead of recursing per
-sink, the walk keeps a *frontier of (sink, cell) pairs* and processes
-the whole frontier with array operations each round:
-
-1. evaluate the MAC for every pair at once;
-2. accepted pairs emit a cell interaction;
-3. rejected pairs at leaf cells emit the leaf's particles as direct
-   interactions;
-4. rejected pairs at internal cells are replaced by (sink, child) pairs.
-
-Rounds proceed until the frontier is empty; the number of rounds is
-bounded by the tree depth, so the Python-level loop count is ~20
-regardless of N -- the per-pair work is all NumPy.  The frontier is
-chunked to bound peak memory.
-
-The result is returned in CSR (offsets + concatenated indices) form,
-which is also how the lists are shipped to the GRAPE: a list of cell
-monopoles and a list of direct source particles per sink.
+a bounding radius (zero for single particles).  The compiled walk
+(``repro_walk``, :mod:`repro.core.kernels.cnative`) takes each sink
+breadth first from the root.  The NumPy frontier walk -- its oracle,
+and the path without a compiler or for a MAC with no per-cell
+threshold -- keeps a sink-sorted frontier of (sink, cell) pairs and
+takes one tree level per round of array operations: accepted pairs emit
+a cell, rejected leaves their particles, rejected internal cells are
+replaced by their children.  Both give each sink the same list, in
+CSR (offsets + concatenated indices) form -- how the lists are shipped
+to the GRAPE: cell monopoles and direct source particles per sink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .mac import MAC
+from .kernels import batch
+from .mac import MAC, BarnesHutMAC
 from .octree import Octree, ragged_arange
 
 __all__ = ["InteractionLists", "build_interaction_lists",
            "concatenate_lists", "count_interactions"]
 
-#: Frontier chunk bound: pairs processed per vector round.
+#: NumPy walk's frontier chunk bound, in (sink, cell) pairs per round.
 DEFAULT_CHUNK = 1 << 21
 
 
@@ -103,12 +96,75 @@ def _csr_from_pairs(i: np.ndarray, v: np.ndarray, n_sinks: int
     return off, v[order]
 
 
-def _traverse(tree: Octree, sink_center: np.ndarray, sink_radius: np.ndarray,
-              mac: MAC, chunk: int, collect: bool):
-    """Shared frontier walk.
+def _sink_chunks(I: np.ndarray, C: np.ndarray, chunk: int):
+    """Cut a sink-sorted frontier into pieces of about ``chunk`` pairs,
+    only at sink boundaries: every sink's pairs stay in one piece, so
+    its list comes out in per-sink breadth-first order whatever the
+    cut."""
+    cuts = np.unique(np.concatenate(
+        ([0], np.searchsorted(I, I[chunk::chunk]), [len(I)])))
+    return [(I[a:b], C[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
 
-    Returns ``(acc_pairs, leaf_pairs)`` when ``collect`` is True, else
-    per-sink count arrays ``(cell_counts, part_counts)``.
+
+def _frontier_walk(tree: Octree, sink_center: np.ndarray,
+                   sink_radius: np.ndarray, mac: MAC, chunk: int,
+                   collect: bool):
+    """The NumPy frontier walk: the oracle for the compiled walk and
+    the path for any MAC without a per-cell threshold.  Returns what
+    :func:`_walk` does."""
+    n_sinks = sink_center.shape[0]
+    # emitted (sink, cell) pairs: accepted cells, rejected leaves
+    acc_i, acc_c, leaf_i, leaf_c = ([np.empty(0, dtype=np.int64)]
+                                    for _ in range(4))
+    cell_counts = np.zeros(n_sinks, dtype=np.int64)
+    part_counts = np.zeros(n_sinks, dtype=np.int64)
+    # worklist of (sink ids, cell ids) frontier chunks, each sorted by
+    # sink and holding whole sinks
+    work = _sink_chunks(np.arange(n_sinks, dtype=np.int64),
+                        np.zeros(n_sinks, dtype=np.int64), chunk)
+    while work:
+        I, C = work.pop()
+        # The root rides through the same tests: it never satisfies the
+        # MAC for sinks inside it (d_min = 0).  Massless cells exert no
+        # force and are dropped (they would only pad lists).
+        ok = mac.accept(tree, C, sink_center[I], sink_radius[I])
+        zero = tree.mass[C] <= 0.0
+        keep, rest = ok & ~zero, ~(ok | zero)
+        rI, rC = I[rest], C[rest]
+        leaf = tree.is_leaf[rC]
+        if collect:
+            acc_i.append(I[keep])
+            acc_c.append(C[keep])
+            leaf_i.append(rI[leaf])
+            leaf_c.append(rC[leaf])
+        else:
+            np.add.at(cell_counts, I[keep], 1)
+            np.add.at(part_counts, rI[leaf], tree.count[rC[leaf]])
+        kids = tree.child[rC[~leaf]]             # (k, 8)
+        mask = kids >= 0
+        work.extend(_sink_chunks(np.repeat(rI[~leaf], 8)[mask.ravel()],
+                                 kids[mask].astype(np.int64), chunk))
+
+    if not collect:
+        return cell_counts, part_counts
+    ai, ac, li, lc = map(np.concatenate, (acc_i, acc_c, leaf_i, leaf_c))
+    pcount = tree.count[lc]
+    cell_off, cell_idx = _csr_from_pairs(ai, ac, n_sinks)
+    # expand leaf pairs into (sink, sorted-particle) pairs
+    part_off, part_idx = _csr_from_pairs(
+        np.repeat(li, pcount), ragged_arange(tree.start[lc], pcount),
+        n_sinks)
+    return cell_off, cell_idx, part_off, part_idx
+
+
+def _walk(tree: Octree, sink_center: np.ndarray, sink_radius: np.ndarray,
+          mac: MAC, chunk: int, collect: bool):
+    """Shared tree walk: :func:`repro.core.kernels.batch.tree_walk` for
+    a :class:`BarnesHutMAC` that keeps its own ``accept`` (when the
+    library loads), else :func:`_frontier_walk`.
+
+    Returns the CSR ``(cell_off, cell_idx, part_off, part_idx)`` when
+    ``collect`` is True, else per-sink ``(cell_counts, part_counts)``.
     """
     if tree.mass is None or tree.com is None or tree.rmax is None:
         raise ValueError("tree has no multipole moments; call compute_moments")
@@ -118,66 +174,12 @@ def _traverse(tree: Octree, sink_center: np.ndarray, sink_radius: np.ndarray,
         raise ValueError("sink_center must have shape (S, 3)")
     if sink_radius.shape != (sink_center.shape[0],):
         raise ValueError("sink_radius must have shape (S,)")
-    n_sinks = sink_center.shape[0]
-
-    acc_i: List[np.ndarray] = []
-    acc_c: List[np.ndarray] = []
-    leaf_i: List[np.ndarray] = []
-    leaf_c: List[np.ndarray] = []
-    cell_counts = np.zeros(n_sinks, dtype=np.int64)
-    part_counts = np.zeros(n_sinks, dtype=np.int64)
-
-    # worklist of (sink ids, cell ids) frontier chunks
-    start_i = np.arange(n_sinks, dtype=np.int64)
-    start_c = np.zeros(n_sinks, dtype=np.int64)
-    work = [(start_i[k:k + chunk], start_c[k:k + chunk])
-            for k in range(0, n_sinks, chunk)]
-
-    while work:
-        I, C = work.pop()
-        if len(I) == 0:
-            continue
-        # Root special case rides through the same tests: the root never
-        # satisfies the MAC for sinks inside it (d_min = 0).
-        ok = mac.accept(tree, C, sink_center[I], sink_radius[I])
-        # Massless cells exert no force: accept them silently (emitting
-        # them would only pad lists with zero terms).
-        zero = tree.mass[C] <= 0.0
-        keep = ok & ~zero
-        if collect:
-            if np.any(keep):
-                acc_i.append(I[keep])
-                acc_c.append(C[keep])
-        else:
-            np.add.at(cell_counts, I[keep], 1)
-
-        rest = ~(ok | zero)
-        if not np.any(rest):
-            continue
-        rI, rC = I[rest], C[rest]
-        leaf = tree.is_leaf[rC]
-        if np.any(leaf):
-            if collect:
-                leaf_i.append(rI[leaf])
-                leaf_c.append(rC[leaf])
-            else:
-                np.add.at(part_counts, rI[leaf], tree.count[rC[leaf]])
-        oI, oC = rI[~leaf], rC[~leaf]
-        if len(oI) == 0:
-            continue
-        kids = tree.child[oC]                    # (k, 8)
-        mask = kids >= 0
-        new_i = np.repeat(oI, 8)[mask.ravel()]
-        new_c = kids.ravel()[mask.ravel()].astype(np.int64)
-        for k in range(0, len(new_i), chunk):
-            work.append((new_i[k:k + chunk], new_c[k:k + chunk]))
-
-    if collect:
-        cat = lambda lst, dt: (np.concatenate(lst) if lst
-                               else np.empty(0, dtype=dt))
-        return ((cat(acc_i, np.int64), cat(acc_c, np.int64)),
-                (cat(leaf_i, np.int64), cat(leaf_c, np.int64)))
-    return cell_counts, part_counts
+    if type(mac).accept is BarnesHutMAC.accept:
+        out = batch.tree_walk(tree, mac, sink_center, sink_radius, collect)
+        if out is not None:
+            return out
+    return _frontier_walk(tree, sink_center, sink_radius, mac, chunk,
+                          collect)
 
 
 def build_interaction_lists(tree: Octree, sink_center: np.ndarray,
@@ -187,7 +189,11 @@ def build_interaction_lists(tree: Octree, sink_center: np.ndarray,
 
     For the modified algorithm pass group centers/radii
     (:class:`repro.core.groups.GroupSet` fields); for the original
-    algorithm pass particle positions and zero radii.
+    algorithm pass particle positions and zero radii.  Each sink's list
+    is in per-sink breadth-first order (cells, and leaves' particle
+    ranges, in the order a FIFO walk from the root meets them), the
+    same from either walk and at any ``chunk`` (the NumPy walk's
+    frontier bound, in pairs).
 
     Note: a sink's own particles appear in its direct list (the walk
     opens every cell containing the sink down to its leaves).  This is
@@ -196,18 +202,9 @@ def build_interaction_lists(tree: Octree, sink_center: np.ndarray,
     under Plummer softening.  Host-side potential evaluation subtracts
     the self term (see :mod:`repro.core.kernels`).
     """
-    (ai, ac), (li, lc) = _traverse(tree, sink_center, sink_radius, mac,
-                                   chunk, collect=True)
-    n_sinks = np.asarray(sink_center).shape[0]
-    cell_off, cell_idx = _csr_from_pairs(ai, ac, n_sinks)
-
-    # expand leaf pairs into (sink, sorted-particle) pairs
-    pcount = tree.count[lc]
-    pi = np.repeat(li, pcount)
-    pv = ragged_arange(tree.start[lc], pcount)
-    part_off, part_idx = _csr_from_pairs(pi, pv, n_sinks)
-
-    return InteractionLists(n_sinks=n_sinks, cell_idx=cell_idx,
+    cell_off, cell_idx, part_off, part_idx = _walk(
+        tree, sink_center, sink_radius, mac, chunk, collect=True)
+    return InteractionLists(n_sinks=len(cell_off) - 1, cell_idx=cell_idx,
                             cell_off=cell_off, part_idx=part_idx,
                             part_off=part_off)
 
@@ -258,5 +255,4 @@ def count_interactions(tree: Octree, sink_center: np.ndarray,
     *original* algorithm's operation count only needs list lengths, not
     the lists themselves.
     """
-    return _traverse(tree, sink_center, sink_radius, mac, chunk,
-                     collect=False)
+    return _walk(tree, sink_center, sink_radius, mac, chunk, collect=False)

@@ -14,7 +14,6 @@ in for Einstein--de Sitter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

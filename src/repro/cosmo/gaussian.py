@@ -16,7 +16,6 @@ the real-space field has the correct two-point statistics (verified in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 import numpy as np

@@ -62,12 +62,12 @@ logger = logging.getLogger(__name__)
 #: per-shard traversal overhead stays in the noise.
 SHARDS_PER_SWEEP = 16
 
-#: particles a shard carries at least.  Every shard pays one tree walk's
-#: fixed cost (a few NumPy calls per level, ~1 ms); below this size that
-#: outweighs anything a second thread could overlap, so a small sweep is
-#: cut into fewer shards and a tiny one not at all (it is evaluated on
-#: the submitting thread).  A function of the sweep alone, like the
-#: constant above.
+#: particles a shard carries at least: a small sweep is cut into fewer
+#: shards, a tiny one not at all (it runs on the submitting thread).
+#: Sized for the NumPy fallback walk, whose fixed cost per shard (a few
+#: NumPy calls per level, ~1 ms) outweighs below it anything a second
+#: thread could overlap; the compiled walk's is microseconds.  A
+#: function of the sweep alone, like the constant above.
 MIN_SHARD_PARTICLES = 512
 
 #: one-line help strings for the ``exec.fault.*`` counters

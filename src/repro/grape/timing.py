@@ -88,10 +88,6 @@ class GrapeTimingModel:
         return (self.n_pipelines * self.pipeline_clock_hz
                 * OPS_PER_INTERACTION)
 
-    @property
-    def peak_interactions_per_second(self) -> float:
-        return self.n_pipelines * self.pipeline_clock_hz
-
     # ------------------------------------------------------------------
     def pipeline_time(self, n_i: int, n_j_board: int) -> float:
         """Compute time of one board's pipelines for a force call.

@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.direct import direct_accelerations
-from ..core.kernels import ForceBackend
 from ..core.treecode import TreeCode
 from .model import FittedListLength
 

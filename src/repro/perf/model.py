@@ -27,7 +27,6 @@ clocks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Sequence, Tuple
 

@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.direct import DirectSummation
 from ..core.treecode import TreeCode
 from ..cosmo.sphere import SphereRegion
 from ..cosmo.units import G as G_ASTRO

@@ -17,7 +17,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .simulation import Simulation
 
 __all__ = ["Snapshot", "save_snapshot", "load_snapshot", "slab"]
 

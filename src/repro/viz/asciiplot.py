@@ -8,7 +8,6 @@ tiny: one marker per series, NaNs skipped, log or linear per axis.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Optional, Sequence
 
 import numpy as np

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -118,17 +118,6 @@ class TestMortonKeys:
         assert ix[0] == iy[0] == iz[0] == top
         assert ix[1] == iy[1] == iz[1] == 0
 
-    @settings(max_examples=30)
-    @given(st.integers(0, 2**31 - 1))
-    def test_keys_to_positions_within_cell(self, seed):
-        rng = np.random.default_rng(seed)
-        pos = rng.uniform(-1, 1, (16, 3))
-        corner, size = morton.bounding_cube(pos)
-        keys = morton.morton_keys(pos, corner, size)
-        back = morton.keys_to_positions(keys, corner, size)
-        cell = size / (1 << morton.MAX_LEVEL)
-        assert np.all(np.abs(back - pos) <= cell)
-
 
 class TestPrefixOctant:
     def test_prefix_level_zero_is_zero(self, rng):
@@ -148,16 +137,10 @@ class TestPrefixOctant:
             parent = morton.cell_prefix(keys, lv - 1)
             assert np.array_equal(child >> np.uint64(3), parent)
 
-    def test_octant_range(self, rng):
-        keys = rng.integers(0, 1 << 63, 64, dtype=np.uint64)
-        for lv in (1, 7, 21):
-            o = morton.octant_at_level(keys, lv)
-            assert o.min() >= 0 and o.max() <= 7
-
     def test_octant_of_first_level_matches_halfspace(self):
         pos = np.array([[0.9, 0.1, 0.1]])  # x high, y low, z low
         keys = morton.morton_keys(pos, np.zeros(3), 1.0)
-        assert morton.octant_at_level(keys, 1)[0] == 4  # x bit is MSB
+        assert morton.cell_prefix(keys, 1)[0] == 4  # x bit is MSB
 
     def test_level_validation(self):
         keys = np.zeros(1, dtype=np.uint64)
@@ -165,5 +148,3 @@ class TestPrefixOctant:
             morton.cell_prefix(keys, -1)
         with pytest.raises(ValueError):
             morton.cell_prefix(keys, morton.MAX_LEVEL + 1)
-        with pytest.raises(ValueError):
-            morton.octant_at_level(keys, 0)

@@ -8,6 +8,39 @@ from hypothesis import strategies as st
 from repro.core.octree import build_octree, ragged_arange
 
 
+def validate(tree) -> None:
+    """Check an octree's structural invariants; raises
+    ``AssertionError`` on failure (cheap enough for any test tree)."""
+    C = tree.n_cells
+    assert tree.parent[0] == -1 and tree.level[0] == 0
+    assert tree.start[0] == 0 and tree.count[0] == tree.n_particles
+    nonroot = np.arange(1, C)
+    if C > 1:
+        p = tree.parent[nonroot]
+        assert np.all(p >= 0) and np.all(p < nonroot), "parents precede children"
+        assert np.all(tree.level[nonroot] == tree.level[p] + 1)
+        # each child slice inside parent slice
+        assert np.all(tree.start[nonroot] >= tree.start[p])
+        assert np.all(tree.start[nonroot] + tree.count[nonroot]
+                      <= tree.start[p] + tree.count[p])
+    # children of a split cell partition it exactly
+    internal = np.flatnonzero(~tree.is_leaf)
+    for c in internal:
+        kids = tree.child[c][tree.child[c] >= 0]
+        assert len(kids) >= 1
+        assert tree.count[kids].sum() == tree.count[c]
+        ks = np.sort(tree.start[kids])
+        assert ks[0] == tree.start[c]
+        widths = tree.count[kids][np.argsort(tree.start[kids])]
+        assert np.all(ks[1:] == ks[:-1] + widths[:-1])
+    # particles geometrically inside their cells (within grid rounding)
+    tol = 1e-9 * tree.size
+    for c in np.flatnonzero(tree.is_leaf):
+        s, n = int(tree.start[c]), int(tree.count[c])
+        d = np.abs(tree.pos_sorted[s:s + n] - tree.center[c])
+        assert np.all(d <= tree.half[c] + tol)
+
+
 class TestRaggedArange:
     def test_basic(self):
         out = ragged_arange(np.array([0, 10]), np.array([3, 2]))
@@ -49,11 +82,11 @@ class TestBuildOctree:
 
     def test_structural_invariants(self, plummer_pos_mass):
         pos, mass = plummer_pos_mass
-        build_octree(pos, mass, leaf_size=8).validate()
+        validate(build_octree(pos, mass, leaf_size=8))
 
     def test_invariants_clustered(self, clustered_2k):
         pos, mass = clustered_2k
-        build_octree(pos, mass, leaf_size=4).validate()
+        validate(build_octree(pos, mass, leaf_size=4))
 
     def test_leaves_partition_particles(self, plummer_pos_mass):
         pos, mass = plummer_pos_mass
@@ -95,13 +128,13 @@ class TestBuildOctree:
         tree = build_octree(pos, np.ones(2), leaf_size=1)
         # construction terminates; the degenerate pair shares a deep leaf
         assert tree.count[0] == 2
-        tree.validate()
+        validate(tree)
 
     def test_mixed_coincident_and_spread(self, rng):
         pos = np.concatenate([np.zeros((5, 3)), rng.uniform(0, 1, (50, 3))])
         mass = np.ones(55)
         tree = build_octree(pos, mass, leaf_size=2)
-        tree.validate()
+        validate(tree)
 
     def test_parents_precede_children(self, plummer_pos_mass):
         pos, mass = plummer_pos_mass
@@ -127,7 +160,7 @@ class TestBuildOctree:
         pos = rng.uniform(0.2, 0.8, (64, 3))
         tree = build_octree(pos, np.ones(64), corner=np.zeros(3), size=1.0)
         assert tree.size == 1.0
-        tree.validate()
+        validate(tree)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -154,5 +187,5 @@ class TestBuildOctree:
         pos = rng.standard_normal((n, 3))
         mass = rng.uniform(0.1, 1.0, n)
         tree = build_octree(pos, mass, leaf_size=leaf_size)
-        tree.validate()
+        validate(tree)
         assert tree.count[tree.leaves()].sum() == n
