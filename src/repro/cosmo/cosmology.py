@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = ["Cosmology", "SCDM"]
 
@@ -90,6 +89,7 @@ class Cosmology:
         a = float(self.a_of_z(z))
         if self.is_eds:
             return 2.0 / (3.0 * self.H0) * a**1.5
+        from scipy import integrate
         val, _ = integrate.quad(lambda x: 1.0 / (x * self.H0 * float(self.E(x))),
                                 0.0, a, limit=200)
         return val
@@ -124,6 +124,7 @@ class Cosmology:
         a = self.a_of_z(z)
         if self.is_eds:
             return a
+        from scipy import integrate
 
         def unnorm(av: float) -> float:
             integrand = lambda x: 1.0 / (x * float(self.E(x))) ** 3

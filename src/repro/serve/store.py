@@ -119,14 +119,14 @@ def spec_hash(spec) -> str:
     Accepts a :class:`~repro.serve.jobs.JobSpec` or a plain job
     document.  Two submissions share a hash iff their results are
     bit-identical by construction (kind + validated params).  The
-    version tag changes whenever the arithmetic behind a spec does:
-    ``v2`` retired the per-sink evaluation path, whose forces differ
-    from the current ones at the 1e-15 level, so rows cached under
-    ``v1`` keys are never served again.
+    version tag changes whenever the arithmetic behind a spec does, so
+    rows cached under an older tag are never served again: ``v2``
+    retired the per-sink evaluation path (forces 1e-15 apart), ``v3``
+    the early-stopping sigma_8 integral (ICs 6.4e-5 apart).
     """
     doc = spec if isinstance(spec, dict) else spec.to_dict()
     key = {f: doc.get(f) for f in _CACHE_KEY_FIELDS}
-    blob = json.dumps(["repro.cachekey/v2", key], sort_keys=True,
+    blob = json.dumps(["repro.cachekey/v3", key], sort_keys=True,
                       separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -1,10 +1,46 @@
 """Power-spectrum tests: BBKS shape and sigma_8 normalisation."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.cosmo.cosmology import Cosmology
-from repro.cosmo.power import PowerSpectrum, bbks_transfer
+from repro.cosmo.power import PowerSpectrum, _tophat_window, bbks_transfer
+
+
+def _reference_sigma_unnormalized(ps, r):
+    """The same integral by adaptive quadrature, converged: a purely
+    relative tolerance (QUADPACK's default ``epsabs = 1.49e-8`` is 8 %
+    of the 1.9e-7 sigma_8 integral and stops the refinement early)."""
+    from scipy import integrate
+
+    def integrand(lnk):
+        k = math.exp(lnk)
+        return (k**3 * float(ps._unnormalized(k))
+                * float(_tophat_window(k * r)) ** 2 / (2.0 * math.pi**2))
+    val, _ = integrate.quad(integrand, math.log(1e-5), math.log(1e3),
+                            epsabs=0.0, epsrel=1e-12, limit=2000)
+    return math.sqrt(val)
+
+
+class TestSigma8Accuracy:
+    """The fixed Gauss--Legendre rule against a converged reference."""
+
+    @pytest.mark.parametrize("sigma8", [0.4, 0.6, 1.0])
+    def test_amplitude(self, sigma8):
+        ps = PowerSpectrum(sigma8=sigma8)
+        ref = (sigma8 / _reference_sigma_unnormalized(
+            ps, 8.0 / ps.cosmology.h)) ** 2
+        assert ps.amplitude == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("r", [2.0, 8.0 / 0.5, 64.0])
+    def test_sigma_r(self, r):
+        ps = PowerSpectrum()
+        ref = ps.sigma8 * (_reference_sigma_unnormalized(ps, r)
+                           / _reference_sigma_unnormalized(
+                               ps, 8.0 / ps.cosmology.h))
+        assert ps.sigma_r(r) == pytest.approx(ref, rel=1e-6)
 
 
 class TestBBKSTransfer:

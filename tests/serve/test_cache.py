@@ -102,25 +102,37 @@ class TestCacheServe:
                                    priority=3, tenant="someone-else"))
         assert hit.cache_hit is True
 
+    @staticmethod
+    def _old_key_row_is_never_served(sched, tag, key):
+        """Store a row under ``[tag, key]`` hashed the way ``spec_hash``
+        once did; the same spec must now miss it and recompute."""
+        spec = JobSpec(kind="force_eval", params={"n": 64})
+        blob = json.dumps([tag, dict(key, kind=spec.kind,
+                                     params=spec.params)],
+                          sort_keys=True, separators=(",", ":"))
+        old_key = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        assert spec_hash(spec) != old_key
+        sched.store.cache_put(old_key, "stale", {"digest": "stale"})
+        job = _submit_wait(sched, spec)
+        assert job.cache_hit is False
+        assert job.result["digest"] != "stale"
+        assert sched.store.cache_stats()["hits"] == 0
+
     def test_v1_cache_row_is_never_served(self, sched):
         """A store written before the per-sink evaluation path was
         retired holds results whose forces differ from today's at the
         1e-15 level, under ``repro.cachekey/v1`` keys (which also
         hashed the then-default ``kernels: null``).  The same spec now
-        hashes to a v2 key, so such a row is dead weight, not a hit."""
-        spec = JobSpec(kind="force_eval", params={"n": 64})
-        v1_blob = json.dumps(
-            ["repro.cachekey/v1", {"kind": spec.kind,
-                                   "params": spec.params,
-                                   "kernels": None}],
-            sort_keys=True, separators=(",", ":"))
-        v1_key = hashlib.sha256(v1_blob.encode("utf-8")).hexdigest()
-        assert spec_hash(spec) != v1_key
-        sched.store.cache_put(v1_key, "stale", {"digest": "stale"})
-        job = _submit_wait(sched, spec)
-        assert job.cache_hit is False
-        assert job.result["digest"] != "stale"
-        assert sched.store.cache_stats()["hits"] == 0
+        hashes to a newer key, so such a row is dead weight, not a hit."""
+        self._old_key_row_is_never_served(sched, "repro.cachekey/v1",
+                                          {"kernels": None})
+
+    def test_v2_cache_row_is_never_served(self, sched):
+        """Under ``repro.cachekey/v2`` the sigma_8 normalisation stopped
+        early (QUADPACK's default ``epsabs`` is 8 % of the integral), so
+        every IC sat 6.4e-5 away from today's.  The same spec now hashes
+        to a v3 key: a v2 row is never served."""
+        self._old_key_row_is_never_served(sched, "repro.cachekey/v2", {})
 
     def test_fault_jobs_bypass_the_cache(self, tmp_path):
         s = Scheduler(slots=1, workdir=tmp_path / "w", cache=True,

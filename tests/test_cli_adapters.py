@@ -3,9 +3,9 @@ that the CLI's lazy imports stay lazy.
 
 ``repro.cli`` and ``repro.serve.runner`` start the same work from argv
 and from a ``Job``.  Their workload defaults are a hand-matched pair
-(a shared table would need a third home: anything under ``repro.sim``
-pulls SciPy through the package init, and ``repro info`` / the client
-verbs build the parser without it), so the pair is pinned here.
+(a shared table would need a third home: ``repro info`` and the client
+verbs build the parser without importing ``repro.sim``), so the pair is
+pinned here.
 """
 
 import os
@@ -56,8 +56,8 @@ assert repro.cli.main(["info"], out=io.StringIO()) == 0
 assert not loaded("scipy", "repro.sim"), loaded("scipy", "repro.sim")
 assert repro.cli.main(["run", "--ngrid", "5", "--steps", "1"],
                       out=io.StringIO()) == 0
-assert not loaded("repro.serve", "asyncio", "sqlite3"), \\
-    loaded("repro.serve", "asyncio", "sqlite3")
+assert not loaded("repro.serve", "scipy", "asyncio", "sqlite3"), \\
+    loaded("repro.serve", "scipy", "asyncio", "sqlite3")
 """
 
 
@@ -65,9 +65,35 @@ def test_lazy_imports_stay_lazy():
     """The guard on the spine's ``cli.startup_s`` / ``cli.info_s``:
     importing the CLI loads no service, simulation or SciPy module,
     ``info`` still none of the last two, and a whole ``run`` never
-    touches the service stack."""
+    touches the service stack or SciPy."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", _LAZY],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+#: ``None`` in ``sys.modules`` makes every ``import scipy...`` raise
+_NO_SCIPY = """
+import io, sys
+sys.modules["scipy"] = None
+import repro.cosmo
+assert not [m for m in sys.modules
+            if m.startswith("scipy.") and sys.modules[m] is not None]
+import repro.cli
+assert repro.cli.main(["info"], out=io.StringIO()) == 0
+assert repro.cli.main(["run", "--ngrid", "5", "--steps", "1"],
+                      out=io.StringIO()) == 0
+"""
+
+
+def test_run_path_works_without_scipy():
+    """SciPy is imported only where analysis code (or a non-EdS
+    background) uses it: with every SciPy import failing,
+    ``import repro.cosmo``, ``info`` and a whole ``run`` still succeed
+    (the local stand-in for CI's NumPy-only job)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY],
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
