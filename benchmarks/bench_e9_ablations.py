@@ -3,12 +3,9 @@
 Not a paper table: these benches probe the design choices the paper
 made implicitly, using the machinery built for E1-E8.
 
-(a) **Monopole vs quadrupole cells.**  The GRAPE-5 pipeline evaluates
-    point masses only, forcing a monopole tree.  How much accuracy per
-    unit work does that give up?  (Answer: at equal theta the
-    quadrupole is several times more accurate -- but at equal *error*
-    the monopole tree just runs a slightly smaller theta, and all its
-    work is offloadable.  That asymmetry is the paper's whole design.)
+(a) Monopole vs quadrupole cells -- retired with the host-side
+    quadrupole path; the GRAPE-5 pipeline evaluates point masses only.
+    Its last numbers are kept in EXPERIMENTS.md.
 
 (b) **Opening-angle MAC vs absolute-error MAC** (the paper's ref [17],
     Kawai & Makino 1999): work-error tradeoff of the two acceptance
@@ -31,35 +28,6 @@ from repro.perf.report import format_table
 def _rms(a, ref):
     e = np.linalg.norm(a - ref, axis=1) / np.linalg.norm(ref, axis=1)
     return float(np.sqrt(np.mean(e**2)))
-
-
-def test_e9a_monopole_vs_quadrupole(benchmark, plummer_snapshot,
-                                    results_dir):
-    pos, mass, eps = plummer_snapshot
-    acc_ref, _ = DirectSummation().accelerations(pos, mass, eps)
-
-    def sweep():
-        rows = []
-        for theta in (1.2, 0.9, 0.6):
-            mono = TreeCode(theta=theta, n_crit=256)
-            a_m, _ = mono.accelerations(pos, mass, eps)
-            quad = TreeCode(theta=theta, n_crit=256, quadrupole=True)
-            a_q, _ = quad.accelerations(pos, mass, eps)
-            rows.append({
-                "theta": theta,
-                "interactions": mono.last_stats.total_interactions,
-                "monopole err [%]": round(100 * _rms(a_m, acc_ref), 4),
-                "quadrupole err [%]": round(100 * _rms(a_q, acc_ref), 4),
-                "offloadable (mono)": "100 %",
-                "offloadable (quad)": (
-                    f"{100 * quad.last_stats.part_terms / (quad.last_stats.part_terms + quad.last_stats.cell_terms):.0f} %"),
-            })
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    emit(results_dir, "e9a_mono_vs_quad", format_table(rows))
-    for r in rows:
-        assert r["quadrupole err [%]"] < r["monopole err [%]"]
 
 
 def test_e9b_mac_comparison(benchmark, cosmo_snapshot, results_dir):

@@ -9,7 +9,7 @@ and shows the paper's two claims:
 * an opening-angle sweep moves the tree error across the hardware
   floor, locating where the hardware *would* start to matter.
 
-Also demos the libg5-style procedural API.
+Also shows one force call made on the emulated device directly.
 
 Run:  python examples/grape_accuracy.py
 """
@@ -17,8 +17,7 @@ Run:  python examples/grape_accuracy.py
 import numpy as np
 
 from repro.core import DirectSummation, TreeCode
-from repro.grape import (G5Context, G5Numerics, Grape5System,
-                         GrapeBackend)
+from repro.grape import G5Numerics, Grape5System, GrapeBackend
 from repro.perf.report import format_table
 from repro.sim.models import plummer_model
 
@@ -62,16 +61,12 @@ def main():
           "made in the tree algorithm and not by the accuracy of the "
           "hardware.'\n")
 
-    # ---- the same calculation through the libg5-style API ------------
-    print("libg5-style API, 64 sinks vs the full particle set:")
+    # ---- one force call on the device: 64 sinks vs every particle ----
+    print("one Grape5System.compute call, 64 sinks vs the full "
+          "particle set:")
     system = Grape5System(numerics=G5Numerics())  # paper numerics
-    with G5Context().open(system) as g5:
-        g5.set_range(float(pos.min()) - 1.0, float(pos.max()) + 1.0)
-        g5.set_eps_to_all(eps)
-        g5.set_xmj(0, len(pos), pos, mass)
-        g5.set_xi(64, pos[:64])
-        g5.run()
-        acc64, pot64 = g5.get_force(64)
+    system.set_range(float(pos.min()) - 1.0, float(pos.max()) + 1.0)
+    acc64, _ = system.compute(pos[:64], pos, mass, eps)
     err = rms(acc64, acc_ref[:64])
     print(f"  -> {100 * err:.3f} % RMS error on 64 forces, "
           f"{system.interactions} interactions, "

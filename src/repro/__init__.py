@@ -9,7 +9,8 @@ The package rebuilds the paper's whole stack in Python:
 ``repro.grape``
     GRAPE-5 emulator: the reduced-precision G5 pipeline (~0.3 %
     pairwise force error), the 2-board/32-pipeline system (109.44
-    Gflops peak), a cycle-level timing model, and a libg5-style API.
+    Gflops peak), a cycle-level timing model, and the force backend
+    the treecode drives it through.
 ``repro.host``
     Host (AlphaServer DS10) cost model and the section-4 price ledger.
 ``repro.cosmo``

@@ -1,8 +1,7 @@
 """The live emulated cluster: per-host backends, sharded evaluation.
 
-:class:`ClusterContext` is to a :class:`~repro.cluster.spec.ClusterSpec`
-what a :class:`~repro.grape.api.G5Context` is to one board set: the
-opened, stateful object -- and the object a cluster
+:class:`ClusterContext` is the opened, stateful object built from a
+:class:`~repro.cluster.spec.ClusterSpec` -- and the object a cluster
 :class:`~repro.core.treecode.TreeCode` holds as its ``backend``.  Per
 host it owns one :class:`~repro.grape.system.Grape5System`, whose
 timing model splits the j-stream over that host's B boards, and one
@@ -55,7 +54,6 @@ __all__ = ["ClusterContext"]
 class ClusterContext:
     """K emulated hosts evaluating one decomposed force sweep.
 
-    Mirrors the :class:`~repro.grape.api.G5Context` lifecycle:
     :meth:`open` before use, :meth:`close` to detach, and every
     call-order violation raises :class:`ClusterError`.  A closed
     context can be opened again; the per-host systems -- and so the
@@ -102,8 +100,8 @@ class ClusterContext:
             timing=GrapeTimingModel(n_boards=self.spec.boards))
 
     def open(self) -> "ClusterContext":
-        """Attach every host's backend to its board set; chains like
-        ``G5Context.open``."""
+        """Attach every host's backend to its board set; returns the
+        context, so calls chain."""
         if self.backends:
             raise ClusterError("cluster already open; call close() first")
         spec = self.spec

@@ -13,7 +13,7 @@ is the live object built from it.
 Validation errors raise plain :class:`ValueError` so every entry point
 (constructor, recipe, CLI) reports a bad configuration as the uniform
 exit-2 usage error; *protocol* misuse of live cluster objects raises
-:class:`ClusterError` instead, mirroring :class:`~repro.grape.api.G5Error`.
+:class:`ClusterError` instead.
 """
 
 from __future__ import annotations

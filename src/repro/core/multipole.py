@@ -7,10 +7,6 @@ point mass at the cell's center of mass.  This matches the GRAPE-5
 hardware, whose pipelines evaluate exactly the softened point-mass
 kernel -- a cell expansion beyond the monopole could not be offloaded.
 
-Quadrupole moments are provided as an optional extension (they are used
-by the pure-host reference path and by accuracy ablations, not by the
-GRAPE pipeline).
-
 Because every cell is a contiguous slice of the Morton-sorted particle
 arrays, all moments are computed with prefix sums: for any per-particle
 quantity ``w``, the cell sum is ``W[start+count] - W[start]`` where ``W``
@@ -24,10 +20,6 @@ import numpy as np
 from .octree import Octree
 
 __all__ = ["compute_moments", "cell_sums"]
-
-#: Packing order of the symmetric 3x3 quadrupole tensor.
-QUAD_INDEX = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
 
 def cell_sums(tree: Octree, values: np.ndarray) -> np.ndarray:
     """Sum an arbitrary per-particle quantity over every cell.
@@ -45,17 +37,13 @@ def cell_sums(tree: Octree, values: np.ndarray) -> np.ndarray:
     return csum[e] - csum[s]
 
 
-def compute_moments(tree: Octree, *, quadrupole: bool = False) -> Octree:
-    """Fill ``tree.mass``, ``tree.com``, ``tree.rmax`` (and optionally
-    ``tree.quad``) in place and return the tree.
+def compute_moments(tree: Octree) -> Octree:
+    """Fill ``tree.mass``, ``tree.com`` and ``tree.rmax`` in place and
+    return the tree.
 
     ``rmax`` is an upper bound on the distance from the center of mass to
     any particle in the cell (the distance to the farthest cube corner);
     the traversal uses it for the group acceptance criterion.
-
-    Quadrupole moments are packed per :data:`QUAD_INDEX` as the traceless
-    tensor ``Q_ij = sum m (3 dx_i dx_j - |dx|^2 delta_ij)`` about the cell
-    center of mass.
     """
     m = tree.mass_sorted
     x = tree.pos_sorted
@@ -78,21 +66,4 @@ def compute_moments(tree: Octree, *, quadrupole: bool = False) -> Octree:
     tree.mass = cmass
     tree.com = com
     tree.rmax = rmax
-
-    if quadrupole:
-        # Raw second moments about the origin, shifted to the com:
-        #   S_ij = sum m x_i x_j ;  about com: S_ij - M c_i c_j
-        prods = np.empty((tree.n_particles, 6), dtype=np.float64)
-        for a, (i, j) in enumerate(QUAD_INDEX):
-            prods[:, a] = m * x[:, i] * x[:, j]
-        raw = cell_sums(tree, prods)
-        shifted = np.empty_like(raw)
-        for a, (i, j) in enumerate(QUAD_INDEX):
-            shifted[:, a] = raw[:, a] - cmass * com[:, i] * com[:, j]
-        tr = shifted[:, 0] + shifted[:, 1] + shifted[:, 2]
-        quad = np.empty_like(shifted)
-        for a, (i, j) in enumerate(QUAD_INDEX):
-            quad[:, a] = 3.0 * shifted[:, a] - (tr if i == j else 0.0)
-        tree.quad = quad
-
     return tree

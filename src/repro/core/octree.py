@@ -70,8 +70,8 @@ class Octree:
     Every cell covers the contiguous slice
     ``pos_sorted[start[c] : start[c] + count[c]]``.
 
-    Multipole arrays (``mass``, ``com``, ``rmax``, optionally ``quad``)
-    are filled by :func:`repro.core.multipole.compute_moments`.
+    Multipole arrays (``mass``, ``com``, ``rmax``) are filled by
+    :func:`repro.core.multipole.compute_moments`.
     """
 
     # geometry of the root cube
@@ -101,7 +101,6 @@ class Octree:
     mass: Optional[np.ndarray] = field(default=None)   # (C,)
     com: Optional[np.ndarray] = field(default=None)    # (C,3)
     rmax: Optional[np.ndarray] = field(default=None)   # (C,) com->corner bound
-    quad: Optional[np.ndarray] = field(default=None)   # (C,6) packed symmetric
 
     @property
     def n_particles(self) -> int:
@@ -136,12 +135,11 @@ def _cell_geometry(prefix: np.ndarray, level: int, corner: np.ndarray,
 
 def build_octree(pos: np.ndarray, mass: np.ndarray, *,
                  leaf_size: int = 8,
-                 corner: Optional[np.ndarray] = None,
-                 size: Optional[float] = None,
                  tracer: Optional[object] = None) -> Octree:
     """Build a linear octree over ``pos`` with at most ``leaf_size``
     particles per leaf (except for cells of coincident particles that
-    cannot be separated at the finest grid level).
+    cannot be separated at the finest grid level).  The root cube is
+    :func:`repro.core.morton.bounding_cube` of ``pos``.
 
     Parameters
     ----------
@@ -151,8 +149,6 @@ def build_octree(pos: np.ndarray, mass: np.ndarray, *,
         ``(N,)`` particle masses.
     leaf_size:
         Split cells holding more particles than this.
-    corner, size:
-        Optional root cube; computed from the particle bounds when omitted.
     tracer:
         Optional :class:`repro.obs.trace.Tracer`; construction then
         opens ``morton_sort`` and ``tree_refine`` sub-spans.
@@ -170,10 +166,7 @@ def build_octree(pos: np.ndarray, mass: np.ndarray, *,
     if n == 0:
         raise ValueError("cannot build a tree over zero particles")
 
-    if corner is None or size is None:
-        corner, size = morton.bounding_cube(pos)
-    corner = np.asarray(corner, dtype=np.float64)
-    size = float(size)
+    corner, size = morton.bounding_cube(pos)
 
     with tr.span("morton_sort", n_particles=n):
         keys = morton.morton_keys(pos, corner, size)

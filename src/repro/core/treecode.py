@@ -38,7 +38,6 @@ from .kernels import (Float64Backend, ForceBackend,
                       self_potential_correction)
 from .mac import MAC, BarnesHutMAC
 from .multipole import compute_moments
-from .quadkernel import quadrupole_accpot
 from .octree import Octree, build_octree
 from .traversal import InteractionLists, build_interaction_lists
 
@@ -113,12 +112,6 @@ class TreeCode:
         Force backend; host float64 when omitted.
     mac:
         Custom acceptance criterion (overrides ``theta``).
-    quadrupole:
-        Evaluate cell terms with monopole + traceless quadrupole on
-        the host (extension; the GRAPE pipeline is monopole-only, so
-        with this enabled only the *direct* particle terms go through
-        the backend -- exactly what a hybrid host/GRAPE quadrupole
-        scheme would do).
     engine:
         The :class:`repro.exec.PipelineEngine` that evaluates every
         sweep: it hands shards of the sinks to a thread pool and
@@ -148,9 +141,9 @@ class TreeCode:
         decomposed across K emulated hosts x B boards, each evaluating
         its own sinks' rows of the shared global lists, and the
         context is what the treecode holds as ``backend`` and as
-        ``engine``.  Mutually exclusive with ``backend``, ``engine``
-        and ``quadrupole`` (the cluster owns its GRAPE backends and
-        its own parallel structure).  ``hosts=1, boards=2`` is
+        ``engine``.  Mutually exclusive with ``backend`` and
+        ``engine`` (the cluster owns its GRAPE backends and its own
+        parallel structure).  ``hosts=1, boards=2`` is
         bit-identical to the plain GRAPE path.  :meth:`close` closes
         it.
     """
@@ -159,7 +152,6 @@ class TreeCode:
                  leaf_size: int = 8,
                  backend: Optional[ForceBackend] = None,
                  mac: Optional[MAC] = None,
-                 quadrupole: bool = False,
                  engine: Optional[object] = None,
                  tracer: Optional[object] = None,
                  metrics: Optional[object] = None,
@@ -179,9 +171,6 @@ class TreeCode:
                 raise ValueError("cluster= and engine= are mutually "
                                  "exclusive; the cluster is its own "
                                  "parallel structure")
-            if quadrupole:
-                raise ValueError("cluster mode is monopole-only (the "
-                                 "GRAPE pipelines are)")
             if isinstance(cluster, ClusterSpec):
                 cluster = ClusterContext(cluster, metrics=metrics)
             if not cluster.backends:
@@ -189,7 +178,6 @@ class TreeCode:
             self.cluster = backend = cluster
         self.backend = backend if backend is not None else Float64Backend()
         self.mac = mac if mac is not None else BarnesHutMAC(theta=theta)
-        self.quadrupole = bool(quadrupole)
         self._owns_engine = engine is None and cluster is None
         if self._owns_engine:
             engine = _default_engine()
@@ -222,8 +210,8 @@ class TreeCode:
         """
         tree = build_octree(pos, mass, leaf_size=self.leaf_size,
                             tracer=self.tracer)
-        with self.tracer.span("moments", quadrupole=self.quadrupole):
-            compute_moments(tree, quadrupole=self.quadrupole)
+        with self.tracer.span("moments"):
+            compute_moments(tree)
         lo = float(np.min(tree.corner))
         hi = float(np.max(tree.corner + tree.size))
         self._last_domain = (lo, hi)
@@ -273,8 +261,7 @@ class TreeCode:
         spec = SweepSpec(tree=tree, sink_center=sink_center,
                          sink_start=sink_start, sink_count=sink_count,
                          eps=float(eps), domain=self._last_domain,
-                         build_lists=build_lists,
-                         eval_sweep=self._eval_sweep)
+                         build_lists=build_lists)
         with tr.span("eval", algorithm=algorithm):
             # timed from inside the span, so the attribution children
             # recorded below can never outlast it
@@ -353,42 +340,3 @@ class TreeCode:
                    "host_direct": max(0.0, t_eval - t_kernel)},
         )
         return acc, pot
-
-    # ------------------------------------------------------------------
-    def _eval_sweep(self, backend: ForceBackend, tree: Octree,
-                    lists: InteractionLists, sink_start: np.ndarray,
-                    sink_count: np.ndarray, eps: float,
-                    acc_s: np.ndarray, pot_s: np.ndarray) -> None:
-        """Evaluate these sinks' lists on ``backend`` into their rows
-        of ``acc_s``/``pot_s``: the engine's per-shard hook, run on
-        several pool threads at once (each with a private backend), so
-        it writes nothing but those rows.
-
-        Monopole mode ships the whole CSR block (cells + direct
-        particles, one point-mass list per sink, as on the hardware)
-        through :meth:`ForceBackend.eval_lists`.  Quadrupole mode sends
-        only the direct-particle terms that way and adds the
-        monopole+quadrupole cell terms on the host per sink group --
-        what a hybrid host/GRAPE quadrupole scheme would do.
-        """
-        sent = lists
-        if self.quadrupole:
-            sent = InteractionLists(
-                n_sinks=lists.n_sinks,
-                cell_idx=np.empty(0, dtype=np.int64),
-                cell_off=np.zeros(lists.n_sinks + 1, dtype=np.int64),
-                part_idx=lists.part_idx, part_off=lists.part_off)
-        backend.eval_lists(tree.pos_sorted, tree.mass_sorted,
-                           tree.com, tree.mass, sent,
-                           sink_start, sink_count, eps, acc_s, pot_s)
-        if not self.quadrupole:
-            return
-        for g in range(int(sink_start.shape[0])):
-            s, n = int(sink_start[g]), int(sink_count[g])
-            cells = lists.cells_of(g)
-            a_c, p_c = quadrupole_accpot(tree.pos_sorted[s:s + n],
-                                         tree.com[cells],
-                                         tree.mass[cells],
-                                         tree.quad[cells], eps)
-            acc_s[s:s + n] += a_c
-            pot_s[s:s + n] += p_c

@@ -7,11 +7,10 @@ while the GRAPE integrates the current group's shared list.  GRAPE-5's
 so does :class:`PipelineEngine`, the only way a
 :class:`~repro.core.treecode.TreeCode` evaluates: the submitting thread
 traverses the sinks in contiguous *shards* (``spec.build_lists(a, b)``)
-and hands each, as soon as its lists exist, to a pool thread that runs
-the sweep's ``eval_sweep`` hook -- one call to the one evaluation seam,
-:meth:`~repro.core.kernels.ForceBackend.eval_lists`, plus whatever
-host-side terms the treecode variant adds -- writing straight into the
-sweep's ``acc``/``pot``.
+and hands each, as soon as its lists exist, to a pool thread that makes
+one call to the one evaluation seam,
+:meth:`~repro.core.kernels.ForceBackend.eval_lists`, writing straight
+into the sweep's ``acc``/``pot``.
 
 Threads are enough because the compiled list walk is loaded with
 ``ctypes.CDLL`` (the GIL is released for the whole call), its scratch
@@ -125,8 +124,10 @@ def _eval_shard(backend: ForceBackend, spec: SweepSpec, shard_lists,
             f"injected transient error in sinks [{a}, {b})")
     backend.set_domain(*spec.domain)
     t_eval = time.perf_counter()
-    spec.eval_sweep(backend, spec.tree, shard_lists, spec.sink_start[a:b],
-                    spec.sink_count[a:b], spec.eps, acc, pot)
+    tree = spec.tree
+    backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
+                       tree.mass, shard_lists, spec.sink_start[a:b],
+                       spec.sink_count[a:b], spec.eps, acc, pot)
     return (threading.get_ident(), t_dequeue, t_eval, time.perf_counter(),
             backend)
 

@@ -4,12 +4,13 @@ One *sweep* is the eval phase of one tree force evaluation: a set of
 sinks (Barnes groups, or single particles for the original algorithm),
 each owning an interaction list over the tree's source arrays (cell
 monopoles + Morton-sorted particles).  :class:`SweepSpec` carries the
-tree plus two callbacks so an engine can *stream* the sweep:
+tree plus one callback so an engine can *stream* the sweep:
 ``build_lists(a, b)`` traverses sinks ``[a, b)`` on the host while
 earlier sinks are already being evaluated -- the software analogue of
 the paper's host/GRAPE overlap (host walks the tree for group *k+1*
-while the GRAPE integrates the shared list of group *k*) -- and
-``eval_sweep`` evaluates one such range on the backend it is handed.
+while the GRAPE integrates the shared list of group *k*).  Every range
+is evaluated by one
+:meth:`~repro.core.kernels.ForceBackend.eval_lists` call.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ class SweepSpec:
     #: lists for the sink range [a, b) -- engines may call this in
     #: shards, interleaved with evaluation
     build_lists: Callable[[int, int], InteractionLists]
-    #: ``eval_sweep(backend, tree, lists, sink_start, sink_count, eps,
-    #: acc, pot)``: evaluate those sinks' lists on ``backend`` into
-    #: their rows of ``acc``/``pot`` -- called once per shard, possibly
-    #: from several threads at once, each with its own backend
-    eval_sweep: Callable[..., None]
 
     @property
     def n_sinks(self) -> int:

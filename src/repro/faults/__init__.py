@@ -11,27 +11,25 @@ that way.  It provides:
   consumption state consulted by the pipeline engine, device backends
   and the checkpoint loop;
 * :class:`~repro.faults.inject.TransientBackendError` -- the retryable
-  error class honoured by the pipeline engine's shard retry and by
-  :func:`~repro.faults.inject.retry_transient`, the one device retry
-  loop :class:`~repro.grape.system.GrapeBackend` and
-  :class:`~repro.grape.api.G5Context` both run their calls through;
+  error class honoured by the pipeline engine's shard retry and by the
+  device retry loop of :meth:`repro.grape.GrapeBackend.force_call`;
 * :func:`~repro.faults.inject.corrupt_file` -- deterministic file
   truncation/bit-flips for checkpoint chaos tests.
 
 The self-healing machinery these faults exercise lives with the code
 it protects: shard retry in
 :class:`repro.exec.PipelineEngine`, atomic writes and the last-good
-pointer in :mod:`repro.sim.checkpoint`, and run-level auto-recovery in
+pointer in :mod:`repro.sim.checkpoint`, device call retry in
+:class:`repro.grape.GrapeBackend`, and run-level auto-recovery in
 :meth:`repro.sim.Simulation.run`.  See ``docs/fault_tolerance.md``.
 """
 
-from .inject import (FaultInjector, TransientBackendError, corrupt_file,
-                     retry_transient)
+from .inject import FaultInjector, TransientBackendError, corrupt_file
 from .plan import (FAULT_KINDS, FaultPlan, FaultSpec, as_fault_plan,
                    parse_fault_plan)
 
 __all__ = [
     "FAULT_KINDS", "FaultPlan", "FaultSpec", "FaultInjector",
     "TransientBackendError", "as_fault_plan", "parse_fault_plan",
-    "corrupt_file", "retry_transient",
+    "corrupt_file",
 ]

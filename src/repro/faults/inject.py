@@ -12,7 +12,7 @@ Four hook surfaces, one per layer of the stack:
 * :meth:`FaultInjector.batch_fault` -- consulted by the pipeline
   engine once per shard execution (latency / transient error);
 * :meth:`FaultInjector.maybe_raise` -- consulted by backends at named
-  call sites (``grape.compute``, ``g5.run``), raising
+  call site (``grape.compute``), raising
   :class:`TransientBackendError` when a transient spec matches;
 * :meth:`FaultInjector.checkpoint_fault` -- consulted by the
   simulation loop after each periodic checkpoint write;
@@ -35,8 +35,7 @@ from typing import Optional, Union
 
 from .plan import FaultPlan, FaultSpec
 
-__all__ = ["TransientBackendError", "retry_transient", "FaultInjector",
-           "corrupt_file"]
+__all__ = ["TransientBackendError", "FaultInjector", "corrupt_file"]
 
 #: fault kinds handled at the pipeline engine's shard call (no ``site``)
 _BATCH_KINDS = frozenset({"latency", "transient_error"})
@@ -56,28 +55,6 @@ class TransientBackendError(RuntimeError):
     device can fail transiently; callers holding a retry budget treat
     it as "try again", everything else as fatal.
     """
-
-
-def retry_transient(owner, site: str, fn, on_retry=None):
-    """The device retry loop of :class:`~repro.grape.system.GrapeBackend`
-    (site ``grape.compute``) and :class:`~repro.grape.api.G5Context`
-    (site ``g5.run``): consult ``owner.fault_injector`` at ``site``, run
-    ``fn``, and after a :class:`TransientBackendError` bump
-    ``owner.transient_retries`` (and call ``on_retry``) and re-issue,
-    up to ``owner.max_retries`` times.  Returns ``fn``'s result."""
-    attempt = 0
-    while True:
-        try:
-            if owner.fault_injector is not None:
-                owner.fault_injector.maybe_raise(site)
-            return fn()
-        except TransientBackendError:
-            attempt += 1
-            owner.transient_retries += 1
-            if on_retry is not None:
-                on_retry()
-            if attempt > owner.max_retries:
-                raise
 
 
 class FaultInjector:

@@ -19,7 +19,7 @@ Fault kinds
     A retryable device error: batch-level when ``site`` is unset
     (the pipeline engine's shard call raises), call-level when
     ``site`` names a backend or transport hook (``grape.compute``,
-    ``g5.run``, ``fleet.rpc``).
+    ``fleet.rpc``).
 ``corrupt_result``
     The response bytes of a ``fleet.rpc`` request are truncated, so
     the payload digest check fires (transport site only).
@@ -61,8 +61,9 @@ class FaultSpec:
     """One injectable fault: a kind plus the selectors naming its site."""
 
     kind: str
-    #: call-site hook name for backend-level faults (``grape.compute``,
-    #: ``g5.run``); ``None`` for batch/checkpoint-level faults
+    #: call-site hook name for backend/transport faults
+    #: (``grape.compute``, ``fleet.rpc``); ``None`` for
+    #: batch/checkpoint-level faults
     site: Optional[str] = None
     sweep: Optional[int] = None
     batch: Optional[int] = None

@@ -4,8 +4,8 @@ The paper's machine, in software, described once: the reduced-precision
 G5 force pipeline (:class:`G5Pipeline`), a cycle-level timing model that
 is the only geometry and the only clocks (:class:`GrapeTimingModel`:
 2 boards x 8 chips x 2 pipelines, peak 109.44 Gflops), the device that
-puts the two together (:class:`Grape5System`), and a libg5-style
-call-sequence handle over it (:class:`G5Context`).
+puts the two together (:class:`Grape5System`), and the force backend
+the treecode drives it through (:class:`GrapeBackend`).
 
 Quick use::
 
@@ -19,7 +19,6 @@ Quick use::
     print(backend.model_seconds)             # modelled GRAPE wall time
 """
 
-from .api import G5Context, G5Error
 from .erroranalysis import (ErrorSample, pairwise_error_sample,
                             required_fraction_bits, summed_error_sample)
 from .numerics import FixedPointFormat, G5Numerics, G5_NUMERICS, round_mantissa
@@ -29,7 +28,7 @@ from .timing import GrapeTimingModel, OPS_PER_INTERACTION
 
 __all__ = [
     "ErrorSample", "pairwise_error_sample", "required_fraction_bits",
-    "summed_error_sample", "G5Context", "G5Error", "FixedPointFormat",
+    "summed_error_sample", "FixedPointFormat",
     "G5Numerics", "G5_NUMERICS", "round_mantissa", "G5Pipeline",
     "Grape5System", "GrapeBackend", "GrapeTimingModel",
     "OPS_PER_INTERACTION",

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.kernels import ForceBackend
-from ..faults import retry_transient
+from ..faults import TransientBackendError
 from .numerics import G5Numerics, G5_NUMERICS
 from .pipeline import G5Pipeline
 from .timing import GrapeTimingModel, OPS_PER_INTERACTION
@@ -291,16 +291,26 @@ class GrapeBackend(ForceBackend):
 
     def force_call(self, fn):
         """One backend force call: ``fn`` under the ``grape.compute``
-        fault site and the transient-retry budget.  The site precedes
+        fault site and the transient-retry budget: after a
+        :class:`~repro.faults.TransientBackendError` the call is
+        re-issued, up to :attr:`max_retries` times.  The site precedes
         ``fn``, so a retried call is never charged twice."""
-        return retry_transient(self, "grape.compute", fn, self._count_retry)
-
-    def _count_retry(self) -> None:
-        m = self.system.metrics
-        if m is not None:
-            m.counter("exec.fault.backend_retries",
-                      "force calls re-issued after a transient "
-                      "backend error").inc()
+        attempt = 0
+        while True:
+            try:
+                if self.fault_injector is not None:
+                    self.fault_injector.maybe_raise("grape.compute")
+                return fn()
+            except TransientBackendError:
+                attempt += 1
+                self.transient_retries += 1
+                m = self.system.metrics
+                if m is not None:
+                    m.counter("exec.fault.backend_retries",
+                              "force calls re-issued after a transient "
+                              "backend error").inc()
+                if attempt > self.max_retries:
+                    raise
 
     def compute(self, xi, xj, mj, eps):
         return self.force_call(

@@ -1,9 +1,8 @@
 """Transient-error retry budgets in the GRAPE backend layers.
 
-A flaky board drops a transfer; the host re-issues the call.  Both the
+A flaky board drops a transfer; the host re-issues the call.  The
 :class:`~repro.grape.system.GrapeBackend` adapter (site
-``grape.compute``) and the libg5-style :class:`~repro.grape.api.G5Context`
-(site ``g5.run``) hold a bounded retry budget and surface the retry
+``grape.compute``) holds a bounded retry budget and surfaces the retry
 count; the computed forces are unaffected because the retried call is
 identical.
 """
@@ -14,7 +13,6 @@ import pytest
 from repro.faults import (FaultInjector, FaultPlan, FaultSpec,
                           TransientBackendError)
 from repro.grape import GrapeBackend
-from repro.grape.api import G5Context
 from repro.obs import MetricsRegistry
 
 pytestmark = pytest.mark.chaos
@@ -88,34 +86,3 @@ class TestGrapeBackendRetry:
         assert be.transient_retries == 0
         tc.accelerations(pos, mass, 0.01)
         assert be.transient_retries == 1
-
-
-class TestG5ContextRetry:
-    def _staged(self, call_args, **kwargs):
-        xi, xj, mj = call_args
-        ctx = G5Context(**kwargs).open()
-        ctx.set_eps_to_all(0.01)
-        ctx.set_xmj(0, xj.shape[0], xj, mj)
-        ctx.set_xi(xi.shape[0], xi)
-        return ctx, xi
-
-    def test_run_retries_transparently(self, call_args):
-        ctx0, xi = self._staged(call_args)
-        ctx0.run()
-        clean = ctx0.get_force(xi.shape[0])
-        ctx, xi = self._staged(call_args,
-                               fault_injector=_injector(1, "g5.run"),
-                               max_retries=2)
-        ctx.run()
-        acc, pot = ctx.get_force(xi.shape[0])
-        assert np.array_equal(acc, clean[0])
-        assert np.array_equal(pot, clean[1])
-        assert ctx.transient_retries == 1
-
-    def test_run_budget_exhaustion_raises(self, call_args):
-        ctx, _ = self._staged(call_args,
-                              fault_injector=_injector(99, "g5.run"),
-                              max_retries=1)
-        with pytest.raises(TransientBackendError):
-            ctx.run()
-        assert ctx.transient_retries == 2

@@ -198,8 +198,6 @@ def test_treecode_cluster_rejects_conflicts():
         TreeCode(cluster=ClusterSpec(), backend=GrapeBackend())
     with pytest.raises(ValueError):
         TreeCode(cluster=ClusterSpec(), engine=object())
-    with pytest.raises(ValueError):
-        TreeCode(cluster=ClusterSpec(), quadrupole=True)
 
 
 def test_treecode_close_closes_a_handed_context(plummerish):

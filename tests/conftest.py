@@ -10,11 +10,10 @@ import pytest
 from repro.sim.models import plummer_model, uniform_sphere
 
 
-def uncut_sweep(tc, backend, eps, hook=None):
+def uncut_sweep(tc, backend, eps):
     """The reference for "the shard cut is invisible": ``tc``'s whole
-    ``last_lists`` through ONE ``backend.eval_lists`` call (or, for a
-    treecode variant, one call of its per-shard ``hook`` over every
-    sink), finished like ``accelerations`` finishes a sweep.  Returns
+    ``last_lists`` through ONE ``backend.eval_lists`` call, finished
+    like ``accelerations`` finishes a sweep.  Returns
     ``(acc, pot)`` in input order.  ``src/`` keeps no second
     evaluation body, so the tests that pin the contract make the
     uncut call themselves."""
@@ -28,12 +27,9 @@ def uncut_sweep(tc, backend, eps, hook=None):
     backend.set_domain(*tc._last_domain)
     acc_s = np.empty((tree.n_particles, 3))
     pot_s = np.empty(tree.n_particles)
-    if hook is None:
-        backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
-                           tree.mass, tc.last_lists, start, count, eps,
-                           acc_s, pot_s)
-    else:
-        hook(backend, tree, tc.last_lists, start, count, eps, acc_s, pot_s)
+    backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
+                       tree.mass, tc.last_lists, start, count, eps,
+                       acc_s, pot_s)
     pot_s += self_potential_correction(tree.mass_sorted, eps)
     acc, pot = np.empty_like(acc_s), np.empty_like(pot_s)
     acc[tree.order], pot[tree.order] = acc_s, pot_s

@@ -133,15 +133,6 @@ class TestForceEquivalence:
             out[name] = (acc, pot)
         _assert_close(*out["native"], *out["oracle"])
 
-    def test_quadrupole_path(self, snapshots):
-        pos, mass = snapshots[(1000, "open")]
-        ref = TreeCode(theta=0.75, n_crit=256, quadrupole=True,
-                       backend=OracleFloat64())
-        acc0, pot0 = ref.accelerations(pos, mass, EPS)
-        tc = TreeCode(theta=0.75, n_crit=256, quadrupole=True)
-        acc1, pot1 = tc.accelerations(pos, mass, EPS)
-        _assert_close(acc1, pot1, acc0, pot0)
-
     def test_grape_backend_counters_and_forces(self, snapshots):
         """On the emulator the native walk must preserve the *model*:
         the very same force calls, hence the same call count and

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.multipole import QUAD_INDEX, cell_sums, compute_moments
+from repro.core.multipole import cell_sums, compute_moments
 from repro.core.octree import build_octree
 
 
@@ -98,31 +98,3 @@ class TestMonopole:
         leaves = tree.leaves()
         assert tree.mass[leaves].sum() == pytest.approx(mass.sum(),
                                                         rel=1e-12)
-
-
-class TestQuadrupole:
-    def test_traceless(self, plummer_pos_mass):
-        pos, mass = plummer_pos_mass
-        tree = _tree(pos, mass, )
-        compute_moments(tree, quadrupole=True)
-        trace = tree.quad[:, 0] + tree.quad[:, 1] + tree.quad[:, 2]
-        assert np.allclose(trace, 0.0, atol=1e-8 * np.abs(tree.quad).max())
-
-    def test_against_direct_computation(self, rng):
-        pos = rng.standard_normal((128, 3))
-        mass = rng.uniform(0.5, 1.5, 128)
-        tree = compute_moments(build_octree(pos, mass), quadrupole=True)
-        # check root quadrupole against the definition
-        com = (mass[:, None] * pos).sum(axis=0) / mass.sum()
-        dx = pos - com
-        r2 = np.einsum("ij,ij->i", dx, dx)
-        for a, (i, j) in enumerate(QUAD_INDEX):
-            q = np.sum(mass * (3.0 * dx[:, i] * dx[:, j]
-                               - (r2 if i == j else 0.0)))
-            assert tree.quad[0, a] == pytest.approx(q, rel=1e-9, abs=1e-9)
-
-    def test_single_particle_cell_quad_zero(self):
-        pos = np.array([[0.3, 0.4, 0.5]])
-        tree = compute_moments(build_octree(pos, np.ones(1)),
-                               quadrupole=True)
-        assert np.allclose(tree.quad[0], 0.0, atol=1e-20)

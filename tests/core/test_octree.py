@@ -156,12 +156,6 @@ class TestBuildOctree:
         expect = 0.5 * tree.size / (2.0 ** tree.level.astype(float))
         assert np.allclose(tree.half, expect)
 
-    def test_explicit_cube(self, rng):
-        pos = rng.uniform(0.2, 0.8, (64, 3))
-        tree = build_octree(pos, np.ones(64), corner=np.zeros(3), size=1.0)
-        assert tree.size == 1.0
-        validate(tree)
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             build_octree(np.zeros((4, 2)), np.ones(4))

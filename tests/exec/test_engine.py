@@ -10,8 +10,7 @@ bundled backends (every sink's arithmetic is independent of which
 slice), the backend's counters must not notice the cut, and
 ``model_seconds`` must be the same number at every worker count (shard
 boundaries do not depend on ``workers``) -- with the native kernel and
-with the reference loop, and for the variant that adds host-side terms
-per shard (quadrupole cells).
+with the reference loop.
 """
 
 import gc
@@ -57,22 +56,17 @@ def _forces(pos, mass, *, backend=None, engine=None, n_crit=64,
         tc.close()
 
 
-def _plain(**kw):
-    return TreeCode(theta=0.75, n_crit=64, **kw)
-
-
-def _assert_engine_contract(pos, mass, make_backend, workers=WORKERS,
-                            make_tc=_plain, variant=False):
+def _assert_engine_contract(pos, mass, make_backend, workers=WORKERS):
     """acc/pot/counters at each worker count against the one uncut
     call, and ``model_seconds`` identical across worker counts."""
     model_seconds = set()
     for w in workers:
         be, ref = make_backend(), make_backend()
-        tc = make_tc(backend=be, engine=PipelineEngine(workers=w))
+        tc = TreeCode(theta=0.75, n_crit=64, backend=be,
+                      engine=PipelineEngine(workers=w))
         try:
             a1, p1 = tc.accelerations(pos, mass, EPS)
-            a0, p0 = uncut_sweep(tc, ref, EPS,
-                                 tc._eval_sweep if variant else None)
+            a0, p0 = uncut_sweep(tc, ref, EPS)
         finally:
             tc.close()
         assert np.array_equal(a0, a1) and np.array_equal(p0, p1), w
@@ -165,18 +159,6 @@ class TestGrapeEquivalence:
         """n_calls / interactions exact, model_seconds identical at
         workers 1/2/4 and within 1e-12 of the one uncut call."""
         _assert_engine_contract(*cloud, GrapeBackend)
-
-
-class TestVariantsRideTheSameShards:
-    """The quadrupole ablation adds host-side terms inside the
-    per-shard hook; the cut must stay invisible."""
-
-    @pytest.mark.parametrize("backend", sorted(BACKENDS))
-    def test_quadrupole(self, cloud, backend):
-        def make_tc(**kw):
-            return _plain(quadrupole=True, **kw)
-        _assert_engine_contract(*cloud, BACKENDS[backend],
-                                make_tc=make_tc, variant=True)
 
 
 class TestReferenceLoop:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.kernels import pairwise_accpot
-from repro.grape.api import G5Context
 from repro.grape.system import Grape5System, GrapeBackend
 from repro.grape.timing import GrapeTimingModel
 from tests.conftest import uncut_sweep
@@ -50,24 +49,6 @@ class TestBoard:
         r, q = pairwise_accpot(xi, xj, mj, 0.25)
         rel = np.linalg.norm(a - r, axis=1) / np.linalg.norm(r, axis=1)
         assert np.sqrt(np.mean(rel**2)) < 0.02
-
-    def test_partial_update_at_offset(self, rng):
-        """j-memory written in two pieces (the second at an offset)
-        computes exactly what one write of the whole set does."""
-        xj = rng.standard_normal((20, 3))
-        mj = rng.uniform(0.5, 1.0, 20)
-        xi = rng.standard_normal((4, 3))
-        forces = []
-        for pieces in ([(0, 10), (10, 20)], [(0, 20)]):
-            g5 = G5Context().open(self._board())
-            g5.set_eps_to_all(0.05)
-            for j0, j1 in pieces:
-                g5.set_xmj(j0, j1 - j0, xj[j0:j1], mj[j0:j1])
-            assert g5.nj == 20
-            g5.set_xi(4, xi)
-            g5.run()
-            forces.append(g5.get_force(4)[0])
-        assert np.array_equal(*forces)
 
     def test_empty_board_zero_force(self):
         a, p = self._board().compute(np.zeros((3, 3)), np.zeros((0, 3)),
