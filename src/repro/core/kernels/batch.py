@@ -96,7 +96,10 @@ def _g5_params(eps, numerics, fixed):
     outside what the compiled kernel's stage-4 table reproduces exactly
     -- no quantised window, fb outside [1, 11], or a window whose r^2
     range (slack included) reaches an exponent of +-680 -- and the
-    Python pipeline, which is authoritative, takes the call."""
+    Python pipeline, which is authoritative, takes the call.  The last
+    two constants bound a nonzero source mass: inside ``[mlo, mhi)``
+    the mass and m r^-1/2, m r^-3/2 stay normal over that r^2 range
+    (8: rounding slack), so the kernel rounds without a guard."""
     fb = int(numerics.force_fraction_bits)
     if fixed is None or not 1 <= fb <= 11:
         return None
@@ -109,14 +112,19 @@ def _g5_params(eps, numerics, fixed):
     hi = 4 * (3 * width * width + eps2q)
     if not (2.0 ** -679 < lo and hi < 2.0 ** 679):
         return None
-    return eps2q, fb, xmin, res, qmax
+    a, b = hi ** 0.5, lo ** 0.5
+    mlo = max(2.0 ** -1022, 2.0 ** -1019 * max(a, a * hi))
+    mhi = min(2.0 ** 1023, 2.0 ** 1020 * min(b, b * lo))
+    return eps2q, fb, xmin, res, qmax, mlo, mhi
 
 
 def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
                   eps, out_acc, out_pot, *, numerics, fixed) -> bool:
     """GRAPE-5 datapath CSR list walk, bit-identical per pair to
     :class:`repro.grape.pipeline.G5Pipeline`, each sink summing in list
-    order.  Returns ``done``."""
+    order.  Returns ``done``: False also when a source or sink fails
+    the kernel's input check (a NaN coordinate, a mass outside the
+    range above), with some rows already written."""
     lib = cnative.load()
     if lib is None or not (_writable(out_acc) and _writable(out_pot)):
         return False
@@ -128,13 +136,12 @@ def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
     if n_groups == 0:
         return True
     pos = _f64c(pos)
-    lib.repro_g5_csr(
+    return lib.repro_g5_csr(
         _dp(pos), _dp(_f64c(pmass)), _dp(_f64c(com)), _dp(_f64c(cmass)),
         _ip(cell_idx), _ip(cell_off), _ip(part_idx), _ip(part_off),
         _ip(start), _ip(count), n_groups, *params,
         _dp(scratch[0]), _dp(scratch[1]), _dp(scratch[2]), _dp(scratch[3]),
-        _dp(out_acc), _dp(out_pot))
-    return True
+        _dp(out_acc), _dp(out_pot)) == 0
 
 
 def tree_walk(tree, mac, sink_center, sink_radius, collect):

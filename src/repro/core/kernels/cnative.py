@@ -1,46 +1,18 @@
-"""Compiled kernels: the tree walk that builds the lists and the CSR
-list walk behind ``eval_lists``.
+"""Compiled kernels: ``repro_walk``, the tree walk behind
+:func:`repro.core.traversal.build_interaction_lists`, and the CSR list
+walk behind ``eval_lists`` in two flavours, ``f64`` (IEEE double) and
+``g5`` (the GRAPE-5 datapath, bit-identical to a list-order loop over
+:class:`repro.grape.pipeline.G5Pipeline`).  What each computes, why it
+is exact and when the oracle runs instead: ``docs/kernels.md``.
 
-``repro_walk`` is the per-sink breadth-first tree walk behind
-:func:`repro.core.traversal.build_interaction_lists`; it emits the
-NumPy frontier walk's lists bit for bit (see ``docs/kernels.md``).
-The batch evaluators in :mod:`repro.core.kernels.batch` bottom out in
-one CSR list walk in two arithmetic flavours (a dense
-sinks-x-sources call is the one-sink list whose sources are all
-"cells"):
-
-* ``f64``: plain IEEE double precision (the :class:`Float64Backend`
-  datapath);
-* ``g5``: the GRAPE-5 reduced-precision datapath -- fixed-point
-  coordinate quantisation plus short-mantissa rounding after every
-  pipeline stage, *bit-identical* to a list-order loop over
-  :class:`repro.grape.pipeline.G5Pipeline` (see ``docs/kernels.md``).
-
-The g5 walk streams each group's j-list past ``B`` = 8 sinks at once
-(portable ``vector_size`` lanes; a short block's spare lanes repeat a
-live row and are never stored), every lane running the scalar
-datapath's IEEE operations in list order.  The mantissa rounding is the
-branch-free integer form of :func:`repro.grape.numerics.round_mantissa`:
-add the round bit plus a ties-to-even correction to the IEEE fraction
-field, clear the dropped bits, and pass subnormals/infinities through
-untouched.  ``shift = 53 - fraction_bits`` reproduces the
-frexp-mantissa convention exactly.  The r^-1/2, r^-3/2 stage is a
-2^fb-entry table per call, exact only for a quantised window, 1 <= fb
-<= 11 and r^2 exponents inside +-680; the driver sends anything else
-to the Python pipeline.
-
-Compilation happens **at first use** with the system C compiler
-(``$CC``, else ``gcc``, else ``cc``) into a per-user cache directory
-keyed by source, flags and CPU; a container with no compiler, a
-read-only filesystem, or ``REPRO_KERNELS_NO_CNATIVE=1`` in the
-environment simply leaves :func:`available` false and every caller
-falls back to the NumPy path.  No third-party build dependency is
-involved.
-
-``-ffp-contract=off`` keeps the arithmetic FMA-free (matching NumPy's
-separate multiply/add), so results are reproducible across compilers
-and lane widths on the same ISA; ``-march=native`` is attempted first
-and dropped if the compiler rejects it.
+The source compiles at first use with ``$CC``, else ``gcc``, else
+``cc``: ``-march=native`` first, dropped if the compiler rejects it,
+and always ``-ffp-contract=off``, so no FMA forms and NumPy's separate
+multiply/add is matched.  The g5 rounding drops ``s = 53 - fb`` bits
+of the IEEE fraction, the frexp-mantissa convention of
+:func:`repro.grape.numerics.round_mantissa`.  With no compiler, no
+writable cache or ``REPRO_KERNELS_NO_CNATIVE`` set, :func:`load`
+returns ``None`` and every caller falls back to NumPy.
 """
 
 from __future__ import annotations
@@ -67,13 +39,14 @@ typedef double vd __attribute__((vector_size(8 * B)));
 typedef u64 vu __attribute__((vector_size(8 * B)));
 typedef i64 vi __attribute__((vector_size(8 * B)));
 
-/* round-to-nearest-even mantissa rounding per lane; s = 53 - fb */
+/* round-to-nearest-even to fb = 53 - s mantissa bits, per lane: add
+   the round bit plus the ties-to-even correction, clear the dropped
+   bits.  Exact for zero and normal x only: repro_g5_csr's window and
+   input checks keep every value it rounds so (no subnormal guard).  */
 static inline vd rd_mant_v(vd x, int s) {
-    vu u = (vu)x, expo = (u >> 52) & 0x7FF;
-    vu r = (u + (((u >> s) & 1) + ((1ULL << (s - 1)) - 1)))
-           & ~((1ULL << s) - 1);
-    vu keep = (vu)((expo == 0) | (expo == 0x7FF));  /* subnormal, inf */
-    return (vd)((u & keep) | (r & ~keep));
+    vu u = (vu)x;
+    return (vd)((u + (((u >> s) & 1) + ((1ULL << (s - 1)) - 1)))
+                & ~((1ULL << s) - 1));
 }
 
 static inline double rd_mant(double x, int s) {
@@ -141,9 +114,14 @@ int repro_f64_csr(const double *pos, const double *pmass,
 /* G5-datapath CSR list walk: same structure, the reduced precision
    applied per stage exactly as G5Pipeline.compute does, B sinks per
    pass.  With 1 <= fb <= 11 and every r^2 exponent inside +-680 (the
-   caller checks) a rounded r^2 = m 2^(2k+p) has rinv = T1[p,m] 2^-k and
-   rinv3 = T3[p,m] 2^-3k exactly, all intermediates normal.  Adding
-   eps2q = +0 is exact; a zero r^2 (eps2q == 0 only) has rinv 0.     */
+   caller checks) a rounded r^2 = m 2^(2k+p) is zero or normal and has
+   rinv = T1[p,m] 2^-k and rinv3 = T3[p,m] 2^-3k exactly; one u64 entry
+   holds T3 with T1 >> s in its zero low s bits.  A staged mass in
+   [mlo, mhi) (or zero) keeps m rinv and m rinv3 normal, so no stage
+   needs a subnormal/inf guard: a source with a NaN coordinate, a
+   non-finite mass or a mass outside the range, or a NaN sink, returns
+   1 (not done) before any pair is formed with it.  Adding eps2q = +0
+   is exact; a zero r^2 (eps2q == 0 only) has rinv 0.                */
 int repro_g5_csr(const double *pos, const double *pmass,
                  const double *com, const double *cmass,
                  const i64 *cell_idx, const i64 *cell_off,
@@ -151,18 +129,19 @@ int repro_g5_csr(const double *pos, const double *pmass,
                  const i64 *sink_start, const i64 *sink_count,
                  i64 n_groups, double eps2q, int fb,
                  double xmin, double res, double qmax,
+                 double mlo, double mhi,
                  double *sx, double *sy, double *sz, double *sm,
                  double *out_acc, double *out_pot)
 {
     const int s = 53 - fb;
-    const u64 nt = 1ULL << fb;  /* index: exponent low bit, fraction */
-    u64 t1[1 << 11], t3[1 << 11];
+    const u64 nt = 1ULL << fb, low = (1ULL << s) - 1;
+    u64 tab[1 << 11];  /* index: exponent low bit, fraction */
     for (u64 t = 0; t < nt; t++) {  /* r^2 in [1, 4): E = 1 - (t >> fb-1) */
         union {double d; u64 u;} r, a, c;
         r.u = ((1024 - (t >> (fb - 1))) << 52) | ((t & (nt / 2 - 1)) << s);
         a.d = rd_mant(1.0 / sqrt(r.d), s);
         c.d = rd_mant(a.d * a.d * a.d, s);
-        t1[t] = a.u; t3[t] = c.u;
+        tab[t] = c.u | (a.u >> s);
     }
     for (i64 g = 0; g < n_groups; g++) {
         i64 nc = cell_off[g + 1] - cell_off[g];
@@ -171,20 +150,27 @@ int repro_g5_csr(const double *pos, const double *pmass,
             i64 j = k < nc ? cell_idx[cell_off[g] + k]
                            : part_idx[part_off[g] + k - nc];
             const double *x = k < nc ? com + 3*j : pos + 3*j;
+            double m = k < nc ? cmass[j] : pmass[j];
+            if (x[0] != x[0] || x[1] != x[1] || x[2] != x[2]
+                || (m != 0.0 && !(fabs(m) >= mlo && fabs(m) < mhi)))
+                return 1;
             sx[k] = quant(x[0], xmin, res, qmax);
             sy[k] = quant(x[1], xmin, res, qmax);
             sz[k] = quant(x[2], xmin, res, qmax);
-            sm[k] = rd_mant(k < nc ? cmass[j] : pmass[j], s);
+            sm[k] = rd_mant(m, s);
         }
         i64 s0 = sink_start[g], n_i = sink_count[g];
         for (i64 i0 = 0; i0 < n_i; i0 += B) {
             vd xi = {0}, yi = {0}, zi = {0};
             vd ax = {0}, ay = {0}, az = {0}, pp = {0};
             for (int l = 0; l < B; l++) {
-                i64 row = s0 + (i0 + l < n_i ? i0 + l : n_i - 1);
-                xi[l] = quant(pos[3*row], xmin, res, qmax);
-                yi[l] = quant(pos[3*row+1], xmin, res, qmax);
-                zi[l] = quant(pos[3*row+2], xmin, res, qmax);
+                const double *x = pos + 3*(s0 + (i0 + l < n_i ? i0 + l
+                                                               : n_i - 1));
+                if (x[0] != x[0] || x[1] != x[1] || x[2] != x[2])
+                    return 1;
+                xi[l] = quant(x[0], xmin, res, qmax);
+                yi[l] = quant(x[1], xmin, res, qmax);
+                zi[l] = quant(x[2], xmin, res, qmax);
             }
             for (i64 j = 0; j < nj; j++) {
                 vd dx = sx[j] - xi, dy = sy[j] - yi, dz = sz[j] - zi;
@@ -192,13 +178,13 @@ int repro_g5_csr(const double *pos, const double *pmass,
                 vd dy2 = rd_mant_v(dy*dy, s);
                 vd dz2 = rd_mant_v(dz*dz, s);
                 vd r2 = rd_mant_v(((dx2 + dy2) + dz2) + eps2q, s);
-                vu u = (vu)r2, idx = (u >> s) & (nt - 1), e1, e3;
+                vu u = (vu)r2, idx = (u >> s) & (nt - 1), e;
                 vu k = (vu)(((vi)(u >> 52) - 1023) >> 1) << 52;
                 for (int l = 0; l < B; l++)
-                    e1[l] = t1[idx[l]], e3[l] = t3[idx[l]];
+                    e[l] = tab[idx[l]];
                 vu live = (vu)(r2 > 0.0);
-                vd rinv = (vd)((e1 - k) & live);
-                vd rinv3 = (vd)((e3 - 3 * k) & live);
+                vd rinv = (vd)(((e << s) - k) & live);
+                vd rinv3 = (vd)(((e & ~low) - 3 * k) & live);
                 vd mr = rd_mant_v(sm[j] * rinv, s);
                 vd mr3 = rd_mant_v(sm[j] * rinv3, s);
                 pp -= mr;
@@ -276,7 +262,7 @@ _SIGNATURES = {
     + [ctypes.c_longlong, ctypes.c_double] + [_c_double_p] * 6,
     "repro_g5_csr": [_c_double_p] * 4 + [_c_i64_p] * 6
     + [ctypes.c_longlong, ctypes.c_double, ctypes.c_int]
-    + [ctypes.c_double] * 3 + [_c_double_p] * 6,
+    + [ctypes.c_double] * 5 + [_c_double_p] * 6,
     "repro_walk": [_c_double_p] * 3 + [ctypes.POINTER(ctypes.c_int),
                                        ctypes.POINTER(ctypes.c_ubyte)]
     + [_c_i64_p] * 2 + [_c_double_p] * 2 + [ctypes.c_longlong]

@@ -14,9 +14,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 
 #: measured ``src/repro`` total after the last change that removed
-#: lines (the quadrupole ablation, the libg5-style handle and the
-#: engine's per-shard hook)
-CEILING = 14864
+#: lines (the G5 walk's guard-free roundings, with the compiled-kernel
+#: module docstring cut down to what ``docs/kernels.md`` does not say)
+CEILING = 14857
 
 
 def test_source_line_count_is_under_the_ceiling():

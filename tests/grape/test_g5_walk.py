@@ -9,7 +9,13 @@ r^-1/2, r^-3/2 stage from a 2^fb-entry table.  Neither may move a bit:
 * with many sources each lane adds them in list order, so the walk
   equals a loop that applies the pipeline per pair and adds one source
   at a time, whatever the block/tail split of the sinks;
-* numerics or windows the table does not reproduce take the oracle.
+* numerics or windows the table does not reproduce take the oracle;
+* the walk rounds without a subnormal/inf guard, so inputs that would
+  need one -- a NaN coordinate, a non-finite mass, a nonzero mass
+  outside the window's range -- are refused once per source or sink and
+  take the oracle too, while masses at the range's edges stay on the
+  walk bit for bit;
+* the paper's run (fb = 9, 24-bit coordinates) never leaves the walk.
 """
 
 import numpy as np
@@ -175,3 +181,93 @@ class TestOutOfTable:
         assert s0.n_calls > 1
         assert (s1.n_calls, s1.interactions, s1.model_seconds) \
             == (s0.n_calls, s0.interactions, s0.model_seconds)
+
+
+class TestInputCheck:
+    """The guard-free walk's preconditions, checked once per staged
+    source and quantised sink: one source, sinks from one grid step to
+    the far corner of a 24-bit window of spacing ``2**log2_res``."""
+
+    @staticmethod
+    def _window(log2_res):
+        return FixedPointFormat(bits=24, xmin=0.0,
+                                xmax=2.0 ** (log2_res + 24))
+
+    def _case(self, log2_res, m_j, source=(0.0, 0.0, 0.0), sink=None):
+        fixed, res = self._window(log2_res), 2.0 ** log2_res
+        n = [1, 2, 3, 5, 2 ** 12 + 1, 2 ** 23]
+        sinks = np.zeros((len(n) + 1, 3))
+        sinks[:-1, 0] = np.array(n, dtype=np.float64) * res
+        sinks[-1] = (2 ** 24 - 1) * res
+        if sink is not None:
+            sinks[2] = sink
+        n_i = len(sinks)
+        pos = np.vstack([sinks, source])
+        pmass = np.append(np.zeros(n_i), m_j)
+        lists = InteractionLists(
+            n_sinks=1, cell_idx=np.zeros(0, np.int64),
+            cell_off=np.zeros(2, np.int64),
+            part_idx=np.array([n_i]), part_off=np.array([0, 1]))
+        args = (pos, pmass, np.zeros((0, 3)), np.zeros(0), lists,
+                np.array([0]), np.array([n_i]), 0.0)
+        return fixed, args
+
+    @staticmethod
+    def _backend_bits(cls, fixed, args):
+        backend = cls(system=Grape5System(numerics=G5_NUMERICS))
+        backend.set_domain(fixed.xmin, fixed.xmax)
+        assert backend.system.pipeline.coord_format == fixed
+        acc, pot = np.zeros((len(args[0]), 3)), np.zeros(len(args[0]))
+        backend.eval_lists(*args, acc, pot)
+        return _bits(acc), _bits(pot)
+
+    @pytest.mark.parametrize("log2_res,m_j,source,sink", [
+        (313, 2.0 ** -100, (0.0, 0.0, 0.0), None),
+        (-13, 0.5, (np.nan, 0.0, 0.0), None),
+        (-13, 0.5, (0.0, 0.0, 0.0), (0.0, np.nan, 0.0)),
+        (-13, np.inf, (0.0, 0.0, 0.0), None),
+        (-13, np.nan, (0.0, 0.0, 0.0), None),
+    ], ids=["tiny_mass", "nan_source", "nan_sink", "inf_mass", "nan_mass"])
+    def test_refused_inputs_take_the_oracle(self, native, log2_res, m_j,
+                                            source, sink):
+        fixed, args = self._case(log2_res, m_j, source, sink)
+        done, _, _ = _walk(*args, G5_NUMERICS, fixed)
+        assert done is False
+        got = self._backend_bits(GrapeBackend, fixed, args)
+        want = self._backend_bits(OracleGrape, fixed, args)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("log2_res", [-337, -13, 313])
+    @pytest.mark.parametrize("edge", ["mlo", "mhi"])
+    def test_range_edges_stay_on_the_walk(self, native, log2_res, edge):
+        mlo, mhi = batch._g5_params(0.0, G5_NUMERICS,
+                                    self._window(log2_res))[-2:]
+        m_j = mlo if edge == "mlo" else np.nextafter(mhi, 0.0)
+        fixed, args = self._case(log2_res, m_j)
+        done, acc, pot = _walk(*args, G5_NUMERICS, fixed)
+        assert done is True
+        n_i = len(args[0]) - 1
+        ref_acc, ref_pot = G5Pipeline(G5_NUMERICS, fixed).compute(
+            args[0][:n_i], args[0][n_i:], args[1][n_i:], 0.0)
+        np.testing.assert_array_equal(_bits(acc[:n_i]), _bits(ref_acc))
+        np.testing.assert_array_equal(_bits(pot[:n_i]), _bits(ref_pot))
+
+
+def test_paper_run_never_leaves_the_walk(native, monkeypatch):
+    """A ``repro run``-shaped run on the default GRAPE backend: every
+    shard's call is the compiled walk's, none the oracle's."""
+    from repro.sim.recipes import build_force, new_simulation, paper_run
+    from repro.sim.recipes import run_schedule
+    done, real = [], batch.g5_eval_lists
+
+    def spy(*args, **kw):
+        done.append(real(*args, **kw))
+        return done[-1]
+
+    monkeypatch.setattr(batch, "g5_eval_lists", spy)
+    tc, gb = build_force(theta=0.75, ncrit=256, backend="grape")
+    assert gb.system.numerics == G5_NUMERICS
+    sim = new_simulation(tc, ngrid=16, seed=1999, z_init=24.0)
+    paper_run(sim, run_schedule(z_init=24.0, z_final=20.0, steps=2))
+    assert len(done) > 2 and all(d is True for d in done)
