@@ -46,11 +46,12 @@ RPC_SCHEMA = "repro.fleet-rpc/v1"
 FLEET_SCHEMA = "repro.fleet/v1"
 
 #: store operations a client may invoke remotely: the whole
-#: :class:`~repro.serve.store.JobStore` primitive contract plus the
-#: worker registry (derived queries stay client-side on the base
-#: class)
+#: :class:`~repro.serve.store.JobStore` contract, its indexed queries
+#: and the worker registry included (only ``fleet_summary``, derived
+#: from ``fleet_workers``, stays client-side on the base class)
 RPC_OPS = frozenset({
-    "allocate", "insert", "update", "get", "list", "claim",
+    "allocate", "insert", "update", "get", "list", "queued",
+    "tenant_active", "tenant_load", "counts", "claim",
     "heartbeat", "recover", "request_cancel", "requeue",
     "append_event", "events", "cache_put", "cache_get", "cache_stats",
     "verify", "fleet_register", "fleet_heartbeat", "fleet_deregister",

@@ -249,6 +249,9 @@ class Job:
     #: mirrors progress events and fault-layer decisions, dumped to the
     #: workdir when the job dies or recovered from a fault
     flight: Optional[Any] = field(default=None, repr=False)
+    #: span events as the terminal store document carries them (what
+    #: answers for a finished job once its tracer is gone)
+    spans: list = field(default_factory=list, repr=False)
 
     cancel_event: threading.Event = field(default_factory=threading.Event,
                                           repr=False)
@@ -298,6 +301,14 @@ class Job:
                 pass           # the job it is recording
         return ev
 
+    def span_events(self) -> list:
+        """The job's spans: the stored copy once there is one, else
+        the live tracer's (a job the store has not seen finish)."""
+        if self.spans or self.tracer is None:
+            return self.spans
+        from ..obs.export import span_events
+        return list(span_events(self.tracer))
+
     # -- serialisation -------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """The ``repro.job/v1`` document served by GET /jobs/{id}."""
@@ -329,10 +340,13 @@ class Job:
     def to_store_doc(self) -> Dict[str, Any]:
         """The document a :class:`~repro.serve.store.JobStore`
         persists: the wire document plus ``seq`` and ``workdir`` (the
-        restart path needs the checkpoint location)."""
+        restart path needs the checkpoint location) and, once the job
+        is finished, its ``spans``."""
         doc = self.to_dict()
         doc["seq"] = self.seq
         doc["workdir"] = self.workdir
+        if self.terminal:
+            doc["spans"] = self.span_events()
         return doc
 
     @classmethod
@@ -368,6 +382,7 @@ class Job:
         self.attempt = int(doc.get("attempt", 0))
         self.worker = doc.get("worker")
         self.cache_hit = bool(doc.get("cache_hit", False))
+        self.spans = doc.get("spans", [])
         progress = doc.get("progress", {})
         self.steps_done = int(progress.get("steps_done", self.steps_done))
         self.steps_total = int(progress.get("steps_total",

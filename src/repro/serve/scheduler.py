@@ -54,8 +54,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..obs import FlightRecorder, Tracer, new_trace_id
-from .jobs import JOB_KINDS, Job, JobCancelled, JobError, JobPaused, \
-    JobSpec
+from .jobs import JOB_KINDS, TERMINAL_STATES, Job, JobCancelled, \
+    JobError, JobPaused, JobSpec
 from .leases import LeaseBroker
 from .quotas import AdmissionController, AdmissionError, TenantPolicy
 from .runner import run_job
@@ -173,20 +173,19 @@ class Scheduler:
         self._workdir = Path(workdir) if workdir is not None else \
             Path(tempfile.mkdtemp(prefix="repro-serve-"))
         self._workdir.mkdir(parents=True, exist_ok=True)
-        #: runtime Job objects this worker has touched (submitted to
-        #: it or claimed by it); the store is authoritative for the
-        #: rest
+        #: runtime Job objects of unfinished jobs this worker has
+        #: touched (submitted to it or claimed by it); a job leaves
+        #: once the store holds it finished, and the store answers for
+        #: it from then on
         self._jobs: Dict[str, Job] = {}
         self._done_seconds: List[float] = []
         self._cv = threading.Condition()
         self._stopping = False
         self._threads: List[threading.Thread] = []
-        m = self.metrics
-        m.gauge("serve.queue_depth", "jobs waiting for a slot").set(
-            len(self.store.queued()))
-        m.gauge("serve.queue_limit",
-                "admission-control queue bound").set(self.queue_depth)
-        m.gauge("serve.jobs_running", "jobs executing in a slot").set(0)
+        self.metrics.gauge("serve.queue_limit",
+                           "admission-control queue bound").set(
+            self.queue_depth)
+        self._set_gauges_locked(len(self.store.queued()))
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "Scheduler":
@@ -258,23 +257,13 @@ class Scheduler:
                     if self.store.request_cancel(job.id) == "cancelled":
                         job.advance("cancelled")
                         self._count_terminal(job)
-            self._set_gauges_locked()
             self._cv.notify_all()
             threads, self._threads = self._threads, []
         for t in threads:
             t.join(timeout=timeout)
         if drain:
             with self._cv:
-                for job in list(self._jobs.values()):
-                    if job.state == "paused" and \
-                            job.worker == self.worker_id:
-                        try:
-                            if self.store.requeue(job.id):
-                                job.state = "queued"
-                                job.pause_event.clear()
-                        except StoreError as e:
-                            logger.warning("drain requeue of %s "
-                                           "failed: %s", job.id, e)
+                self._requeue_paused_locked(list(self._jobs.values()))
         try:
             self.store.fleet_deregister(self.worker_id)
         except StoreError as e:
@@ -311,23 +300,11 @@ class Scheduler:
                                        state="draining")
         except StoreError as e:
             logger.warning("drain heartbeat failed: %s", e)
-        requeued: List[str] = []
         with self._cv:
             self._cv.wait_for(
                 lambda: all(j.state not in ("scheduled", "running")
                             for j in owned), timeout=timeout)
-            for job in owned:
-                if job.state == "paused" \
-                        and job.worker == self.worker_id:
-                    try:
-                        if self.store.requeue(job.id):
-                            job.state = "queued"
-                            job.pause_event.clear()
-                            requeued.append(job.id)
-                    except StoreError as e:
-                        logger.warning("drain requeue of %s failed: "
-                                       "%s", job.id, e)
-            self._set_gauges_locked()
+            requeued = self._requeue_paused_locked(owned)
         try:
             self.store.fleet_deregister(self.worker_id)
         except StoreError as e:
@@ -341,6 +318,22 @@ class Scheduler:
                     len(requeued))
         return {"worker": self.worker_id, "draining": True,
                 "owned": [j.id for j in owned], "requeued": requeued}
+
+    def _requeue_paused_locked(self, jobs: List[Job]) -> List[str]:
+        """Hand this worker's paused ``jobs`` back to the queue, where
+        any worker resumes them; returns the ids re-queued."""
+        requeued = []
+        for job in jobs:
+            if job.state == "paused" and job.worker == self.worker_id:
+                try:
+                    if self.store.requeue(job.id):
+                        job.state, job.worker = "queued", None
+                        job.pause_event.clear()
+                        requeued.append(job.id)
+                except StoreError as e:
+                    logger.warning("drain requeue of %s failed: %s",
+                                   job.id, e)
+        return requeued
 
     @property
     def draining(self) -> bool:
@@ -432,7 +425,7 @@ class Scheduler:
             job.add_event("submitted", tenant=spec.tenant)
             self.metrics.counter("serve.jobs_submitted",
                                  "jobs admitted to the queue").inc()
-            self._set_gauges_locked()
+            self._set_gauges_locked(queued + 1)
             # notify_all, not notify: the housekeeping thread waits on
             # the same condition and a single notify it swallows would
             # leave a free slot asleep for a whole poll interval
@@ -440,45 +433,36 @@ class Scheduler:
             return job
 
     def get(self, job_id: str) -> Job:
-        """The runtime job if this worker owns it, else a view
-        hydrated from the store (and kept in sync with it)."""
+        """The runtime job while this worker holds it (synced from the
+        store unless it owns it), else a view built from the store."""
         with self._cv:
             job = self._jobs.get(job_id)
-            if job is not None:
-                doc = None
-                if job.worker != self.worker_id and not job.terminal:
-                    try:
-                        doc = self.store.get(job_id)
-                    except StoreError:
-                        doc = None
-                if doc is not None:
-                    self._sync_from_store(job, doc)
-                return job
+        if job is not None and job.worker == self.worker_id:
+            return job
         try:
             doc = self.store.get(job_id)
         except StoreError:
             doc = None
+        if job is not None:
+            if doc is not None:
+                with self._cv:
+                    self._sync_from_store(job, doc)
+            return job
         if doc is None:
             raise KeyError(f"no such job {job_id!r}")
         return Job.from_store_doc(doc)
 
     def jobs(self) -> List[Job]:
-        """All jobs in the store, submission order, with this
-        worker's live runtime objects substituted where it owns
-        them."""
+        """All jobs in the store, submission order, with the runtime
+        objects this worker holds substituted for their documents."""
         docs = self.store.list()
-        out: List[Job] = []
         with self._cv:
-            for doc in docs:
-                job = self._jobs.get(doc["id"])
-                if job is None:
-                    out.append(Job.from_store_doc(doc))
-                else:
-                    if job.worker != self.worker_id \
-                            and not job.terminal:
-                        self._sync_from_store(job, doc)
-                    out.append(job)
-        return sorted(out, key=lambda j: j.seq)
+            held = [self._jobs.get(doc["id"]) for doc in docs]
+            for job, doc in zip(held, docs):
+                if job is not None:
+                    self._sync_from_store(job, doc)
+        return [job or Job.from_store_doc(doc)
+                for job, doc in zip(held, docs)]
 
     def events(self, job_id: str) -> List[Dict]:
         """A job's progress events, append order, from the store --
@@ -502,7 +486,6 @@ class Scheduler:
                 job = local
             elif outcome == "cancelled":
                 job.state = "cancelled"
-            self._set_gauges_locked()
             self._cv.notify_all()
         return job
 
@@ -527,11 +510,7 @@ class Scheduler:
                                "store; resume lost the race")
             job.pause_event.clear()
             job.submitted_mono = time.perf_counter()
-            if self._jobs.get(job_id) is job:
-                job.advance("queued")
-            else:
-                job.state = "queued"
-            self._set_gauges_locked()
+            job.state, job.worker = "queued", None
             self._cv.notify_all()
         return job
 
@@ -554,8 +533,7 @@ class Scheduler:
 
     def _resting_locked(self, job_id: str) -> bool:
         job = self._jobs.get(job_id)
-        if job is not None and (job.worker == self.worker_id
-                                or job.terminal):
+        if job is not None and job.worker == self.worker_id:
             return job.terminal or job.state == "paused"
         try:
             doc = self.store.get(job_id)
@@ -565,14 +543,16 @@ class Scheduler:
             raise KeyError(f"no such job {job_id!r}")
         if job is not None:
             self._sync_from_store(job, doc)
-        return doc["state"] in ("done", "failed", "cancelled",
-                                "paused")
+        return doc["state"] in TERMINAL_STATES | {"paused"}
 
     def _sync_from_store(self, job: Job, doc: Dict) -> None:
         """Fold the store's view of a job *not* owned by this worker
-        into its local runtime object (callers hold the cv lock)."""
-        if doc.get("worker") != self.worker_id:
+        into its local runtime object, which leaves ``_jobs`` once the
+        store has it finished (callers hold the cv lock)."""
+        if self.worker_id not in (job.worker, doc.get("worker")):
             job.absorb(doc)
+            if job.terminal:
+                self._jobs.pop(job.id, None)
 
     def _retry_after(self, queued: int) -> float:
         """Backoff hint: about one average job duration per queued job
@@ -581,13 +561,12 @@ class Scheduler:
                if self._done_seconds else 1.0)
         return max(1.0, avg * queued / max(1, self.slots))
 
-    def _set_gauges_locked(self) -> None:
-        try:
-            queued = len(self.store.queued())
-        except StoreError:  # pragma: no cover - damaged store
-            return
-        self.metrics.gauge("serve.queue_depth",
-                           "jobs waiting for a slot").set(queued)
+    def _set_gauges_locked(self, queued: Optional[int] = None) -> None:
+        """Refresh the gauges with no store read of their own:
+        ``queued`` is what admission, the pick or the tick just read."""
+        if queued is not None:
+            self.metrics.gauge("serve.queue_depth",
+                               "jobs waiting for a slot").set(queued)
         running = sum(1 for j in self._jobs.values()
                       if j.worker == self.worker_id
                       and j.state == "running")
@@ -595,16 +574,44 @@ class Scheduler:
                            "jobs executing in a slot").set(running)
 
     def _count_terminal(self, job: Job) -> None:
+        """Count a finished job and let it go: its terminal state is
+        in the store, which answers for it from here on."""
         self.metrics.counter(f"serve.jobs_{job.state}",
                              f"jobs finished {job.state}").inc()
+        self._jobs.pop(job.id, None)
+
+    def _finish_locked(self, job: Job, state: str, event: str = "",
+                       **attrs: Any) -> None:
+        """Publish an outcome this worker reached: the event, the
+        lifecycle move and the durable write, then the counters."""
+        job.add_event(event or state, **attrs)
+        job.advance(state)
+        self._persist(job)
+        if state == "done":
+            seconds = job.finished_at - job.submitted_at
+            self._done_seconds.append(seconds)
+            del self._done_seconds[:-32]
+            self.metrics.histogram(
+                "serve.submit_to_done_seconds",
+                "submission-to-completion wall seconds of "
+                "successful jobs").observe(seconds)
+        if job.terminal:
+            self._count_terminal(job)
 
     def _persist(self, job: Job) -> bool:
         """Write the job's durable projection, guarded by this
         worker's claim; a lost claim is counted, not fatal (the
-        taking-over worker owns the story now)."""
+        taking-over worker owns the story now).  A trace the store
+        refuses (too large for its transport) is dropped, never the
+        terminal state it rides with."""
+        doc = job.to_store_doc()
         try:
-            ok = self.store.update(job.to_store_doc(),
-                                   worker=self.worker_id)
+            try:
+                ok = self.store.update(doc, worker=self.worker_id)
+            except StoreError:
+                if doc.pop("spans", None) is None:
+                    raise
+                ok = self.store.update(doc, worker=self.worker_id)
         except StoreError as e:
             logger.warning("persist of %s failed: %s", job.id, e)
             return False
@@ -623,18 +630,15 @@ class Scheduler:
         if self._draining:
             return None
         try:
-            docs = self.store.list()
+            queued = self.store.queued()
+            tenants = {d.get("tenant", "default") for d in queued}
+            # one tenant: the rank's second key cannot reorder anything
+            load = (self.store.tenant_load(sorted(tenants))
+                    if len(tenants) > 1 else {})
         except StoreError as e:
-            logger.warning("store list failed: %s", e)
+            logger.warning("store read failed: %s", e)
             return None
-        queued = [d for d in docs if d.get("state") == "queued"]
-        if not queued:
-            return None
-        load: Dict[str, int] = {}
-        for d in docs:
-            if d.get("state") != "queued":
-                load[d.get("tenant", "default")] = \
-                    load.get(d.get("tenant", "default"), 0) + 1
+        self._set_gauges_locked(len(queued))
 
         def rank(d):
             return (-int(d.get("priority", 0)),
@@ -642,7 +646,7 @@ class Scheduler:
                     int(d.get("seq", 0)))
 
         now = time.time()
-        for d in sorted(queued, key=rank):
+        for taken, d in enumerate(sorted(queued, key=rank), 1):
             t0 = time.perf_counter()
             try:
                 won = self.store.claim(d["id"], self.worker_id,
@@ -655,6 +659,7 @@ class Scheduler:
                 "seconds per claim compare-and-swap"
                 ).observe(time.perf_counter() - t0)
             if won:
+                self._set_gauges_locked(len(queued) - taken)
                 return self._adopt_locked(d)
         return None
 
@@ -700,7 +705,6 @@ class Scheduler:
                     "serve.queue_wait_seconds",
                     "seconds jobs waited in the queue for a slot"
                     ).observe(wait)
-                self._set_gauges_locked()
             if not self._serve_from_cache(job):
                 self._execute(job)
             with self._cv:
@@ -776,23 +780,25 @@ class Scheduler:
             except StoreError as e:
                 logger.warning("fleet heartbeat failed: %s", e)
             try:
+                queued = len(self.store.queued())
                 cstats = self.store.cache_stats()
-                self.metrics.gauge(
-                    "serve.cache_entries",
-                    "content-addressed result-cache entries").set(
-                    cstats["entries"])
-                self.metrics.gauge(
-                    "serve.cache_bytes",
-                    "bytes held by the result cache").set(
-                    cstats.get("bytes", 0))
-                self.metrics.gauge(
-                    "serve.cache_evictions",
-                    "cache entries evicted to stay under the byte "
-                    "budget").set(cstats.get("evictions", 0))
+                for key, help_ in (
+                        ("entries", "content-addressed result-cache "
+                                    "entries"),
+                        ("bytes", "bytes held by the result cache"),
+                        ("evictions", "cache entries evicted to stay "
+                                      "under the byte budget")):
+                    self.metrics.gauge(f"serve.cache_{key}", help_).set(
+                        cstats.get(key, 0))
             except StoreError:  # pragma: no cover - damaged store
-                pass
+                queued = None
             with self._cv:
-                self._set_gauges_locked()
+                # a job submitted here but run elsewhere leaves _jobs
+                # the first time get() reads it finished
+                for jid in [j.id for j in self._jobs.values()
+                            if j.worker != self.worker_id]:
+                    self.get(jid)
+                self._set_gauges_locked(queued)
                 # wake wait()ers so they re-poll foreign job state
                 self._cv.notify_all()
 
@@ -826,20 +832,8 @@ class Scheduler:
             job.advance("running")
             job.cache_hit = True
             job.result = hit
-            job.add_event("cache_hit", key=key[:12],
-                          digest=hit.get("digest"))
-            job.advance("done")
-            self._count_terminal(job)
-            if job.finished_at and job.submitted_at:
-                self._done_seconds.append(
-                    job.finished_at - job.submitted_at)
-                del self._done_seconds[:-32]
-                self.metrics.histogram(
-                    "serve.submit_to_done_seconds",
-                    "submission-to-completion wall seconds of "
-                    "successful jobs").observe(
-                    job.finished_at - job.submitted_at)
-            self._persist(job)
+            self._finish_locked(job, "done", "cache_hit", key=key[:12],
+                                digest=hit.get("digest"))
         self.metrics.counter(
             "serve.cache_hits",
             "jobs served from the result cache without a GRAPE "
@@ -889,10 +883,7 @@ class Scheduler:
         except Exception as e:
             with self._cv:
                 job.error = f"lease acquisition failed: {e}"
-                job.add_event("failed", error=job.error)
-                job.advance("failed")
-                self._count_terminal(job)
-                self._persist(job)
+                self._finish_locked(job, "failed", error=job.error)
             self._flight_dump(job)
             return
         jtr.record("serve.lease_acquire",
@@ -918,38 +909,19 @@ class Scheduler:
                     pass
             with self._cv:
                 job.result = result
-                job.add_event("done")
-                job.advance("done")
-                self._count_terminal(job)
-                if job.finished_at and job.started_at:
-                    self._done_seconds.append(
-                        job.finished_at - job.submitted_at)
-                    del self._done_seconds[:-32]
-                self.metrics.histogram(
-                    "serve.submit_to_done_seconds",
-                    "submission-to-completion wall seconds of "
-                    "successful jobs").observe(
-                    job.finished_at - job.submitted_at)
-                self._persist(job)
+                self._finish_locked(job, "done")
             self._cache_store(job)
         except JobCancelled:
             with self._cv:
-                job.add_event("cancelled")
-                job.advance("cancelled")
-                self._count_terminal(job)
-                self._persist(job)
+                self._finish_locked(job, "cancelled")
         except JobPaused:
             with self._cv:
-                job.add_event("paused", steps_done=job.steps_done)
-                job.advance("paused")
-                self._persist(job)
+                self._finish_locked(job, "paused",
+                                    steps_done=job.steps_done)
         except Exception as e:
             logger.exception("job %s failed", job.id)
             with self._cv:
                 job.error = f"{type(e).__name__}: {e}"
-                job.add_event("failed", error=job.error)
-                job.advance("failed")
-                self._count_terminal(job)
-                self._persist(job)
+                self._finish_locked(job, "failed", error=job.error)
         finally:
             self._flight_dump(job)

@@ -112,8 +112,8 @@ class Server(HTTPServer):
                            if p])
 
         if route == ("GET", "healthz"):
-            with_jobs = sched.jobs()
-            queued = sum(j.state == "queued" for j in with_jobs)
+            counts = sched.store.counts()
+            queued = counts.get("queued", 0)
 
             def _store_view():
                 # store calls may be fleet RPCs; keep them (and any
@@ -127,10 +127,9 @@ class Server(HTTPServer):
             fleet, cache = await asyncio.to_thread(_store_view)
             return json_response(200, {
                 "status": "ok",
-                "jobs": len(with_jobs),
+                "jobs": sum(counts.values()),
                 "queued": queued,
-                "running": sum(j.state == "running" for j in
-                               with_jobs),
+                "running": counts.get("running", 0),
                 "slots": sched.slots,
                 "leases_in_use": sched.broker.in_use,
                 "queue_depth": queued,
@@ -204,15 +203,12 @@ class Server(HTTPServer):
             if method == "GET" and rest == ["events"]:
                 return self._stream_events(job_id)
             if method == "GET" and rest == ["trace"]:
-                from ..obs.export import span_events
-                spans = (list(span_events(job.tracer))
-                         if job.tracer is not None else [])
                 return json_response(200, {
                     "schema": "repro.trace/v1",
                     "job": job.id,
                     "state": job.state,
                     "trace_id": job.trace_id,
-                    "spans": spans,
+                    "spans": job.span_events(),
                 })
             if method == "DELETE" and not rest:
                 return json_response(200, sched.cancel(job_id).to_dict())

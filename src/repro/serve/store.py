@@ -36,43 +36,18 @@ connection is never left inside a transaction, and every
 ``sqlite3.Error`` surfaces as a typed :class:`StoreError` /
 :class:`StoreCorrupt`.
 
-Claim protocol
---------------
-A queued job is claimed with :meth:`JobStore.claim` -- an atomic
-compare-and-swap of ``state: queued -> scheduled`` that records the
-claiming worker and a lease expiry (``now + ttl``).  The owner must
-:meth:`~JobStore.heartbeat` while the job runs; :meth:`~JobStore.recover`
-re-queues any scheduled/running job whose claim expired (crashed or
-partitioned worker), bumping its ``attempt`` counter.  A worker whose
-heartbeat comes back ``None`` has lost its claim and must stop.  The
-re-queued job resumes from its last-good checkpoint generation, which
-PR 3 made bit-identical to an uninterrupted run.
+Claims are compare-and-swap leases with a heartbeat TTL: a worker
+that stops heartbeating loses the job to :meth:`JobStore.recover`,
+and the next owner resumes it from its last-good checkpoint.  The
+result cache is content-addressed by :func:`spec_hash`, optionally
+LRU-bounded in bytes, and shared by every worker on the store; the
+worker registry keeps one TTL'd row per fleet member.  The method
+docstrings state each contract; ``docs/service.md`` and
+``docs/fleet.md`` describe them in use.
 
-Result cache
-------------
-:func:`spec_hash` canonicalises the result-determining part of a
-:class:`~repro.serve.jobs.JobSpec` (kind, params) into a
-SHA-256 key.  A finished job's result document is stored under that
-key together with its ``state_digest``; an identical later submission
-is served from the cache without acquiring a GRAPE lease.  Entries
-are content-addressed: a cached row whose payload no longer matches
-its recorded digest is dropped and counted, never served.  With a
-``cache_budget`` (bytes) the cache is LRU-bounded: inserts evict the
-least-recently-used entries until the canonical-JSON payload bytes
-fit the budget, and evictions are counted in :meth:`~JobStore.cache_stats`.
-Because the store is shared fleet-wide (directly, or through
-:class:`repro.fleet.RemoteJobStore`), a result computed on any worker
-is a byte-identical cache hit on every other worker.
-
-Worker registry
----------------
-The fleet's membership lives next to the jobs: every worker registers a
-``fleet_register`` document (worker id, host, capabilities) with a
-heartbeat TTL, re-arms it via ``fleet_heartbeat`` (optionally flipping
-its ``state`` to ``draining``), and removes it with
-``fleet_deregister``.  ``fleet_workers`` lists every row with a
-computed ``live`` flag; rows whose TTL lapsed stay visible (a crashed
-worker is observable evidence) but count as dead.
+A scheduler's per-job queries (the queue, a tenant's active and
+served jobs) are lookups on the ``jobs(state, tenant)`` index, so a
+job costs O(queued jobs) however many finished rows the store holds.
 """
 
 from __future__ import annotations
@@ -136,7 +111,8 @@ def _doc_sha(text: str) -> str:
 
 
 def _canon(doc: Dict[str, Any]) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    # key order is kept: a result's column order is part of the result
+    return json.dumps(doc, separators=(",", ":"))
 
 
 class JobStore:
@@ -145,9 +121,9 @@ class JobStore:
     All methods are thread-safe.  Documents are plain dicts -- the
     ``repro.job/v1`` wire document plus the durable runtime fields
     (``workdir``, ``attempt``, ``worker``, ``cache_hit``, ``seq``).
-    Subclasses implement the primitive operations; the base supplies
-    shared derived queries (:meth:`queued`, :meth:`counts`,
-    :meth:`tenant_active`).
+    Subclasses implement every operation; only :meth:`fleet_summary`
+    is derived here.  A finished job's only copy is its row, its spans
+    included.
     """
 
     kind = "abstract"
@@ -180,6 +156,26 @@ class JobStore:
 
     def list(self) -> List[Dict[str, Any]]:
         """All job documents, submission (seq) order."""
+        raise NotImplementedError
+
+    # -- indexed queries -----------------------------------------------
+    def queued(self) -> List[Dict[str, Any]]:
+        """Queued documents, seq order; reads no other row."""
+        raise NotImplementedError
+
+    def tenant_active(self, tenant: str) -> int:
+        """Queued + claimed (scheduled/running/paused) jobs of a
+        tenant -- the quota denominator."""
+        raise NotImplementedError
+
+    def tenant_load(self, tenants: List[str]) -> Dict[str, int]:
+        """Jobs of each of ``tenants`` that have left the queue
+        (claimed, paused or finished) -- the pick's fair-share key;
+        tenants without any are absent."""
+        raise NotImplementedError
+
+    def counts(self) -> Dict[str, int]:
+        """Job counts by state."""
         raise NotImplementedError
 
     # -- claims --------------------------------------------------------
@@ -281,26 +277,7 @@ class JobStore:
     def close(self) -> None:
         """Release the store's resources (idempotent)."""
 
-    # -- shared derived queries ----------------------------------------
-    def queued(self) -> List[Dict[str, Any]]:
-        """Queued documents, seq order (the scheduler's pick input)."""
-        return [d for d in self.list() if d.get("state") == "queued"]
-
-    def counts(self) -> Dict[str, int]:
-        """Job counts by state."""
-        out: Dict[str, int] = {}
-        for d in self.list():
-            out[d.get("state", "?")] = out.get(d.get("state", "?"), 0) + 1
-        return out
-
-    def tenant_active(self, tenant: str) -> int:
-        """Queued + claimed (scheduled/running/paused) jobs of a
-        tenant -- the quota denominator."""
-        return sum(1 for d in self.list()
-                   if d.get("tenant") == tenant
-                   and d.get("state") in ("queued", "scheduled",
-                                          "running", "paused"))
-
+    # -- derived query -------------------------------------------------
     def fleet_summary(self, *, now: Optional[float] = None
                       ) -> Dict[str, int]:
         """Registry membership counts: registered ``workers``,
@@ -439,6 +416,9 @@ class SQLiteJobStore(JobStore):
                 " doc TEXT NOT NULL,"
                 " sha256 TEXT NOT NULL)")
             db.execute(
+                "CREATE INDEX IF NOT EXISTS jobs_by_state"
+                " ON jobs(state, tenant)")
+            db.execute(
                 "CREATE TABLE IF NOT EXISTS events("
                 " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
                 " job TEXT NOT NULL,"
@@ -543,10 +523,44 @@ class SQLiteJobStore(JobStore):
         return self._row_doc(row) if row is not None else None
 
     def list(self) -> List[Dict[str, Any]]:
+        return self._docs("")
+
+    def _docs(self, where: str) -> List[Dict[str, Any]]:
         with self._txn(begin=False) as db:
-            rows = db.execute(
-                "SELECT doc, sha256 FROM jobs ORDER BY seq").fetchall()
+            rows = db.execute(f"SELECT doc, sha256 FROM jobs {where}"
+                              " ORDER BY seq").fetchall()
         return [self._row_doc(r) for r in rows]
+
+    # -- indexed queries: every one a lookup on jobs(state, tenant) ------
+    def queued(self) -> List[Dict[str, Any]]:
+        """Decodes the queued rows only."""
+        return self._docs("WHERE state = 'queued'")
+
+    def tenant_active(self, tenant: str) -> int:
+        """One ``COUNT(*)`` over the index."""
+        with self._txn(begin=False) as db:
+            return db.execute(
+                "SELECT COUNT(*) FROM jobs WHERE state IN ('queued',"
+                " 'scheduled', 'running', 'paused') AND tenant = ?",
+                (tenant,)).fetchone()[0]
+
+    def tenant_load(self, tenants: List[str]) -> Dict[str, int]:
+        """One aggregate over the index, restricted to ``tenants``
+        (states spelled out, so the index answers with seeks)."""
+        marks = ", ".join("?" * len(tenants))
+        with self._txn(begin=False) as db:
+            return dict(db.execute(
+                "SELECT tenant, COUNT(*) FROM jobs WHERE state IN"
+                " ('scheduled', 'running', 'paused', 'done', 'failed',"
+                f" 'cancelled') AND tenant IN ({marks}) GROUP BY tenant",
+                list(tenants)).fetchall())
+
+    def counts(self) -> Dict[str, int]:
+        """One ``GROUP BY`` over the index (never on a job's path)."""
+        with self._txn(begin=False) as db:
+            return dict(db.execute(
+                "SELECT state, COUNT(*) FROM jobs"
+                " GROUP BY state").fetchall())
 
     # -- claims --------------------------------------------------------
     def _patch_doc(self, job_id: str, **fields: Any) -> None:

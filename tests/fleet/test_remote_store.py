@@ -120,6 +120,32 @@ class TestContractOverTcp:
         assert remote.request_cancel(doc["id"]) == "cancelled"
         assert not remote.requeue(doc["id"])
 
+    def test_indexed_queries_answer_as_the_backing_store(self, remote,
+                                                         backing):
+        """The scheduler's indexed queries are RPC ops: through the
+        wire they give exactly the backing store's answers."""
+        docs = [seeded_doc(remote, tenant=t)
+                for t in ("a", "a", "b", "b", "c")]
+        assert remote.claim(docs[0]["id"], "w", now=time.time(),
+                            ttl=30.0)
+        assert remote.claim(docs[2]["id"], "w", now=time.time(),
+                            ttl=30.0)
+        assert remote.request_cancel(docs[2]["id"]) == "requested"
+        assert remote.request_cancel(docs[3]["id"]) == "cancelled"
+        assert remote.queued() == backing.queued()
+        assert [d["id"] for d in remote.queued()] == \
+            [docs[1]["id"], docs[4]["id"]]
+        assert remote.counts() == backing.counts() == \
+            {"queued": 2, "scheduled": 2, "cancelled": 1}
+        for tenant in ("a", "b", "c", "nobody"):
+            assert remote.tenant_active(tenant) == \
+                backing.tenant_active(tenant)
+        assert [remote.tenant_active(t) for t in "abc"] == [2, 1, 1]
+        tenants = ["a", "b", "c", "nobody"]
+        assert remote.tenant_load(tenants) == \
+            backing.tenant_load(tenants) == {"a": 1, "b": 2}
+        assert remote.tenant_load([]) == backing.tenant_load([]) == {}
+
     def test_id_rules_hold_over_the_wire(self, remote):
         from tests.serve.test_store_durability import assert_id_rules
         assert_id_rules(remote)
@@ -238,3 +264,29 @@ class TestRegistryOverTcp:
                               now=now - 100.0, ttl=1.0)
         summary = remote.fleet_summary(now=now)
         assert summary == {"workers": 3, "live": 2, "draining": 1}
+
+
+class TestSchedulerOverTcp:
+    def test_a_trace_over_the_body_cap_never_keeps_a_job_unfinished(
+            self, backing, store_server, tmp_path):
+        """A finished job's spans ride in its terminal row.  When that
+        row is too large for the store server's body cap, the trace is
+        dropped and the terminal state still lands (a long served run
+        writes ~7 KB of spans per step; the real cap is 4 MiB)."""
+        from repro.serve import Scheduler
+        store_server.max_body = 4000  # a miss's traced row is ~6 KB
+        sched = Scheduler(slots=1, workdir=tmp_path / "work",
+                          store=store_server.url, cache=True,
+                          poll_interval=0.02).start()
+        try:
+            spec = {"kind": "force_eval", "params": {"n": 64, "seed": 1}}
+            miss, hit = (sched.submit(JobSpec(**spec)) for _ in "ab")
+            assert sched.wait(miss.id, timeout=60)
+            assert sched.wait(hit.id, timeout=60)
+        finally:
+            sched.stop(drain=False)
+        assert backing.get(miss.id)["state"] == "done"
+        assert "spans" not in backing.get(miss.id)
+        assert backing.get(hit.id)["cache_hit"] is True
+        assert {s["name"] for s in backing.get(hit.id)["spans"]} >= \
+            {"serve.queue_wait", "serve.store.cache"}

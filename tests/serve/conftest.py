@@ -27,8 +27,15 @@ def live_server(*, slots=2, queue_depth=16, workdir=None, **sched_kw):
     ``cache=True`` explicitly.
     """
     sched_kw.setdefault("cache", False)
-    sched = Scheduler(slots=slots, queue_depth=queue_depth,
-                      workdir=workdir, **sched_kw)
+    with serving(Scheduler(slots=slots, queue_depth=queue_depth,
+                           workdir=workdir, **sched_kw)) as pair:
+        yield pair
+
+
+@contextmanager
+def serving(sched):
+    """Put an already-built scheduler behind a live server (starting
+    it), yield ``(server, client)``, tear both down."""
     server = Server(sched, port=0)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)

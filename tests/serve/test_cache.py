@@ -167,6 +167,24 @@ class TestCacheServe:
             s.stop()
 
 
+class TestCacheKeepsTheResult:
+    def test_a_hit_keeps_the_computed_column_order(self, sched):
+        """A cached ``sweep`` comes back with its rows' columns in the
+        order the computation produced them (the store used to write
+        results with sorted keys, so a hit read ``interactions,
+        mean_list, n_crit, n_g``)."""
+        spec = {"kind": "sweep", "params": {"n": 600, "seed": 4}}
+        first = _submit_wait(sched, JobSpec(**spec))
+        second = _submit_wait(sched, JobSpec(**spec))
+        assert (first.cache_hit, second.cache_hit) == (False, True)
+        columns = ["n_crit", "n_g", "mean_list", "interactions"]
+        for job in (first, second, sched.get(first.id),
+                    sched.get(second.id)):
+            assert [list(r) for r in job.result["rows"]] \
+                == [columns] * len(first.result["rows"])
+        assert second.result["rows"] == first.result["rows"]
+
+
 class TestCacheOverHTTP:
     def test_hits_visible_in_metrics_and_store(self, tmp_path):
         spec = {"kind": "force_eval", "params": {"n": 128}}

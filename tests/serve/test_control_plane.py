@@ -1,0 +1,122 @@
+"""The scheduler's control path costs O(queued jobs), and finished jobs
+live only in the store.
+
+Both properties are pinned without timing: the first by counting the
+store rows a submit -> done cycle decodes (every decode goes through
+``SQLiteJobStore._row_doc``), the second by the size of the worker's
+runtime table after a batch of finished jobs -- each of which must
+still answer every read and control route.
+"""
+
+import pytest
+
+from repro.serve import JobSpec, Scheduler, ServeHTTPError, SQLiteJobStore
+
+from tests.serve.conftest import serving
+
+
+def _cycle(sched, spec):
+    """One submit -> done cycle driven on the calling thread: the
+    scheduler is never started, so no poll or housekeeping tick reads
+    the store behind the count's back."""
+    job = sched.submit(spec)
+    with sched._cv:
+        assert sched._claim_next_locked() is job
+    if not sched._serve_from_cache(job):
+        sched._execute(job)
+    assert job.state == "done", (job.state, job.error)
+    return job
+
+
+def _fe(seed):
+    return JobSpec(kind="force_eval", params={"n": 64, "seed": seed})
+
+
+class TestPerJobCost:
+    def test_rows_decoded_per_job_do_not_grow_with_the_store(
+            self, tmp_path, monkeypatch):
+        """A miss and a hit decode the same rows with 5 finished jobs
+        in the store as with 300: admission, the pick and the gauges
+        read the queue, not every job ever stored."""
+        sched = Scheduler(slots=1, workdir=tmp_path / "work",
+                          store=tmp_path / "jobs.db", cache=True)
+        decoded = []
+        row_doc = SQLiteJobStore._row_doc
+
+        def counting(store, row):
+            decoded.append(1)
+            return row_doc(store, row)
+
+        monkeypatch.setattr(SQLiteJobStore, "_row_doc", counting)
+
+        def fill(finished):
+            while len(sched.store.list()) < finished:
+                _cycle(sched, _fe(1))   # one miss, then cache hits
+
+        def cost(seed):
+            decoded.clear()
+            miss = _cycle(sched, _fe(seed))
+            hit = _cycle(sched, _fe(seed))
+            assert (miss.cache_hit, hit.cache_hit) == (False, True)
+            return len(decoded)
+
+        try:
+            fill(5)
+            small = cost(2)
+            fill(300)
+            assert sched.store.counts() == {"done": 300}
+            large = cost(3)
+        finally:
+            sched.stop()
+        assert small == large, (small, large)
+
+
+class TestFinishedJobsLeaveTheWorker:
+    def test_every_outcome_is_answered_from_the_store(self, tmp_path):
+        sched = Scheduler(slots=1, workdir=tmp_path / "work", cache=True)
+        # cancelled while queued: the scheduler is not started yet
+        victim = sched.submit(_fe(5))
+        assert sched.cancel(victim.id).state == "cancelled"
+        with serving(sched) as (server, client):
+            ids = {"cancelled": victim.id}
+            for name, body in (
+                    ("done", {"kind": "force_eval",
+                              "params": {"n": 64, "seed": 1}}),
+                    ("hit", {"kind": "force_eval",
+                             "params": {"n": 64, "seed": 1}}),
+                    ("failed", {"kind": "force_eval",
+                                "params": {"n": 64, "seed": 2},
+                                "max_retries": 1,
+                                "faults": "transient_error@site="
+                                          "grape.compute,count=99"})):
+                ids[name] = client.submit(body)["id"]
+                client.wait(ids[name], timeout=120)
+            assert sched._jobs == {}
+            expect = {"cancelled": "cancelled", "done": "done",
+                      "hit": "done", "failed": "failed"}
+            for name, jid in ids.items():
+                state = expect[name]
+                assert sched.wait(jid, timeout=0)
+                assert sched.get(jid).state == state
+                assert client.job(jid)["state"] == state
+                assert client.job(jid)["cache_hit"] == (name == "hit")
+                # cancelling a finished job changes nothing; pausing
+                # one is a conflict
+                assert client.cancel(jid)["state"] == state
+                with pytest.raises(ServeHTTPError) as e:
+                    client.pause(jid)
+                assert e.value.status == 409
+                trace = client.trace(jid)
+                assert trace["state"] == state
+                assert trace["trace_id"] == client.job(jid)["trace_id"]
+                names = {s["name"] for s in trace["spans"]}
+                if name == "cancelled":
+                    assert names == set()
+                elif name == "hit":
+                    assert {"serve.queue_wait",
+                            "serve.store.cache"} <= names
+                    assert "serve.lease_acquire" not in names
+                else:
+                    assert {"serve.queue_wait", "serve.lease_acquire",
+                            "serve.job"} <= names
+            assert sched._jobs == {}

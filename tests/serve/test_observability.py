@@ -76,6 +76,31 @@ class TestJobTrace:
         assert e.value.status == 404
 
 
+class TestTraceFromAnyWorker:
+    def test_two_workers_return_the_same_spans(self, tmp_path):
+        """A finished job's trace is in its store document, so a second
+        worker on the same file answers ``/jobs/{id}/trace`` exactly
+        as the one that ran it -- for a computed job and a cache hit.
+        (The second worker used to answer ``spans: []``.)"""
+        from tests.serve.conftest import live_server
+        db = tmp_path / "jobs.db"
+        spec = {"kind": "force_eval", "params": {"n": 64, "seed": 3}}
+        with live_server(slots=1, workdir=tmp_path / "a", store=db,
+                         worker_id="A", cache=True) as (_, a):
+            ids = [a.submit(spec)["id"] for _ in range(2)]
+            docs = [a.wait(i, timeout=120) for i in ids]
+            assert [d["cache_hit"] for d in docs] == [False, True]
+            with live_server(slots=1, workdir=tmp_path / "b", store=db,
+                             worker_id="B", cache=True) as (_, b):
+                for jid in ids:
+                    ta, tb = a.trace(jid), b.trace(jid)
+                    assert ta["trace_id"] == tb["trace_id"]
+                    names = [s["name"] for s in ta["spans"]]
+                    assert names == [s["name"] for s in tb["spans"]]
+                    assert "serve.store.cache" in names
+                    assert ("serve.job" in names) == (jid == ids[0])
+
+
 class TestMetricsHistograms:
     def test_latency_histograms_exposed(self, server_pair, tiny_run):
         _, client = server_pair

@@ -232,6 +232,17 @@ class TestContract:
         assert store.tenant_active("a") == 2
         assert store.tenant_active("b") == 1
 
+    def test_tenant_load_counts_jobs_past_the_queue(self, store):
+        seeded_job(store, tenant="a")
+        seeded_job(store, tenant="a", state="running")
+        seeded_job(store, tenant="a", state="done")
+        seeded_job(store, tenant="b", state="paused")
+        seeded_job(store, tenant="c")
+        assert store.tenant_load(["a", "b", "c"]) == {"a": 2, "b": 1}
+        assert store.tenant_load(["b"]) == {"b": 1}
+        assert store.counts() == {"queued": 2, "running": 1,
+                                  "done": 1, "paused": 1}
+
     def test_verify_clean_store(self, store):
         seeded_job(store)
         assert store.verify() == []
@@ -500,6 +511,25 @@ class TestLegacyDocuments:
             assert store.get(jid)["state"] == "done"
         finally:
             s.stop(drain=False)
+            store.close()
+
+    def test_file_without_the_state_index_gains_it(self, tmp_path):
+        """A file written before the ``jobs(state, tenant)`` index
+        gains it on open, and the queue read uses it."""
+        path = tmp_path / "jobs.db"
+        old = SQLiteJobStore(path)
+        jid = seeded_job(old).id
+        old._db.execute("DROP INDEX jobs_by_state")
+        old.close()
+        store = SQLiteJobStore(path)
+        try:
+            plan = store._db.execute(
+                "EXPLAIN QUERY PLAN SELECT doc FROM jobs"
+                " WHERE state = 'queued'").fetchall()
+            assert "jobs_by_state" in str(plan)
+            assert [d["id"] for d in store.queued()] == [jid]
+            assert store.verify() == []
+        finally:
             store.close()
 
     def test_file_without_events_table_upgrades_in_place(self, tmp_path):
