@@ -16,19 +16,10 @@ the corresponding blocking store method on the default executor, so
 concurrent claims serialise through the store's compare-and-swap
 transactions, not through the event loop.
 
-Endpoints
----------
-=======  ===========  ==============================================
-method   path         behaviour
-=======  ===========  ==============================================
-POST     /rpc/v1      one sealed request envelope in, one sealed
-                      response envelope out (HTTP 200 even for typed
-                      store errors -- the envelope carries the type)
-GET      /healthz     liveness: store kind/path, job counts, request
-                      counters (plain JSON, curl-friendly)
-=======  ===========  ==============================================
-
-A request the transport refuses (400/413/431) or fails on (500) is
+Its two routes are listed in ``docs/fleet.md``: ``POST /rpc/v1``, one
+sealed envelope in and one out (HTTP 200 even for a typed store
+error: the envelope carries the type), and ``GET /healthz``.  A
+request the transport refuses (400/413/431) or fails on (500) is
 answered with a sealed error envelope, so an RPC client raises it
 typed instead of retrying it as wire damage.
 """

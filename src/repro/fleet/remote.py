@@ -2,35 +2,26 @@
 
 ``open_store("http://host:port")`` returns one of these -- a store
 *driver*, not a cache: every call is one ``repro.fleet-rpc/v1``
-request to a :class:`~repro.fleet.netstore.StoreServer`, so claims,
-heartbeats and cache hits have exactly the cross-worker semantics of
-the backing SQLite store, just across hosts.  The methods are not
-written out here: one forwarding proxy per name in
-:data:`~repro.fleet.protocol.RPC_OPS` is generated from the
-:class:`~repro.serve.store.JobStore` signature it overrides, so the
-contract is declared there and allow-listed there, nowhere else.
+request to a :class:`~repro.fleet.netstore.StoreServer`, on the
+calling thread's pooled connection, so claims, heartbeats and cache
+hits have exactly the cross-worker semantics of the backing SQLite
+store, just across hosts.  The methods are one forwarding proxy per
+name in :data:`~repro.fleet.protocol.RPC_OPS`, generated from the
+:class:`~repro.serve.store.JobStore` signature it overrides.
 
-Transport robustness
---------------------
-Every request/response envelope carries its own SHA-256
-(:mod:`repro.fleet.protocol`), so wire damage fails typed
-(:class:`~repro.fleet.protocol.PayloadCorrupt`) instead of decoding
-into a plausible-but-wrong document.  The client retries transport
-trouble -- connection errors, timeouts, damaged payloads,
-:class:`~repro.faults.TransientBackendError` injections -- with
-bounded exponential backoff, then raises
+Every envelope carries its own SHA-256 (:mod:`repro.fleet.protocol`),
+so wire damage fails typed (:class:`PayloadCorrupt`) instead of
+decoding into a plausible-but-wrong document.  Transport trouble --
+connection errors, timeouts, damaged payloads, injected
+:class:`~repro.faults.TransientBackendError` -- is retried with
+bounded exponential backoff, then raised as
 :class:`~repro.fleet.protocol.StoreUnavailable` (or the persistent
-:class:`PayloadCorrupt`).  *Server-side* typed errors
-(``StoreError``/``StoreCorrupt`` re-raised from the envelope) are
-answers, not transport failures: they propagate immediately, no
-retry.
-
-Chaos hooks: pass a :class:`~repro.faults.FaultInjector` and the
-transport consults :meth:`~repro.faults.FaultInjector.transport_fault`
-at site ``fleet.rpc`` before/after each request -- ``latency`` sleeps,
-``transient_error`` raises retryably, ``corrupt_result`` truncates
-the received bytes so the digest check fires.  The chaos tests drive
-all three and assert the store underneath never corrupts.
+:class:`PayloadCorrupt`).  Typed server-side errors are answers, not
+transport failures: they propagate at once.  A
+:class:`~repro.faults.FaultInjector` is consulted at site
+``fleet.rpc`` before and after each request: ``latency`` sleeps,
+``transient_error`` raises retryably, ``corrupt_result`` truncates the
+received bytes so the digest check fires.
 """
 
 from __future__ import annotations
@@ -45,10 +36,10 @@ from urllib.parse import urlsplit
 
 from ..faults import TransientBackendError
 from ..serve.store import JobStore, StoreError
-from ..serve.transport import exchange
+from ..serve.transport import exchange, hang_up
 from .netstore import DEFAULT_STORE_PORT
-from .protocol import (PayloadCorrupt, RPC_OPS, pack_request,
-                       unpack_response)
+from .protocol import (PayloadCorrupt, RPC_OPS, StoreUnavailable,
+                       pack_request, unpack_response)
 
 __all__ = ["RemoteJobStore", "RPC_SITE"]
 
@@ -110,8 +101,7 @@ class RemoteJobStore(JobStore):
         spec = (self.faults.transport_fault(RPC_SITE)
                 if self.faults is not None else None)
         if spec is not None and spec.kind == "latency":
-            time.sleep(spec.seconds if spec.seconds is not None
-                       else 0.05)
+            time.sleep(0.05 if spec.seconds is None else spec.seconds)
         if spec is not None and spec.kind == "transient_error":
             raise TransientBackendError(
                 f"injected transient error at {RPC_SITE} ({op})")
@@ -122,6 +112,10 @@ class RemoteJobStore(JobStore):
         if spec is not None and spec.kind == "corrupt_result":
             raw = raw[:len(raw) // 2]
         return unpack_response(raw)
+
+    def close(self) -> None:
+        """Close the idle pooled connections to the server."""
+        hang_up(self.host, self.port)
 
     def _call(self, op: str, **args: Any) -> Any:
         """One logical store call: bounded retry with exponential
@@ -140,13 +134,11 @@ class RemoteJobStore(JobStore):
                 delay *= 2.0
             try:
                 return self._call_once(op, args)
-            except PayloadCorrupt as e:
-                last = e  # wire damage: the store is fine, retry
+            except (PayloadCorrupt, TransientBackendError,
+                    HTTPException, OSError) as e:
+                last = e  # transport trouble; the store is fine, retry
             except StoreError:
                 raise  # the server's typed answer -- authoritative
-            except (TransientBackendError, ConnectionError,
-                    TimeoutError, HTTPException, OSError) as e:
-                last = e
             logger.warning("fleet rpc %s to %s failed "
                            "(attempt %d/%d): %s", op, self.url,
                            attempt + 1, self.retries + 1, last)
@@ -155,7 +147,6 @@ class RemoteJobStore(JobStore):
                 "fleet.rpc_failures",
                 "fleet RPC calls that exhausted their retry "
                 "budget").inc()
-        from .protocol import StoreUnavailable
         if isinstance(last, PayloadCorrupt):
             raise last
         raise StoreUnavailable(

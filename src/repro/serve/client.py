@@ -1,15 +1,10 @@
 """Stdlib client for the simulation service.
 
 The ``repro.job/v1`` API of :mod:`repro.serve.server` as methods, over
-:func:`repro.serve.transport.exchange`.  Used by
-the ``repro submit`` / ``repro jobs`` CLI verbs, the acceptance
-tests, and the service benchmark -- one client implementation so they
-all exercise the same protocol.
-
-Error mapping: HTTP 4xx/5xx raise :class:`ServeHTTPError`; the 429
-backpressure response raises the :class:`Backpressure` subclass
-carrying the server's ``Retry-After`` hint so callers can implement
-polite retry loops (see :meth:`ServeClient.submit_wait`).
+:func:`repro.serve.transport.exchange`: the one client behind ``repro
+submit`` / ``repro jobs``, the acceptance tests and the service
+benchmark.  HTTP 4xx/5xx raise :class:`ServeHTTPError`; a 429 raises
+the :class:`Backpressure` subclass carrying ``Retry-After``.
 """
 
 from __future__ import annotations
@@ -46,8 +41,9 @@ class Backpressure(ServeHTTPError):
 class ServeClient:
     """Client for one service endpoint (``host:port``).
 
-    A client object holds no connection, so it is cheap, stateless
-    and thread-safe.
+    Connections live in the transport's pool, one per calling thread,
+    so a client object is cheap and thread-safe and its calls from one
+    thread reuse one connection.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8014, *,
@@ -88,7 +84,6 @@ class ServeClient:
     # -- API -----------------------------------------------------------
     def submit(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """POST a ``repro.job/v1`` document; returns the job document.
-
         Raises :class:`Backpressure` on 429 (queue bound hit)."""
         return self._request("POST", "/jobs", body=spec)
 
@@ -125,9 +120,7 @@ class ServeClient:
     def wait(self, job_id: str, *, timeout: float = 300.0,
              poll: float = 0.1) -> Dict[str, Any]:
         """Poll until the job is terminal; returns its final document.
-
-        Raises :class:`TimeoutError` when ``timeout`` elapses first.
-        """
+        Raises :class:`TimeoutError` when ``timeout`` elapses first."""
         t_end = time.monotonic() + timeout
         while True:
             doc = self.job(job_id)
@@ -146,23 +139,14 @@ class ServeClient:
         return self._request("GET", f"/jobs/{job_id}/trace")
 
     def events(self, job_id: str) -> Iterator[Dict[str, Any]]:
-        """Follow the NDJSON progress stream of a job.
-
-        Yields event dicts until the server closes the stream (job
-        reached a resting state)."""
+        """Follow the NDJSON progress stream of a job: event dicts
+        until the server closes it at a resting state."""
         with self._exchange("GET", f"/jobs/{job_id}/events") as resp:
-            for line in resp:
-                line = line.strip()
-                if line:
-                    yield json.loads(line)
+            yield from (json.loads(line) for line in resp if line.strip())
 
     def healthz(self) -> Dict[str, Any]:
-        """The liveness snapshot: job/queue counts plus scheduler
-        ``queue_depth``/``queue_limit``, ``leases_in_use``, the store
-        kind (+ ``store_url`` for a fleet store), worker id and
-        ``draining`` flag, the ``fleet`` membership summary
-        (workers/live/draining), cache stats and server
-        ``uptime_seconds``."""
+        """The liveness snapshot of ``GET /healthz`` (its fields are
+        listed under "HTTP API" in ``docs/service.md``)."""
         return self._request("GET", "/healthz")
 
     def fleet(self) -> Dict[str, Any]:

@@ -1,50 +1,10 @@
 """HTTP front door for the simulation service: the job API's routes.
 
 Framing, body caps, the socket lifecycle and the 400/413/431/500
-paths are :mod:`repro.serve.transport`'s; this module maps routes to
-:class:`~repro.serve.scheduler.Scheduler` calls and status codes.
-
-Endpoints
----------
-=======  ==========================  =====================================
-method   path                        behaviour
-=======  ==========================  =====================================
-POST     /jobs                       submit a ``repro.job/v1`` document;
-                                     201 + job doc, 400 on a malformed
-                                     spec, **429 + Retry-After** when
-                                     admission control rejects
-GET      /jobs                       all job documents
-GET      /jobs/{id}                  one job document (404 unknown)
-GET      /jobs/{id}/events           NDJSON progress-event stream:
-                                     replays recorded events, then
-                                     follows live until the job stops
-GET      /jobs/{id}/trace            the job's span tree
-                                     (``repro.trace/v1``): queue wait,
-                                     lease acquisition, run, steps,
-                                     stitched worker batches
-DELETE   /jobs/{id}                  cancel; returns the job document
-POST     /jobs/{id}/pause            checkpoint + vacate the slot
-POST     /jobs/{id}/resume           re-queue a paused job
-GET      /healthz                    liveness + queue/lease snapshot
-                                     (+ store kind, worker id, cache,
-                                     fleet membership summary)
-GET      /store                      durable-store snapshot: job counts
-                                     by state, cache stats, integrity
-                                     findings (``repro.store/v1``)
-GET      /fleet                      fleet membership
-                                     (``repro.fleet/v1``): registry
-                                     rows, live/draining counts, store
-                                     identity, shared-cache stats
-POST     /fleet/drain                drain this worker: stop claiming,
-                                     checkpoint + re-queue owned jobs,
-                                     deregister; returns the summary
-GET      /metrics                    Prometheus exposition of the
-                                     scheduler registry (``obs.export``)
-=======  ==========================  =====================================
-
-The server owns no policy: every decision is the
-:class:`~repro.serve.scheduler.Scheduler`'s, translated to status
-codes here.
+paths are :mod:`repro.serve.transport`'s; this module maps the routes
+listed under "HTTP API" in ``docs/service.md`` to
+:class:`~repro.serve.scheduler.Scheduler` calls and status codes.  The
+server owns no policy: every decision is the scheduler's.
 """
 
 from __future__ import annotations
@@ -112,19 +72,18 @@ class Server(HTTPServer):
                            if p])
 
         if route == ("GET", "healthz"):
-            counts = sched.store.counts()
-            queued = counts.get("queued", 0)
-
             def _store_view():
-                # store calls may be fleet RPCs; keep them (and any
-                # registry trouble) off the event loop and non-fatal
+                # store calls may be fleet RPCs; keep them off the
+                # event loop, and registry trouble non-fatal
+                counts = sched.store.counts()
                 try:
-                    return (sched.store.fleet_summary(),
+                    return (counts, sched.store.fleet_summary(),
                             sched.store.cache_stats())
                 except Exception:
-                    return {}, {}
+                    return counts, {}, {}
 
-            fleet, cache = await asyncio.to_thread(_store_view)
+            counts, fleet, cache = await asyncio.to_thread(_store_view)
+            queued = counts.get("queued", 0)
             return json_response(200, {
                 "status": "ok",
                 "jobs": sum(counts.values()),
@@ -153,14 +112,15 @@ class Server(HTTPServer):
                 200, await asyncio.to_thread(sched.drain))
         if route == ("GET", "store"):
             store = sched.store
-            return json_response(200, {
+            # a full-store scan, possibly over RPC: off the event loop
+            return json_response(200, await asyncio.to_thread(lambda: {
                 "schema": "repro.store/v1",
                 "kind": store.kind,
                 "worker": sched.worker_id,
                 "jobs": store.counts(),
                 "cache": store.cache_stats(),
                 "findings": store.verify(),
-            })
+            }))
         if route == ("GET", "metrics"):
             from ..obs.export import format_prometheus
             return response(

@@ -8,14 +8,17 @@ body cap; the two clients (:class:`~repro.serve.client.ServeClient`,
 :class:`~repro.fleet.remote.RemoteJobStore`) call :func:`exchange` and
 supply status mapping and retry policy.
 
-Framing is HTTP/1.1, one request per connection: every response says
-``Connection: close`` and carries a ``Content-Length`` (a stream
-carries none and ends at EOF).  A request that breaks the framing is
-refused with a typed :class:`HTTPError` -- 400 for a malformed request
-line or ``Content-Length``, 413 for a declared body above the server's
-cap, 431 for a request head above :data:`MAX_HEAD` -- rendered in the
-server's own error format and logged at WARNING; anything a route
-raises becomes a logged 500.  See "Transport" in ``docs/service.md``.
+Framing is HTTP/1.1 on persistent connections: a response carries a
+``Content-Length`` and the connection serves the next request, unless
+the request was HTTP/1.0 or said ``Connection: close``, the response
+is the EOF-terminated event stream, a refusal or a 500, or the peer
+idles for :data:`IDLE_SECONDS` (only those say ``Connection: close``).
+A request that breaks the framing is refused with a typed
+:class:`HTTPError` -- 400 for a malformed request line or
+``Content-Length``, 413 for a body above the server's cap, 431 for a
+head above :data:`MAX_HEAD` -- in the server's own error format and
+logged at WARNING; anything a route raises becomes a logged 500.  See
+"Transport" in ``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -23,15 +26,17 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import os
 import signal
+import threading
 import time
 from contextlib import contextmanager
 from http.client import HTTPConnection, HTTPResponse
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 __all__ = ["MAX_HEAD", "HTTPError", "read_request", "response",
            "json_response", "HTTPServer", "serve_until_signal",
-           "exchange"]
+           "exchange", "hang_up"]
 
 logger = logging.getLogger(__name__)
 
@@ -42,12 +47,20 @@ MAX_HEAD = 1 << 16
 #: how long a refused request's unread input is drained before closing
 LINGER_SECONDS = 2.0
 
+#: how long a server keeps a connection that sends no next request
+IDLE_SECONDS = 15.0
+
 #: the status lines this layer can send
 REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
            404: "Not Found", 409: "Conflict",
            413: "Payload Too Large", 429: "Too Many Requests",
            431: "Request Header Fields Too Large",
            500: "Internal Server Error"}
+
+#: the clients' idle connections, one per (thread, host, port); a
+#: forked child must not share its parent's sockets
+_POOL: Dict[Tuple[int, str, int], HTTPConnection] = {}
+os.register_at_fork(after_in_child=_POOL.clear)
 
 
 class HTTPError(Exception):
@@ -67,18 +80,23 @@ async def _readline(reader: asyncio.StreamReader) -> bytes:
 
 
 async def read_request(reader: asyncio.StreamReader, max_body: int
-                       ) -> Optional[Tuple[str, str, bytes]]:
-    """Read one request as ``(METHOD, target, body)``; ``None`` when
-    the peer sent nothing.  Raises :class:`HTTPError` for anything but
-    a well-framed request with at most ``max_body`` body bytes; an
-    oversize body is refused on its declared length, unread."""
-    line = await _readline(reader)
+                       ) -> Optional[Tuple[str, str, bytes, bool]]:
+    """Read one request as ``(METHOD, target, body, keep)``, ``keep``
+    false for HTTP/1.0 or ``Connection: close``; ``None`` when the
+    peer sent nothing for :data:`IDLE_SECONDS` or closed.  Raises
+    :class:`HTTPError` for anything but a well-framed request with at
+    most ``max_body`` body bytes; an oversize body is refused on its
+    declared length, unread."""
+    try:
+        line = await asyncio.wait_for(_readline(reader), IDLE_SECONDS)
+    except asyncio.TimeoutError:
+        return None
     if not line:
         return None
     parts = line.decode("latin-1").split()
     if len(parts) < 2:
         raise HTTPError(400, "malformed request line")
-    head, length = len(line), 0
+    head, length, keep = len(line), 0, parts[2:3] == ["HTTP/1.1"]
     while True:
         h = await _readline(reader)
         if h in (b"\r\n", b"\n", b""):
@@ -87,8 +105,10 @@ async def read_request(reader: asyncio.StreamReader, max_body: int
         if head > MAX_HEAD:
             raise HTTPError(431, "request head longer than "
                                  f"{MAX_HEAD} bytes")
-        name, _, value = h.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
+        name, _, value = h.decode("latin-1").lower().partition(":")
+        if name.strip() == "connection" and "close" in value:
+            keep = False
+        elif name.strip() == "content-length":
             try:
                 length = int(value)
             except ValueError:
@@ -104,7 +124,7 @@ async def read_request(reader: asyncio.StreamReader, max_body: int
     except asyncio.IncompleteReadError:
         raise HTTPError(400, "request body shorter than its "
                              "Content-Length") from None
-    return parts[0].upper(), parts[1], body
+    return parts[0].upper(), parts[1], body, keep
 
 
 def response(status: int, body: Optional[bytes],
@@ -114,13 +134,16 @@ def response(status: int, body: Optional[bytes],
     EOF-terminated stream: the caller writes the body and the
     connection closing ends it."""
     head = [f"HTTP/1.1 {status} {REASONS[status]}",
-            f"Content-Type: {content_type}"]
-    if body is not None:
-        head.append(f"Content-Length: {len(body)}")
-    head.append("Connection: close")
-    for k, v in (extra or {}).items():
-        head.append(f"{k}: {v}")
+            f"Content-Type: {content_type}",
+            "Connection: close" if body is None
+            else f"Content-Length: {len(body)}"]
+    head += [f"{k}: {v}" for k, v in (extra or {}).items()]
     return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + (body or b"")
+
+
+def _closing(out: bytes) -> bytes:
+    """``out`` with ``Connection: close`` as its last header."""
+    return out.replace(b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1)
 
 
 def json_response(status: int, doc: Any,
@@ -144,7 +167,7 @@ async def _discard(reader: asyncio.StreamReader) -> None:
 
 
 class HTTPServer:
-    """One listening socket serving single-request connections.
+    """One listening socket serving persistent connections.
 
     A subclass sets ``prog`` (the ``repro <verb>`` banner prefix) and
     ``max_body`` (bytes) and defines ``async respond(method, path,
@@ -161,6 +184,7 @@ class HTTPServer:
         self.port = int(port)
         self.started_at: Optional[float] = None
         self._server: Optional[asyncio.AbstractServer] = None
+        self._conns: dict[asyncio.Task, asyncio.StreamWriter] = {}
 
     @property
     def url(self) -> str:
@@ -177,48 +201,62 @@ class HTTPServer:
         return self
 
     async def stop(self) -> None:
-        """Stop accepting and close the socket."""
+        """Stop accepting, then close every connection, idle or
+        mid-request, and wait until each is gone."""
         if self._server is not None:
             self._server.close()
+            await asyncio.sleep(0)  # let just-accepted handlers enrol
+            # close too: <3.12 wait_for can swallow a cancel (bpo-42130)
+            for task, writer in self._conns.items():
+                writer.close()
+                task.cancel()
+            await asyncio.gather(*self._conns, return_exceptions=True)
             await self._server.wait_closed()
             self._server = None
 
-    async def serve_forever(self) -> None:
-        """Block serving requests until cancelled."""
-        if self._server is None:
-            raise RuntimeError("call start() first")
-        await self._server.serve_forever()
-
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        task = asyncio.current_task()
+        self._conns[task] = writer
         try:
-            try:
-                request = await read_request(reader, self.max_body)
-            except HTTPError as e:
-                logger.warning("%s: refused a request: %d %s",
-                               self.prog, e.status, e)
-                writer.write(self.error_response(e.status, str(e)))
-                await writer.drain()
-                await _discard(reader)
-                return
-            if request is not None:
+            while True:
+                try:
+                    request = await read_request(reader, self.max_body)
+                except HTTPError as e:
+                    logger.warning("%s: refused a request: %d %s",
+                                   self.prog, e.status, e)
+                    writer.write(_closing(
+                        self.error_response(e.status, str(e))))
+                    await writer.drain()
+                    await _discard(reader)
+                    return
+                if request is None:
+                    return
+                *request, keep = request
                 out = await self.respond(*request)
-                if isinstance(out, bytes):
-                    writer.write(out)
-                else:
+                if not isinstance(out, bytes):
                     async for chunk in out:
                         writer.write(chunk)
                         await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError):
+                    return
+                writer.write(out if keep else _closing(out))
+                await writer.drain()
+                if not keep:
+                    return
+        except (ConnectionError, asyncio.IncompleteReadError,
+                asyncio.CancelledError):
+            # a peer gone, or stop()'s cancel: ending normally keeps
+            # 3.12's client_connected_cb callback from logging it
             pass
         except Exception as e:  # pragma: no cover - defensive 500
             logger.exception("%s: request handling failed", self.prog)
             try:
-                writer.write(self.error_response(
-                    500, f"{type(e).__name__}: {e}"))
+                writer.write(_closing(self.error_response(
+                    500, f"{type(e).__name__}: {e}")))
             except Exception:
                 pass
         finally:
+            del self._conns[task]
             try:
                 await writer.drain()
                 writer.close()
@@ -247,15 +285,51 @@ async def serve_until_signal(server: HTTPServer) -> None:
 def exchange(host: str, port: int, method: str, path: str,
              body: Optional[bytes] = None, *,
              timeout: float) -> Iterator[HTTPResponse]:
-    """One request on one fresh connection, closed on exit.  Yields
-    the response with status and headers read; the caller ``read()``s
-    the body or iterates its lines inside the block.  A body is sent
-    as ``application/json`` -- the only kind either client sends."""
-    conn = HTTPConnection(host, port, timeout=timeout)
+    """One request on the calling thread's pooled connection to
+    ``host:port``.  Yields the response with status and headers read;
+    the caller reads the body inside the block, and only a response
+    read to its end that does not close returns the connection to the
+    pool.  A reused connection that fails before any response byte
+    (idle-closed, or the server restarted) is replaced by a fresh one
+    for one resend.  A body is sent as ``application/json``."""
+    key = (threading.get_ident(), host, port)
+    conn = _POOL.pop(key, None)
+    while True:
+        fresh = conn is None
+        if fresh:
+            alive = {t.ident for t in threading.enumerate()}
+            _close_idle(lambda k: k[0] not in alive)  # threads gone
+            conn = HTTPConnection(host, port, timeout=timeout)
+        else:
+            conn.sock.settimeout(timeout)
+        try:
+            conn.request(method, path, body=body,
+                         headers={"Content-Type": "application/json"}
+                         if body else {})
+            resp = conn.getresponse()
+            break
+        except BaseException as e:
+            conn.close()
+            if fresh or not isinstance(e, ConnectionError):
+                raise
+            conn = None
     try:
-        conn.request(method, path, body=body,
-                     headers={"Content-Type": "application/json"}
-                     if body else {})
-        yield conn.getresponse()
+        yield resp
     finally:
-        conn.close()
+        if (resp.will_close or not resp.isclosed()
+                or _POOL.setdefault(key, conn) is not conn):
+            resp.close()
+            conn.close()
+
+
+def _close_idle(drop: Callable[[Tuple[int, str, int]], bool]) -> None:
+    """Close the pooled connections whose keys ``drop`` selects."""
+    for key in [k for k in list(_POOL) if drop(k)]:
+        conn = _POOL.pop(key, None)
+        if conn is not None:
+            conn.close()
+
+
+def hang_up(host: str, port: int) -> None:
+    """Close every idle pooled connection to ``host:port``."""
+    _close_idle(lambda k: k[1:] == (host, port))

@@ -19,9 +19,10 @@ from repro.serve import SQLiteJobStore
 
 
 @contextmanager
-def live_store_server(backing):
-    """Start a store server over ``backing``, yield it, tear down."""
-    server = StoreServer(backing, port=0)
+def live_store_server(backing, port=0):
+    """Start a store server over ``backing`` (on ``port``; 0 binds an
+    ephemeral one), yield it, tear down."""
+    server = StoreServer(backing, port=port)
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
     thread.start()

@@ -8,14 +8,20 @@ bound is hit.
 """
 
 import io
+import threading
 import time
 
 import pytest
 
-from repro.serve import JOB_SCHEMA, Backpressure, ServeHTTPError
+from repro.serve import (JOB_SCHEMA, Backpressure, MemoryJobStore,
+                         ServeClient, ServeHTTPError)
 
 FE_SPEC = {"schema": JOB_SCHEMA, "kind": "force_eval",
            "params": {"n": 128}}
+
+#: a fault plan that keeps a tiny run on its slot for a second, so a
+#: test's next requests cannot race the run's end
+HOLD_SLOT = "latency@batch=0,seconds=1.0"
 
 
 def _run_spec(tiny_run, **over):
@@ -84,6 +90,47 @@ class TestEndpoints:
         assert exc.value.status == 404
 
 
+class _BlockingVerify(MemoryJobStore):
+    """A store whose integrity sweep blocks until released."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def verify(self):
+        self.entered.set()
+        self.release.wait(30)
+        return super().verify()
+
+
+class TestStoreCallsOffTheLoop:
+    def test_job_route_answers_while_store_sweep_runs(self, tmp_path,
+                                                      serve_factory):
+        """``GET /store`` runs the store's calls on a thread, so a
+        slow integrity sweep holds no other route."""
+        store = _BlockingVerify()
+        with serve_factory(slots=1, workdir=tmp_path,
+                           store=store) as (server, client):
+            job = client.submit(FE_SPEC)
+            snap = {}
+            sweep = threading.Thread(
+                target=lambda: snap.update(client.store()))
+            sweep.start()
+            try:
+                assert store.entered.wait(10)
+                quick = ServeClient(port=server.port, timeout=5)
+                assert quick.job(job["id"])["id"] == job["id"]
+                assert quick.healthz()["status"] == "ok"
+                assert not snap
+            finally:
+                store.release.set()
+                sweep.join(30)
+            assert not sweep.is_alive()
+            assert snap["schema"] == "repro.store/v1"
+            assert snap["findings"] == []
+
+
 class TestJobsOverHTTP:
     def test_submit_wait_events(self, server_pair):
         _, client = server_pair
@@ -99,7 +146,7 @@ class TestJobsOverHTTP:
 
     def test_cancel_queued_job(self, tmp_path, serve_factory, tiny_run):
         with serve_factory(slots=1, workdir=tmp_path) as (_, client):
-            slow = client.submit(_run_spec(tiny_run))
+            slow = client.submit(_run_spec(tiny_run, faults=HOLD_SLOT))
             victim = client.submit(FE_SPEC)
             doc = client.cancel(victim["id"])
             assert doc["state"] == "cancelled"
@@ -173,7 +220,7 @@ class TestAcceptance:
                                            serve_factory, tiny_run):
         with serve_factory(slots=1, queue_depth=1,
                            workdir=tmp_path) as (_, client):
-            runner = client.submit(_run_spec(tiny_run))
+            runner = client.submit(_run_spec(tiny_run, faults=HOLD_SLOT))
             # wait until the slow job holds the slot, then fill the
             # single queue seat deterministically
             deadline = time.monotonic() + 30
