@@ -50,8 +50,8 @@ FLEET_SCHEMA = "repro.fleet/v1"
 #: and the worker registry included (only ``fleet_summary``, derived
 #: from ``fleet_workers``, stays client-side on the base class)
 RPC_OPS = frozenset({
-    "allocate", "insert", "update", "get", "list", "queued",
-    "tenant_active", "tenant_load", "counts", "claim",
+    "allocate", "insert", "enqueue", "update", "get", "list", "queued",
+    "counts", "claim", "claim_next",
     "heartbeat", "recover", "request_cancel", "requeue",
     "append_event", "events", "cache_put", "cache_get", "cache_stats",
     "verify", "fleet_register", "fleet_heartbeat", "fleet_deregister",

@@ -16,19 +16,13 @@ our formulas -- and they are, to rounding).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..host.cost import PAPER_SYSTEM_COST, SystemCost
 from ..obs.export import format_table
-from .opcount import OPS_PER_INTERACTION, OperationCounter
+from .opcount import OperationCounter
 
-__all__ = ["HeadlineReport", "PAPER_HEADLINE", "PAPER_OVERHEAD_RATIO",
-           "format_table"]
-
-#: The paper's modified/original interaction ratio at its operating
-#: point (2.90e13 / 4.69e12) -- the default correction applied when a
-#: run measured only the modified count.
-PAPER_OVERHEAD_RATIO = 2.90e13 / 4.69e12
+__all__ = ["HeadlineReport", "PAPER_HEADLINE", "format_table"]
 
 
 @dataclass(frozen=True)
@@ -47,37 +41,6 @@ class HeadlineReport:
             raise ValueError("wall_seconds must be positive")
         if self.n_particles <= 0 or self.n_steps <= 0:
             raise ValueError("particle and step counts must be positive")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_metrics(cls, registry, *,
-                     original_interactions: Optional[float] = None,
-                     wall_seconds: Optional[float] = None,
-                     cost: SystemCost = PAPER_SYSTEM_COST
-                     ) -> "HeadlineReport":
-        """Assemble the section-5 accounting from a run's
-        :class:`repro.obs.metrics.MetricsRegistry`.
-
-        Reads the counters the instrumented stack maintains
-        (``sim.n_particles``, ``sim.steps_total``,
-        ``sim.interactions_total`` with ``tree.interactions_total`` as
-        fallback, ``sim.step_seconds`` for the wall clock).  When the
-        original-algorithm count was not re-measured,
-        :data:`PAPER_OVERHEAD_RATIO` corrects the modified count, as
-        the paper does at its operating point.
-        """
-        n = int(registry.value("sim.n_particles"))
-        steps = int(registry.value("sim.steps_total"))
-        modified = float(registry.value("sim.interactions_total")
-                         or registry.value("tree.interactions_total"))
-        if wall_seconds is None:
-            wall_seconds = float(registry.value("sim.step_seconds"))
-        if original_interactions is None:
-            original_interactions = modified / PAPER_OVERHEAD_RATIO
-        return cls(n_particles=n, n_steps=steps,
-                   modified_interactions=modified,
-                   original_interactions=float(original_interactions),
-                   wall_seconds=float(wall_seconds), cost=cost)
 
     # ------------------------------------------------------------------
     @property

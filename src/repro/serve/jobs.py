@@ -257,9 +257,11 @@ class Job:
                                           repr=False)
     pause_event: threading.Event = field(default_factory=threading.Event,
                                          repr=False)
-    #: where events go (the scheduler points this at
+    #: where progress events go (the scheduler points this at
     #: ``JobStore.append_event``, the one event log)
     event_sink: Optional[Any] = field(default=None, repr=False)
+    #: transition events waiting for the state write they belong to
+    staged: list = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if not self.id:
@@ -286,14 +288,27 @@ class Job:
         if state in TERMINAL_STATES:
             self.finished_at = time.time()
 
-    def add_event(self, kind: str, **attrs: Any) -> Dict[str, Any]:
-        """Record one progress event: written through ``event_sink``
-        (the job store's event log) and mirrored into the
-        flight-recorder ring when one is attached."""
-        ev = {"event": kind, "t_wall": time.time(), **attrs}
+    def _event(self, kind: str, attrs: Dict[str, Any]) -> Dict[str, Any]:
+        """Count one event; mirror it into the flight-recorder ring."""
         self.event_count += 1
         if self.flight is not None:
             self.flight.record(f"job.{kind}", job=self.id, **attrs)
+        return {"event": kind, "t_wall": time.time(), **attrs}
+
+    def stage_event(self, kind: str, **attrs: Any) -> None:
+        """Record one transition event (``submitted``, ``leased``, an
+        outcome), held for the state write that carries it."""
+        self.staged.append(self._event(kind, attrs))
+
+    def take_events(self) -> list:
+        """Hand the staged transition events to a state write."""
+        out, self.staged = self.staged, []
+        return out
+
+    def add_event(self, kind: str, **attrs: Any) -> Dict[str, Any]:
+        """Record one progress event: written through ``event_sink``
+        (the job store's event log) at once."""
+        ev = self._event(kind, attrs)
         if self.event_sink is not None:
             try:
                 self.event_sink(self.id, ev)

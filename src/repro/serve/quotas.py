@@ -1,18 +1,17 @@
 """Admission policy: per-tenant quotas and token-bucket rate limits.
 
-The queue bound (PR 5) protects the *service*; quotas and rate limits
-protect the *tenants from each other*.  Both are enforced at
-admission, before a job touches the store or a GRAPE lease, and both
-reject with an :class:`AdmissionError` carrying a ``retry_after``
-hint, which the HTTP layer turns into ``429 Retry-After`` -- the same
-backpressure contract clients already speak
+The queue bound protects the *service*; quotas and rate limits
+protect the *tenants from each other*.  All reject at admission with
+an :class:`AdmissionError` carrying a ``retry_after`` hint, which the
+HTTP layer turns into ``429 Retry-After``
 (:class:`~repro.serve.client.Backpressure`).
 
 Two independent checks per tenant:
 
 * **active-job quota** (``max_active``) -- a ceiling on jobs that are
-  queued, scheduled, running or paused at once, counted store-wide so
-  replicated schedulers enforce one shared budget;
+  queued, scheduled, running or paused at once, counted by the store
+  in the transaction that would insert the job, so replicated
+  schedulers enforce one shared budget;
 * **submission rate** (``rate`` jobs/second, ``burst`` bucket depth) --
   a classic token bucket: each admission spends one token, tokens
   refill continuously, an empty bucket rejects with the exact time
@@ -100,9 +99,9 @@ class AdmissionController:
     """Per-tenant admission checks for the scheduler's submit path.
 
     ``default`` applies to tenants without an explicit entry in
-    ``per_tenant``.  Thread-safe; the scheduler calls :meth:`admit`
-    under its own condition lock anyway, but the controller does not
-    rely on that.
+    ``per_tenant``.  Thread-safe.  The scheduler takes a rate token
+    (:meth:`spend`) before the store counts the quota, and hands it
+    back (:meth:`refund`) if the store refuses.
     """
 
     def __init__(self, default: Optional[TenantPolicy] = None,
@@ -129,9 +128,19 @@ class AdmissionController:
         """
         p = self.policy(tenant)
         if p.max_active is not None and active >= p.max_active:
-            raise QuotaExceeded(
-                f"tenant {tenant!r} has {active} active job(s), "
-                f"quota {p.max_active}", retry_after=5.0)
+            raise self.over_quota(tenant, active)
+        self.spend(tenant, now=now)
+
+    def over_quota(self, tenant: str, active: int) -> QuotaExceeded:
+        """The refusal of a tenant holding ``active`` jobs."""
+        return QuotaExceeded(
+            f"tenant {tenant!r} has {active} active job(s), "
+            f"quota {self.policy(tenant).max_active}", retry_after=5.0)
+
+    def spend(self, tenant: str, *, now: Optional[float] = None) -> None:
+        """Take one of the tenant's rate tokens, or raise
+        :class:`RateLimited` with the time until the next accrues."""
+        p = self.policy(tenant)
         if p.rate is None:
             return
         t = time.monotonic() if now is None else now
@@ -144,3 +153,12 @@ class AdmissionController:
             raise RateLimited(
                 f"tenant {tenant!r} exceeds {p.rate:g} submissions/s "
                 f"(burst {p.burst})", retry_after=wait)
+
+    def refund(self, tenant: str) -> None:
+        """Give back the token :meth:`spend` took for a submission the
+        store then refused (queue or quota full)."""
+        with self._lock:
+            bucket = self._buckets.get(tenant)
+            if bucket is not None:
+                bucket.tokens = min(float(self.policy(tenant).burst),
+                                    bucket.tokens + 1.0)

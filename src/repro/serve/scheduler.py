@@ -1,33 +1,28 @@
 """Stateless scheduler workers over a durable job store.
 
 The paper's host feeds one GRAPE; the service multiplexes many
-tenants onto a fixed pool of leased accelerators.  Since PR 8 the
-scheduler owns no durable state: every job document, lifecycle
-transition, claim and progress event lives in a pluggable
-:class:`~repro.serve.store.JobStore` (in-memory or SQLite-WAL), and a
-:class:`Scheduler` is just a *worker* over that store -- several
-scheduler instances (or processes) can share one store file, claim
-jobs via atomic compare-and-swap leases with heartbeat expiry, and
-take over each other's jobs when a worker dies.  A restarted worker
-resumes running jobs from their last-good checkpoint generations
-(``sim.checkpoint``'s SHA-256 pointer), reaching a ``state_digest``
-bit-identical to an uninterrupted run.
+tenants onto a fixed pool of leased accelerators.  A :class:`Scheduler`
+owns no durable state: it is a *worker* over a
+:class:`~repro.serve.store.JobStore`, which any number of workers
+share, and a restarted worker resumes running jobs from their
+last-good checkpoint, reaching a ``state_digest`` bit-identical to an
+uninterrupted run.
 
-Picking order (highest first) -- computed store-wide, so fair share
-holds across replicated workers:
-
-1. ``spec.priority`` (larger wins);
-2. fair share -- among equal priorities, the tenant with the fewest
-   active + served jobs in the *store* wins, so one chatty tenant
-   cannot starve others on any worker;
-3. FIFO (store-allocated submission sequence).
+The pick is ranked store-wide, so fair share holds across workers:
+``spec.priority`` (larger first), then the tenant with the fewest
+claimed or served jobs in the *store*, then FIFO by store sequence.
 
 Admission control is layered, every layer answering ``429 +
 Retry-After`` through :class:`~repro.serve.quotas.AdmissionError`:
 
-* a hard bound on *queued* jobs store-wide (``queue_depth``);
-* per-tenant active-job quotas and token-bucket rate limits
-  (:class:`~repro.serve.quotas.AdmissionController`).
+* per-tenant token-bucket rate limits, kept by this worker
+  (:class:`~repro.serve.quotas.AdmissionController`);
+* a bound on *queued* jobs store-wide (``queue_depth``) and per-tenant
+  active-job quotas, counted inside the store transaction that inserts
+  the job, so workers sharing a store cannot admit past them together.
+
+Each control step of a job is one store op: ``enqueue``, ``claim_next``
+and one ``update`` per state change, carrying its transition's event.
 
 A repeated identical submission (same kind/params, no fault
 plan) is served from the store's content-addressed result cache
@@ -50,6 +45,7 @@ import socket
 import tempfile
 import threading
 import time
+import uuid
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
@@ -179,7 +175,11 @@ class Scheduler:
         #: it from then on
         self._jobs: Dict[str, Job] = {}
         self._done_seconds: List[float] = []
-        self._cv = threading.Condition()
+        lock = threading.RLock()
+        #: state changes: ``wait()``, ``drain()`` and housekeeping
+        self._cv = threading.Condition(lock)
+        #: idle slots, apart: a submit wakes one, a finished job none
+        self._slot_cv = threading.Condition(lock)
         self._stopping = False
         self._threads: List[threading.Thread] = []
         self.metrics.gauge("serve.queue_limit",
@@ -258,6 +258,7 @@ class Scheduler:
                         job.advance("cancelled")
                         self._count_terminal(job)
             self._cv.notify_all()
+            self._slot_cv.notify_all()
             threads, self._threads = self._threads, []
         for t in threads:
             t.join(timeout=timeout)
@@ -379,57 +380,62 @@ class Scheduler:
 
     # -- submission / control ------------------------------------------
     def submit(self, spec: JobSpec) -> Job:
-        """Admit a job or raise :class:`AdmissionError` (429):
-        queue bound, tenant quota and rate limit, in that order."""
+        """Admit a job or raise :class:`AdmissionError` (429): the
+        tenant's rate limit here, then the queue bound and the tenant
+        quota in the store op that inserts it."""
         with self._cv:
             if self._stopping:
                 raise AdmissionError("scheduler is shutting down",
                                      retry_after=5.0)
-            queued = len(self.store.queued())
-            if queued >= self.queue_depth:
-                self.metrics.counter(
-                    "serve.jobs_rejected",
-                    "submissions refused by admission control").inc()
-                raise AdmissionError(
-                    f"queue full ({queued}/{self.queue_depth} jobs "
-                    "waiting)", retry_after=self._retry_after(queued))
+            # the store names the job; the token names this submission,
+            # so a resent enqueue finds it instead of queueing a twin
+            token = uuid.uuid4().hex
+            job = Job(spec=spec, id=token)
+            job.trace_id = new_trace_id()
+            job.stage_event("submitted", tenant=spec.tenant)
             try:
-                self.admission.admit(
-                    spec.tenant,
-                    active=self.store.tenant_active(spec.tenant))
-            except AdmissionError:
+                self.admission.spend(spec.tenant)
+                out = self.store.enqueue(
+                    job.to_store_doc(), token=token,
+                    max_queued=self.queue_depth,
+                    max_active=self.admission.policy(spec.tenant).max_active,
+                    events=job.take_events())
+                if "refused" in out:
+                    self.admission.refund(spec.tenant)
+                    queued = out["queued"]
+                    raise (self.admission.over_quota(spec.tenant,
+                                                     out["active"])
+                           if out["refused"] == "quota" else AdmissionError(
+                               f"queue full ({queued}/{self.queue_depth}"
+                               " jobs waiting)",
+                               retry_after=self._retry_after(queued)))
+            except AdmissionError as e:
                 self.metrics.counter(
                     "serve.jobs_rejected",
                     "submissions refused by admission control").inc()
-                self.metrics.counter(
-                    "serve.quota_rejected",
-                    "submissions refused by tenant quota/rate "
-                    "limits").inc()
+                if type(e) is not AdmissionError:  # the tenant's limits
+                    self.metrics.counter(
+                        "serve.quota_rejected",
+                        "submissions refused by tenant quota/rate "
+                        "limits").inc()
                 raise
-            jid, seq = self.store.allocate()
-            job = Job(spec=spec, id=jid)
-            job.seq = seq
+            job.id, job.seq = out["id"], out["seq"]
             wd = self._workdir / job.id
             wd.mkdir(parents=True, exist_ok=True)
             job.workdir = str(wd)
-            # per-job observability: a trace identity + tracer at
-            # admission (every span from queue wait to worker batches
-            # carries it) and a flight-recorder ring pointed at the
-            # job's workdir
-            job.trace_id = new_trace_id()
+            # per-job observability: a tracer carrying the trace id
+            # (every span from queue wait to worker batches) and a
+            # flight-recorder ring, opening with the admission
             job.tracer = Tracer(trace_id=job.trace_id)
             job.flight = FlightRecorder(path=wd / "flightrec.jsonl")
+            job.flight.record("job.submitted", job=job.id,
+                              tenant=spec.tenant)
             job.event_sink = self._event_sink
             self._jobs[job.id] = job
-            self.store.insert(job.to_store_doc())
-            job.add_event("submitted", tenant=spec.tenant)
             self.metrics.counter("serve.jobs_submitted",
                                  "jobs admitted to the queue").inc()
-            self._set_gauges_locked(queued + 1)
-            # notify_all, not notify: the housekeeping thread waits on
-            # the same condition and a single notify it swallows would
-            # leave a free slot asleep for a whole poll interval
-            self._cv.notify_all()
+            self._set_gauges_locked(out["queued"])
+            self._slot_cv.notify()
             return job
 
     def get(self, job_id: str) -> Job:
@@ -511,7 +517,8 @@ class Scheduler:
             job.pause_event.clear()
             job.submitted_mono = time.perf_counter()
             job.state, job.worker = "queued", None
-            self._cv.notify_all()
+            self._set_gauges_locked(self._queued + 1)
+            self._slot_cv.notify()
         return job
 
     def wait(self, job_id: str,
@@ -563,8 +570,10 @@ class Scheduler:
 
     def _set_gauges_locked(self, queued: Optional[int] = None) -> None:
         """Refresh the gauges with no store read of their own:
-        ``queued`` is what admission, the pick or the tick just read."""
+        ``queued`` is what admission or the pick (an idle slot's
+        included) just read, and the slots' hint of waiting work."""
         if queued is not None:
+            self._queued = queued
             self.metrics.gauge("serve.queue_depth",
                                "jobs waiting for a slot").set(queued)
         running = sum(1 for j in self._jobs.values()
@@ -582,9 +591,9 @@ class Scheduler:
 
     def _finish_locked(self, job: Job, state: str, event: str = "",
                        **attrs: Any) -> None:
-        """Publish an outcome this worker reached: the event, the
-        lifecycle move and the durable write, then the counters."""
-        job.add_event(event or state, **attrs)
+        """Publish an outcome this worker reached: the lifecycle move
+        and the durable write carrying its event, then the counters."""
+        job.stage_event(event or state, **attrs)
         job.advance(state)
         self._persist(job)
         if state == "done":
@@ -599,19 +608,21 @@ class Scheduler:
             self._count_terminal(job)
 
     def _persist(self, job: Job) -> bool:
-        """Write the job's durable projection, guarded by this
-        worker's claim; a lost claim is counted, not fatal (the
-        taking-over worker owns the story now).  A trace the store
-        refuses (too large for its transport) is dropped, never the
-        terminal state it rides with."""
-        doc = job.to_store_doc()
+        """Write the job's durable projection with its staged events,
+        guarded by this worker's claim; a lost claim is counted, not
+        fatal (the taking-over worker owns the story now).  A trace the
+        store refuses (too large for its transport) is dropped, never
+        the terminal state it rides with."""
+        doc, events = job.to_store_doc(), job.take_events()
         try:
             try:
-                ok = self.store.update(doc, worker=self.worker_id)
+                ok = self.store.update(doc, worker=self.worker_id,
+                                       events=events)
             except StoreError:
                 if doc.pop("spans", None) is None:
                     raise
-                ok = self.store.update(doc, worker=self.worker_id)
+                ok = self.store.update(doc, worker=self.worker_id,
+                                       events=events)
         except StoreError as e:
             logger.warning("persist of %s failed: %s", job.id, e)
             return False
@@ -623,45 +634,26 @@ class Scheduler:
 
     # -- claim / pick --------------------------------------------------
     def _claim_next_locked(self) -> Optional[Job]:
-        """Best queued job under priority -> store-wide fair share ->
-        FIFO, claimed by CAS (first success wins; a lost race just
-        moves to the next candidate).  A draining worker claims
-        nothing."""
+        """Claim the head of the store's queue (priority -> store-wide
+        fair share -> FIFO, ranked inside the one ``claim_next`` op).
+        A draining worker claims nothing."""
         if self._draining:
             return None
-        try:
-            queued = self.store.queued()
-            tenants = {d.get("tenant", "default") for d in queued}
-            # one tenant: the rank's second key cannot reorder anything
-            load = (self.store.tenant_load(sorted(tenants))
-                    if len(tenants) > 1 else {})
+        t0 = time.perf_counter()
+        try:  # a resend of this pick's token returns the job it won
+            out = self.store.claim_next(self.worker_id,
+                                        token=uuid.uuid4().hex,
+                                        now=time.time(),
+                                        ttl=self.claim_ttl)
         except StoreError as e:
-            logger.warning("store read failed: %s", e)
+            logger.warning("claim failed: %s", e)
             return None
-        self._set_gauges_locked(len(queued))
-
-        def rank(d):
-            return (-int(d.get("priority", 0)),
-                    load.get(d.get("tenant", "default"), 0),
-                    int(d.get("seq", 0)))
-
-        now = time.time()
-        for taken, d in enumerate(sorted(queued, key=rank), 1):
-            t0 = time.perf_counter()
-            try:
-                won = self.store.claim(d["id"], self.worker_id,
-                                       now=now, ttl=self.claim_ttl)
-            except StoreError as e:
-                logger.warning("claim of %s failed: %s", d["id"], e)
-                return None
-            self.metrics.histogram(
-                "serve.store.claim_seconds",
-                "seconds per claim compare-and-swap"
-                ).observe(time.perf_counter() - t0)
-            if won:
-                self._set_gauges_locked(len(queued) - taken)
-                return self._adopt_locked(d)
-        return None
+        self.metrics.histogram(
+            "serve.store.claim_seconds",
+            "seconds per claim_next (rank + claim)"
+            ).observe(time.perf_counter() - t0)
+        self._set_gauges_locked(out["queued"])
+        return self._adopt_locked(out["doc"]) if out["doc"] else None
 
     def _adopt_locked(self, doc: Dict) -> Job:
         """Turn a just-claimed store document into this worker's
@@ -672,10 +664,11 @@ class Scheduler:
             job = Job.from_store_doc(doc)
             job.trace_id = job.trace_id or new_trace_id()
             job.tracer = Tracer(trace_id=job.trace_id)
-            if job.workdir:
-                Path(job.workdir).mkdir(parents=True, exist_ok=True)
-                job.flight = FlightRecorder(
-                    path=Path(job.workdir) / "flightrec.jsonl")
+            # a job that never ran gets its first owner's workdir
+            job.workdir = job.workdir or str(self._workdir / job.id)
+            Path(job.workdir).mkdir(parents=True, exist_ok=True)
+            job.flight = FlightRecorder(
+                path=Path(job.workdir) / "flightrec.jsonl")
             job.event_sink = self._event_sink
             self._jobs[job.id] = job
         job.state = "scheduled"
@@ -686,16 +679,21 @@ class Scheduler:
 
     # -- the worker loop -----------------------------------------------
     def _worker_loop(self) -> None:
+        polled = True
         while True:
             with self._cv:
                 if self._stopping:
                     return
-                job = self._claim_next_locked()
+                # after a job or a notify the local hint says if work
+                # waits; a poll timeout asks the store (jobs submitted
+                # through *other* workers arrive unannounced)
+                job = (self._claim_next_locked()
+                       if polled or self._queued else None)
                 if job is None:
-                    # poll: jobs submitted through *other* workers
-                    # arrive without a local notify
-                    self._cv.wait(timeout=self.poll_interval)
+                    polled = not self._slot_cv.wait(
+                        timeout=self.poll_interval)
                     continue
+                polled = False
                 wait = max(0.0,
                            time.perf_counter() - job.submitted_mono)
                 if job.tracer is not None:
@@ -750,6 +748,9 @@ class Scheduler:
                 logger.warning("recover scan failed: %s", e)
                 requeued = []
             if requeued:
+                with self._cv:
+                    self._set_gauges_locked(self._queued + len(requeued))
+                    self._slot_cv.notify_all()
                 self.metrics.counter(
                     "serve.takeovers",
                     "expired claims re-queued for takeover"
@@ -780,7 +781,6 @@ class Scheduler:
             except StoreError as e:
                 logger.warning("fleet heartbeat failed: %s", e)
             try:
-                queued = len(self.store.queued())
                 cstats = self.store.cache_stats()
                 for key, help_ in (
                         ("entries", "content-addressed result-cache "
@@ -791,14 +791,14 @@ class Scheduler:
                     self.metrics.gauge(f"serve.cache_{key}", help_).set(
                         cstats.get(key, 0))
             except StoreError:  # pragma: no cover - damaged store
-                queued = None
+                pass
             with self._cv:
                 # a job submitted here but run elsewhere leaves _jobs
                 # the first time get() reads it finished
                 for jid in [j.id for j in self._jobs.values()
                             if j.worker != self.worker_id]:
                     self.get(jid)
-                self._set_gauges_locked(queued)
+                self._set_gauges_locked()
                 # wake wait()ers so they re-poll foreign job state
                 self._cv.notify_all()
 
@@ -871,10 +871,10 @@ class Scheduler:
         """One slot occupancy: lease, run, release, record the outcome.
 
         The lease goes back as soon as ``run_job`` returns or raises,
-        and the outcome's event is in the store, *before* any
-        terminal state is published: a ``wait()`` that has returned
-        never finds the slot still counted in ``serve.leases_in_use``
-        nor the event log one entry short.
+        *before* any terminal state is published, and the outcome's
+        event lands in the same store write as the state: a ``wait()``
+        that has returned never finds the slot still counted in
+        ``serve.leases_in_use`` nor the event log one entry short.
         """
         jtr = job.tracer if job.tracer is not None else self.tracer
         t_lease = time.perf_counter()
@@ -890,8 +890,8 @@ class Scheduler:
                    time.perf_counter() - t_lease,
                    job=job.id, lease=lease.id, slot=lease.slot)
         job.lease = lease.id
-        job.add_event("leased", lease=lease.id, slot=lease.slot,
-                      attempt=job.attempt)
+        job.stage_event("leased", lease=lease.id, slot=lease.slot,
+                        attempt=job.attempt)
         try:
             try:
                 with self._cv:

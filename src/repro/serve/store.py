@@ -10,17 +10,9 @@ any number of :class:`~repro.serve.scheduler.Scheduler` workers can
 share one store file, claim jobs with atomic compare-and-swap leases,
 and take over each other's work when a heartbeat expires.
 
-One implementation, :class:`SQLiteJobStore`, with two lifetimes:
-
-a database file
-    SQLite in WAL mode (one writer, many readers, safe across
-    processes).  Outlives the process; ``kind == "sqlite"``.
-
-``":memory:"``
-    The same code on a private in-memory database.  Identical
-    semantics, lost with the process; ``kind == "memory"``.
-    ``open_store(None)`` and :class:`MemoryJobStore` are spellings
-    of it.
+One implementation, :class:`SQLiteJobStore`, on a database file
+(``kind == "sqlite"``) or on ``":memory:"`` (``kind == "memory"``,
+lost with the process).
 
 Every job, event, cache and worker row carries the SHA-256 of its
 JSON payload, so torn writes and byte flips are *detected and
@@ -28,13 +20,8 @@ typed* -- reads either return exactly what was written or raise
 :class:`StoreCorrupt`, never a plausible-but-wrong document (the
 same discipline as ``sim.checkpoint``'s last-good pointer).
 
-Every op talks to the database inside :meth:`SQLiteJobStore._txn`, the
-one bracket that takes the store lock, opens ``BEGIN IMMEDIATE``,
-commits when the body returns and rolls back when it raises -- so a
-multi-statement op lands whole or leaves the rows as they were, the
-connection is never left inside a transaction, and every
-``sqlite3.Error`` surfaces as a typed :class:`StoreError` /
-:class:`StoreCorrupt`.
+Every op talks to the database inside :meth:`SQLiteJobStore._txn`, so
+a multi-statement op lands whole or leaves the rows as they were.
 
 Claims are compare-and-swap leases with a heartbeat TTL: a worker
 that stops heartbeating loses the job to :meth:`JobStore.recover`,
@@ -45,9 +32,12 @@ worker registry keeps one TTL'd row per fleet member.  The method
 docstrings state each contract; ``docs/service.md`` and
 ``docs/fleet.md`` describe them in use.
 
-A scheduler's per-job queries (the queue, a tenant's active and
-served jobs) are lookups on the ``jobs(state, tenant)`` index, so a
-job costs O(queued jobs) however many finished rows the store holds.
+Each control step of a job is one op and one transaction: admission
+(:meth:`JobStore.enqueue`), the pick (:meth:`JobStore.claim_next`) and
+each state write with its transition's events.  Their counts are
+lookups on the ``jobs(state, tenant)`` index, so a job costs O(queued
+jobs) however many finished rows the store holds.  The compound ops
+take a caller's token, so a resent request returns its first outcome.
 """
 
 from __future__ import annotations
@@ -140,14 +130,29 @@ class JobStore:
         the first row intact."""
         raise NotImplementedError
 
+    def enqueue(self, doc: Dict[str, Any], *, token: str,
+                max_queued: int, max_active: Optional[int] = None,
+                events: Optional[List[Dict[str, Any]]] = None
+                ) -> Dict[str, Any]:
+        """Admit and insert a queued job in one transaction.  Refuses,
+        writing nothing, when ``max_queued`` jobs are queued
+        (``{"refused": "queue", "queued": n}``) or the doc's tenant
+        has ``max_active`` queued, claimed or paused jobs (``{"refused":
+        "quota", "queued": n, "active": m}``); else names the job (id
+        and seq), inserts it with ``events`` in its log and returns
+        ``{"id", "seq", "queued"}``.  A ``token`` the store holds
+        already returns that submission's id and seq."""
+        raise NotImplementedError
+
     def update(self, doc: Dict[str, Any], *,
-               worker: Optional[str] = None) -> bool:
-        """Persist ``doc`` (by id).  With ``worker`` the write only
-        lands while that worker still holds the claim -- a write
-        racing a takeover (claim expired, job re-queued) is dropped;
-        returns whether it landed.  An unknown id is a lost claim
-        (``False``) under ``worker`` and a :class:`StoreError`
-        without."""
+               worker: Optional[str] = None,
+               events: Optional[List[Dict[str, Any]]] = None) -> bool:
+        """Persist ``doc`` (by id) and append ``events`` to its log, in
+        one transaction.  With ``worker`` the write only lands while
+        that worker still holds the claim -- a write racing a takeover
+        is dropped, events included; returns whether it landed.  An
+        unknown id is a lost claim (``False``) under ``worker`` and a
+        :class:`StoreError` without."""
         raise NotImplementedError
 
     def get(self, job_id: str) -> Optional[Dict[str, Any]]:
@@ -163,17 +168,6 @@ class JobStore:
         """Queued documents, seq order; reads no other row."""
         raise NotImplementedError
 
-    def tenant_active(self, tenant: str) -> int:
-        """Queued + claimed (scheduled/running/paused) jobs of a
-        tenant -- the quota denominator."""
-        raise NotImplementedError
-
-    def tenant_load(self, tenants: List[str]) -> Dict[str, int]:
-        """Jobs of each of ``tenants`` that have left the queue
-        (claimed, paused or finished) -- the pick's fair-share key;
-        tenants without any are absent."""
-        raise NotImplementedError
-
     def counts(self) -> Dict[str, int]:
         """Job counts by state."""
         raise NotImplementedError
@@ -183,6 +177,15 @@ class JobStore:
               ttl: float) -> bool:
         """Atomically move ``queued -> scheduled`` for ``worker``.
         Exactly one of any number of racing claimants wins."""
+        raise NotImplementedError
+
+    def claim_next(self, worker: str, *, token: str, now: float,
+                   ttl: float) -> Dict[str, Any]:
+        """Claim the head of the queue for ``worker`` in one
+        transaction: highest ``priority``, then the tenant with the
+        fewest jobs past the queue (store-wide fair share), then the
+        lowest seq.  Returns ``{"doc": claimed doc or None, "queued":
+        jobs left}``; a ``token`` still holding a job returns it."""
         raise NotImplementedError
 
     def heartbeat(self, job_id: str, worker: str, *, now: float,
@@ -415,9 +418,18 @@ class SQLiteJobStore(JobStore):
                 " attempt INTEGER NOT NULL DEFAULT 0,"
                 " doc TEXT NOT NULL,"
                 " sha256 TEXT NOT NULL)")
+            # a file written before the resend tokens gains their columns
+            cols = {r[1] for r in db.execute(
+                "PRAGMA table_info(jobs)").fetchall()}
+            for col in {"token", "claim_token"} - cols:
+                db.execute(f"ALTER TABLE jobs ADD COLUMN {col} TEXT")
             db.execute(
                 "CREATE INDEX IF NOT EXISTS jobs_by_state"
                 " ON jobs(state, tenant)")
+            db.execute("CREATE UNIQUE INDEX IF NOT EXISTS jobs_by_token"
+                       " ON jobs(token)")
+            db.execute("CREATE INDEX IF NOT EXISTS jobs_by_claim"
+                       " ON jobs(claim_token)")
             db.execute(
                 "CREATE TABLE IF NOT EXISTS events("
                 " seq INTEGER PRIMARY KEY AUTOINCREMENT,"
@@ -477,40 +489,78 @@ class SQLiteJobStore(JobStore):
                 f"store {self.path}: undecodable row payload: {e}") from e
 
     # -- identity ------------------------------------------------------
+    def _next_seq(self) -> int:
+        """Bump the job sequence (inside a transaction)."""
+        return int(self._db.execute(
+            "UPDATE meta SET value = CAST(value AS INTEGER)"
+            " + 1 WHERE key = 'job_seq'"
+            " RETURNING CAST(value AS INTEGER)").fetchone()[0])
+
     def allocate(self) -> Tuple[str, int]:
-        with self._txn() as db:
-            n = int(db.execute(
-                "UPDATE meta SET value = CAST(value AS INTEGER)"
-                " + 1 WHERE key = 'job_seq'"
-                " RETURNING CAST(value AS INTEGER)").fetchone()[0])
+        with self._txn():
+            n = self._next_seq()
         return f"j{n:06d}", n
 
     # -- documents -----------------------------------------------------
-    def insert(self, doc: Dict[str, Any]) -> None:
+    def _insert(self, doc: Dict[str, Any],
+                token: Optional[str] = None) -> None:
         text = _canon(doc)
-        with self._txn(begin=False) as db:
-            db.execute(
-                "INSERT INTO jobs(seq, id, state, tenant, attempt,"
-                " doc, sha256) VALUES (?, ?, ?, ?, ?, ?, ?)",
-                (int(doc.get("seq", 0)), doc["id"], doc["state"],
-                 doc.get("tenant", "default"),
-                 int(doc.get("attempt", 0)), text, _doc_sha(text)))
+        self._db.execute(
+            "INSERT INTO jobs(seq, id, state, tenant, attempt, token,"
+            " doc, sha256) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            (int(doc.get("seq", 0)), doc["id"], doc["state"],
+             doc.get("tenant", "default"), int(doc.get("attempt", 0)),
+             token, text, _doc_sha(text)))
+
+    def insert(self, doc: Dict[str, Any]) -> None:
+        with self._txn(begin=False):
+            self._insert(doc)
+
+    def enqueue(self, doc: Dict[str, Any], *, token: str,
+                max_queued: int, max_active: Optional[int] = None,
+                events: Optional[List[Dict[str, Any]]] = None
+                ) -> Dict[str, Any]:
+        with self._txn() as db:
+            queued = db.execute("SELECT COUNT(*) FROM jobs"
+                                " WHERE state = 'queued'").fetchone()[0]
+            first = db.execute("SELECT id, seq FROM jobs WHERE token = ?",
+                               (token,)).fetchone()
+            if first is not None:  # a resend
+                return {"id": first[0], "seq": first[1], "queued": queued}
+            if queued >= max_queued:
+                return {"refused": "queue", "queued": queued}
+            if max_active is not None:
+                active = db.execute(
+                    "SELECT COUNT(*) FROM jobs WHERE state IN ('queued',"
+                    " 'scheduled', 'running', 'paused') AND tenant = ?",
+                    (doc.get("tenant", "default"),)).fetchone()[0]
+                if active >= max_active:
+                    return {"refused": "quota", "queued": queued,
+                            "active": active}
+            n = self._next_seq()
+            doc = dict(doc, id=f"j{n:06d}", seq=n)
+            self._insert(doc, token)
+            self._append_events(doc["id"], events)
+        return {"id": doc["id"], "seq": n, "queued": queued + 1}
+
+    def _write(self, doc: Dict[str, Any], where: str, *args: Any) -> bool:
+        """Replace ``doc``'s row if ``where`` holds; whether it did."""
+        text = _canon(doc)
+        return self._db.execute(
+            "UPDATE jobs SET state = ?, tenant = ?, attempt = ?, doc = ?,"
+            f" sha256 = ? WHERE id = ? {where}",
+            (doc["state"], doc.get("tenant", "default"),
+             int(doc.get("attempt", 0)), text, _doc_sha(text), doc["id"],
+             *args)).rowcount > 0
 
     def update(self, doc: Dict[str, Any], *,
-               worker: Optional[str] = None) -> bool:
-        text = _canon(doc)
-        where = "id = ?"
-        args: List[Any] = [doc["state"], doc.get("tenant", "default"),
-                           int(doc.get("attempt", 0)), text,
-                           _doc_sha(text), doc["id"]]
-        if worker is not None:
-            where += " AND claimed_by = ?"
-            args.append(worker)
-        with self._txn(begin=False) as db:
-            landed = db.execute(
-                f"UPDATE jobs SET state = ?, tenant = ?,"
-                f" attempt = ?, doc = ?, sha256 = ? WHERE {where}",
-                args).rowcount > 0
+               worker: Optional[str] = None,
+               events: Optional[List[Dict[str, Any]]] = None) -> bool:
+        with self._txn(begin=bool(events)):
+            landed = (self._write(doc, "") if worker is None else
+                      self._write(doc, "AND claimed_by = ?", worker))
+            if landed:
+                self._append_events(doc["id"], events)
         if not landed and worker is None:
             raise StoreError(f"no such job {doc['id']!r}")
         return landed
@@ -536,25 +586,6 @@ class SQLiteJobStore(JobStore):
         """Decodes the queued rows only."""
         return self._docs("WHERE state = 'queued'")
 
-    def tenant_active(self, tenant: str) -> int:
-        """One ``COUNT(*)`` over the index."""
-        with self._txn(begin=False) as db:
-            return db.execute(
-                "SELECT COUNT(*) FROM jobs WHERE state IN ('queued',"
-                " 'scheduled', 'running', 'paused') AND tenant = ?",
-                (tenant,)).fetchone()[0]
-
-    def tenant_load(self, tenants: List[str]) -> Dict[str, int]:
-        """One aggregate over the index, restricted to ``tenants``
-        (states spelled out, so the index answers with seeks)."""
-        marks = ", ".join("?" * len(tenants))
-        with self._txn(begin=False) as db:
-            return dict(db.execute(
-                "SELECT tenant, COUNT(*) FROM jobs WHERE state IN"
-                " ('scheduled', 'running', 'paused', 'done', 'failed',"
-                f" 'cancelled') AND tenant IN ({marks}) GROUP BY tenant",
-                list(tenants)).fetchall())
-
     def counts(self) -> Dict[str, int]:
         """One ``GROUP BY`` over the index (never on a job's path)."""
         with self._txn(begin=False) as db:
@@ -563,32 +594,63 @@ class SQLiteJobStore(JobStore):
                 " GROUP BY state").fetchall())
 
     # -- claims --------------------------------------------------------
-    def _patch_doc(self, job_id: str, **fields: Any) -> None:
-        """Re-serialise a row's doc with ``fields`` folded in (called
-        inside a transaction by the CAS ops)."""
+    def _patch_doc(self, job_id: str, **fields: Any
+                   ) -> Optional[Dict[str, Any]]:
+        """Re-serialise a row's doc with ``fields`` folded in and
+        return it (called inside a transaction by the CAS ops)."""
         row = self._db.execute(
             "SELECT doc, sha256 FROM jobs WHERE id = ?",
             (job_id,)).fetchone()
         if row is None:
-            return
+            return None
         doc = self._row_doc(row)
         doc.update(fields)
         text = _canon(doc)
         self._db.execute(
             "UPDATE jobs SET doc = ?, sha256 = ? WHERE id = ?",
             (text, _doc_sha(text), job_id))
+        return doc
+
+    def _claim(self, job_id: str, worker: str, now: float, ttl: float,
+               token: Optional[str] = None) -> Optional[Dict[str, Any]]:
+        """The claim CAS: the claimed doc, or ``None`` if not queued."""
+        if self._db.execute(
+                "UPDATE jobs SET state = 'scheduled', claimed_by = ?,"
+                " claim_expires = ?, claim_token = ?"
+                " WHERE id = ? AND state = 'queued'",
+                (worker, now + ttl, token, job_id)).rowcount == 0:
+            return None
+        return self._patch_doc(job_id, state="scheduled", worker=worker)
 
     def claim(self, job_id: str, worker: str, *, now: float,
               ttl: float) -> bool:
+        with self._txn():
+            return self._claim(job_id, worker, now, ttl) is not None
+
+    def claim_next(self, worker: str, *, token: str, now: float,
+                   ttl: float) -> Dict[str, Any]:
         with self._txn() as db:
-            won = db.execute(
-                "UPDATE jobs SET state = 'scheduled',"
-                " claimed_by = ?, claim_expires = ?"
-                " WHERE id = ? AND state = 'queued'",
-                (worker, now + ttl, job_id)).rowcount > 0
-            if won:
-                self._patch_doc(job_id, state="scheduled", worker=worker)
-        return won
+            queued = db.execute(
+                "SELECT id, tenant, seq, json_extract(doc, '$.priority')"
+                " FROM jobs WHERE state = 'queued'").fetchall()
+            first = db.execute(
+                "SELECT doc, sha256 FROM jobs WHERE claim_token = ?"
+                " AND claimed_by = ?", (token, worker)).fetchone()
+            if first is not None or not queued:
+                return {"doc": first and self._row_doc(first),
+                        "queued": len(queued)}
+            tenants = sorted({r[1] for r in queued})
+            marks = ", ".join("?" * len(tenants))
+            # one tenant: the load cannot reorder anything
+            load = {} if len(tenants) < 2 else dict(db.execute(
+                "SELECT tenant, COUNT(*) FROM jobs WHERE state IN"
+                " ('scheduled', 'running', 'paused', 'done', 'failed',"
+                f" 'cancelled') AND tenant IN ({marks}) GROUP BY tenant",
+                tenants).fetchall())
+            jid = min(queued, key=lambda r: (-int(r[3] or 0),
+                                             load.get(r[1], 0), r[2]))[0]
+            doc = self._claim(jid, worker, now, ttl, token)
+        return {"doc": doc, "queued": len(queued) - 1}
 
     def heartbeat(self, job_id: str, worker: str, *, now: float,
                   ttl: float,
@@ -604,13 +666,8 @@ class SQLiteJobStore(JobStore):
                 # progress only lands on a still-claimable row: a
                 # racing terminal write by the owner must never be
                 # resurrected by a heartbeat
-                text = _canon(doc)
-                db.execute(
-                    "UPDATE jobs SET state = ?, attempt = ?,"
-                    " doc = ?, sha256 = ? WHERE id = ? AND"
-                    " state IN ('scheduled', 'running')",
-                    (doc["state"], int(doc.get("attempt", 0)),
-                     text, _doc_sha(text), job_id))
+                self._write(dict(doc, id=job_id),
+                            "AND state IN ('scheduled', 'running')")
             row = db.execute(
                 "SELECT cancel_requested FROM jobs WHERE id = ?",
                 (job_id,)).fetchone()
@@ -668,12 +725,16 @@ class SQLiteJobStore(JobStore):
         return won
 
     # -- event log -----------------------------------------------------
-    def append_event(self, job_id: str, event: Dict[str, Any]) -> None:
-        text = _canon(event)
-        with self._txn(begin=False) as db:
-            db.execute(
+    def _append_events(self, job_id: str,
+                       events: Optional[List[Dict[str, Any]]]) -> None:
+        for text in map(_canon, events or ()):
+            self._db.execute(
                 "INSERT INTO events(job, doc, sha256) VALUES (?, ?, ?)",
                 (job_id, text, _doc_sha(text)))
+
+    def append_event(self, job_id: str, event: Dict[str, Any]) -> None:
+        with self._txn(begin=False):
+            self._append_events(job_id, [event])
 
     def events(self, job_id: str) -> List[Dict[str, Any]]:
         with self._txn(begin=False) as db:

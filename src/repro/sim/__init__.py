@@ -22,13 +22,13 @@ from .simulation import Simulation, StepRecord
 from .snapshot import Snapshot, load_snapshot, save_snapshot, slab
 from .models import (cold_lattice_sphere, hernquist_model, plummer_model,
                      uniform_sphere)
-from .timestep import AccelerationTimestep, paper_schedule
+from .timestep import paper_schedule
 
 __all__ = [
     "CheckpointCorrupt", "load_checkpoint", "load_latest",
     "save_checkpoint", "EnergyLedger", "interaction_totals", "lagrangian_radii",
     "virial_ratio", "LeapfrogKDK", "Simulation",
     "StepRecord", "Snapshot", "load_snapshot", "save_snapshot", "slab",
-    "AccelerationTimestep", "paper_schedule", "plummer_model",
+    "paper_schedule", "plummer_model",
     "hernquist_model", "uniform_sphere", "cold_lattice_sphere",
 ]

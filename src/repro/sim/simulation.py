@@ -326,38 +326,6 @@ class Simulation:
         # abandoned trajectory
         self._integrator = LeapfrogKDK()
 
-    def run_adaptive(self, t_end: float, policy, *,
-                     max_steps: int = 100_000,
-                     callback: Optional[Callable[["Simulation",
-                                                  StepRecord], None]]
-                     = None) -> List[StepRecord]:
-        """Advance to ``t_end`` with a step-size policy.
-
-        ``policy`` maps the current accelerations to a global dt (e.g.
-        :class:`repro.sim.timestep.AccelerationTimestep`).  The final
-        step is clipped to land exactly on ``t_end``.  Note the paper's
-        production run uses the fixed :func:`paper_schedule`; adaptive
-        stepping is the standard extension for collapse-dominated
-        problems.
-        """
-        if t_end <= self.t:
-            raise ValueError("t_end must exceed the current time")
-        out = []
-        for _ in range(max_steps):
-            if self._integrator._acc is None:
-                self._integrator.prime(self.pos, self._eval)
-            dt = float(policy(self._integrator._acc))
-            if not dt > 0:
-                raise ValueError("policy returned a non-positive step")
-            dt = min(dt, t_end - self.t)
-            rec = self.step(dt)
-            if callback is not None:
-                callback(self, rec)
-            out.append(rec)
-            if self.t >= t_end * (1.0 - 1e-12):
-                return out
-        raise RuntimeError(f"did not reach t_end in {max_steps} steps")
-
     # ------------------------------------------------------------------
     @property
     def total_interactions(self) -> int:

@@ -2,20 +2,16 @@
 
 The paper advances its run with a shared (global) timestep for 999
 steps from z = 24 to z = 0.  :func:`paper_schedule` reproduces that
-plan for any cosmology and step count; :class:`AccelerationTimestep`
-implements the standard softening/acceleration criterion as an
-adaptive alternative (extension, used by stability tests).
+plan for any cosmology and step count.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..cosmo.cosmology import Cosmology
 
-__all__ = ["paper_schedule", "AccelerationTimestep"]
+__all__ = ["paper_schedule"]
 
 
 def paper_schedule(cosmology: Cosmology, z_init: float, z_final: float,
@@ -56,24 +52,3 @@ def paper_schedule(cosmology: Cosmology, z_init: float, z_final: float,
     times = np.array([cosmology.age(cosmology.z_of_a(a))
                       for a in a_grid])
     return np.diff(times)
-
-
-@dataclass(frozen=True)
-class AccelerationTimestep:
-    """Global adaptive step ``dt = eta * sqrt(eps / max |a|)``.
-
-    The classic collisionless criterion: resolve the softening-scale
-    dynamical time of the fastest-accelerating particle.
-    """
-
-    eta: float = 0.2
-    eps: float = 1.0
-    dt_max: float = np.inf
-    dt_min: float = 0.0
-
-    def __call__(self, acc: np.ndarray) -> float:
-        amax = float(np.max(np.sqrt(np.einsum("ij,ij->i", acc, acc))))
-        if amax <= 0.0:
-            return self.dt_max
-        dt = self.eta * np.sqrt(self.eps / amax)
-        return float(np.clip(dt, self.dt_min, self.dt_max))

@@ -5,10 +5,11 @@ import inspect
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.fleet import PayloadCorrupt, ProtocolError, RPC_OPS, \
     RPC_SCHEMA
-from repro.fleet.protocol import (pack_error, pack_request,
+from repro.fleet.protocol import (_seal, pack_error, pack_request,
                                   pack_result, unpack_request,
                                   unpack_response)
 from repro.serve import JobStore, StoreCorrupt, StoreError
@@ -49,7 +50,7 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("op,args,kwargs,sealed", [
         ("update", ({"id": "j1"},), {},
-         {"doc": {"id": "j1"}, "worker": None}),
+         {"doc": {"id": "j1"}, "worker": None, "events": None}),
         ("requeue", ("j1",), {},
          {"job_id": "j1", "from_state": "paused"}),
         ("fleet_heartbeat", ("w",), {"now": 1.0, "ttl": 2.0},
@@ -130,3 +131,73 @@ class TestErrorRoundTrip:
         with pytest.raises(StoreError, match="weird") as ei:
             unpack_response(raw)
         assert type(ei.value) is StoreError
+
+
+# -- fuzz: any bytes decode or fail typed --------------------------------
+
+#: ops the envelope no longer carries: their work lives inside
+#: ``enqueue`` / ``claim_next``
+RETIRED_OPS = ("tenant_active", "tenant_load")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+
+#: sealed envelopes with any subset of fields, each plausible or not
+envelopes = st.fixed_dictionaries({}, optional={
+    "schema": st.sampled_from([RPC_SCHEMA, "repro.fleet-rpc/v0"])
+    | json_values,
+    "op": st.sampled_from(sorted(RPC_OPS) + list(RETIRED_OPS))
+    | json_values,
+    "args": json_values, "ok": json_values, "result": json_values,
+    "error": json_values,
+    "type": st.sampled_from(["StoreError", "PayloadCorrupt", "Nope"])
+    | json_values,
+}).map(_seal)
+
+
+@st.composite
+def damaged(draw, raw):
+    """``raw`` as sent, truncated, or with one byte flipped."""
+    raw = bytearray(draw(raw))
+    how = draw(st.sampled_from(["keep", "truncate", "flip"]))
+    at = draw(st.integers(min_value=0, max_value=len(raw) - 1))
+    if how == "truncate":
+        del raw[at:]
+    elif how == "flip":
+        raw[at] ^= draw(st.integers(min_value=1, max_value=255))
+    return bytes(raw)
+
+
+wire = st.binary(max_size=512) | damaged(envelopes)
+
+
+class TestFuzz:
+    """``unpack_request`` / ``unpack_response`` over arbitrary and
+    almost-valid bytes: a decoded value of the right shape, or a
+    typed error -- never another exception."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(raw=wire)
+    def test_requests_decode_or_fail_typed(self, raw):
+        try:
+            op, args = unpack_request(raw)
+        except (PayloadCorrupt, ProtocolError):
+            return
+        assert op in RPC_OPS and isinstance(args, dict)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(raw=wire)
+    def test_responses_decode_or_fail_typed(self, raw):
+        try:
+            unpack_response(raw)
+        except StoreError:  # wire damage, or the server's typed answer
+            pass
+
+    @pytest.mark.parametrize("op", RETIRED_OPS)
+    def test_retired_ops_are_unknown(self, op):
+        with pytest.raises(ProtocolError, match="unknown RPC op"):
+            unpack_request(pack_request(op, {"tenant": "a"}))

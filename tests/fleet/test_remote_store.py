@@ -137,14 +137,20 @@ class TestContractOverTcp:
             [docs[1]["id"], docs[4]["id"]]
         assert remote.counts() == backing.counts() == \
             {"queued": 2, "scheduled": 2, "cancelled": 1}
-        for tenant in ("a", "b", "c", "nobody"):
-            assert remote.tenant_active(tenant) == \
-                backing.tenant_active(tenant)
-        assert [remote.tenant_active(t) for t in "abc"] == [2, 1, 1]
-        tenants = ["a", "b", "c", "nobody"]
-        assert remote.tenant_load(tenants) == \
-            backing.tenant_load(tenants) == {"a": 1, "b": 2}
-        assert remote.tenant_load([]) == backing.tenant_load([]) == {}
+        # the compound ops bound and rank on the backing store's rows:
+        # active a 2, b 1, c 1; past the queue a 1, b 2, c 0
+        for tenant, active in (("a", 2), ("b", 1), ("c", 1)):
+            assert remote.enqueue(
+                dict(docs[0], tenant=tenant), token=f"q-{tenant}",
+                max_queued=9, max_active=active) == \
+                {"refused": "quota", "queued": 2, "active": active}
+        out = remote.claim_next("w", token="c1", now=time.time(),
+                                ttl=30.0)
+        assert (out["doc"]["id"], out["queued"]) == (docs[4]["id"], 1)
+        assert out["doc"] == backing.get(docs[4]["id"])
+        assert remote.claim_next("w", token="c2", now=time.time(),
+                                 ttl=30.0)["doc"]["id"] == docs[1]["id"]
+        assert backing.queued() == []
 
     def test_id_rules_hold_over_the_wire(self, remote):
         from tests.serve.test_store_durability import assert_id_rules

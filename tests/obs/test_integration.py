@@ -8,7 +8,6 @@ from repro.core import TreeCode
 from repro.grape import GrapeBackend
 from repro.obs import MetricsRegistry, Tracer
 from repro.obs.export import phase_totals, run_summary
-from repro.perf.report import HeadlineReport, PAPER_OVERHEAD_RATIO
 from repro.sim.models import plummer_model
 from repro.sim.simulation import Simulation
 
@@ -99,29 +98,6 @@ class TestMetricsAgreement:
         assert s["wall_seconds"] == pytest.approx(
             sum(r.wall_seconds for r in sim.history), rel=1e-6)
         assert "step" in s["phases"]
-
-
-class TestHeadlineFromMetrics:
-    def test_from_metrics(self, traced_run):
-        sim, _, registry = traced_run
-        rep = HeadlineReport.from_metrics(registry)
-        assert rep.n_particles == 512
-        assert rep.n_steps == 3
-        assert rep.modified_interactions == sim.total_interactions
-        assert rep.original_interactions == pytest.approx(
-            sim.total_interactions / PAPER_OVERHEAD_RATIO)
-        assert rep.wall_seconds == pytest.approx(
-            sum(r.wall_seconds for r in sim.history), rel=1e-6)
-        # the derived quantities are finite and positive
-        assert rep.raw_gflops > 0
-        assert rep.price_per_mflops > 0
-
-    def test_explicit_overrides(self, traced_run):
-        _, _, registry = traced_run
-        rep = HeadlineReport.from_metrics(registry, wall_seconds=10.0,
-                                          original_interactions=1e6)
-        assert rep.wall_seconds == 10.0
-        assert rep.original_interactions == 1e6
 
 
 class TestDisabledTracing:

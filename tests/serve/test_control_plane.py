@@ -10,7 +10,8 @@ still answer every read and control route.
 
 import pytest
 
-from repro.serve import JobSpec, Scheduler, ServeHTTPError, SQLiteJobStore
+from repro.serve import (JobSpec, JobStore, Scheduler, ServeHTTPError,
+                         SQLiteJobStore)
 
 from tests.serve.conftest import serving
 
@@ -69,6 +70,57 @@ class TestPerJobCost:
         finally:
             sched.stop()
         assert small == large, (small, large)
+
+
+class CountingStore(JobStore):
+    """Forwards every contract op to ``inner`` and logs its name."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, []
+
+    @property
+    def kind(self):
+        return self.inner.kind
+
+
+def _logged(op):
+    def call(self, *args, **kwargs):
+        self.calls.append(op)
+        return getattr(self.inner, op)(*args, **kwargs)
+    return call
+
+
+for _op in [n for n, a in vars(JobStore).items()
+            if callable(a) and not n.startswith("_")]:
+    setattr(CountingStore, _op, _logged(_op))
+
+
+class TestStoreOpsPerJob:
+    def test_each_control_step_is_one_store_op(self, tmp_path):
+        """Admission, the pick and each state change are one op each,
+        the transition events riding inside them: a miss is 6 ops and
+        a cache hit 4, whatever the store holds."""
+        store = CountingStore(SQLiteJobStore(tmp_path / "jobs.db"))
+        sched = Scheduler(slots=1, workdir=tmp_path / "work",
+                          store=store, cache=True)
+        try:
+            for _ in range(2):
+                store.calls.clear()
+                miss = _cycle(sched, _fe(len(store.inner.list())))
+                assert store.calls == ["enqueue", "claim_next",
+                                       "cache_get", "update", "update",
+                                       "cache_put"]
+                store.calls.clear()
+                hit = _cycle(sched, _fe(miss.spec.params["seed"]))
+                assert store.calls == ["enqueue", "claim_next",
+                                       "cache_get", "update"]
+            assert [e["event"] for e in store.inner.events(miss.id)] \
+                == ["submitted", "leased", "done"]
+            assert [e["event"] for e in store.inner.events(hit.id)] \
+                == ["submitted", "cache_hit"]
+            assert hit.event_count == 2 and miss.event_count == 3
+        finally:
+            sched.stop()
 
 
 class TestFinishedJobsLeaveTheWorker:

@@ -58,6 +58,13 @@ def seeded_job(store, *, state="queued", tenant="default",
     return job
 
 
+def new_doc(tenant):
+    """A fresh queued document for ``enqueue`` (which names it)."""
+    job = Job(spec=JobSpec(kind="force_eval", params={"n": 64},
+                           tenant=tenant), id="unnamed")
+    return job.to_store_doc()
+
+
 def assert_id_rules(store):
     """The contract's two rules about ids, on any kind of store: an
     id is inserted once, and an unknown id is a lost claim to a
@@ -225,23 +232,82 @@ class TestContract:
             again.close()
 
     def test_tenant_active_counts_non_terminal(self, store):
+        """``enqueue``'s quota counts a tenant's queued, claimed and
+        paused jobs, never its finished ones, and the queue bound
+        counts queued jobs store-wide; a refusal writes nothing."""
         seeded_job(store, tenant="a")
         seeded_job(store, tenant="a", state="running")
         seeded_job(store, tenant="a", state="done")
         seeded_job(store, tenant="b")
-        assert store.tenant_active("a") == 2
-        assert store.tenant_active("b") == 1
+        assert store.enqueue(new_doc("a"), token="t1", max_queued=9,
+                             max_active=2) == \
+            {"refused": "quota", "queued": 2, "active": 2}
+        assert store.enqueue(new_doc("b"), token="t2", max_queued=9,
+                             max_active=2) == \
+            {"id": "j000005", "seq": 5, "queued": 3}
+        assert store.enqueue(new_doc("b"), token="t3", max_queued=9,
+                             max_active=2)["refused"] == "quota"
+        assert store.enqueue(new_doc("c"), token="t4",
+                             max_queued=3) == \
+            {"refused": "queue", "queued": 3}
+        assert [d["id"] for d in store.list()][-1] == "j000005"
+        assert store.allocate() == ("j000006", 6)
 
     def test_tenant_load_counts_jobs_past_the_queue(self, store):
+        """``claim_next``'s fair share: among equal priorities the
+        tenant with the fewest claimed, paused or finished jobs goes
+        first, then the lowest seq."""
         seeded_job(store, tenant="a")
         seeded_job(store, tenant="a", state="running")
         seeded_job(store, tenant="a", state="done")
         seeded_job(store, tenant="b", state="paused")
         seeded_job(store, tenant="c")
-        assert store.tenant_load(["a", "b", "c"]) == {"a": 2, "b": 1}
-        assert store.tenant_load(["b"]) == {"b": 1}
         assert store.counts() == {"queued": 2, "running": 1,
                                   "done": 1, "paused": 1}
+        first = store.claim_next("w", token="c1", now=100.0, ttl=30.0)
+        assert (first["doc"]["id"], first["queued"]) == ("j000005", 1)
+        assert (first["doc"]["state"], first["doc"]["worker"]) == \
+            ("scheduled", "w")
+        assert store.claim_next("w", token="c2", now=100.0,
+                                ttl=30.0)["doc"]["id"] == "j000001"
+        assert store.claim_next("w", token="c3", now=100.0,
+                                ttl=30.0) == {"doc": None, "queued": 0}
+        assert store.get("j000001")["worker"] == "w"
+
+    def test_resent_compound_ops_return_their_first_outcome(self, store):
+        """A resent ``enqueue`` (same token) queues no twin; a resent
+        ``claim_next`` returns the job it won while the claim holds."""
+        first = store.enqueue(new_doc("a"), token="s1", max_queued=9)
+        assert store.enqueue(new_doc("a"), token="s1",
+                             max_queued=9) == first
+        other = store.enqueue(new_doc("a"), token="s2", max_queued=9)
+        assert [d["id"] for d in store.queued()] == \
+            [first["id"], other["id"]]
+        won = store.claim_next("w", token="c1", now=100.0, ttl=30.0)
+        again = store.claim_next("w", token="c1", now=100.0, ttl=30.0)
+        assert won["doc"] == again["doc"] and won["doc"]["id"] == \
+            first["id"]
+        assert again["queued"] == 1
+        # another worker's token, or a claim lost since, wins nothing
+        assert store.claim_next("v", token="c1", now=100.0,
+                                ttl=30.0)["doc"]["id"] == other["id"]
+        assert store.recover(now=100.0, worker="w") == [first["id"]]
+        assert store.claim_next("w", token="c1", now=100.0,
+                                ttl=30.0)["doc"]["id"] == first["id"]
+        assert store.get(first["id"])["attempt"] == 1
+
+    def test_events_ride_with_their_state_write(self, store):
+        done = {"event": "done", "t_wall": 1.0}
+        out = store.enqueue(new_doc("a"), token="e1", max_queued=9,
+                            events=[{"event": "submitted"}])
+        jid = out["id"]
+        assert store.claim_next("w", token="c", now=1.0,
+                                ttl=30.0)["doc"]["id"] == jid
+        doc = dict(store.get(jid), state="done")
+        assert store.update(doc, worker="intruder",
+                            events=[done]) is False
+        assert store.update(doc, worker="w", events=[done]) is True
+        assert store.events(jid) == [{"event": "submitted"}, done]
 
     def test_verify_clean_store(self, store):
         seeded_job(store)

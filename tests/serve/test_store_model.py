@@ -13,6 +13,7 @@ and worker liveness are enumerated, never slept for.
 """
 
 import contextlib
+import itertools
 import json
 import shutil
 import tempfile
@@ -41,6 +42,9 @@ SETTINGS = settings(derandomize=True, max_examples=30,
                     suppress_health_check=[HealthCheck.too_slow])
 
 picks = st.integers(min_value=0, max_value=10 ** 6)
+
+#: caller tokens of the compound ops, unique for the whole run
+tokens = itertools.count()
 
 
 def open_kind(kind, stack):
@@ -298,6 +302,73 @@ class StoreMachine(RuleBasedStateMachine):
         assert self.store.fleet_summary(now=self.now) == {
             "workers": len(self.workers), "live": len(live),
             "draining": sum(r["state"] == "draining" for r in live)}
+
+    # -- the compound ops ----------------------------------------------
+    @rule(tenant=st.sampled_from(TENANTS),
+          priority=st.integers(min_value=0, max_value=2),
+          queue_room=st.integers(min_value=0, max_value=2),
+          quota_room=st.none() | st.integers(min_value=0, max_value=1),
+          resend=st.booleans())
+    def enqueue(self, tenant, priority, queue_room, quota_room, resend):
+        """Admission in one op: the queue bound, then the tenant's
+        quota, then the insert; a resend returns the first outcome.
+        The bounds sit at, just above or (``None``) far from the
+        model's counts."""
+        queued = sum(r["state"] == "queued" for r in self.jobs.values())
+        active = sum(r["tenant"] == tenant and r["state"] in (
+            "queued", "scheduled", "running", "paused")
+            for r in self.jobs.values())
+        max_queued = max(1, queued + queue_room)
+        max_active = None if quota_room is None else \
+            max(1, active + quota_room)
+        token = f"s{next(tokens)}"
+        doc = Job(spec=self.spec(tenant, priority),
+                  id="unnamed").to_store_doc()
+        out = self.store.enqueue(doc, token=token, max_queued=max_queued,
+                                 max_active=max_active)
+        if queued >= max_queued:
+            assert out == {"refused": "queue", "queued": queued}
+        elif max_active is not None and active >= max_active:
+            assert out == {"refused": "quota", "queued": queued,
+                           "active": active}
+        else:
+            self.seq += 1
+            assert out == {"id": f"j{self.seq:06d}", "seq": self.seq,
+                           "queued": queued + 1}
+            self.new_row(out["id"], self.seq, tenant, priority)
+        if resend:
+            assert self.store.enqueue(doc, token=token,
+                                      max_queued=max_queued,
+                                      max_active=max_active) == out
+
+    @rule(worker=st.sampled_from(WORKERS), resend=st.booleans())
+    def claim_next(self, worker, resend):
+        """The pick in one op: priority, then the tenant with the
+        fewest jobs past the queue, then seq; a resend returns the
+        job the first call won."""
+        token = f"c{next(tokens)}"
+        out = self.store.claim_next(worker, token=token, now=self.now,
+                                    ttl=TTL)
+        queued = [j for j, r in self.jobs.items()
+                  if r["state"] == "queued"]
+        if not queued:
+            assert out == {"doc": None, "queued": 0}
+            return
+        load = {}
+        for row in self.jobs.values():
+            if row["state"] != "queued":
+                load[row["tenant"]] = load.get(row["tenant"], 0) + 1
+        want = min(queued, key=lambda j: (-self.jobs[j]["priority"],
+                                          load.get(self.jobs[j]["tenant"],
+                                                   0),
+                                          self.jobs[j]["seq"]))
+        assert (out["doc"]["id"], out["queued"]) == (want,
+                                                    len(queued) - 1)
+        self.jobs[want].update(state="scheduled", owner=worker,
+                               worker=worker, expires=self.now + TTL)
+        if resend:
+            assert self.store.claim_next(worker, token=token,
+                                         now=self.now, ttl=TTL) == out
 
     # -- the whole store, every step -----------------------------------
     @invariant()

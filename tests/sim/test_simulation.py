@@ -118,37 +118,3 @@ class TestCosmologicalSphere:
         # a few percent of the interparticle spacing at z=24 (~0.4 Mpc
         # physical for this loading)
         assert 0.001 < sim.eps < 0.2
-
-
-class TestAdaptiveRun:
-    def test_reaches_t_end_exactly(self, rng):
-        from repro.sim.timestep import AccelerationTimestep
-        pos, vel, mass = plummer_model(150, rng)
-        sim = Simulation(pos=pos, vel=vel, mass=mass, eps=0.05, G=1.0,
-                         force=DirectSummation())
-        policy = AccelerationTimestep(eta=0.3, eps=0.05, dt_max=0.05)
-        recs = sim.run_adaptive(0.5, policy)
-        assert sim.t == pytest.approx(0.5, rel=1e-12)
-        assert len(recs) == len(sim.history)
-
-    def test_adaptive_conserves_energy(self, rng):
-        from repro.sim.timestep import AccelerationTimestep
-        pos, vel, mass = plummer_model(150, rng)
-        sim = Simulation(pos=pos, vel=vel, mass=mass, eps=0.05, G=1.0,
-                         force=DirectSummation())
-        _, _, e0 = sim.energies()
-        sim.run_adaptive(0.5, AccelerationTimestep(eta=0.2, eps=0.05,
-                                                   dt_max=0.05))
-        _, _, e1 = sim.energies()
-        assert abs((e1 - e0) / e0) < 5e-3
-
-    def test_validation(self, rng):
-        from repro.sim.timestep import AccelerationTimestep
-        pos, vel, mass = plummer_model(20, rng)
-        sim = Simulation(pos=pos, vel=vel, mass=mass, eps=0.05, G=1.0,
-                         force=DirectSummation())
-        with pytest.raises(ValueError):
-            sim.run_adaptive(-1.0, AccelerationTimestep())
-        with pytest.raises(RuntimeError):
-            sim.run_adaptive(10.0, AccelerationTimestep(
-                eta=1e-9, eps=1e-12, dt_max=1e-9), max_steps=5)

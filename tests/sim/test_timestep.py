@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cosmo.cosmology import SCDM
-from repro.sim.timestep import AccelerationTimestep, paper_schedule
+from repro.sim.timestep import paper_schedule
 
 
 class TestPaperSchedule:
@@ -29,28 +29,6 @@ class TestPaperSchedule:
             paper_schedule(SCDM, 24.0, 0.0, 0)
         with pytest.raises(ValueError):
             paper_schedule(SCDM, 0.0, 24.0, 10)
-
-
-class TestAccelerationTimestep:
-    def test_scaling(self):
-        ts = AccelerationTimestep(eta=0.2, eps=0.04)
-        acc = np.array([[4.0, 0.0, 0.0]])
-        assert ts(acc) == pytest.approx(0.2 * np.sqrt(0.04 / 4.0))
-
-    def test_uses_max_acceleration(self):
-        ts = AccelerationTimestep(eta=1.0, eps=1.0)
-        acc = np.array([[1.0, 0, 0], [100.0, 0, 0]])
-        assert ts(acc) == pytest.approx(0.1)
-
-    def test_clipping(self):
-        ts = AccelerationTimestep(eta=1.0, eps=1.0, dt_max=0.05,
-                                  dt_min=0.01)
-        assert ts(np.array([[1e-8, 0, 0]])) == 0.05
-        assert ts(np.array([[1e8, 0, 0]])) == 0.01
-
-    def test_zero_acceleration_gives_max(self):
-        ts = AccelerationTimestep(dt_max=2.0)
-        assert ts(np.zeros((3, 3))) == 2.0
 
 
 class TestScheduleSpacing:
