@@ -115,22 +115,6 @@ class AdmissionController:
     def policy(self, tenant: str) -> TenantPolicy:
         return self.per_tenant.get(tenant, self.default)
 
-    def admit(self, tenant: str, *, active: int,
-              now: Optional[float] = None) -> None:
-        """Raise :class:`QuotaExceeded` / :class:`RateLimited` unless
-        the tenant may submit one more job right now.
-
-        ``active`` is the tenant's current store-wide non-terminal job
-        count; ``now`` is a monotonic timestamp (injectable for
-        tests).  Rate tokens are only spent on otherwise-admissible
-        submissions, so hammering a full quota does not also drain the
-        bucket.
-        """
-        p = self.policy(tenant)
-        if p.max_active is not None and active >= p.max_active:
-            raise self.over_quota(tenant, active)
-        self.spend(tenant, now=now)
-
     def over_quota(self, tenant: str, active: int) -> QuotaExceeded:
         """The refusal of a tenant holding ``active`` jobs."""
         return QuotaExceeded(

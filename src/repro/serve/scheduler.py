@@ -517,7 +517,6 @@ class Scheduler:
             job.pause_event.clear()
             job.submitted_mono = time.perf_counter()
             job.state, job.worker = "queued", None
-            self._set_gauges_locked(self._queued + 1)
             self._slot_cv.notify()
         return job
 
@@ -571,9 +570,8 @@ class Scheduler:
     def _set_gauges_locked(self, queued: Optional[int] = None) -> None:
         """Refresh the gauges with no store read of their own:
         ``queued`` is what admission or the pick (an idle slot's
-        included) just read, and the slots' hint of waiting work."""
+        included) just read."""
         if queued is not None:
-            self._queued = queued
             self.metrics.gauge("serve.queue_depth",
                                "jobs waiting for a slot").set(queued)
         running = sum(1 for j in self._jobs.values()
@@ -679,21 +677,16 @@ class Scheduler:
 
     # -- the worker loop -----------------------------------------------
     def _worker_loop(self) -> None:
-        polled = True
         while True:
             with self._cv:
                 if self._stopping:
                     return
-                # after a job or a notify the local hint says if work
-                # waits; a poll timeout asks the store (jobs submitted
-                # through *other* workers arrive unannounced)
-                job = (self._claim_next_locked()
-                       if polled or self._queued else None)
+                job = self._claim_next_locked()
                 if job is None:
-                    polled = not self._slot_cv.wait(
-                        timeout=self.poll_interval)
+                    # poll: jobs submitted through *other* workers
+                    # arrive without a local notify
+                    self._slot_cv.wait(timeout=self.poll_interval)
                     continue
-                polled = False
                 wait = max(0.0,
                            time.perf_counter() - job.submitted_mono)
                 if job.tracer is not None:
@@ -749,7 +742,6 @@ class Scheduler:
                 requeued = []
             if requeued:
                 with self._cv:
-                    self._set_gauges_locked(self._queued + len(requeued))
                     self._slot_cv.notify_all()
                 self.metrics.counter(
                     "serve.takeovers",

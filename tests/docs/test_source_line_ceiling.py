@@ -14,9 +14,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 
 #: measured ``src/repro`` total after the last change that removed
-#: lines (the job store's indexed queries, with finished jobs leaving
-#: the scheduler's memory)
-CEILING = 14855
+#: lines (one store transaction per job control step)
+CEILING = 14831
 
 
 def test_source_line_count_is_under_the_ceiling():

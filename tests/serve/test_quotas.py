@@ -14,8 +14,9 @@ Three layers, tested innermost-out:
 
 import pytest
 
-from repro.serve import (AdmissionController, JobSpec, QuotaExceeded,
-                         RateLimited, Scheduler, TenantPolicy)
+from repro.serve import (AdmissionController, AdmissionError, JobSpec,
+                         QuotaExceeded, RateLimited, Scheduler,
+                         TenantPolicy)
 from repro.serve.client import Backpressure
 
 from tests.serve.conftest import TINY_RUN, live_server
@@ -35,61 +36,74 @@ class TestTenantPolicy:
 
 
 class TestAdmissionController:
+    """The controller keeps the rate tokens and names the quota; the
+    store counts a tenant's active jobs against that quota."""
+
     def test_unlimited_by_default(self):
         ctrl = AdmissionController()
-        for i in range(100):
-            ctrl.admit("anyone", active=i, now=0.0)
+        for _ in range(100):
+            ctrl.spend("anyone", now=0.0)
+        assert ctrl.policy("anyone").max_active is None
 
     def test_max_active_ceiling(self):
         ctrl = AdmissionController(TenantPolicy(max_active=2))
-        ctrl.admit("t", active=0)
-        ctrl.admit("t", active=1)
-        with pytest.raises(QuotaExceeded) as exc:
-            ctrl.admit("t", active=2)
-        assert exc.value.retry_after > 0
+        assert ctrl.policy("t").max_active == 2
+        exc = ctrl.over_quota("t", 2)
+        assert isinstance(exc, QuotaExceeded)
+        assert "2 active job(s), quota 2" in str(exc)
+        assert exc.retry_after > 0
 
     def test_token_bucket_burst_then_starve(self):
         ctrl = AdmissionController(TenantPolicy(rate=1.0, burst=3))
         for _ in range(3):
-            ctrl.admit("t", active=0, now=100.0)
+            ctrl.spend("t", now=100.0)
         with pytest.raises(RateLimited) as exc:
-            ctrl.admit("t", active=0, now=100.0)
+            ctrl.spend("t", now=100.0)
         # empty bucket at 1 token/s: next token exactly 1s away
         assert exc.value.retry_after == pytest.approx(1.0)
 
     def test_tokens_refill_continuously(self):
         ctrl = AdmissionController(TenantPolicy(rate=2.0, burst=1))
-        ctrl.admit("t", active=0, now=0.0)
+        ctrl.spend("t", now=0.0)
         with pytest.raises(RateLimited):
-            ctrl.admit("t", active=0, now=0.1)
-        ctrl.admit("t", active=0, now=0.6)       # 0.5s = one token
+            ctrl.spend("t", now=0.1)
+        ctrl.spend("t", now=0.6)                 # 0.5s = one token
 
     def test_quota_rejection_spends_no_token(self):
-        """Hammering a full quota must not also drain the bucket."""
+        """A token refunded for a refused submission is spendable
+        again, and refunds never fill the bucket past ``burst``."""
         ctrl = AdmissionController(
             TenantPolicy(max_active=1, rate=1.0, burst=1))
         for _ in range(5):
-            with pytest.raises(QuotaExceeded):
-                ctrl.admit("t", active=1, now=0.0)
-        ctrl.admit("t", active=0, now=0.0)       # token still there
+            ctrl.spend("t", now=0.0)
+            ctrl.refund("t")
+        ctrl.refund("t")
+        ctrl.spend("t", now=0.0)                 # token still there
+        with pytest.raises(RateLimited):
+            ctrl.spend("t", now=0.0)             # but only one
 
     def test_buckets_are_per_tenant(self):
         ctrl = AdmissionController(TenantPolicy(rate=1.0, burst=1))
-        ctrl.admit("a", active=0, now=0.0)
+        ctrl.spend("a", now=0.0)
         with pytest.raises(RateLimited):
-            ctrl.admit("a", active=0, now=0.0)
-        ctrl.admit("b", active=0, now=0.0)       # unaffected
+            ctrl.spend("a", now=0.0)
+        ctrl.spend("b", now=0.0)                 # unaffected
 
     def test_per_tenant_override_beats_default(self):
         ctrl = AdmissionController(
             default=TenantPolicy(max_active=1),
-            per_tenant={"vip": TenantPolicy(max_active=10)})
-        with pytest.raises(QuotaExceeded):
-            ctrl.admit("pleb", active=1)
-        ctrl.admit("vip", active=5)
+            per_tenant={"vip": TenantPolicy(max_active=10, rate=1.0,
+                                            burst=1)})
+        assert ctrl.policy("pleb").max_active == 1
+        assert ctrl.policy("vip").max_active == 10
+        assert "quota 10" in str(ctrl.over_quota("vip", 10))
+        for _ in range(3):
+            ctrl.spend("pleb", now=0.0)          # default: no rate
+        ctrl.spend("vip", now=0.0)
+        with pytest.raises(RateLimited):
+            ctrl.spend("vip", now=0.0)
 
     def test_errors_are_admission_errors(self):
-        from repro.serve import AdmissionError
         assert issubclass(QuotaExceeded, AdmissionError)
         assert issubclass(RateLimited, AdmissionError)
 
@@ -153,6 +167,52 @@ class TestSchedulerQuota:
         snap = s.metrics.snapshot()
         assert snap["serve.quota_rejected"]["value"] == 3
         assert snap["serve.jobs_rejected"]["value"] == 3
+
+    def test_refused_submissions_drain_no_tokens(self, tmp_path):
+        """A submission the store refuses (quota reached) gives its
+        rate token back: hammering a full quota leaves the bucket as
+        it was, so the next admissible submit goes through."""
+        s = self.make(tmp_path, TenantPolicy(max_active=1, rate=0.001,
+                                             burst=2))
+        first = s.submit(JobSpec(kind="force_eval", params={"n": 64}))
+        for _ in range(4):
+            with pytest.raises(QuotaExceeded):
+                s.submit(JobSpec(kind="force_eval", params={"n": 128}))
+        s.cancel(first.id)
+        second = s.submit(JobSpec(kind="force_eval", params={"n": 128}))
+        s.cancel(second.id)
+        with pytest.raises(RateLimited):         # both tokens now spent
+            s.submit(JobSpec(kind="force_eval", params={"n": 256}))
+
+    def test_full_queue_drains_no_tokens(self, tmp_path):
+        s = Scheduler(slots=1, workdir=tmp_path / "w", queue_depth=1,
+                      quota=TenantPolicy(rate=0.001, burst=2))
+        first = s.submit(JobSpec(kind="force_eval", params={"n": 64}))
+        for _ in range(4):
+            with pytest.raises(AdmissionError) as exc:
+                s.submit(JobSpec(kind="force_eval", params={"n": 128}))
+            assert type(exc.value) is AdmissionError
+            assert "queue full" in str(exc.value)
+        s.cancel(first.id)
+        s.submit(JobSpec(kind="force_eval", params={"n": 128}))
+        snap = s.metrics.snapshot()
+        assert snap["serve.jobs_rejected"]["value"] == 4
+        assert "serve.quota_rejected" not in snap
+
+    def test_rate_limit_is_checked_before_the_queue_bound(self,
+                                                          tmp_path):
+        """An empty bucket and a full queue at once: the refusal is
+        the tenant's rate limit, counted as a tenant-limit rejection,
+        and the bucket's backoff is the hint."""
+        s = Scheduler(slots=1, workdir=tmp_path / "w", queue_depth=1,
+                      quota=TenantPolicy(rate=0.001, burst=1))
+        s.submit(JobSpec(kind="force_eval", params={"n": 64}))
+        with pytest.raises(RateLimited) as exc:
+            s.submit(JobSpec(kind="force_eval", params={"n": 128}))
+        assert exc.value.retry_after > 100      # ~1/rate, not the queue's
+        snap = s.metrics.snapshot()
+        assert snap["serve.jobs_rejected"]["value"] == 1
+        assert snap["serve.quota_rejected"]["value"] == 1
 
     def test_rate_limit_on_submit(self, tmp_path):
         s = self.make(tmp_path, TenantPolicy(rate=0.001, burst=2))
