@@ -80,12 +80,6 @@ class NFWProfile:
         x = np.maximum(x, 1e-12)
         return self.rho_s / (x * (1.0 + x) ** 2)
 
-    def enclosed_mass(self, r: np.ndarray) -> np.ndarray:
-        """M(<r) = 4 pi rho_s r_s^3 [ln(1+x) - x/(1+x)]."""
-        x = np.asarray(r, dtype=np.float64) / self.r_s
-        return (4.0 * np.pi * self.rho_s * self.r_s**3
-                * (np.log1p(x) - x / (1.0 + x)))
-
     def concentration(self, r_vir: float) -> float:
         """c = r_vir / r_s."""
         if r_vir <= 0:

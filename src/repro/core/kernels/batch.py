@@ -23,6 +23,7 @@ Two properties the execution layer depends on:
 from __future__ import annotations
 
 import ctypes
+import threading
 from typing import Tuple
 
 import numpy as np
@@ -53,22 +54,18 @@ def _writable(a: np.ndarray) -> bool:
         and a.flags.writeable
 
 
-def _csr_args(lists, sink_start, sink_count):
-    """Marshal the CSR block; returns None when outputs can't be used
-    in place (the reference loop handles those)."""
-    cell_idx = _i64c(lists.cell_idx)
-    cell_off = _i64c(lists.cell_off)
-    part_idx = _i64c(lists.part_idx)
-    part_off = _i64c(lists.part_off)
-    start = _i64c(sink_start)
-    count = _i64c(sink_count)
-    n_groups = int(start.shape[0])
-    lengths = np.diff(cell_off) + np.diff(part_off)
-    max_len = int(lengths.max()) if n_groups else 0
-    scratch = np.empty((4, max(max_len, 1)), dtype=np.float64)
-    inter = int(np.sum(count * lengths)) if n_groups else 0
-    return (cell_idx, cell_off, part_idx, part_off, start, count,
-            n_groups, scratch, inter)
+def _csr_args(pos, pmass, com, cmass, lists, sink_start, sink_count):
+    """Marshal the sources and the CSR block: the kernels' leading
+    pointers, their four scratch rows, the group count and the
+    interaction total."""
+    arrs = [_f64c(a) for a in (pos, pmass, com, cmass)] + [
+        _i64c(a) for a in (lists.cell_idx, lists.cell_off, lists.part_idx,
+                           lists.part_off, sink_start, sink_count)]
+    lengths = np.diff(arrs[5]) + np.diff(arrs[7])
+    scratch = np.empty((4, max(int(lengths.max(initial=0)), 1)))
+    return ([*map(_dp, arrs[:4]), *map(_ip, arrs[4:])],
+            [*map(_dp, scratch)], len(arrs[9]),
+            int(np.sum(arrs[9] * lengths)))
 
 
 def f64_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
@@ -77,17 +74,11 @@ def f64_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
     lib = cnative.load()
     if lib is None or not (_writable(out_acc) and _writable(out_pot)):
         return False, 0
-    (cell_idx, cell_off, part_idx, part_off, start, count,
-     n_groups, scratch, inter) = _csr_args(lists, sink_start, sink_count)
-    if n_groups == 0:
-        return True, 0
-    pos = _f64c(pos)
-    lib.repro_f64_csr(
-        _dp(pos), _dp(_f64c(pmass)), _dp(_f64c(com)), _dp(_f64c(cmass)),
-        _ip(cell_idx), _ip(cell_off), _ip(part_idx), _ip(part_off),
-        _ip(start), _ip(count), n_groups, float(eps) ** 2,
-        _dp(scratch[0]), _dp(scratch[1]), _dp(scratch[2]), _dp(scratch[3]),
-        _dp(out_acc), _dp(out_pot))
+    ptrs, scratch, n_groups, inter = _csr_args(
+        pos, pmass, com, cmass, lists, sink_start, sink_count)
+    if n_groups:
+        lib.repro_f64_csr(*ptrs, n_groups, float(eps) ** 2, *scratch,
+                          _dp(out_acc), _dp(out_pot))
     return True, inter
 
 
@@ -131,31 +122,41 @@ def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
     params = _g5_params(eps, numerics, fixed)
     if params is None:
         return False
-    (cell_idx, cell_off, part_idx, part_off, start, count,
-     n_groups, scratch, _) = _csr_args(lists, sink_start, sink_count)
-    if n_groups == 0:
-        return True
-    pos = _f64c(pos)
-    return lib.repro_g5_csr(
-        _dp(pos), _dp(_f64c(pmass)), _dp(_f64c(com)), _dp(_f64c(cmass)),
-        _ip(cell_idx), _ip(cell_off), _ip(part_idx), _ip(part_off),
-        _ip(start), _ip(count), n_groups, *params,
-        _dp(scratch[0]), _dp(scratch[1]), _dp(scratch[2]), _dp(scratch[3]),
-        _dp(out_acc), _dp(out_pot)) == 0
+    ptrs, scratch, n_groups, _ = _csr_args(
+        pos, pmass, com, cmass, lists, sink_start, sink_count)
+    return n_groups == 0 or lib.repro_g5_csr(
+        *ptrs, n_groups, *params, *scratch, _dp(out_acc), _dp(out_pot)) == 0
+
+
+#: list entries per sink (cells, particles) a thread's first walk sizes
+#: its buffers for; later walks take the last walk's means plus a quarter
+_FIRST_PER_SINK = (64.0, 256.0)
+_per_sink = threading.local()
+
+
+def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
+    """``buf`` doubled (at least to ``need``), its first ``used`` kept."""
+    out = np.empty(max(2 * buf.shape[0], need), dtype=np.int64)
+    out[:used] = buf[:used]
+    return out
 
 
 def tree_walk(tree, mac, sink_center, sink_radius, collect):
     """The compiled per-sink breadth-first walk (``repro_walk``) for a
     MAC with a per-cell ``threshold``: the CSR ``(cell_off, cell_idx,
     part_off, part_idx)`` with ``collect``, else per-sink ``(cell
-    counts, part counts)`` from the counts pass alone; ``None`` without
-    the native library."""
+    counts, part counts)``; ``None`` without the native library.
+
+    One pass fills buffers sized from this thread's last walk; when one
+    fills, the walk stops at a sink, the buffer doubles and the walk
+    resumes there.  The index arrays come back as exact-length copies
+    (shrinking the buffers in place fragments the heap, raising RSS).
+    """
     lib = cnative.load()
     if lib is None:
         return None
     n = int(sink_radius.shape[0])
-    cell_off = np.zeros(n + 1, dtype=np.int64)
-    part_off = np.zeros(n + 1, dtype=np.int64)
+    offs = [np.zeros(n + 1, dtype=np.int64) for _ in range(2)]
     child = np.ascontiguousarray(tree.child, dtype=np.int32)
     leaf = np.ascontiguousarray(tree.is_leaf, dtype=np.uint8)
     args = (_dp(_f64c(tree.com)), _dp(_f64c(mac.threshold(tree))),
@@ -164,15 +165,18 @@ def tree_walk(tree, mac, sink_center, sink_radius, collect):
             leaf.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
             _ip(_i64c(tree.start)), _ip(_i64c(tree.count)),
             _dp(_f64c(sink_center)), _dp(_f64c(sink_radius)), n,
-            _ip(np.empty(tree.n_cells, dtype=np.int64)))
-    lib.repro_walk(*args, _ip(cell_off[1:]), _ip(part_off[1:]),
-                   None, None, 0)
+            _ip(np.empty(tree.n_cells, dtype=np.int64)), *map(_ip, offs))
     if not collect:
-        return cell_off[1:], part_off[1:]
-    np.cumsum(cell_off, out=cell_off)
-    np.cumsum(part_off, out=part_off)
-    cell_idx = np.empty(int(cell_off[-1]), dtype=np.int64)
-    part_idx = np.empty(int(part_off[-1]), dtype=np.int64)
-    lib.repro_walk(*args, _ip(cell_off), _ip(part_off), _ip(cell_idx),
-                   _ip(part_idx), 1)
-    return cell_off, cell_idx, part_off, part_idx
+        lib.repro_walk(*args, None, None, 0, 0, 0)
+        return np.diff(offs[0]), np.diff(offs[1])
+    bufs = [np.empty(max(1, int(1.25 * m * n)), dtype=np.int64)
+            for m in getattr(_per_sink, "means", _FIRST_PER_SINK)]
+    i = 0
+    while i < n:
+        i = lib.repro_walk(*args, *map(_ip, bufs), i, *(b.size for b in bufs))
+        bufs = [_grown(b, o[i], o[i + 1]) if i < n and o[i + 1] > b.size
+                else b for b, o in zip(bufs, offs)]
+    cell_idx, part_idx = (b[:o[-1]].copy() for b, o in zip(bufs, offs))
+    if n:
+        _per_sink.means = tuple(o[-1] / n for o in offs)
+    return offs[0], cell_idx, offs[1], part_idx

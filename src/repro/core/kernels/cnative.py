@@ -1,9 +1,9 @@
-"""Compiled kernels: ``repro_walk``, the tree walk behind
+"""Compiled kernels: ``repro_walk``, the one-pass tree walk behind
 :func:`repro.core.traversal.build_interaction_lists`, and the CSR list
-walk behind ``eval_lists`` in two flavours, ``f64`` (IEEE double) and
-``g5`` (the GRAPE-5 datapath, bit-identical to a list-order loop over
-:class:`repro.grape.pipeline.G5Pipeline`).  What each computes, why it
-is exact and when the oracle runs instead: ``docs/kernels.md``.
+walk behind ``eval_lists`` in two flavours, ``f64`` (IEEE double, 4 sink
+lanes) and ``g5`` (GRAPE-5 datapath, 8 lanes), each bit-identical to a
+list-order loop (g5: over :class:`repro.grape.pipeline.G5Pipeline`).
+What each computes and why, and when the oracle runs: ``docs/kernels.md``.
 
 The source compiles at first use with ``$CC``, else ``gcc``, else
 ``cc``: ``-march=native`` first, dropped if the compiler rejects it,
@@ -63,8 +63,13 @@ static inline double quant(double x, double xmin, double res, double qmax) {
 /* ----------------------------------------------------------------- */
 /* IEEE-double CSR list walk: for each sink group g, assign forces on
    rows sink_start[g]..+sink_count[g] from its cell monopoles then its
-   direct particles.  Outputs are assigned (idempotent re-runs).      */
-int repro_f64_csr(const double *pos, const double *pmass,
+   direct particles, F sinks per pass, each lane adding its sources in
+   list order (a spare lane repeats a live row and is never stored).
+   Outputs are assigned (idempotent re-runs).                         */
+#define F 4
+typedef double vf __attribute__((vector_size(8 * F)));
+typedef i64 vfi __attribute__((vector_size(8 * F)));
+i64 repro_f64_csr(const double *pos, const double *pmass,
                   const double *com, const double *cmass,
                   const i64 *cell_idx, const i64 *cell_off,
                   const i64 *part_idx, const i64 *part_off,
@@ -74,37 +79,37 @@ int repro_f64_csr(const double *pos, const double *pmass,
                   double *out_acc, double *out_pot)
 {
     for (i64 g = 0; g < n_groups; g++) {
-        i64 c0 = cell_off[g], c1 = cell_off[g + 1];
-        i64 p0 = part_off[g], p1 = part_off[g + 1];
-        i64 nj = (c1 - c0) + (p1 - p0);
-        i64 k = 0;
-        for (i64 c = c0; c < c1; c++, k++) {
-            i64 j = cell_idx[c];
-            sx[k] = com[3*j]; sy[k] = com[3*j+1]; sz[k] = com[3*j+2];
-            sm[k] = cmass[j];
-        }
-        for (i64 p = p0; p < p1; p++, k++) {
-            i64 j = part_idx[p];
-            sx[k] = pos[3*j]; sy[k] = pos[3*j+1]; sz[k] = pos[3*j+2];
-            sm[k] = pmass[j];
+        i64 nc = cell_off[g + 1] - cell_off[g];
+        i64 nj = nc + part_off[g + 1] - part_off[g];
+        for (i64 k = 0; k < nj; k++) {
+            i64 j = k < nc ? cell_idx[cell_off[g] + k]
+                           : part_idx[part_off[g] + k - nc];
+            const double *x = k < nc ? com + 3*j : pos + 3*j;
+            sx[k] = x[0]; sy[k] = x[1]; sz[k] = x[2];
+            sm[k] = k < nc ? cmass[j] : pmass[j];
         }
         i64 s0 = sink_start[g], n_i = sink_count[g];
-        for (i64 i = 0; i < n_i; i++) {
-            i64 row = s0 + i;
-            double xi = pos[3*row], yi = pos[3*row+1], zi = pos[3*row+2];
-            double ax = 0.0, ay = 0.0, az = 0.0, pp = 0.0;
+        for (i64 i0 = 0; i0 < n_i; i0 += F) {
+            vf xi, yi, zi, ax = {0}, ay = {0}, az = {0}, pp = {0};
+            for (int l = 0; l < F; l++) {
+                i64 r = 3*(s0 + (i0 + l < n_i ? i0 + l : n_i - 1));
+                xi[l] = pos[r]; yi[l] = pos[r+1]; zi[l] = pos[r+2];
+            }
             for (i64 j = 0; j < nj; j++) {  /* eps2 = +0 adds exactly */
-                double dx = sx[j] - xi, dy = sy[j] - yi, dz = sz[j] - zi;
-                double r2 = ((dx*dx + dy*dy) + dz*dz) + eps2;
-                double rinv = r2 > 0.0 ? 1.0 / sqrt(r2) : 0.0;
-                double mr = sm[j] * rinv;
-                double mr3 = mr * rinv * rinv;
+                vf dx = sx[j] - xi, dy = sy[j] - yi, dz = sz[j] - zi;
+                vf r2 = ((dx*dx + dy*dy) + dz*dz) + eps2, rt;
+                for (int l = 0; l < F; l++)
+                    rt[l] = sqrt(r2[l]);
+                vf rinv = (vf)((vfi)(1.0 / rt) & (vfi)(r2 > 0.0));
+                vf mr = sm[j] * rinv, mr3 = mr * rinv * rinv;
                 pp -= mr;
                 ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
             }
-            out_acc[3*row] = ax; out_acc[3*row+1] = ay;
-            out_acc[3*row+2] = az;
-            out_pot[row] = pp;
+            for (int l = 0; l < F && i0 + l < n_i; l++) {
+                i64 row = s0 + i0 + l;
+                out_acc[3*row] = ax[l]; out_acc[3*row+1] = ay[l];
+                out_acc[3*row+2] = az[l]; out_pot[row] = pp[l];
+            }
         }
     }
     return 0;
@@ -122,7 +127,7 @@ int repro_f64_csr(const double *pos, const double *pmass,
    non-finite mass or a mass outside the range, or a NaN sink, returns
    1 (not done) before any pair is formed with it.  Adding eps2q = +0
    is exact; a zero r^2 (eps2q == 0 only) has rinv 0.                */
-int repro_g5_csr(const double *pos, const double *pmass,
+i64 repro_g5_csr(const double *pos, const double *pmass,
                  const double *com, const double *cmass,
                  const i64 *cell_idx, const i64 *cell_off,
                  const i64 *part_idx, const i64 *part_off,
@@ -206,21 +211,25 @@ int repro_g5_csr(const double *pos, const double *pmass,
    dropped, an accepted one (thr[c] < d_min, the squares summed
    (x + z) + y as the NumPy side does) emitted, a rejected leaf emits
    its particle range and a rejected internal cell queues its children
-   in slot order.  Counts pass (fill = 0): cell_off[i], part_off[i] get
-   sink i's list lengths.  Fill pass: sink i's lists are written from
-   those offsets.  queue holds n_cells entries.                      */
-int repro_walk(const double *com, const double *thr, const double *cmass,
+   in slot order.  One pass from sink i0 with cell_off[i0], part_off[i0]
+   set: sink i's lists are written from those offsets and end at
+   cell_off[i + 1], part_off[i + 1].  Returns the sink a full buffer
+   stopped it at (its offsets past it then hold the length the walk
+   needed), else n_sinks.  NULL buffers: the offsets only, no caps.
+   queue holds n_cells entries.                                      */
+i64 repro_walk(const double *com, const double *thr, const double *cmass,
                const int *child, const unsigned char *leaf,
                const i64 *start, const i64 *count,
                const double *sink_c, const double *sink_r, i64 n_sinks,
                i64 *queue, i64 *cell_off, i64 *part_off,
-               i64 *cell_idx, i64 *part_idx, int fill)
+               i64 *cell_idx, i64 *part_idx, i64 i0,
+               i64 cell_cap, i64 part_cap)
 {
-    for (i64 i = 0; i < n_sinks; i++) {
+    for (i64 i = i0; i < n_sinks; i++) {
         const double *x = sink_c + 3*i;
-        i64 nc = 0, np = 0, head = 0, tail = 1;
+        i64 nc = cell_off[i], np = part_off[i], head = 0, tail = 1, full = 0;
         queue[0] = 0;
-        while (head < tail) {
+        while (head < tail && !full) {
             i64 c = queue[head++];
             if (cmass[c] <= 0.0)
                 continue;
@@ -228,20 +237,24 @@ int repro_walk(const double *com, const double *thr, const double *cmass,
                    dz = com[3*c+2] - x[2];
             double d = sqrt((dx*dx + dz*dz) + dy*dy) - sink_r[i];
             if (thr[c] < (d < 0.0 ? 0.0 : d)) {
-                if (fill) cell_idx[cell_off[i] + nc] = c;
+                if (cell_idx && !(full = nc == cell_cap))
+                    cell_idx[nc] = c;
                 nc++;
             } else if (leaf[c]) {
-                for (i64 k = 0; fill && k < count[c]; k++)
-                    part_idx[part_off[i] + np + k] = start[c] + k;
+                if (part_idx && !(full = np + count[c] > part_cap))
+                    for (i64 k = 0; k < count[c]; k++)
+                        part_idx[np + k] = start[c] + k;
                 np += count[c];
             } else {
                 for (int k = 0; k < 8; k++)
                     if (child[8*c + k] >= 0) queue[tail++] = child[8*c + k];
             }
         }
-        if (!fill) cell_off[i] = nc, part_off[i] = np;
+        cell_off[i + 1] = nc, part_off[i + 1] = np;
+        if (full)
+            return i;
     }
-    return 0;
+    return n_sinks;
 }
 """
 
@@ -266,7 +279,7 @@ _SIGNATURES = {
     "repro_walk": [_c_double_p] * 3 + [ctypes.POINTER(ctypes.c_int),
                                        ctypes.POINTER(ctypes.c_ubyte)]
     + [_c_i64_p] * 2 + [_c_double_p] * 2 + [ctypes.c_longlong]
-    + [_c_i64_p] * 5 + [ctypes.c_int],
+    + [_c_i64_p] * 5 + [ctypes.c_longlong] * 3,
 }
 
 
@@ -324,7 +337,7 @@ def _bind(so_path: str) -> Optional[ctypes.CDLL]:
         return None
     for name, argtypes in _SIGNATURES.items():
         getattr(lib, name).argtypes = argtypes
-        getattr(lib, name).restype = ctypes.c_int
+        getattr(lib, name).restype = ctypes.c_longlong
     return lib
 
 

@@ -51,12 +51,6 @@ class Units:
     time: str = "Mpc/(km/s)"
     G: float = G
 
-    def hubble_time(self, h0: float) -> float:
-        """1/H0 in code time units for H0 given in km/s/Mpc."""
-        if h0 <= 0:
-            raise ValueError("H0 must be positive")
-        return 1.0 / h0
-
     def rho_crit(self, h0: float) -> float:
         """Critical density in M_sun/Mpc^3 for H0 in km/s/Mpc."""
         return RHO_CRIT_H100 * (h0 / 100.0) ** 2

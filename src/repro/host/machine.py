@@ -67,11 +67,6 @@ class HostMachine:
         """Host seconds for one integration step of ``n`` particles."""
         return self.t_integrate * n
 
-    def marshal_time(self, n_i: int, n_j: int) -> float:
-        """Host software overhead of one GRAPE force call."""
-        # 4 words per j (x, y, z, m), 3 per i, 4 per result (a, p)
-        return self.t_force_host_word * (4 * n_j + 7 * n_i)
-
     def step_time(self, n: int, n_groups: int, mean_list: float) -> float:
         """Total host seconds of one simulation step.
 

@@ -65,15 +65,6 @@ class TestNFW:
         # outer slope -3
         assert nfw(200.0) / nfw(400.0) == pytest.approx(8.0, rel=0.05)
 
-    def test_enclosed_mass_consistent_with_density(self):
-        nfw = NFWProfile(rho_s=2.5, r_s=1.3)
-        # dM/dr = 4 pi r^2 rho
-        r = 2.0
-        dr = 1e-5
-        dm = (nfw.enclosed_mass(r + dr) - nfw.enclosed_mass(r - dr)) / (2 * dr)
-        assert dm == pytest.approx(4 * np.pi * r**2 * float(nfw(r)),
-                                   rel=1e-6)
-
     def test_concentration(self):
         nfw = NFWProfile(rho_s=1.0, r_s=0.1)
         assert nfw.concentration(1.0) == pytest.approx(10.0)

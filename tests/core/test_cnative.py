@@ -42,7 +42,9 @@ class TestPortableBuild:
                                                 monkeypatch):
         """``SOURCE`` under the base flags only (no ``-march=native``)
         gives the loaded library's bits on a 2k-particle sweep, in
-        both arithmetic flavours."""
+        both arithmetic flavours: ``repro_f64_csr``'s 4 and
+        ``repro_g5_csr``'s 8 sink lanes are SSE2 pairs in one build and
+        the CPU's widest vectors in the other."""
         native, cc = cnative.load(), cnative._compiler()
         if native is None or cc is None:
             pytest.skip("no C compiler here")

@@ -28,7 +28,8 @@ import numpy as np
 import pytest
 
 from repro.core import TreeCode
-from repro.core.kernels import Float64Backend, ForceBackend
+from repro.core.kernels import Float64Backend, ForceBackend, cnative
+from repro.core.traversal import InteractionLists
 from repro.exec import PipelineEngine
 from repro.grape import GrapeBackend
 from repro.sim.models import plummer_model
@@ -161,6 +162,99 @@ class TestForceEquivalence:
         # per-call charging: the same seconds up to the last bit
         assert sys1.model_seconds == pytest.approx(sys0.model_seconds,
                                                    rel=1e-12)
+
+
+class TestFloat64ListOrder:
+    """The compiled float64 walk takes a group's sinks in lanes, and
+    each lane adds its sources one at a time in list order: the same
+    bits as a NumPy loop over the list, vectorised over the sinks.
+    Group sizes 1-9 and 13 leave every lane remainder; at eps = 0 a
+    sink meets itself (r^2 = 0, the rinv = 0 branch)."""
+
+    COUNTS = list(range(1, 10)) + [13]
+
+    @staticmethod
+    def _list_order(pos, pmass, com, cmass, lists, start, count, eps):
+        acc, pot = np.zeros((len(pos), 3)), np.zeros(len(pos))
+        for g in range(lists.n_sinks):
+            cells = lists.cell_idx[lists.cell_off[g]:lists.cell_off[g + 1]]
+            parts = lists.part_idx[lists.part_off[g]:lists.part_off[g + 1]]
+            rows = slice(start[g], start[g] + count[g])
+            xi = pos[rows]
+            a, p = np.zeros_like(xi), np.zeros(len(xi))
+            for xj, mj in zip(np.concatenate([com[cells], pos[parts]]),
+                              np.concatenate([cmass[cells], pmass[parts]])):
+                d = xj - xi
+                r2 = ((d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+                      + d[:, 2] * d[:, 2]) + eps * eps
+                with np.errstate(divide="ignore"):
+                    rinv = np.where(r2 > 0.0, 1.0 / np.sqrt(r2), 0.0)
+                mr = mj * rinv
+                mr3 = mr * rinv * rinv
+                p -= mr
+                a += mr3[:, None] * d
+            acc[rows], pot[rows] = a, p
+        return acc, pot
+
+    @pytest.fixture
+    def case(self, rng):
+        if cnative.load() is None:
+            pytest.skip("no compiled walk here: eval_lists is the oracle")
+        counts = np.array(self.COUNTS)
+        start = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        pos = rng.uniform(-1.0, 1.0, (int(counts.sum()) + 150, 3))
+        pmass = rng.uniform(0.5, 1.5, len(pos)) / len(pos)
+        com = rng.uniform(-1.2, 1.2, (60, 3))
+        cmass = rng.uniform(0.01, 0.05, len(com))
+        cells = [rng.choice(len(com), 40, replace=False) for _ in counts]
+        parts = [np.concatenate([np.arange(a, a + n),
+                                 rng.choice(len(pos), 120, replace=False)])
+                 for a, n in zip(start, counts)]
+
+        def csr(per_group):
+            off = np.zeros(len(per_group) + 1, dtype=np.int64)
+            np.cumsum([len(x) for x in per_group], out=off[1:])
+            return np.concatenate(per_group).astype(np.int64), off
+
+        lists = InteractionLists(len(counts), *csr(cells), *csr(parts))
+        return pos, pmass, com, cmass, lists, start, counts
+
+    @staticmethod
+    def _native(pos, pmass, com, cmass, lists, start, count, eps):
+        acc, pot = np.full((len(pos), 3), np.nan), np.full(len(pos), np.nan)
+        Float64Backend().eval_lists(pos, pmass, com, cmass, lists, start,
+                                    count, eps, acc, pot)
+        return acc, pot
+
+    @pytest.mark.parametrize("eps", [0.01, 0.0])
+    def test_lanes_are_the_list_order_loop(self, case, eps):
+        acc, pot = self._native(*case, eps)
+        ref_acc, ref_pot = self._list_order(*case, eps)
+        rows = slice(0, int(case[-1].sum()))
+        assert acc[rows].tobytes() == ref_acc[rows].tobytes()
+        assert pot[rows].tobytes() == ref_pot[rows].tobytes()
+        if eps == 0.0:
+            assert np.all(np.isfinite(acc[rows]))
+
+    def test_shard_slice_is_not_rebased(self, case):
+        """Sinks ``[g0, g1)`` through offset views into the whole
+        block's index arrays: the same bits on those rows, no other row
+        written."""
+        pos, pmass, com, cmass, lists, start, count = case
+        g0, g1 = 3, 8
+        view = InteractionLists(g1 - g0, lists.cell_idx,
+                                lists.cell_off[g0:g1 + 1], lists.part_idx,
+                                lists.part_off[g0:g1 + 1])
+        acc, pot = self._native(pos, pmass, com, cmass, view, start[g0:g1],
+                                count[g0:g1], EPS)
+        ref_acc, ref_pot = self._list_order(*case, EPS)
+        rows = slice(start[g0], start[g1])
+        assert acc[rows].tobytes() == ref_acc[rows].tobytes()
+        assert pot[rows].tobytes() == ref_pot[rows].tobytes()
+        outside = np.ones(len(pos), dtype=bool)
+        outside[rows] = False
+        assert np.isnan(pot[outside]).all()
+        assert np.isnan(acc[outside]).all()
 
 
 class TestEngines:

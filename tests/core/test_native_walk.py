@@ -6,7 +6,11 @@ oracle and the fallback, cuts its frontier only at sink boundaries, so
 it produces the same per-sink order at any chunk size.  These tests
 compare the two walks' raw CSR arrays -- unsorted -- on every kind of
 tree and sink the treecode builds, and pin which MACs may take the
-compiled walk at all.
+compiled walk at all.  The compiled walk fills its lists in one pass
+into buffers sized from the thread's last walk and doubles a buffer
+that fills; ``TestRegrowth`` reruns every bit-identity case from a
+one-entry first buffer on every walk, so the walk stops, regrows and
+resumes at least log2(list total) times, several times on one sink.
 """
 
 import numpy as np
@@ -59,6 +63,34 @@ def _assert_same(a, b):
         assert np.array_equal(x, y)
 
 
+class _Forgetful:
+    """A per-thread hint that keeps nothing: every walk starts from
+    the first capacity."""
+
+    def __setattr__(self, name, value):
+        pass
+
+
+@pytest.fixture
+def buffers():
+    """The walk's buffers as the program sizes them: ``(mode, the
+    regrowths seen)``; ``TestRegrowth`` overrides it."""
+    return "hinted", []
+
+
+def _check_buffers(buffers, n_grows, out):
+    """The index arrays hold no slack past their lists; from a
+    one-entry buffer, the cell buffer alone doubled to its total."""
+    cell_off, cell_idx, part_off, part_idx = out
+    for off, idx in ((cell_off, cell_idx), (part_off, part_idx)):
+        assert idx.flags.owndata and idx.shape == (off[-1],)
+    mode, grows = buffers
+    if mode == "regrow" and len(cell_off) > 1:
+        # sinks whose own lists are longer than the first buffer
+        assert np.diff(cell_off).max() > 1 and np.diff(part_off).max() > 1
+        assert len(grows) - n_grows >= np.log2(cell_off[-1])
+
+
 def _sink_sets(tree, n_crit=32):
     g = make_groups(tree, n_crit)
     yield g.center, g.radius
@@ -79,12 +111,15 @@ def plummer_tree(plummer_pos_mass):
 class TestBitIdentical:
     @pytest.mark.parametrize("theta", [0.3, 0.75, 1.2])
     @pytest.mark.parametrize("which", ["plummer_tree", "clustered_tree"])
-    def test_group_and_particle_sinks(self, request, which, theta):
+    def test_group_and_particle_sinks(self, request, which, theta,
+                                      buffers):
         tree = request.getfixturevalue(which)
         mac = BarnesHutMAC(theta)
         for sc, sr in _sink_sets(tree):
-            _assert_same(_compiled(tree, sc, sr, mac),
-                         _oracle(tree, sc, sr, mac))
+            n_grows = len(buffers[1])
+            out = _compiled(tree, sc, sr, mac)
+            _assert_same(out, _oracle(tree, sc, sr, mac))
+            _check_buffers(buffers, n_grows, out)
 
     def test_single_sink(self, clustered_tree):
         mac = BarnesHutMAC(0.75)
@@ -131,16 +166,19 @@ class TestBitIdentical:
                          _oracle(clustered_tree, sc, sr, mac, chunk=chunk))
 
     @pytest.mark.parametrize("algorithm", ["modified", "original"])
-    def test_every_engine_shard(self, monkeypatch, algorithm):
+    def test_every_engine_shard(self, monkeypatch, algorithm, buffers):
         """Each shard the engine cuts a sweep into is walked by the
         compiled walk, and gets the oracle's lists for its sink range."""
         pos, _, mass = plummer_model(4096, np.random.default_rng(7))
         seen = []
 
         def checked(tree, sc, sr, mac, **kw):
+            n_grows = len(buffers[1])
             lists = build_interaction_lists(tree, sc, sr, mac, **kw)
-            _assert_same((lists.cell_off, lists.cell_idx, lists.part_off,
-                          lists.part_idx), _oracle(tree, sc, sr, mac))
+            out = (lists.cell_off, lists.cell_idx, lists.part_off,
+                   lists.part_idx)
+            _assert_same(out, _oracle(tree, sc, sr, mac))
+            _check_buffers(buffers, n_grows, out)
             seen.append(len(sr))
             return lists
 
@@ -152,6 +190,20 @@ class TestBitIdentical:
         finally:
             tc.close()
         assert len(seen) == 8 and sum(seen) == tc.last_lists.n_sinks
+
+
+class TestRegrowth(TestBitIdentical):
+    """Every case above again with the first capacity at its minimum
+    (one entry per buffer) on every walk."""
+
+    @pytest.fixture(autouse=True)
+    def buffers(self, monkeypatch):
+        grows, grown = [], batch._grown
+        monkeypatch.setattr(batch, "_FIRST_PER_SINK", (0.0, 0.0))
+        monkeypatch.setattr(batch, "_per_sink", _Forgetful())
+        monkeypatch.setattr(batch, "_grown",
+                            lambda *a: grows.append(a) or grown(*a))
+        return "regrow", grows
 
 
 @native

@@ -24,12 +24,6 @@ class TestConstants:
 
 
 class TestUnits:
-    def test_hubble_time(self):
-        u = Units()
-        assert u.hubble_time(50.0) == pytest.approx(0.02)
-        with pytest.raises(ValueError):
-            u.hubble_time(0.0)
-
     def test_rho_crit_scales_h_squared(self):
         u = Units()
         assert u.rho_crit(50.0) == pytest.approx(RHO_CRIT_H100 / 4.0)

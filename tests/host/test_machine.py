@@ -36,8 +36,3 @@ class TestHostMachine:
         n = 2_159_038
         t = h.step_time(n, int(n / 2000), 13_431.0)
         assert 8.0 < t < 25.0
-
-    def test_marshal_grows_with_both_sides(self):
-        h = HostMachine()
-        assert h.marshal_time(100, 1000) < h.marshal_time(100, 2000)
-        assert h.marshal_time(100, 1000) < h.marshal_time(200, 1000)
