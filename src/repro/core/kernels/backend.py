@@ -182,7 +182,7 @@ class ForceBackend:
         """
         return None
 
-    def absorb_stats(self, private: "ForceBackend") -> None:
+    def merge_stats(self, private: "ForceBackend") -> None:
         """Fold the counters of a private instance -- those of the one
         shard it ran -- into this one (the engine calls this once per
         shard, in shard order), so run totals do not depend on how the
@@ -236,7 +236,7 @@ class Float64Backend(ForceBackend):
         cls, tile = type(self), self.tile
         return lambda: cls(tile=tile)
 
-    def absorb_stats(self, private):
+    def merge_stats(self, private):
         self._interactions += private.interactions
 
     def reset_stats(self):

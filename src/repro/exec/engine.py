@@ -361,7 +361,7 @@ class PipelineEngine:
 
         if factory is not None:
             for private in privates:
-                backend.absorb_stats(private)
+                backend.merge_stats(private)
         wall = time.perf_counter() - w0
         busy_total = sum(busy.values())
         overlap = busy_total / wall if wall > 0 else 0.0

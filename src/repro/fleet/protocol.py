@@ -52,7 +52,8 @@ FLEET_SCHEMA = "repro.fleet/v1"
 RPC_OPS = frozenset({
     "allocate", "insert", "enqueue", "update", "get", "list", "queued",
     "counts", "claim", "claim_next",
-    "heartbeat", "recover", "request_cancel", "requeue",
+    "heartbeat", "recover", "request_cancel", "request_pause",
+    "requeue",
     "append_event", "events", "cache_put", "cache_get", "cache_stats",
     "verify", "fleet_register", "fleet_heartbeat", "fleet_deregister",
     "fleet_workers",

@@ -344,13 +344,13 @@ class GrapeBackend(ForceBackend):
         size (no state is shared); private systems reproduce the
         deterministic reduced-precision datapath, and price it,
         exactly -- and log every priced call's shape for
-        :meth:`absorb_stats`."""
+        :meth:`merge_stats`."""
         cls, s = type(self), self.system
         config = dict(numerics=s.numerics, timing=s.timing,
                       jmem_capacity=s.jmem_capacity, record_calls=True)
         return lambda: cls(system=Grape5System(**config))
 
-    def absorb_stats(self, private):
+    def merge_stats(self, private):
         """Fold a private instance's priced calls back in, keeping run
         totals, the call log and the ``grape.*`` metrics (when bound)
         what a single instance would have recorded."""

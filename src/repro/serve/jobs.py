@@ -240,10 +240,7 @@ class Job:
     #: distributed-trace identity, assigned at admission; every span
     #: this job produces (scheduler, runner, engine, workers) carries it
     trace_id: str = ""
-    #: admission time on the monotonic clock (queue-wait attribution;
-    #: reset on resume so a pause does not count as queue wait)
-    submitted_mono: float = field(default_factory=time.perf_counter)
-    #: per-job :class:`~repro.obs.trace.Tracer` (assigned at admission)
+    #: per-job :class:`~repro.obs.trace.Tracer` (built at each claim)
     tracer: Optional[Any] = field(default=None, repr=False)
     #: per-job :class:`~repro.obs.flightrec.FlightRecorder`; its ring
     #: mirrors progress events and fault-layer decisions, dumped to the
@@ -368,38 +365,28 @@ class Job:
     def from_store_doc(cls, doc: Dict[str, Any]) -> "Job":
         """Rebuild a runtime :class:`Job` from a stored document.
 
-        The spec round-trips through validation; runtime state is
-        :meth:`absorb`-ed.  The events stay in the store
+        The spec round-trips through validation; the lifecycle state
+        is taken as stored (``advance`` is bypassed -- the store is
+        authoritative).  The events stay in the store
         (:meth:`~repro.serve.store.JobStore.events`); only their count
         comes along.
         """
         spec = JobSpec.from_dict(
             {k: doc[k] for k in _SPEC_FIELDS if k in doc})
-        job = cls(spec=spec, id=doc["id"])
-        job.seq = int(doc.get("seq", 0))
-        job.submitted_at = float(doc.get("submitted_at", 0.0))
-        job.trace_id = doc.get("trace_id", "")
-        job.workdir = doc.get("workdir")
-        job.absorb(doc)
-        return job
-
-    def absorb(self, doc: Dict[str, Any]) -> None:
-        """Adopt the store's view of where this job is: every field a
-        worker writes while it owns the job (``advance`` is bypassed --
-        the store is authoritative)."""
-        self.state = doc.get("state", self.state)
-        self.started_at = doc.get("started_at")
-        self.finished_at = doc.get("finished_at")
-        self.error = doc.get("error")
-        self.result = doc.get("result")
-        self.lease = doc.get("lease")
-        self.recoveries = int(doc.get("recoveries", 0))
-        self.attempt = int(doc.get("attempt", 0))
-        self.worker = doc.get("worker")
-        self.cache_hit = bool(doc.get("cache_hit", False))
-        self.spans = doc.get("spans", [])
         progress = doc.get("progress", {})
-        self.steps_done = int(progress.get("steps_done", self.steps_done))
-        self.steps_total = int(progress.get("steps_total",
-                                            self.steps_total))
-        self.event_count = int(progress.get("events", self.event_count))
+        return cls(
+            spec=spec, id=doc["id"], state=doc.get("state", "queued"),
+            seq=int(doc.get("seq", 0)),
+            submitted_at=float(doc.get("submitted_at", 0.0)),
+            started_at=doc.get("started_at"),
+            finished_at=doc.get("finished_at"), error=doc.get("error"),
+            result=doc.get("result"), lease=doc.get("lease"),
+            recoveries=int(doc.get("recoveries", 0)),
+            attempt=int(doc.get("attempt", 0)),
+            worker=doc.get("worker"), workdir=doc.get("workdir"),
+            cache_hit=bool(doc.get("cache_hit", False)),
+            trace_id=doc.get("trace_id", ""),
+            spans=doc.get("spans", []),
+            steps_done=int(progress.get("steps_done", 0)),
+            steps_total=int(progress.get("steps_total", 0)),
+            event_count=int(progress.get("events", 0)))

@@ -24,6 +24,12 @@ Retry-After`` through :class:`~repro.serve.quotas.AdmissionError`:
 Each control step of a job is one store op: ``enqueue``, ``claim_next``
 and one ``update`` per state change, carrying its transition's event.
 
+The store is the only record of a job a worker does not run: a worker
+holds a job in memory from the claim to the write that ends its run,
+and answers every other read -- and every cancel, pause and resume --
+from the store row.  Cancel and pause requests are flags on that row,
+which the owner reads in its heartbeat reply.
+
 A repeated identical submission (same kind/params, no fault
 plan) is served from the store's content-addressed result cache
 without acquiring a GRAPE lease -- ``serve.cache_hits`` counts them
@@ -112,8 +118,19 @@ class Scheduler:
         Admission policy: an :class:`AdmissionController`, a
         :class:`~repro.serve.quotas.TenantPolicy` (applied to every
         tenant), or a ``{tenant: TenantPolicy}`` dict.
-    metrics / tracer / system_factory:
-        As before (PR 5/6).
+    metrics:
+        :class:`~repro.obs.MetricsRegistry` for the ``serve.*`` and
+        ``fleet.*`` counters, gauges and histograms (and the lease
+        broker's); a private registry when omitted.
+    tracer:
+        Tracer for the spans no single job owns (the housekeeping
+        ``serve.store.recover`` scan); every job traces into its own
+        :class:`~repro.obs.Tracer`, built at claim.
+    system_factory:
+        Zero-argument callable building each slot's
+        :class:`~repro.grape.system.Grape5System`, passed to the
+        :class:`~repro.serve.leases.LeaseBroker`; the paper machine
+        with ``boards`` boards when omitted.
     """
 
     def __init__(self, *, slots: int = 2, boards: int = 2,
@@ -169,10 +186,8 @@ class Scheduler:
         self._workdir = Path(workdir) if workdir is not None else \
             Path(tempfile.mkdtemp(prefix="repro-serve-"))
         self._workdir.mkdir(parents=True, exist_ok=True)
-        #: runtime Job objects of unfinished jobs this worker has
-        #: touched (submitted to it or claimed by it); a job leaves
-        #: once the store holds it finished, and the store answers for
-        #: it from then on
+        #: the jobs this worker's slots run: in from the claim, out at
+        #: the write that ends the run; the store answers for the rest
         self._jobs: Dict[str, Job] = {}
         self._done_seconds: List[float] = []
         lock = threading.RLock()
@@ -239,8 +254,7 @@ class Scheduler:
         checkpoints running jobs via the pause path and re-queues them
         in the store, so another worker -- or this one after a restart
         -- resumes them bit-identically.  Without drain, running jobs
-        are cancelled and, on a volatile store, queued jobs too
-        (nothing would ever serve them).  Idempotent.
+        are cancelled.  Idempotent.
         """
         with self._cv:
             if self._stopping and not self._threads:
@@ -248,15 +262,9 @@ class Scheduler:
             self._stopping = True
             if drain is None:
                 drain = self.store.kind != "memory"
-            for job in list(self._jobs.values()):
-                if job.worker == self.worker_id and \
-                        job.state in ("scheduled", "running"):
-                    (job.pause_event if drain
-                     else job.cancel_event).set()
-                elif job.state == "queued" and not drain:
-                    if self.store.request_cancel(job.id) == "cancelled":
-                        job.advance("cancelled")
-                        self._count_terminal(job)
+            running = list(self._jobs.values())
+            for job in running:
+                (job.pause_event if drain else job.cancel_event).set()
             self._cv.notify_all()
             self._slot_cv.notify_all()
             threads, self._threads = self._threads, []
@@ -264,7 +272,7 @@ class Scheduler:
             t.join(timeout=timeout)
         if drain:
             with self._cv:
-                self._requeue_paused_locked(list(self._jobs.values()))
+                self._requeue_paused_locked(running)
         try:
             self.store.fleet_deregister(self.worker_id)
         except StoreError as e:
@@ -288,9 +296,7 @@ class Scheduler:
         with self._cv:
             already = self._draining
             self._draining = True
-            owned = [j for j in self._jobs.values()
-                     if j.worker == self.worker_id
-                     and j.state in ("scheduled", "running")]
+            owned = list(self._jobs.values())
             for job in owned:
                 job.pause_event.set()
             self._cv.notify_all()
@@ -303,8 +309,8 @@ class Scheduler:
             logger.warning("drain heartbeat failed: %s", e)
         with self._cv:
             self._cv.wait_for(
-                lambda: all(j.state not in ("scheduled", "running")
-                            for j in owned), timeout=timeout)
+                lambda: not any(j.id in self._jobs for j in owned),
+                timeout=timeout)
             requeued = self._requeue_paused_locked(owned)
         try:
             self.store.fleet_deregister(self.worker_id)
@@ -321,15 +327,14 @@ class Scheduler:
                 "owned": [j.id for j in owned], "requeued": requeued}
 
     def _requeue_paused_locked(self, jobs: List[Job]) -> List[str]:
-        """Hand this worker's paused ``jobs`` back to the queue, where
-        any worker resumes them; returns the ids re-queued."""
+        """Hand the ``jobs`` whose run here ended paused back to the
+        queue, where any worker resumes them; returns the ids
+        re-queued."""
         requeued = []
         for job in jobs:
-            if job.state == "paused" and job.worker == self.worker_id:
+            if job.state == "paused":
                 try:
                     if self.store.requeue(job.id):
-                        job.state, job.worker = "queued", None
-                        job.pause_event.clear()
                         requeued.append(job.id)
                 except StoreError as e:
                     logger.warning("drain requeue of %s failed: %s",
@@ -379,7 +384,7 @@ class Scheduler:
         }
 
     # -- submission / control ------------------------------------------
-    def submit(self, spec: JobSpec) -> Job:
+    def submit(self, spec: JobSpec) -> "JobHandle":
         """Admit a job or raise :class:`AdmissionError` (429): the
         tenant's rate limit here, then the queue bound and the tenant
         quota in the store op that inserts it."""
@@ -420,55 +425,30 @@ class Scheduler:
                         "limits").inc()
                 raise
             job.id, job.seq = out["id"], out["seq"]
-            wd = self._workdir / job.id
-            wd.mkdir(parents=True, exist_ok=True)
-            job.workdir = str(wd)
-            # per-job observability: a tracer carrying the trace id
-            # (every span from queue wait to worker batches) and a
-            # flight-recorder ring, opening with the admission
-            job.tracer = Tracer(trace_id=job.trace_id)
-            job.flight = FlightRecorder(path=wd / "flightrec.jsonl")
-            job.flight.record("job.submitted", job=job.id,
-                              tenant=spec.tenant)
-            job.event_sink = self._event_sink
-            self._jobs[job.id] = job
             self.metrics.counter("serve.jobs_submitted",
                                  "jobs admitted to the queue").inc()
             self._set_gauges_locked(out["queued"])
             self._slot_cv.notify()
-            return job
+            return JobHandle(job, self.get)
 
     def get(self, job_id: str) -> Job:
-        """The runtime job while this worker holds it (synced from the
-        store unless it owns it), else a view built from the store."""
+        """The job as the slot running it holds it, when one of this
+        worker's does; else as its store row has it."""
         with self._cv:
             job = self._jobs.get(job_id)
-        if job is not None and job.worker == self.worker_id:
+        if job is not None:
             return job
         try:
             doc = self.store.get(job_id)
         except StoreError:
             doc = None
-        if job is not None:
-            if doc is not None:
-                with self._cv:
-                    self._sync_from_store(job, doc)
-            return job
         if doc is None:
             raise KeyError(f"no such job {job_id!r}")
         return Job.from_store_doc(doc)
 
     def jobs(self) -> List[Job]:
-        """All jobs in the store, submission order, with the runtime
-        objects this worker holds substituted for their documents."""
-        docs = self.store.list()
-        with self._cv:
-            held = [self._jobs.get(doc["id"]) for doc in docs]
-            for job, doc in zip(held, docs):
-                if job is not None:
-                    self._sync_from_store(job, doc)
-        return [job or Job.from_store_doc(doc)
-                for job, doc in zip(held, docs)]
+        """All jobs in the store, submission order."""
+        return [Job.from_store_doc(doc) for doc in self.store.list()]
 
     def events(self, job_id: str) -> List[Dict]:
         """A job's progress events, append order, from the store --
@@ -479,52 +459,40 @@ class Scheduler:
         """Cancel a job: immediately for queued/paused (wherever it
         lives), by flag for running -- the owning worker observes the
         flag through its heartbeat and between steps."""
-        job = self.get(job_id)
+        if self.store.request_cancel(job_id) == "cancelled":
+            self.metrics.counter("serve.jobs_cancelled",
+                                 "jobs finished cancelled").inc()
         with self._cv:
-            outcome = self.store.request_cancel(job_id)
-            local = self._jobs.get(job_id)
-            if local is not None:
-                local.cancel_event.set()
-                if outcome == "cancelled" and \
-                        local.state in ("queued", "paused"):
-                    local.advance("cancelled")
-                    self._count_terminal(local)
-                job = local
-            elif outcome == "cancelled":
-                job.state = "cancelled"
+            self._signal_locked(job_id, "cancel_event")
             self._cv.notify_all()
-        return job
+        return self.get(job_id)
 
     def pause(self, job_id: str) -> Job:
-        """Ask a running job to checkpoint and vacate its slot."""
-        job = self.get(job_id)
-        if job.terminal:
-            raise JobError(f"job {job_id} is already {job.state}")
-        job.pause_event.set()
-        return job
+        """Ask a job to checkpoint and vacate its slot: at once when
+        it runs here, at its owner's next heartbeat when it runs
+        elsewhere, at its claim when it is still queued."""
+        if self.store.request_pause(job_id) is None:
+            raise JobError(f"job {job_id} is already "
+                           f"{self.get(job_id).state}")
+        with self._cv:
+            self._signal_locked(job_id, "pause_event")
+        return self.get(job_id)
 
     def resume(self, job_id: str) -> Job:
         """Re-queue a paused job; any worker on the store continues
         it from its checkpoint."""
-        job = self.get(job_id)
+        if not self.store.requeue(job_id, from_state="paused"):
+            raise JobError(f"job {job_id} is {self.get(job_id).state}, "
+                           "not paused")
         with self._cv:
-            if job.state != "paused":
-                raise JobError(f"job {job_id} is {job.state}, "
-                               "not paused")
-            if not self.store.requeue(job.id, from_state="paused"):
-                raise JobError(f"job {job_id} changed state in the "
-                               "store; resume lost the race")
-            job.pause_event.clear()
-            job.submitted_mono = time.perf_counter()
-            job.state, job.worker = "queued", None
             self._slot_cv.notify()
-        return job
+        return self.get(job_id)
 
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> bool:
         """Block until the job is terminal (or paused); returns
         whether it stopped within ``timeout``.  Works for jobs run by
-        other workers too (the housekeeping tick re-polls the
+        other workers too (the housekeeping tick re-reads the
         store)."""
         with self._cv:
             return self._cv.wait_for(
@@ -537,28 +505,22 @@ class Scheduler:
         except StoreError as e:  # pragma: no cover - log must not kill
             logger.warning("event append for %s failed: %s", job_id, e)
 
-    def _resting_locked(self, job_id: str) -> bool:
+    def _signal_locked(self, job_id: str, flag: str) -> None:
+        """Set a control flag on the job if a slot here runs it."""
         job = self._jobs.get(job_id)
-        if job is not None and job.worker == self.worker_id:
-            return job.terminal or job.state == "paused"
+        if job is not None:
+            getattr(job, flag).set()
+
+    def _resting_locked(self, job_id: str) -> bool:
+        if job_id in self._jobs:  # a run here ends with its pop
+            return False
         try:
             doc = self.store.get(job_id)
         except StoreError:
             return False
         if doc is None:
             raise KeyError(f"no such job {job_id!r}")
-        if job is not None:
-            self._sync_from_store(job, doc)
         return doc["state"] in TERMINAL_STATES | {"paused"}
-
-    def _sync_from_store(self, job: Job, doc: Dict) -> None:
-        """Fold the store's view of a job *not* owned by this worker
-        into its local runtime object, which leaves ``_jobs`` once the
-        store has it finished (callers hold the cv lock)."""
-        if self.worker_id not in (job.worker, doc.get("worker")):
-            job.absorb(doc)
-            if job.terminal:
-                self._jobs.pop(job.id, None)
 
     def _retry_after(self, queued: int) -> float:
         """Backoff hint: about one average job duration per queued job
@@ -575,22 +537,15 @@ class Scheduler:
             self.metrics.gauge("serve.queue_depth",
                                "jobs waiting for a slot").set(queued)
         running = sum(1 for j in self._jobs.values()
-                      if j.worker == self.worker_id
-                      and j.state == "running")
+                      if j.state == "running")
         self.metrics.gauge("serve.jobs_running",
                            "jobs executing in a slot").set(running)
 
-    def _count_terminal(self, job: Job) -> None:
-        """Count a finished job and let it go: its terminal state is
-        in the store, which answers for it from here on."""
-        self.metrics.counter(f"serve.jobs_{job.state}",
-                             f"jobs finished {job.state}").inc()
-        self._jobs.pop(job.id, None)
-
     def _finish_locked(self, job: Job, state: str, event: str = "",
                        **attrs: Any) -> None:
-        """Publish an outcome this worker reached: the lifecycle move
-        and the durable write carrying its event, then the counters."""
+        """End the job's run here: the lifecycle move and the durable
+        write carrying its event, the counters, then the job leaves
+        this worker -- the store answers for it from here on."""
         job.stage_event(event or state, **attrs)
         job.advance(state)
         self._persist(job)
@@ -603,7 +558,9 @@ class Scheduler:
                 "submission-to-completion wall seconds of "
                 "successful jobs").observe(seconds)
         if job.terminal:
-            self._count_terminal(job)
+            self.metrics.counter(f"serve.jobs_{state}",
+                                 f"jobs finished {state}").inc()
+        self._jobs.pop(job.id, None)
 
     def _persist(self, job: Job) -> bool:
         """Write the job's durable projection with its staged events,
@@ -654,25 +611,34 @@ class Scheduler:
         return self._adopt_locked(out["doc"]) if out["doc"] else None
 
     def _adopt_locked(self, doc: Dict) -> Job:
-        """Turn a just-claimed store document into this worker's
-        runtime job (rebuilding tracer/flight recorder for jobs that
-        were submitted elsewhere or re-queued after a crash)."""
-        job = self._jobs.get(doc["id"])
-        if job is None:
-            job = Job.from_store_doc(doc)
-            job.trace_id = job.trace_id or new_trace_id()
-            job.tracer = Tracer(trace_id=job.trace_id)
-            # a job that never ran gets its first owner's workdir
-            job.workdir = job.workdir or str(self._workdir / job.id)
-            Path(job.workdir).mkdir(parents=True, exist_ok=True)
-            job.flight = FlightRecorder(
-                path=Path(job.workdir) / "flightrec.jsonl")
-            job.event_sink = self._event_sink
-            self._jobs[job.id] = job
-        job.state = "scheduled"
-        job.worker = self.worker_id
-        job.attempt = int(doc.get("attempt", job.attempt))
-        job.cancel_event.clear()
+        """Turn a just-claimed store document into the runtime job a
+        slot runs: its tracer, flight recorder and workdir are built
+        here and nowhere else, and its queue wait -- since the store
+        last put it in ``queued`` -- is recorded.  The workdir's
+        directory is made by :meth:`_execute`, off the lock: a cache
+        hit never touches the disk."""
+        job = Job.from_store_doc(doc)
+        job.trace_id = job.trace_id or new_trace_id()
+        job.tracer = Tracer(trace_id=job.trace_id)
+        # a job that never ran gets its first owner's workdir
+        job.workdir = job.workdir or str(self._workdir / job.id)
+        # the black box opens with the admission, whoever admitted it
+        job.flight = FlightRecorder(
+            path=Path(job.workdir) / "flightrec.jsonl")
+        job.flight.record("job.submitted", job=job.id,
+                          tenant=job.spec.tenant, attempt=job.attempt)
+        job.event_sink = self._event_sink
+        if doc.get("pause_requested"):
+            job.pause_event.set()
+        # wall clocks: the store's at the entry, this worker's now
+        wait = max(0.0, time.time()
+                   - doc.get("queued_at", job.submitted_at))
+        job.tracer.record("serve.queue_wait", wait, job=job.id,
+                          attempt=job.attempt)
+        self.metrics.histogram(
+            "serve.queue_wait_seconds",
+            "seconds jobs waited in the queue for a slot").observe(wait)
+        self._jobs[job.id] = job
         return job
 
     # -- the worker loop -----------------------------------------------
@@ -687,15 +653,6 @@ class Scheduler:
                     # arrive without a local notify
                     self._slot_cv.wait(timeout=self.poll_interval)
                     continue
-                wait = max(0.0,
-                           time.perf_counter() - job.submitted_mono)
-                if job.tracer is not None:
-                    job.tracer.record("serve.queue_wait", wait,
-                                      job=job.id, attempt=job.attempt)
-                self.metrics.histogram(
-                    "serve.queue_wait_seconds",
-                    "seconds jobs waited in the queue for a slot"
-                    ).observe(wait)
             if not self._serve_from_cache(job):
                 self._execute(job)
             with self._cv:
@@ -711,9 +668,7 @@ class Scheduler:
                 if self._cv.wait_for(lambda: self._stopping,
                                      timeout=self.heartbeat_interval):
                     return
-                owned = [j for j in self._jobs.values()
-                         if j.worker == self.worker_id
-                         and j.state in ("scheduled", "running")]
+                owned = list(self._jobs.values())
             now = time.time()
             for job in owned:
                 try:
@@ -732,8 +687,11 @@ class Scheduler:
                         "updates dropped because the claim moved "
                         "on").inc()
                     job.cancel_event.set()
-                elif row.get("cancel_requested"):
-                    job.cancel_event.set()
+                else:
+                    if row.get("cancel_requested"):
+                        job.cancel_event.set()
+                    if row.get("pause_requested"):
+                        job.pause_event.set()
             t0 = time.perf_counter()
             try:
                 requeued = self.store.recover(now=now)
@@ -785,13 +743,8 @@ class Scheduler:
             except StoreError:  # pragma: no cover - damaged store
                 pass
             with self._cv:
-                # a job submitted here but run elsewhere leaves _jobs
-                # the first time get() reads it finished
-                for jid in [j.id for j in self._jobs.values()
-                            if j.worker != self.worker_id]:
-                    self.get(jid)
                 self._set_gauges_locked()
-                # wake wait()ers so they re-poll foreign job state
+                # wake wait()ers so they re-read other workers' jobs
                 self._cv.notify_all()
 
     # -- execution -----------------------------------------------------
@@ -810,10 +763,9 @@ class Scheduler:
         except StoreError as e:
             logger.warning("cache lookup failed: %s", e)
             hit = None
-        jtr = job.tracer if job.tracer is not None else self.tracer
-        jtr.record("serve.store.cache", time.perf_counter() - t0,
-                   job=job.id, key=key[:12],
-                   outcome="hit" if hit is not None else "miss")
+        job.tracer.record("serve.store.cache", time.perf_counter() - t0,
+                          job=job.id, key=key[:12],
+                          outcome="hit" if hit is not None else "miss")
         if hit is None:
             self.metrics.counter(
                 "serve.cache_misses",
@@ -836,13 +788,10 @@ class Scheduler:
         """Dump the job's black box when it is worth keeping: the job
         died, recovered from a fault, or ran under an injected fault
         plan.  Clean, fault-free jobs leave no ``flightrec.jsonl``."""
-        fl = job.flight
-        if fl is None:
-            return
         if (job.state == "failed" or job.recoveries > 0
-                or job.spec.faults or fl.count("fault") > 0):
+                or job.spec.faults or job.flight.count("fault") > 0):
             try:
-                fl.flush()
+                job.flight.flush()
             except OSError:  # pragma: no cover - workdir gone
                 pass
 
@@ -868,7 +817,7 @@ class Scheduler:
         that has returned never finds the slot still counted in
         ``serve.leases_in_use`` nor the event log one entry short.
         """
-        jtr = job.tracer if job.tracer is not None else self.tracer
+        Path(job.workdir).mkdir(parents=True, exist_ok=True)
         t_lease = time.perf_counter()
         try:
             lease = self.broker.acquire(timeout=60.0)
@@ -878,9 +827,9 @@ class Scheduler:
                 self._finish_locked(job, "failed", error=job.error)
             self._flight_dump(job)
             return
-        jtr.record("serve.lease_acquire",
-                   time.perf_counter() - t_lease,
-                   job=job.id, lease=lease.id, slot=lease.slot)
+        job.tracer.record("serve.lease_acquire",
+                          time.perf_counter() - t_lease,
+                          job=job.id, lease=lease.id, slot=lease.slot)
         job.lease = lease.id
         job.stage_event("leased", lease=lease.id, slot=lease.slot,
                         attempt=job.attempt)
@@ -892,7 +841,7 @@ class Scheduler:
                     self._set_gauges_locked()
                 if job.cancel_event.is_set():
                     raise JobCancelled(job.id)
-                result = run_job(job, lease, tracer=jtr,
+                result = run_job(job, lease, tracer=job.tracer,
                                  metrics=self.metrics)
             finally:
                 try:
@@ -917,3 +866,16 @@ class Scheduler:
                 self._finish_locked(job, "failed", error=job.error)
         finally:
             self._flight_dump(job)
+
+
+class JobHandle:
+    """What :meth:`Scheduler.submit` returns.  ``admitted`` is the job
+    document as the store took it in; every other attribute is read
+    through :meth:`Scheduler.get` when asked, so the handle follows
+    the job wherever it runs and the worker keeps no copy of it."""
+
+    def __init__(self, admitted: Job, get) -> None:
+        self.admitted, self.id, self._get = admitted, admitted.id, get
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._get(self.id), name)

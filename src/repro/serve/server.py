@@ -148,7 +148,7 @@ class Server(HTTPServer):
             return _error(
                 429, str(e), extra={"Retry-After":
                                     str(max(1, round(e.retry_after)))})
-        return json_response(201, job.to_dict())
+        return json_response(201, job.admitted.to_dict())
 
     def _job_route(self, route):
         sched = self.scheduler

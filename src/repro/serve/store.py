@@ -111,6 +111,9 @@ class JobStore:
     All methods are thread-safe.  Documents are plain dicts -- the
     ``repro.job/v1`` wire document plus the durable runtime fields
     (``workdir``, ``attempt``, ``worker``, ``cache_hit``, ``seq``).
+    Each entry into ``queued`` (:meth:`enqueue`, :meth:`requeue`,
+    :meth:`recover`) stamps the doc's ``queued_at`` with the store's
+    wall clock, which a claimer reads as the job's queue wait.
     Subclasses implement every operation; only :meth:`fleet_summary`
     is derived here.  A finished job's only copy is its row, its spans
     included.
@@ -193,8 +196,9 @@ class JobStore:
                   doc: Optional[Dict[str, Any]] = None
                   ) -> Optional[Dict[str, Any]]:
         """Extend the claim and optionally persist progress.  Returns
-        the row's control flags (``{"cancel_requested": bool}``) or
-        ``None`` when the claim was lost (expired + taken over)."""
+        the row's control flags (``{"cancel_requested": bool,
+        "pause_requested": bool}``) or ``None`` when the claim was
+        lost (expired + taken over)."""
         raise NotImplementedError
 
     def recover(self, *, now: float,
@@ -202,7 +206,8 @@ class JobStore:
         """Re-queue scheduled/running jobs whose claim expired --
         and, with ``worker``, every claim held by that worker
         regardless of expiry (a freshly started worker owns nothing).
-        Bumps ``attempt``; returns the re-queued job ids."""
+        Bumps ``attempt`` and clears any pause request; returns the
+        re-queued job ids."""
         raise NotImplementedError
 
     def request_cancel(self, job_id: str) -> Optional[str]:
@@ -211,8 +216,17 @@ class JobStore:
         (``"requested"``); ``None`` for unknown/terminal jobs."""
         raise NotImplementedError
 
+    def request_pause(self, job_id: str) -> Optional[str]:
+        """Flag an unfinished job to checkpoint and vacate its slot:
+        its owner sees the flag in its next heartbeat reply, and a
+        claim of a flagged queued job carries ``pause_requested:
+        true`` in the claimed doc.  Returns the job's state, or
+        ``None`` for unknown/terminal jobs."""
+        raise NotImplementedError
+
     def requeue(self, job_id: str, *, from_state: str = "paused") -> bool:
-        """CAS ``from_state -> queued`` (resume path)."""
+        """CAS ``from_state -> queued`` (resume path), clearing any
+        pause request."""
         raise NotImplementedError
 
     # -- event log -----------------------------------------------------
@@ -418,11 +432,15 @@ class SQLiteJobStore(JobStore):
                 " attempt INTEGER NOT NULL DEFAULT 0,"
                 " doc TEXT NOT NULL,"
                 " sha256 TEXT NOT NULL)")
-            # a file written before the resend tokens gains their columns
+            # a file written before the resend tokens and the pause
+            # flag gains their columns
             cols = {r[1] for r in db.execute(
                 "PRAGMA table_info(jobs)").fetchall()}
-            for col in {"token", "claim_token"} - cols:
-                db.execute(f"ALTER TABLE jobs ADD COLUMN {col} TEXT")
+            for col, decl in (("token", "TEXT"), ("claim_token", "TEXT"),
+                              ("pause_requested",
+                               "INTEGER NOT NULL DEFAULT 0")):
+                if col not in cols:
+                    db.execute(f"ALTER TABLE jobs ADD COLUMN {col} {decl}")
             db.execute(
                 "CREATE INDEX IF NOT EXISTS jobs_by_state"
                 " ON jobs(state, tenant)")
@@ -538,7 +556,7 @@ class SQLiteJobStore(JobStore):
                     return {"refused": "quota", "queued": queued,
                             "active": active}
             n = self._next_seq()
-            doc = dict(doc, id=f"j{n:06d}", seq=n)
+            doc = dict(doc, id=f"j{n:06d}", seq=n, queued_at=time.time())
             self._insert(doc, token)
             self._append_events(doc["id"], events)
         return {"id": doc["id"], "seq": n, "queued": queued + 1}
@@ -614,13 +632,15 @@ class SQLiteJobStore(JobStore):
     def _claim(self, job_id: str, worker: str, now: float, ttl: float,
                token: Optional[str] = None) -> Optional[Dict[str, Any]]:
         """The claim CAS: the claimed doc, or ``None`` if not queued."""
-        if self._db.execute(
-                "UPDATE jobs SET state = 'scheduled', claimed_by = ?,"
-                " claim_expires = ?, claim_token = ?"
-                " WHERE id = ? AND state = 'queued'",
-                (worker, now + ttl, token, job_id)).rowcount == 0:
+        row = self._db.execute(
+            "UPDATE jobs SET state = 'scheduled', claimed_by = ?,"
+            " claim_expires = ?, claim_token = ?"
+            " WHERE id = ? AND state = 'queued' RETURNING pause_requested",
+            (worker, now + ttl, token, job_id)).fetchone()
+        if row is None:
             return None
-        return self._patch_doc(job_id, state="scheduled", worker=worker)
+        return self._patch_doc(job_id, state="scheduled", worker=worker,
+                               pause_requested=bool(row[0]))
 
     def claim(self, job_id: str, worker: str, *, now: float,
               ttl: float) -> bool:
@@ -668,10 +688,11 @@ class SQLiteJobStore(JobStore):
                 # resurrected by a heartbeat
                 self._write(dict(doc, id=job_id),
                             "AND state IN ('scheduled', 'running')")
-            row = db.execute(
-                "SELECT cancel_requested FROM jobs WHERE id = ?",
-                (job_id,)).fetchone()
-            return {"cancel_requested": bool(row and row[0])}
+            cancel, pause = db.execute(
+                "SELECT cancel_requested, pause_requested FROM jobs"
+                " WHERE id = ?", (job_id,)).fetchone()
+            return {"cancel_requested": bool(cancel),
+                    "pause_requested": bool(pause)}
 
     def recover(self, *, now: float,
                 worker: Optional[str] = None) -> List[str]:
@@ -687,12 +708,13 @@ class SQLiteJobStore(JobStore):
                 args).fetchall()]
             for jid in requeued:
                 attempt = db.execute(
-                    "UPDATE jobs SET state = 'queued',"
+                    "UPDATE jobs SET state = 'queued', pause_requested = 0,"
                     " claimed_by = NULL, claim_expires = NULL,"
                     " attempt = attempt + 1 WHERE id = ?"
                     " RETURNING attempt", (jid,)).fetchone()[0]
                 self._patch_doc(jid, state="queued", worker=None,
-                                attempt=int(attempt))
+                                attempt=int(attempt),
+                                queued_at=time.time())
         return requeued
 
     def request_cancel(self, job_id: str) -> Optional[str]:
@@ -713,15 +735,24 @@ class SQLiteJobStore(JobStore):
                 (job_id,))
             return "requested"
 
+    def request_pause(self, job_id: str) -> Optional[str]:
+        with self._txn() as db:
+            row = db.execute(
+                "UPDATE jobs SET pause_requested = 1 WHERE id = ? AND"
+                " state NOT IN ('done', 'failed', 'cancelled')"
+                " RETURNING state", (job_id,)).fetchone()
+        return row and row[0]
+
     def requeue(self, job_id: str, *, from_state: str = "paused") -> bool:
         with self._txn() as db:
             won = db.execute(
-                "UPDATE jobs SET state = 'queued',"
+                "UPDATE jobs SET state = 'queued', pause_requested = 0,"
                 " claimed_by = NULL, claim_expires = NULL"
                 " WHERE id = ? AND state = ?",
                 (job_id, from_state)).rowcount > 0
             if won:
-                self._patch_doc(job_id, state="queued", worker=None)
+                self._patch_doc(job_id, state="queued", worker=None,
+                                queued_at=time.time())
         return won
 
     # -- event log -----------------------------------------------------

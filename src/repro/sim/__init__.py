@@ -1,4 +1,4 @@
-"""Simulation driver: integrators, the run loop, snapshots, diagnostics.
+"""Simulation driver: integrators, the run loop, checkpoints, diagnostics.
 
 Typical scaled version of the paper's run::
 
@@ -19,7 +19,7 @@ from .diagnostics import (EnergyLedger, interaction_totals,
                           lagrangian_radii, virial_ratio)
 from .integrator import LeapfrogKDK
 from .simulation import Simulation, StepRecord
-from .snapshot import Snapshot, load_snapshot, save_snapshot, slab
+from .snapshot import slab
 from .models import (cold_lattice_sphere, hernquist_model, plummer_model,
                      uniform_sphere)
 from .timestep import paper_schedule
@@ -28,7 +28,7 @@ __all__ = [
     "CheckpointCorrupt", "load_checkpoint", "load_latest",
     "save_checkpoint", "EnergyLedger", "interaction_totals", "lagrangian_radii",
     "virial_ratio", "LeapfrogKDK", "Simulation",
-    "StepRecord", "Snapshot", "load_snapshot", "save_snapshot", "slab",
+    "StepRecord", "slab",
     "paper_schedule", "plummer_model",
     "hernquist_model", "uniform_sphere", "cold_lattice_sphere",
 ]

@@ -88,7 +88,8 @@ class TestContractOverTcp:
         assert remote.claim(doc["id"], "w1", now=time.time(), ttl=5.0)
         row = remote.heartbeat(doc["id"], "w1", now=time.time(),
                                ttl=5.0)
-        assert row == {"cancel_requested": False}
+        assert row == {"cancel_requested": False,
+                       "pause_requested": False}
         assert remote.heartbeat(doc["id"], "intruder",
                                 now=time.time(), ttl=5.0) is None
         claimed = remote.get(doc["id"])

@@ -37,7 +37,7 @@ def test_damaged_answers_neither_duplicate_nor_orphan(backing,
         for job in jobs:
             remote.faults = _damage_next_answer()
             with sched._cv:
-                assert sched._claim_next_locked() is job
+                assert sched._claim_next_locked().id == job.id
             row = backing.get(job.id)
             assert (row["state"], row["worker"]) == ("scheduled", "W")
         remote.faults = None

@@ -10,8 +10,8 @@ still answer every read and control route.
 
 import pytest
 
-from repro.serve import (JobSpec, JobStore, Scheduler, ServeHTTPError,
-                         SQLiteJobStore)
+from repro.serve import (JobError, JobSpec, JobStore, Scheduler,
+                         ServeHTTPError, SQLiteJobStore)
 
 from tests.serve.conftest import serving
 
@@ -20,9 +20,10 @@ def _cycle(sched, spec):
     """One submit -> done cycle driven on the calling thread: the
     scheduler is never started, so no poll or housekeeping tick reads
     the store behind the count's back."""
-    job = sched.submit(spec)
+    admitted = sched.submit(spec)
     with sched._cv:
-        assert sched._claim_next_locked() is job
+        job = sched._claim_next_locked()
+    assert job.id == admitted.id
     if not sched._serve_from_cache(job):
         sched._execute(job)
     assert job.state == "done", (job.state, job.error)
@@ -172,3 +173,60 @@ class TestFinishedJobsLeaveTheWorker:
                     assert {"serve.queue_wait", "serve.lease_acquire",
                             "serve.job"} <= names
             assert sched._jobs == {}
+
+
+class TestOwnershipUnderContention:
+    def test_a_worker_holds_only_what_its_slots_run(self, tmp_path):
+        """More slots than cores and a short switch interval, with
+        pause, resume and cancel racing the slots from another thread:
+        every job ends at rest, the store and ``get`` agree on it, and
+        no job outlives its run in the worker's table."""
+        import sys
+        import threading
+        interval = sys.getswitchinterval()
+        sched = Scheduler(slots=4, queue_depth=64,
+                          workdir=tmp_path / "work",
+                          store=tmp_path / "jobs.db", cache=True,
+                          poll_interval=0.01)
+        sys.setswitchinterval(1e-5)
+        try:
+            sched.start()
+            run = JobSpec(kind="run", checkpoint_every=1,
+                          params={"ngrid": 6, "steps": 8, "z_final": 12})
+            ids = [sched.submit(run if i % 4 == 0 else _fe(i % 8)).id
+                   for i in range(48)]
+
+            def control():
+                for k, jid in enumerate(ids):
+                    try:
+                        if k % 3 == 0:
+                            sched.pause(jid)
+                            sched.resume(jid)
+                        elif k % 5 == 0:
+                            sched.cancel(jid)
+                    except JobError:
+                        pass        # it finished (or paused) first
+
+            racer = threading.Thread(target=control)
+            racer.start()
+            racer.join(timeout=60)
+            assert not racer.is_alive()
+            for jid in ids:
+                if not sched.wait(jid, timeout=60):
+                    raise AssertionError(f"{jid} never came to rest")
+                if sched.get(jid).state == "paused":
+                    sched.resume(jid)
+                    assert sched.wait(jid, timeout=60)
+            rows = {d["id"]: d for d in sched.store.list()}
+            for jid in ids:
+                assert rows[jid]["state"] in ("done", "cancelled"), \
+                    rows[jid]
+                assert sched.get(jid).state == rows[jid]["state"]
+            with sched._cv:
+                assert sched._jobs == {}
+            assert sched.metrics.value("serve.jobs_running") == 0
+            assert sched.metrics.value("serve.leases_in_use") == 0
+        finally:
+            sys.setswitchinterval(interval)
+            sched.stop(drain=False)
+

@@ -112,9 +112,8 @@ class TestLifecycle:
 
 
 class TestStoreDocument:
-    """One document -> ``Job`` mapping: ``from_store_doc`` and the
-    scheduler's sync of jobs it does not own both go through
-    ``Job.absorb``."""
+    """One document -> ``Job`` mapping: ``from_store_doc``, which
+    every scheduler read of a job it does not run goes through."""
 
     #: a full life, with the fields a worker writes on the way
     PATH = [
@@ -147,14 +146,14 @@ class TestStoreDocument:
             doc = json.loads(json.dumps(doc))  # as a store returns it
             assert Job.from_store_doc(doc).to_store_doc() == doc
 
-    def test_absorb_follows_a_foreign_worker_and_keeps_identity(self):
+    def test_a_foreign_workers_row_reads_back_with_its_identity(self):
         job = Job(spec=JobSpec(kind="run"), workdir="/w/j1")
         before = (job.id, job.seq, job.submitted_at, job.workdir)
         remote = Job.from_store_doc(job.to_store_doc())
         remote.advance("scheduled")
         remote.advance("running")
         remote.worker, remote.lease, remote.steps_done = "w2", "L0007", 5
-        job.absorb(remote.to_store_doc())
+        job = Job.from_store_doc(remote.to_store_doc())
         assert (job.state, job.worker, job.lease, job.steps_done) \
             == ("running", "w2", "L0007", 5)
         assert job.started_at == remote.started_at

@@ -193,6 +193,100 @@ class TestCrossWorkerControl:
             a.stop(drain=False)
 
 
+def ckpt_run(steps=200):
+    """A checkpointing paper run of ~5 ms steps: long enough for a
+    pause to land mid-run, short enough to finish in about a
+    second."""
+    return JobSpec(kind="run", params={"ngrid": 6, "steps": steps,
+                                       "z_final": 12.0},
+                   checkpoint_every=1)
+
+
+class TestControlThroughTheStore:
+    """Pause and resume reach a job from any worker on the store, and
+    every worker reads a job it does not run off its store row."""
+
+    def test_pause_on_a_worker_that_does_not_own_the_job(self, store,
+                                                         tmp_path):
+        a = worker(store, tmp_path, "A")          # control only
+        b = worker(store, tmp_path, "B",
+                   heartbeat_interval=0.02).start()
+        try:
+            job = a.submit(ckpt_run())
+            deadline = time.monotonic() + 60
+            while b.get(job.id).steps_done < 2 \
+                    and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert a.pause(job.id).state == "running"
+            assert b.wait(job.id, timeout=60)
+            paused = a.get(job.id)
+            assert (paused.state, paused.worker) == ("paused", "B")
+            assert 2 <= paused.steps_done < 200
+            assert a.resume(job.id).state == "queued"
+            assert b.wait(job.id, timeout=120)
+            done = a.get(job.id)
+            assert done.state == "done", (done.state, done.error)
+            assert any(e["event"] == "resumed" for e in a.events(job.id))
+            ref = b.submit(JobSpec(kind="run",
+                                   params=dict(job.spec.params)))
+            assert b.wait(ref.id, timeout=120)
+            assert ref.result["digest"] == done.result["digest"]
+        finally:
+            b.stop(drain=False)
+            a.stop(drain=False)
+
+    def test_pause_of_a_queued_job_holds_on_any_claimer(self, store,
+                                                        tmp_path):
+        a = worker(store, tmp_path, "A")          # never started
+        job = a.submit(ckpt_run(steps=40))
+        assert a.pause(job.id).state == "queued"
+        b = worker(store, tmp_path, "B").start()
+        try:
+            assert b.wait(job.id, timeout=60)
+            paused = a.get(job.id)
+            assert (paused.state, paused.worker) == ("paused", "B")
+            assert paused.steps_done < 40
+        finally:
+            b.stop(drain=False)
+            a.stop(drain=False)
+
+    def test_queue_wait_runs_from_the_stores_queue_entry(self, store,
+                                                         tmp_path):
+        """The claimer measures the wait, whoever admitted the job."""
+        a = worker(store, tmp_path, "A")          # never started
+        job = a.submit(tiny_spec())
+        time.sleep(0.3)
+        b = worker(store, tmp_path, "B").start()
+        try:
+            assert b.wait(job.id, timeout=60)
+            hist = b.metrics.snapshot()["serve.queue_wait_seconds"]
+            assert hist["count"] == 1 and hist["min"] >= 0.3
+            spans = [s for s in b.get(job.id).span_events()
+                     if s["name"] == "serve.queue_wait"]
+            assert len(spans) == 1 and spans[0]["duration"] >= 0.3
+        finally:
+            b.stop(drain=False)
+            a.stop(drain=False)
+
+    def test_a_paused_job_finished_elsewhere_reads_done(self, store,
+                                                        tmp_path):
+        a = worker(store, tmp_path, "A").start()
+        job = a.submit(ckpt_run(steps=40))
+        a.pause(job.id)
+        assert a.wait(job.id, timeout=60)
+        assert a.get(job.id).state == "paused"
+        a.stop(drain=False)
+        b = worker(store, tmp_path, "B").start()
+        try:
+            b.resume(job.id)
+            assert b.wait(job.id, timeout=120)
+            assert a.wait(job.id, timeout=10)
+            assert (a.get(job.id).state, a.get(job.id).worker) == \
+                ("done", "B")
+        finally:
+            b.stop(drain=False)
+
+
 class TestFairShareAcrossWorkers:
     def test_pick_rank_uses_store_wide_load(self, store, tmp_path):
         """With tenant `a` hogging the store, the next claim goes to

@@ -128,7 +128,8 @@ class TestContract:
         # would expire at 110; heartbeats walk the expiry forward
         for now in (105.0, 112.0, 119.0):
             flags = store.heartbeat(job.id, "w1", now=now, ttl=10.0)
-            assert flags == {"cancel_requested": False}
+            assert flags == {"cancel_requested": False,
+                             "pause_requested": False}
         # claim alive at t=125 -> recover() must not touch it
         assert store.recover(now=125.0) == []
 
@@ -182,8 +183,55 @@ class TestContract:
         assert store.claim(running.id, "w1", now=100.0, ttl=30.0)
         assert store.request_cancel(running.id) == "requested"
         flags = store.heartbeat(running.id, "w1", now=101.0, ttl=30.0)
-        assert flags == {"cancel_requested": True}
+        assert flags == {"cancel_requested": True,
+                         "pause_requested": False}
         assert store.request_cancel("nope") is None
+
+    def test_request_pause_semantics(self, store):
+        """The flag reaches the owner through the claim (a queued
+        job) or the heartbeat (a claimed one); every requeue -- a
+        resume or a crash recovery -- clears it."""
+        job = seeded_job(store)
+        assert store.request_pause(job.id) == "queued"
+        won = store.claim_next("w1", token="c1", now=100.0, ttl=30.0)
+        assert won["doc"]["pause_requested"] is True
+        assert store.heartbeat(job.id, "w1", now=101.0, ttl=30.0) == \
+            {"cancel_requested": False, "pause_requested": True}
+        assert store.recover(now=200.0) == [job.id]
+        won = store.claim_next("w2", token="c2", now=201.0, ttl=30.0)
+        assert won["doc"]["pause_requested"] is False
+        assert store.request_pause(job.id) == "scheduled"
+        assert store.update(dict(store.get(job.id), state="paused"),
+                            worker="w2")
+        assert store.request_pause(job.id) == "paused"
+        assert store.requeue(job.id)
+        won = store.claim_next("w1", token="c3", now=300.0, ttl=30.0)
+        assert won["doc"]["pause_requested"] is False
+        assert store.update(dict(store.get(job.id), state="done"),
+                            worker="w1")
+        assert store.request_pause(job.id) is None      # terminal
+        assert store.request_pause("nope") is None
+
+    def test_each_entry_into_the_queue_is_stamped(self, store):
+        """``queued_at`` -- a claimer's queue-wait origin -- is the
+        store's wall clock at admission, at a resume and at a crash
+        requeue, never an earlier entry's."""
+        t0 = time.time()
+        out = store.enqueue(new_doc("a"), token="s1", max_queued=9)
+        first = store.get(out["id"])["queued_at"]
+        assert t0 <= first <= time.time()
+        assert store.claim_next("w", token="c1", now=t0,
+                                ttl=30.0)["doc"]["queued_at"] == first
+        assert store.update(dict(store.get(out["id"]), state="paused"),
+                            worker="w")
+        time.sleep(0.01)
+        assert store.requeue(out["id"])
+        resumed = store.get(out["id"])["queued_at"]
+        assert resumed > first
+        assert store.claim_next("w", token="c2", now=t0, ttl=1.0)
+        time.sleep(0.01)
+        assert store.recover(now=t0 + 2.0) == [out["id"]]
+        assert store.get(out["id"])["queued_at"] > resumed
 
     def test_requeue_from_paused(self, store):
         job = seeded_job(store, state="paused")
@@ -596,6 +644,35 @@ class TestLegacyDocuments:
             assert [d["id"] for d in store.queued()] == [jid]
             assert store.verify() == []
         finally:
+            store.close()
+
+    def test_file_without_the_pause_flag_gains_it(self, tmp_path):
+        """A file written before pause requests were store rows (no
+        ``pause_requested`` column) gains the column on open; its
+        queued job takes a pause request and runs to ``paused``."""
+        path = tmp_path / "jobs.db"
+        old = SQLiteJobStore(path)
+        jid = old.enqueue(
+            Job(spec=JobSpec(kind="run", params={"ngrid": 6, "steps": 3,
+                                                 "z_final": 12.0},
+                             checkpoint_every=1),
+                id="unnamed").to_store_doc(),
+            token="t", max_queued=9)["id"]
+        old.close()
+        db = sqlite3.connect(path)
+        db.execute("ALTER TABLE jobs DROP COLUMN pause_requested")
+        db.close()
+        store = SQLiteJobStore(path)
+        s = Scheduler(slots=1, workdir=tmp_path / "work", store=store,
+                      poll_interval=0.02)
+        try:
+            assert store.verify() == []
+            assert s.pause(jid).state == "queued"
+            s.start()
+            assert s.wait(jid, timeout=120)
+            assert s.get(jid).state == "paused"
+        finally:
+            s.stop(drain=False)
             store.close()
 
     def test_file_without_events_table_upgrades_in_place(self, tmp_path):

@@ -103,7 +103,7 @@ class StoreMachine(RuleBasedStateMachine):
                           "priority": priority, "seq": seq,
                           "owner": None, "worker": None,
                           "expires": None, "cancel": False,
-                          "attempt": 0}
+                          "pause": False, "attempt": 0}
         self.events[jid] = []
 
     def spec(self, tenant, priority):
@@ -163,7 +163,8 @@ class StoreMachine(RuleBasedStateMachine):
         if row["owner"] != worker:
             assert flags is None
             return
-        assert flags == {"cancel_requested": row["cancel"]}
+        assert flags == {"cancel_requested": row["cancel"],
+                         "pause_requested": row["pause"]}
         row["expires"] = self.now + TTL
         if doc is not None and row["state"] in CLAIMED:
             row["state"] = "running"
@@ -185,7 +186,7 @@ class StoreMachine(RuleBasedStateMachine):
         for jid in want:
             row = self.jobs[jid]
             self.release(row, "queued")
-            row["expires"] = None
+            row.update(expires=None, pause=False)
             row["attempt"] += 1
 
     @precondition(lambda self: self.has(*CLAIMED))
@@ -218,7 +219,7 @@ class StoreMachine(RuleBasedStateMachine):
         assert won == (row["state"] == "paused")
         if won:
             self.release(row, "queued")
-            row["expires"] = None
+            row.update(expires=None, pause=False)
 
     @rule(n=picks, whom=st.sampled_from(["any", "claimed", "ghost"]))
     def cancel(self, n, whom):
@@ -235,6 +236,20 @@ class StoreMachine(RuleBasedStateMachine):
         else:
             assert got == "requested"
             row["cancel"] = True
+
+    @rule(n=picks, ghost=st.booleans())
+    def pause(self, n, ghost):
+        """Flag a job to pause: any unfinished one, for its owner's
+        heartbeat or its next claim; a requeue clears the flag."""
+        jid = (None if ghost else self.pick(n)) or "j999999"
+        row = self.jobs.get(jid)
+        got = self.store.request_pause(jid)
+        if row is None or row["state"] in ("done", "failed",
+                                           "cancelled"):
+            assert got is None
+        else:
+            assert got == row["state"]
+            row["pause"] = True
 
     # -- event log -----------------------------------------------------
     @rule(n=picks, step=st.none() | st.integers(min_value=0, max_value=9))
@@ -364,6 +379,7 @@ class StoreMachine(RuleBasedStateMachine):
                                           self.jobs[j]["seq"]))
         assert (out["doc"]["id"], out["queued"]) == (want,
                                                     len(queued) - 1)
+        assert out["doc"]["pause_requested"] == self.jobs[want]["pause"]
         self.jobs[want].update(state="scheduled", owner=worker,
                                worker=worker, expires=self.now + TTL)
         if resend:

@@ -1,44 +1,9 @@
-"""Snapshot I/O and slab-extraction tests."""
+"""Figure-4 slab-extraction tests."""
 
 import numpy as np
 import pytest
 
-from repro.sim.models import plummer_model
-from repro.sim.simulation import Simulation
-from repro.sim.snapshot import Snapshot, load_snapshot, save_snapshot, slab
-from repro.core import DirectSummation
-
-
-class TestSnapshotIO:
-    def test_roundtrip_simulation(self, rng, tmp_path):
-        pos, vel, mass = plummer_model(50, rng)
-        sim = Simulation(pos=pos, vel=vel, mass=mass, eps=0.05, G=1.0,
-                         force=DirectSummation(), t=1.25)
-        path = save_snapshot(tmp_path / "snap.npz", sim, z=0.5)
-        snap = load_snapshot(path)
-        assert np.array_equal(snap.pos, sim.pos)
-        assert np.array_equal(snap.vel, sim.vel)
-        assert np.array_equal(snap.mass, sim.mass)
-        assert snap.t == 1.25
-        assert snap.z == 0.5
-        assert snap.eps == 0.05
-        assert snap.n_particles == 50
-
-    def test_roundtrip_snapshot_object(self, rng, tmp_path):
-        snap = Snapshot(pos=rng.standard_normal((10, 3)),
-                        vel=rng.standard_normal((10, 3)),
-                        mass=np.ones(10), t=2.0, z=1.0, eps=0.01)
-        path = save_snapshot(tmp_path / "s", snap)
-        back = load_snapshot(path)
-        assert np.array_equal(back.pos, snap.pos)
-        assert back.z == 1.0
-
-    def test_suffix_appended(self, rng, tmp_path):
-        snap = Snapshot(pos=np.zeros((2, 3)), vel=np.zeros((2, 3)),
-                        mass=np.ones(2), t=0.0)
-        path = save_snapshot(tmp_path / "nosuffix", snap)
-        assert path.suffix == ".npz"
-        assert path.exists()
+from repro.sim.snapshot import slab
 
 
 class TestSlab:
