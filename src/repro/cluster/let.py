@@ -78,12 +78,6 @@ class ExchangeStats:
         """Exchange volume summed over hosts, bytes."""
         return sum(h.import_bytes for h in self.hosts)
 
-    def as_dict(self) -> dict:
-        """Flat totals for run summaries and benchmark documents."""
-        return {"let_import_cells": self.total_import_cells,
-                "let_import_particles": self.total_import_particles,
-                "let_import_bytes": self.total_bytes}
-
 
 def particle_owners(n_particles: int, owner: np.ndarray,
                     sink_start: np.ndarray, sink_count: np.ndarray

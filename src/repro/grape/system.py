@@ -78,8 +78,6 @@ class Grape5System:
     #: and its ``coord_format`` is *the* coordinate format: the one
     #: :meth:`compute` and the compiled list walk both read.
     pipeline: G5Pipeline = field(init=False, repr=False)
-    _range: Optional[Tuple[float, float]] = field(default=None, init=False,
-                                                  repr=False)
 
     def __post_init__(self):
         self.pipeline = G5Pipeline(numerics=self.numerics)
@@ -123,12 +121,7 @@ class Grape5System:
         libg5).  The only writer of the window: with none announced,
         :meth:`compute` covers each call on its own and stores
         nothing."""
-        self._range = (float(xmin), float(xmax))
         self.pipeline.set_range(xmin, xmax)
-
-    @property
-    def coordinate_range(self) -> Optional[Tuple[float, float]]:
-        return self._range
 
     def reset_stats(self) -> None:
         self.n_calls = 0
@@ -157,7 +150,7 @@ class Grape5System:
             return acc, pot
 
         pipe = self.pipeline
-        if self._range is None:
+        if pipe.coord_format is None:
             # Hosts normally announce the simulation box; absent that,
             # emulate a cautious library default covering *this* call.
             lo = min(xi.min(), xj.min())

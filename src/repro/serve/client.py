@@ -10,6 +10,7 @@ the :class:`Backpressure` subclass carrying ``Retry-After``.
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from http.client import HTTPResponse
@@ -18,6 +19,8 @@ from typing import Any, Dict, Iterator, List, Optional
 from .transport import exchange
 
 __all__ = ["ServeHTTPError", "Backpressure", "ServeClient"]
+
+_TERMINAL = ("done", "failed", "cancelled")
 
 
 class ServeHTTPError(RuntimeError):
@@ -51,6 +54,9 @@ class ServeClient:
         self.host = host
         self.port = int(port)
         self.timeout = float(timeout)
+        # each thread's last POST /jobs answer, when it was already
+        # final (a cache hit is admitted ``done``): wait() returns it
+        self._answered = threading.local()
 
     # -- plumbing ------------------------------------------------------
     @contextmanager
@@ -85,7 +91,9 @@ class ServeClient:
     def submit(self, spec: Dict[str, Any]) -> Dict[str, Any]:
         """POST a ``repro.job/v1`` document; returns the job document.
         Raises :class:`Backpressure` on 429 (queue bound hit)."""
-        return self._request("POST", "/jobs", body=spec)
+        doc = self._request("POST", "/jobs", body=spec)
+        self._answered.doc = doc if doc.get("state") in _TERMINAL else None
+        return doc
 
     def submit_wait(self, spec: Dict[str, Any], *,
                     deadline: float = 120.0) -> Dict[str, Any]:
@@ -119,12 +127,18 @@ class ServeClient:
 
     def wait(self, job_id: str, *, timeout: float = 300.0,
              poll: float = 0.1) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its final document.
-        Raises :class:`TimeoutError` when ``timeout`` elapses first."""
+        """Poll until the job is terminal; returns its final document
+        (with no request when this thread's last :meth:`submit` was
+        answered with it).  Raises :class:`TimeoutError` when
+        ``timeout`` elapses first."""
+        answered = getattr(self._answered, "doc", None)
+        self._answered.doc = None
+        if answered is not None and answered["id"] == job_id:
+            return answered
         t_end = time.monotonic() + timeout
         while True:
             doc = self.job(job_id)
-            if doc["state"] in ("done", "failed", "cancelled"):
+            if doc["state"] in _TERMINAL:
                 return doc
             if time.monotonic() >= t_end:
                 raise TimeoutError(

@@ -39,7 +39,6 @@ check.
 from __future__ import annotations
 
 import itertools
-import json
 import threading
 import time
 from dataclasses import dataclass, field, fields
@@ -344,9 +343,6 @@ class Job:
                          "steps_total": self.steps_total,
                          "events": self.event_count},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
     # -- durable projection --------------------------------------------
     def to_store_doc(self) -> Dict[str, Any]:

@@ -108,11 +108,6 @@ class LeaseBroker:
         with self._cv:
             return self.slots - len(self._free)
 
-    @property
-    def available(self) -> int:
-        with self._cv:
-            return len(self._free)
-
     # -- checkout ------------------------------------------------------
     def acquire(self, *, timeout: Optional[float] = None) -> Lease:
         """Check out a slot, blocking up to ``timeout`` seconds

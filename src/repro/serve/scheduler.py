@@ -12,17 +12,18 @@ The pick is ranked store-wide, so fair share holds across workers:
 ``spec.priority`` (larger first), then the tenant with the fewest
 claimed or served jobs in the *store*, then FIFO by store sequence.
 
-Admission control is layered, every layer answering ``429 +
-Retry-After`` through :class:`~repro.serve.quotas.AdmissionError`:
-
-* per-tenant token-bucket rate limits, kept by this worker
-  (:class:`~repro.serve.quotas.AdmissionController`);
-* a bound on *queued* jobs store-wide (``queue_depth``) and per-tenant
-  active-job quotas, counted inside the store transaction that inserts
-  the job, so workers sharing a store cannot admit past them together.
+Admission answers ``429 + Retry-After`` (:class:`AdmissionError`)
+past a tenant's rate limit, kept by this worker, or past the
+store-wide queue bound or the tenant's active-job quota, both counted
+inside the store transaction that inserts the job, so workers sharing
+a store cannot admit past them together.
 
 Each control step of a job is one store op: ``enqueue``, ``claim_next``
 and one ``update`` per state change, carrying its transition's event.
+A repeated submission (same kind/params, no fault plan) is answered
+from the store's result cache inside ``enqueue`` (``done``, no slot,
+claim or lease) or, if its twin still ran then, at its claim; the
+terminal ``update`` caches a computed result.
 
 The store is the only record of a job a worker does not run: a worker
 holds a job in memory from the claim to the write that ends its run,
@@ -30,16 +31,10 @@ and answers every other read -- and every cancel, pause and resume --
 from the store row.  Cancel and pause requests are flags on that row,
 which the owner reads in its heartbeat reply.
 
-A repeated identical submission (same kind/params, no fault
-plan) is served from the store's content-addressed result cache
-without acquiring a GRAPE lease -- ``serve.cache_hits`` counts them
-and the job document carries ``cache_hit: true``.
-
-Faults stay contained exactly as before: a crash inside a running job
-is recovered *inside its slot* by ``Simulation.run``'s checkpoint
-rollback, and a job that still fails only marks itself failed.  A
-crash of the *worker process* is recovered by any surviving (or
-restarted) worker through :meth:`JobStore.recover`.
+A crash inside a running job is recovered *inside its slot* by
+``Simulation.run``'s checkpoint rollback; a crash of the *worker
+process* by any surviving (or restarted) worker through
+:meth:`JobStore.recover`.
 """
 
 from __future__ import annotations
@@ -56,6 +51,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..obs import FlightRecorder, Tracer, new_trace_id
+from ..obs.export import span_events
 from .jobs import JOB_KINDS, TERMINAL_STATES, Job, JobCancelled, \
     JobError, JobPaused, JobSpec
 from .leases import LeaseBroker
@@ -66,11 +62,6 @@ from .store import JobStore, StoreError, open_store, spec_hash
 __all__ = ["AdmissionError", "Scheduler"]
 
 logger = logging.getLogger(__name__)
-
-#: job kinds eligible for the content-addressed result cache (all of
-#: them -- results are bit-identical by construction; jobs carrying a
-#: fault plan are excluded because chaos runs are about the journey)
-_CACHEABLE_KINDS = frozenset({"run", "sweep", "force_eval"})
 
 _worker_counter = itertools.count(1)
 
@@ -163,7 +154,8 @@ class Scheduler:
         self.worker_id = worker_id or \
             f"w-{os.getpid()}-{next(_worker_counter)}"
         self.host = socket.gethostname()
-        self._draining = False
+        #: whether :meth:`drain` has taken this worker out of claiming
+        self.draining = False
         self.claim_ttl = float(claim_ttl)
         self.heartbeat_interval = (float(heartbeat_interval)
                                    if heartbeat_interval is not None
@@ -223,24 +215,20 @@ class Scheduler:
                     ).inc(len(requeued))
                 logger.info("recovered %d orphaned job(s): %s",
                             len(requeued), ", ".join(requeued))
-            self._draining = False
+            self.draining = False
             try:
                 self.store.fleet_register(self._fleet_doc(),
                                           now=time.time(),
                                           ttl=self.claim_ttl)
             except StoreError as e:
                 logger.warning("fleet registration failed: %s", e)
-            for i in range(self.slots):
-                t = threading.Thread(target=self._worker_loop,
-                                     name=f"repro-serve-{i}",
-                                     daemon=True)
+            loops = [(str(i), self._worker_loop) for i in range(self.slots)]
+            for name, loop in loops + [("housekeeping",
+                                        self._housekeeping_loop)]:
+                t = threading.Thread(target=loop, daemon=True,
+                                     name=f"repro-serve-{name}")
                 t.start()
                 self._threads.append(t)
-            hk = threading.Thread(target=self._housekeeping_loop,
-                                  name="repro-serve-housekeeping",
-                                  daemon=True)
-            hk.start()
-            self._threads.append(hk)
         logger.info("scheduler %s started: %d slot(s), queue bound %d, "
                     "store %s, workdir %s", self.worker_id, self.slots,
                     self.queue_depth, self.store.kind, self._workdir)
@@ -271,8 +259,7 @@ class Scheduler:
         for t in threads:
             t.join(timeout=timeout)
         if drain:
-            with self._cv:
-                self._requeue_paused_locked(running)
+            self._requeue_paused(running)
         try:
             self.store.fleet_deregister(self.worker_id)
         except StoreError as e:
@@ -294,8 +281,8 @@ class Scheduler:
         and resumes claiming.  Idempotent; returns a summary document.
         """
         with self._cv:
-            already = self._draining
-            self._draining = True
+            already = self.draining
+            self.draining = True
             owned = list(self._jobs.values())
             for job in owned:
                 job.pause_event.set()
@@ -311,7 +298,7 @@ class Scheduler:
             self._cv.wait_for(
                 lambda: not any(j.id in self._jobs for j in owned),
                 timeout=timeout)
-            requeued = self._requeue_paused_locked(owned)
+        requeued = self._requeue_paused(owned)
         try:
             self.store.fleet_deregister(self.worker_id)
         except StoreError as e:
@@ -326,10 +313,10 @@ class Scheduler:
         return {"worker": self.worker_id, "draining": True,
                 "owned": [j.id for j in owned], "requeued": requeued}
 
-    def _requeue_paused_locked(self, jobs: List[Job]) -> List[str]:
-        """Hand the ``jobs`` whose run here ended paused back to the
-        queue, where any worker resumes them; returns the ids
-        re-queued."""
+    def _requeue_paused(self, jobs: List[Job]) -> List[str]:
+        """Hand the ``jobs`` whose run here ended paused (no slot
+        touches them again) back to the queue, where any worker
+        resumes them; returns the ids re-queued."""
         requeued = []
         for job in jobs:
             if job.state == "paused":
@@ -341,19 +328,13 @@ class Scheduler:
                                    job.id, e)
         return requeued
 
-    @property
-    def draining(self) -> bool:
-        """Whether :meth:`drain` has taken this worker out of
-        claiming."""
-        return self._draining
-
     def _fleet_doc(self) -> Dict[str, Any]:
         """This worker's registry row: identity + capabilities."""
         return {"worker": self.worker_id, "host": self.host,
                 "pid": os.getpid(), "slots": self.slots,
                 "boards": self.boards,
                 "kinds": sorted(JOB_KINDS),
-                "state": "draining" if self._draining else "up",
+                "state": "draining" if self.draining else "up",
                 "registered_at": time.time()}
 
     def fleet_status(self) -> Dict[str, Any]:
@@ -373,7 +354,7 @@ class Scheduler:
             "schema": "repro.fleet/v1",
             "worker": self.worker_id,
             "host": self.host,
-            "draining": self._draining,
+            "draining": self.draining,
             "store": {"kind": self.store.kind,
                       "url": getattr(self.store, "url", None)},
             "workers": workers,
@@ -387,49 +368,64 @@ class Scheduler:
     def submit(self, spec: JobSpec) -> "JobHandle":
         """Admit a job or raise :class:`AdmissionError` (429): the
         tenant's rate limit here, then the queue bound and the tenant
-        quota in the store op that inserts it."""
+        quota in the store op that inserts it -- and answers a cached
+        spec ``done``, with no slot, claim or lease.  No lock is held
+        across that op: a slot claims and starts waiting under the
+        lock, so it sees the new job or gets the notify below."""
+        t0 = time.perf_counter()
         with self._cv:
             if self._stopping:
                 raise AdmissionError("scheduler is shutting down",
                                      retry_after=5.0)
-            # the store names the job; the token names this submission,
-            # so a resent enqueue finds it instead of queueing a twin
-            token = uuid.uuid4().hex
-            job = Job(spec=spec, id=token)
-            job.trace_id = new_trace_id()
-            job.stage_event("submitted", tenant=spec.tenant)
-            try:
-                self.admission.spend(spec.tenant)
-                out = self.store.enqueue(
-                    job.to_store_doc(), token=token,
-                    max_queued=self.queue_depth,
-                    max_active=self.admission.policy(spec.tenant).max_active,
-                    events=job.take_events())
-                if "refused" in out:
-                    self.admission.refund(spec.tenant)
-                    queued = out["queued"]
-                    raise (self.admission.over_quota(spec.tenant,
-                                                     out["active"])
-                           if out["refused"] == "quota" else AdmissionError(
-                               f"queue full ({queued}/{self.queue_depth}"
-                               " jobs waiting)",
-                               retry_after=self._retry_after(queued)))
-            except AdmissionError as e:
+        # the store names the job; the token names this submission,
+        # so a resent enqueue finds it instead of queueing a twin
+        token = uuid.uuid4().hex
+        job = Job(spec=spec, id=token)
+        job.trace_id = new_trace_id()
+        job.stage_event("submitted", tenant=spec.tenant)
+        key = self._cache_key(spec)
+        try:
+            self.admission.spend(spec.tenant)
+            doc = job.to_store_doc()
+            if key is not None:  # kept by the store only on a hit
+                tracer = Tracer(trace_id=job.trace_id)
+                tracer.record("serve.admission", time.perf_counter() - t0)
+                tracer.record("serve.queue_wait", 0.0)
+                doc["spans"] = list(span_events(tracer))
+            out = self.store.enqueue(
+                doc, token=token, max_queued=self.queue_depth,
+                max_active=self.admission.policy(spec.tenant).max_active,
+                events=job.take_events(), cache_key=key, now=time.time())
+            if "refused" in out:
+                self.admission.refund(spec.tenant)
+                queued = out["queued"]
+                raise (self.admission.over_quota(spec.tenant,
+                                                 out["active"])
+                       if out["refused"] == "quota" else AdmissionError(
+                           f"queue full ({queued}/{self.queue_depth}"
+                           " jobs waiting)",
+                           retry_after=self._retry_after(queued)))
+        except AdmissionError as e:
+            self.metrics.counter(
+                "serve.jobs_rejected",
+                "submissions refused by admission control").inc()
+            if type(e) is not AdmissionError:  # the tenant's limits
                 self.metrics.counter(
-                    "serve.jobs_rejected",
-                    "submissions refused by admission control").inc()
-                if type(e) is not AdmissionError:  # the tenant's limits
-                    self.metrics.counter(
-                        "serve.quota_rejected",
-                        "submissions refused by tenant quota/rate "
-                        "limits").inc()
-                raise
-            job.id, job.seq = out["id"], out["seq"]
-            self.metrics.counter("serve.jobs_submitted",
-                                 "jobs admitted to the queue").inc()
+                    "serve.quota_rejected",
+                    "submissions refused by tenant quota/rate "
+                    "limits").inc()
+            raise
+        job.id, job.seq = out["id"], out["seq"]
+        self.metrics.counter("serve.jobs_submitted",
+                             "jobs admitted to the queue").inc()
+        with self._cv:
             self._set_gauges_locked(out["queued"])
-            self._slot_cv.notify()
-            return JobHandle(job, self.get)
+            if "doc" not in out:
+                self._slot_cv.notify()
+                return JobHandle(job, self.get)
+            job = Job.from_store_doc(out["doc"])
+            self._count_locked(job)
+        return JobHandle(job, self.get)
 
     def get(self, job_id: str) -> Job:
         """The job as the slot running it holds it, when one of this
@@ -549,35 +545,54 @@ class Scheduler:
         job.stage_event(event or state, **attrs)
         job.advance(state)
         self._persist(job)
-        if state == "done":
-            seconds = job.finished_at - job.submitted_at
-            self._done_seconds.append(seconds)
-            del self._done_seconds[:-32]
-            self.metrics.histogram(
-                "serve.submit_to_done_seconds",
-                "submission-to-completion wall seconds of "
-                "successful jobs").observe(seconds)
-        if job.terminal:
-            self.metrics.counter(f"serve.jobs_{state}",
-                                 f"jobs finished {state}").inc()
+        self._count_locked(job)
         self._jobs.pop(job.id, None)
+
+    def _count_locked(self, job: Job) -> None:
+        """Count a job that ended its run, here or at admission."""
+        if job.terminal:
+            self.metrics.counter(f"serve.jobs_{job.state}",
+                                 f"jobs finished {job.state}").inc()
+        if job.state != "done":
+            return
+        seconds = job.finished_at - job.submitted_at
+        self._done_seconds.append(seconds)
+        del self._done_seconds[:-32]
+        self.metrics.histogram(
+            "serve.submit_to_done_seconds",
+            "submission-to-completion wall seconds of "
+            "successful jobs").observe(seconds)
+        if job.cache_hit:
+            self.metrics.counter(
+                "serve.cache_hits",
+                "jobs served from the result cache without a GRAPE "
+                "lease").inc()
+
+    def _cache_key(self, spec: JobSpec) -> Optional[str]:
+        """The spec's result-cache key; ``None`` with the cache off or
+        a fault plan (chaos runs are about the journey, not results)."""
+        return (spec_hash(spec) if self.cache_enabled
+                and spec.faults is None else None)
 
     def _persist(self, job: Job) -> bool:
         """Write the job's durable projection with its staged events,
         guarded by this worker's claim; a lost claim is counted, not
         fatal (the taking-over worker owns the story now).  A trace the
         store refuses (too large for its transport) is dropped, never
-        the terminal state it rides with."""
+        the terminal state it rides with.  A computed result is cached
+        by its ``done`` write."""
         doc, events = job.to_store_doc(), job.take_events()
+        key = (self._cache_key(job.spec)
+               if job.state == "done" and not job.cache_hit else None)
         try:
             try:
                 ok = self.store.update(doc, worker=self.worker_id,
-                                       events=events)
+                                       events=events, cache_key=key)
             except StoreError:
                 if doc.pop("spans", None) is None:
                     raise
                 ok = self.store.update(doc, worker=self.worker_id,
-                                       events=events)
+                                       events=events, cache_key=key)
         except StoreError as e:
             logger.warning("persist of %s failed: %s", job.id, e)
             return False
@@ -589,10 +604,9 @@ class Scheduler:
 
     # -- claim / pick --------------------------------------------------
     def _claim_next_locked(self) -> Optional[Job]:
-        """Claim the head of the store's queue (priority -> store-wide
-        fair share -> FIFO, ranked inside the one ``claim_next`` op).
-        A draining worker claims nothing."""
-        if self._draining:
+        """Claim the head of the store's queue, and its cached result,
+        in one ``claim_next`` op.  A draining worker claims nothing."""
+        if self.draining:
             return None
         t0 = time.perf_counter()
         try:  # a resend of this pick's token returns the job it won
@@ -603,21 +617,31 @@ class Scheduler:
         except StoreError as e:
             logger.warning("claim failed: %s", e)
             return None
+        seconds = time.perf_counter() - t0
         self.metrics.histogram(
             "serve.store.claim_seconds",
-            "seconds per claim_next (rank + claim)"
-            ).observe(time.perf_counter() - t0)
+            "seconds per claim_next (rank + claim + cache lookup)"
+            ).observe(seconds)
         self._set_gauges_locked(out["queued"])
-        return self._adopt_locked(out["doc"]) if out["doc"] else None
+        if not out["doc"]:
+            return None
+        job = self._adopt_locked(out["doc"], out["hit"])
+        job.tracer.record("serve.store.claim", seconds, job=job.id,
+                          cache_hit=job.cache_hit)
+        if not job.cache_hit and self._cache_key(job.spec) is not None:
+            self.metrics.counter(
+                "serve.cache_misses",
+                "result-cache lookups that had to compute").inc()
+        return job
 
-    def _adopt_locked(self, doc: Dict) -> Job:
-        """Turn a just-claimed store document into the runtime job a
-        slot runs: its tracer, flight recorder and workdir are built
-        here and nowhere else, and its queue wait -- since the store
-        last put it in ``queued`` -- is recorded.  The workdir's
-        directory is made by :meth:`_execute`, off the lock: a cache
-        hit never touches the disk."""
+    def _adopt_locked(self, doc: Dict, hit: Optional[Dict]) -> Job:
+        """Turn a just-claimed store document (and the claim's cache
+        ``hit``, its result) into the runtime job a slot runs: its
+        tracer, flight recorder and workdir are built here and nowhere
+        else, and its queue wait since the store last queued it is
+        recorded.  :meth:`_execute` makes the workdir, off the lock."""
         job = Job.from_store_doc(doc)
+        job.result, job.cache_hit = hit, hit is not None
         job.trace_id = job.trace_id or new_trace_id()
         job.tracer = Tracer(trace_id=job.trace_id)
         # a job that never ran gets its first owner's workdir
@@ -653,7 +677,9 @@ class Scheduler:
                     # arrive without a local notify
                     self._slot_cv.wait(timeout=self.poll_interval)
                     continue
-            if not self._serve_from_cache(job):
+            if job.cache_hit:
+                self._serve_from_cache(job)
+            else:
                 self._execute(job)
             with self._cv:
                 self._set_gauges_locked()
@@ -713,8 +739,8 @@ class Scheduler:
             try:
                 if not self.store.fleet_heartbeat(
                         self.worker_id, now=now, ttl=self.claim_ttl,
-                        state=("draining" if self._draining
-                               else "up")) and not self._draining:
+                        state=("draining" if self.draining
+                               else "up")) and not self.draining:
                     # TTL lapsed (or the store was rebuilt): rejoin
                     self.store.fleet_register(self._fleet_doc(),
                                               now=now,
@@ -748,41 +774,16 @@ class Scheduler:
                 self._cv.notify_all()
 
     # -- execution -----------------------------------------------------
-    def _serve_from_cache(self, job: Job) -> bool:
-        """Serve a repeat submission from the content-addressed
-        cache; returns whether it was a hit.  Misses remember the key
-        so the computed result is cached on completion."""
-        spec = job.spec
-        if not self.cache_enabled or spec.faults is not None \
-                or spec.kind not in _CACHEABLE_KINDS:
-            return False
-        key = spec_hash(spec)
-        t0 = time.perf_counter()
-        try:
-            hit = self.store.cache_get(key)
-        except StoreError as e:
-            logger.warning("cache lookup failed: %s", e)
-            hit = None
-        job.tracer.record("serve.store.cache", time.perf_counter() - t0,
-                          job=job.id, key=key[:12],
-                          outcome="hit" if hit is not None else "miss")
-        if hit is None:
-            self.metrics.counter(
-                "serve.cache_misses",
-                "result-cache lookups that had to compute").inc()
-            job._cache_key = key
-            return False
+    def _serve_from_cache(self, job: Job) -> None:
+        """Finish a job whose claim found its result cached: one write,
+        no lease; a ``serve.store.cache`` span marks the hit."""
+        key = spec_hash(job.spec)[:12]
+        job.tracer.record("serve.store.cache", 0.0, job=job.id, key=key,
+                          outcome="hit")
         with self._cv:
             job.advance("running")
-            job.cache_hit = True
-            job.result = hit
-            self._finish_locked(job, "done", "cache_hit", key=key[:12],
-                                digest=hit.get("digest"))
-        self.metrics.counter(
-            "serve.cache_hits",
-            "jobs served from the result cache without a GRAPE "
-            "lease").inc()
-        return True
+            self._finish_locked(job, "done", "cache_hit", key=key,
+                                digest=job.result.get("digest"))
 
     def _flight_dump(self, job: Job) -> None:
         """Dump the job's black box when it is worth keeping: the job
@@ -794,19 +795,6 @@ class Scheduler:
                 job.flight.flush()
             except OSError:  # pragma: no cover - workdir gone
                 pass
-
-    def _cache_store(self, job: Job) -> None:
-        """Record a freshly computed result under its spec hash (the
-        lease id is per-run noise and stays out of the cache)."""
-        key = getattr(job, "_cache_key", None)
-        if key is None or job.result is None:
-            return
-        try:
-            self.store.cache_put(
-                key, job.result.get("digest"),
-                {k: v for k, v in job.result.items() if k != "lease"})
-        except StoreError as e:  # pragma: no cover - damaged store
-            logger.warning("cache put failed: %s", e)
 
     def _execute(self, job: Job) -> None:
         """One slot occupancy: lease, run, release, record the outcome.
@@ -851,7 +839,6 @@ class Scheduler:
             with self._cv:
                 job.result = result
                 self._finish_locked(job, "done")
-            self._cache_store(job)
         except JobCancelled:
             with self._cv:
                 self._finish_locked(job, "cancelled")

@@ -67,22 +67,23 @@ class Server(HTTPServer):
                 f"{sched.store.kind}, worker {sched.worker_id})")
 
     async def respond(self, method: str, path: str, body: bytes):
+        # nearly every route calls the store -- an RPC on a fleet -- so
+        # routing runs on a thread: a slow call stalls no other
+        # connection (and ``drain`` may join slot threads mid-job)
+        return await asyncio.to_thread(self._route, method, path, body)
+
+    def _route(self, method: str, path: str, body: bytes):
         sched = self.scheduler
         route = (method, *[p for p in path.split("?")[0].split("/")
                            if p])
 
         if route == ("GET", "healthz"):
-            def _store_view():
-                # store calls may be fleet RPCs; keep them off the
-                # event loop, and registry trouble non-fatal
-                counts = sched.store.counts()
-                try:
-                    return (counts, sched.store.fleet_summary(),
-                            sched.store.cache_stats())
-                except Exception:
-                    return counts, {}, {}
-
-            counts, fleet, cache = await asyncio.to_thread(_store_view)
+            counts = sched.store.counts()
+            try:
+                fleet = sched.store.fleet_summary()
+                cache = sched.store.cache_stats()
+            except Exception:  # registry trouble is not fatal here
+                fleet, cache = {}, {}
             queued = counts.get("queued", 0)
             return json_response(200, {
                 "status": "ok",
@@ -103,24 +104,19 @@ class Server(HTTPServer):
                                    if self.started_at else 0.0),
             })
         if route == ("GET", "fleet"):
-            # fleet_status reads the registry -- possibly over RPC
-            return json_response(
-                200, await asyncio.to_thread(sched.fleet_status))
+            return json_response(200, sched.fleet_status())
         if route == ("POST", "fleet", "drain"):
-            # drain joins worker threads mid-job; off the event loop
-            return json_response(
-                200, await asyncio.to_thread(sched.drain))
+            return json_response(200, sched.drain())
         if route == ("GET", "store"):
             store = sched.store
-            # a full-store scan, possibly over RPC: off the event loop
-            return json_response(200, await asyncio.to_thread(lambda: {
+            return json_response(200, {
                 "schema": "repro.store/v1",
                 "kind": store.kind,
                 "worker": sched.worker_id,
                 "jobs": store.counts(),
                 "cache": store.cache_stats(),
                 "findings": store.verify(),
-            }))
+            })
         if route == ("GET", "metrics"):
             from ..obs.export import format_prometheus
             return response(
@@ -191,8 +187,8 @@ class Server(HTTPServer):
         yield response(200, None, content_type="application/x-ndjson")
         sent = 0
         while True:
-            job = sched.get(job_id)
-            events = sched.events(job_id)
+            job, events = await asyncio.to_thread(
+                lambda: (sched.get(job_id), sched.events(job_id)))
             batch = events[sent:]
             sent = len(events)
             resting = job.terminal or job.state == "paused"

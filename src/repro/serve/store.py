@@ -8,36 +8,27 @@ state, claim ownership, heartbeats, the progress events and the
 content-addressed result cache -- lives in a :class:`JobStore`, and
 any number of :class:`~repro.serve.scheduler.Scheduler` workers can
 share one store file, claim jobs with atomic compare-and-swap leases,
-and take over each other's work when a heartbeat expires.
-
-One implementation, :class:`SQLiteJobStore`, on a database file
-(``kind == "sqlite"``) or on ``":memory:"`` (``kind == "memory"``,
-lost with the process).
+and take over each other's work when a heartbeat expires.  One
+implementation, :class:`SQLiteJobStore`, on a database file or on
+``":memory:"``.
 
 Every job, event, cache and worker row carries the SHA-256 of its
 JSON payload, so torn writes and byte flips are *detected and
 typed* -- reads either return exactly what was written or raise
-:class:`StoreCorrupt`, never a plausible-but-wrong document (the
-same discipline as ``sim.checkpoint``'s last-good pointer).
+:class:`StoreCorrupt`, never a plausible-but-wrong document.
 
-Every op talks to the database inside :meth:`SQLiteJobStore._txn`, so
-a multi-statement op lands whole or leaves the rows as they were.
-
-Claims are compare-and-swap leases with a heartbeat TTL: a worker
-that stops heartbeating loses the job to :meth:`JobStore.recover`,
-and the next owner resumes it from its last-good checkpoint.  The
-result cache is content-addressed by :func:`spec_hash`, optionally
-LRU-bounded in bytes, and shared by every worker on the store; the
-worker registry keeps one TTL'd row per fleet member.  The method
-docstrings state each contract; ``docs/service.md`` and
-``docs/fleet.md`` describe them in use.
-
-Each control step of a job is one op and one transaction: admission
-(:meth:`JobStore.enqueue`), the pick (:meth:`JobStore.claim_next`) and
-each state write with its transition's events.  Their counts are
-lookups on the ``jobs(state, tenant)`` index, so a job costs O(queued
-jobs) however many finished rows the store holds.  The compound ops
-take a caller's token, so a resent request returns its first outcome.
+Each control step of a job is one op and one transaction (inside
+:meth:`SQLiteJobStore._txn`): admission (:meth:`JobStore.enqueue`),
+the pick (:meth:`JobStore.claim_next`) and each state write with its
+transition's events.  The result cache (content-addressed by
+:func:`spec_hash`, optionally LRU-bounded in bytes) rides in the same
+ops: admission answers a cached spec, the pick returns the claimed
+job's cached result, and the terminal write puts a computed one.
+Their counts are lookups on the ``jobs(state, tenant)`` index, so a
+job costs O(queued jobs) however many finished rows the store holds.
+The compound ops take a caller's token, so a resent request returns
+its first outcome.  The method docstrings state each contract;
+``docs/service.md`` and ``docs/fleet.md`` describe them in use.
 """
 
 from __future__ import annotations
@@ -135,27 +126,34 @@ class JobStore:
 
     def enqueue(self, doc: Dict[str, Any], *, token: str,
                 max_queued: int, max_active: Optional[int] = None,
-                events: Optional[List[Dict[str, Any]]] = None
-                ) -> Dict[str, Any]:
-        """Admit and insert a queued job in one transaction.  Refuses,
+                events: Optional[List[Dict[str, Any]]] = None,
+                cache_key: Optional[str] = None,
+                now: Optional[float] = None) -> Dict[str, Any]:
+        """Admit and insert a job in one transaction.  Refuses,
         writing nothing, when ``max_queued`` jobs are queued
         (``{"refused": "queue", "queued": n}``) or the doc's tenant
         has ``max_active`` queued, claimed or paused jobs (``{"refused":
         "quota", "queued": n, "active": m}``); else names the job (id
         and seq), inserts it with ``events`` in its log and returns
-        ``{"id", "seq", "queued"}``.  A ``token`` the store holds
-        already returns that submission's id and seq."""
+        ``{"id", "seq", "queued"}``.  A result cached under
+        ``cache_key`` (a hit as :meth:`cache_get` counts it) inserts
+        the job ``done`` instead -- ``cache_hit``, that result, started
+        and finished at ``now``, a ``cache_hit`` event -- and returns
+        it as ``"doc"``; a queued row keeps the key, not the ``spans``.
+        A ``token`` the store holds returns that submission's answer."""
         raise NotImplementedError
 
     def update(self, doc: Dict[str, Any], *,
                worker: Optional[str] = None,
-               events: Optional[List[Dict[str, Any]]] = None) -> bool:
+               events: Optional[List[Dict[str, Any]]] = None,
+               cache_key: Optional[str] = None) -> bool:
         """Persist ``doc`` (by id) and append ``events`` to its log, in
         one transaction.  With ``worker`` the write only lands while
         that worker still holds the claim -- a write racing a takeover
         is dropped, events included; returns whether it landed.  An
         unknown id is a lost claim (``False``) under ``worker`` and a
-        :class:`StoreError` without."""
+        :class:`StoreError` without.  A landed ``done`` write caches
+        its ``result`` minus ``lease`` under ``cache_key``."""
         raise NotImplementedError
 
     def get(self, job_id: str) -> Optional[Dict[str, Any]]:
@@ -188,7 +186,9 @@ class JobStore:
         transaction: highest ``priority``, then the tenant with the
         fewest jobs past the queue (store-wide fair share), then the
         lowest seq.  Returns ``{"doc": claimed doc or None, "queued":
-        jobs left}``; a ``token`` still holding a job returns it."""
+        jobs left, "hit": the result cached under the job's key or
+        None}``; a ``token`` still holding a job returns it (its hit
+        read again, uncounted)."""
         raise NotImplementedError
 
     def heartbeat(self, job_id: str, worker: str, *, now: float,
@@ -313,24 +313,17 @@ class SQLiteJobStore(JobStore):
 
     One database holds the ``jobs``, ``events``, ``cache`` and
     ``workers`` tables, each row storing its document as canonical
-    JSON plus that JSON's SHA-256.  Progress events are rows like any
-    other: one ``INSERT`` each, numbered by the database, so an append
-    lands whole or not at all and every handle on the file sees one
-    order.  A file written before the ``events`` table existed gains
-    it on open; its old event history is not imported.
+    JSON plus that JSON's SHA-256; a progress event is one ``INSERT``,
+    numbered by the database.  A file written before the ``events``
+    table existed gains it on open (its old history is not imported).
 
     Cross-process safety comes from SQLite itself: WAL journal mode,
     ``BEGIN IMMEDIATE`` transactions around every compare-and-swap
-    (:meth:`_txn`), and a busy timeout instead of failing fast.  Two
-    scheduler processes (or two store instances in one process) can
-    point at the same path.
-
-    The path ``":memory:"`` runs the same code on a database private
-    to this instance: no file is created, and ``kind`` reads
-    ``"memory"`` so callers know not to leave work in it.
-    ``cache_budget`` bounds the result cache to that many
-    canonical-JSON payload bytes (LRU eviction); ``None`` keeps it
-    unbounded.
+    (:meth:`_txn`), and a busy timeout, so two scheduler processes can
+    share a path.  ``":memory:"`` runs the same code on a database
+    private to this instance (``kind == "memory"``).  ``cache_budget``
+    bounds the result cache to that many canonical-JSON payload bytes
+    (LRU eviction); ``None`` keeps it unbounded.
     """
 
     kind = "sqlite"
@@ -383,12 +376,9 @@ class SQLiteJobStore(JobStore):
         between its read and its write); commits when the body
         finishes, an early ``return`` included; rolls back and
         re-raises whatever the body raises; and types any
-        ``sqlite3.Error``, the bracket's own included, as
-        :class:`StoreError` / :class:`StoreCorrupt`.
-
-        ``begin=False`` keeps the lock and the error typing but opens
-        no transaction, so each statement commits by itself: for ops
-        whose one write (or read) is atomic without a bracket.
+        ``sqlite3.Error`` as :class:`StoreError` / :class:`StoreCorrupt`.
+        ``begin=False`` opens no transaction, for ops whose one
+        statement is atomic by itself.
         """
         with self._lock:
             try:
@@ -432,13 +422,14 @@ class SQLiteJobStore(JobStore):
                 " attempt INTEGER NOT NULL DEFAULT 0,"
                 " doc TEXT NOT NULL,"
                 " sha256 TEXT NOT NULL)")
-            # a file written before the resend tokens and the pause
-            # flag gains their columns
+            # a file written before the resend tokens, the pause flag
+            # and the cache key gains their columns
             cols = {r[1] for r in db.execute(
                 "PRAGMA table_info(jobs)").fetchall()}
             for col, decl in (("token", "TEXT"), ("claim_token", "TEXT"),
                               ("pause_requested",
-                               "INTEGER NOT NULL DEFAULT 0")):
+                               "INTEGER NOT NULL DEFAULT 0"),
+                              ("cache_key", "TEXT")):
                 if col not in cols:
                     db.execute(f"ALTER TABLE jobs ADD COLUMN {col} {decl}")
             db.execute(
@@ -520,15 +511,15 @@ class SQLiteJobStore(JobStore):
         return f"j{n:06d}", n
 
     # -- documents -----------------------------------------------------
-    def _insert(self, doc: Dict[str, Any],
-                token: Optional[str] = None) -> None:
+    def _insert(self, doc: Dict[str, Any], token: Optional[str] = None,
+                cache_key: Optional[str] = None) -> None:
         text = _canon(doc)
         self._db.execute(
             "INSERT INTO jobs(seq, id, state, tenant, attempt, token,"
-            " doc, sha256) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+            " cache_key, doc, sha256) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (int(doc.get("seq", 0)), doc["id"], doc["state"],
              doc.get("tenant", "default"), int(doc.get("attempt", 0)),
-             token, text, _doc_sha(text)))
+             token, cache_key, text, _doc_sha(text)))
 
     def insert(self, doc: Dict[str, Any]) -> None:
         with self._txn(begin=False):
@@ -536,15 +527,20 @@ class SQLiteJobStore(JobStore):
 
     def enqueue(self, doc: Dict[str, Any], *, token: str,
                 max_queued: int, max_active: Optional[int] = None,
-                events: Optional[List[Dict[str, Any]]] = None
-                ) -> Dict[str, Any]:
+                events: Optional[List[Dict[str, Any]]] = None,
+                cache_key: Optional[str] = None,
+                now: Optional[float] = None) -> Dict[str, Any]:
         with self._txn() as db:
             queued = db.execute("SELECT COUNT(*) FROM jobs"
                                 " WHERE state = 'queued'").fetchone()[0]
-            first = db.execute("SELECT id, seq FROM jobs WHERE token = ?",
-                               (token,)).fetchone()
-            if first is not None:  # a resend
-                return {"id": first[0], "seq": first[1], "queued": queued}
+            first = db.execute(
+                "SELECT id, seq, doc, sha256, state = 'done' AND"
+                " claimed_by IS NULL FROM jobs WHERE token = ?",
+                (token,)).fetchone()
+            if first is not None:  # a resend (of a hit: done, unclaimed)
+                out = {"id": first[0], "seq": first[1], "queued": queued}
+                return dict(out, doc=self._row_doc(first[2:4])) \
+                    if first[4] else out
             if queued >= max_queued:
                 return {"refused": "queue", "queued": queued}
             if max_active is not None:
@@ -557,9 +553,21 @@ class SQLiteJobStore(JobStore):
                             "active": active}
             n = self._next_seq()
             doc = dict(doc, id=f"j{n:06d}", seq=n, queued_at=time.time())
-            self._insert(doc, token)
+            hit = self._cache_lookup(cache_key) if cache_key else None
+            if hit is None:
+                doc.pop("spans", None)
+            else:
+                now = time.time() if now is None else now
+                events = [*(events or ()), {
+                    "event": "cache_hit", "t_wall": now,
+                    "key": cache_key[:12], "digest": hit.get("digest")}]
+                doc.update(state="done", cache_hit=True, result=hit,
+                           started_at=now, finished_at=now, progress=dict(
+                               doc["progress"], events=len(events)))
+            self._insert(doc, token, cache_key)
             self._append_events(doc["id"], events)
-        return {"id": doc["id"], "seq": n, "queued": queued + 1}
+        out = {"id": doc["id"], "seq": n, "queued": queued + (hit is None)}
+        return out if hit is None else dict(out, doc=doc)
 
     def _write(self, doc: Dict[str, Any], where: str, *args: Any) -> bool:
         """Replace ``doc``'s row if ``where`` holds; whether it did."""
@@ -573,12 +581,18 @@ class SQLiteJobStore(JobStore):
 
     def update(self, doc: Dict[str, Any], *,
                worker: Optional[str] = None,
-               events: Optional[List[Dict[str, Any]]] = None) -> bool:
-        with self._txn(begin=bool(events)):
+               events: Optional[List[Dict[str, Any]]] = None,
+               cache_key: Optional[str] = None) -> bool:
+        result = doc.get("result") if doc["state"] == "done" else None
+        put = cache_key is not None and result is not None
+        with self._txn(begin=bool(events) or put):
             landed = (self._write(doc, "") if worker is None else
                       self._write(doc, "AND claimed_by = ?", worker))
             if landed:
                 self._append_events(doc["id"], events)
+            if landed and put:
+                self._cache_put(cache_key, result.get("digest"), {
+                    k: v for k, v in result.items() if k != "lease"})
         if not landed and worker is None:
             raise StoreError(f"no such job {doc['id']!r}")
         return landed
@@ -651,14 +665,17 @@ class SQLiteJobStore(JobStore):
                    ttl: float) -> Dict[str, Any]:
         with self._txn() as db:
             queued = db.execute(
-                "SELECT id, tenant, seq, json_extract(doc, '$.priority')"
-                " FROM jobs WHERE state = 'queued'").fetchall()
+                "SELECT id, tenant, seq, json_extract(doc, '$.priority'),"
+                " cache_key FROM jobs WHERE state = 'queued'").fetchall()
             first = db.execute(
-                "SELECT doc, sha256 FROM jobs WHERE claim_token = ?"
-                " AND claimed_by = ?", (token, worker)).fetchone()
+                "SELECT doc, sha256, cache_key FROM jobs WHERE"
+                " claim_token = ? AND claimed_by = ?",
+                (token, worker)).fetchone()
             if first is not None or not queued:
-                return {"doc": first and self._row_doc(first),
-                        "queued": len(queued)}
+                key = first and first[2]
+                return {"doc": first and self._row_doc(first[:2]),
+                        "queued": len(queued), "hit": self._cache_lookup(
+                            key, count=False) if key else None}
             tenants = sorted({r[1] for r in queued})
             marks = ", ".join("?" * len(tenants))
             # one tenant: the load cannot reorder anything
@@ -667,20 +684,22 @@ class SQLiteJobStore(JobStore):
                 " ('scheduled', 'running', 'paused', 'done', 'failed',"
                 f" 'cancelled') AND tenant IN ({marks}) GROUP BY tenant",
                 tenants).fetchall())
-            jid = min(queued, key=lambda r: (-int(r[3] or 0),
-                                             load.get(r[1], 0), r[2]))[0]
-            doc = self._claim(jid, worker, now, ttl, token)
-        return {"doc": doc, "queued": len(queued) - 1}
+            pick = min(queued, key=lambda r: (-int(r[3] or 0),
+                                              load.get(r[1], 0), r[2]))
+            doc = self._claim(pick[0], worker, now, ttl, token)
+            hit = self._cache_lookup(pick[4]) if pick[4] else None
+        return {"doc": doc, "queued": len(queued) - 1, "hit": hit}
 
     def heartbeat(self, job_id: str, worker: str, *, now: float,
                   ttl: float,
                   doc: Optional[Dict[str, Any]] = None
                   ) -> Optional[Dict[str, Any]]:
         with self._txn() as db:
-            if db.execute(
-                    "UPDATE jobs SET claim_expires = ?"
-                    " WHERE id = ? AND claimed_by = ?",
-                    (now + ttl, job_id, worker)).rowcount == 0:
+            flags = db.execute(
+                "UPDATE jobs SET claim_expires = ? WHERE id = ? AND"
+                " claimed_by = ? RETURNING cancel_requested,"
+                " pause_requested", (now + ttl, job_id, worker)).fetchone()
+            if flags is None:
                 return None
             if doc is not None:
                 # progress only lands on a still-claimable row: a
@@ -688,11 +707,8 @@ class SQLiteJobStore(JobStore):
                 # resurrected by a heartbeat
                 self._write(dict(doc, id=job_id),
                             "AND state IN ('scheduled', 'running')")
-            cancel, pause = db.execute(
-                "SELECT cancel_requested, pause_requested FROM jobs"
-                " WHERE id = ?", (job_id,)).fetchone()
-            return {"cancel_requested": bool(cancel),
-                    "pause_requested": bool(pause)}
+        return {"cancel_requested": bool(flags[0]),
+                "pause_requested": bool(flags[1])}
 
     def recover(self, *, now: float,
                 worker: Optional[str] = None) -> List[str]:
@@ -811,42 +827,52 @@ class SQLiteJobStore(JobStore):
             logger.info("cache entry %s… evicted (budget %d bytes)",
                         row[0][:12], self.cache_budget)
 
-    def cache_put(self, key: str, digest: Optional[str],
-                  result: Dict[str, Any]) -> None:
-        text = _canon(result)
-        now = time.time()
-        with self._txn() as db:
-            db.execute(
-                "INSERT OR REPLACE INTO cache"
-                " (key, digest, result, sha256, hits,"
-                " created_at, size, last_used)"
-                " VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
-                (key, digest, text, _doc_sha(text), now,
-                 len(text), now))
-            self._evict_over_budget()
+    def _cache_put(self, key: str, digest: Optional[str],
+                   result: Dict[str, Any]) -> None:
+        """The one cache write: replace, then evict to the budget."""
+        text, now = _canon(result), time.time()
+        self._db.execute(
+            "INSERT OR REPLACE INTO cache"
+            " (key, digest, result, sha256, hits,"
+            " created_at, size, last_used)"
+            " VALUES (?, ?, ?, ?, 0, ?, ?, ?)",
+            (key, digest, text, _doc_sha(text), now, len(text), now))
+        self._evict_over_budget()
 
-    def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._txn(begin=False) as db:
-            row = db.execute(
-                "SELECT result, sha256 FROM cache WHERE key = ?",
-                (key,)).fetchone()
-            if row is None:
-                return None
-            try:
-                doc = self._row_doc(row)
-            except StoreCorrupt:
-                # content-addressing: a damaged entry is a miss,
-                # never a wrong answer
-                db.execute("DELETE FROM cache WHERE key = ?", (key,))
-                self._bump_meta_counter("cache_dropped")
-                logger.warning("cache entry %s… dropped: payload "
-                               "digest mismatch", key[:12])
-                return None
-            db.execute(
+    def _cache_lookup(self, key: str, *, count: bool = True
+                      ) -> Optional[Dict[str, Any]]:
+        """The one cache read: the entry under ``key`` (``count``ed as
+        a hit, marked most recently used) or ``None``."""
+        row = self._db.execute(
+            "SELECT result, sha256 FROM cache WHERE key = ?",
+            (key,)).fetchone()
+        if row is None:
+            return None
+        try:
+            doc = self._row_doc(row)
+        except StoreCorrupt:
+            # content-addressing: a damaged entry is a miss, never a
+            # wrong answer
+            self._db.execute("DELETE FROM cache WHERE key = ?", (key,))
+            self._bump_meta_counter("cache_dropped")
+            logger.warning("cache entry %s… dropped: payload "
+                           "digest mismatch", key[:12])
+            return None
+        if count:
+            self._db.execute(
                 "UPDATE cache SET hits = hits + 1, last_used = ?"
                 " WHERE key = ?", (time.time(), key))
             self._bump_meta_counter("cache_hits")
-            return doc
+        return doc
+
+    def cache_put(self, key: str, digest: Optional[str],
+                  result: Dict[str, Any]) -> None:
+        with self._txn():
+            self._cache_put(key, digest, result)
+
+    def cache_get(self, key: str) -> Optional[Dict[str, Any]]:
+        with self._txn(begin=False):
+            return self._cache_lookup(key)
 
     def cache_stats(self) -> Dict[str, Any]:
         with self._txn(begin=False) as db:
@@ -955,11 +981,9 @@ class SQLiteJobStore(JobStore):
 
 
 class MemoryJobStore(SQLiteJobStore):
-    """The name of ``SQLiteJobStore(":memory:")``, kept because the
-    scheduler's stop-drain default, ``/healthz`` and ``/fleet`` read
-    ``kind == "memory"`` and callers construct the store by this name.
-    It adds no behaviour: restarts of the *process* lose it, restarts
-    of a scheduler object over the same store instance do not."""
+    """The name of ``SQLiteJobStore(":memory:")``: adds no behaviour;
+    restarts of the *process* lose it, of a scheduler object over the
+    same store instance do not."""
 
     kind = "memory"
 

@@ -160,7 +160,6 @@ def test_let_exchange_single_host_is_zero(plummerish):
     assert ex.total_import_cells == 0
     assert ex.total_import_particles == 0
     assert ex.total_bytes == 0.0
-    assert ex.as_dict()["let_import_bytes"] == 0.0
 
 
 def test_build_force_cluster_path(plummerish):

@@ -79,7 +79,7 @@ class TestDirectAccelerations:
             r, _ = direct_accelerations(scale * pos, mass, 0.05 * scale)
             err = np.linalg.norm(a - r, axis=1) / np.linalg.norm(r, axis=1)
             assert np.sqrt(np.mean(err**2)) < 3e-3
-        assert backend.system.coordinate_range is None
+        assert backend.system.pipeline.coord_format is None
 
 
 class TestDirectSummation:

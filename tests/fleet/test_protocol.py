@@ -50,7 +50,8 @@ class TestEnvelopes:
 
     @pytest.mark.parametrize("op,args,kwargs,sealed", [
         ("update", ({"id": "j1"},), {},
-         {"doc": {"id": "j1"}, "worker": None, "events": None}),
+         {"doc": {"id": "j1"}, "worker": None, "events": None,
+          "cache_key": None}),
         ("requeue", ("j1",), {},
          {"job_id": "j1", "from_state": "paused"}),
         ("fleet_heartbeat", ("w",), {"now": 1.0, "ttl": 2.0},

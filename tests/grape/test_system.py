@@ -129,7 +129,9 @@ class TestOneCoordinateFormat:
             fmt = backend.system.pipeline.coord_format
             assert walk and ref
             assert all(f is fmt for f in walk + ref)
-            assert (fmt.xmin, fmt.xmax) == backend.system.coordinate_range
+            # the announced window covers the tree's domain
+            assert fmt.xmin <= scale * pos.min() < scale * pos.max() \
+                <= fmt.xmax
             formats.append(fmt)
         assert formats[1] is not formats[0]
         assert formats[1].xmax > formats[0].xmax
@@ -188,15 +190,15 @@ class TestSystem:
         """With no window announced a call is covered on its own, the
         first like every later one; ``set_range`` is the only writer."""
         s = Grape5System()
-        assert s.coordinate_range is None
+        assert s.pipeline.coord_format is None
         xi, xj = rng.standard_normal((4, 3)), rng.standard_normal((4, 3))
         a, _ = s.compute(xi, xj, np.ones(4), 0.1)
-        assert s.coordinate_range is None
         assert s.pipeline.coord_format is None
         r, _ = pairwise_accpot(xi, xj, np.ones(4), 0.1)
         assert np.allclose(a, r, rtol=0.02)
         s.set_range(-5, 5)
-        assert s.coordinate_range == (-5.0, 5.0)
+        fmt = s.pipeline.coord_format
+        assert (fmt.xmin, fmt.xmax) == (-5.0, 5.0)
 
     def test_model_flops_below_peak(self, rng):
         s = Grape5System()

@@ -8,6 +8,8 @@ runtime table after a batch of finished jobs -- each of which must
 still answer every read and control route.
 """
 
+import threading
+
 import pytest
 
 from repro.serve import (JobError, JobSpec, JobStore, Scheduler,
@@ -19,12 +21,17 @@ from tests.serve.conftest import serving
 def _cycle(sched, spec):
     """One submit -> done cycle driven on the calling thread: the
     scheduler is never started, so no poll or housekeeping tick reads
-    the store behind the count's back."""
+    the store behind the count's back.  A cache hit is answered by
+    the submit itself."""
     admitted = sched.submit(spec)
+    if admitted.admitted.state == "done":
+        return admitted.admitted
     with sched._cv:
         job = sched._claim_next_locked()
     assert job.id == admitted.id
-    if not sched._serve_from_cache(job):
+    if job.cache_hit:
+        sched._serve_from_cache(job)
+    else:
         sched._execute(job)
     assert job.state == "done", (job.state, job.error)
     return job
@@ -99,8 +106,10 @@ for _op in [n for n, a in vars(JobStore).items()
 class TestStoreOpsPerJob:
     def test_each_control_step_is_one_store_op(self, tmp_path):
         """Admission, the pick and each state change are one op each,
-        the transition events riding inside them: a miss is 6 ops and
-        a cache hit 4, whatever the store holds."""
+        the transition events riding inside them, and the result
+        cache rides inside admission, the pick and the terminal
+        write: a miss is 4 ops and a cache hit 1, whatever the store
+        holds."""
         store = CountingStore(SQLiteJobStore(tmp_path / "jobs.db"))
         sched = Scheduler(slots=1, workdir=tmp_path / "work",
                           store=store, cache=True)
@@ -109,12 +118,10 @@ class TestStoreOpsPerJob:
                 store.calls.clear()
                 miss = _cycle(sched, _fe(len(store.inner.list())))
                 assert store.calls == ["enqueue", "claim_next",
-                                       "cache_get", "update", "update",
-                                       "cache_put"]
+                                       "update", "update"]
                 store.calls.clear()
                 hit = _cycle(sched, _fe(miss.spec.params["seed"]))
-                assert store.calls == ["enqueue", "claim_next",
-                                       "cache_get", "update"]
+                assert store.calls == ["enqueue"]
             assert [e["event"] for e in store.inner.events(miss.id)] \
                 == ["submitted", "leased", "done"]
             assert [e["event"] for e in store.inner.events(hit.id)] \
@@ -165,10 +172,9 @@ class TestFinishedJobsLeaveTheWorker:
                 names = {s["name"] for s in trace["spans"]}
                 if name == "cancelled":
                     assert names == set()
-                elif name == "hit":
-                    assert {"serve.queue_wait",
-                            "serve.store.cache"} <= names
-                    assert "serve.lease_acquire" not in names
+                elif name == "hit":  # answered at admission
+                    assert names == {"serve.admission",
+                                     "serve.queue_wait"}
                 else:
                     assert {"serve.queue_wait", "serve.lease_acquire",
                             "serve.job"} <= names
@@ -230,3 +236,53 @@ class TestOwnershipUnderContention:
             sys.setswitchinterval(interval)
             sched.stop(drain=False)
 
+
+class _BlockingEnqueue(SQLiteJobStore):
+    """An in-memory store whose admissions block, once armed, until
+    released."""
+
+    def __init__(self):
+        super().__init__(":memory:")
+        self.armed = False
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def enqueue(self, doc, **kwargs):
+        if self.armed:
+            self.entered.set()
+            self.release.wait(30)
+        return super().enqueue(doc, **kwargs)
+
+
+class TestSubmitOffTheLock:
+    def test_a_parked_enqueue_holds_neither_reads_nor_claims(self,
+                                                             tmp_path):
+        """``submit`` holds no scheduler lock across its store op:
+        while one admission is parked in the store, a read of another
+        job and a slot's claim both go through."""
+        store = _BlockingEnqueue()
+        sched = Scheduler(slots=1, workdir=tmp_path / "work",
+                          store=store)
+        first = sched.submit(_fe(1))
+        store.armed = True
+        parked = threading.Thread(target=sched.submit, args=(_fe(2),))
+        parked.start()
+        seen = {}
+
+        def probe():
+            seen["get"] = sched.get(first.id).state
+            with sched._cv:
+                seen["claim"] = sched._claim_next_locked().id
+
+        try:
+            assert store.entered.wait(10)
+            prober = threading.Thread(target=probe)
+            prober.start()
+            prober.join(10)
+            assert seen == {"get": "queued", "claim": first.id}
+        finally:
+            store.release.set()
+            parked.join(30)
+            sched.stop(drain=False)
+        assert [d["state"] for d in store.list()] == ["scheduled",
+                                                      "queued"]

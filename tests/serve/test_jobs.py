@@ -97,7 +97,7 @@ class TestLifecycle:
 
     def test_wire_document_shape(self):
         job = Job(spec=JobSpec(kind="force_eval", tenant="bob"))
-        doc = json.loads(job.to_json())
+        doc = json.loads(json.dumps(job.to_dict()))
         assert doc["schema"] == JOB_SCHEMA
         assert doc["id"] == job.id
         assert doc["state"] == "queued"

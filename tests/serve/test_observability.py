@@ -80,15 +80,19 @@ class TestTraceFromAnyWorker:
     def test_two_workers_return_the_same_spans(self, tmp_path):
         """A finished job's trace is in its store document, so a second
         worker on the same file answers ``/jobs/{id}/trace`` exactly
-        as the one that ran it -- for a computed job and a cache hit.
-        (The second worker used to answer ``spans: []``.)"""
+        as the one that ran it -- for a computed job and a cache hit
+        answered at admission.  (The second worker used to answer
+        ``spans: []``.)"""
         from tests.serve.conftest import live_server
         db = tmp_path / "jobs.db"
         spec = {"kind": "force_eval", "params": {"n": 64, "seed": 3}}
         with live_server(slots=1, workdir=tmp_path / "a", store=db,
                          worker_id="A", cache=True) as (_, a):
-            ids = [a.submit(spec)["id"] for _ in range(2)]
-            docs = [a.wait(i, timeout=120) for i in ids]
+            ids = []
+            for _ in range(2):
+                ids.append(a.submit(spec)["id"])
+                a.wait(ids[-1], timeout=120)
+            docs = [a.job(i) for i in ids]
             assert [d["cache_hit"] for d in docs] == [False, True]
             with live_server(slots=1, workdir=tmp_path / "b", store=db,
                              worker_id="B", cache=True) as (_, b):
@@ -97,8 +101,9 @@ class TestTraceFromAnyWorker:
                     assert ta["trace_id"] == tb["trace_id"]
                     names = [s["name"] for s in ta["spans"]]
                     assert names == [s["name"] for s in tb["spans"]]
-                    assert "serve.store.cache" in names
-                    assert ("serve.job" in names) == (jid == ids[0])
+                    assert ("serve.store.claim" in names) == \
+                        ("serve.job" in names) == (jid == ids[0])
+                    assert ("serve.admission" in names) == (jid == ids[1])
 
 
 class TestMetricsHistograms:

@@ -104,7 +104,47 @@ class _BlockingVerify(MemoryJobStore):
         return super().verify()
 
 
+class _BlockingGet(MemoryJobStore):
+    """A store whose read of one armed job id blocks until released."""
+
+    def __init__(self):
+        super().__init__()
+        self.armed = None
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def get(self, job_id):
+        if job_id == self.armed:
+            self.entered.set()
+            self.release.wait(30)
+        return super().get(job_id)
+
+
 class TestStoreCallsOffTheLoop:
+    def test_healthz_answers_while_a_job_read_is_parked(self, tmp_path,
+                                                        serve_factory):
+        """``GET /jobs/{id}`` reads the store on a thread, so a read
+        that hangs (a slow fleet RPC) stalls no other connection."""
+        store = _BlockingGet()
+        with serve_factory(slots=1, workdir=tmp_path,
+                           store=store) as (server, client):
+            jid = client.submit(FE_SPEC)["id"]
+            client.wait(jid, timeout=60)
+            store.armed = jid
+            got = {}
+            reader = threading.Thread(
+                target=lambda: got.update(client.job(jid)))
+            reader.start()
+            try:
+                assert store.entered.wait(10)
+                quick = ServeClient(port=server.port, timeout=5)
+                assert quick.healthz()["status"] == "ok"
+                assert not got
+            finally:
+                store.release.set()
+                reader.join(30)
+            assert got["id"] == jid and got["state"] == "done"
+
     def test_job_route_answers_while_store_sweep_runs(self, tmp_path,
                                                       serve_factory):
         """``GET /store`` runs the store's calls on a thread, so a
@@ -143,6 +183,23 @@ class TestJobsOverHTTP:
         kinds = [e["event"] for e in events]
         assert "leased" in kinds
         assert events[-1] == {"event": "state", "state": "done"}
+
+    def test_a_hit_answered_at_submit_is_waited_without_a_request(
+            self, tmp_path, serve_factory):
+        """A cache hit's ``POST /jobs`` answer is already final, so
+        ``wait`` on this thread returns it as is -- and it is what
+        ``GET /jobs/{id}`` reads back."""
+        with serve_factory(workdir=tmp_path, cache=True) as (server,
+                                                              client):
+            first = client.wait(client.submit(FE_SPEC)["id"], timeout=60)
+            hit = client.submit(FE_SPEC)
+            assert hit["state"] == "done" and hit["cache_hit"] is True
+            asked = []
+            client.job = asked.append
+            assert client.wait(hit["id"], timeout=60) == hit
+            assert not asked
+            assert ServeClient(port=server.port).job(hit["id"]) == hit
+            assert hit["result"]["digest"] == first["result"]["digest"]
 
     def test_cancel_queued_job(self, tmp_path, serve_factory, tiny_run):
         with serve_factory(slots=1, workdir=tmp_path) as (_, client):

@@ -318,8 +318,8 @@ class TestContract:
             ("scheduled", "w")
         assert store.claim_next("w", token="c2", now=100.0,
                                 ttl=30.0)["doc"]["id"] == "j000001"
-        assert store.claim_next("w", token="c3", now=100.0,
-                                ttl=30.0) == {"doc": None, "queued": 0}
+        assert store.claim_next("w", token="c3", now=100.0, ttl=30.0) \
+            == {"doc": None, "queued": 0, "hit": None}
         assert store.get("j000001")["worker"] == "w"
 
     def test_resent_compound_ops_return_their_first_outcome(self, store):

@@ -98,13 +98,18 @@ class StoreMachine(RuleBasedStateMachine):
     def has(self, *states):
         return any(r["state"] in states for r in self.jobs.values())
 
-    def new_row(self, jid, seq, tenant, priority):
+    def new_row(self, jid, seq, tenant, priority, key=None):
         self.jobs[jid] = {"state": "queued", "tenant": tenant,
                           "priority": priority, "seq": seq,
                           "owner": None, "worker": None,
                           "expires": None, "cancel": False,
-                          "pause": False, "attempt": 0}
+                          "pause": False, "attempt": 0, "key": key}
         self.events[jid] = []
+
+    def lookup(self, key):
+        """A counted cache read: the entry under ``key`` or None."""
+        self.hits += key in self.cache
+        return self.cache.get(key)
 
     def spec(self, tenant, priority):
         return JobSpec(kind="force_eval", params={"n": 64},
@@ -191,14 +196,21 @@ class StoreMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.has(*CLAIMED))
     @rule(n=picks, state=st.sampled_from(
-        ["done", "failed", "cancelled", "paused"]))
-    def finish(self, n, state):
-        """The owner's guarded write of an outcome lands."""
+        ["done", "failed", "cancelled", "paused"]),
+          key=st.none() | st.sampled_from(KEYS),
+          value=st.integers(0, 99))
+    def finish(self, n, state, key, value):
+        """The owner's guarded write of an outcome lands; a ``done``
+        one made with a ``key`` caches its result minus the lease."""
         jid = self.pick(n, CLAIMED)
         row = self.jobs[jid]
-        doc = dict(self.store.get(jid), state=state)
-        assert self.store.update(doc, worker=row["owner"]) is True
+        doc = dict(self.store.get(jid), state=state,
+                   result={"v": value, "lease": "L0001"})
+        assert self.store.update(doc, worker=row["owner"],
+                                 cache_key=key) is True
         row["state"] = state
+        if state == "done" and key is not None:
+            self.cache[key] = {"v": value}
 
     @precondition(lambda self: self.jobs)
     @rule(n=picks, worker=st.sampled_from(WORKERS))
@@ -270,8 +282,7 @@ class StoreMachine(RuleBasedStateMachine):
         """Put (``put`` is the value) or get one entry, then read the
         figures."""
         if put is None:
-            assert self.store.cache_get(key) == self.cache.get(key)
-            self.hits += key in self.cache
+            assert self.store.cache_get(key) == self.lookup(key)
         else:
             self.store.cache_put(key, digest, {"v": put})
             self.cache[key] = {"v": put}
@@ -323,12 +334,14 @@ class StoreMachine(RuleBasedStateMachine):
           priority=st.integers(min_value=0, max_value=2),
           queue_room=st.integers(min_value=0, max_value=2),
           quota_room=st.none() | st.integers(min_value=0, max_value=1),
-          resend=st.booleans())
-    def enqueue(self, tenant, priority, queue_room, quota_room, resend):
+          key=st.none() | st.sampled_from(KEYS), resend=st.booleans())
+    def enqueue(self, tenant, priority, queue_room, quota_room, key,
+                resend):
         """Admission in one op: the queue bound, then the tenant's
-        quota, then the insert; a resend returns the first outcome.
-        The bounds sit at, just above or (``None``) far from the
-        model's counts."""
+        quota, then the insert -- ``done`` from the cache when its
+        ``key`` holds a result, else queued with the key; a resend
+        returns the first outcome.  The bounds sit at, just above or
+        (``None``) far from the model's counts."""
         queued = sum(r["state"] == "queued" for r in self.jobs.values())
         active = sum(r["tenant"] == tenant and r["state"] in (
             "queued", "scheduled", "running", "paused")
@@ -339,8 +352,11 @@ class StoreMachine(RuleBasedStateMachine):
         token = f"s{next(tokens)}"
         doc = Job(spec=self.spec(tenant, priority),
                   id="unnamed").to_store_doc()
-        out = self.store.enqueue(doc, token=token, max_queued=max_queued,
-                                 max_active=max_active)
+        spans = [{"name": "serve.admission"}]
+        args = dict(token=token, max_queued=max_queued,
+                    max_active=max_active, cache_key=key, now=self.now,
+                    events=[{"event": "submitted"}])
+        out = self.store.enqueue(dict(doc, spans=spans), **args)
         if queued >= max_queued:
             assert out == {"refused": "queue", "queued": queued}
         elif max_active is not None and active >= max_active:
@@ -348,13 +364,29 @@ class StoreMachine(RuleBasedStateMachine):
                            "active": active}
         else:
             self.seq += 1
-            assert out == {"id": f"j{self.seq:06d}", "seq": self.seq,
-                           "queued": queued + 1}
-            self.new_row(out["id"], self.seq, tenant, priority)
+            jid = f"j{self.seq:06d}"
+            self.new_row(jid, self.seq, tenant, priority, key)
+            self.events[jid].append({"event": "submitted"})
+            hit = self.lookup(key)
+            assert {k: out[k] for k in ("id", "seq", "queued")} == {
+                "id": jid, "seq": self.seq, "queued": queued + (not hit)}
+            row = self.store.get(jid)
+            if hit is None:
+                assert "doc" not in out and "spans" not in row
+            else:
+                assert out["doc"] == row
+                assert (row["state"], row["cache_hit"], row["result"],
+                        row["started_at"], row["finished_at"],
+                        row["spans"]) == ("done", True, hit, self.now,
+                                          self.now, spans)
+                self.jobs[jid]["state"] = "done"
+                self.events[jid].append({
+                    "event": "cache_hit", "t_wall": self.now,
+                    "key": key[:12], "digest": None})
+            assert self.store.events(jid) == self.events[jid]
         if resend:
-            assert self.store.enqueue(doc, token=token,
-                                      max_queued=max_queued,
-                                      max_active=max_active) == out
+            assert self.store.enqueue(dict(doc, spans=spans),
+                                      **args) == out
 
     @rule(worker=st.sampled_from(WORKERS), resend=st.booleans())
     def claim_next(self, worker, resend):
@@ -367,7 +399,7 @@ class StoreMachine(RuleBasedStateMachine):
         queued = [j for j, r in self.jobs.items()
                   if r["state"] == "queued"]
         if not queued:
-            assert out == {"doc": None, "queued": 0}
+            assert out == {"doc": None, "queued": 0, "hit": None}
             return
         load = {}
         for row in self.jobs.values():
@@ -380,6 +412,7 @@ class StoreMachine(RuleBasedStateMachine):
         assert (out["doc"]["id"], out["queued"]) == (want,
                                                     len(queued) - 1)
         assert out["doc"]["pause_requested"] == self.jobs[want]["pause"]
+        assert out["hit"] == self.lookup(self.jobs[want]["key"])
         self.jobs[want].update(state="scheduled", owner=worker,
                                worker=worker, expires=self.now + TTL)
         if resend:
