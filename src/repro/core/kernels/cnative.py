@@ -8,11 +8,13 @@ What each computes and why, and when the oracle runs: ``docs/kernels.md``.
 The source compiles at first use with ``$CC``, else ``gcc``, else
 ``cc``: ``-march=native`` first, dropped if the compiler rejects it,
 and always ``-ffp-contract=off``, so no FMA forms and NumPy's separate
-multiply/add is matched.  The g5 rounding drops ``s = 53 - fb`` bits
-of the IEEE fraction, the frexp-mantissa convention of
-:func:`repro.grape.numerics.round_mantissa`.  With no compiler, no
-writable cache or ``REPRO_KERNELS_NO_CNATIVE`` set, :func:`load`
-returns ``None`` and every caller falls back to NumPy.
+multiply/add is matched.  The g5 walk rounds to ``fb`` bits, the
+frexp-mantissa convention of :func:`repro.grape.numerics.round_mantissa`:
+r^2 and its terms by adding and subtracting ``sign 2^(E+53-fb)``, the
+mass products by integer bit arithmetic; under AVX-512 one gather per
+pass reads its stage table (a per-lane loop elsewhere).  With no
+compiler, no writable cache or ``REPRO_KERNELS_NO_CNATIVE`` set,
+:func:`load` returns ``None`` and every caller falls back to NumPy.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import ctypes
 import hashlib
 import os
 import platform
+import shutil
 import subprocess
 import tempfile
 import threading
@@ -30,6 +33,9 @@ __all__ = ["available", "load", "SOURCE"]
 
 SOURCE = r"""
 #include <math.h>
+#ifdef __AVX512F__
+#include <immintrin.h>
+#endif
 
 typedef long long i64;
 typedef unsigned long long u64;
@@ -39,18 +45,23 @@ typedef double vd __attribute__((vector_size(8 * B)));
 typedef u64 vu __attribute__((vector_size(8 * B)));
 typedef i64 vi __attribute__((vector_size(8 * B)));
 
-/* round-to-nearest-even to fb = 53 - s mantissa bits, per lane: add
-   the round bit plus the ties-to-even correction, clear the dropped
-   bits.  Exact for zero and normal x only: repro_g5_csr's window and
-   input checks keep every value it rounds so (no subnormal guard).  */
+/* round-to-nearest-even to fb = 53 - s mantissa bits, per lane, of a
+   zero or normal x = sign m 2^E (no guard: repro_g5_csr's checks keep
+   every value it rounds so).  rd_mant_v adds the round bit plus the
+   ties-to-even correction and clears the dropped bits.  rd_exp_v, for
+   E + s < 1023, adds and subtracts c = sign 2^(E+s): x + c lies in the
+   binade whose ulp is x's rounding step 2^(E-fb+1), so the FPU rounds
+   it to nearest even (c/ulp = 2^52 is even), the subtraction is exact
+   (Sterbenz) and -0 becomes +0.  It relies on -ffp-contract=off and
+   no -ffast-math (which would fold it to x), as this source is built. */
 static inline vd rd_mant_v(vd x, int s) {
     vu u = (vu)x;
     return (vd)((u + (((u >> s) & 1) + ((1ULL << (s - 1)) - 1)))
                 & ~((1ULL << s) - 1));
 }
-
-static inline double rd_mant(double x, int s) {
-    return rd_mant_v((vd){x}, s)[0];
+static inline vd rd_exp_v(vd x, int s) {
+    vd c = (vd)(((vu)x & 0xFFF0000000000000ULL) + ((u64)s << 52));
+    return (x + c) - c;
 }
 
 /* fixed-point coordinate roundtrip (g5_set_range grid, saturating) */
@@ -120,13 +131,14 @@ i64 repro_f64_csr(const double *pos, const double *pmass,
    applied per stage exactly as G5Pipeline.compute does, B sinks per
    pass.  With 1 <= fb <= 11 and every r^2 exponent inside +-680 (the
    caller checks) a rounded r^2 = m 2^(2k+p) is zero or normal and has
-   rinv = T1[p,m] 2^-k and rinv3 = T3[p,m] 2^-3k exactly; one u64 entry
-   holds T3 with T1 >> s in its zero low s bits.  A staged mass in
-   [mlo, mhi) (or zero) keeps m rinv and m rinv3 normal, so no stage
-   needs a subnormal/inf guard: a source with a NaN coordinate, a
-   non-finite mass or a mass outside the range, or a NaN sink, returns
-   1 (not done) before any pair is formed with it.  Adding eps2q = +0
-   is exact; a zero r^2 (eps2q == 0 only) has rinv 0.                */
+   rinv = T1[p,m] 2^-k and rinv3 = T3[p,m] 2^-3k exactly: one gathered
+   u64 entry holds T3 with T1 >> s in its zero low s bits.  A staged
+   mass in [mlo, mhi) (or zero) keeps m rinv and m rinv3 normal (up to
+   2^1020: rd_mant_v), so no stage needs a guard: a source with a NaN
+   coordinate, a non-finite mass or a mass outside the range, or a NaN
+   sink, returns 1 (not done) before any pair is formed with it.  A
+   zero r^2 (eps2q = +0 only) zeroes its lane's mass: rinv and rinv3
+   stay finite (table entry 0, k of a zero exponent), so it adds +-0. */
 i64 repro_g5_csr(const double *pos, const double *pmass,
                  const double *com, const double *cmass,
                  const i64 *cell_idx, const i64 *cell_off,
@@ -144,8 +156,8 @@ i64 repro_g5_csr(const double *pos, const double *pmass,
     for (u64 t = 0; t < nt; t++) {  /* r^2 in [1, 4): E = 1 - (t >> fb-1) */
         union {double d; u64 u;} r, a, c;
         r.u = ((1024 - (t >> (fb - 1))) << 52) | ((t & (nt / 2 - 1)) << s);
-        a.d = rd_mant(1.0 / sqrt(r.d), s);
-        c.d = rd_mant(a.d * a.d * a.d, s);
+        a.d = rd_mant_v((vd){1.0 / sqrt(r.d)}, s)[0];
+        c.d = rd_mant_v((vd){a.d * a.d * a.d}, s)[0];
         tab[t] = c.u | (a.u >> s);
     }
     for (i64 g = 0; g < n_groups; g++) {
@@ -162,12 +174,11 @@ i64 repro_g5_csr(const double *pos, const double *pmass,
             sx[k] = quant(x[0], xmin, res, qmax);
             sy[k] = quant(x[1], xmin, res, qmax);
             sz[k] = quant(x[2], xmin, res, qmax);
-            sm[k] = rd_mant(m, s);
+            sm[k] = rd_mant_v((vd){m}, s)[0];
         }
         i64 s0 = sink_start[g], n_i = sink_count[g];
         for (i64 i0 = 0; i0 < n_i; i0 += B) {
-            vd xi = {0}, yi = {0}, zi = {0};
-            vd ax = {0}, ay = {0}, az = {0}, pp = {0};
+            vd xi, yi, zi, ax = {0}, ay = {0}, az = {0}, pp = {0};
             for (int l = 0; l < B; l++) {
                 const double *x = pos + 3*(s0 + (i0 + l < n_i ? i0 + l
                                                                : n_i - 1));
@@ -179,19 +190,19 @@ i64 repro_g5_csr(const double *pos, const double *pmass,
             }
             for (i64 j = 0; j < nj; j++) {
                 vd dx = sx[j] - xi, dy = sy[j] - yi, dz = sz[j] - zi;
-                vd dx2 = rd_mant_v(dx*dx, s);
-                vd dy2 = rd_mant_v(dy*dy, s);
-                vd dz2 = rd_mant_v(dz*dz, s);
-                vd r2 = rd_mant_v(((dx2 + dy2) + dz2) + eps2q, s);
+                vd r2 = rd_exp_v(((rd_exp_v(dx*dx, s) + rd_exp_v(dy*dy, s))
+                                  + rd_exp_v(dz*dz, s)) + eps2q, s);
                 vu u = (vu)r2, idx = (u >> s) & (nt - 1), e;
                 vu k = (vu)(((vi)(u >> 52) - 1023) >> 1) << 52;
+#ifdef __AVX512F__
+                e = (vu)_mm512_i64gather_epi64((__m512i)idx, tab, 8);
+#else
                 for (int l = 0; l < B; l++)
                     e[l] = tab[idx[l]];
-                vu live = (vu)(r2 > 0.0);
-                vd rinv = (vd)(((e << s) - k) & live);
-                vd rinv3 = (vd)(((e & ~low) - 3 * k) & live);
-                vd mr = rd_mant_v(sm[j] * rinv, s);
-                vd mr3 = rd_mant_v(sm[j] * rinv3, s);
+#endif
+                vd mj = (vd)((vu)(r2 > 0.0) & (vu)(sm[j] - (vd){}));
+                vd mr = rd_mant_v(mj * (vd)((e << s) - k), s);
+                vd mr3 = rd_mant_v(mj * (vd)((e & ~low) - 3 * k), s);
                 pp -= mr;
                 ax += mr3 * dx; ay += mr3 * dy; az += mr3 * dz;
             }
@@ -305,14 +316,7 @@ def _cache_dir() -> Optional[str]:
 
 
 def _compiler() -> Optional[str]:
-    cc = os.environ.get("CC")
-    if cc:
-        return cc
-    for cand in ("gcc", "cc"):
-        for d in os.environ.get("PATH", "").split(os.pathsep):
-            if d and os.access(os.path.join(d, cand), os.X_OK):
-                return cand
-    return None
+    return os.environ.get("CC") or shutil.which("gcc") or shutil.which("cc")
 
 
 def _so_path(cache: str) -> str:
@@ -342,8 +346,7 @@ def _bind(so_path: str) -> Optional[ctypes.CDLL]:
 
 
 def _compile_and_load() -> Optional[ctypes.CDLL]:
-    cache = _cache_dir()
-    cc = _compiler()
+    cache, cc = _cache_dir(), _compiler()
     if cache is None or cc is None:
         return None
     so_path = _so_path(cache)
@@ -381,10 +384,8 @@ def load() -> Optional[ctypes.CDLL]:
         return _lib
     with _lock:
         if not _tried:
-            if os.environ.get("REPRO_KERNELS_NO_CNATIVE"):
-                _lib = None
-            else:
-                _lib = _compile_and_load()
+            _lib = (None if os.environ.get("REPRO_KERNELS_NO_CNATIVE")
+                    else _compile_and_load())
             _tried = True
     return _lib
 

@@ -180,8 +180,7 @@ def save_checkpoint(path: Union[str, Path], sim: Simulation, *,
         hist_groups=np.array([r.n_groups for r in h], dtype=np.int64),
         hist_wall=np.array([r.wall_seconds for r in h]),
     )
-    _atomic_write(target,
-                  lambda fh: np.savez_compressed(fh, **payload))
+    _atomic_write(target, lambda fh: np.savez(fh, **payload))
     _update_pointer(final, target, sim)
     logger.debug("checkpoint written: %s (step %d, t=%.6g)", target,
                  len(sim.history), sim.t)

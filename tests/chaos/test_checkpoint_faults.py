@@ -65,7 +65,7 @@ class TestAtomicSave:
             fh.write(b"partial garbage")
             raise OSError("disk on fire")
 
-        monkeypatch.setattr(ckpt.np, "savez_compressed", explode)
+        monkeypatch.setattr(ckpt.np, "savez", explode)
         with pytest.raises(OSError):
             save_checkpoint(path, _small_sim(steps=3))
         assert path.read_bytes() == before          # old file intact

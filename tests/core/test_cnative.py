@@ -68,3 +68,54 @@ class TestPortableBuild:
             for a, b in zip(out["native", flavour],
                             out["portable", flavour]):
                 assert a.tobytes() == b.tobytes(), flavour
+
+    @staticmethod
+    def _cpu_flags():
+        """This CPU's ``/proc/cpuinfo`` flags, read as ``_so_path``
+        reads them."""
+        try:
+            with open("/proc/cpuinfo") as f:
+                return next((ln for ln in f if ln.startswith("flags")),
+                            "").split()
+        except OSError:
+            return []
+
+    @pytest.mark.parametrize("extra,needs", [
+        (["-mavx2"], "avx2"),
+        (["-march=native"], None),
+    ], ids=["avx2", "native"])
+    def test_every_lane_width_is_the_loaded_build(self, tmp_path,
+                                                  monkeypatch, extra,
+                                                  needs):
+        """``SOURCE`` built at each lane width the CPU runs gives the
+        loaded library's bits in both flavours, at eps > 0 and at
+        eps = 0 (the G5 walk's r^2 > 0 mask live): ``-mavx2`` splits
+        every 8-lane vector into two and looks the stage table up lane
+        by lane, ``-march=native`` on an AVX-512 CPU gathers it in one
+        instruction; the base flags (SSE2) are the test above."""
+        native, cc = cnative.load(), cnative._compiler()
+        if native is None or cc is None:
+            pytest.skip("no C compiler here")
+        if needs is not None and needs not in self._cpu_flags():
+            pytest.skip(f"this CPU has no {needs}")
+        c_path, so_path = tmp_path / "k.c", tmp_path / "width.so"
+        c_path.write_text(cnative.SOURCE)
+        subprocess.run([cc] + cnative._BASE_FLAGS + extra
+                       + ["-o", str(so_path), str(c_path), "-lm"],
+                       check=True, capture_output=True, timeout=120)
+        built = cnative._bind(str(so_path))
+        assert built is not None
+
+        pos, _, mass = plummer_model(2000, np.random.default_rng(2001))
+        tc = TreeCode(theta=0.75, n_crit=256)
+        tc.accelerations(pos, mass, 0.01)
+        out = {}
+        for name, lib in (("loaded", native), ("built", built)):
+            monkeypatch.setattr(cnative, "load", lambda lib=lib: lib)
+            for eps in (0.01, 0.0):
+                for backend in (Float64Backend(), GrapeBackend()):
+                    out[name, eps, backend.name] = uncut_sweep(tc, backend,
+                                                               eps)
+        for key in [k[1:] for k in out if k[0] == "loaded"]:
+            for a, b in zip(out[("loaded",) + key], out[("built",) + key]):
+                assert a.tobytes() == b.tobytes(), key

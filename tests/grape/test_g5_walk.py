@@ -9,6 +9,9 @@ r^-1/2, r^-3/2 stage from a 2^fb-entry table.  Neither may move a bit:
 * with many sources each lane adds them in list order, so the walk
   equals a loop that applies the pipeline per pair and adds one source
   at a time, whatever the block/tail split of the sinks;
+* each stage rounds to nearest even over the whole binade -- exact
+  ties kept even and odd, round-ups into the next binade -- with zero,
+  -0 and negative source masses, at eps = 0 and eps > 0;
 * numerics or windows the table does not reproduce take the oracle;
 * the walk rounds without a subnormal/inf guard, so inputs that would
   need one -- a NaN coordinate, a non-finite mass, a nonzero mass
@@ -148,6 +151,81 @@ class TestLaneTails:
         np.testing.assert_array_equal(_bits(pot[rows]), _bits(ref_pot[rows]))
         # spare lanes of a short block are never stored
         assert not acc[rows.stop:].any() and not pot[rows.stop:].any()
+
+
+def _edge_kinds(x, fb):
+    """The round-to-nearest-even edges the nonzero values ``x`` meet at
+    ``fb`` bits: an exact tie whose kept bits end even or odd, and a
+    value that rounds up into the next binade."""
+    m = np.frexp(np.abs(x[x != 0]))[0] * 2.0 ** fb
+    kinds = {("even tie", "odd tie")[int(k) % 2]
+             for k in np.floor(m[m % 1.0 == 0.5])}
+    return kinds | ({"next binade"} if np.any(np.round(m) == 2.0 ** fb)
+                    else set())
+
+
+class TestRoundingEdges:
+    """Every rounding of the walk is round-to-nearest-even at fb bits:
+    one source at the origin, sinks at grid offsets whose stages meet
+    exact ties kept even and odd and round-ups into the next binade, at
+    eps = 0 (the r^2 > 0 mask live) and eps > 0, and source masses that
+    are zero, -0 or negative (a zero product's sign reaches no output
+    bit).  A grid step of 2^-337 scales every stage by an even power of
+    two, so it meets the same edges with m r^-3/2 up to 2^1010."""
+
+    FB, RES = 9, 2.0 ** -13
+    # 23^2 = 529 = 0b1000010001 ties even at dx^2 (-> 528); an integer
+    # square never ties odd, so the odd tie is r^2 = 515 = 0b1000000011
+    # (-> 516): 21^2 + 5^2 + 7^2, or 21^2 + 7^2 + 3^2 + (eps = 4)^2.
+    # 181^2 = 32761 -> 2^15 and r^2 = 4093 -> 2^12 round up a binade
+    # (3, 22, 60 and 3, 42, 48 + 4^2); along x, 257 steps with a mass
+    # of 257/512 takes m r^-1/2 up one too.
+    OFFSETS = {0: [(21, 5, 7), (3, 22, 60)], 4: [(21, 7, 3), (3, 42, 48)]}
+    MASSES = [257 / 512, -257 / 512, 0.7, -0.7, 0.0, -0.0]
+
+    def _offsets(self, eps_steps):
+        return np.array([(n, 0, 0) for n in range(400)]
+                        + self.OFFSETS[eps_steps], dtype=np.float64)
+
+    @pytest.mark.parametrize("eps_steps", [0, 4])
+    def test_offsets_meet_every_edge(self, eps_steps):
+        """The stage values as G5Pipeline.compute forms them."""
+        fb, res = self.FB, self.RES
+        d2 = (self._offsets(eps_steps) * res) ** 2
+        r2 = (round_mantissa(d2, fb).sum(axis=1)
+              + round_mantissa((eps_steps * res) ** 2, fb))
+        rinv = round_mantissa(1.0 / np.sqrt(round_mantissa(r2[r2 > 0],
+                                                           fb)), fb)
+        rinv3 = round_mantissa(rinv * rinv * rinv, fb)
+        products = np.concatenate([round_mantissa(m, fb) * r
+                                   for m in self.MASSES[::2]
+                                   for r in (rinv, rinv3)])
+        assert _edge_kinds(d2, fb) >= {"even tie", "next binade"}
+        assert _edge_kinds(r2, fb) >= {"odd tie", "next binade"}
+        assert _edge_kinds(products, fb) == {"even tie", "odd tie",
+                                             "next binade"}
+
+    @pytest.mark.parametrize("res", [RES, 2.0 ** -337])
+    @pytest.mark.parametrize("eps_steps", [0, 4])
+    @pytest.mark.parametrize("m_j", MASSES)
+    def test_walk_is_the_pipeline(self, native, res, eps_steps, m_j):
+        numerics = G5Numerics(position_bits=24, force_fraction_bits=self.FB)
+        fixed = FixedPointFormat(bits=24, xmin=0.0, xmax=res * 2.0 ** 24)
+        sinks = self._offsets(eps_steps) * res
+        n_i, eps = len(sinks), eps_steps * res
+        lists = InteractionLists(
+            n_sinks=1, cell_idx=np.zeros(0, np.int64),
+            cell_off=np.zeros(2, np.int64),
+            part_idx=np.array([n_i]), part_off=np.array([0, 1]))
+        done, acc, pot = _walk(
+            np.vstack([sinks, np.zeros((1, 3))]),
+            np.append(np.zeros(n_i), m_j), np.zeros((0, 3)), np.zeros(0),
+            lists, np.array([0]), np.array([n_i]), eps, numerics, fixed)
+        assert done
+        ref_acc, ref_pot = G5Pipeline(numerics, fixed).compute(
+            sinks, np.zeros((1, 3)), np.array([m_j]), eps)
+        np.testing.assert_array_equal(_bits(acc[:n_i]), _bits(ref_acc))
+        np.testing.assert_array_equal(_bits(pot[:n_i]), _bits(ref_pot))
 
 
 class OracleGrape(GrapeBackend):

@@ -69,6 +69,29 @@ class TestRoundTrip:
         assert len(resumed.history) == 4
         assert np.all(np.isfinite(resumed.pos))
 
+    def test_compressed_checkpoint_loads_to_the_same_state(self,
+                                                          tmp_path):
+        """Checkpoints are plain ``np.savez`` archives (stored, not
+        deflated); one written by ``np.savez_compressed``, the earlier
+        format, loads to the same state digest and history."""
+        import zipfile
+        from repro.sim.recipes import state_digest
+        sim = _fresh()
+        sim.run([0.01] * 3)
+        path = save_checkpoint(tmp_path / "ck.npz", sim)
+        with zipfile.ZipFile(path) as z:
+            assert {i.compress_type for i in z.infolist()} \
+                == {zipfile.ZIP_STORED}
+        old = tmp_path / "old.npz"
+        with np.load(path) as f:
+            np.savez_compressed(old, **f)
+        digests = []
+        for p in (path, old):
+            back = load_checkpoint(p, force=DirectSummation())
+            assert back.history == sim.history
+            digests.append(state_digest(back.pos, back.vel, back.t))
+        assert digests == [state_digest(sim.pos, sim.vel, sim.t)] * 2
+
     def test_version_rejected(self, tmp_path):
         sim = _fresh()
         path = save_checkpoint(tmp_path / "ck.npz", sim)
