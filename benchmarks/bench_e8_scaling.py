@@ -18,6 +18,7 @@ import pytest
 
 from conftest import emit
 from repro.core import TreeCode
+from repro.core.traversal import count_interactions
 from repro.grape import GrapeTimingModel
 from repro.perf.report import format_table
 from repro.sim.models import plummer_model
@@ -39,12 +40,14 @@ def test_e8_scaling(benchmark, results_dir):
             s = tc.last_stats
             tree_int = s.total_interactions
             direct_int = n * n
-            # modelled GRAPE time: tree = one call per group; direct =
-            # one call with all particles as both sinks and sources
-            t_tree = sum(
-                tm.force_call_time(int(c), int(l))
-                for c, l in zip(tc.last_groups.count,
-                                tc.last_lists.list_lengths))
+            # modelled GRAPE time: tree = one call per group (its list
+            # lengths counted here, the sweep keeps none); direct = one
+            # call with all particles as both sinks and sources
+            g = tc.last_groups
+            cells, parts = count_interactions(tc.last_tree, g.center,
+                                              g.radius, tc.mac)
+            t_tree = sum(tm.force_call_time(int(c), int(l))
+                         for c, l in zip(g.count, cells + parts))
             t_direct = tm.force_call_time(n, n)
             out.append({
                 "N": n,

@@ -41,7 +41,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..exec.engine import EvalResult
+from ..exec.plan import EvalResult
 from ..grape.system import Grape5System, GrapeBackend
 from ..grape.timing import GrapeTimingModel, OPS_PER_INTERACTION
 from .decompose import orb_partition
@@ -194,7 +194,9 @@ class ClusterContext:
                 spec.sink_count[rows], spec.eps, acc, pot)
         self._account_exchange(tree, lists, owner, spec.sink_start,
                                spec.sink_count)
-        return EvalResult(acc=acc, pot=pot, lists=lists,
+        return EvalResult(acc=acc, pot=pot, lengths=lists.list_lengths,
+                          cell_terms=int(lists.cell_off[-1]),
+                          part_terms=int(lists.part_off[-1]),
                           traverse_seconds=t1 - t0,
                           kernel_seconds=time.perf_counter() - t1)
 

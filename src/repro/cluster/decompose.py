@@ -54,10 +54,10 @@ def orb_partition(centers: np.ndarray, weights: np.ndarray,
             owner[idx] = base
             return
         kl = k // 2
-        sub = centers[idx]
-        spans = sub.max(axis=0) - sub.min(axis=0)
+        sub = np.ascontiguousarray(centers[idx].T)   # (3, n) columns
+        spans = sub.max(axis=1) - sub.min(axis=1)
         axis = int(np.argmax(spans))
-        order = idx[np.argsort(sub[:, axis], kind="stable")]
+        order = idx[np.argsort(sub[axis], kind="stable")]
         cum = np.cumsum(weights[order])
         target = cum[-1] * (kl / k)
         cut = int(np.searchsorted(cum, target, side="left")) + 1

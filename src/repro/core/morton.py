@@ -110,8 +110,11 @@ def bounding_cube(pos: np.ndarray, pad: float = 1e-4):
         raise ValueError("cannot bound an empty particle set")
     if not np.all(np.isfinite(pos)):
         raise ValueError("positions contain NaN or inf")
-    lo = pos.min(axis=0)
-    hi = pos.max(axis=0)
+    # reduce contiguous columns: ``min(axis=0)`` over (N, 3) rows is a
+    # strided loop ~10x slower; either way min/max are exact
+    cols = np.ascontiguousarray(pos.T)
+    lo = cols.min(axis=1)
+    hi = cols.max(axis=1)
     size = float((hi - lo).max())
     if size == 0.0:
         size = 1.0  # all particles coincide; any cube works

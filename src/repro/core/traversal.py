@@ -24,7 +24,7 @@ to the GRAPE: cell monopoles and direct source particles per sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .mac import MAC, BarnesHutMAC
 from .octree import Octree, ragged_arange
 
 __all__ = ["InteractionLists", "build_interaction_lists",
-           "concatenate_lists", "count_interactions"]
+           "count_interactions"]
 
 #: NumPy walk's frontier chunk bound, in (sink, cell) pairs per round.
 DEFAULT_CHUNK = 1 << 21
@@ -207,41 +207,6 @@ def build_interaction_lists(tree: Octree, sink_center: np.ndarray,
     return InteractionLists(n_sinks=len(cell_off) - 1, cell_idx=cell_idx,
                             cell_off=cell_off, part_idx=part_idx,
                             part_off=part_off)
-
-
-def concatenate_lists(parts: List[InteractionLists]) -> InteractionLists:
-    """Stitch shard-wise lists (consecutive sink ranges) back into one.
-
-    The execution engines traverse sinks in contiguous shards so force
-    evaluation of shard *k* can overlap traversal of shard *k+1*; this
-    reassembles the per-shard CSR blocks into the single
-    :class:`InteractionLists` the statistics layer expects.  Sink order
-    is the concatenation order; per-sink contents are untouched.
-    """
-    if not parts:
-        return InteractionLists(n_sinks=0,
-                                cell_idx=np.empty(0, dtype=np.int64),
-                                cell_off=np.zeros(1, dtype=np.int64),
-                                part_idx=np.empty(0, dtype=np.int64),
-                                part_off=np.zeros(1, dtype=np.int64))
-    if len(parts) == 1:
-        return parts[0]
-
-    def _cat_csr(offs: List[np.ndarray], vals: List[np.ndarray]):
-        out_off = [offs[0]]
-        base = int(offs[0][-1])
-        for o in offs[1:]:
-            out_off.append(o[1:] + base)
-            base += int(o[-1])
-        return np.concatenate(out_off), np.concatenate(vals)
-
-    cell_off, cell_idx = _cat_csr([p.cell_off for p in parts],
-                                  [p.cell_idx for p in parts])
-    part_off, part_idx = _cat_csr([p.part_off for p in parts],
-                                  [p.part_idx for p in parts])
-    return InteractionLists(n_sinks=sum(p.n_sinks for p in parts),
-                            cell_idx=cell_idx, cell_off=cell_off,
-                            part_idx=part_idx, part_off=part_off)
 
 
 def count_interactions(tree: Octree, sink_center: np.ndarray,

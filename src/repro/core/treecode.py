@@ -114,18 +114,20 @@ class TreeCode:
         Custom acceptance criterion (overrides ``theta``).
     engine:
         The :class:`repro.exec.PipelineEngine` that evaluates every
-        sweep: it hands shards of the sinks to a thread pool and
-        overlaps traversal of later shards with evaluation of earlier
-        ones (the paper's host/GRAPE overlap).  ``None`` (the default)
-        builds one owned by this treecode; pass one to share a pool
-        across solvers or to carry a fault plan / flight recorder.
+        sweep: it cuts the sinks into shards, each walked and
+        evaluated on one pool thread, so one shard's walk overlaps
+        another's evaluation (the paper's host/GRAPE overlap).
+        ``None`` (the default) builds one owned by this treecode; pass
+        one to share a pool across solvers or to carry a fault plan /
+        flight recorder.
         :meth:`close` closes it (and replaces an owned one).
     tracer:
         A :class:`repro.obs.trace.Tracer`; every force evaluation then
         opens ``tree_build`` / ``group`` / ``traverse`` / ``eval``
         spans (``traverse``, ``grape_force``/``host_kernel`` and
         ``host_direct`` partition ``eval`` on the calling thread's
-        clock: list building, waiting on shard evaluation, the rest).
+        clock: its own list building, waiting on the shards, the
+        rest; a pool thread's walk is an ``exec.traverse`` span).
         ``None`` installs the shared no-op tracer -- the instrumented
         path then costs a few dict lookups per *phase*, not per
         interaction.
@@ -187,7 +189,6 @@ class TreeCode:
         self.last_stats: Optional[TreeStats] = None
         self.last_tree: Optional[Octree] = None
         self.last_groups: Optional[GroupSet] = None
-        self.last_lists: Optional[InteractionLists] = None
         self._last_domain: Optional[Tuple[float, float]] = None
 
     def close(self) -> None:
@@ -253,8 +254,8 @@ class TreeCode:
                         else "host_kernel")
 
         def build_lists(a: int, b: int) -> InteractionLists:
-            # any contiguous sink range: the engine streams traversal
-            # of later shards against evaluation of earlier ones
+            # any contiguous sink range: the engine walks each shard
+            # on the thread that evaluates it
             return build_interaction_lists(tree, sink_center[a:b],
                                            sink_radius[a:b], self.mac)
 
@@ -268,13 +269,14 @@ class TreeCode:
             t0 = time.perf_counter()
             res = self.engine.evaluate(self.backend, spec, tracer=tr,
                                        metrics=self.metrics)
-            acc_s, pot_s, lists = res.acc, res.pot, res.lists
+            acc_s, pot_s = res.acc, res.pot
             # remove the Plummer self term picked up from the direct
             # list
             pot_s += self_potential_correction(tree.mass_sorted, eps)
-            # attribute the sweep on this thread's clock: building
-            # lists, waiting on their evaluation, and the host-side
-            # remainder (shard bookkeeping, list merge)
+            # attribute the sweep on this thread's clock: its own tree
+            # walks, waiting on (or running) the shards, and the
+            # host-side remainder (shard bookkeeping); the pool's walks
+            # are the stitched exec.traverse spans
             t_traverse, t_kernel = res.traverse_seconds, res.kernel_seconds
             t_eval = time.perf_counter() - t0 - t_traverse
             tr.record("traverse", t_traverse, n_sinks=n_sinks)
@@ -287,7 +289,7 @@ class TreeCode:
         acc[tree.order] = acc_s
         pot[tree.order] = pot_s
 
-        lengths = lists.list_lengths
+        lengths = res.lengths
         total = int(np.sum(lengths * sink_count))
         if self.metrics is not None:
             m = self.metrics
@@ -297,9 +299,9 @@ class TreeCode:
                       "particle-particle interactions "
                       "(the paper's 2.90e13 analogue)").inc(total)
             m.counter("tree.cell_terms_total",
-                      "cell (monopole) terms").inc(int(lists.cell_off[-1]))
+                      "cell (monopole) terms").inc(res.cell_terms)
             m.counter("tree.part_terms_total",
-                      "direct particle terms").inc(int(lists.part_off[-1]))
+                      "direct particle terms").inc(res.part_terms)
             m.histogram("tree.list_length",
                         "interaction-list length per sink"
                         ).observe_many(lengths.tolist())
@@ -320,7 +322,6 @@ class TreeCode:
                      t_traverse, t_eval)
         self.last_tree = tree
         self.last_groups = groups
-        self.last_lists = lists
         self.last_stats = TreeStats(
             algorithm=algorithm,
             n_particles=tree.n_particles,
@@ -328,8 +329,8 @@ class TreeCode:
             depth=tree.depth,
             n_groups=n_sinks,
             mean_group_size=(groups.mean_size if groups is not None else 1.0),
-            cell_terms=int(lists.cell_off[-1]),
-            part_terms=int(lists.part_off[-1]),
+            cell_terms=res.cell_terms,
+            part_terms=res.part_terms,
             total_interactions=total,
             interactions_per_particle=total / tree.n_particles,
             mean_list_length=float(lengths.mean()),

@@ -14,7 +14,7 @@ See ``docs/parallel_engine.md`` for the contracts and the paper
 mapping.
 """
 
-from .engine import EngineError, EvalResult, PipelineEngine
-from .plan import SweepSpec
+from .engine import EngineError, PipelineEngine
+from .plan import EvalResult, SweepSpec
 
 __all__ = ["EngineError", "EvalResult", "PipelineEngine", "SweepSpec"]

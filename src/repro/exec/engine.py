@@ -6,21 +6,24 @@ while the GRAPE integrates the current group's shared list.  GRAPE-5's
 32 pipelines do that behind one host process in one address space, and
 so does :class:`PipelineEngine`, the only way a
 :class:`~repro.core.treecode.TreeCode` evaluates: the submitting thread
-traverses the sinks in contiguous *shards* (``spec.build_lists(a, b)``)
-and hands each, as soon as its lists exist, to a pool thread that makes
+cuts the sinks into contiguous *shards* and hands each to a pool
+thread, which walks the tree for it (``spec.build_lists(a, b)``), makes
 one call to the one evaluation seam,
 :meth:`~repro.core.kernels.ForceBackend.eval_lists`, writing straight
-into the sweep's ``acc``/``pot``.
+into the sweep's ``acc``/``pot``, and drops the lists, keeping only
+their per-sink lengths.  One thread walks shard *k+1* while another
+evaluates shard *k*.
 
-Threads are enough because the compiled list walk is loaded with
-``ctypes.CDLL`` (the GIL is released for the whole call), its scratch
+Threads are enough because the compiled walks are loaded with
+``ctypes.CDLL`` (the GIL is released for the whole call), their scratch
 is allocated per call, and every sink owns a disjoint slice of the
 output rows.  Each shard still runs on a *private* backend (from the
 caller's ``worker_factory()``): without a compiler ``eval_lists`` is
 the reference loop, which stages every force call in the emulated
 board's j-memory -- and a fresh instance's counters are exactly that
 shard's delta.  A backend that has no factory runs its shards one at a
-time on the caller's instance, on the submitting thread.
+time on the caller's instance, on the submitting thread, and so does
+an uncut sweep: the same walk-then-evaluate body, in place.
 
 Pool threads return plain timestamps; only the submitting thread
 touches the fault injector, the tracer, the metrics registry and the
@@ -42,14 +45,12 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..core.kernels import ForceBackend
-from ..core.traversal import InteractionLists, concatenate_lists
 from ..faults import (FaultInjector, FaultSpec, TransientBackendError,
                       as_fault_plan)
 from ..obs.trace import Span, as_tracer
-from .plan import SweepSpec
+from .plan import EvalResult, SweepSpec
 
-__all__ = ["EngineError", "EvalResult", "PipelineEngine",
-           "SHARDS_PER_SWEEP"]
+__all__ = ["EngineError", "PipelineEngine", "SHARDS_PER_SWEEP"]
 
 logger = logging.getLogger(__name__)
 
@@ -81,39 +82,23 @@ class EngineError(RuntimeError):
 
 
 @dataclass
-class EvalResult:
-    """Outcome of one sweep, in the tree's Morton-sorted frame."""
-
-    acc: np.ndarray
-    pot: np.ndarray
-    #: merged interaction lists of every sink (feeds TreeStats)
-    lists: InteractionLists
-    #: seconds the submitting thread spent inside ``spec.build_lists``
-    traverse_seconds: float
-    #: seconds the same thread then spent waiting on shard evaluation
-    #: (the un-overlapped device time: T_grape as the paper's host
-    #: sees it)
-    kernel_seconds: float
-
-
-@dataclass
 class _Shard:
     """Sinks ``[a, b)`` of one sweep and their evaluation in flight."""
 
     a: int
     b: int
-    lists: InteractionLists
     t_submit: float
     future: Future
     attempt: int = 0
 
 
-def _eval_shard(backend: ForceBackend, spec: SweepSpec, shard_lists,
-                a: int, b: int, acc: np.ndarray, pot: np.ndarray,
-                fault: Optional[FaultSpec]):
-    """One shard's task: evaluate sinks ``[a, b)`` on ``backend`` into
-    their rows of ``acc``/``pot``.  Returns ``(thread ident, t_dequeue,
-    t_eval_start, t_done, backend)``.
+def _run_shard(backend: ForceBackend, spec: SweepSpec, a: int, b: int,
+               acc: np.ndarray, pot: np.ndarray,
+               fault: Optional[FaultSpec]):
+    """One shard's task: walk sinks ``[a, b)``, evaluate their lists on
+    ``backend`` into their rows of ``acc``/``pot``, and let the lists
+    go.  Returns ``((thread ident, t_dequeue, t_walk, t_eval, t_done),
+    backend, per-sink list lengths, cell terms, particle terms)``.
     """
     t_dequeue = time.perf_counter()
     kind = fault.kind if fault is not None else None
@@ -123,13 +108,16 @@ def _eval_shard(backend: ForceBackend, spec: SweepSpec, shard_lists,
         raise TransientBackendError(
             f"injected transient error in sinks [{a}, {b})")
     backend.set_domain(*spec.domain)
+    t_walk = time.perf_counter()
+    lists = spec.build_lists(a, b)
     t_eval = time.perf_counter()
     tree = spec.tree
     backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
-                       tree.mass, shard_lists, spec.sink_start[a:b],
+                       tree.mass, lists, spec.sink_start[a:b],
                        spec.sink_count[a:b], spec.eps, acc, pot)
-    return (threading.get_ident(), t_dequeue, t_eval, time.perf_counter(),
-            backend)
+    return ((threading.get_ident(), t_dequeue, t_walk, t_eval,
+             time.perf_counter()), backend, lists.list_lengths,
+            int(lists.cell_off[-1]), int(lists.part_off[-1]))
 
 
 def _span(name: str, t_start: float, t_end: float, **attrs) -> Span:
@@ -247,6 +235,8 @@ class PipelineEngine:
         worker_of: Dict[int, int] = {}
         busy: Dict[int, float] = {}
         batches: Dict[int, int] = {}
+        lengths = np.empty(spec.n_sinks, dtype=np.int64)
+        cell_terms = part_terms = 0
         t_traverse = t_blocked = 0.0
 
         def fault_event(kind: str, **attrs) -> None:
@@ -260,8 +250,8 @@ class PipelineEngine:
             logger.warning("pipeline sweep %d: fault %s %s", sweep, kind,
                            attrs)
 
-        def submit(k: int, a: int, b: int, lists, attempt: int):
-            nonlocal t_blocked
+        def submit(k: int, a: int, b: int, attempt: int):
+            nonlocal t_traverse, t_blocked
             fault = (self.fault_injector.batch_fault(
                 sweep=sweep, batch=k, attempt=attempt)
                 if self.fault_injector is not None else None)
@@ -269,31 +259,30 @@ class PipelineEngine:
             t_submit = time.perf_counter()
             if pooled:
                 return t_submit, self._pool.submit(
-                    _eval_shard, private, spec, lists, a, b, acc, pot,
-                    fault)
+                    _run_shard, private, spec, a, b, acc, pot, fault)
+            # in place: this thread's walk is ``traverse``, the rest of
+            # the shard ``kernel`` -- both nested in [t_submit, now]
             future: Future = Future()
+            walk = 0.0
             try:
-                future.set_result(_eval_shard(private, spec, lists, a, b,
-                                              acc, pot, fault))
+                done = _run_shard(private, spec, a, b, acc, pot, fault)
+                walk = done[0][3] - done[0][2]
+                future.set_result(done)
             except Exception as e:
                 future.set_exception(e)
-            t_blocked += time.perf_counter() - t_submit
+            t_traverse += walk
+            t_blocked += time.perf_counter() - t_submit - walk
             return t_submit, future
 
         def submit_sweep() -> None:
-            nonlocal t_traverse
             for k, a in enumerate(range(0, spec.n_sinks, size)):
-                b = min(a + size, spec.n_sinks)
-                t0 = time.perf_counter()
-                lists = spec.build_lists(a, b)
-                t_traverse += time.perf_counter() - t0
                 if metrics is not None:
                     metrics.histogram(
                         "exec.queue_depth",
-                        "shards in flight at submit time").observe(
-                        1 + sum(not s.future.done() for s in shards))
-                shards.append(_Shard(a, b, lists,
-                                     *submit(k, a, b, lists, 0)))
+                        "shards queued or running at submit time"
+                    ).observe(1 + sum(not s.future.done() for s in shards))
+                b = min(a + size, spec.n_sinks)
+                shards.append(_Shard(a, b, *submit(k, a, b, 0)))
 
         def failure(sh: _Shard) -> Optional[BaseException]:
             nonlocal t_blocked
@@ -328,12 +317,16 @@ class PipelineEngine:
                                   sweep=sweep, batch=k,
                                   reason="transient_error",
                                   attempt=sh.attempt)
-                    sh.t_submit, sh.future = submit(
-                        k, sh.a, sh.b, sh.lists, sh.attempt)
-                ident, t_dequeue, t_eval, t_done, private = sh.future.result()
+                    sh.t_submit, sh.future = submit(k, sh.a, sh.b,
+                                                    sh.attempt)
+                (times, private, lengths[sh.a:sh.b], cells,
+                 parts) = sh.future.result()
+                ident, t_dequeue, t_walk, t_eval, t_done = times
                 privates.append(private)
+                cell_terms += cells
+                part_terms += parts
                 worker = worker_of.setdefault(ident, len(worker_of))
-                busy[worker] = busy.get(worker, 0.0) + t_done - t_eval
+                busy[worker] = busy.get(worker, 0.0) + t_done - t_walk
                 batches[worker] = batches.get(worker, 0) + 1
                 if tracing:
                     bsp = _span("exec.batch", sh.t_submit, t_done,
@@ -342,6 +335,8 @@ class PipelineEngine:
                     bsp.children += [
                         _span("exec.queue_wait", sh.t_submit, t_dequeue,
                               worker=worker, attempt=sh.attempt),
+                        _span("exec.traverse", t_walk, t_eval,
+                              worker=worker, sinks=sh.b - sh.a),
                         _span("exec.eval", t_eval, t_done,
                               worker=worker, sinks=sh.b - sh.a)]
                     tr.attach(bsp)
@@ -377,7 +372,8 @@ class PipelineEngine:
                       ).inc(len(shards))
             m.counter("exec.sinks", "sinks evaluated").inc(spec.n_sinks)
             m.counter("exec.worker_busy_seconds",
-                      "summed pool-thread shard evaluation seconds"
+                      "summed pool-thread shard walk and evaluation "
+                      "seconds"
                       ).inc(busy_total)
             m.gauge("exec.workers", "pipeline worker threads"
                     ).set(self.workers)
@@ -390,7 +386,7 @@ class PipelineEngine:
                      "busy=%.3fs overlap=%.2f faults=%s", sweep,
                      spec.n_sinks, len(shards), wall, busy_total,
                      overlap, fault_counts or "none")
-        return EvalResult(
-            acc=acc, pot=pot,
-            lists=concatenate_lists([sh.lists for sh in shards]),
-            traverse_seconds=t_traverse, kernel_seconds=t_blocked)
+        return EvalResult(acc=acc, pot=pot, lengths=lengths,
+                          cell_terms=cell_terms, part_terms=part_terms,
+                          traverse_seconds=t_traverse,
+                          kernel_seconds=t_blocked)

@@ -5,12 +5,13 @@ sinks (Barnes groups, or single particles for the original algorithm),
 each owning an interaction list over the tree's source arrays (cell
 monopoles + Morton-sorted particles).  :class:`SweepSpec` carries the
 tree plus one callback so an engine can *stream* the sweep:
-``build_lists(a, b)`` traverses sinks ``[a, b)`` on the host while
-earlier sinks are already being evaluated -- the software analogue of
-the paper's host/GRAPE overlap (host walks the tree for group *k+1*
-while the GRAPE integrates the shared list of group *k*).  Every range
-is evaluated by one
-:meth:`~repro.core.kernels.ForceBackend.eval_lists` call.
+``build_lists(a, b)`` walks the tree for sinks ``[a, b)`` on whichever
+thread then evaluates them, while other threads walk and evaluate
+other ranges -- the software analogue of the paper's host/GRAPE
+overlap (host walks the tree for group *k+1* while the GRAPE
+integrates the shared list of group *k*).  Every range is evaluated by
+one :meth:`~repro.core.kernels.ForceBackend.eval_lists` call, and
+:class:`EvalResult` keeps of its lists only their lengths.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from ..core.octree import Octree
 from ..core.traversal import InteractionLists
 
-__all__ = ["SweepSpec"]
+__all__ = ["EvalResult", "SweepSpec"]
 
 
 @dataclass
@@ -47,8 +48,8 @@ class SweepSpec:
     eps: float
     #: coordinate window to announce to device backends (lo, hi)
     domain: Tuple[float, float]
-    #: lists for the sink range [a, b) -- engines may call this in
-    #: shards, interleaved with evaluation
+    #: lists for the sink range [a, b) -- engines call this per shard,
+    #: on the thread that evaluates the shard
     build_lists: Callable[[int, int], InteractionLists]
 
     @property
@@ -58,3 +59,23 @@ class SweepSpec:
     @property
     def n_particles(self) -> int:
         return self.tree.n_particles
+
+
+@dataclass
+class EvalResult:
+    """Outcome of one sweep, in the tree's Morton-sorted frame."""
+
+    acc: np.ndarray
+    pot: np.ndarray
+    #: (S,) interaction-list length of every sink (cells + particles)
+    lengths: np.ndarray
+    #: cell (monopole) and direct particle terms summed over all sinks
+    cell_terms: int
+    part_terms: int
+    #: seconds the submitting thread spent inside ``spec.build_lists``
+    #: (zero when every shard was walked on the pool)
+    traverse_seconds: float
+    #: seconds the same thread spent waiting on, or running, the rest
+    #: of the shards (the un-overlapped device time: T_grape as the
+    #: paper's host sees it)
+    kernel_seconds: float

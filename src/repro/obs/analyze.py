@@ -16,7 +16,7 @@ section-5-style performance postmortem asks:
     resource -- the *deepest* resource-mapped span covering it (ties
     broken ``grape`` > ``worker``), everything else to ``host`` -- so
     the three buckets sum to the total wall clock *exactly* even when
-    spans overlap (the host traverses shard k+1 while workers evaluate
+    spans overlap (one worker walks shard k+1 while another evaluates
     shard k -- the paper's overlap, which double-counts under naive
     summation).  Deepest-wins also keeps *backdated attribution
     records* honest: the treecode's ``grape_force`` record under a
@@ -51,6 +51,7 @@ SPAN_RESOURCE: Dict[str, str] = {
     "host_kernel": "grape",
     # pool-thread seconds of the pipeline engine
     "exec.batch": "worker",
+    "exec.traverse": "worker",
     "exec.eval": "worker",
     "exec.worker": "worker",
 }

@@ -10,6 +10,7 @@ from repro.core.kernels import cnative
 from repro.core.treecode import TreeCode
 from repro.grape.system import GrapeBackend
 from repro.sim.recipes import build_force
+from tests.conftest import sweep_lists
 
 THETA, NCRIT, EPS = 0.75, 256, 0.01
 
@@ -129,7 +130,7 @@ def test_exchange_grows_with_hosts(plummerish):
 def test_take_rows_full_selection_is_identity(plummerish):
     pos, mass = plummerish
     tc, _, _ = _serial(pos, mass)
-    lists = tc.last_lists
+    lists = sweep_lists(tc)
     sub = take_rows(lists, np.arange(lists.n_sinks, dtype=np.int64))
     np.testing.assert_array_equal(sub.cell_idx, lists.cell_idx)
     np.testing.assert_array_equal(sub.cell_off, lists.cell_off)
@@ -140,7 +141,7 @@ def test_take_rows_full_selection_is_identity(plummerish):
 def test_take_rows_subset(plummerish):
     pos, mass = plummerish
     tc, _, _ = _serial(pos, mass)
-    lists = tc.last_lists
+    lists = sweep_lists(tc)
     rows = np.array([3, 0, 7], dtype=np.int64)
     sub = take_rows(lists, rows)
     assert sub.n_sinks == 3
@@ -154,7 +155,7 @@ def test_take_rows_subset(plummerish):
 def test_let_exchange_single_host_is_zero(plummerish):
     pos, mass = plummerish
     tc, _, _ = _serial(pos, mass)
-    tree, groups, lists = tc.last_tree, tc.last_groups, tc.last_lists
+    tree, groups, lists = tc.last_tree, tc.last_groups, sweep_lists(tc)
     owner = np.zeros(lists.n_sinks, dtype=np.int64)
     ex = let_exchange(tree, lists, owner, groups.start, groups.count, 1)
     assert ex.total_import_cells == 0

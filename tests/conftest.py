@@ -10,13 +10,25 @@ import pytest
 from repro.sim.models import plummer_model, uniform_sphere
 
 
+def sweep_lists(tc):
+    """``tc``'s last sweep's interaction lists, walked again here: the
+    sweep keeps only their lengths."""
+    from repro.core.traversal import build_interaction_lists
+    tree, groups = tc.last_tree, tc.last_groups
+    if groups is not None:
+        return build_interaction_lists(tree, groups.center, groups.radius,
+                                       tc.mac)
+    return build_interaction_lists(tree, tree.pos_sorted,
+                                   np.zeros(tree.n_particles), tc.mac)
+
+
 def uncut_sweep(tc, backend, eps):
     """The reference for "the shard cut is invisible": ``tc``'s whole
-    ``last_lists`` through ONE ``backend.eval_lists`` call, finished
-    like ``accelerations`` finishes a sweep.  Returns
-    ``(acc, pot)`` in input order.  ``src/`` keeps no second
-    evaluation body, so the tests that pin the contract make the
-    uncut call themselves."""
+    last sweep walked here (:func:`sweep_lists`) and evaluated by ONE
+    ``backend.eval_lists`` call, finished like ``accelerations``
+    finishes a sweep.  Returns ``(acc, pot)`` in input order.  ``src/``
+    keeps no second walk or evaluation body, so the tests that pin the
+    contract make the uncut call themselves."""
     from repro.core.kernels import self_potential_correction
     tree, groups = tc.last_tree, tc.last_groups
     if groups is not None:
@@ -28,7 +40,7 @@ def uncut_sweep(tc, backend, eps):
     acc_s = np.empty((tree.n_particles, 3))
     pot_s = np.empty(tree.n_particles)
     backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
-                       tree.mass, tc.last_lists, start, count, eps,
+                       tree.mass, sweep_lists(tc), start, count, eps,
                        acc_s, pot_s)
     pot_s += self_potential_correction(tree.mass_sorted, eps)
     acc, pot = np.empty_like(acc_s), np.empty_like(pot_s)

@@ -33,6 +33,7 @@ from repro.core.traversal import InteractionLists
 from repro.exec import PipelineEngine
 from repro.grape import GrapeBackend
 from repro.sim.models import plummer_model
+from tests.conftest import sweep_lists
 
 #: relative tolerance of the native-vs-oracle force comparison; the
 #: observed error is ~1e-15 (re-association of per-interaction sums),
@@ -94,9 +95,12 @@ class TestTreeBitIdentity:
                      "child", "is_leaf"):
             assert np.array_equal(getattr(tp.last_tree, name),
                                   getattr(tn.last_tree, name)), name
+        assert (tp.last_stats.cell_terms, tp.last_stats.part_terms) \
+            == (tn.last_stats.cell_terms, tn.last_stats.part_terms)
+        lp, ln = sweep_lists(tp), sweep_lists(tn)
         for name in ("cell_idx", "cell_off", "part_idx", "part_off"):
-            assert np.array_equal(getattr(tp.last_lists, name),
-                                  getattr(tn.last_lists, name)), name
+            assert np.array_equal(getattr(lp, name),
+                                  getattr(ln, name)), name
 
 
 class TestForceEquivalence:
@@ -122,7 +126,7 @@ class TestForceEquivalence:
         pos, mass = snapshots[(1000, "open")]
         tc = TreeCode(theta=0.75, n_crit=64)
         tc.accelerations(pos, mass, EPS)
-        tree, groups, lists = tc.last_tree, tc.last_groups, tc.last_lists
+        tree, groups, lists = tc.last_tree, tc.last_groups, sweep_lists(tc)
         args = (tree.pos_sorted, tree.mass_sorted, tree.com, tree.mass,
                 lists, groups.start, groups.count, EPS)
         out = {}

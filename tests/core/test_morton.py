@@ -95,6 +95,55 @@ class TestBoundingCube:
             morton.bounding_cube(pos)
 
 
+def _row_reduced_cube(pos, pad=1e-4):
+    """``bounding_cube`` as it was written before it reduced columns:
+    the strided ``min(axis=0)`` / ``max(axis=0)`` over the rows."""
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    size = float((hi - lo).max()) or 1.0
+    size *= 1.0 + pad
+    return 0.5 * (lo + hi) - 0.5 * size, size
+
+
+class TestBoundingCubeBits:
+    """The column-contiguous reduction gives the row-wise one's
+    ``(corner, size)`` bit for bit.  Min/max are exact, so only the
+    sign of a zero can differ between the two loops -- and it never
+    reaches the corner or the size."""
+
+    @staticmethod
+    def _assert_same_bits(pos):
+        corner, size = morton.bounding_cube(pos)
+        corner0, size0 = _row_reduced_cube(pos)
+        assert corner.tobytes() == corner0.tobytes()
+        assert np.float64(size).tobytes() == np.float64(size0).tobytes()
+
+    def test_random_sets(self, rng):
+        for n in (1, 2, 3, 17, 1000, 33_552):
+            self._assert_same_bits(rng.standard_normal((n, 3)) * 7.0)
+
+    def test_single_particle(self):
+        for p in ([0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [1.5, -2.0, 3e-300]):
+            self._assert_same_bits(np.array([p]))
+
+    def test_coincident_particles(self):
+        for p in ([2.5, 2.5, 2.5], [-0.0, 0.0, -1.0], [0.0, 0.0, 0.0]):
+            self._assert_same_bits(np.tile(p, (64, 1)))
+
+    def test_signed_zero_columns(self):
+        """Columns of mixed +0/-0 (where the two loops may pick zeros
+        of different signs), alone and beside columns with extent."""
+        rng = np.random.default_rng(11)
+        for trial in range(600):
+            n = int(rng.integers(1, 260))
+            pos = np.where(rng.random((n, 3)) < 0.5, 0.0, -0.0)
+            if trial % 3 == 1:
+                pos[:, trial % 3] = rng.standard_normal(n)
+            elif trial % 3 == 2:
+                pos += rng.standard_normal((n, 3)) * (rng.random((n, 3))
+                                                      < 0.2)
+            self._assert_same_bits(pos)
+
+
 class TestMortonKeys:
     def test_locality_order_on_axis(self):
         """Points along x at fixed (y, z) = (0, 0) must be key-ordered."""

@@ -189,7 +189,7 @@ class TestBitIdentical:
             tc.accelerations(pos, mass, eps=0.01, algorithm=algorithm)
         finally:
             tc.close()
-        assert len(seen) == 8 and sum(seen) == tc.last_lists.n_sinks
+        assert len(seen) == 8 and sum(seen) == tc.last_stats.n_groups
 
 
 class TestRegrowth(TestBitIdentical):

@@ -2,12 +2,13 @@
 
 Every ``TreeCode`` evaluates through the pipeline engine, so there is
 no second path in ``src/`` to compare against.  The reference is the
-seam itself: ONE ``eval_lists`` call over the finished sweep's
-``last_lists`` on a fresh backend of the same class, made here.  For
-any worker count the sweep must be *bit-identical* to that call on both
-bundled backends (every sink's arithmetic is independent of which
-``eval_lists`` call evaluates it, and every sink owns a disjoint output
-slice), the backend's counters must not notice the cut, and
+seam itself: the finished sweep's sinks walked again and evaluated by
+ONE ``eval_lists`` call on a fresh backend of the same class, made
+here.  For any worker count the sweep must be *bit-identical* to that
+call on both bundled backends (every sink's arithmetic is independent
+of which ``eval_lists`` call evaluates it, and every sink owns a
+disjoint output slice), the backend's counters must not notice the
+cut, and
 ``model_seconds`` must be the same number at every worker count (shard
 boundaries do not depend on ``workers``) -- with the native kernel and
 with the reference loop.
@@ -20,6 +21,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from repro.exec import EngineError, PipelineEngine
 from repro.grape import GrapeBackend
 from repro.obs import MetricsRegistry
 from repro.sim.models import plummer_model
-from tests.conftest import uncut_sweep
+from tests.conftest import sweep_lists, uncut_sweep
 
 WORKERS = (1, 2, 4)
 BACKENDS = {"host": Float64Backend, "grape": GrapeBackend}
@@ -125,6 +127,34 @@ class TestFloat64Equivalence:
         assert np.array_equal(a0, a1)
         assert np.array_equal(p0, p1)
         assert tc.last_stats.total_interactions == ref.interactions
+
+    def test_pool_walks_under_thread_switch_stress(self, cloud):
+        """More pool threads than cores walking one tree at once, with
+        the interpreter switching threads every microsecond: every
+        sweep still matches the uncut walk-and-evaluate bit for bit,
+        and so do its per-sink lengths (a shard's walk shares only the
+        read-only tree and its own thread's buffer hint)."""
+        pos, mass = cloud
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            tc = TreeCode(theta=0.75, n_crit=16,
+                          engine=PipelineEngine(workers=8))
+            try:
+                for _ in range(3):
+                    a1, p1 = tc.accelerations(pos, mass, EPS)
+                    a0, p0 = uncut_sweep(tc, Float64Backend(), EPS)
+                    assert np.array_equal(a0, a1)
+                    assert np.array_equal(p0, p1)
+                    lists, st = sweep_lists(tc), tc.last_stats
+                    assert st.total_interactions == int(np.sum(
+                        lists.list_lengths * tc.last_groups.count))
+                    assert (st.cell_terms, st.part_terms) == (
+                        lists.cell_off[-1], lists.part_off[-1])
+            finally:
+                tc.close()
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_interaction_stats_aggregate_exactly(self, cloud):
         """What the backend was handed is what the tree counted, at
@@ -331,6 +361,34 @@ class TestNoLeftovers:
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestMemory:
+    def test_sweep_holds_less_than_its_lists(self):
+        """Each shard's lists live only inside the task that walks and
+        evaluates them; the sweep keeps per-sink lengths.  So a sweep's
+        traced peak stays below the byte size of its whole lists (a
+        sweep that kept every shard's lists, let alone a merged copy,
+        would hold at least that much)."""
+        pos, _, mass = plummer_model(30_000, np.random.default_rng(30))
+        tc = TreeCode(theta=0.75, n_crit=32,
+                      engine=PipelineEngine(workers=2))
+        try:
+            tc.accelerations(pos, mass, EPS)     # pool and kernels warm
+            tracemalloc.start()
+            try:
+                tc.accelerations(pos, mass, EPS)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        finally:
+            tc.close()
+        lists = sweep_lists(tc)
+        nbytes = sum(a.nbytes for a in (lists.cell_idx, lists.cell_off,
+                                        lists.part_idx, lists.part_off))
+        assert lists.total_terms == (tc.last_stats.cell_terms
+                                     + tc.last_stats.part_terms)
+        assert peak < nbytes, (peak, nbytes)
 
 
 class TestObservability:

@@ -4,7 +4,8 @@ The acceptance criterion under test: a traced force evaluation
 produces ONE coherent trace -- every shard evaluated on a pool thread
 appears as an ``exec.batch`` span parented under the submitting
 ``eval`` span, carrying the pool thread's own ``exec.queue_wait`` /
-``exec.eval`` children on the same ``perf_counter`` timeline -- the
+``exec.traverse`` / ``exec.eval`` children on the same
+``perf_counter`` timeline -- the
 critical-path analysis partitions the traced wall clock into
 host/worker/GRAPE buckets that sum to the total (within 5%; the
 partition is exact by construction, so we assert much tighter), and
@@ -18,7 +19,7 @@ import pytest
 from repro.core import TreeCode
 from repro.exec import PipelineEngine
 from repro.grape import GrapeBackend
-from repro.obs import Tracer
+from repro.obs import MetricsRegistry, Tracer
 from repro.obs.analyze import critical_path
 from repro.obs.export import span_events
 from repro.sim.models import plummer_model
@@ -44,6 +45,7 @@ class TestStitchedTrace:
         names = {e["name"] for e in events}
         assert "exec.batch" in names
         assert "exec.queue_wait" in names
+        assert "exec.traverse" in names
         assert "exec.eval" in names
         # a single trace identity owns all of it
         assert len(tr.trace_id) == 32
@@ -63,8 +65,8 @@ class TestStitchedTrace:
     def test_worker_children_inside_batch_interval(self, traced_run):
         _, events = traced_run
         by_id = {e["span_id"]: e for e in events}
-        kids = [e for e in events
-                if e["name"] in ("exec.queue_wait", "exec.eval")]
+        kids = [e for e in events if e["name"] in (
+            "exec.queue_wait", "exec.traverse", "exec.eval")]
         assert kids
         for k in kids:
             batch = by_id[k["parent_id"]]
@@ -151,3 +153,45 @@ class TestPhasePartition:
         for root in tr.roots:
             assert sum(sp.self_seconds for sp in root.walk()) \
                 == pytest.approx(root.duration, rel=1e-9)
+
+
+class TestPooledWalkAttribution:
+    def test_cut_sweeps_attribute_without_negative_seconds(self):
+        """Cut sweeps (16 shards, two pool threads walking and
+        evaluating) again and again: the pool's walk seconds, which
+        can add up to more than the sweep wall, land in ``exec.traverse``
+        spans, never in the submitting thread's partition -- so no
+        ``tree.seconds.*`` counter ever goes down (``Counter.inc``
+        would raise), every batch shows its walk beside its
+        evaluation, and the critical path still sums to the wall."""
+        rng = np.random.default_rng(41)
+        pos, _, mass = plummer_model(8192, rng)
+        reg = MetricsRegistry()
+        phases = ("build", "group", "traverse", "eval", "kernel")
+        before = {p: 0.0 for p in phases}
+        for _ in range(4):
+            tr = Tracer()
+            tc = TreeCode(theta=0.75, n_crit=32, tracer=tr, metrics=reg,
+                          engine=PipelineEngine(workers=2))
+            try:
+                tc.accelerations(pos, mass, 0.01)
+            finally:
+                tc.close()
+            now = {p: reg.value(f"tree.seconds.{p}") for p in phases}
+            assert all(now[p] >= before[p] for p in phases), (before, now)
+            before = now
+            t = tc.last_stats.times
+            assert min(t.values()) >= 0.0, t
+            assert t["kernel"] + t["host_direct"] == pytest.approx(
+                t["eval"], rel=1e-9)
+            events = list(span_events(tr))
+            batches = [e for e in events if e["name"] == "exec.batch"]
+            assert len(batches) == 16
+            for b in batches:
+                kids = sorted(e["name"] for e in events
+                              if e["parent_id"] == b["span_id"])
+                assert kids == ["exec.eval", "exec.queue_wait",
+                                "exec.traverse"]
+            cp = critical_path(events)
+            assert sum(cp["resources"].values()) == pytest.approx(
+                cp["total_seconds"], rel=1e-9)

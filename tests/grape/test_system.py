@@ -6,7 +6,7 @@ import pytest
 from repro.core.kernels import pairwise_accpot
 from repro.grape.system import Grape5System, GrapeBackend
 from repro.grape.timing import GrapeTimingModel
-from tests.conftest import uncut_sweep
+from tests.conftest import sweep_lists, uncut_sweep
 
 
 class TestChip:
@@ -122,7 +122,7 @@ class TestOneCoordinateFormat:
             del walk[:], ref[:]
             tree, groups = tc.last_tree, tc.last_groups
             backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
-                               tree.mass, tc.last_lists, groups.start,
+                               tree.mass, sweep_lists(tc), groups.start,
                                groups.count, 0.01, np.empty((300, 3)),
                                np.empty(300))
             backend.compute(scale * pos[:4], scale * pos, mass, 0.01)
