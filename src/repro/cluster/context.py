@@ -29,9 +29,8 @@ lists, forces match the single-host sweep: bit-identical at K=1 (same
 rows, same order, same datapath) and within summation-order tolerance
 for K>1.  The cluster's predicted wall-clock is the *slowest host's*
 timeline (compute + DMA from its own timing model, plus its exchange
-term), so K=1 reproduces the single-host model (to rel 1e-12: one
-call per host sums the per-call seconds in another order than one per
-shard).
+term), so K=1 reproduces the single-host model: its one host is
+charged the very arrays a plain sweep is.
 """
 
 from __future__ import annotations
@@ -173,7 +172,9 @@ class ClusterContext:
         *global* CSR lists, so the whole sweep is traversed first; each
         host then evaluates its rows through its backend's
         ``eval_lists`` -- the call every shard of the plain path makes,
-        so K=1 is bit-identical to it -- charging its own timing model.
+        so K=1 is bit-identical to it -- as one of that host's force
+        calls (its ``grape.compute`` fault site).  Once every host
+        succeeded, each host's timing model is charged its rows.
         """
         self._require_open()
         hosts, tree = self.spec.hosts, spec.tree
@@ -184,17 +185,19 @@ class ClusterContext:
         pot = np.empty(spec.n_particles, dtype=np.float64)
         weights = np.asarray(spec.sink_count, dtype=np.float64)
         owner = orb_partition(spec.sink_center, weights, hosts)
-        for h in range(hosts):
-            rows = np.flatnonzero(owner == h)
-            if rows.size == 0:
-                continue
-            self.backends[h].eval_lists(
-                tree.pos_sorted, tree.mass_sorted, tree.com, tree.mass,
-                take_rows(lists, rows), spec.sink_start[rows],
-                spec.sink_count[rows], spec.eps, acc, pot)
+        rows = [np.flatnonzero(owner == h) for h in range(hosts)]
+        for be, r in zip(self.backends, rows):
+            if r.size:
+                be.force_call(lambda: be.eval_lists(
+                    tree.pos_sorted, tree.mass_sorted, tree.com,
+                    tree.mass, take_rows(lists, r), spec.sink_start[r],
+                    spec.sink_count[r], spec.eps, acc, pot))
+        lengths = lists.list_lengths
+        for be, r in zip(self.backends, rows):
+            be.charge(spec.sink_count[r], lengths[r])
         self._account_exchange(tree, lists, owner, spec.sink_start,
                                spec.sink_count)
-        return EvalResult(acc=acc, pot=pot, lengths=lists.list_lengths,
+        return EvalResult(acc=acc, pot=pot, lengths=lengths,
                           cell_terms=int(lists.cell_off[-1]),
                           part_terms=int(lists.part_off[-1]),
                           traverse_seconds=t1 - t0,

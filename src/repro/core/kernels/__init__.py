@@ -5,7 +5,7 @@ engine's pool threads, the emulated cluster -- evaluates a CSR
 interaction-list sweep the same way: one call to
 :meth:`ForceBackend.eval_lists`.  The bundled backends override it with
 the compiled list walk of :mod:`repro.core.kernels.cnative`; the
-base-class body (one :meth:`ForceBackend.compute` per sink) is the
+base-class body (one unpriced :meth:`ForceBackend.kernel` per sink) is the
 reference loop the tests compare against and the path that runs when no
 C compiler is available.  See ``docs/kernels.md``.
 """

@@ -35,7 +35,7 @@ backends).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -108,25 +108,36 @@ def self_potential_correction(m: np.ndarray, eps: float) -> np.ndarray:
 class ForceBackend:
     """Something that evaluates the softened point-mass kernel.
 
-    Implementations must be *stateless with respect to results* (the same
-    inputs give the same outputs) but may accumulate performance
-    statistics across calls.
-
-    :meth:`compute` is the one method an implementation must provide
-    (a dense sinks-x-sources force call, as libg5's
-    ``g5_set_xmj``/``g5_run`` pair is on the hardware).  Drivers
-    evaluate list sweeps through :meth:`eval_lists`, whose base body
-    loops ``compute`` over the sinks; backends with a native kernel
-    override it.
+    The contract: :meth:`kernel` is the one method an implementation
+    must provide -- a dense sinks-x-sources evaluation (as libg5's
+    ``g5_set_xmj``/``g5_run`` pair is on the hardware), unpriced and
+    free of side effects.  :meth:`eval_lists` evaluates a CSR list block
+    and is just as pure (no counters, metrics or fault site), so the
+    engine runs it concurrently on the caller's one instance; its base
+    body loops :meth:`kernel` over the sinks, and backends with a
+    native walk override it.  Work is counted and priced only by
+    :meth:`charge`, once per sweep, on the submitting thread, after the
+    whole sweep succeeded; :meth:`force_call` puts a device's fault site
+    around one force call.  :meth:`compute` is one priced, fault-sited
+    dense call built from these.
     """
 
     #: human-readable backend name for reports
     name: str = "abstract"
 
+    def kernel(self, xi: np.ndarray, xj: np.ndarray, mj: np.ndarray,
+               eps: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Return ``(acc, pot)`` on sinks ``xi`` from sources ``xj, mj``,
+        counting nothing."""
+        raise NotImplementedError
+
     def compute(self, xi: np.ndarray, xj: np.ndarray, mj: np.ndarray,
                 eps: float) -> Tuple[np.ndarray, np.ndarray]:
-        """Return ``(acc, pot)`` on sinks ``xi`` from sources ``xj, mj``."""
-        raise NotImplementedError
+        """One dense force call: :meth:`kernel` under :meth:`force_call`,
+        then charged."""
+        out = self.force_call(lambda: self.kernel(xi, xj, mj, eps))
+        self.charge([len(xi)], [len(xj)])
+        return out
 
     # -- list sweeps ---------------------------------------------------
     def eval_lists(self, pos: np.ndarray, pmass: np.ndarray,
@@ -144,7 +155,7 @@ class ForceBackend:
         the host ships to the GRAPE's particle data memory.
 
         The base implementation is the reference loop -- one
-        :meth:`compute` per sink, so any backend works; it is the oracle
+        :meth:`kernel` per sink, so any backend works; it is the oracle
         the equivalence tests compare against.  The bundled backends
         override it with a vectorised CSR walk (the C fast path of
         :mod:`repro.core.kernels.cnative`) and call back into this body
@@ -158,7 +169,7 @@ class ForceBackend:
             parts = lists.parts_of(g)
             xj = np.concatenate([com[cells], pos[parts]])
             mj = np.concatenate([cmass[cells], pmass[parts]])
-            out_acc[s:s + n], out_pot[s:s + n] = self.compute(
+            out_acc[s:s + n], out_pot[s:s + n] = self.kernel(
                 pos[s:s + n], xj, mj, eps)
 
     # -- the sweep engine's seams --------------------------------------
@@ -168,25 +179,12 @@ class ForceBackend:
         passes every sweep's submission through here exactly once."""
         return fn()
 
-    def worker_factory(self) -> Optional[Callable[[], "ForceBackend"]]:
-        """A callable building an equivalent private instance *of the
-        caller's class* with zeroed counters, or ``None`` when the
-        backend cannot be replicated (the engine then evaluates its
-        shards one at a time on this instance).
-
-        Configuration only, never live state (the GRAPE backend, for
-        instance, passes its numerics and timing constants, not its
-        6 MB j-memory arrays): the engine evaluates every shard of a
-        sweep on its own instance, concurrently, and results must be
-        identical to a single instance's.
-        """
-        return None
-
-    def merge_stats(self, private: "ForceBackend") -> None:
-        """Fold the counters of a private instance -- those of the one
-        shard it ran -- into this one (the engine calls this once per
-        shard, in shard order), so run totals do not depend on how the
-        sweep was cut."""
+    def charge(self, n_i, n_j) -> None:
+        """Count force calls of ``n_i[k]`` sinks by ``n_j[k]`` sources
+        (a device also prices them).  The engine calls this once per
+        sweep with every sink's population and list length, after the
+        whole sweep succeeded, so counters depend neither on the shard
+        cut nor on a retried shard."""
 
     def reset_stats(self) -> None:
         """Clear accumulated performance counters (optional)."""
@@ -216,28 +214,20 @@ class Float64Backend(ForceBackend):
 
     name = "float64"
 
-    def compute(self, xi, xj, mj, eps):
-        self._interactions += int(np.asarray(xi).shape[0]) * int(np.asarray(xj).shape[0])
+    def kernel(self, xi, xj, mj, eps):
         return pairwise_accpot(xi, xj, mj, eps, tile=self.tile)
 
     def eval_lists(self, pos, pmass, com, cmass, lists, sink_start,
                    sink_count, eps, out_acc, out_pot):
         from .batch import f64_eval_lists
-        done, inter = f64_eval_lists(pos, pmass, com, cmass, lists,
-                                     sink_start, sink_count, eps,
-                                     out_acc, out_pot)
-        if not done:
+        if not f64_eval_lists(pos, pmass, com, cmass, lists, sink_start,
+                              sink_count, eps, out_acc, out_pot):
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
-            return
-        self._interactions += inter
 
-    def worker_factory(self):
-        cls, tile = type(self), self.tile
-        return lambda: cls(tile=tile)
-
-    def merge_stats(self, private):
-        self._interactions += private.interactions
+    def charge(self, n_i, n_j):
+        self._interactions += int(np.sum(np.asarray(n_i, dtype=np.int64)
+                                         * np.asarray(n_j, dtype=np.int64)))
 
     def reset_stats(self):
         self._interactions = 0

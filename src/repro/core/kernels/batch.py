@@ -4,10 +4,11 @@ These functions marshal the octree and
 :class:`~repro.core.traversal.InteractionLists` CSR blocks into the
 compiled kernels of :mod:`repro.core.kernels.cnative`.  Every driver is
 *total*: when the native library is unavailable (no compiler,
-kill-switch set, unsupported numerics) it reports failure --
-``(False, 0)`` / ``False`` / ``None`` -- and the caller falls back to
-the NumPy frontier walk or the per-sink reference loop.  Callers never
-need to know whether the fast path exists.
+kill-switch set, unsupported numerics) it reports failure -- ``False``
+/ ``None`` -- and the caller falls back to the NumPy frontier walk or
+the per-sink reference loop.  Callers never need to know whether the
+fast path exists.  No driver counts anything: the caller's backend
+charges a sweep once, after it succeeded.
 
 Two properties the execution layer depends on:
 
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from typing import Tuple
 
 import numpy as np
 
@@ -56,30 +56,28 @@ def _writable(a: np.ndarray) -> bool:
 
 def _csr_args(pos, pmass, com, cmass, lists, sink_start, sink_count):
     """Marshal the sources and the CSR block: the kernels' leading
-    pointers, their four scratch rows, the group count and the
-    interaction total."""
+    pointers, their four scratch rows and the group count."""
     arrs = [_f64c(a) for a in (pos, pmass, com, cmass)] + [
         _i64c(a) for a in (lists.cell_idx, lists.cell_off, lists.part_idx,
                            lists.part_off, sink_start, sink_count)]
     lengths = np.diff(arrs[5]) + np.diff(arrs[7])
     scratch = np.empty((4, max(int(lengths.max(initial=0)), 1)))
     return ([*map(_dp, arrs[:4]), *map(_ip, arrs[4:])],
-            [*map(_dp, scratch)], len(arrs[9]),
-            int(np.sum(arrs[9] * lengths)))
+            [*map(_dp, scratch)], len(arrs[9]))
 
 
 def f64_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
-                   eps, out_acc, out_pot) -> Tuple[bool, int]:
-    """IEEE-double CSR list walk.  Returns ``(done, interactions)``."""
+                   eps, out_acc, out_pot) -> bool:
+    """IEEE-double CSR list walk.  Returns ``done``."""
     lib = cnative.load()
     if lib is None or not (_writable(out_acc) and _writable(out_pot)):
-        return False, 0
-    ptrs, scratch, n_groups, inter = _csr_args(
+        return False
+    ptrs, scratch, n_groups = _csr_args(
         pos, pmass, com, cmass, lists, sink_start, sink_count)
     if n_groups:
         lib.repro_f64_csr(*ptrs, n_groups, float(eps) ** 2, *scratch,
                           _dp(out_acc), _dp(out_pot))
-    return True, inter
+    return True
 
 
 def _g5_params(eps, numerics, fixed):
@@ -122,7 +120,7 @@ def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
     params = _g5_params(eps, numerics, fixed)
     if params is None:
         return False
-    ptrs, scratch, n_groups, _ = _csr_args(
+    ptrs, scratch, n_groups = _csr_args(
         pos, pmass, com, cmass, lists, sink_start, sink_count)
     return n_groups == 0 or lib.repro_g5_csr(
         *ptrs, n_groups, *params, *scratch, _dp(out_acc), _dp(out_pot)) == 0

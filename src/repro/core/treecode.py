@@ -189,7 +189,6 @@ class TreeCode:
         self.last_stats: Optional[TreeStats] = None
         self.last_tree: Optional[Octree] = None
         self.last_groups: Optional[GroupSet] = None
-        self._last_domain: Optional[Tuple[float, float]] = None
 
     def close(self) -> None:
         """Close what this treecode holds: the engine's thread pool or
@@ -213,10 +212,8 @@ class TreeCode:
                             tracer=self.tracer)
         with self.tracer.span("moments"):
             compute_moments(tree)
-        lo = float(np.min(tree.corner))
-        hi = float(np.max(tree.corner + tree.size))
-        self._last_domain = (lo, hi)
-        self.backend.set_domain(lo, hi)
+        self.backend.set_domain(float(np.min(tree.corner)),
+                                float(np.max(tree.corner + tree.size)))
         return tree
 
     # ------------------------------------------------------------------
@@ -261,8 +258,7 @@ class TreeCode:
 
         spec = SweepSpec(tree=tree, sink_center=sink_center,
                          sink_start=sink_start, sink_count=sink_count,
-                         eps=float(eps), domain=self._last_domain,
-                         build_lists=build_lists)
+                         eps=float(eps), build_lists=build_lists)
         with tr.span("eval", algorithm=algorithm):
             # timed from inside the span, so the attribution children
             # recorded below can never outlast it

@@ -17,18 +17,18 @@ evaluates shard *k*.
 Threads are enough because the compiled walks are loaded with
 ``ctypes.CDLL`` (the GIL is released for the whole call), their scratch
 is allocated per call, and every sink owns a disjoint slice of the
-output rows.  Each shard still runs on a *private* backend (from the
-caller's ``worker_factory()``): without a compiler ``eval_lists`` is
-the reference loop, which stages every force call in the emulated
-board's j-memory -- and a fresh instance's counters are exactly that
-shard's delta.  A backend that has no factory runs its shards one at a
-time on the caller's instance, on the submitting thread, and so does
-an uncut sweep: the same walk-then-evaluate body, in place.
+output rows.  Every shard runs on the caller's one backend instance:
+``eval_lists`` is pure (the reference loop included, which calls the
+unpriced dense ``kernel``), so concurrent calls share nothing but
+read-only configuration.  An uncut sweep runs the same
+walk-then-evaluate body in place, on the submitting thread.
 
-Pool threads return plain timestamps; only the submitting thread
-touches the fault injector, the tracer, the metrics registry and the
-caller's backend.  Contracts (bit-identity, cut-independent counters,
-one retry rung) are stated in ``docs/parallel_engine.md`` and pinned by
+Pool threads return plain timestamps and per-sink lengths; only the
+submitting thread touches the fault injector, the tracer, the metrics
+registry and the backend's counters: it charges the sweep once, with
+every sink's population and list length, after the whole sweep
+succeeded.  Contracts (bit-identity, cut-independent counters, one
+retry rung) are stated in ``docs/parallel_engine.md`` and pinned by
 ``tests/exec`` and ``tests/chaos``.
 """
 
@@ -55,11 +55,11 @@ __all__ = ["EngineError", "PipelineEngine", "SHARDS_PER_SWEEP"]
 logger = logging.getLogger(__name__)
 
 #: shards one sweep is cut into at most (a small sweep into fewer).  A
-#: constant, not a function of ``workers`` or the core count: shard
-#: boundaries decide the order model seconds are summed in, and that
-#: sum must not depend on the machine.  16 keeps a handful of shards
-#: per thread in flight at any plausible worker count while the
-#: per-shard traversal overhead stays in the noise.
+#: constant, not a function of ``workers`` or the core count, so a
+#: fault plan's ``batch=k`` selects the same sinks on every machine.
+#: 16 keeps a handful of shards per thread in flight at any plausible
+#: worker count while the per-shard traversal overhead stays in the
+#: noise.
 SHARDS_PER_SWEEP = 16
 
 #: particles a shard carries at least: a small sweep is cut into fewer
@@ -98,7 +98,7 @@ def _run_shard(backend: ForceBackend, spec: SweepSpec, a: int, b: int,
     """One shard's task: walk sinks ``[a, b)``, evaluate their lists on
     ``backend`` into their rows of ``acc``/``pot``, and let the lists
     go.  Returns ``((thread ident, t_dequeue, t_walk, t_eval, t_done),
-    backend, per-sink list lengths, cell terms, particle terms)``.
+    per-sink list lengths, cell terms, particle terms)``.
     """
     t_dequeue = time.perf_counter()
     kind = fault.kind if fault is not None else None
@@ -107,7 +107,6 @@ def _run_shard(backend: ForceBackend, spec: SweepSpec, a: int, b: int,
     if kind == "transient_error":
         raise TransientBackendError(
             f"injected transient error in sinks [{a}, {b})")
-    backend.set_domain(*spec.domain)
     t_walk = time.perf_counter()
     lists = spec.build_lists(a, b)
     t_eval = time.perf_counter()
@@ -116,7 +115,7 @@ def _run_shard(backend: ForceBackend, spec: SweepSpec, a: int, b: int,
                        tree.mass, lists, spec.sink_start[a:b],
                        spec.sink_count[a:b], spec.eps, acc, pot)
     return ((threading.get_ident(), t_dequeue, t_walk, t_eval,
-             time.perf_counter()), backend, lists.list_lengths,
+             time.perf_counter()), lists.list_lengths,
             int(lists.cell_off[-1]), int(lists.part_off[-1]))
 
 
@@ -178,18 +177,13 @@ class PipelineEngine:
         self._closed = False
 
     def prewarm(self, backend: ForceBackend) -> "PipelineEngine":
-        """Check ahead of the first sweep that ``backend`` can ride
-        the pool: raises :class:`EngineError` for a closed engine and
-        for a backend whose ``worker_factory()`` is ``None`` (its
-        shards would take turns on the submitting thread).  There is
-        nothing to start.  Returns ``self`` for chaining.
+        """Check ahead of the first sweep that the engine takes work:
+        raises :class:`EngineError` when it is closed.  Any backend
+        rides the pool, and there is nothing to start.  Returns
+        ``self`` for chaining.
         """
         if self._closed:
             raise EngineError("engine is closed")
-        if backend.worker_factory() is None:
-            raise EngineError(
-                f"backend {backend.name!r} has no worker_factory(), so "
-                "its shards cannot get private instances")
         return self
 
     def close(self) -> None:
@@ -207,12 +201,10 @@ class PipelineEngine:
     def evaluate(self, backend: ForceBackend, spec: SweepSpec, *,
                  tracer: Optional[object] = None,
                  metrics: Optional[object] = None) -> EvalResult:
-        """Evaluate ``spec``; fold the shards' counters into
-        ``backend`` (once per shard, in shard order, after the whole
-        sweep succeeded)."""
+        """Evaluate ``spec`` on ``backend``, and charge it the sweep
+        (once, after the whole sweep succeeded)."""
         if self._closed:
             raise EngineError("engine is closed")
-        factory = backend.worker_factory()
         tr = as_tracer(tracer)
         tracing = bool(getattr(tr, "enabled", False))
         fl = self.flight
@@ -225,13 +217,11 @@ class PipelineEngine:
         n_shards = max(1, min(SHARDS_PER_SWEEP, spec.n_sinks,
                               spec.n_particles // MIN_SHARD_PARTICLES))
         size = max(1, -(-spec.n_sinks // n_shards))
-        # a backend without private instances takes its shards one at a
-        # time on the caller's, and an uncut sweep has nothing to
-        # overlap a thread hand-off with: both run on this thread
-        pooled = factory is not None and n_shards > 1
+        # an uncut sweep has nothing to overlap a thread hand-off with:
+        # it runs on this thread
+        pooled = n_shards > 1
         shards: List[_Shard] = []
         fault_counts: Dict[str, int] = {}
-        privates: List[ForceBackend] = []
         worker_of: Dict[int, int] = {}
         busy: Dict[int, float] = {}
         batches: Dict[int, int] = {}
@@ -255,17 +245,16 @@ class PipelineEngine:
             fault = (self.fault_injector.batch_fault(
                 sweep=sweep, batch=k, attempt=attempt)
                 if self.fault_injector is not None else None)
-            private = backend if factory is None else factory()
             t_submit = time.perf_counter()
             if pooled:
                 return t_submit, self._pool.submit(
-                    _run_shard, private, spec, a, b, acc, pot, fault)
+                    _run_shard, backend, spec, a, b, acc, pot, fault)
             # in place: this thread's walk is ``traverse``, the rest of
             # the shard ``kernel`` -- both nested in [t_submit, now]
             future: Future = Future()
             walk = 0.0
             try:
-                done = _run_shard(private, spec, a, b, acc, pot, fault)
+                done = _run_shard(backend, spec, a, b, acc, pot, fault)
                 walk = done[0][3] - done[0][2]
                 future.set_result(done)
             except Exception as e:
@@ -319,10 +308,8 @@ class PipelineEngine:
                                   attempt=sh.attempt)
                     sh.t_submit, sh.future = submit(k, sh.a, sh.b,
                                                     sh.attempt)
-                (times, private, lengths[sh.a:sh.b], cells,
-                 parts) = sh.future.result()
+                times, lengths[sh.a:sh.b], cells, parts = sh.future.result()
                 ident, t_dequeue, t_walk, t_eval, t_done = times
-                privates.append(private)
                 cell_terms += cells
                 part_terms += parts
                 worker = worker_of.setdefault(ident, len(worker_of))
@@ -354,9 +341,7 @@ class PipelineEngine:
                 fl.flush()
             raise
 
-        if factory is not None:
-            for private in privates:
-                backend.merge_stats(private)
+        backend.charge(spec.sink_count, lengths)
         wall = time.perf_counter() - w0
         busy_total = sum(busy.values())
         overlap = busy_total / wall if wall > 0 else 0.0

@@ -17,7 +17,7 @@ one :meth:`~repro.core.kernels.ForceBackend.eval_lists` call, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +46,6 @@ class SweepSpec:
     sink_count: np.ndarray
     #: Plummer softening of this sweep
     eps: float
-    #: coordinate window to announce to device backends (lo, hi)
-    domain: Tuple[float, float]
     #: lists for the sink range [a, b) -- engines call this per shard,
     #: on the thread that evaluates the shard
     build_lists: Callable[[int, int], InteractionLists]

@@ -11,12 +11,14 @@ device: one :class:`~repro.grape.pipeline.G5Pipeline` (the datapath and
 the coordinate format), the per-board j-memory size, and the counters.
 It exposes:
 
-* the **functional** path -- :meth:`Grape5System.compute` evaluates a
+* the **functional** path -- :meth:`Grape5System.run` evaluates a
   force call in the hardware's reduced precision, splitting the j-set
   over the boards and summing partial forces on the host, exactly as
   the real library does;
-* the **performance** path -- every call is charged to the
-  :class:`~repro.grape.timing.GrapeTimingModel`, accumulating the
+* the **performance** path -- :meth:`Grape5System.charge_batch` prices
+  calls on the :class:`~repro.grape.timing.GrapeTimingModel`
+  (:meth:`Grape5System.compute` is one call, run and charged; an
+  engine sweep is charged once, after it succeeded), accumulating the
   *modelled* wall-clock seconds the physical machine would have spent
   (:attr:`Grape5System.model_seconds`), plus interaction and byte
   counters;
@@ -29,7 +31,7 @@ It exposes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -57,10 +59,6 @@ class Grape5System:
     #: board stores 2^18 -- comfortably larger than any interaction
     #: list the treecode produces (the paper's average is ~13,000).
     jmem_capacity: int = 1 << 18
-    #: when True, every force call's (n_i, n_j) shape is appended to
-    #: :attr:`call_log` -- the raw material for validating the timing
-    #: model against a real run's call-size distribution
-    record_calls: bool = False
 
     #: optional :class:`repro.obs.metrics.MetricsRegistry`; every force
     #: call is then charged to ``grape.*`` counters/histograms so
@@ -71,8 +69,6 @@ class Grape5System:
     n_calls: int = field(default=0, init=False, repr=False)
     interactions: int = field(default=0, init=False, repr=False)
     model_seconds: float = field(default=0.0, init=False, repr=False)
-    call_log: List[Tuple[int, int]] = field(default_factory=list,
-                                            init=False, repr=False)
 
     #: the datapath.  All 32 physical pipelines are this one function,
     #: and its ``coord_format`` is *the* coordinate format: the one
@@ -119,7 +115,7 @@ class Grape5System:
     def set_range(self, xmin: float, xmax: float) -> None:
         """Announce the coordinate window (the ``g5_set_range`` call of
         libg5).  The only writer of the window: with none announced,
-        :meth:`compute` covers each call on its own and stores
+        :meth:`run` covers each call on its own and stores
         nothing."""
         self.pipeline.set_range(xmin, xmax)
 
@@ -127,17 +123,24 @@ class Grape5System:
         self.n_calls = 0
         self.interactions = 0
         self.model_seconds = 0.0
-        self.call_log.clear()
 
     # ------------------------------------------------------------------
     def compute(self, xi: np.ndarray, xj: np.ndarray, mj: np.ndarray,
                 eps: float) -> Tuple[np.ndarray, np.ndarray]:
-        """One force call: forces on ``xi`` from sources ``(xj, mj)``.
+        """One force call: :meth:`run`, charged to the timing model."""
+        acc, pot = self.run(xi, xj, mj, eps)
+        self.charge_batch([len(xi)], [len(xj)])
+        return acc, pot
+
+    def run(self, xi: np.ndarray, xj: np.ndarray, mj: np.ndarray,
+            eps: float) -> Tuple[np.ndarray, np.ndarray]:
+        """The functional path of one force call (libg5's ``g5_run``),
+        unpriced: forces on ``xi`` from sources ``(xj, mj)``.
 
         The j-set is split into contiguous blocks over the boards (the
         library's multi-board scatter); each board computes a partial
         force against its block, and the host sums the partials in
-        double precision.  The call is charged to the timing model.
+        double precision.
         """
         xi = np.asarray(xi, dtype=np.float64)
         xj = np.asarray(xj, dtype=np.float64)
@@ -161,8 +164,8 @@ class Grape5System:
 
         # A j-set larger than the combined particle memory is split
         # into sequential passes, exactly as the library does: each
-        # pass loads, runs and accumulates, and each is charged to the
-        # timing model as a separate call.
+        # pass loads, runs and accumulates (and :meth:`charge_batch`
+        # prices each as a separate call).
         capacity = self.jmem_total
         for c0 in range(0, n_j, capacity):
             c1 = min(c0 + capacity, n_j)
@@ -177,7 +180,7 @@ class Grape5System:
         datapath, so each board's block is one vectorised call on
         ``pipe``; the pipeline *count* matters only to the timing
         model."""
-        n_i, n_j = xi.shape[0], xj.shape[0]
+        n_j = xj.shape[0]
         nb = self.timing.n_boards
         bounds = np.linspace(0, n_j, nb + 1).astype(np.int64)
         for b in range(nb):
@@ -188,19 +191,14 @@ class Grape5System:
             acc += a
             pot += p
 
-        self.charge_batch([n_i], [n_j])
-
     def charge_batch(self, n_i: np.ndarray, n_j: np.ndarray) -> None:
         """Charge a batch of force calls to the performance model.
 
-        The one place a force call is priced.  The batched kernel path
-        evaluates whole CSR blocks of calls in one native sweep and
-        charges them here vectorised; :meth:`_compute_resident` charges
-        its single pass through the same code.  Empty calls are dropped
-        (the functional path returns before charging them) and calls
-        whose j-set exceeds the combined particle memory are expanded
-        into the same sequential passes :meth:`compute` would have
-        issued.
+        The one place a force call is priced: a whole sweep's calls
+        (one per sink) at once, or :meth:`compute`'s one.  Empty calls
+        are dropped (the functional path does no work for them) and
+        calls whose j-set exceeds the combined particle memory are
+        expanded into the sequential passes :meth:`run` makes.
         """
         n_i = np.asarray(n_i, dtype=np.int64)
         n_j = np.asarray(n_j, dtype=np.int64)
@@ -224,16 +222,12 @@ class Grape5System:
 
     def _record(self, inter: int, seconds: float, n_i, n_j) -> None:
         """Add priced force calls of shapes ``n_i`` x ``n_j`` to the
-        counters, the call log and, when a registry is bound, the
-        ``grape.*`` metrics -- the only place any of them is written,
-        whether the calls were priced here or on an engine's private
-        backend."""
+        counters and, when a registry is bound, the ``grape.*`` metrics
+        -- the only place any of them is written."""
         calls = len(n_i)
         self.n_calls += calls
         self.interactions += inter
         self.model_seconds += seconds
-        if self.record_calls:
-            self.call_log.extend(zip(n_i.tolist(), n_j.tolist()))
         m = self.metrics
         if m is None or not calls:
             return
@@ -286,8 +280,8 @@ class GrapeBackend(ForceBackend):
         """One backend force call: ``fn`` under the ``grape.compute``
         fault site and the transient-retry budget: after a
         :class:`~repro.faults.TransientBackendError` the call is
-        re-issued, up to :attr:`max_retries` times.  The site precedes
-        ``fn``, so a retried call is never charged twice."""
+        re-issued, up to :attr:`max_retries` times.  Callers charge
+        after ``fn`` returned, so a retried call is charged once."""
         attempt = 0
         while True:
             try:
@@ -305,9 +299,8 @@ class GrapeBackend(ForceBackend):
                 if attempt > self.max_retries:
                     raise
 
-    def compute(self, xi, xj, mj, eps):
-        return self.force_call(
-            lambda: self.system.compute(xi, xj, mj, eps))
+    def kernel(self, xi, xj, mj, eps):
+        return self.system.run(xi, xj, mj, eps)
 
     def eval_lists(self, pos, pmass, com, cmass, lists, sink_start,
                    sink_count, eps, out_acc, out_pot):
@@ -317,39 +310,20 @@ class GrapeBackend(ForceBackend):
         list order -- when it models the numerics and an announced
         coordinate window (the treecode always announces one), else
         the reference loop, where the per-call auto-range of
-        :meth:`Grape5System.compute` is authoritative.
+        :meth:`Grape5System.run` is authoritative.
         """
         from ..core.kernels import batch as _batch
-        done = self.force_call(lambda: _batch.g5_eval_lists(
-            pos, pmass, com, cmass, lists, sink_start, sink_count,
-            eps, out_acc, out_pot, numerics=self.system.numerics,
-            fixed=self.system.pipeline.coord_format))
-        if not done:
+        if not _batch.g5_eval_lists(
+                pos, pmass, com, cmass, lists, sink_start, sink_count,
+                eps, out_acc, out_pot, numerics=self.system.numerics,
+                fixed=self.system.pipeline.coord_format):
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
-            return
-        self.system.charge_batch(np.asarray(sink_count),
-                                 lists.list_lengths)
 
-    def worker_factory(self):
-        """Configuration-only spec: the caller's class around a fresh
-        system from the numerics, the timing constants and the j-memory
-        size (no state is shared); private systems reproduce the
-        deterministic reduced-precision datapath, and price it,
-        exactly -- and log every priced call's shape for
-        :meth:`merge_stats`."""
-        cls, s = type(self), self.system
-        config = dict(numerics=s.numerics, timing=s.timing,
-                      jmem_capacity=s.jmem_capacity, record_calls=True)
-        return lambda: cls(system=Grape5System(**config))
-
-    def merge_stats(self, private):
-        """Fold a private instance's priced calls back in, keeping run
-        totals, the call log and the ``grape.*`` metrics (when bound)
-        what a single instance would have recorded."""
-        p = private.system
-        n_i, n_j = np.array(p.call_log, dtype=np.int64).reshape(-1, 2).T
-        self.system._record(p.interactions, p.model_seconds, n_i, n_j)
+    def charge(self, n_i, n_j):
+        """Price the calls on the timing model
+        (:meth:`Grape5System.charge_batch`)."""
+        self.system.charge_batch(n_i, n_j)
 
     def bind_metrics(self, registry) -> "GrapeBackend":
         """Route per-force-call counters into ``registry``

@@ -48,11 +48,8 @@ def eval_path(request, monkeypatch):
 @BOTH_PATHS
 def test_k1_b2_bit_identical(plummerish, eval_path):
     """hosts=1, boards=2 reproduces the plain path bit for bit, and its
-    timing model the single-host predicted seconds.  The one host makes
-    one call over the global lists where the plain path makes one per
-    shard, so the seconds are summed in a different order: the same
-    rel 1e-12 every route-to-route comparison of ``model_seconds`` is
-    held to (docs/parallel_engine.md)."""
+    timing model the single-host predicted seconds exactly: its one host
+    is charged the same per-sink arrays the plain sweep is."""
     pos, mass = plummerish
     tc0, acc0, pot0 = _serial(pos, mass)
     tc1 = TreeCode(theta=THETA, n_crit=NCRIT,
@@ -60,17 +57,37 @@ def test_k1_b2_bit_identical(plummerish, eval_path):
     acc1, pot1 = tc1.accelerations(pos, mass, EPS)
     np.testing.assert_array_equal(acc1, acc0)
     np.testing.assert_array_equal(pot1, pot0)
-    assert tc1.cluster.model_seconds == pytest.approx(
-        tc0.backend.model_seconds, rel=1e-12, abs=0)
+    assert tc1.cluster.model_seconds == tc0.backend.model_seconds
     assert tc1.cluster.interactions == tc0.backend.interactions
     assert tc1.backend is tc1.cluster
     s = tc1.cluster.summary()
-    assert s["predicted_seconds"] == pytest.approx(
-        tc0.backend.model_seconds, rel=1e-12, abs=0)
+    assert s["predicted_seconds"] == tc0.backend.model_seconds
     assert s["let_exchange_bytes"] == 0.0
     assert s["let_import_cells"] == 0
     assert s["let_import_particles"] == 0
     tc1.close()
+
+
+@BOTH_PATHS
+def test_device_site_fires_once_per_host(plummerish, eval_path):
+    """A cluster sweep is one force call per host: the ``grape.compute``
+    site is consulted once per host and sweep, on either body of
+    ``eval_lists`` (which consults no site itself)."""
+
+    class Sites:
+        def __init__(self):
+            self.seen = []
+
+        def maybe_raise(self, site):
+            self.seen.append(site)
+
+    pos, mass = plummerish
+    sites = Sites()
+    ctx = ClusterContext(ClusterSpec(hosts=2), fault_injector=sites)
+    tc = TreeCode(theta=THETA, n_crit=NCRIT, cluster=ctx)
+    tc.accelerations(pos, mass, EPS)
+    assert sites.seen == ["grape.compute"] * 2
+    tc.close()
 
 
 @BOTH_PATHS

@@ -24,11 +24,12 @@ def sweep_lists(tc):
 
 def uncut_sweep(tc, backend, eps):
     """The reference for "the shard cut is invisible": ``tc``'s whole
-    last sweep walked here (:func:`sweep_lists`) and evaluated by ONE
-    ``backend.eval_lists`` call, finished like ``accelerations``
-    finishes a sweep.  Returns ``(acc, pot)`` in input order.  ``src/``
-    keeps no second walk or evaluation body, so the tests that pin the
-    contract make the uncut call themselves."""
+    last sweep walked here (:func:`sweep_lists`), evaluated by ONE
+    ``backend.eval_lists`` call in the window ``TreeCode.build``
+    announces, charged as the engine charges a sweep, and finished like
+    ``accelerations`` finishes one.  Returns ``(acc, pot)`` in input
+    order.  ``src/`` keeps no second walk or evaluation body, so the
+    tests that pin the contract make the uncut call themselves."""
     from repro.core.kernels import self_potential_correction
     tree, groups = tc.last_tree, tc.last_groups
     if groups is not None:
@@ -36,12 +37,14 @@ def uncut_sweep(tc, backend, eps):
     else:
         start = np.arange(tree.n_particles, dtype=np.int64)
         count = np.ones(tree.n_particles, dtype=np.int64)
-    backend.set_domain(*tc._last_domain)
+    backend.set_domain(float(np.min(tree.corner)),
+                       float(np.max(tree.corner + tree.size)))
+    lists = sweep_lists(tc)
     acc_s = np.empty((tree.n_particles, 3))
     pot_s = np.empty(tree.n_particles)
     backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
-                       tree.mass, sweep_lists(tc), start, count, eps,
-                       acc_s, pot_s)
+                       tree.mass, lists, start, count, eps, acc_s, pot_s)
+    backend.charge(count, lists.list_lengths)
     pot_s += self_potential_correction(tree.mass_sorted, eps)
     acc, pot = np.empty_like(acc_s), np.empty_like(pot_s)
     acc[tree.order], pot[tree.order] = acc_s, pot_s

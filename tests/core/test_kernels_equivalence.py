@@ -32,6 +32,7 @@ from repro.core.kernels import Float64Backend, ForceBackend, cnative
 from repro.core.traversal import InteractionLists
 from repro.exec import PipelineEngine
 from repro.grape import GrapeBackend
+from repro.obs import MetricsRegistry
 from repro.sim.models import plummer_model
 from tests.conftest import sweep_lists
 
@@ -140,32 +141,31 @@ class TestForceEquivalence:
 
     def test_grape_backend_counters_and_forces(self, snapshots):
         """On the emulator the native walk must preserve the *model*:
-        the very same force calls, hence the same call count and
-        interaction total, and the same modelled seconds -- the
-        paper's time accounting must not notice the host-side
+        the very same force calls, hence the same call count,
+        interaction total, call-shape histograms and modelled seconds
+        -- the paper's time accounting must not notice the host-side
         vectorization."""
         pos, mass = snapshots[(1000, "open")]
         refs = {}
         for name, cls in (("oracle", OracleGrape),
                           ("native", GrapeBackend)):
-            gb = cls()
-            gb.system.record_calls = True
+            reg = MetricsRegistry()
+            gb = cls().bind_metrics(reg)
             tc = TreeCode(theta=0.5, n_crit=256, backend=gb)
             acc, pot = tc.accelerations(pos, mass, EPS)
-            refs[name] = (acc, pot, gb.system)
-        a0, p0, sys0 = refs["oracle"]
-        a1, p1, sys1 = refs["native"]
+            refs[name] = (acc, pot, gb.system, reg)
+        a0, p0, sys0, reg0 = refs["oracle"]
+        a1, p1, sys1, reg1 = refs["native"]
         np.testing.assert_allclose(a1, a0, rtol=RTOL,
                                    atol=RTOL * np.max(np.abs(a0)))
         np.testing.assert_allclose(p1, p0, rtol=RTOL)
         assert sys1.n_calls == sys0.n_calls
         assert sys1.interactions == sys0.interactions
-        # the model is a function of the (n_i, n_j) call log alone
-        assert sys1.call_log == sys0.call_log
-        # ... summed pairwise by the batch charge and sequentially by
-        # per-call charging: the same seconds up to the last bit
-        assert sys1.model_seconds == pytest.approx(sys0.model_seconds,
-                                                   rel=1e-12)
+        # the model is a function of the (n_i, n_j) calls alone
+        for name in ("grape.call_ni", "grape.call_nj"):
+            assert reg1.get(name).snapshot() == reg0.get(name).snapshot()
+        # ... charged once per sweep from the same arrays on both
+        assert sys1.model_seconds == sys0.model_seconds
 
 
 class TestFloat64ListOrder:

@@ -5,7 +5,8 @@ The periodic stack (Ewald summation, the particle-mesh solver, the
 periodic treecode, the comoving leapfrog and the minimum-image MAC
 knob) was deleted; so were the host-side quadrupole ablation, the
 libg5-style call-sequence handle and the per-shard evaluation hook
-that existed only for them.  Rebuilding any of it belongs in git
+that existed only for them; and the engine's per-shard private
+backends, whose counters came back through a replayed call log.  Rebuilding any of it belongs in git
 history, not in a shim.  These gates fail if one of their names or
 options reappears in the source, the docs, the README or the
 examples.  ROADMAP.md, CHANGES.md and SNIPPETS.md record history and
@@ -29,10 +30,13 @@ RETIRED = ("EwaldCorrectionTable", "PeriodicDirectSummation",
            "ewald_kernels", "minimum_image", "PeriodicTreeCode",
            "ParticleMesh", "ComovingLeapfrog")
 
-#: the quadrupole ablation, the ``G5Context`` handle and the engine's
-#: per-shard hook: every sweep is one ``ForceBackend.eval_lists`` call
+#: the quadrupole ablation, the ``G5Context`` handle, the engine's
+#: per-shard hook and its per-shard private backends with their
+#: replayed call log: every sweep is one ``ForceBackend.eval_lists``
+#: call per shard on the caller's instance, charged once
 RETIRED_SEAMS = ("G5Context", "G5Error", "quadkernel", "quadrupole_accpot",
-                 "eval_sweep", "retry_transient")
+                 "eval_sweep", "retry_transient", "worker_factory",
+                 "merge_stats", "call_log", "record_calls")
 
 _MAC_BOX = re.compile(r"BarnesHutMAC\([^)]*\bbox\s*=")
 

@@ -14,8 +14,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[2]
 
 #: measured ``src/repro`` total after the last change that removed
-#: lines (each shard walked on its pool thread; lengths, not lists)
-CEILING = 14758
+#: lines (one backend instance per sweep, charged once)
+CEILING = 14702
 
 
 def test_source_line_count_is_under_the_ceiling():

@@ -2,16 +2,15 @@
 
 Every ``TreeCode`` evaluates through the pipeline engine, so there is
 no second path in ``src/`` to compare against.  The reference is the
-seam itself: the finished sweep's sinks walked again and evaluated by
-ONE ``eval_lists`` call on a fresh backend of the same class, made
-here.  For any worker count the sweep must be *bit-identical* to that
-call on both bundled backends (every sink's arithmetic is independent
-of which ``eval_lists`` call evaluates it, and every sink owns a
-disjoint output slice), the backend's counters must not notice the
-cut, and
-``model_seconds`` must be the same number at every worker count (shard
-boundaries do not depend on ``workers``) -- with the native kernel and
-with the reference loop.
+seam itself: the finished sweep's sinks walked again, evaluated by
+ONE ``eval_lists`` call on a fresh backend of the same class and
+charged as the engine charges, made here.  For any worker count the
+sweep must be *bit-identical* to that call on both bundled backends
+(every sink's arithmetic is independent of which ``eval_lists`` call
+evaluates it, and every sink owns a disjoint output slice), and the
+backend's counters, ``model_seconds`` included, must be the very same
+numbers: the engine charges the sweep once, with the same per-sink
+arrays -- with the native kernel and with the reference loop.
 """
 
 import gc
@@ -59,8 +58,8 @@ def _forces(pos, mass, *, backend=None, engine=None, n_crit=64,
 
 
 def _assert_engine_contract(pos, mass, make_backend, workers=WORKERS):
-    """acc/pot/counters at each worker count against the one uncut
-    call, and ``model_seconds`` identical across worker counts."""
+    """acc/pot/counters, ``model_seconds`` included, at each worker
+    count equal to the one uncut call's."""
     model_seconds = set()
     for w in workers:
         be, ref = make_backend(), make_backend()
@@ -75,8 +74,7 @@ def _assert_engine_contract(pos, mass, make_backend, workers=WORKERS):
         assert be.interactions == ref.interactions > 0
         if isinstance(be, GrapeBackend):
             assert be.system.n_calls == ref.system.n_calls
-            assert be.model_seconds == pytest.approx(ref.model_seconds,
-                                                     rel=1e-12, abs=0)
+            assert be.model_seconds == ref.model_seconds
             model_seconds.add(be.model_seconds)
     assert len(model_seconds) <= 1, model_seconds
 
@@ -87,24 +85,17 @@ class OracleFloat64(Float64Backend):
 
 
 class HostOnly(ForceBackend):
-    """A third-party backend: ``compute()`` and nothing else.  Records
-    which threads called it and whether two calls ever overlapped."""
+    """A third-party backend: the dense ``kernel()`` and nothing else.
+    Records which threads called it, and how often."""
 
     name = "host-only"
 
     def __init__(self):
-        self.calls = self.active = self.overlapped = 0
-        self.threads = set()
+        self.threads = []
 
-    def compute(self, xi, xj, mj, eps):
-        self.calls += 1
-        self.threads.add(threading.get_ident())
-        self.active += 1
-        self.overlapped += self.active > 1
-        try:
-            return Float64Backend().compute(xi, xj, mj, eps)
-        finally:
-            self.active -= 1
+    def kernel(self, xi, xj, mj, eps):
+        self.threads.append(threading.get_ident())
+        return Float64Backend().kernel(xi, xj, mj, eps)
 
 
 class TestFloat64Equivalence:
@@ -186,15 +177,15 @@ class TestGrapeEquivalence:
         assert np.median(rel) < 0.003
 
     def test_grape_counters_aggregate_exactly(self, cloud):
-        """n_calls / interactions exact, model_seconds identical at
-        workers 1/2/4 and within 1e-12 of the one uncut call."""
+        """n_calls / interactions / model_seconds at workers 1/2/4
+        equal to the one uncut call's."""
         _assert_engine_contract(*cloud, GrapeBackend)
 
 
 class TestReferenceLoop:
     """The same matrix with no native kernel: ``eval_lists`` is then
-    the base-class loop, which stages every force call in the board's
-    j-memory -- the reason each shard runs on a private backend."""
+    the base-class loop over the unpriced dense ``kernel``, run by
+    several pool threads on the one instance."""
 
     @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_contract_holds_without_native_kernel(self, backend,
@@ -203,6 +194,81 @@ class TestReferenceLoop:
         rng = np.random.default_rng(43)
         pos, _, mass = plummer_model(400, rng)
         _assert_engine_contract(pos, mass, BACKENDS[backend])
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_one_instance_under_thread_switch_stress(self, backend,
+                                                     monkeypatch):
+        """More pool threads than cores running the reference loop on
+        one shared instance, switching threads every microsecond: the
+        bits and the counters still equal the one uncut call's."""
+        monkeypatch.setattr(cnative, "load", lambda: None)
+        pos, _, mass = plummer_model(4100, np.random.default_rng(44))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _assert_engine_contract(pos, mass, BACKENDS[backend], (8,))
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class ChargeSpy(GrapeBackend):
+    """The GRAPE backend, logging every ``charge`` with its thread."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        self.charges = []
+
+    def charge(self, n_i, n_j):
+        self.charges.append((threading.get_ident(), np.array(n_i),
+                             np.array(n_j)))
+        super().charge(n_i, n_j)
+
+
+class TestOneCharge:
+    """A sweep is counted and priced once: on the submitting thread,
+    with every sink's population and list length, after the whole
+    sweep succeeded."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_charge_runs_once_per_sweep_on_the_submitting_thread(
+            self, cloud, workers):
+        pos, mass = cloud
+        be, reg = ChargeSpy(), MetricsRegistry()
+        tc = TreeCode(theta=0.75, n_crit=64, backend=be, metrics=reg,
+                      engine=PipelineEngine(workers=workers))
+        try:
+            for sweep in (1, 2):
+                tc.accelerations(pos, mass, EPS)
+                assert len(be.charges) == sweep
+                ident, n_i, n_j = be.charges[-1]
+                assert ident == threading.get_ident()
+                assert np.array_equal(n_i, tc.last_groups.count)
+                assert np.array_equal(n_j, sweep_lists(tc).list_lengths)
+        finally:
+            tc.close()
+        assert reg.value("exec.batches") > 2      # the sweeps were cut
+
+    def test_a_retried_shard_is_never_charged(self, cloud):
+        """Under ``transient_error@batch=1`` the attempt that raised
+        is not charged: one charge, and counters and ``grape.*``
+        histograms equal to a fault-free sweep's."""
+        pos, mass = cloud
+        out = []
+        for faults in (None, "transient_error@batch=1"):
+            reg = MetricsRegistry()
+            be = ChargeSpy().bind_metrics(reg)
+            with PipelineEngine(workers=2, faults=faults) as eng:
+                _forces(pos, mass, backend=be, engine=eng, metrics=reg)
+            assert len(be.charges) == 1
+            out.append((be.system, reg))
+        (clean, clean_reg), (faulted, faulted_reg) = out
+        assert faulted_reg.value("exec.fault.batch_retries") == 1
+        assert (faulted.n_calls, faulted.interactions,
+                faulted.model_seconds) == (clean.n_calls, clean.interactions,
+                                           clean.model_seconds)
+        for name in ("grape.call_ni", "grape.call_nj"):
+            assert faulted_reg.get(name).snapshot() \
+                == clean_reg.get(name).snapshot()
 
 
 class TestEngineLifecycle:
@@ -236,28 +302,28 @@ class TestEngineLifecycle:
         eng.close()
         eng.close()
 
-    def test_non_parallel_safe_backend_rejected(self):
-        """A backend with no ``worker_factory()`` cannot give shards
-        private instances, so it cannot ride the pool: ``prewarm``
-        says so ahead of time."""
+    def test_prewarm_takes_any_backend(self):
+        """Every backend rides the pool on its one instance, so an open
+        engine's ``prewarm`` refuses none."""
         with PipelineEngine(workers=1) as eng:
             assert eng.prewarm(GrapeBackend()) is eng
-            with pytest.raises(EngineError):
-                eng.prewarm(HostOnly())
+            assert eng.prewarm(HostOnly()) is eng
 
-    def test_compute_only_backend_runs_shard_by_shard(self, cloud):
-        """...and ``evaluate`` still serves it -- "any backend works"
-        -- on the caller's one instance, on the submitting thread, one
-        shard after the other."""
+    def test_kernel_only_backend_rides_the_pool(self, cloud):
+        """"Any backend works": one that supplies only the dense
+        ``kernel`` is evaluated by the pool threads, concurrently on
+        its one instance, and gives the same bits at every worker
+        count as the float64 reference loop."""
         pos, mass = cloud
-        be = HostOnly()
-        with PipelineEngine(workers=4) as eng:
-            acc, pot, stats = _forces(pos, mass, backend=be, engine=eng)
         ref, ref_pot, _ = _forces(pos, mass, backend=OracleFloat64())
-        assert np.array_equal(acc, ref) and np.array_equal(pot, ref_pot)
-        assert be.calls == stats.n_groups
-        assert be.threads == {threading.get_ident()}
-        assert be.overlapped == 0
+        for workers in (1, 2):
+            be = HostOnly()
+            with PipelineEngine(workers=workers) as eng:
+                acc, pot, stats = _forces(pos, mass, backend=be,
+                                          engine=eng)
+            assert np.array_equal(acc, ref) and np.array_equal(pot, ref_pot)
+            assert len(be.threads) == stats.n_groups
+            assert threading.get_ident() not in be.threads
 
     def test_owned_engine_sweeps_again_after_close(self, cloud):
         """A treecode that built its own engine replaces it on close;
@@ -280,8 +346,8 @@ class TestEngineLifecycle:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("base", sorted(BACKENDS))
     def test_subclass_sees_every_shard(self, cloud, base, workers):
-        """A private backend is the caller's class: an ``eval_lists``
-        override is what every shard runs."""
+        """Every shard runs on the caller's instance: an
+        ``eval_lists`` override is what every shard runs."""
         pos, mass = cloud
         seen = []
 

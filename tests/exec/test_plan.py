@@ -13,7 +13,7 @@ class TestAssembleSources:
         seen = []
 
         class Recording(ForceBackend):
-            def compute(self, xi, xj, mj, eps):
+            def kernel(self, xi, xj, mj, eps):
                 seen.append((xi.copy(), xj, mj))
                 return np.zeros((len(xi), 3)), np.zeros(len(xi))
 
