@@ -3,7 +3,7 @@
 The paper's operating model is one astronomer, one host, one GRAPE-5.
 ``repro.serve`` generalises that to a shared facility; this benchmark
 measures what the generalisation costs: jobs/second through the full
-HTTP + scheduler + lease path, and the submit-to-done latency
+HTTP + scheduler + slot path, and the submit-to-done latency
 distribution, for a burst of small force-evaluation jobs at the
 admission-control queue bound (depth 16).
 
@@ -77,7 +77,7 @@ def test_serve_throughput(benchmark, results_dir):
              "p50 [ms]": round(1e3 * p50, 1),
              "p95 [ms]": round(1e3 * p95, 1)}]
     emit(results_dir, "serve_throughput",
-         "submit-to-done through HTTP + scheduler + GRAPE lease\n"
+         "submit-to-done through HTTP + scheduler + GRAPE slot\n"
          + format_table(rows))
 
     # a burst of tiny jobs must clear the queue at a usable rate and

@@ -203,11 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("serve", parents=[endpoint],
                        help="run the multi-tenant simulation service")
     v.add_argument("--slots", type=int, default=2, metavar="N",
-                   help="concurrent jobs = leased accelerators "
-                        "(default: 2)")
+                   help="concurrent jobs (default: 2)")
     v.add_argument("--boards", type=int, default=2, metavar="B",
-                   help="GRAPE-5 boards behind each slot; every lease "
-                        "checks out its slot's board set exclusively "
+                   help="GRAPE-5 boards of the system each computed "
+                        "job builds for itself "
                         "(default: 2, the paper machine)")
     v.add_argument("--queue-depth", type=int, default=16, metavar="N",
                    help="admission-control bound on queued jobs; "

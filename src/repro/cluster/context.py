@@ -36,7 +36,7 @@ charged the very arrays a plain sweep is.
 from __future__ import annotations
 
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class ClusterContext:
     name = "grape5-cluster"
 
     def __init__(self, spec: ClusterSpec, *,
-                 system_factory: Optional[Callable[[], Grape5System]] = None,
                  metrics: Optional[object] = None,
                  fault_injector: Optional[object] = None,
                  max_retries: int = 2) -> None:
@@ -75,7 +74,6 @@ class ClusterContext:
         self.metrics = metrics
         self.fault_injector = fault_injector
         self.max_retries = int(max_retries)
-        self._factory = system_factory
         #: per-host backends, one per system; non-empty iff open
         self.backends: List[GrapeBackend] = []
         #: per-host systems; survive close() so performance counters
@@ -92,12 +90,6 @@ class ClusterContext:
         self.last_exchange: Optional[ExchangeStats] = None
 
     # -- lifecycle -----------------------------------------------------
-    def _make_system(self) -> Grape5System:
-        if self._factory is not None:
-            return self._factory()
-        return Grape5System(
-            timing=GrapeTimingModel(n_boards=self.spec.boards))
-
     def open(self) -> "ClusterContext":
         """Attach every host's backend to its board set; returns the
         context, so calls chain."""
@@ -108,7 +100,9 @@ class ClusterContext:
             tuple(range(h * spec.boards, (h + 1) * spec.boards))
             for h in range(spec.hosts))
         if not self.systems:
-            self.systems = [self._make_system() for _ in range(spec.hosts)]
+            self.systems = [
+                Grape5System(timing=GrapeTimingModel(n_boards=spec.boards))
+                for _ in range(spec.hosts)]
             self.exchange_seconds = [0.0] * spec.hosts
         for system in self.systems:
             if self.metrics is not None:

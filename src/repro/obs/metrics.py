@@ -31,7 +31,7 @@ __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
 #: Default histogram bounds: powers of two covering ~0.24 ms .. ~1e6.
 #: The top decades fit the list lengths / group sizes / call shapes the
 #: stack produces; the sub-unit tail (2^-12 .. 2^-2) keeps *duration*
-#: histograms -- queue wait, lease acquisition, submit-to-done -- from
+#: histograms -- queue wait, claim, submit-to-done -- from
 #: collapsing into one bucket on fast machines, where those waits are
 #: routinely well under a millisecond.
 DEFAULT_BUCKETS: Tuple[float, ...] = tuple(

@@ -3,8 +3,9 @@
 The paper's deployment is one host feeding one GRAPE-5; this package
 is the service-shaped generalisation the ROADMAP's north star asks
 for: many tenants submit jobs over HTTP, a scheduler multiplexes them
-onto a pool of leased (emulated) accelerators, and backpressure keeps
-the queue bounded.  Stdlib-only, like every layer below it.
+onto a fixed number of slots, each computed job on an emulated GRAPE
+built for it alone, and backpressure keeps the queue bounded.
+Stdlib-only, like every layer below it.
 
 Layering (each module only depends on the ones above it):
 
@@ -19,12 +20,9 @@ Layering (each module only depends on the ones above it):
 ``quotas``
     Per-tenant admission policy: active-job quotas and token-bucket
     rate limits (:class:`AdmissionController`).
-``leases``
-    :class:`LeaseBroker`: one exclusive
-    :class:`~repro.grape.system.Grape5System` from a fixed slot pool
-    per running job.
 ``runner``
-    Executes one job inside its lease through
+    Executes one job on its own
+    :class:`~repro.grape.system.Grape5System` through
     :mod:`repro.sim.recipes` -- the same construction path as the
     CLI, so served runs are bit-identical to ``repro run``.
 ``scheduler``
@@ -51,7 +49,6 @@ See ``docs/service.md`` for the API and schema reference and
 from .client import Backpressure, ServeClient, ServeHTTPError
 from .jobs import (JOB_KINDS, JOB_SCHEMA, JOB_STATES, Job, JobError,
                    JobSpec)
-from .leases import Lease, LeaseBroker, LeaseError
 from .quotas import (AdmissionController, AdmissionError, QuotaExceeded,
                      RateLimited, TenantPolicy)
 from .scheduler import Scheduler
@@ -61,7 +58,7 @@ from .store import (JobStore, MemoryJobStore, SQLiteJobStore,
 
 __all__ = [
     "JOB_SCHEMA", "JOB_KINDS", "JOB_STATES", "JobSpec", "Job",
-    "JobError", "Lease", "LeaseBroker", "LeaseError", "Scheduler",
+    "JobError", "Scheduler",
     "AdmissionError", "QuotaExceeded", "RateLimited", "TenantPolicy",
     "AdmissionController", "JobStore", "MemoryJobStore",
     "SQLiteJobStore", "StoreError", "StoreCorrupt", "open_store",

@@ -20,9 +20,9 @@ Lifecycle
 ``queued``
     Admitted, waiting for a scheduler slot.
 ``scheduled``
-    Picked by a slot, lease acquisition in progress.
+    Claimed by a slot, not yet running.
 ``running``
-    Executing on a leased accelerator/engine.
+    Executing in its slot, on an accelerator built for it.
 ``paused``
     Checkpointed to the job workdir and evicted from its slot; a
     resume re-queues it and the runner continues from the checkpoint
@@ -214,7 +214,7 @@ class Job:
     finished_at: Optional[float] = None
     error: Optional[str] = None
     result: Optional[Dict[str, Any]] = None
-    #: lease id the job ran (or is running) under
+    #: label of the slot the job ran (or is running) in
     lease: Optional[str] = None
     #: run-level checkpoint recoveries performed
     recoveries: int = 0
@@ -234,7 +234,7 @@ class Job:
     #: scheduler worker currently (or last) holding the claim
     worker: Optional[str] = None
     #: the result was served from the content-addressed cache
-    #: (no GRAPE lease was acquired)
+    #: (nothing was computed)
     cache_hit: bool = False
     #: distributed-trace identity, assigned at admission; every span
     #: this job produces (scheduler, runner, engine, workers) carries it

@@ -1,19 +1,22 @@
-"""Job execution: one leased accelerator, one solver, one result.
+"""Job execution: one slot, one solver, one result.
 
 The runner is the service-side adapter over :mod:`repro.sim.recipes`
 (``repro.cli`` is the terminal-side one): it turns a
-:class:`~repro.serve.jobs.Job` and its lease into the recipes' plain
-parameters plus a progress-event / cancel-pause-poll callback.  It
-executes on the scheduler's worker thread, *inside* the job's lease.
+:class:`~repro.serve.jobs.Job` into the recipes' plain parameters plus
+a progress-event / cancel-pause-poll callback.  It executes on the
+scheduler's slot thread.
 
 :func:`run_job` builds every kind's solver at ONE
-:func:`~repro.sim.recipes.build_force` call: ``system=lease.system``
-(the leased slot's :class:`~repro.grape.system.Grape5System`) where
-the kind computes on the GRAPE, so two concurrent jobs never share a
-device -- a ``sweep`` returns counts, equal on any arithmetic, and
-holds its lease but computes on the host backend -- and always the
-job's own :class:`~repro.exec.PipelineEngine` (``workers`` threads in
-this process, started by the first sweep and joined when the solver
+:func:`~repro.sim.recipes.build_force` call.  Where the kind computes
+on the GRAPE, the job gets a fresh
+:class:`~repro.grape.system.Grape5System` of ``boards`` boards that it
+alone owns, as the paper's host owns its board set for the whole run:
+two concurrent jobs never share a device, and each system is built the
+same way, so served runs stay bit-identical to ``repro run``.  A
+``sweep`` returns counts, equal on any arithmetic, and computes on the
+host backend.  Every kind gets the job's own
+:class:`~repro.exec.PipelineEngine` (``workers`` threads in this
+process, started by the first sweep and joined when the solver
 closes), its fault plan, retry budget and flight recorder.  A plan is
 therefore scoped to its job, fires on every kind, and every retry
 decision lands in the job's black box.
@@ -168,27 +171,28 @@ _KIND_RUNNERS = {"run": _run_run, "sweep": _run_sweep,
                  "force_eval": _run_force_eval}
 
 
-def run_job(job: Job, lease, *, tracer=None,
+def run_job(job: Job, *, boards: int, slot: str, tracer=None,
             metrics=None) -> Dict[str, Any]:
-    """Execute ``job`` inside ``lease`` and return its result document.
+    """Execute ``job`` on a GRAPE of ``boards`` boards built for it and
+    return its result document.
 
-    Called on the scheduler's worker thread, which holds the lease
-    for the whole call.  Raises :class:`JobCancelled` /
-    :class:`JobPaused` when the corresponding flag is observed, and
-    lets simulation errors propagate for the scheduler to record.
-    The whole execution runs inside an *open* ``serve.job`` span (job
-    id, kind, lease, outcome), so every span the simulation stack
-    produces -- steps, evaluations, stitched worker batches -- nests
-    under it in the job's trace.
+    Called on the scheduler's slot thread labelled ``slot``, which is
+    the result's and the span's ``lease``.  Raises
+    :class:`JobCancelled` / :class:`JobPaused` when the corresponding
+    flag is observed, and lets simulation errors propagate for the
+    scheduler to record.  The whole execution runs inside an *open*
+    ``serve.job`` span (job id, kind, lease, outcome), so every span
+    the simulation stack produces -- steps, evaluations, stitched
+    worker batches -- nests under it in the job's trace.
     """
+    from ..grape import Grape5System, GrapeTimingModel
     from ..obs import NULL_TRACER
     from ..sim.recipes import build_force
     tr = tracer if tracer is not None else NULL_TRACER
     t0 = time.perf_counter()
     outcome = "done"
     spec, p = job.spec, job.spec.params
-    sp = tr.span("serve.job", job=job.id, kind=spec.kind,
-                 lease=lease.id)
+    sp = tr.span("serve.job", job=job.id, kind=spec.kind, lease=slot)
     try:
         with sp:
             # a sweep's rows are counts: host arithmetic gives the same
@@ -198,12 +202,14 @@ def run_job(job: Job, lease, *, tracer=None,
             force, _ = build_force(
                 theta=p["theta"], ncrit=p.get("ncrit", 64),
                 backend=backend,
-                system=lease.system if backend == "grape" else None,
+                system=(Grape5System(
+                    timing=GrapeTimingModel(n_boards=boards))
+                    if backend == "grape" else None),
                 workers=spec.workers, faults=spec.faults or None,
                 flight=job.flight, tracer=tr, metrics=metrics,
                 max_retries=spec.max_retries)
             result = _KIND_RUNNERS[spec.kind](job, force)
-            result["lease"] = lease.id
+            result["lease"] = slot
             return result
     except JobCancelled:
         outcome = "cancelled"

@@ -1,7 +1,8 @@
 """Stateless scheduler workers over a durable job store.
 
 The paper's host feeds one GRAPE; the service multiplexes many
-tenants onto a fixed pool of leased accelerators.  A :class:`Scheduler`
+tenants onto a fixed number of slots, each job computing on a GRAPE
+built for it alone.  A :class:`Scheduler`
 owns no durable state: it is a *worker* over a
 :class:`~repro.serve.store.JobStore`, which any number of workers
 share, and a restarted worker resumes running jobs from their
@@ -54,7 +55,6 @@ from ..obs import FlightRecorder, Tracer, new_trace_id
 from ..obs.export import span_events
 from .jobs import JOB_KINDS, TERMINAL_STATES, Job, JobCancelled, \
     JobError, JobPaused, JobSpec
-from .leases import LeaseBroker
 from .quotas import AdmissionController, AdmissionError, TenantPolicy
 from .runner import run_job
 from .store import JobStore, StoreError, open_store, spec_hash
@@ -67,17 +67,16 @@ _worker_counter = itertools.count(1)
 
 
 class Scheduler:
-    """One stateless worker: claim, lease, run, record -- all durable
-    state in the :class:`~repro.serve.store.JobStore`.
+    """One stateless worker: claim, run, record -- all durable state
+    in the :class:`~repro.serve.store.JobStore`.
 
     Parameters
     ----------
     slots:
-        Worker threads = concurrent jobs = accelerator leases.
+        Worker threads = concurrent jobs.
     boards:
-        GRAPE-5 boards behind each slot; the lease broker reserves the
-        slot's physical board *set* exclusively for each lease (see
-        :class:`~repro.serve.leases.LeaseBroker`).
+        GRAPE-5 boards of the system each computed job builds for
+        itself (:func:`~repro.serve.runner.run_job`).
     queue_depth:
         Maximum *queued* jobs store-wide before submissions are
         rejected with :class:`AdmissionError`.
@@ -111,17 +110,12 @@ class Scheduler:
         tenant), or a ``{tenant: TenantPolicy}`` dict.
     metrics:
         :class:`~repro.obs.MetricsRegistry` for the ``serve.*`` and
-        ``fleet.*`` counters, gauges and histograms (and the lease
-        broker's); a private registry when omitted.
+        ``fleet.*`` counters, gauges and histograms; a private
+        registry when omitted.
     tracer:
         Tracer for the spans no single job owns (the housekeeping
         ``serve.store.recover`` scan); every job traces into its own
         :class:`~repro.obs.Tracer`, built at claim.
-    system_factory:
-        Zero-argument callable building each slot's
-        :class:`~repro.grape.system.Grape5System`, passed to the
-        :class:`~repro.serve.leases.LeaseBroker`; the paper machine
-        with ``boards`` boards when omitted.
     """
 
     def __init__(self, *, slots: int = 2, boards: int = 2,
@@ -136,9 +130,12 @@ class Scheduler:
                  cache_budget: Optional[int] = None,
                  quota: Optional[object] = None,
                  metrics: Optional[object] = None,
-                 tracer: Optional[object] = None,
-                 system_factory: Optional[object] = None) -> None:
+                 tracer: Optional[object] = None) -> None:
         from ..obs import MetricsRegistry, NULL_TRACER
+        if slots < 1:
+            raise JobError("slots must be >= 1")
+        if boards < 1:
+            raise JobError("boards must be >= 1")
         if queue_depth < 1:
             raise JobError("queue_depth must be >= 1")
         if claim_ttl <= 0:
@@ -172,9 +169,6 @@ class Scheduler:
             self.admission = AdmissionController()
         else:
             raise JobError(f"unsupported quota {quota!r}")
-        self.broker = LeaseBroker(self.slots, boards=int(boards),
-                                  system_factory=system_factory,
-                                  metrics=self.metrics)
         self._workdir = Path(workdir) if workdir is not None else \
             Path(tempfile.mkdtemp(prefix="repro-serve-"))
         self._workdir.mkdir(parents=True, exist_ok=True)
@@ -192,19 +186,24 @@ class Scheduler:
         self.metrics.gauge("serve.queue_limit",
                            "admission-control queue bound").set(
             self.queue_depth)
+        self.metrics.gauge("serve.lease_slots",
+                           "slots that compute jobs").set(self.slots)
         self._set_gauges_locked(len(self.store.queued()))
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "Scheduler":
-        """Recover orphaned claims, then spawn the worker +
-        housekeeping threads (idempotent)."""
+        """Recover orphaned claims, then spawn the slot +
+        housekeeping threads (idempotent).  A slot thread a timed-out
+        :meth:`stop` left running finishes its job, still this
+        worker's claim, and exits."""
         with self._cv:
             if self._threads:
                 return self
             self._stopping = False
             try:
-                requeued = self.store.recover(now=time.time(),
-                                              worker=self.worker_id)
+                requeued = self.store.recover(
+                    now=time.time(),
+                    worker=None if self._jobs else self.worker_id)
             except StoreError as e:
                 logger.warning("startup recovery failed: %s", e)
                 requeued = []
@@ -222,10 +221,11 @@ class Scheduler:
                                           ttl=self.claim_ttl)
             except StoreError as e:
                 logger.warning("fleet registration failed: %s", e)
-            loops = [(str(i), self._worker_loop) for i in range(self.slots)]
-            for name, loop in loops + [("housekeeping",
-                                        self._housekeeping_loop)]:
-                t = threading.Thread(target=loop, daemon=True,
+            loops = [(str(k), self._worker_loop, (k,))
+                     for k in range(self.slots)]
+            for name, loop, args in loops + [
+                    ("housekeeping", self._housekeeping_loop, ())]:
+                t = threading.Thread(target=loop, args=args, daemon=True,
                                      name=f"repro-serve-{name}")
                 t.start()
                 self._threads.append(t)
@@ -264,7 +264,6 @@ class Scheduler:
             self.store.fleet_deregister(self.worker_id)
         except StoreError as e:
             logger.warning("fleet deregistration failed: %s", e)
-        self.broker.close()
         logger.info("scheduler %s stopped", self.worker_id)
 
     def drain(self, *, timeout: float = 30.0) -> Dict[str, Any]:
@@ -528,7 +527,8 @@ class Scheduler:
     def _set_gauges_locked(self, queued: Optional[int] = None) -> None:
         """Refresh the gauges with no store read of their own:
         ``queued`` is what admission or the pick (an idle slot's
-        included) just read."""
+        included) just read.  A running job is a busy slot: a cache
+        hit leaves ``running`` inside the lock hold that entered it."""
         if queued is not None:
             self.metrics.gauge("serve.queue_depth",
                                "jobs waiting for a slot").set(queued)
@@ -536,14 +536,18 @@ class Scheduler:
                       if j.state == "running")
         self.metrics.gauge("serve.jobs_running",
                            "jobs executing in a slot").set(running)
+        self.metrics.gauge("serve.leases_in_use",
+                           "slots computing a job").set(running)
 
     def _finish_locked(self, job: Job, state: str, event: str = "",
                        **attrs: Any) -> None:
-        """End the job's run here: the lifecycle move and the durable
-        write carrying its event, the counters, then the job leaves
-        this worker -- the store answers for it from here on."""
+        """End the job's run here: the lifecycle move, the gauges that
+        free its slot, the durable write carrying its event, the
+        counters, then the job leaves this worker -- the store answers
+        for it from here on."""
         job.stage_event(event or state, **attrs)
         job.advance(state)
+        self._set_gauges_locked()
         self._persist(job)
         self._count_locked(job)
         self._jobs.pop(job.id, None)
@@ -565,8 +569,8 @@ class Scheduler:
         if job.cache_hit:
             self.metrics.counter(
                 "serve.cache_hits",
-                "jobs served from the result cache without a GRAPE "
-                "lease").inc()
+                "jobs served from the result cache without "
+                "computing").inc()
 
     def _cache_key(self, spec: JobSpec) -> Optional[str]:
         """The spec's result-cache key; ``None`` with the cache off or
@@ -666,10 +670,15 @@ class Scheduler:
         return job
 
     # -- the worker loop -----------------------------------------------
-    def _worker_loop(self) -> None:
+    def _retired_locked(self) -> bool:
+        """Whether the calling thread is no longer one :meth:`start`
+        spawned for the current run: :meth:`stop` retires them all."""
+        return threading.current_thread() not in self._threads
+
+    def _worker_loop(self, k: int) -> None:
         while True:
             with self._cv:
-                if self._stopping:
+                if self._retired_locked():
                     return
                 job = self._claim_next_locked()
                 if job is None:
@@ -680,9 +689,8 @@ class Scheduler:
             if job.cache_hit:
                 self._serve_from_cache(job)
             else:
-                self._execute(job)
+                self._execute(job, k)
             with self._cv:
-                self._set_gauges_locked()
                 self._cv.notify_all()
 
     def _housekeeping_loop(self) -> None:
@@ -691,7 +699,7 @@ class Scheduler:
         store-side metronome of every worker."""
         while True:
             with self._cv:
-                if self._cv.wait_for(lambda: self._stopping,
+                if self._cv.wait_for(self._retired_locked,
                                      timeout=self.heartbeat_interval):
                     return
                 owned = list(self._jobs.values())
@@ -776,7 +784,7 @@ class Scheduler:
     # -- execution -----------------------------------------------------
     def _serve_from_cache(self, job: Job) -> None:
         """Finish a job whose claim found its result cached: one write,
-        no lease; a ``serve.store.cache`` span marks the hit."""
+        nothing computed; a ``serve.store.cache`` span marks the hit."""
         key = spec_hash(job.spec)[:12]
         job.tracer.record("serve.store.cache", 0.0, job=job.id, key=key,
                           outcome="hit")
@@ -796,46 +804,29 @@ class Scheduler:
             except OSError:  # pragma: no cover - workdir gone
                 pass
 
-    def _execute(self, job: Job) -> None:
-        """One slot occupancy: lease, run, release, record the outcome.
+    def _execute(self, job: Job, k: int) -> None:
+        """One slot occupancy: run, record the outcome.
 
-        The lease goes back as soon as ``run_job`` returns or raises,
-        *before* any terminal state is published, and the outcome's
-        event lands in the same store write as the state: a ``wait()``
-        that has returned never finds the slot still counted in
-        ``serve.leases_in_use`` nor the event log one entry short.
+        Slot ``k`` labels the run: the job's ``lease`` and its
+        ``leased`` event.  The outcome's event lands in the same store
+        write as the state, after the gauges have freed the slot: a
+        ``wait()`` that has returned never finds the slot still
+        counted in ``serve.leases_in_use`` nor the event log one entry
+        short.
         """
         Path(job.workdir).mkdir(parents=True, exist_ok=True)
-        t_lease = time.perf_counter()
-        try:
-            lease = self.broker.acquire(timeout=60.0)
-        except Exception as e:
-            with self._cv:
-                job.error = f"lease acquisition failed: {e}"
-                self._finish_locked(job, "failed", error=job.error)
-            self._flight_dump(job)
-            return
-        job.tracer.record("serve.lease_acquire",
-                          time.perf_counter() - t_lease,
-                          job=job.id, lease=lease.id, slot=lease.slot)
-        job.lease = lease.id
-        job.stage_event("leased", lease=lease.id, slot=lease.slot,
+        job.lease = f"L{k}"
+        job.stage_event("leased", lease=job.lease, slot=k,
                         attempt=job.attempt)
         try:
-            try:
-                with self._cv:
-                    job.advance("running")
-                    self._persist(job)
-                    self._set_gauges_locked()
-                if job.cancel_event.is_set():
-                    raise JobCancelled(job.id)
-                result = run_job(job, lease, tracer=job.tracer,
-                                 metrics=self.metrics)
-            finally:
-                try:
-                    self.broker.release(lease)
-                except Exception:  # pragma: no cover - broker closed
-                    pass
+            with self._cv:
+                job.advance("running")
+                self._persist(job)
+                self._set_gauges_locked()
+            if job.cancel_event.is_set():
+                raise JobCancelled(job.id)
+            result = run_job(job, boards=self.boards, slot=job.lease,
+                             tracer=job.tracer, metrics=self.metrics)
             with self._cv:
                 job.result = result
                 self._finish_locked(job, "done")

@@ -91,7 +91,8 @@ class Server(HTTPServer):
                 "queued": queued,
                 "running": counts.get("running", 0),
                 "slots": sched.slots,
-                "leases_in_use": sched.broker.in_use,
+                "leases_in_use": int(sched.metrics.value(
+                    "serve.leases_in_use")),
                 "queue_depth": queued,
                 "queue_limit": sched.queue_depth,
                 "store": sched.store.kind,

@@ -4,10 +4,10 @@
 work started two ways -- the paper's one host program driving the
 GRAPE through one call sequence, whoever launched it -- so the work
 lives here once, and :mod:`repro.cli` and :mod:`repro.serve.runner`
-are adapters over it: each turns its input (argv; a ``Job`` and its
-lease) into plain parameters and one callback (a print; a progress
-event plus the cancel/pause poll) and keeps only what its side alone
-has.  Nothing here knows of argparse, jobs, leases or stdout.
+are adapters over it: each turns its input (argv; a ``Job``) into
+plain parameters and one callback (a print; a progress event plus the
+cancel/pause poll) and keeps only what its side alone has.  Nothing
+here knows of argparse, jobs or stdout.
 
 :func:`carve_run_region`, :func:`build_force` and :func:`run_schedule`
 are the workload, the solver and the step schedule of a scaled paper
@@ -58,11 +58,10 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
     Returns ``(treecode, grape_backend_or_None)``.  ``backend`` is
     ``"grape"`` or ``"host"``; with ``system`` a pre-built
     :class:`~repro.grape.system.Grape5System` is adopted instead of a
-    fresh one -- this is the lease-aware path: a scheduler hands each
-    job the accelerator behind its lease, so concurrent jobs never
-    share boards.  The arithmetic is identical either way (every
-    default system is the same paper configuration), which keeps
-    leased runs bit-identical to interactive ones.
+    fresh paper one -- the service builds one per job with its
+    ``--boards`` count, so concurrent jobs never share boards.  At the
+    default two boards the system is the paper configuration either
+    way, which keeps served runs bit-identical to interactive ones.
 
     This is the one place a run's :class:`~repro.exec.PipelineEngine`
     is built (unless one is passed, the way to share a pool across

@@ -1,6 +1,6 @@
 """ClusterContext protocol misuse, mirroring tests/grape/test_api_protocol.py:
-call-order violations, K=0; and the board-set arithmetic (host or lease
-slot k is wired to boards [k*B, (k+1)*B))."""
+call-order violations, K=0; and the board-set arithmetic (host k is
+wired to boards [k*B, (k+1)*B))."""
 
 import numpy as np
 import pytest
@@ -96,32 +96,30 @@ class TestBoardSets:
 
 
 class TestBrokerBoardLeases:
-    def test_lease_board_sets_disjoint(self):
-        from repro.serve.leases import LeaseBroker
-        broker = LeaseBroker(slots=2, boards=3)
-        l1 = broker.acquire(timeout=1.0)
-        l2 = broker.acquire(timeout=1.0)
-        try:
-            assert l1.board_set == (0, 1, 2)
-            assert l2.board_set == (3, 4, 5)
-            assert set(l1.board_set).isdisjoint(l2.board_set)
-            assert l1.system is not l2.system
-        finally:
-            broker.release(l1)
-            broker.release(l2)
-            broker.close()
+    def test_nonpaper_board_count_reshapes_slots(self, tmp_path,
+                                                 monkeypatch):
+        """A served job computes on a GRAPE of the scheduler's board
+        count, also off the paper's two boards per host."""
+        from repro.serve import JobSpec, Scheduler
+        from repro.sim import recipes
+        systems = []
+        build_force = recipes.build_force
 
-    def test_nonpaper_board_count_reshapes_slots(self):
-        from repro.serve.leases import LeaseBroker
-        broker = LeaseBroker(slots=1, boards=4)
-        lease = broker.acquire(timeout=1.0)
+        def spy(**kw):
+            systems.append(kw["system"])
+            return build_force(**kw)
+
+        monkeypatch.setattr(recipes, "build_force", spy)
+        s = Scheduler(slots=1, boards=4, workdir=tmp_path,
+                      cache=False).start()
         try:
-            assert lease.system.timing.n_boards == 4
-            assert lease.system.describe()["boards"] == 4
-            assert lease.board_set == (0, 1, 2, 3)
+            job = s.submit(JobSpec(kind="force_eval", params={"n": 64}))
+            assert s.wait(job.id, timeout=60) and job.state == "done"
         finally:
-            broker.release(lease)
-            broker.close()
+            s.stop()
+        (system,) = systems
+        assert system.timing.n_boards == 4
+        assert system.describe()["boards"] == 4
 
 
 def test_evaluate_after_close_fails():

@@ -5,8 +5,7 @@ params) is served from the store's result cache --
 
 * byte-identical to recomputation (modulo the per-run ``lease`` id,
   which deliberately stays out of the cache);
-* without acquiring a GRAPE lease (no ``leased`` event, ``lease`` is
-  null, the broker's acquisition counters stay put);
+* without computing (no ``leased`` event, ``lease`` is null);
 * visible in ``/metrics`` (``serve.cache_hits``) and ``/healthz`` /
   ``/store`` (entries/hits/dropped);
 * any spec difference in a result-determining field is a miss, and a

@@ -32,7 +32,7 @@ def _cycle(sched, spec):
     if job.cache_hit:
         sched._serve_from_cache(job)
     else:
-        sched._execute(job)
+        sched._execute(job, 0)
     assert job.state == "done", (job.state, job.error)
     return job
 
@@ -176,8 +176,7 @@ class TestFinishedJobsLeaveTheWorker:
                     assert names == {"serve.admission",
                                      "serve.queue_wait"}
                 else:
-                    assert {"serve.queue_wait", "serve.lease_acquire",
-                            "serve.job"} <= names
+                    assert {"serve.queue_wait", "serve.job"} <= names
             assert sched._jobs == {}
 
 

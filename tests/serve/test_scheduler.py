@@ -1,13 +1,14 @@
-"""Scheduler behaviour: admission control, ordering, leases,
-pause/resume.  Everything here drives the scheduler directly (no
-HTTP); the wire layer has its own suite in test_server.py."""
+"""Scheduler behaviour: admission control, ordering, slots,
+pause/resume, restarts.  Everything here drives the scheduler directly
+(no HTTP); the wire layer has its own suite in test_server.py."""
 
+import threading
 import time
 
 import pytest
 
-from repro.serve import (AdmissionError, JobError, JobSpec, LeaseBroker,
-                         LeaseError, Scheduler)
+from repro.serve import AdmissionError, JobError, JobSpec, Scheduler
+from repro.serve import scheduler as scheduler_mod
 
 FE = dict(kind="force_eval", params={"n": 128})
 
@@ -32,6 +33,11 @@ class TestAdmission:
         assert s.metrics.value("serve.queue_depth") == 2
         s.stop()
 
+    @pytest.mark.parametrize("kw", [dict(slots=0), dict(boards=0)])
+    def test_slot_and_board_counts_below_one_rejected(self, tmp_path, kw):
+        with pytest.raises(JobError, match="must be >= 1"):
+            Scheduler(workdir=tmp_path, **kw)
+
     def test_submit_after_stop_rejected(self, tmp_path):
         s = Scheduler(slots=1, workdir=tmp_path).start()
         s.stop()
@@ -52,26 +58,25 @@ class TestExecution:
 
     def test_lease_is_back_before_the_terminal_state_is_visible(
             self, sched, monkeypatch):
-        """``wait()`` returning means the slot is free: the lease is
-        released before ``done`` is published, never after.  (It used
-        to go back in a ``finally`` behind the publish, so under load
-        the gauge could still read 1 right after ``wait()``.)"""
-        at_release = []
-        release = sched.broker.release
+        """``wait()`` returning means the slot is free: the gauge drops
+        before ``done`` is published, never after.  (It used to drop in
+        a ``finally`` behind the publish, so under load it could still
+        read 1 right after ``wait()``.)"""
+        busy = []
 
-        def spy(lease):
-            at_release.extend(j.state for j in sched.jobs()
-                              if j.lease == lease.id)
-            release(lease)
+        def run_job(job, *args, **kw):
+            busy.append(sched.metrics.value("serve.leases_in_use"))
+            return real(job, *args, **kw)
 
-        monkeypatch.setattr(sched.broker, "release", spy)
+        real = scheduler_mod.run_job
+        monkeypatch.setattr(scheduler_mod, "run_job", run_job)
         for seed in range(30):
             job = sched.submit(JobSpec(kind="force_eval",
                                        params={"n": 64, "seed": seed}))
             assert sched.wait(job.id, timeout=60)
             assert job.state == "done"
             assert sched.metrics.value("serve.leases_in_use") == 0
-        assert at_release == ["running"] * 30
+        assert busy == [1] * 30
 
     def test_pipeline_job_matches_serial_digest(self, tmp_path):
         """A served run builds its own thread-pool engine: the same
@@ -118,6 +123,45 @@ class TestExecution:
     def test_unknown_job_raises_keyerror(self, sched):
         with pytest.raises(KeyError):
             sched.get("j999999")
+
+
+class TestLeaseBroker:
+    """The scheduler hands each running job a lease (slot label
+    ``L<k>``) and a GRAPE of its own."""
+
+    def test_leased_contexts_are_disjoint_systems(
+            self, tmp_path, monkeypatch):
+        """Each computed job builds its own GRAPE with the scheduler's
+        board count: two jobs running at once never share one, and both
+        model the same configuration."""
+        from repro.sim import recipes
+        both_in = threading.Barrier(2, timeout=30)
+        systems = []
+        build_force = recipes.build_force
+
+        def spy(**kw):
+            systems.append(kw["system"])
+            both_in.wait()
+            return build_force(**kw)
+
+        monkeypatch.setattr(recipes, "build_force", spy)
+        s = Scheduler(slots=2, boards=3, workdir=tmp_path,
+                      cache=False).start()
+        try:
+            jobs = [s.submit(JobSpec(kind="force_eval",
+                                     params={"n": 64, "seed": i}))
+                    for i in range(2)]
+            for j in jobs:
+                assert s.wait(j.id, timeout=60) and j.state == "done"
+        finally:
+            s.stop()
+        a, b = systems
+        assert a is not b and a.pipeline is not b.pipeline
+        assert a.timing.n_boards == b.timing.n_boards == 3
+        assert a.describe() == b.describe()
+        assert a.describe()["boards"] == 3
+        assert jobs[0].lease is not None and jobs[1].lease is not None
+        assert jobs[0].lease != jobs[1].lease
 
 
 class TestOrdering:
@@ -183,95 +227,81 @@ class TestPauseResume:
             sched.resume(job.id)
 
 
-class TestLeaseBroker:
-    def test_exhaustion_then_release(self):
-        from repro.obs import MetricsRegistry
-        m = MetricsRegistry()
-        broker = LeaseBroker(2, metrics=m)
-        l1, l2 = broker.acquire(), broker.acquire()
-        assert {l1.slot, l2.slot} == {0, 1}
-        assert m.value("serve.leases_in_use") == 2
-        with pytest.raises(LeaseError):
-            broker.acquire(timeout=0.05)
-        broker.release(l1)
-        l3 = broker.acquire(timeout=1.0)
-        assert l3.slot == l1.slot
-        broker.release(l2)
-        broker.release(l3)
-        assert m.value("serve.leases_in_use") == 0
-        broker.close()
+class TestRestart:
+    """``start()`` after ``stop()`` is a new run of the same worker."""
 
-    def test_double_release_raises(self):
-        broker = LeaseBroker(1)
-        lease = broker.acquire()
-        broker.release(lease)
-        with pytest.raises(LeaseError, match="double release"):
-            broker.release(lease)
-        broker.close()
+    def test_start_after_stop_runs_the_next_job(self, tmp_path):
+        s = Scheduler(slots=1, workdir=tmp_path).start()
+        s.stop()
+        s.start()
+        try:
+            job = s.submit(JobSpec(**FE))
+            assert s.wait(job.id, timeout=60)
+            assert job.state == "done", job.error
+        finally:
+            s.stop()
 
-    def test_leased_contexts_are_disjoint_systems(self):
-        broker = LeaseBroker(2)
-        l1, l2 = broker.acquire(), broker.acquire()
-        assert l1.system is not l2.system
-        assert l1.system.pipeline is not l2.system.pipeline
-        assert set(l1.board_set).isdisjoint(l2.board_set)
-        # both model the same paper configuration
-        assert l1.system.describe() == l2.system.describe()
-        broker.release(l1)
-        broker.release(l2)
-        broker.close()
+    def test_drain_stop_start_runs_the_next_job(self, tmp_path):
+        s = Scheduler(slots=1, workdir=tmp_path,
+                      store=tmp_path / "jobs.db").start()
+        s.drain(timeout=10)
+        s.stop()
+        s.start()
+        try:
+            job = s.submit(JobSpec(**FE))
+            assert s.wait(job.id, timeout=60)
+            assert job.state == "done", job.error
+        finally:
+            s.stop()
 
-    @staticmethod
-    def _blocked_acquire(broker, m, waits):
-        """Start a thread in a blocking ``acquire()``; return it and
-        its outcome list once the broker has counted the wait."""
-        import threading
-        out = []
+    def test_a_straggler_finishes_its_job_and_claims_no_more(
+            self, tmp_path, monkeypatch):
+        """A slot thread a timed-out ``stop()`` left running belongs to
+        the run that spawned it: after a ``start()`` it ends its job
+        and exits, and the new run's slots alone take later jobs."""
+        real = scheduler_mod.run_job
+        gate, entered = threading.Event(), threading.Event()
+        lock = threading.Lock()
+        straggler, live, peak, runs = [], [0], [0], []
 
-        def waiter():
+        def run_job(job, *args, **kw):
+            runs.append(job.id)
+            if not entered.is_set():  # the first job: hold its slot
+                straggler.append(threading.current_thread())
+                entered.set()
+                gate.wait(30)
+                return real(job, *args, **kw)
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
             try:
-                out.append(broker.acquire())
-            except LeaseError as e:
-                out.append(e)
+                gate.wait(30)
+                time.sleep(0.02)  # give an extra claimer a chance
+                return real(job, *args, **kw)
+            finally:
+                with lock:
+                    live[0] -= 1
 
-        t = threading.Thread(target=waiter)
-        t.start()
-        deadline = time.monotonic() + 5.0
-        while (m.value("serve.lease_waits") < waits
-               and time.monotonic() < deadline):
-            time.sleep(0.005)
-        return t, out
-
-    def test_every_wait_is_counted(self):
-        """``serve.lease_waits`` counts an acquire that finds no free
-        slot, with a timeout or blocking without one."""
-        from repro.obs import MetricsRegistry
-        m = MetricsRegistry()
-        broker = LeaseBroker(1, metrics=m)
-        held = broker.acquire()
-        assert m.value("serve.lease_waits") == 0  # a slot was free
-        with pytest.raises(LeaseError):
-            broker.acquire(timeout=0.01)
-        assert m.value("serve.lease_waits") == 1
-        t, out = self._blocked_acquire(broker, m, waits=2)
-        assert m.value("serve.lease_waits") == 2
-        broker.release(held)
-        t.join(5.0)
-        assert out and out[0].slot == held.slot
-        broker.release(out[0])
-        broker.close()
-
-    def test_closed_broker_refuses_and_wakes_waiters(self):
-        from repro.obs import MetricsRegistry
-        m = MetricsRegistry()
-        broker = LeaseBroker(1, metrics=m)
-        lease = broker.acquire()
-        t, out = self._blocked_acquire(broker, m, waits=1)
-        broker.close()
-        broker.close()  # idempotent
-        t.join(5.0)
-        assert out and isinstance(out[0], LeaseError)
-        with pytest.raises(LeaseError, match="closed"):
-            broker.acquire(timeout=0.05)
-        with pytest.raises(LeaseError):
-            broker.release(lease)
+        monkeypatch.setattr(scheduler_mod, "run_job", run_job)
+        s = Scheduler(slots=1, workdir=tmp_path, cache=False,
+                      poll_interval=0.01).start()
+        try:
+            first = s.submit(JobSpec(**FE))
+            assert entered.wait(30)
+            s.stop(timeout=0.1)
+            s.start()
+            later = [s.submit(JobSpec(kind="force_eval",
+                                      params={"n": 64, "seed": i}))
+                     for i in range(6)]
+            gate.set()
+            straggler[0].join(timeout=30)
+            assert not straggler[0].is_alive()
+            assert s.wait(first.id, timeout=60)
+            for j in later:
+                assert s.wait(j.id, timeout=60)
+                assert j.state == "done", j.error
+        finally:
+            gate.set()
+            s.stop()
+        assert peak[0] <= s.slots
+        assert runs.count(first.id) == 1  # still the straggler's claim

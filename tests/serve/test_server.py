@@ -1,10 +1,10 @@
 """HTTP acceptance suite for the service.
 
 Covers the ISSUE 5 acceptance criterion end-to-end: two concurrent
-jobs submitted over HTTP run to completion with disjoint GRAPE
-leases, bit-identical results to the same run issued serially via
-``repro run``, and admission control answers 429 once the queue
-bound is hit.
+jobs submitted over HTTP run to completion in distinct slots, each
+on its own GRAPE, bit-identical results to the same run issued
+serially via ``repro run``, and admission control answers 429 once
+the queue bound is hit.
 """
 
 import io
