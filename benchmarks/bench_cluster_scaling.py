@@ -1,12 +1,12 @@
 """E14 -- emulated PC-GRAPE cluster: scaling and price/performance.
 
-One force sweep of a Plummer workload through ``ClusterSpec(hosts=K)``
-for K in {1, 2, 4}, two boards per host.  The correctness content is
-the cluster contract: K=1 is bit-identical to the single-host GRAPE
-path (and predicts its model seconds to rel 1e-12: the same per-call
-terms, summed per host here and per shard there), K>1 matches to
-1e-12, LET
-exchange volume is zero at K=1 and grows with K, and the modelled
+One force sweep of a Plummer workload through
+``ClusterBackend(ClusterSpec(hosts=K))`` for K in {1, 2, 4}, two boards
+per host.  The correctness content is the cluster contract: the
+cluster is a GRAPE backend the one pipeline engine drives, so every K
+is bit-identical to the single-host GRAPE path; K=1 predicts its model
+seconds to rel 1e-12 (the same per-call terms, charged to one host);
+LET exchange volume is zero at K=1 and grows with K; and the modelled
 cluster wall-clock shrinks as hosts are added.
 
 The price/performance content is the multi-host half of the paper's
@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from conftest import emit
-from repro.cluster import ClusterSpec
+from repro.cluster import ClusterBackend, ClusterSpec
 from repro.core import TreeCode
 from repro.grape.system import GrapeBackend
 from repro.perf.report import format_table
@@ -41,11 +41,11 @@ HOST_COUNTS = (1, 2, 4)
 
 def _cluster_sweep(pos, mass, hosts):
     spec = ClusterSpec(hosts=hosts, boards=2)
-    tc = TreeCode(theta=0.75, n_crit=N_CRIT, cluster=spec)
+    tc = TreeCode(theta=0.75, n_crit=N_CRIT, backend=ClusterBackend(spec))
     t0 = time.perf_counter()
     acc, pot = tc.accelerations(pos, mass, EPS)
     wall = time.perf_counter() - t0
-    summary = tc.cluster.summary()
+    summary = tc.backend.summary()
     tc.close()
     cost = spec.cost()
     summary["cost_usd"] = cost.total_usd
@@ -66,11 +66,9 @@ def test_cluster_scaling(benchmark, results_dir):
         runs = []
         for hosts in HOST_COUNTS:
             acc, pot, wall, summary = _cluster_sweep(pos, mass, hosts)
-            np.testing.assert_allclose(acc, acc0, rtol=1e-12, atol=0)
-            np.testing.assert_allclose(pot, pot0, rtol=1e-12, atol=0)
+            assert np.array_equal(acc, acc0) and np.array_equal(pot, pot0), \
+                f"K={hosts} diverged bitwise from the serial GRAPE path"
             if hosts == 1:
-                assert np.array_equal(acc, acc0), \
-                    "K=1 diverged bitwise from the serial GRAPE path"
                 assert abs(summary["predicted_seconds"] - serial_model) \
                     <= 1e-12 * serial_model, \
                     "K=1 cluster timing != single-host timing model"

@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="emulate a K-host PC-GRAPE cluster (domain-"
                           "decomposed sinks, locally-essential-tree "
                           "exchange accounting; default: single host). "
-                          "K=1 with 2 boards is bit-identical to the "
-                          "plain path; incompatible with --workers")
+                          "Forces are bit-identical to the plain path "
+                          "at any K")
     obs.add_argument("--boards", type=int, default=None, metavar="B",
                      help="GRAPE-5 boards per emulated host (default: "
                           "2, the paper machine)")
@@ -498,8 +498,8 @@ def cmd_run(args, out) -> int:
     _report_run(sim, result, backend, out)
     extra = {"backend": args.backend, "theta": args.theta,
              "n_crit": args.ncrit, "seed": args.seed}
-    if force.cluster is not None:
-        extra["cluster"] = force.cluster.summary()
+    if _cluster_spec(args) is not None:
+        extra["cluster"] = backend.summary()
     _emit_obs(args, tracer, registry, out, extra=extra, flight=flight)
 
     if args.figure4 is not None:
@@ -729,7 +729,7 @@ def _submit_spec(args) -> dict:
 def cmd_submit(args, out) -> int:
     """Submit one job; with ``--wait``, poll it to completion."""
     import json
-    from repro.serve import Backpressure, ServeClient
+    from repro.serve import Backpressure, ServeClient, ServeHTTPError
     client = ServeClient(args.host, args.port)
     try:
         doc = client.submit(_submit_spec(args))
@@ -737,6 +737,11 @@ def cmd_submit(args, out) -> int:
         print(f"submit: rejected by admission control ({e.message}); "
               f"retry after {e.retry_after:.0f}s", file=out)
         return 3
+    except ServeHTTPError as e:
+        if e.status != 400:
+            raise
+        print(f"submit: {e}", file=out)  # the job document is malformed
+        return 2
     print(f"submitted {doc['id']} ({doc['kind']}, "
           f"tenant {doc['tenant']})", file=out)
     if not args.wait:

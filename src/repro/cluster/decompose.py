@@ -1,12 +1,10 @@
 """Domain decomposition: assign sinks (Barnes groups) to hosts.
 
 The cluster path keeps the *global* tree and the *global* traversal --
-both are cheap next to force evaluation and sharing them guarantees
-the interaction lists are bit-identical to the serial path -- and
-partitions the **sinks** across hosts.  Each host then evaluates its
-own groups' lists on its own boards; only the summation order across
-hosts can differ from serial, which is why K>1 forces agree with
-serial to float tolerance while K=1 stays bit-identical.
+both are cheap next to force evaluation and sharing them keeps the
+interaction lists, and so the forces, bit-identical to the single-host
+path -- and partitions the **sinks** across hosts.  Each host is then
+charged its own groups' force calls on its own boards.
 
 The decomposition is :func:`orb_partition`, recursive orthogonal
 bisection: split the sink set at the weight median along its widest

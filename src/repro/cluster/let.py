@@ -8,8 +8,8 @@ of Salmon & Warren, the exchange step of the GRAPE-6A cluster
 (astro-ph/0504407).
 
 The emulation evaluates against the shared global tree (which is what
-keeps cluster forces equal to serial), so the LET here is an
-**accounting layer**: given the owner of every sink, it determines,
+keeps cluster forces equal to the single-host path's), so the LET here
+is an **accounting layer**: given the owner of every sink, it determines,
 per host, exactly which referenced cells/particles are *not* locally
 owned -- the data a real cluster would have shipped -- and prices the
 exchange in bytes (:attr:`~repro.grape.timing.GrapeTimingModel.bytes_per_j`
@@ -33,7 +33,7 @@ from ..core.octree import Octree, ragged_arange
 from ..core.traversal import InteractionLists
 
 __all__ = ["HostExchange", "ExchangeStats", "particle_owners",
-           "let_exchange", "take_rows"]
+           "let_exchange"]
 
 #: bytes per imported point mass (3 coords + mass in the 16-byte
 #: j-particle format of :class:`~repro.grape.timing.GrapeTimingModel`)
@@ -156,24 +156,3 @@ def let_exchange(tree: Octree, lists: InteractionLists,
             import_bytes=float(bytes_per_import) * n_imports))
     return ExchangeStats(hosts=tuple(per_host))
 
-
-def take_rows(lists: InteractionLists, rows: np.ndarray
-              ) -> InteractionLists:
-    """The CSR sub-lists of a row subset, rows kept in given order.
-
-    Selecting every row in order reproduces arrays element-for-element
-    equal to the originals, so a K=1 cluster evaluates byte-identical
-    CSR inputs -- the anchor of the K=1 bit-identity guarantee.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cc = lists.cell_counts[rows]
-    pc = lists.part_counts[rows]
-    cell_off = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(cc, out=cell_off[1:])
-    part_off = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(pc, out=part_off[1:])
-    cell_idx = lists.cell_idx[ragged_arange(lists.cell_off[rows], cc)]
-    part_idx = lists.part_idx[ragged_arange(lists.part_off[rows], pc)]
-    return InteractionLists(n_sinks=int(rows.size), cell_idx=cell_idx,
-                            cell_off=cell_off, part_idx=part_idx,
-                            part_off=part_off)

@@ -6,14 +6,13 @@ scale-out lineage is the parallel PC-GRAPE cluster of GRAPE-6A
 hosts, each driving its own board set, exchanging locally-essential
 trees over the network.  :class:`ClusterSpec` is the immutable
 description of such an installation that rides through
-``TreeCode(cluster=...)`` / ``build_force(cluster=...)`` / the CLI's
-``--hosts``/``--boards`` flags; :class:`~repro.cluster.context.ClusterContext`
-is the live object built from it.
+``build_force(cluster=...)`` and the CLI's ``--hosts``/``--boards``
+flags; :class:`~repro.cluster.backend.ClusterBackend` is the GRAPE
+backend built from it.
 
-Validation errors raise plain :class:`ValueError` so every entry point
-(constructor, recipe, CLI) reports a bad configuration as the uniform
-exit-2 usage error; *protocol* misuse of live cluster objects raises
-:class:`ClusterError` instead.
+Validation errors raise plain :class:`ValueError`, so every entry
+point (constructor, recipe, CLI) reports a bad configuration as the
+uniform exit-2 usage error.
 """
 
 from __future__ import annotations
@@ -22,17 +21,12 @@ from dataclasses import dataclass, replace
 
 from ..host.cost import PAPER_SYSTEM_COST, CostItem, SystemCost
 
-__all__ = ["ClusterError", "ClusterSpec"]
+__all__ = ["ClusterSpec"]
 
 #: network gear per host (NIC + switch share), JPY, once there is a
 #: network at all; boards and hosts are priced as in the paper's
 #: section 4 (:data:`~repro.host.cost.PAPER_SYSTEM_COST`)
 NETWORK_PRICE_JPY = 0.1e6
-
-
-class ClusterError(RuntimeError):
-    """Protocol misuse of live cluster state (call-order violations,
-    overlapping board-set reservations, double release)."""
 
 
 @dataclass(frozen=True)
@@ -43,8 +37,8 @@ class ClusterSpec:
     ----------
     hosts:
         Emulated host computers (K).  ``hosts=1`` with ``boards=2`` is
-        exactly the paper's single-host machine and stays bit-identical
-        to the non-cluster path.
+        exactly the paper's single-host machine.  Forces are the
+        non-cluster path's bits at every K; K only moves the cost.
     boards:
         GRAPE-5 boards per host (B).  Each host's timing model splits
         its j-stream over these boards, like

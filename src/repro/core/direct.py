@@ -8,7 +8,8 @@ the paper's scaling motivation (section 1) is the O(N^2) cost of this
 very computation.  Experiments E2, E7 and E8 use this module.
 
 The sink loop is tiled so memory stays bounded while every tile is a
-single broadcast kernel call; any :class:`~repro.core.kernels.ForceBackend`
+single broadcast kernel call (one fault-sited force call, all of them
+charged at the end); any :class:`~repro.core.kernels.ForceBackend`
 can supply the kernel, so direct summation can also be run *through the
 GRAPE-5 emulator* (which is how the real machine is used for small-N
 work, with the whole particle set as every sink's source list).
@@ -16,6 +17,7 @@ work, with the whole particle set as every sink's source list).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -48,11 +50,15 @@ def direct_accelerations(pos: np.ndarray, mass: np.ndarray, eps: float = 0.0,
     acc = np.empty((n, 3), dtype=np.float64)
     pot = np.empty(n, dtype=np.float64)
     step = max(1, int(tile) // max(n, 1))
-    for i0 in range(0, n, step):
-        i1 = min(i0 + step, n)
-        a, p = backend.compute(pos[i0:i1], pos, mass, eps)
-        acc[i0:i1] = a
-        pot[i0:i1] = p
+    starts = np.arange(0, n, step)
+    for i0 in starts:
+        rows = slice(i0, i0 + step)
+        acc[rows], pot[rows] = backend.force_call(
+            lambda: backend.kernel(pos[rows], pos, mass, eps))
+    # priced like a sweep with one sink per tile, each listing all n
+    # sources
+    backend.charge(SimpleNamespace(sink_count=np.minimum(step, n - starts)),
+                   np.full(starts.size, n))
     pot += self_potential_correction(mass, eps)
     return acc, pot
 

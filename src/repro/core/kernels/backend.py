@@ -118,8 +118,7 @@ class ForceBackend:
     native walk override it.  Work is counted and priced only by
     :meth:`charge`, once per sweep, on the submitting thread, after the
     whole sweep succeeded; :meth:`force_call` puts a device's fault site
-    around one force call.  :meth:`compute` is one priced, fault-sited
-    dense call built from these.
+    around one force call.
     """
 
     #: human-readable backend name for reports
@@ -130,14 +129,6 @@ class ForceBackend:
         """Return ``(acc, pot)`` on sinks ``xi`` from sources ``xj, mj``,
         counting nothing."""
         raise NotImplementedError
-
-    def compute(self, xi: np.ndarray, xj: np.ndarray, mj: np.ndarray,
-                eps: float) -> Tuple[np.ndarray, np.ndarray]:
-        """One dense force call: :meth:`kernel` under :meth:`force_call`,
-        then charged."""
-        out = self.force_call(lambda: self.kernel(xi, xj, mj, eps))
-        self.charge([len(xi)], [len(xj)])
-        return out
 
     # -- list sweeps ---------------------------------------------------
     def eval_lists(self, pos: np.ndarray, pmass: np.ndarray,
@@ -179,12 +170,13 @@ class ForceBackend:
         passes every sweep's submission through here exactly once."""
         return fn()
 
-    def charge(self, n_i, n_j) -> None:
-        """Count force calls of ``n_i[k]`` sinks by ``n_j[k]`` sources
-        (a device also prices them).  The engine calls this once per
-        sweep with every sink's population and list length, after the
-        whole sweep succeeded, so counters depend neither on the shard
-        cut nor on a retried shard."""
+    def charge(self, spec, lengths) -> None:
+        """Count one sweep's force calls: ``spec.sink_count[k]`` sinks
+        by ``lengths[k]`` sources each (a device also prices them).
+        The engine calls this once per sweep with its
+        :class:`~repro.exec.plan.SweepSpec` and every sink's list
+        length, after the whole sweep succeeded, so counters depend
+        neither on the shard cut nor on a retried shard."""
 
     def reset_stats(self) -> None:
         """Clear accumulated performance counters (optional)."""
@@ -225,9 +217,10 @@ class Float64Backend(ForceBackend):
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
 
-    def charge(self, n_i, n_j):
-        self._interactions += int(np.sum(np.asarray(n_i, dtype=np.int64)
-                                         * np.asarray(n_j, dtype=np.int64)))
+    def charge(self, spec, lengths):
+        self._interactions += int(np.sum(
+            np.asarray(spec.sink_count, dtype=np.int64)
+            * np.asarray(lengths, dtype=np.int64)))
 
     def reset_stats(self):
         self._interactions = 0

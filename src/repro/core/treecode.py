@@ -136,18 +136,6 @@ class TreeCode:
         counters (``tree.force_evals``, ``tree.interactions_total``)
         and histograms (``tree.list_length``, ``tree.group_size``) are
         recorded when present.
-    cluster:
-        A :class:`~repro.cluster.ClusterSpec` (opened into a fresh
-        :class:`~repro.cluster.ClusterContext`) or an already-built
-        context, opened here if it is not: the eval sweep is then
-        decomposed across K emulated hosts x B boards, each evaluating
-        its own sinks' rows of the shared global lists, and the
-        context is what the treecode holds as ``backend`` and as
-        ``engine``.  Mutually exclusive with ``backend`` and
-        ``engine`` (the cluster owns its GRAPE backends and its own
-        parallel structure).  ``hosts=1, boards=2`` is
-        bit-identical to the plain GRAPE path.  :meth:`close` closes
-        it.
     """
 
     def __init__(self, *, theta: float = 0.75, n_crit: int = 2000,
@@ -156,34 +144,16 @@ class TreeCode:
                  mac: Optional[MAC] = None,
                  engine: Optional[object] = None,
                  tracer: Optional[object] = None,
-                 metrics: Optional[object] = None,
-                 cluster: Optional[object] = None) -> None:
+                 metrics: Optional[object] = None) -> None:
         if n_crit < 1:
             raise ValueError("n_crit must be >= 1")
         self.theta = float(theta)
         self.n_crit = int(n_crit)
         self.leaf_size = int(leaf_size)
-        self.cluster = None
-        if cluster is not None:
-            from ..cluster import ClusterContext, ClusterSpec
-            if backend is not None:
-                raise ValueError("cluster= and backend= are mutually "
-                                 "exclusive; the cluster owns its backends")
-            if engine is not None:
-                raise ValueError("cluster= and engine= are mutually "
-                                 "exclusive; the cluster is its own "
-                                 "parallel structure")
-            if isinstance(cluster, ClusterSpec):
-                cluster = ClusterContext(cluster, metrics=metrics)
-            if not cluster.backends:
-                cluster.open()
-            self.cluster = backend = cluster
         self.backend = backend if backend is not None else Float64Backend()
         self.mac = mac if mac is not None else BarnesHutMAC(theta=theta)
-        self._owns_engine = engine is None and cluster is None
-        if self._owns_engine:
-            engine = _default_engine()
-        self.engine = engine if cluster is None else cluster
+        self._owns_engine = engine is None
+        self.engine = engine if engine is not None else _default_engine()
         self.tracer = as_tracer(tracer)
         self.metrics = metrics
         self.last_stats: Optional[TreeStats] = None
@@ -191,13 +161,10 @@ class TreeCode:
         self.last_groups: Optional[GroupSet] = None
 
     def close(self) -> None:
-        """Close what this treecode holds: the engine's thread pool or
-        the cluster context, whoever built them.  An owned engine is
-        replaced by a fresh one and a closed context re-opens with its
-        counters intact, so both can be used again afterwards; safe to
-        call repeatedly."""
-        if self.cluster is None or self.cluster.backends:
-            self.engine.close()
+        """Close the engine's thread pool.  An owned engine is replaced
+        by a fresh one, so the treecode can be used again afterwards;
+        safe to call repeatedly."""
+        self.engine.close()
         if self._owns_engine:
             self.engine = _default_engine()
 

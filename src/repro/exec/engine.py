@@ -341,7 +341,7 @@ class PipelineEngine:
                 fl.flush()
             raise
 
-        backend.charge(spec.sink_count, lengths)
+        backend.charge(spec, lengths)
         wall = time.perf_counter() - w0
         busy_total = sum(busy.values())
         overlap = busy_total / wall if wall > 0 else 0.0

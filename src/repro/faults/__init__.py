@@ -25,11 +25,11 @@ pointer in :mod:`repro.sim.checkpoint`, device call retry in
 """
 
 from .inject import FaultInjector, TransientBackendError, corrupt_file
-from .plan import (FAULT_KINDS, FaultPlan, FaultSpec, as_fault_plan,
-                   parse_fault_plan)
+from .plan import (FAULT_HOOKS, FAULT_KINDS, FaultPlan, FaultSpec,
+                   as_fault_plan, parse_fault_plan)
 
 __all__ = [
-    "FAULT_KINDS", "FaultPlan", "FaultSpec", "FaultInjector",
+    "FAULT_HOOKS", "FAULT_KINDS", "FaultPlan", "FaultSpec", "FaultInjector",
     "TransientBackendError", "as_fault_plan", "parse_fault_plan",
     "corrupt_file",
 ]

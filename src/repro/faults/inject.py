@@ -33,19 +33,14 @@ import zlib
 from pathlib import Path
 from typing import Optional, Union
 
-from .plan import FaultPlan, FaultSpec
+from .plan import FAULT_HOOKS, FaultPlan, FaultSpec
 
 __all__ = ["TransientBackendError", "FaultInjector", "corrupt_file"]
 
-#: fault kinds handled at the pipeline engine's shard call (no ``site``)
-_BATCH_KINDS = frozenset({"latency", "transient_error"})
 
-#: fault kinds the network-store transport hook understands: latency
-#: delays the request, ``transient_error`` fails it retryably,
-#: ``corrupt_result`` truncates the response bytes so the payload
-#: digest check fires
-_TRANSPORT_KINDS = frozenset({"latency", "transient_error",
-                              "corrupt_result"})
+def _hook(spec: FaultSpec) -> str:
+    """The injector surface that fires ``spec``."""
+    return FAULT_HOOKS[(spec.kind, spec.site)]
 
 
 class TransientBackendError(RuntimeError):
@@ -104,7 +99,7 @@ class FaultInjector:
                     attempt: int = 0) -> Optional[FaultSpec]:
         """The fault (if any) to inject into this batch execution."""
         for i, s in enumerate(self.plan.specs):
-            if s.site is not None or s.kind not in _BATCH_KINDS:
+            if _hook(s) != "batch":
                 continue
             if not (self._sel(s.sweep, sweep)
                     and self._sel(s.batch, batch)
@@ -122,7 +117,7 @@ class FaultInjector:
         n = self._site_calls.get(site, 0)
         self._site_calls[site] = n + 1
         for i, s in enumerate(self.plan.specs):
-            if s.site != site or s.kind != "transient_error":
+            if s.site != site or _hook(s) != "call":
                 continue
             if s.call is not None and n < s.call:
                 continue
@@ -143,7 +138,7 @@ class FaultInjector:
         n = self._site_calls.get(site, 0)
         self._site_calls[site] = n + 1
         for i, s in enumerate(self.plan.specs):
-            if s.site != site or s.kind not in _TRANSPORT_KINDS:
+            if s.site != site or _hook(s) != "transport":
                 continue
             if s.call is not None and n < s.call:
                 continue
@@ -156,7 +151,7 @@ class FaultInjector:
         """The checkpoint fault (if any) to apply after writing the
         checkpoint that closes ``step``."""
         for i, s in enumerate(self.plan.specs):
-            if s.kind != "checkpoint_truncate":
+            if _hook(s) != "checkpoint":
                 continue
             if not self._sel(s.step, step):
                 continue

@@ -14,7 +14,8 @@ Fault kinds
 -----------
 ``latency``
     The call sleeps for ``seconds`` (default 0.05) and then proceeds
-    normally -- a slow batch or request, not a failure.
+    normally -- a slow batch or request, not a failure (no ``site``,
+    or ``fleet.rpc``).
 ``transient_error``
     A retryable device error: batch-level when ``site`` is unset
     (the pipeline engine's shard call raises), call-level when
@@ -25,7 +26,10 @@ Fault kinds
     the payload digest check fires (transport site only).
 ``checkpoint_truncate``
     The just-written checkpoint file is truncated, exercising the
-    last-good-pointer fallback.
+    last-good-pointer fallback (no ``site``).
+
+:data:`FAULT_HOOKS` lists every (kind, site) pair a hook fires; a
+plan naming any other pair is refused, never silently inert.
 
 Selectors are exact-match when set and wildcards when ``None``;
 ``attempt`` defaults to 0 so a fault fires on the first execution of a
@@ -48,12 +52,24 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-__all__ = ["FAULT_KINDS", "FaultSpec", "FaultPlan", "parse_fault_plan",
-           "as_fault_plan"]
+__all__ = ["FAULT_KINDS", "FAULT_HOOKS", "FaultSpec", "FaultPlan",
+           "parse_fault_plan", "as_fault_plan"]
 
-FAULT_KINDS = frozenset({
-    "latency", "transient_error", "corrupt_result", "checkpoint_truncate",
-})
+#: every (kind, site) pair some hook fires, and that hook's
+#: :class:`~repro.faults.inject.FaultInjector` surface; ``site`` None
+#: is a site-less fault.  Any other pair could never fire, so
+#: :class:`FaultSpec` refuses it.
+FAULT_HOOKS = {
+    ("latency", None): "batch",
+    ("transient_error", None): "batch",
+    ("checkpoint_truncate", None): "checkpoint",
+    ("transient_error", "grape.compute"): "call",
+    ("latency", "fleet.rpc"): "transport",
+    ("transient_error", "fleet.rpc"): "transport",
+    ("corrupt_result", "fleet.rpc"): "transport",
+}
+
+FAULT_KINDS = frozenset(kind for kind, _ in FAULT_HOOKS)
 
 
 @dataclass
@@ -86,6 +102,14 @@ class FaultSpec:
             raise ValueError(
                 f"unknown fault kind {self.kind!r} (choose from "
                 f"{', '.join(sorted(FAULT_KINDS))})")
+        if (self.kind, self.site) not in FAULT_HOOKS:
+            sites = sorted(site or "no site" for kind, site in FAULT_HOOKS
+                           if kind == self.kind)
+            where = (f"site {self.site!r}" if self.site is not None
+                     else "no site")
+            raise ValueError(
+                f"fault kind {self.kind!r} never fires at {where} "
+                f"(its sites: {', '.join(sites)})")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         if self.prob is not None and not 0.0 <= self.prob <= 1.0:

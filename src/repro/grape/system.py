@@ -320,10 +320,10 @@ class GrapeBackend(ForceBackend):
             super().eval_lists(pos, pmass, com, cmass, lists, sink_start,
                                sink_count, eps, out_acc, out_pot)
 
-    def charge(self, n_i, n_j):
-        """Price the calls on the timing model
+    def charge(self, spec, lengths):
+        """Price the sweep's calls on the timing model
         (:meth:`Grape5System.charge_batch`)."""
-        self.system.charge_batch(n_i, n_j)
+        self.system.charge_batch(spec.sink_count, lengths)
 
     def bind_metrics(self, registry) -> "GrapeBackend":
         """Route per-force-call counters into ``registry``

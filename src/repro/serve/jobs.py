@@ -44,6 +44,8 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional
 
+from ..faults import as_fault_plan
+
 __all__ = ["JOB_SCHEMA", "JOB_KINDS", "JOB_STATES", "TERMINAL_STATES",
            "JobError", "JobCancelled", "JobPaused", "JobSpec", "Job"]
 
@@ -138,6 +140,10 @@ class JobSpec:
             raise JobError("retry/recovery budgets must be >= 0")
         if self.checkpoint_every < 0:
             raise JobError("checkpoint_every must be >= 0")
+        try:
+            as_fault_plan(self.faults)
+        except (TypeError, ValueError) as e:
+            raise JobError(f"bad fault plan: {e}") from e
         if not isinstance(self.params, dict):
             raise JobError("params must be an object")
         schema = _PARAM_SCHEMA[self.kind]

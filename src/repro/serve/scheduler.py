@@ -175,6 +175,9 @@ class Scheduler:
         #: the jobs this worker's slots run: in from the claim, out at
         #: the write that ends the run; the store answers for the rest
         self._jobs: Dict[str, Job] = {}
+        #: jobs a stop or drain asked to pause: their slot re-queues
+        #: them once paused, however late (a user's pause stays put)
+        self._vacating: set = set()
         self._done_seconds: List[float] = []
         lock = threading.RLock()
         #: state changes: ``wait()``, ``drain()`` and housekeeping
@@ -250,16 +253,16 @@ class Scheduler:
             self._stopping = True
             if drain is None:
                 drain = self.store.kind != "memory"
-            running = list(self._jobs.values())
-            for job in running:
-                (job.pause_event if drain else job.cancel_event).set()
+            if drain:
+                self._vacate_locked()
+            else:
+                for job in self._jobs.values():
+                    job.cancel_event.set()
             self._cv.notify_all()
             self._slot_cv.notify_all()
             threads, self._threads = self._threads, []
         for t in threads:
             t.join(timeout=timeout)
-        if drain:
-            self._requeue_paused(running)
         try:
             self.store.fleet_deregister(self.worker_id)
         except StoreError as e:
@@ -282,9 +285,7 @@ class Scheduler:
         with self._cv:
             already = self.draining
             self.draining = True
-            owned = list(self._jobs.values())
-            for job in owned:
-                job.pause_event.set()
+            owned = self._vacate_locked()
             self._cv.notify_all()
         try:
             self.store.fleet_heartbeat(self.worker_id,
@@ -297,7 +298,7 @@ class Scheduler:
             self._cv.wait_for(
                 lambda: not any(j.id in self._jobs for j in owned),
                 timeout=timeout)
-        requeued = self._requeue_paused(owned)
+        requeued = [j.id for j in owned if j.state == "paused"]
         try:
             self.store.fleet_deregister(self.worker_id)
         except StoreError as e:
@@ -312,20 +313,16 @@ class Scheduler:
         return {"worker": self.worker_id, "draining": True,
                 "owned": [j.id for j in owned], "requeued": requeued}
 
-    def _requeue_paused(self, jobs: List[Job]) -> List[str]:
-        """Hand the ``jobs`` whose run here ended paused (no slot
-        touches them again) back to the queue, where any worker
-        resumes them; returns the ids re-queued."""
-        requeued = []
+    def _vacate_locked(self) -> List[Job]:
+        """Ask every job a slot here runs to checkpoint and pause; its
+        slot hands it back to the queue once paused
+        (:meth:`_finish_locked`), where any worker -- this one after
+        :meth:`start` included -- resumes it.  Returns the jobs."""
+        jobs = list(self._jobs.values())
         for job in jobs:
-            if job.state == "paused":
-                try:
-                    if self.store.requeue(job.id):
-                        requeued.append(job.id)
-                except StoreError as e:
-                    logger.warning("drain requeue of %s failed: %s",
-                                   job.id, e)
-        return requeued
+            self._vacating.add(job.id)
+            job.pause_event.set()
+        return jobs
 
     def _fleet_doc(self) -> Dict[str, Any]:
         """This worker's registry row: identity + capabilities."""
@@ -544,13 +541,22 @@ class Scheduler:
         """End the job's run here: the lifecycle move, the gauges that
         free its slot, the durable write carrying its event, the
         counters, then the job leaves this worker -- the store answers
-        for it from here on."""
+        for it from here on, and re-queues it if a stop or drain is
+        what paused it."""
         job.stage_event(event or state, **attrs)
         job.advance(state)
         self._set_gauges_locked()
         self._persist(job)
         self._count_locked(job)
         self._jobs.pop(job.id, None)
+        if job.id in self._vacating:
+            self._vacating.discard(job.id)
+            if state == "paused":
+                try:
+                    self.store.requeue(job.id)
+                except StoreError as e:
+                    logger.warning("requeue of vacated %s failed: %s",
+                                   job.id, e)
 
     def _count_locked(self, job: Job) -> None:
         """Count a job that ended its run, here or at admission."""

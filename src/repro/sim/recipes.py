@@ -72,48 +72,35 @@ def build_force(*, theta: float, ncrit: int, backend: str = "grape",
     GRAPE backend consults it too, and the caller hands it to
     ``Simulation.run``.  The treecode closes the engine it holds.
 
-    ``cluster`` (a :class:`~repro.cluster.ClusterSpec` or a
-    :class:`~repro.cluster.ClusterContext`) swaps the single emulated
-    GRAPE for the decomposed K-hosts-x-B-boards path; the returned
-    second element is then the opened context, which the treecode holds
-    as its backend and closes with itself.  Requires the GRAPE backend
-    (the cluster *is* a set of GRAPEs) and neither ``engine`` nor
-    ``workers`` (it is its own parallel structure).
+    ``cluster`` (a :class:`~repro.cluster.ClusterSpec`) swaps the
+    single emulated GRAPE for a
+    :class:`~repro.cluster.ClusterBackend` of K hosts x B boards, wired
+    like the GRAPE backend it replaces and returned as the second
+    element: the same engine evaluates its sweeps, so the forces are
+    the single-host path's bits at any K and ``workers``.  It needs the
+    GRAPE backend (the cluster *is* a set of GRAPEs) and builds its own
+    per-host systems, so it takes no ``system``.
     """
     from ..core import TreeCode
     from ..exec import PipelineEngine
-    from ..faults import FaultInjector, as_fault_plan
     from ..grape import GrapeBackend
     if backend not in ("grape", "host"):
         raise ValueError(f"unknown backend {backend!r} "
                          "(choose 'grape' or 'host')")
-    if cluster is not None:
-        from ..cluster import ClusterContext, ClusterSpec
-        if backend != "grape":
-            raise ValueError("cluster mode requires backend='grape' "
-                             "(the cluster is a set of emulated GRAPEs)")
-        if engine is not None or workers is not None:
-            raise ValueError("cluster mode and an engine (--workers) "
-                             "are mutually exclusive")
-        if system is not None:
-            raise ValueError("cluster mode builds its own per-host "
-                             "systems; system= cannot be adopted")
-        if isinstance(cluster, ClusterSpec):
-            plan = as_fault_plan(faults)
-            cluster = ClusterContext(
-                cluster, metrics=metrics, max_retries=int(max_retries),
-                fault_injector=(FaultInjector(plan, flight=flight)
-                                if plan is not None else None))
-        tc = TreeCode(theta=float(theta), n_crit=int(ncrit),
-                      cluster=cluster, tracer=tracer, metrics=metrics)
-        return tc, tc.backend
+    if cluster is not None and (backend != "grape" or system is not None):
+        raise ValueError("a cluster builds its own emulated GRAPEs: it "
+                         "needs backend='grape' and no system=")
     if engine is None:
         engine = PipelineEngine(workers=workers, faults=faults,
                                 max_retries=int(max_retries), flight=flight)
     gb = None
     if backend == "grape":
-        gb = (GrapeBackend(system=system) if system is not None
-              else GrapeBackend())
+        if cluster is not None:
+            from ..cluster import ClusterBackend
+            gb = ClusterBackend(cluster)
+        else:
+            gb = (GrapeBackend(system=system) if system is not None
+                  else GrapeBackend())
         if metrics is not None:
             gb.bind_metrics(metrics)
         gb.max_retries = int(max_retries)
@@ -186,7 +173,7 @@ def ng_sweep(tc, *, n: int, seed: int,
              on_point: Optional[Callable] = None) -> List[Dict]:
     """Kind ``sweep``: the section-3 group-size sweep of an ``n``-body
     Plummer snapshot on ONE solver (one engine and thread pool, one
-    cluster context), which it closes; n_g is the solver's knob.
+    backend), which it closes; n_g is the solver's knob.
 
     The rows are counts and do not depend on the arithmetic, so callers
     build ``tc`` on the host float64 backend unless asked for a

@@ -153,9 +153,8 @@ class Simulation:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Close the force solver (its engine's thread pool, its
-        cluster context), if it has a ``close``.  Safe to call
-        repeatedly."""
+        """Close the force solver (its engine's thread pool), if it
+        has a ``close``.  Safe to call repeatedly."""
         closer = getattr(self.force, "close", None)
         if callable(closer):
             closer()

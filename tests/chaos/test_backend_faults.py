@@ -10,6 +10,7 @@ identical.
 import numpy as np
 import pytest
 
+from repro.core.direct import direct_accelerations
 from repro.faults import (FaultInjector, FaultPlan, FaultSpec,
                           TransientBackendError)
 from repro.grape import GrapeBackend
@@ -19,12 +20,9 @@ pytestmark = pytest.mark.chaos
 
 
 @pytest.fixture
-def call_args():
+def cloud():
     rng = np.random.default_rng(7)
-    xi = rng.normal(size=(16, 3))
-    xj = rng.normal(size=(64, 3))
-    mj = np.full(64, 1.0 / 64)
-    return xi, xj, mj
+    return rng.normal(size=(64, 3)), np.full(64, 1.0 / 64)
 
 
 def _injector(n_failures, site):
@@ -34,38 +32,45 @@ def _injector(n_failures, site):
 
 
 class TestGrapeBackendRetry:
-    def test_transient_errors_are_retried(self, call_args):
-        xi, xj, mj = call_args
-        clean = GrapeBackend().compute(xi, xj, mj, 0.01)
+    """Direct summation makes one ``force_call`` per tile (one here)
+    and charges after the last, like a sweep."""
+
+    def test_transient_errors_are_retried(self, cloud):
+        pos, mass = cloud
+        clean = direct_accelerations(pos, mass, 0.01,
+                                     backend=GrapeBackend())
         be = GrapeBackend(fault_injector=_injector(2, "grape.compute"),
                           max_retries=2)
         reg = MetricsRegistry()
         be.bind_metrics(reg)
-        acc, pot = be.compute(xi, xj, mj, 0.01)
+        acc, pot = direct_accelerations(pos, mass, 0.01, backend=be)
         assert np.array_equal(acc, clean[0])
         assert np.array_equal(pot, clean[1])
         assert be.transient_retries == 2
         assert reg.value("exec.fault.backend_retries") == 2
 
-    def test_budget_exhaustion_raises(self, call_args):
-        xi, xj, mj = call_args
+    def test_budget_exhaustion_raises(self, cloud):
+        pos, mass = cloud
         be = GrapeBackend(fault_injector=_injector(99, "grape.compute"),
                           max_retries=2)
         with pytest.raises(TransientBackendError):
-            be.compute(xi, xj, mj, 0.01)
+            direct_accelerations(pos, mass, 0.01, backend=be)
         assert be.transient_retries == 3  # initial try + 2 retries
+        assert be.system.n_calls == 0     # a failed call is not charged
 
-    def test_stats_not_double_counted_across_retries(self, call_args):
+    def test_stats_not_double_counted_across_retries(self, cloud):
         """The injection site precedes the device call, so a retried
         call charges the timing model exactly once."""
-        xi, xj, mj = call_args
+        pos, mass = cloud
         be = GrapeBackend(fault_injector=_injector(1, "grape.compute"),
                           max_retries=2)
-        be.compute(xi, xj, mj, 0.01)
+        direct_accelerations(pos, mass, 0.01, backend=be)
         ref = GrapeBackend()
-        ref.compute(xi, xj, mj, 0.01)
-        assert be.system.n_calls == ref.system.n_calls
+        direct_accelerations(pos, mass, 0.01, backend=ref)
+        assert be.transient_retries == 1
+        assert be.system.n_calls == ref.system.n_calls == 1
         assert be.system.interactions == ref.system.interactions
+        assert be.system.model_seconds == ref.system.model_seconds
 
     def test_site_counts_one_call_per_sweep(self):
         """The unit of ``call=`` at ``grape.compute`` is one backend

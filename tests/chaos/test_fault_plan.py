@@ -9,9 +9,9 @@ import json
 
 import pytest
 
-from repro.faults import (FAULT_KINDS, FaultInjector, FaultPlan,
-                          FaultSpec, TransientBackendError, as_fault_plan,
-                          corrupt_file, parse_fault_plan)
+from repro.faults import (FAULT_HOOKS, FAULT_KINDS, FaultInjector,
+                          FaultPlan, FaultSpec, TransientBackendError,
+                          as_fault_plan, corrupt_file, parse_fault_plan)
 
 
 class TestParsing:
@@ -77,6 +77,39 @@ class TestParsing:
             parse_fault_plan("latency@batch")
         assert FAULT_KINDS == {"latency", "transient_error",
                                "corrupt_result", "checkpoint_truncate"}
+
+    @pytest.mark.parametrize("source, where", [
+        ("transient_error@site=grape.compte", "site 'grape.compte'"),
+        ("latency@site=grape.compute", "site 'grape.compute'"),
+        ("corrupt_result@batch=1", "no site"),
+        ('{"faults": [{"kind": "checkpoint_truncate", '
+         '"site": "fleet.rpc"}]}', "site 'fleet.rpc'"),
+    ], ids=["site-typo", "latency-at-device", "corrupt-at-batch",
+            "checkpoint-at-rpc"])
+    def test_pairs_no_hook_fires_are_refused(self, source, where):
+        """A (kind, site) pair outside ``FAULT_HOOKS`` could never fire:
+        it is a usage error naming the pair, never a silently inert
+        plan."""
+        with pytest.raises(ValueError) as exc:
+            parse_fault_plan(source)
+        assert f"never fires at {where}" in str(exc.value)
+
+    def test_every_hooked_pair_fires_at_its_hook(self):
+        """The injector's hooks read the same table the plans are
+        checked against: each listed pair fires at its surface."""
+        for (kind, site), hook in FAULT_HOOKS.items():
+            inj = FaultInjector(FaultPlan([FaultSpec(kind, site=site)]))
+            if hook == "batch":
+                fired = inj.batch_fault(sweep=0, batch=0)
+            elif hook == "checkpoint":
+                fired = inj.checkpoint_fault(step=0)
+            elif hook == "transport":
+                fired = inj.transport_fault(site)
+            else:
+                with pytest.raises(TransientBackendError):
+                    inj.maybe_raise(site)
+                continue
+            assert fired is not None and fired.kind == kind, (kind, site)
 
     @pytest.mark.parametrize("source", [
         "latency@worker=1",

@@ -1,13 +1,14 @@
-"""Cluster force correctness: K=1 bit-identity, K>1 tolerance, LET
-exchange accounting, and the cluster timing model."""
+"""Cluster force correctness: the plain GRAPE path's bits at every K,
+the engine's fault hooks, LET exchange accounting, and the cluster
+timing model."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import (ClusterContext, ClusterSpec, let_exchange,
-                           take_rows)
+from repro.cluster import ClusterBackend, ClusterSpec, let_exchange
 from repro.core.kernels import cnative
 from repro.core.treecode import TreeCode
+from repro.exec import EngineError
 from repro.grape.system import GrapeBackend
 from repro.sim.recipes import build_force
 from tests.conftest import sweep_lists
@@ -28,6 +29,11 @@ def _serial(pos, mass):
     tc = TreeCode(theta=THETA, n_crit=NCRIT, backend=GrapeBackend())
     acc, pot = tc.accelerations(pos, mass, EPS)
     return tc, acc, pot
+
+
+def _cluster(hosts, **kw):
+    return TreeCode(theta=THETA, n_crit=NCRIT, backend=ClusterBackend(
+        ClusterSpec(hosts=hosts, **kw)))
 
 
 BOTH_PATHS = pytest.mark.parametrize("eval_path", ["python", "numpy"],
@@ -52,15 +58,13 @@ def test_k1_b2_bit_identical(plummerish, eval_path):
     is charged the same per-sink arrays the plain sweep is."""
     pos, mass = plummerish
     tc0, acc0, pot0 = _serial(pos, mass)
-    tc1 = TreeCode(theta=THETA, n_crit=NCRIT,
-                   cluster=ClusterSpec(hosts=1, boards=2))
+    tc1 = _cluster(1, boards=2)
     acc1, pot1 = tc1.accelerations(pos, mass, EPS)
     np.testing.assert_array_equal(acc1, acc0)
     np.testing.assert_array_equal(pot1, pot0)
-    assert tc1.cluster.model_seconds == tc0.backend.model_seconds
-    assert tc1.cluster.interactions == tc0.backend.interactions
-    assert tc1.backend is tc1.cluster
-    s = tc1.cluster.summary()
+    assert tc1.backend.model_seconds == tc0.backend.model_seconds
+    assert tc1.backend.interactions == tc0.backend.interactions
+    s = tc1.backend.summary()
     assert s["predicted_seconds"] == tc0.backend.model_seconds
     assert s["let_exchange_bytes"] == 0.0
     assert s["let_import_cells"] == 0
@@ -69,10 +73,11 @@ def test_k1_b2_bit_identical(plummerish, eval_path):
 
 
 @BOTH_PATHS
-def test_device_site_fires_once_per_host(plummerish, eval_path):
-    """A cluster sweep is one force call per host: the ``grape.compute``
-    site is consulted once per host and sweep, on either body of
-    ``eval_lists`` (which consults no site itself)."""
+@pytest.mark.parametrize("hosts", [1, 2])
+def test_device_site_fires_once_per_sweep(plummerish, eval_path, hosts):
+    """A cluster sweep is one force call, whatever K: the engine
+    consults the ``grape.compute`` site once per sweep, on either body
+    of ``eval_lists`` (which consults no site itself)."""
 
     class Sites:
         def __init__(self):
@@ -83,25 +88,27 @@ def test_device_site_fires_once_per_host(plummerish, eval_path):
 
     pos, mass = plummerish
     sites = Sites()
-    ctx = ClusterContext(ClusterSpec(hosts=2), fault_injector=sites)
-    tc = TreeCode(theta=THETA, n_crit=NCRIT, cluster=ctx)
-    tc.accelerations(pos, mass, EPS)
-    assert sites.seen == ["grape.compute"] * 2
+    tc = TreeCode(theta=THETA, n_crit=NCRIT, backend=ClusterBackend(
+        ClusterSpec(hosts=hosts), fault_injector=sites))
+    for sweep in (1, 2):
+        tc.accelerations(pos, mass, EPS)
+        assert sites.seen == ["grape.compute"] * sweep
     tc.close()
 
 
 @BOTH_PATHS
 @pytest.mark.parametrize("hosts", [2, 3, 4])
 def test_multi_host_matches_serial(plummerish, eval_path, hosts):
-    """ORB handles the non-power-of-two K=3 like the others."""
+    """Every K evaluates on the plain path's datapath and window, so
+    the forces are its bits; ORB handles the non-power-of-two K=3 like
+    the others."""
     pos, mass = plummerish
     _, acc0, pot0 = _serial(pos, mass)
-    tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                  cluster=ClusterSpec(hosts=hosts))
+    tc = _cluster(hosts)
     acc, pot = tc.accelerations(pos, mass, EPS)
-    np.testing.assert_allclose(acc, acc0, rtol=1e-12, atol=0)
-    np.testing.assert_allclose(pot, pot0, rtol=1e-12, atol=0)
-    s = tc.cluster.summary()
+    np.testing.assert_array_equal(acc, acc0)
+    np.testing.assert_array_equal(pot, pot0)
+    s = tc.backend.summary()
     assert s["let_exchange_bytes"] > 0.0
     assert s["predicted_gflops"] > 0.0
     tc.close()
@@ -111,11 +118,11 @@ def test_original_algorithm_under_cluster(plummerish):
     """Per-particle sinks decompose too (the paper's 'original' lists)."""
     pos, mass = plummerish
     tc0 = TreeCode(theta=THETA, n_crit=NCRIT, backend=GrapeBackend())
-    acc0, _ = tc0.accelerations(pos, mass, EPS, algorithm="original")
-    tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                  cluster=ClusterSpec(hosts=2))
-    acc, _ = tc.accelerations(pos, mass, EPS, algorithm="original")
-    np.testing.assert_allclose(acc, acc0, rtol=1e-12, atol=0)
+    acc0, pot0 = tc0.accelerations(pos, mass, EPS, algorithm="original")
+    tc = _cluster(2)
+    acc, pot = tc.accelerations(pos, mass, EPS, algorithm="original")
+    np.testing.assert_array_equal(acc, acc0)
+    np.testing.assert_array_equal(pot, pot0)
     tc.close()
 
 
@@ -123,10 +130,9 @@ def test_more_hosts_shrink_predicted_seconds(plummerish):
     pos, mass = plummerish
     pred = {}
     for hosts in (1, 2, 4):
-        tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                      cluster=ClusterSpec(hosts=hosts))
+        tc = _cluster(hosts)
         tc.accelerations(pos, mass, EPS)
-        pred[hosts] = tc.cluster.model_seconds
+        pred[hosts] = tc.backend.model_seconds
         tc.close()
     assert pred[2] < pred[1]
     assert pred[4] < pred[2]
@@ -136,37 +142,11 @@ def test_exchange_grows_with_hosts(plummerish):
     pos, mass = plummerish
     vol = {}
     for hosts in (2, 4):
-        tc = TreeCode(theta=THETA, n_crit=NCRIT,
-                      cluster=ClusterSpec(hosts=hosts))
+        tc = _cluster(hosts)
         tc.accelerations(pos, mass, EPS)
-        vol[hosts] = tc.cluster.summary()["let_exchange_bytes"]
+        vol[hosts] = tc.backend.summary()["let_exchange_bytes"]
         tc.close()
     assert vol[4] > vol[2] > 0
-
-
-def test_take_rows_full_selection_is_identity(plummerish):
-    pos, mass = plummerish
-    tc, _, _ = _serial(pos, mass)
-    lists = sweep_lists(tc)
-    sub = take_rows(lists, np.arange(lists.n_sinks, dtype=np.int64))
-    np.testing.assert_array_equal(sub.cell_idx, lists.cell_idx)
-    np.testing.assert_array_equal(sub.cell_off, lists.cell_off)
-    np.testing.assert_array_equal(sub.part_idx, lists.part_idx)
-    np.testing.assert_array_equal(sub.part_off, lists.part_off)
-
-
-def test_take_rows_subset(plummerish):
-    pos, mass = plummerish
-    tc, _, _ = _serial(pos, mass)
-    lists = sweep_lists(tc)
-    rows = np.array([3, 0, 7], dtype=np.int64)
-    sub = take_rows(lists, rows)
-    assert sub.n_sinks == 3
-    for i, g in enumerate(rows):
-        np.testing.assert_array_equal(sub.cells_of(i),
-                                      lists.cells_of(int(g)))
-        np.testing.assert_array_equal(sub.parts_of(i),
-                                      lists.parts_of(int(g)))
 
 
 def test_let_exchange_single_host_is_zero(plummerish):
@@ -184,13 +164,13 @@ def test_build_force_cluster_path(plummerish):
     pos, mass = plummerish
     tc, backend = build_force(theta=THETA, ncrit=NCRIT,
                               cluster=ClusterSpec(hosts=2))
-    assert backend is tc.backend is tc.cluster
+    assert backend is tc.backend
+    assert isinstance(backend, ClusterBackend)
     assert "grape" in backend.name
     acc, _ = tc.accelerations(pos, mass, EPS)
     assert backend.model_seconds > 0
     assert backend.summary()["hosts"] == 2
     tc.close()
-    assert not backend.backends         # the treecode closed it
     # counters survive close
     assert backend.model_seconds > 0
 
@@ -200,48 +180,60 @@ def test_build_force_cluster_rejects_conflicts():
         build_force(theta=THETA, ncrit=NCRIT, backend="host",
                     cluster=ClusterSpec(hosts=2))
     with pytest.raises(ValueError):
-        build_force(theta=THETA, ncrit=NCRIT, engine=object(),
-                    cluster=ClusterSpec(hosts=2))
-    with pytest.raises(ValueError):
-        build_force(theta=THETA, ncrit=NCRIT, workers=2,
-                    cluster=ClusterSpec(hosts=2))
-    with pytest.raises(ValueError):
         build_force(theta=THETA, ncrit=NCRIT, system=object(),
                     cluster=ClusterSpec(hosts=2))
 
 
-def test_treecode_cluster_rejects_conflicts():
-    with pytest.raises(ValueError):
-        TreeCode(cluster=ClusterSpec(), backend=GrapeBackend())
-    with pytest.raises(ValueError):
-        TreeCode(cluster=ClusterSpec(), engine=object())
+class TestFaultsUnderACluster:
+    """A cluster sweep goes through the engine, so a fault plan fires
+    and is retried as on the plain path."""
+
+    def test_exhausted_batch_fault_raises(self, plummerish):
+        pos, mass = plummerish
+        tc, _ = build_force(theta=THETA, ncrit=NCRIT,
+                            cluster=ClusterSpec(hosts=2),
+                            faults="transient_error@batch=0",
+                            max_retries=0)
+        try:
+            with pytest.raises(EngineError, match="batch 0"):
+                tc.accelerations(pos, mass, EPS)
+        finally:
+            tc.close()
+
+    def test_retried_batch_fault_ends_on_the_plain_bits(self, plummerish):
+        pos, mass = plummerish
+        _, acc0, pot0 = _serial(pos, mass)
+        tc, backend = build_force(theta=THETA, ncrit=NCRIT,
+                                  cluster=ClusterSpec(hosts=2),
+                                  faults="transient_error@batch=0")
+        try:
+            acc, pot = tc.accelerations(pos, mass, EPS)
+        finally:
+            tc.close()
+        np.testing.assert_array_equal(acc, acc0)
+        np.testing.assert_array_equal(pot, pot0)
+        clean = _cluster(2)
+        clean.accelerations(pos, mass, EPS)
+        assert backend.summary() == clean.backend.summary()
+        clean.close()
 
 
-def test_treecode_close_closes_a_handed_context(plummerish):
-    """One ownership rule: ``TreeCode.close()`` closes the context it
-    holds, whoever built it; the context re-opens with its counters
-    intact and keeps counting."""
-    pos, mass = plummerish
-    ctx = ClusterContext(ClusterSpec(hosts=2)).open()
-    tc = TreeCode(theta=THETA, n_crit=NCRIT, cluster=ctx)
-    assert tc.cluster is ctx
-    tc.accelerations(pos, mass, EPS)
-    tc.close()
-    assert ctx.backends == []
-    tc.close()                          # idempotent
-    before = ctx.summary()
-    assert before["predicted_seconds"] > 0
-
-    ctx.open()
-    assert ctx.summary() == before
-    tc.accelerations(pos, mass, EPS)
-    after = ctx.summary()
-    assert after["predicted_seconds"] == pytest.approx(
-        2 * before["predicted_seconds"], rel=1e-12)
-    assert after["let_exchange_bytes"] == 2 * before["let_exchange_bytes"]
-    ctx.reset_stats()
-    assert ctx.interactions == 0 and ctx.model_seconds == 0.0
-    tc.close()
+def test_cluster_run_digest_is_the_same_at_any_workers():
+    """A 2-host run is one trajectory at every pool size, and it is the
+    plain GRAPE path's."""
+    from repro.sim.recipes import (new_simulation, paper_run,
+                                   run_schedule)
+    schedule = run_schedule(z_init=24.0, z_final=20.0, steps=2)
+    digests, summaries = [], []
+    for workers, cluster in ((1, ClusterSpec(hosts=2)),
+                             (2, ClusterSpec(hosts=2)), (2, None)):
+        force, backend = build_force(theta=THETA, ncrit=64,
+                                     workers=workers, cluster=cluster)
+        sim = new_simulation(force, ngrid=16, seed=1999, z_init=24.0)
+        digests.append(paper_run(sim, schedule)["digest"])
+        summaries.append(backend.model_seconds)
+    assert digests[0] == digests[1] == digests[2]
+    assert summaries[0] == summaries[1]
 
 
 def test_cluster_metrics_have_one_owner():
@@ -254,4 +246,4 @@ def test_cluster_metrics_have_one_owner():
     pat = re.compile(r'(?:counter|gauge|histogram)\(\s*"cluster\.')
     owners = sorted(str(p.relative_to(root)) for p in root.rglob("*.py")
                     if pat.search(p.read_text()))
-    assert owners == ["cluster/context.py"]
+    assert owners == ["cluster/backend.py"]

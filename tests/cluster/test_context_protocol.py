@@ -1,19 +1,11 @@
-"""ClusterContext protocol misuse, mirroring tests/grape/test_api_protocol.py:
-call-order violations, K=0; and the board-set arithmetic (host k is
-wired to boards [k*B, (k+1)*B))."""
+"""Cluster configuration: spec validation (K=0, B=0, the network),
+the price ledger, the board-set arithmetic (host k is wired to boards
+[k*B, (k+1)*B)) and counters that outlive the solver's close."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterContext, ClusterError, ClusterSpec
-
-
-@pytest.fixture
-def ctx():
-    c = ClusterContext(ClusterSpec(hosts=2, boards=2))
-    yield c
-    if c.backends:
-        c.close()
+from repro.cluster import ClusterBackend, ClusterSpec
 
 
 class TestSpecValidation:
@@ -49,50 +41,14 @@ class TestSpecValidation:
                 == paper + 6 * 1.65e6)
 
 
-class TestCallOrder:
-    def test_use_before_open(self, ctx):
-        with pytest.raises(ClusterError, match="open"):
-            ctx.set_domain(-1.0, 1.0)
-        with pytest.raises(ClusterError, match="open"):
-            ctx.close()
-        with pytest.raises(ClusterError, match="open"):
-            ctx.evaluate(ctx, None)
-        with pytest.raises(ClusterError, match="open"):
-            ctx.reset_stats()
-        with pytest.raises(ClusterError, match="open"):
-            ctx.summary()
-        with pytest.raises(ClusterError, match="open"):
-            ctx.model_seconds
-
-    def test_double_open(self, ctx):
-        ctx.open()
-        with pytest.raises(ClusterError, match="already open"):
-            ctx.open()
-
-    def test_close_reopen_no_residue(self, ctx):
-        ctx.open()
-        first_sets = ctx.board_sets
-        ctx.close()
-        assert ctx.backends == []
-        ctx.open()
-        assert ctx.board_sets == first_sets
-        assert len(ctx.backends) == 2
-        assert [b.system for b in ctx.backends] == ctx.systems
-
-    def test_context_manager_closes(self):
-        with ClusterContext(ClusterSpec(hosts=1)).open() as c:
-            assert len(c.backends) == 1
-        assert c.backends == []
-
-
 class TestBoardSets:
-    def test_hosts_get_disjoint_sets(self, ctx):
-        ctx.open()
-        assert ctx.board_sets == ((0, 1), (2, 3))
-        assert ctx.summary()["board_sets"] == [[0, 1], [2, 3]]
-        wide = ClusterContext(ClusterSpec(hosts=3, boards=3)).open()
+    def test_hosts_get_disjoint_sets(self):
+        be = ClusterBackend(ClusterSpec(hosts=2, boards=2))
+        assert be.board_sets == ((0, 1), (2, 3))
+        assert be.summary()["board_sets"] == [[0, 1], [2, 3]]
+        wide = ClusterBackend(ClusterSpec(hosts=3, boards=3))
         assert wide.board_sets == ((0, 1, 2), (3, 4, 5), (6, 7, 8))
-        wide.close()
+        assert [s.timing.n_boards for s in wide.systems] == [3, 3, 3]
 
 
 class TestBrokerBoardLeases:
@@ -122,22 +78,26 @@ class TestBrokerBoardLeases:
         assert system.describe()["boards"] == 4
 
 
-def test_evaluate_after_close_fails():
-    c = ClusterContext(ClusterSpec(hosts=1)).open()
-    c.close()
-    with pytest.raises(ClusterError, match="open"):
-        c.evaluate(c, None)
-
-
 def test_stats_survive_close():
+    """Closing the treecode closes its engine, not the cluster's
+    counters: they stay readable, the solver keeps counting on, and
+    only ``reset_stats`` zeroes them."""
     rng = np.random.default_rng(7)
     pos = rng.standard_normal((300, 3))
     mass = np.full(300, 1.0 / 300)
     from repro.core.treecode import TreeCode
-    tc = TreeCode(theta=0.75, n_crit=64, cluster=ClusterSpec(hosts=2))
+    c = ClusterBackend(ClusterSpec(hosts=2))
+    tc = TreeCode(theta=0.75, n_crit=64, backend=c)
     tc.accelerations(pos, mass, 0.01)
-    c = tc.cluster
     tc.close()
-    assert c.backends == []
+    before = c.summary()
     assert c.model_seconds > 0.0
-    assert c.summary()["hosts"] == 2
+    assert before["hosts"] == 2
+    tc.accelerations(pos, mass, 0.01)
+    after = c.summary()
+    assert after["predicted_seconds"] == pytest.approx(
+        2 * before["predicted_seconds"], rel=1e-12)
+    assert after["let_exchange_bytes"] == 2 * before["let_exchange_bytes"]
+    c.reset_stats()
+    assert c.interactions == 0 and c.model_seconds == 0.0
+    tc.close()

@@ -31,10 +31,12 @@ def uncut_sweep(tc, backend, eps):
     order.  ``src/`` keeps no second walk or evaluation body, so the
     tests that pin the contract make the uncut call themselves."""
     from repro.core.kernels import self_potential_correction
+    from repro.exec.plan import SweepSpec
     tree, groups = tc.last_tree, tc.last_groups
     if groups is not None:
-        start, count = groups.start, groups.count
+        center, start, count = groups.center, groups.start, groups.count
     else:
+        center = tree.pos_sorted
         start = np.arange(tree.n_particles, dtype=np.int64)
         count = np.ones(tree.n_particles, dtype=np.int64)
     backend.set_domain(float(np.min(tree.corner)),
@@ -44,7 +46,10 @@ def uncut_sweep(tc, backend, eps):
     pot_s = np.empty(tree.n_particles)
     backend.eval_lists(tree.pos_sorted, tree.mass_sorted, tree.com,
                        tree.mass, lists, start, count, eps, acc_s, pot_s)
-    backend.charge(count, lists.list_lengths)
+    spec = SweepSpec(tree=tree, sink_center=center, sink_start=start,
+                     sink_count=count, eps=eps,
+                     build_lists=lambda a, b: sweep_lists(tc))
+    backend.charge(spec, lists.list_lengths)
     pot_s += self_potential_correction(tree.mass_sorted, eps)
     acc, pot = np.empty_like(acc_s), np.empty_like(pot_s)
     acc[tree.order], pot[tree.order] = acc_s, pot_s

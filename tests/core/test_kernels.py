@@ -1,5 +1,7 @@
 """Pairwise-kernel tests: closed forms, symmetry, tiling, backends."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,12 +142,13 @@ class TestSelfPotential:
 class TestFloat64Backend:
     def test_counts_interactions(self, rng):
         b = Float64Backend()
-        b.compute(rng.standard_normal((7, 3)), rng.standard_normal((11, 3)),
-                  np.ones(11), 0.1)
+        b.kernel(rng.standard_normal((7, 3)), rng.standard_normal((11, 3)),
+                 np.ones(11), 0.1)
+        assert b.interactions == 0          # the kernel counts nothing
+        b.charge(SimpleNamespace(sink_count=[7]), [11])
         assert b.interactions == 77
-        b.compute(rng.standard_normal((2, 3)), rng.standard_normal((3, 3)),
-                  np.ones(3), 0.1)
-        assert b.interactions == 83
+        b.charge(SimpleNamespace(sink_count=[2, 1]), [3, 6])
+        assert b.interactions == 89
         b.reset_stats()
         assert b.interactions == 0
 
@@ -153,6 +156,6 @@ class TestFloat64Backend:
         xi = rng.standard_normal((9, 3))
         xj = rng.standard_normal((13, 3))
         mj = rng.uniform(0.1, 1.0, 13)
-        a1, p1 = Float64Backend().compute(xi, xj, mj, 0.05)
+        a1, p1 = Float64Backend().kernel(xi, xj, mj, 0.05)
         a2, p2 = pairwise_accpot(xi, xj, mj, 0.05)
         assert np.array_equal(a1, a2) and np.array_equal(p1, p2)

@@ -32,11 +32,13 @@ RETIRED = ("EwaldCorrectionTable", "PeriodicDirectSummation",
 
 #: the quadrupole ablation, the ``G5Context`` handle, the engine's
 #: per-shard hook and its per-shard private backends with their
-#: replayed call log: every sweep is one ``ForceBackend.eval_lists``
+#: replayed call log, and the cluster's second sweep path with its
+#: open/close protocol: every sweep is one ``ForceBackend.eval_lists``
 #: call per shard on the caller's instance, charged once
 RETIRED_SEAMS = ("G5Context", "G5Error", "quadkernel", "quadrupole_accpot",
                  "eval_sweep", "retry_transient", "worker_factory",
-                 "merge_stats", "call_log", "record_calls")
+                 "merge_stats", "call_log", "record_calls",
+                 "ClusterContext", "ClusterError", "take_rows")
 
 _MAC_BOX = re.compile(r"BarnesHutMAC\([^)]*\bbox\s*=")
 
@@ -82,3 +84,13 @@ def test_monopole_path_has_no_retired_option():
     assert not {"corner", "size"} & _params(build_octree)
     assert "eval_sweep" not in {f.name for f in dataclasses.fields(SweepSpec)}
     assert "quad" not in {f.name for f in dataclasses.fields(Octree)}
+
+
+def test_cluster_is_a_backend_not_a_second_sweep_path():
+    from repro.cluster import ClusterBackend
+    from repro.core.kernels import ForceBackend
+    from repro.grape import GrapeBackend
+    assert "cluster" not in _params(TreeCode)
+    assert issubclass(ClusterBackend, GrapeBackend)
+    assert not hasattr(ForceBackend, "compute")
+    assert not hasattr(ClusterBackend, "evaluate")

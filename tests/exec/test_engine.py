@@ -218,10 +218,10 @@ class ChargeSpy(GrapeBackend):
         super().__init__(**kw)
         self.charges = []
 
-    def charge(self, n_i, n_j):
-        self.charges.append((threading.get_ident(), np.array(n_i),
-                             np.array(n_j)))
-        super().charge(n_i, n_j)
+    def charge(self, spec, lengths):
+        self.charges.append((threading.get_ident(),
+                             np.array(spec.sink_count), np.array(lengths)))
+        super().charge(spec, lengths)
 
 
 class TestOneCharge:

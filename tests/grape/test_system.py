@@ -1,5 +1,7 @@
 """The one GRAPE: system + timing-model geometry, and the backend adapter."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -119,7 +121,7 @@ class TestOneCoordinateFormat:
             del walk[:], ref[:]
             # every shard of the sweep runs on this one system
             tc.accelerations(scale * pos, mass, 0.01)
-            backend.compute(scale * pos[:4], scale * pos, mass, 0.01)
+            backend.kernel(scale * pos[:4], scale * pos, mass, 0.01)
             fmt = backend.system.pipeline.coord_format
             assert walk and ref
             assert all(f is fmt for f in walk + ref)
@@ -213,8 +215,10 @@ class TestGrapeBackend:
         b = GrapeBackend()
         xi = rng.standard_normal((6, 3))
         xj = rng.standard_normal((9, 3))
-        a, p = b.compute(xi, xj, np.ones(9), 0.1)
+        a, p = b.kernel(xi, xj, np.ones(9), 0.1)
         assert a.shape == (6, 3) and p.shape == (6,)
+        assert b.interactions == 0          # the kernel counts nothing
+        b.charge(SimpleNamespace(sink_count=[6]), [9])
         assert b.interactions == 54
         assert b.model_seconds > 0
         b.reset_stats()

@@ -34,6 +34,14 @@ class TestJobSpec:
         with pytest.raises(JobError):
             JobSpec(**bad)
 
+    @pytest.mark.parametrize("plan", [
+        "nonsense_kind@batch=1", "transient_error@site=grape.compte",
+        "latency@site=grape.compute", "corrupt_result@batch=1",
+        "latency@batch"])
+    def test_fault_plan_parsed_at_admission(self, plan):
+        with pytest.raises(JobError, match="bad fault plan"):
+            JobSpec(kind="force_eval", params={"n": 64}, faults=plan)
+
     def test_roundtrip_through_wire_format(self):
         spec = JobSpec(kind="run", params={"ngrid": 8}, priority=3,
                        tenant="alice", checkpoint_every=2)

@@ -305,3 +305,34 @@ class TestRestart:
             s.stop()
         assert peak[0] <= s.slots
         assert runs.count(first.id) == 1  # still the straggler's claim
+
+    def test_a_job_a_timed_out_stop_paused_is_requeued(
+            self, tmp_path, monkeypatch):
+        """A draining ``stop()`` whose join times out still hands its
+        job back: the straggler slot pauses it later and re-queues it,
+        and the next run's slot resumes it to ``done``."""
+        real = scheduler_mod.run_job
+        gate, entered = threading.Event(), threading.Event()
+
+        def run_job(job, *args, **kw):
+            entered.set()
+            gate.wait(30)
+            return real(job, *args, **kw)
+
+        monkeypatch.setattr(scheduler_mod, "run_job", run_job)
+        s = Scheduler(slots=1, workdir=tmp_path, store=tmp_path / "jobs.db",
+                      cache=False, poll_interval=0.01).start()
+        try:
+            job = s.submit(JobSpec(kind="run", checkpoint_every=1,
+                                   params={"ngrid": 6, "steps": 2,
+                                           "z_final": 12.0}))
+            assert entered.wait(30)
+            s.stop(timeout=0.1)
+            s.start()
+            gate.set()
+            assert s.wait(job.id, timeout=120)
+            assert job.state == "done", job.error
+            assert any(e["event"] == "resumed" for e in s.events(job.id))
+        finally:
+            gate.set()
+            s.stop()

@@ -58,6 +58,32 @@ class TestEndpoints:
         assert exc.value.status == 400
         assert "unknown job field" in str(exc.value)
 
+    @pytest.mark.parametrize("plan", [
+        "nonsense_kind@batch=1", "transient_error@site=grape.compte",
+        "latency@site=grape.compute", "corrupt_result@batch=1"],
+        ids=["unknown-kind", "site-typo", "latency-at-device",
+             "corrupt-at-batch"])
+    def test_bad_fault_plan_is_400_at_admission(self, server_pair, plan):
+        """A plan no hook could fire is refused when the job is
+        submitted, not when a slot runs it."""
+        server, client = server_pair
+        with pytest.raises(ServeHTTPError) as exc:
+            client.submit({"schema": JOB_SCHEMA, "kind": "force_eval",
+                           "params": {"n": 64}, "faults": plan})
+        assert exc.value.status == 400
+        assert "bad fault plan" in str(exc.value)
+
+    def test_bad_fault_plan_is_exit_2_from_submit(self, server_pair):
+        import io
+        from repro.cli import main
+        _, client = server_pair
+        out = io.StringIO()
+        code = main(["submit", "--port", str(client.port), "--kind",
+                     "force_eval", "-p", "n=64", "--faults",
+                     "latency@site=grape.compute"], out=out)
+        assert code == 2
+        assert "bad fault plan" in out.getvalue()
+
     def test_bad_kernels_is_400(self, server_pair):
         """The retired ``kernels`` and ``engine`` fields get the
         standard unknown-field rejection whatever they carry -- no

@@ -367,6 +367,16 @@ class TestExitCodes:
         assert "run: unknown fault selector 'worker'" in text
         assert "Traceback" not in text
 
+    @pytest.mark.parametrize("plan", [
+        "latency@site=grape.compute", "corrupt_result@batch=0",
+        "transient_error@site=grape.compte"])
+    def test_fault_pair_no_hook_fires_exits_2(self, plan):
+        code, text = run_cli("run", "--ngrid", "5", "--steps", "1",
+                             "--faults", plan)
+        assert code == 2
+        assert "never fires at" in text
+        assert "Traceback" not in text
+
     def test_retired_bench_verb_is_rejected(self, capsys):
         """``repro bench`` is gone, not aliased: wall clock is
         ``benchmarks/spine/run.py``, paper tables ``pytest benchmarks``."""
