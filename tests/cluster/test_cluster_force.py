@@ -224,16 +224,16 @@ def test_cluster_run_digest_is_the_same_at_any_workers():
     from repro.sim.recipes import (new_simulation, paper_run,
                                    run_schedule)
     schedule = run_schedule(z_init=24.0, z_final=20.0, steps=2)
-    digests, summaries = [], []
+    digests, model_seconds = [], []
     for workers, cluster in ((1, ClusterSpec(hosts=2)),
                              (2, ClusterSpec(hosts=2)), (2, None)):
         force, backend = build_force(theta=THETA, ncrit=64,
                                      workers=workers, cluster=cluster)
         sim = new_simulation(force, ngrid=16, seed=1999, z_init=24.0)
         digests.append(paper_run(sim, schedule)["digest"])
-        summaries.append(backend.model_seconds)
+        model_seconds.append(backend.model_seconds)
     assert digests[0] == digests[1] == digests[2]
-    assert summaries[0] == summaries[1]
+    assert model_seconds[0] == model_seconds[1]
 
 
 def test_cluster_metrics_have_one_owner():
