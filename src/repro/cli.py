@@ -907,12 +907,17 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
         print(f"{args.command}: {exc}", file=out)
         return 2
     except RuntimeError as exc:
+        from repro.exec import EngineError
+        from repro.faults import TransientBackendError
         from repro.serve import ServeError
         from repro.sim.checkpoint import CheckpointCorrupt
-        if isinstance(exc, (ServeError, CheckpointCorrupt)):
-            print(f"{args.command}: {exc}", file=out)
-            return 2
-        raise
+        usage = isinstance(exc, (ServeError, CheckpointCorrupt))
+        # an exhausted fault budget is a runtime failure: exit 1
+        if not (usage or isinstance(exc, (EngineError,
+                                          TransientBackendError))):
+            raise
+        print(f"{args.command}: {exc}", file=out)
+        return 2 if usage else 1
 
 
 if __name__ == "__main__":

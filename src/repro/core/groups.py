@@ -91,16 +91,11 @@ def make_groups(tree: Octree, n_crit: int) -> GroupSet:
     starts = tree.start[gcells]
     counts = tree.count[gcells]
 
-    # Tight bounding radius per group, in one vectorised pass: label every
-    # sorted particle with its group id (groups tile the sorted order, so
-    # a cumulative count of group starts is the label), then scatter-max.
-    marks = np.zeros(tree.n_particles, dtype=np.int64)
-    marks[starts] = 1
-    gid = np.cumsum(marks) - 1
-    d = tree.pos_sorted - centers[gid]
-    dist = np.sqrt(np.einsum("ij,ij->i", d, d))
-    radius = np.zeros(len(gcells), dtype=np.float64)
-    np.maximum.at(radius, gid, dist)
+    # Tight bounding radius per group: the groups tile the sorted
+    # particles in order, so each is one contiguous segment to reduce
+    d = tree.pos_sorted - np.repeat(centers, counts, axis=0)
+    radius = np.maximum.reduceat(np.sqrt(np.einsum("ij,ij->i", d, d)),
+                                 starts)
 
     return GroupSet(cell=gcells.astype(np.int64), center=centers,
                     radius=radius, start=starts, count=counts,

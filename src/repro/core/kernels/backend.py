@@ -39,12 +39,8 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-__all__ = [
-    "ForceBackend",
-    "Float64Backend",
-    "pairwise_accpot",
-    "self_potential_correction",
-]
+__all__ = ["ForceBackend", "Float64Backend", "pairwise_accpot",
+           "self_potential_correction"]
 
 #: Upper bound on elements of one broadcast tile (n_i * n_j_chunk).
 DEFAULT_TILE = 1 << 22

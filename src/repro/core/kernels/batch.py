@@ -1,14 +1,15 @@
-"""Batch drivers: NumPy arrays in, compiled tree and list walks out.
+"""Batch drivers: NumPy arrays in, compiled tree build and walks out.
 
-These functions marshal the octree and
+These functions marshal the sorted Morton keys, the octree and
 :class:`~repro.core.traversal.InteractionLists` CSR blocks into the
 compiled kernels of :mod:`repro.core.kernels.cnative`.  Every driver is
 *total*: when the native library is unavailable (no compiler,
 kill-switch set, unsupported numerics) it reports failure -- ``False``
-/ ``None`` -- and the caller falls back to the NumPy frontier walk or
-the per-sink reference loop.  Callers never need to know whether the
-fast path exists.  No driver counts anything: the caller's backend
-charges a sweep once, after it succeeded.
+/ ``None`` -- and the caller falls back to its NumPy oracle (the level
+loop, the prefix sums, the frontier walk, the per-sink reference
+loop).  Callers never need to know whether the fast path exists.  No
+driver counts anything: the caller's backend charges a sweep once,
+after it succeeded.
 
 Two properties the execution layer depends on:
 
@@ -30,23 +31,16 @@ import numpy as np
 
 from . import cnative
 
-__all__ = ["f64_eval_lists", "g5_eval_lists", "tree_walk"]
+__all__ = ["f64_eval_lists", "g5_eval_lists", "moments", "refine",
+           "tree_walk", "walk_inputs"]
 
 
-def _dp(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _ip(a: np.ndarray):
-    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
-
-
-def _f64c(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.float64)
-
-
-def _i64c(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int64)
+def _p(a, dtype=None):
+    """A typed pointer to ``a`` as a C-contiguous ``dtype`` array (a
+    copy only when it is not one); the pointer keeps the array alive."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    return a.ctypes.data_as(
+        ctypes.POINTER(np.ctypeslib.as_ctypes_type(a.dtype)))
 
 
 def _writable(a: np.ndarray) -> bool:
@@ -57,13 +51,13 @@ def _writable(a: np.ndarray) -> bool:
 def _csr_args(pos, pmass, com, cmass, lists, sink_start, sink_count):
     """Marshal the sources and the CSR block: the kernels' leading
     pointers, their four scratch rows and the group count."""
-    arrs = [_f64c(a) for a in (pos, pmass, com, cmass)] + [
-        _i64c(a) for a in (lists.cell_idx, lists.cell_off, lists.part_idx,
-                           lists.part_off, sink_start, sink_count)]
-    lengths = np.diff(arrs[5]) + np.diff(arrs[7])
+    lengths = np.diff(lists.cell_off) + np.diff(lists.part_off)
     scratch = np.empty((4, max(int(lengths.max(initial=0)), 1)))
-    return ([*map(_dp, arrs[:4]), *map(_ip, arrs[4:])],
-            [*map(_dp, scratch)], len(arrs[9]))
+    return ([_p(a, np.float64) for a in (pos, pmass, com, cmass)]
+            + [_p(a, np.int64) for a in (lists.cell_idx, lists.cell_off,
+                                         lists.part_idx, lists.part_off,
+                                         sink_start, sink_count)],
+            [*map(_p, scratch)], len(sink_start))
 
 
 def f64_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
@@ -76,7 +70,7 @@ def f64_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
         pos, pmass, com, cmass, lists, sink_start, sink_count)
     if n_groups:
         lib.repro_f64_csr(*ptrs, n_groups, float(eps) ** 2, *scratch,
-                          _dp(out_acc), _dp(out_pot))
+                          _p(out_acc), _p(out_pot))
     return True
 
 
@@ -123,7 +117,7 @@ def g5_eval_lists(pos, pmass, com, cmass, lists, sink_start, sink_count,
     ptrs, scratch, n_groups = _csr_args(
         pos, pmass, com, cmass, lists, sink_start, sink_count)
     return n_groups == 0 or lib.repro_g5_csr(
-        *ptrs, n_groups, *params, *scratch, _dp(out_acc), _dp(out_pot)) == 0
+        *ptrs, n_groups, *params, *scratch, _p(out_acc), _p(out_pot)) == 0
 
 
 #: list entries per sink (cells, particles) a thread's first walk sizes
@@ -139,11 +133,24 @@ def _grown(buf: np.ndarray, used: int, need: int) -> np.ndarray:
     return out
 
 
-def tree_walk(tree, mac, sink_center, sink_radius, collect):
-    """The compiled per-sink breadth-first walk (``repro_walk``) for a
-    MAC with a per-cell ``threshold``: the CSR ``(cell_off, cell_idx,
-    part_off, part_idx)`` with ``collect``, else per-sink ``(cell
-    counts, part counts)``; ``None`` without the native library.
+def walk_inputs(tree, mac):
+    """``repro_walk``'s per-tree arguments (the MAC threshold, the uint8
+    leaf mask, contiguous tree arrays), built once per sweep for all its
+    :func:`tree_walk` calls; ``None`` without the native library."""
+    if cnative.load() is None:
+        return None
+    f, i = np.float64, np.int64
+    return tuple(_p(a, t) for a, t in (
+        (tree.com, f), (mac.threshold(tree), f), (tree.mass, f),
+        (tree.child, np.int32), (tree.is_leaf, np.uint8),
+        (tree.start, i), (tree.count, i))) + (tree.n_cells,)
+
+
+def tree_walk(inputs, sink_center, sink_radius, collect):
+    """The compiled per-sink breadth-first walk (``repro_walk``) over
+    :func:`walk_inputs`: the CSR ``(cell_off, cell_idx, part_off,
+    part_idx)`` with ``collect``, else per-sink ``(cell counts, part
+    counts)``.
 
     One pass fills buffers sized from this thread's last walk; when one
     fills, the walk stops at a sink, the buffer doubles and the walk
@@ -151,19 +158,11 @@ def tree_walk(tree, mac, sink_center, sink_radius, collect):
     (shrinking the buffers in place fragments the heap, raising RSS).
     """
     lib = cnative.load()
-    if lib is None:
-        return None
     n = int(sink_radius.shape[0])
     offs = [np.zeros(n + 1, dtype=np.int64) for _ in range(2)]
-    child = np.ascontiguousarray(tree.child, dtype=np.int32)
-    leaf = np.ascontiguousarray(tree.is_leaf, dtype=np.uint8)
-    args = (_dp(_f64c(tree.com)), _dp(_f64c(mac.threshold(tree))),
-            _dp(_f64c(tree.mass)),
-            child.ctypes.data_as(ctypes.POINTER(ctypes.c_int)),
-            leaf.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-            _ip(_i64c(tree.start)), _ip(_i64c(tree.count)),
-            _dp(_f64c(sink_center)), _dp(_f64c(sink_radius)), n,
-            _ip(np.empty(tree.n_cells, dtype=np.int64)), *map(_ip, offs))
+    args = (*inputs[:-1], _p(sink_center, np.float64),
+            _p(sink_radius, np.float64), n,
+            _p(np.empty(inputs[-1], dtype=np.int64)), *map(_p, offs))
     if not collect:
         lib.repro_walk(*args, None, None, 0, 0, 0)
         return np.diff(offs[0]), np.diff(offs[1])
@@ -171,10 +170,46 @@ def tree_walk(tree, mac, sink_center, sink_radius, collect):
             for m in getattr(_per_sink, "means", _FIRST_PER_SINK)]
     i = 0
     while i < n:
-        i = lib.repro_walk(*args, *map(_ip, bufs), i, *(b.size for b in bufs))
+        i = lib.repro_walk(*args, *map(_p, bufs), i, *(b.size for b in bufs))
         bufs = [_grown(b, o[i], o[i + 1]) if i < n and o[i + 1] > b.size
                 else b for b, o in zip(bufs, offs)]
     cell_idx, part_idx = (b[:o[-1]].copy() for b, o in zip(bufs, offs))
     if n:
         _per_sink.means = tuple(o[-1] / n for o in offs)
     return offs[0], cell_idx, offs[1], part_idx
+
+
+#: cells per particle a first ``repro_refine`` has room for (leaf 8: ~0.55)
+_CELLS_PER_PARTICLE = 1.0
+
+
+def refine(keys, leaf_size):
+    """``repro_refine``'s ``(level, start, count, parent)`` over the
+    sorted ``keys``; ``None`` without the native library."""
+    lib = cnative.load()
+    if lib is None:
+        return None
+    cap = int(_CELLS_PER_PARTICLE * len(keys)) + 1
+    while True:
+        out = [np.empty(cap, dtype=t)
+               for t in (np.int8, np.int64, np.int64, np.int32)]
+        n_cells = lib.repro_refine(_p(keys, np.uint64), len(keys),
+                                   leaf_size, cap, *map(_p, out))
+        if n_cells >= 0:
+            return [a[:n_cells].copy() for a in out]
+        cap *= 2
+
+
+def moments(tree):
+    """``repro_moments``' ``(mass, com)``, or ``None`` without it."""
+    lib = cnative.load()
+    if lib is None:
+        return None
+    mass, com = np.empty(tree.n_cells), np.empty((tree.n_cells, 3))
+    f, i = np.float64, np.int64
+    lib.repro_moments(
+        _p(tree.pos_sorted, f), _p(tree.mass_sorted, f), tree.n_particles,
+        _p(tree.start, i), _p(tree.count, i), _p(tree.center, f),
+        tree.n_cells, _p(np.empty(4 * tree.n_particles + 4)), _p(mass),
+        _p(com))
+    return mass, com

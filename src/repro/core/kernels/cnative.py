@@ -1,5 +1,7 @@
-"""Compiled kernels: ``repro_walk``, the one-pass tree walk behind
-:func:`repro.core.traversal.build_interaction_lists`, and the CSR list
+"""Compiled kernels: ``repro_refine`` and ``repro_moments``, the octree
+and its monopoles bit for bit as their NumPy oracles build them;
+``repro_walk``, the one-pass tree walk behind
+:func:`repro.core.traversal.build_interaction_lists`; and the CSR list
 walk behind ``eval_lists`` in two flavours, ``f64`` (IEEE double, 4 sink
 lanes) and ``g5`` (GRAPE-5 datapath, 8 lanes), each bit-identical to a
 list-order loop (g5: over :class:`repro.grape.pipeline.G5Pipeline`).
@@ -267,6 +269,56 @@ i64 repro_walk(const double *com, const double *thr, const double *cmass,
     }
     return n_sinks;
 }
+
+/* ----------------------------------------------------------------- */
+/* The cells of n sorted Morton keys as the NumPy level loop numbers
+   them: a FIFO over cell ids splits each cell of more than leaf
+   particles above level 21 into its runs of one key prefix a level
+   down, so ids run top-down by level and in key order within one.
+   Returns the cell count, or -1 when cap cells do not fit.          */
+i64 repro_refine(const u64 *keys, i64 n, i64 leaf, i64 cap,
+                 signed char *level, i64 *start, i64 *count, int *parent)
+{
+    i64 nc = 1;
+    level[0] = 0, start[0] = 0, count[0] = n, parent[0] = -1;
+    for (i64 c = 0; c < nc; c++) {
+        int sh = 60 - 3 * level[c];
+        if (count[c] <= leaf || sh < 0)
+            continue;
+        for (i64 i = start[c], e = i + count[c], j; i < e; i = j) {
+            for (j = i + 1; j < e && keys[j] >> sh == keys[i] >> sh; j++)
+                ;
+            if (nc == cap)
+                return -1;
+            level[nc] = level[c] + 1, start[nc] = i, count[nc] = j - i;
+            parent[nc++] = (int)c;
+        }
+    }
+    return nc;
+}
+
+/* Cell mass and m x as differences of running sums taken in particle
+   order, np.cumsum's order (run: 4 (n + 1) doubles; a sum starts at
+   its first term, not 0 + it); com is m x over a positive mass, else
+   the cell's center.                                                */
+i64 repro_moments(const double *pos, const double *m, i64 n,
+                  const i64 *start, const i64 *count, const double *center,
+                  i64 nc, double *run, double *cmass, double *com)
+{
+    for (i64 i = 0; i < 4 * n + 4; i++) {  /* run[4 p + 4 + k]: 0..p */
+        i64 p = i / 4 - 1;
+        double w = i < 4 ? 0.0 : i % 4 ? m[p] * pos[3*p + i%4 - 1] : m[p];
+        run[i] = i < 8 ? w : run[i - 4] + w;
+    }
+    for (i64 c = 0; c < nc; c++) {
+        const double *a = run + 4*start[c], *b = run + 4*(start[c] + count[c]);
+        double mc = cmass[c] = b[0] - a[0];
+        for (int k = 0; k < 3; k++)
+            com[3*c + k] = mc > 0.0 ? (b[k + 1] - a[k + 1]) / mc
+                                    : center[3*c + k];
+    }
+    return 0;
+}
 """
 
 #: base flags; ``-ffp-contract=off`` forbids FMA contraction so the C
@@ -278,35 +330,27 @@ _lock = threading.Lock()
 _lib: Optional[ctypes.CDLL] = None
 _tried = False
 
-_c_double_p = ctypes.POINTER(ctypes.c_double)
-_c_i64_p = ctypes.POINTER(ctypes.c_longlong)
-
+#: argument types by letter: upper case a pointer to the lower case's
+#: scalar (d double, q i64, u u64, i int, b signed and c unsigned char)
+_CTYPES = {"d": ctypes.c_double, "q": ctypes.c_longlong, "i": ctypes.c_int,
+           "u": ctypes.c_ulonglong, "b": ctypes.c_byte, "c": ctypes.c_ubyte}
 _SIGNATURES = {
-    "repro_f64_csr": [_c_double_p] * 4 + [_c_i64_p] * 6
-    + [ctypes.c_longlong, ctypes.c_double] + [_c_double_p] * 6,
-    "repro_g5_csr": [_c_double_p] * 4 + [_c_i64_p] * 6
-    + [ctypes.c_longlong, ctypes.c_double, ctypes.c_int]
-    + [ctypes.c_double] * 5 + [_c_double_p] * 6,
-    "repro_walk": [_c_double_p] * 3 + [ctypes.POINTER(ctypes.c_int),
-                                       ctypes.POINTER(ctypes.c_ubyte)]
-    + [_c_i64_p] * 2 + [_c_double_p] * 2 + [ctypes.c_longlong]
-    + [_c_i64_p] * 5 + [ctypes.c_longlong] * 3,
+    "repro_f64_csr": "DDDDQQQQQQqdDDDDDD",
+    "repro_g5_csr": "DDDDQQQQQQqdiddddd" + "D" * 6,
+    "repro_walk": "DDDICQQDDqQQQQQqqq",
+    "repro_refine": "UqqqBQQI",
+    "repro_moments": "DDqQQDqDDD",
 }
 
 
 def _cache_dir() -> Optional[str]:
     """A writable directory to keep the compiled library in."""
-    candidates = []
-    xdg = os.environ.get("XDG_CACHE_HOME")
-    if xdg:
-        candidates.append(os.path.join(xdg, "repro-kernels"))
-    home = os.path.expanduser("~")
-    if home and home != "~":
-        candidates.append(os.path.join(home, ".cache", "repro-kernels"))
-    for path in candidates:
+    xdg, home = os.environ.get("XDG_CACHE_HOME"), os.path.expanduser("~")
+    for base in ([xdg] if xdg else []) + (
+            [os.path.join(home, ".cache")] if home not in ("", "~") else []):
         try:
-            os.makedirs(path, exist_ok=True)
-            return path
+            os.makedirs(os.path.join(base, "repro-kernels"), exist_ok=True)
+            return os.path.join(base, "repro-kernels")
         except OSError:
             continue
     try:
@@ -339,8 +383,10 @@ def _bind(so_path: str) -> Optional[ctypes.CDLL]:
         lib = ctypes.CDLL(so_path)
     except OSError:
         return None
-    for name, argtypes in _SIGNATURES.items():
-        getattr(lib, name).argtypes = argtypes
+    for name, sig in _SIGNATURES.items():
+        getattr(lib, name).argtypes = [
+            ctypes.POINTER(_CTYPES[t.lower()]) if t.isupper() else _CTYPES[t]
+            for t in sig]
         getattr(lib, name).restype = ctypes.c_longlong
     return lib
 
@@ -351,26 +397,18 @@ def _compile_and_load() -> Optional[ctypes.CDLL]:
         return None
     so_path = _so_path(cache)
     if not os.path.exists(so_path):
-        c_path = so_path[:-3] + ".c"
+        c_path, tmp = so_path[:-3] + ".c", so_path + f".tmp{os.getpid()}"
         try:
             with open(c_path, "w") as f:
                 f.write(SOURCE)
-        except OSError:
-            return None
-        tmp = so_path + f".tmp{os.getpid()}"
-        for extra in (["-march=native"], []):
-            cmd = [cc] + _BASE_FLAGS + extra + ["-o", tmp, c_path, "-lm"]
-            try:
-                proc = subprocess.run(cmd, capture_output=True, timeout=120)
-            except (OSError, subprocess.TimeoutExpired):
+            # -march=native first, dropped if the compiler rejects it
+            if all(subprocess.run(
+                    [cc] + _BASE_FLAGS + extra + ["-o", tmp, c_path, "-lm"],
+                    capture_output=True, timeout=120).returncode
+                   for extra in (["-march=native"], [])):
                 return None
-            if proc.returncode == 0:
-                break
-        else:
-            return None
-        try:
             os.replace(tmp, so_path)  # atomic: concurrent builds race safely
-        except OSError:
+        except (OSError, subprocess.TimeoutExpired):
             return None
     return _bind(so_path)
 

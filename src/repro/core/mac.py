@@ -84,7 +84,7 @@ class BarnesHutMAC(MAC):
     def threshold(self, tree, cells=slice(None)):
         """The sink-independent half of the test, ``l / theta + delta``
         per cell (every cell by default): the compiled tree walk takes
-        it once per call and computes only ``d_min`` per sink."""
+        it once per sweep and computes only ``d_min`` per sink."""
         delta = tree.com[cells] - tree.center[cells]
         delta = np.sqrt(np.einsum("ij,ij->i", delta, delta))
         return 2.0 * tree.half[cells] / self.theta + delta

@@ -17,16 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "MAX_LEVEL",
-    "spread_bits",
-    "compact_bits",
-    "encode_grid",
-    "decode_grid",
-    "morton_keys",
-    "cell_prefix",
-    "bounding_cube",
-]
+__all__ = ["MAX_LEVEL", "spread_bits", "compact_bits", "encode_grid",
+           "decode_grid", "morton_keys", "cell_prefix", "bounding_cube"]
 
 #: Bits per spatial dimension in a Morton key (3 * 21 = 63 <= 64).
 MAX_LEVEL = 21

@@ -11,12 +11,16 @@ Because every cell is a contiguous slice of the Morton-sorted particle
 arrays, all moments are computed with prefix sums: for any per-particle
 quantity ``w``, the cell sum is ``W[start+count] - W[start]`` where ``W``
 is the exclusive cumulative sum.  This is O(N + C) with no Python loop.
+The compiled ``repro_moments`` sums in particle order as ``np.cumsum``
+does, so it gives :func:`cell_sums`' bits; the NumPy body is its
+oracle and the path without a compiler.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .kernels import batch
 from .octree import Octree
 
 __all__ = ["compute_moments", "cell_sums"]
@@ -45,19 +49,17 @@ def compute_moments(tree: Octree) -> Octree:
     any particle in the cell (the distance to the farthest cube corner);
     the traversal uses it for the group acceptance criterion.
     """
-    m = tree.mass_sorted
-    x = tree.pos_sorted
-
-    cmass = cell_sums(tree, m)
-    if np.any(cmass <= 0.0):
-        # Zero-mass cells would make the center of mass undefined; fall
-        # back to the geometric center for those (they exert no force).
-        safe = np.where(cmass > 0.0, cmass, 1.0)
+    native = batch.moments(tree)
+    if native is not None:
+        cmass, com = native
     else:
-        safe = cmass
-    mom1 = cell_sums(tree, m[:, None] * x)
-    com = mom1 / safe[:, None]
-    com = np.where((cmass > 0.0)[:, None], com, tree.center)
+        m = tree.mass_sorted
+        cmass = cell_sums(tree, m)
+        # a zero-mass cell has no center of mass; it takes the
+        # geometric center (it exerts no force)
+        safe = np.where(cmass > 0.0, cmass, 1.0)
+        com = cell_sums(tree, m[:, None] * tree.pos_sorted) / safe[:, None]
+        com = np.where((cmass > 0.0)[:, None], com, tree.center)
 
     # farthest cube corner from the center of mass
     d = np.abs(com - tree.center) + tree.half[:, None]

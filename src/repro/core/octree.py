@@ -6,11 +6,11 @@ the vectorised traversal in :mod:`repro.core.traversal` needs, and it is
 the Python analogue of the compact tree the paper's host code (Makino's
 C++ treecode) builds on the AlphaServer.
 
-Construction is level-synchronous: particles are sorted once by Morton
-key, after which every octree cell is a contiguous slice of the sorted
-particle arrays.  Each level is refined with a handful of whole-array
-NumPy operations; the only Python loop is over tree levels (at most
-:data:`repro.core.morton.MAX_LEVEL` = 21 iterations).
+Particles are sorted once by Morton key, after which every cell is a
+contiguous slice of the sorted arrays.  The compiled ``repro_refine``
+(or its NumPy oracle :func:`_refine`, one round per level) finds each
+cell's level, slice and parent; every other per-cell array follows
+from those four in one vectorised pass, on either path.
 
 Cell ids are assigned in construction order, which is top-down by level:
 ``parent[c] < c`` for every non-root cell.  A bottom-up pass (e.g. the
@@ -26,6 +26,7 @@ import numpy as np
 
 from ..obs.trace import as_tracer
 from . import morton
+from .kernels import batch
 
 __all__ = ["Octree", "build_octree", "ragged_arange"]
 
@@ -35,30 +36,15 @@ def ragged_arange(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
     This is the standard vectorised "ragged range" trick: it gathers the
     particle indices of many contiguous cell slices in one shot without a
-    Python loop.
-    """
+    Python loop: output slot ``k`` of a segment from slot ``o`` is
+    ``k + s - o``."""
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     if np.any(counts < 0):
         raise ValueError("counts must be non-negative")
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # offsets[i] = position in the output where segment i begins
-    offsets = np.zeros(len(counts), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    # At each segment boundary jump from the end of the previous segment
-    # to the start of the next one; elsewhere step by +1.
-    nonempty = counts > 0
-    first = np.flatnonzero(nonempty)
-    if len(first) > 1:
-        seg_starts = offsets[first[1:]]
-        prev_end = starts[first[:-1]] + counts[first[:-1]] - 1
-        out[seg_starts] = starts[first[1:]] - prev_end
-    out[0] = starts[first[0]]
-    return np.cumsum(out)
+    ends = np.cumsum(counts)
+    return np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+        starts - ends + counts, counts)
 
 
 @dataclass
@@ -120,17 +106,28 @@ class Octree:
         return np.flatnonzero(self.is_leaf)
 
 
-def _cell_geometry(prefix: np.ndarray, level: int, corner: np.ndarray,
-                   size: float):
-    """Geometric center and half-size of cells from their key prefix."""
-    rem = morton.MAX_LEVEL - level
-    full = np.asarray(prefix, dtype=np.uint64) << np.uint64(3 * rem)
-    ix, iy, iz = morton.decode_grid(full)
-    # decode gives finest-grid coordinates of the lower corner
-    i = np.stack([ix, iy, iz], axis=-1).astype(np.float64) / float(1 << rem)
-    cell = size / float(1 << level)
-    center = np.asarray(corner, dtype=np.float64) + (i + 0.5) * cell
-    return center, 0.5 * cell
+def _refine(keys: np.ndarray, leaf_size: int):
+    """``repro_refine`` in NumPy, its oracle, one round per level.  Cells
+    of one level have distinct key prefixes, so a prefix change alone
+    marks where a cell of the next level begins."""
+    cells = [(np.zeros(1, dtype=np.int8), np.zeros(1, dtype=np.int64),
+              np.full(1, len(keys), dtype=np.int64),
+              np.full(1, -1, dtype=np.int32))]
+    first = 0  # id of the last level's first cell
+    for level in range(1, morton.MAX_LEVEL + 1):
+        _, start, count, _ = cells[-1]
+        split = np.flatnonzero(count > leaf_size)
+        if not len(split):
+            break
+        idx = ragged_arange(start[split], count[split])
+        pref = morton.cell_prefix(keys[idx], level)
+        b = np.flatnonzero(np.append(True, pref[1:] != pref[:-1]))
+        cells.append((np.full(len(b), level, dtype=np.int8), idx[b],
+                      np.diff(np.append(b, len(idx))),
+                      (first + np.repeat(split, count[split])[b]
+                       ).astype(np.int32)))
+        first += len(start)
+    return [np.concatenate(a) for a in zip(*cells)]
 
 
 def build_octree(pos: np.ndarray, mass: np.ndarray, *,
@@ -175,92 +172,28 @@ def build_octree(pos: np.ndarray, mass: np.ndarray, *,
         pos_s = pos[order]
         mass_s = mass[order]
 
-    refine_span = tr.span("tree_refine")
-    refine_span.__enter__()
-
-    # growable per-cell lists; chunks are concatenated at the end
-    levels = [np.zeros(1, dtype=np.int8)]
-    prefixes = [np.zeros(1, dtype=np.uint64)]
-    starts = [np.zeros(1, dtype=np.int64)]
-    counts = [np.full(1, n, dtype=np.int64)]
-    parents = [np.full(1, -1, dtype=np.int32)]
-
-    n_cells = 1
-    active_ids = np.zeros(1, dtype=np.int64)
-    active_start = np.zeros(1, dtype=np.int64)
-    active_count = np.full(1, n, dtype=np.int64)
-
-    child_links = []  # (parent_id, octant, child_id) triplets per level
-
-    for level in range(1, morton.MAX_LEVEL + 1):
-        split = active_count > leaf_size
-        if not np.any(split):
-            break
-        sid = active_ids[split]
-        sstart = active_start[split]
-        scount = active_count[split]
-
-        idx = ragged_arange(sstart, scount)
-        pref = morton.cell_prefix(keys[idx], level)
-        seg = np.repeat(np.arange(len(sid)), scount)
-
-        boundary = np.empty(len(idx), dtype=bool)
-        boundary[0] = True
-        boundary[1:] = (pref[1:] != pref[:-1]) | (seg[1:] != seg[:-1])
-        bpos = np.flatnonzero(boundary)
-
-        c_start = idx[bpos]
-        c_count = np.diff(np.append(bpos, len(idx)))
-        c_prefix = pref[bpos]
-        c_parent = sid[seg[bpos]].astype(np.int32)
-        c_octant = (c_prefix & np.uint64(7)).astype(np.int64)
-
-        # coincident particles (one shared key) make a single-child
-        # chain; the level loop ends it at MAX_LEVEL
-        k = len(c_start)
-        c_ids = np.arange(n_cells, n_cells + k, dtype=np.int64)
-        n_cells += k
-
-        levels.append(np.full(k, level, dtype=np.int8))
-        prefixes.append(c_prefix)
-        starts.append(c_start)
-        counts.append(c_count)
-        parents.append(c_parent)
-        child_links.append((c_parent, c_octant, c_ids))
-
-        active_ids = c_ids
-        active_start = c_start
-        active_count = c_count
-
-    level_arr = np.concatenate(levels)
-    prefix_arr = np.concatenate(prefixes)
-    start_arr = np.concatenate(starts)
-    count_arr = np.concatenate(counts)
-    parent_arr = np.concatenate(parents)
-
-    child_arr = np.full((n_cells, 8), -1, dtype=np.int32)
-    for c_parent, c_octant, c_ids in child_links:
-        child_arr[c_parent, c_octant] = c_ids
-    is_leaf = np.all(child_arr < 0, axis=1)
-
-    # geometry, computed level by level (levels share their half-size)
-    center_arr = np.empty((n_cells, 3), dtype=np.float64)
-    half_arr = np.empty(n_cells, dtype=np.float64)
-    for lv in range(int(level_arr.max()) + 1):
-        at = np.flatnonzero(level_arr == lv)
-        if len(at) == 0:
-            continue
-        ctr, hlf = _cell_geometry(prefix_arr[at], lv, corner, size)
-        center_arr[at] = ctr
-        half_arr[at] = hlf
-
-    refine_span.set(n_cells=n_cells,
-                    depth=int(level_arr.max())).__exit__(None, None, None)
+    with tr.span("tree_refine") as sp:
+        level, start, count, parent = (batch.refine(keys, leaf_size)
+                                       or _refine(keys, leaf_size))
+        # everything else per cell follows from those four arrays
+        n_cells, lv = len(level), level.astype(np.int64)
+        shift = (3 * (morton.MAX_LEVEL - lv)).astype(np.uint64)
+        prefix = keys[start] >> shift
+        child = np.full((n_cells, 8), -1, dtype=np.int32)
+        child[parent[1:], (prefix[1:] & np.uint64(7)).astype(np.int64)] = \
+            np.arange(1, n_cells, dtype=np.int32)
+        is_leaf = np.bincount(parent[1:], minlength=n_cells) == 0
+        # the lower corner on the finest grid, in units of the cell edge
+        i = np.stack(morton.decode_grid(prefix << shift), axis=-1).astype(
+            np.float64) / np.ldexp(1.0, morton.MAX_LEVEL - lv)[:, None]
+        edge = size / np.ldexp(1.0, lv)
+        center = corner + (i + 0.5) * edge[:, None]
+        sp.set(n_cells=n_cells, depth=int(level.max()))
     return Octree(
         corner=corner, size=size,
         order=order, keys=keys, pos_sorted=pos_s, mass_sorted=mass_s,
-        level=level_arr, prefix=prefix_arr, start=start_arr,
-        count=count_arr, parent=parent_arr, child=child_arr,
-        is_leaf=is_leaf, center=center_arr, half=half_arr,
+        level=level, prefix=prefix, start=start, count=count,
+        parent=parent, child=child, is_leaf=is_leaf, center=center,
+        half=0.5 * edge,
         leaf_size=leaf_size,
     )

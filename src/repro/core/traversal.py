@@ -24,7 +24,7 @@ to the GRAPE: cell monopoles and direct source particles per sink.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .mac import MAC, BarnesHutMAC
 from .octree import Octree, ragged_arange
 
 __all__ = ["InteractionLists", "build_interaction_lists",
-           "count_interactions"]
+           "count_interactions", "list_builder"]
 
 #: NumPy walk's frontier chunk bound, in (sink, cell) pairs per round.
 DEFAULT_CHUNK = 1 << 21
@@ -111,7 +111,7 @@ def _frontier_walk(tree: Octree, sink_center: np.ndarray,
                    collect: bool):
     """The NumPy frontier walk: the oracle for the compiled walk and
     the path for any MAC without a per-cell threshold.  Returns what
-    :func:`_walk` does."""
+    :func:`_walker`'s walk does."""
     n_sinks = sink_center.shape[0]
     # emitted (sink, cell) pairs: accepted cells, rejected leaves
     acc_i, acc_c, leaf_i, leaf_c = ([np.empty(0, dtype=np.int64)]
@@ -157,29 +157,44 @@ def _frontier_walk(tree: Octree, sink_center: np.ndarray,
     return cell_off, cell_idx, part_off, part_idx
 
 
-def _walk(tree: Octree, sink_center: np.ndarray, sink_radius: np.ndarray,
-          mac: MAC, chunk: int, collect: bool):
-    """Shared tree walk: :func:`repro.core.kernels.batch.tree_walk` for
-    a :class:`BarnesHutMAC` that keeps its own ``accept`` (when the
-    library loads), else :func:`_frontier_walk`.
-
-    Returns the CSR ``(cell_off, cell_idx, part_off, part_idx)`` when
-    ``collect`` is True, else per-sink ``(cell_counts, part_counts)``.
-    """
+def _walker(tree: Octree, mac: MAC, chunk: int, collect: bool):
+    """The walk over ``tree``, set up once, as a function of the sinks:
+    :func:`repro.core.kernels.batch.tree_walk` for a :class:`BarnesHutMAC`
+    that keeps its own ``accept`` (when the library loads), else
+    :func:`_frontier_walk`.  It returns the CSR ``(cell_off, cell_idx,
+    part_off, part_idx)``, or without ``collect`` per-sink counts."""
     if tree.mass is None or tree.com is None or tree.rmax is None:
         raise ValueError("tree has no multipole moments; call compute_moments")
-    sink_center = np.asarray(sink_center, dtype=np.float64)
-    sink_radius = np.asarray(sink_radius, dtype=np.float64)
-    if sink_center.ndim != 2 or sink_center.shape[1] != 3:
-        raise ValueError("sink_center must have shape (S, 3)")
-    if sink_radius.shape != (sink_center.shape[0],):
-        raise ValueError("sink_radius must have shape (S,)")
-    if type(mac).accept is BarnesHutMAC.accept:
-        out = batch.tree_walk(tree, mac, sink_center, sink_radius, collect)
-        if out is not None:
-            return out
-    return _frontier_walk(tree, sink_center, sink_radius, mac, chunk,
-                          collect)
+    native = (batch.walk_inputs(tree, mac)
+              if type(mac).accept is BarnesHutMAC.accept else None)
+
+    def walk(sink_center, sink_radius):
+        sink_center = np.asarray(sink_center, dtype=np.float64)
+        sink_radius = np.asarray(sink_radius, dtype=np.float64)
+        if sink_center.ndim != 2 or sink_center.shape[1] != 3:
+            raise ValueError("sink_center must have shape (S, 3)")
+        if sink_radius.shape != (sink_center.shape[0],):
+            raise ValueError("sink_radius must have shape (S,)")
+        if native is not None:
+            return batch.tree_walk(native, sink_center, sink_radius, collect)
+        return _frontier_walk(tree, sink_center, sink_radius, mac, chunk,
+                              collect)
+    return walk
+
+
+def list_builder(tree: Octree, mac: MAC, *, chunk: int = DEFAULT_CHUNK
+                 ) -> Callable[[np.ndarray, np.ndarray], InteractionLists]:
+    """:func:`build_interaction_lists` over ``tree`` and ``mac`` as a
+    function of the sinks, its per-tree walk inputs built once, here: a
+    sweep makes one and calls it from every shard."""
+    walk = _walker(tree, mac, chunk, collect=True)
+
+    def build(sink_center, sink_radius) -> InteractionLists:
+        cell_off, cell_idx, part_off, part_idx = walk(sink_center,
+                                                      sink_radius)
+        return InteractionLists(len(cell_off) - 1, cell_idx, cell_off,
+                                part_idx, part_off)
+    return build
 
 
 def build_interaction_lists(tree: Octree, sink_center: np.ndarray,
@@ -202,11 +217,7 @@ def build_interaction_lists(tree: Octree, sink_center: np.ndarray,
     under Plummer softening.  Host-side potential evaluation subtracts
     the self term (see :mod:`repro.core.kernels`).
     """
-    cell_off, cell_idx, part_off, part_idx = _walk(
-        tree, sink_center, sink_radius, mac, chunk, collect=True)
-    return InteractionLists(n_sinks=len(cell_off) - 1, cell_idx=cell_idx,
-                            cell_off=cell_off, part_idx=part_idx,
-                            part_off=part_off)
+    return list_builder(tree, mac, chunk=chunk)(sink_center, sink_radius)
 
 
 def count_interactions(tree: Octree, sink_center: np.ndarray,
@@ -220,4 +231,4 @@ def count_interactions(tree: Octree, sink_center: np.ndarray,
     *original* algorithm's operation count only needs list lengths, not
     the lists themselves.
     """
-    return _walk(tree, sink_center, sink_radius, mac, chunk, collect=False)
+    return _walker(tree, mac, chunk, collect=False)(sink_center, sink_radius)

@@ -39,7 +39,7 @@ from .kernels import (Float64Backend, ForceBackend,
 from .mac import MAC, BarnesHutMAC
 from .multipole import compute_moments
 from .octree import Octree, build_octree
-from .traversal import InteractionLists, build_interaction_lists
+from .traversal import InteractionLists, list_builder
 
 __all__ = ["TreeCode", "TreeStats"]
 
@@ -169,21 +169,6 @@ class TreeCode:
             self.engine = _default_engine()
 
     # ------------------------------------------------------------------
-    def build(self, pos: np.ndarray, mass: np.ndarray) -> Octree:
-        """Build the octree and its monopole moments.
-
-        Also re-announces the root cube to the backend (the GRAPE's
-        fixed-point coordinate window must track the particle extent).
-        """
-        tree = build_octree(pos, mass, leaf_size=self.leaf_size,
-                            tracer=self.tracer)
-        with self.tracer.span("moments"):
-            compute_moments(tree)
-        self.backend.set_domain(float(np.min(tree.corner)),
-                                float(np.max(tree.corner + tree.size)))
-        return tree
-
-    # ------------------------------------------------------------------
     def accelerations(self, pos: np.ndarray, mass: np.ndarray,
                       eps: float = 0.0, *, algorithm: str = "modified",
                       ) -> Tuple[np.ndarray, np.ndarray]:
@@ -196,7 +181,13 @@ class TreeCode:
         tr = self.tracer
         t0 = time.perf_counter()
         with tr.span("tree_build", n_particles=int(pos.shape[0])):
-            tree = self.build(pos, mass)
+            tree = build_octree(pos, mass, leaf_size=self.leaf_size,
+                                tracer=tr)
+            with tr.span("moments"):
+                compute_moments(tree)
+            # the GRAPE's fixed-point window tracks the particle extent
+            self.backend.set_domain(float(np.min(tree.corner)),
+                                    float(np.max(tree.corner + tree.size)))
         t_build = time.perf_counter() - t0
 
         if algorithm == "modified":
@@ -217,11 +208,13 @@ class TreeCode:
         kernel_phase = ("grape_force" if "grape" in self.backend.name
                         else "host_kernel")
 
+        # the walk's per-tree inputs, once per sweep on this thread
+        lists_of = list_builder(tree, self.mac)
+
         def build_lists(a: int, b: int) -> InteractionLists:
             # any contiguous sink range: the engine walks each shard
             # on the thread that evaluates it
-            return build_interaction_lists(tree, sink_center[a:b],
-                                           sink_radius[a:b], self.mac)
+            return lists_of(sink_center[a:b], sink_radius[a:b])
 
         spec = SweepSpec(tree=tree, sink_center=sink_center,
                          sink_start=sink_start, sink_count=sink_count,

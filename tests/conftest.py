@@ -25,7 +25,7 @@ def sweep_lists(tc):
 def uncut_sweep(tc, backend, eps):
     """The reference for "the shard cut is invisible": ``tc``'s whole
     last sweep walked here (:func:`sweep_lists`), evaluated by ONE
-    ``backend.eval_lists`` call in the window ``TreeCode.build``
+    ``backend.eval_lists`` call in the window a sweep
     announces, charged as the engine charges a sweep, and finished like
     ``accelerations`` finishes one.  Returns ``(acc, pot)`` in input
     order.  ``src/`` keeps no second walk or evaluation body, so the

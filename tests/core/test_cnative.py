@@ -16,6 +16,8 @@ from repro.core.kernels import Float64Backend, cnative
 from repro.grape import GrapeBackend
 from repro.sim.models import plummer_model
 from tests.conftest import uncut_sweep
+from tests.core.test_native_build import (assert_same_build, built,
+                                          clustered_plummer)
 
 
 class TestBuildCache:
@@ -44,7 +46,8 @@ class TestPortableBuild:
         gives the loaded library's bits on a 2k-particle sweep, in
         both arithmetic flavours: ``repro_f64_csr``'s 4 and
         ``repro_g5_csr``'s 8 sink lanes are SSE2 pairs in one build and
-        the CPU's widest vectors in the other."""
+        the CPU's widest vectors in the other.  So does its tree build
+        (``repro_refine``, ``repro_moments``) of a deep tree."""
         native, cc = cnative.load(), cnative._compiler()
         if native is None or cc is None:
             pytest.skip("no C compiler here")
@@ -59,15 +62,19 @@ class TestPortableBuild:
         pos, _, mass = plummer_model(2000, np.random.default_rng(2000))
         tc = TreeCode(theta=0.75, n_crit=256)
         tc.accelerations(pos, mass, 0.01)
-        out = {}
+        out, builds = {}, {}
         for name, lib in (("native", native), ("portable", portable)):
             monkeypatch.setattr(cnative, "load", lambda lib=lib: lib)
             for backend in (Float64Backend(), GrapeBackend()):
                 out[name, backend.name] = uncut_sweep(tc, backend, 0.01)
+            # repro_refine and repro_moments
+            builds[name] = built(*clustered_plummer(
+                np.random.default_rng(2000)))
         for flavour in ("float64", "grape5"):
             for a, b in zip(out["native", flavour],
                             out["portable", flavour]):
                 assert a.tobytes() == b.tobytes(), flavour
+        assert_same_build(builds["native"], builds["portable"])
 
     @staticmethod
     def _cpu_flags():

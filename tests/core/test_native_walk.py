@@ -50,7 +50,8 @@ def _oracle(tree, sc, sr, mac, chunk=traversal.DEFAULT_CHUNK, collect=True):
 
 
 def _compiled(tree, sc, sr, mac, collect=True):
-    out = batch.tree_walk(tree, mac, np.asarray(sc, dtype=float),
+    out = batch.tree_walk(batch.walk_inputs(tree, mac),
+                          np.asarray(sc, dtype=float),
                           np.asarray(sr, dtype=float), collect)
     assert out is not None
     return out
@@ -172,18 +173,22 @@ class TestBitIdentical:
         pos, _, mass = plummer_model(4096, np.random.default_rng(7))
         seen = []
 
-        def checked(tree, sc, sr, mac, **kw):
-            n_grows = len(buffers[1])
-            lists = build_interaction_lists(tree, sc, sr, mac, **kw)
-            out = (lists.cell_off, lists.cell_idx, lists.part_off,
-                   lists.part_idx)
-            _assert_same(out, _oracle(tree, sc, sr, mac))
-            _check_buffers(buffers, n_grows, out)
-            seen.append(len(sr))
-            return lists
+        def checked_builder(tree, mac, **kw):
+            build = traversal.list_builder(tree, mac, **kw)
 
-        monkeypatch.setattr("repro.core.treecode.build_interaction_lists",
-                            checked)
+            def checked(sc, sr):
+                n_grows = len(buffers[1])
+                lists = build(sc, sr)
+                out = (lists.cell_off, lists.cell_idx, lists.part_off,
+                       lists.part_idx)
+                _assert_same(out, _oracle(tree, sc, sr, mac))
+                _check_buffers(buffers, n_grows, out)
+                seen.append(len(sr))
+                return lists
+            return checked
+
+        monkeypatch.setattr("repro.core.treecode.list_builder",
+                            checked_builder)
         tc = TreeCode(n_crit=64)
         try:
             tc.accelerations(pos, mass, eps=0.01, algorithm=algorithm)

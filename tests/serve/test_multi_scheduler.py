@@ -64,9 +64,24 @@ class TestClaimRace:
             t.join()
         assert sum(wins) == 1
 
-    def test_two_workers_never_double_claim(self, store, tmp_path):
+    def test_two_workers_never_double_claim(self, store, tmp_path,
+                                            monkeypatch):
         """End-to-end: every job is leased exactly once and both
-        workers participate."""
+        workers participate.  A fast job could let one worker drain
+        the queue before the other polls, so each job is held at the
+        start of its run until both workers have claimed one."""
+        from repro.serve import scheduler as scheduler_mod
+        real_run_job, claimed, both = (scheduler_mod.run_job, set(),
+                                       threading.Event())
+
+        def gated_run_job(job, **kw):
+            claimed.add(job.worker)
+            if len(claimed) == 2:
+                both.set()
+            both.wait(timeout=30)
+            return real_run_job(job, **kw)
+
+        monkeypatch.setattr(scheduler_mod, "run_job", gated_run_job)
         a = worker(store, tmp_path, "A").start()
         b = worker(store, tmp_path, "B").start()
         jobs = [a.submit(tiny_spec(seed=i)) for i in range(8)]

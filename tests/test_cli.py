@@ -194,19 +194,35 @@ class TestObservability:
         """The ``grape.compute`` site is consulted once per sweep on
         the submitting thread, under the backend's retry budget: a
         plan that never stops firing exhausts it (initial try + 2
-        retries) and the run fails -- pool threads or not."""
+        retries) and the run fails -- pool threads or not -- with
+        exit 1 and a one-line message, not a traceback."""
         import json
-        from repro.faults import TransientBackendError
         fr = tmp_path / "fr.jsonl"
-        with pytest.raises(TransientBackendError, match="grape.compute"):
-            run_cli("run", "--ngrid", "6", "--steps", "1", "--z-final",
-                    "16", "--workers", "2", "--max-retries", "2",
-                    "--faults", "transient_error@site=grape.compute,"
-                    "count=99", "--flightrec", str(fr))
+        code, text = run_cli(
+            "run", "--ngrid", "6", "--steps", "1", "--z-final", "16",
+            "--workers", "2", "--max-retries", "2", "--faults",
+            "transient_error@site=grape.compute,count=99",
+            "--flightrec", str(fr))
+        assert code == 1
+        last = text.splitlines()[-1]
+        assert last.startswith("run: ") and "grape.compute" in last
         events = [json.loads(l) for l in fr.read_text().splitlines()]
         fired = [e for e in events if e.get("kind") == "fault.injected"]
         assert [e["site"] for e in fired] == ["grape.compute"] * 3
         assert events[-1]["kind"] == "sweep_abort"
+
+    @pytest.mark.parametrize("hosts", [[], ["--hosts", "2"]],
+                             ids=["one_host", "two_hosts"])
+    def test_exhausted_fault_budget_exits_1(self, hosts):
+        """A shard fault with no retries left ends the run on exit 1
+        and one ``run: ...`` line, on the plain and the cluster path."""
+        code, text = run_cli("run", "--ngrid", "8", "--steps", "1",
+                             "--z-final", "20", "--faults",
+                             "transient_error@batch=0", "--max-retries",
+                             "0", *hosts)
+        assert code == 1
+        assert text.splitlines()[-1].startswith(
+            "run: batch 0 failed after 0 retries (transient_error)")
 
 
 class TestObsVerbs:
