@@ -588,29 +588,29 @@ def cmd_halos(args, out) -> int:
 
 
 def cmd_serve(args, out) -> int:
-    """Run the simulation service until SIGINT/SIGTERM."""
-    from repro.serve import ServeError, TenantPolicy, run_server
-    if args.slots < 1:
-        raise ServeError("--slots must be >= 1")
-    if args.boards < 1:
-        raise ServeError("--boards must be >= 1")
-    if args.queue_depth < 1:
-        raise ServeError("--queue-depth must be >= 1")
+    """Run the simulation service until SIGINT/SIGTERM (bad numbers
+    raise the scheduler's ``ValueError``: exit 2).  The default worker
+    id ``host:port`` is stable across restarts, so a restarted server
+    reclaims its own orphaned jobs at once, not after the claim TTL."""
+    import asyncio
+    from repro.serve import Scheduler, Server, TenantPolicy
+    from repro.serve.transport import serve_until_signal
     quota = None
     if args.max_active is not None or args.rate is not None:
-        try:
-            quota = TenantPolicy(max_active=args.max_active,
-                                 rate=args.rate, burst=args.burst)
-        except ValueError as e:
-            raise ServeError(str(e)) from e
-    return run_server(host=args.host, port=args.port,
-                      slots=args.slots, boards=args.boards,
-                      queue_depth=args.queue_depth,
-                      workdir=args.workdir, store=args.store,
-                      worker_id=args.worker_id,
-                      claim_ttl=args.claim_ttl,
-                      cache=not args.no_cache,
-                      cache_budget=args.cache_budget, quota=quota)
+        quota = TenantPolicy(max_active=args.max_active,
+                             rate=args.rate, burst=args.burst)
+    sched = Scheduler(
+        slots=args.slots, boards=args.boards, queue_depth=args.queue_depth,
+        workdir=args.workdir, store=args.store,
+        worker_id=args.worker_id or f"{args.host}:{args.port}",
+        claim_ttl=args.claim_ttl, quota=quota, cache=not args.no_cache,
+        cache_budget=args.cache_budget)
+    try:
+        asyncio.run(serve_until_signal(
+            Server(sched, host=args.host, port=args.port)))
+    except KeyboardInterrupt:
+        sched.stop()
+    return 0
 
 
 def cmd_store(args, out) -> int:

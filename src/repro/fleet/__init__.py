@@ -1,12 +1,9 @@
 """repro.fleet: the serving layer beyond one box.
 
-PR 8 made schedulers stateless workers over one shared SQLite store
-*file* -- N processes on one host.  This package is the cross-host
-step the ROADMAP's "serve beyond one box" item asks for, mirroring
-how the GRAPE-6A line scaled a single-host GRAPE into a PC-GRAPE
-cluster: the store goes behind a socket, the workers become a
-registered fleet, and the result cache becomes a fleet-wide,
-size-bounded shared asset.
+Schedulers are stateless workers over one shared store.  Here the
+store goes behind a socket, as the GRAPE-6A line took a single-host
+GRAPE to a PC-GRAPE cluster: the workers become a registered fleet
+across hosts and the result cache a fleet-wide, size-bounded asset.
 
 ``protocol``
     The versioned, self-digesting ``repro.fleet-rpc/v1`` envelope:

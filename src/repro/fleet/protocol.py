@@ -142,13 +142,9 @@ def pack_error(exc: BaseException) -> bytes:
 
 #: error ``type`` names the client maps back onto exception classes;
 #: anything unrecognised degrades to plain :class:`StoreError`
-_ERROR_TYPES = {
-    "StoreCorrupt": StoreCorrupt,
-    "StoreError": StoreError,
-    "ProtocolError": ProtocolError,
-    "PayloadCorrupt": PayloadCorrupt,
-    "StoreUnavailable": StoreUnavailable,
-}
+_ERROR_TYPES = {cls.__name__: cls for cls in (
+    StoreCorrupt, StoreError, ProtocolError, PayloadCorrupt,
+    StoreUnavailable)}
 
 
 def unpack_response(raw: bytes) -> Any:

@@ -52,7 +52,7 @@ from .jobs import (JOB_KINDS, JOB_SCHEMA, JOB_STATES, Job, JobError,
 from .quotas import (AdmissionController, AdmissionError, QuotaExceeded,
                      RateLimited, TenantPolicy)
 from .scheduler import Scheduler
-from .server import ServeError, Server, run_server
+from .server import ServeError, Server
 from .store import (JobStore, MemoryJobStore, SQLiteJobStore,
                     StoreCorrupt, StoreError, open_store, spec_hash)
 
@@ -62,6 +62,6 @@ __all__ = [
     "AdmissionError", "QuotaExceeded", "RateLimited", "TenantPolicy",
     "AdmissionController", "JobStore", "MemoryJobStore",
     "SQLiteJobStore", "StoreError", "StoreCorrupt", "open_store",
-    "spec_hash", "Server", "ServeError", "run_server",
+    "spec_hash", "Server", "ServeError",
     "ServeClient", "ServeHTTPError", "Backpressure",
 ]

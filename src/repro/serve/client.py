@@ -127,17 +127,20 @@ class ServeClient:
 
     def wait(self, job_id: str, *, timeout: float = 300.0,
              poll: float = 0.1) -> Dict[str, Any]:
-        """Poll until the job is terminal; returns its final document
-        (with no request when this thread's last :meth:`submit` was
-        answered with it).  Raises :class:`TimeoutError` when
-        ``timeout`` elapses first."""
+        """Long-poll ``GET /jobs/{id}?wait=`` (each hold at most half
+        the socket timeout) until the job is terminal and return it --
+        with no request when this thread's last :meth:`submit` was
+        answered with it; ``poll`` only paces a server that answers at
+        once.  Raises :class:`TimeoutError` past ``timeout``."""
         answered = getattr(self._answered, "doc", None)
         self._answered.doc = None
         if answered is not None and answered["id"] == job_id:
             return answered
         t_end = time.monotonic() + timeout
         while True:
-            doc = self.job(job_id)
+            hold = min(t_end - time.monotonic(), self.timeout / 2)
+            doc = self._request("GET", f"/jobs/{job_id}?wait="
+                                       f"{max(0.0, hold):.3f}")
             if doc["state"] in _TERMINAL:
                 return doc
             if time.monotonic() >= t_end:

@@ -211,14 +211,9 @@ def run_job(job: Job, *, boards: int, slot: str, tracer=None,
             result = _KIND_RUNNERS[spec.kind](job, force)
             result["lease"] = slot
             return result
-    except JobCancelled:
-        outcome = "cancelled"
-        raise
-    except JobPaused:
-        outcome = "paused"
-        raise
-    except Exception:
-        outcome = "failed"
+    except Exception as e:
+        outcome = ("cancelled" if isinstance(e, JobCancelled) else
+                   "paused" if isinstance(e, JobPaused) else "failed")
         raise
     finally:
         sp.set(outcome=outcome)

@@ -48,13 +48,13 @@ import tempfile
 import threading
 import time
 import uuid
+from concurrent import futures
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import FlightRecorder, Tracer, new_trace_id
 from ..obs.export import span_events
-from .jobs import JOB_KINDS, TERMINAL_STATES, Job, JobCancelled, \
-    JobError, JobPaused, JobSpec
+from .jobs import JOB_KINDS, Job, JobCancelled, JobError, JobPaused, JobSpec
 from .quotas import AdmissionController, AdmissionError, TenantPolicy
 from .runner import run_job
 from .store import JobStore, StoreError, open_store, spec_hash
@@ -99,8 +99,8 @@ class Scheduler:
         own orphaned jobs immediately instead of waiting out the TTL.
     claim_ttl / heartbeat_interval / poll_interval:
         Claim lease seconds; heartbeat cadence (default ``ttl/3``);
-        how often idle workers poll the store for jobs submitted
-        through *other* workers.
+        how often idle slots poll the store for jobs submitted through
+        *other* workers, and waiters re-read a job no slot here runs.
     cache:
         Serve repeat submissions from the store's result cache
         (default on).
@@ -180,10 +180,12 @@ class Scheduler:
         self._vacating: set = set()
         self._done_seconds: List[float] = []
         lock = threading.RLock()
-        #: state changes: ``wait()``, ``drain()`` and housekeeping
+        #: state changes: ``drain()`` and housekeeping
         self._cv = threading.Condition(lock)
         #: idle slots, apart: a submit wakes one, a finished job none
         self._slot_cv = threading.Condition(lock)
+        #: the rest signal: (job id, future) per waiter (:meth:`watch`)
+        self._watchers: List[Tuple[str, futures.Future]] = []
         self._stopping = False
         self._threads: List[threading.Thread] = []
         self.metrics.gauge("serve.queue_limit",
@@ -286,7 +288,6 @@ class Scheduler:
             already = self.draining
             self.draining = True
             owned = self._vacate_locked()
-            self._cv.notify_all()
         try:
             self.store.fleet_heartbeat(self.worker_id,
                                        now=time.time(),
@@ -455,8 +456,9 @@ class Scheduler:
             self.metrics.counter("serve.jobs_cancelled",
                                  "jobs finished cancelled").inc()
         with self._cv:
-            self._signal_locked(job_id, "cancel_event")
-            self._cv.notify_all()
+            job = self._jobs.get(job_id)
+        if job is not None:  # a slot here runs it
+            job.cancel_event.set()
         return self.get(job_id)
 
     def pause(self, job_id: str) -> Job:
@@ -467,7 +469,9 @@ class Scheduler:
             raise JobError(f"job {job_id} is already "
                            f"{self.get(job_id).state}")
         with self._cv:
-            self._signal_locked(job_id, "pause_event")
+            job = self._jobs.get(job_id)
+        if job is not None:
+            job.pause_event.set()
         return self.get(job_id)
 
     def resume(self, job_id: str) -> Job:
@@ -480,15 +484,38 @@ class Scheduler:
             self._slot_cv.notify()
         return self.get(job_id)
 
+    def watch(self, job_id: str) -> Tuple[Job, futures.Future]:
+        """The job's rest signal: register a future for the next write
+        here that ends a run of the job (it gets the job as written, or
+        ``None``: read the store), *then* read the job as :meth:`get`
+        does -- a run ending in between shows in one or the other.  A
+        waiter that gives up cancels the future."""
+        rested: futures.Future = futures.Future()
+        with self._cv:  # forgetting the waits that ended
+            self._watchers = [w for w in self._watchers
+                              if not w[1].done()] + [(job_id, rested)]
+        try:
+            return self.get(job_id), rested
+        except KeyError:
+            rested.cancel()
+            raise
+
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> bool:
-        """Block until the job is terminal (or paused); returns
-        whether it stopped within ``timeout``.  Works for jobs run by
-        other workers too (the housekeeping tick re-reads the
-        store)."""
-        with self._cv:
-            return self._cv.wait_for(
-                lambda: self._resting_locked(job_id), timeout=timeout)
+        """Block until the job is terminal (or paused); returns whether
+        it stopped within ``timeout``.  A run that ends here wakes it
+        through :meth:`watch`; any other job is read every
+        ``poll_interval``."""
+        t_end = time.monotonic() + (float("inf") if timeout is None
+                                    else timeout)
+        while True:
+            job, rested = self.watch(job_id)
+            left = t_end - time.monotonic()
+            if job.terminal or job.state == "paused" or left <= 0:
+                rested.cancel()
+                return job.terminal or job.state == "paused"
+            futures.wait([rested], min(left, self.poll_interval))
+            rested.cancel()
 
     # -- internals -----------------------------------------------------
     def _event_sink(self, job_id: str, event: Dict) -> None:
@@ -496,23 +523,6 @@ class Scheduler:
             self.store.append_event(job_id, event)
         except StoreError as e:  # pragma: no cover - log must not kill
             logger.warning("event append for %s failed: %s", job_id, e)
-
-    def _signal_locked(self, job_id: str, flag: str) -> None:
-        """Set a control flag on the job if a slot here runs it."""
-        job = self._jobs.get(job_id)
-        if job is not None:
-            getattr(job, flag).set()
-
-    def _resting_locked(self, job_id: str) -> bool:
-        if job_id in self._jobs:  # a run here ends with its pop
-            return False
-        try:
-            doc = self.store.get(job_id)
-        except StoreError:
-            return False
-        if doc is None:
-            raise KeyError(f"no such job {job_id!r}")
-        return doc["state"] in TERMINAL_STATES | {"paused"}
 
     def _retry_after(self, queued: int) -> float:
         """Backoff hint: about one average job duration per queued job
@@ -542,21 +552,28 @@ class Scheduler:
         free its slot, the durable write carrying its event, the
         counters, then the job leaves this worker -- the store answers
         for it from here on, and re-queues it if a stop or drain is
-        what paused it."""
+        what paused it; its waiters (:meth:`watch`) get it as written."""
         job.stage_event(event or state, **attrs)
         job.advance(state)
         self._set_gauges_locked()
-        self._persist(job)
+        written = self._persist(job)
         self._count_locked(job)
         self._jobs.pop(job.id, None)
         if job.id in self._vacating:
             self._vacating.discard(job.id)
             if state == "paused":
+                written = False  # the store re-queues it
                 try:
                     self.store.requeue(job.id)
                 except StoreError as e:
                     logger.warning("requeue of vacated %s failed: %s",
                                    job.id, e)
+        self._flight_dump(job)
+        for rested in [f for j, f in self._watchers
+                       if j == job.id and not f.done()]:
+            if rested.set_running_or_notify_cancel():  # not cancelled
+                rested.set_result(job if written else None)
+        self._cv.notify_all()  # drain() waits for the job to leave
 
     def _count_locked(self, job: Job) -> None:
         """Count a job that ended its run, here or at admission."""
@@ -696,8 +713,6 @@ class Scheduler:
                 self._serve_from_cache(job)
             else:
                 self._execute(job, k)
-            with self._cv:
-                self._cv.notify_all()
 
     def _housekeeping_loop(self) -> None:
         """Heartbeats for owned jobs *and* this worker's registry
@@ -760,14 +775,11 @@ class Scheduler:
                                               now=now,
                                               ttl=self.claim_ttl)
                 summary = self.store.fleet_summary(now=now)
-                self.metrics.gauge(
-                    "fleet.workers_live",
-                    "registry rows with a fresh heartbeat").set(
-                    summary["live"])
-                self.metrics.gauge(
-                    "fleet.workers_draining",
-                    "live workers currently draining").set(
-                    summary["draining"])
+                for key, help_ in (
+                        ("live", "registry rows with a fresh heartbeat"),
+                        ("draining", "live workers currently draining")):
+                    self.metrics.gauge(f"fleet.workers_{key}", help_).set(
+                        summary[key])
             except StoreError as e:
                 logger.warning("fleet heartbeat failed: %s", e)
             try:
@@ -784,8 +796,6 @@ class Scheduler:
                 pass
             with self._cv:
                 self._set_gauges_locked()
-                # wake wait()ers so they re-read other workers' jobs
-                self._cv.notify_all()
 
     # -- execution -----------------------------------------------------
     def _serve_from_cache(self, job: Job) -> None:
@@ -817,14 +827,14 @@ class Scheduler:
         ``leased`` event.  The outcome's event lands in the same store
         write as the state, after the gauges have freed the slot: a
         ``wait()`` that has returned never finds the slot still
-        counted in ``serve.leases_in_use`` nor the event log one entry
-        short.
+        counted in ``serve.leases_in_use``, the event log one entry
+        short nor the black box (:meth:`_flight_dump`) unwritten.
         """
-        Path(job.workdir).mkdir(parents=True, exist_ok=True)
         job.lease = f"L{k}"
         job.stage_event("leased", lease=job.lease, slot=k,
                         attempt=job.attempt)
         try:
+            Path(job.workdir).mkdir(parents=True, exist_ok=True)
             with self._cv:
                 job.advance("running")
                 self._persist(job)
@@ -848,8 +858,6 @@ class Scheduler:
             with self._cv:
                 job.error = f"{type(e).__name__}: {e}"
                 self._finish_locked(job, "failed", error=job.error)
-        finally:
-            self._flight_dump(job)
 
 
 class JobHandle:

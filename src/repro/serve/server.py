@@ -10,21 +10,26 @@ server owns no policy: every decision is the scheduler's.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
+import re
 import time
 from typing import AsyncIterator, Dict, Optional
+from urllib.parse import parse_qs
 
 from .jobs import JobError
 from .scheduler import AdmissionError, Scheduler
-from .transport import (HTTPServer, json_response, response,
-                        serve_until_signal)
+from .transport import HTTPServer, json_response, response
 
-__all__ = ["ServeError", "Server", "run_server"]
+__all__ = ["ServeError", "Server"]
 
 #: cap on request bodies (a job spec is tiny; anything bigger is abuse)
 MAX_BODY = 1 << 20
 
-#: poll period of the live event stream
+#: cap on a long-poll's hold, ``GET /jobs/{id}?wait=S`` (S is clamped)
+MAX_WAIT = 60.0
+
+#: longest wait between two store reads of the live event stream
 _EVENT_POLL = 0.05
 
 
@@ -70,13 +75,39 @@ class Server(HTTPServer):
         # nearly every route calls the store -- an RPC on a fleet -- so
         # routing runs on a thread: a slow call stalls no other
         # connection (and ``drain`` may join slot threads mid-job)
-        return await asyncio.to_thread(self._route, method, path, body)
+        target, _, query = path.partition("?")
+        route = (method, *[p for p in target.split("/") if p])
+        wait = parse_qs(query).get("wait")
+        if wait and route[:2] == ("GET", "jobs") and len(route) == 3:
+            return await self._long_poll(route[2], wait[-1])
+        return await asyncio.to_thread(self._route, route, body)
 
-    def _route(self, method: str, path: str, body: bytes):
+    async def _long_poll(self, job_id: str, raw: str) -> bytes:
+        """``GET /jobs/{id}?wait=S``: the job's document once terminal,
+        else a plain GET's after S (at most :data:`MAX_WAIT`) seconds;
+        the wait is on the loop for the job's rest signal, with a read
+        every ``poll_interval``."""
+        if not re.fullmatch(r"\d+\.?\d*|\.\d+", raw):
+            return _error(400, f"wait={raw!r} is not a number of seconds")
+        sched, loop = self.scheduler, asyncio.get_running_loop()
+        t_end = loop.time() + min(float(raw), MAX_WAIT)
+        try:
+            while True:
+                job, rested = await asyncio.to_thread(sched.watch, job_id)
+                left = t_end - loop.time()
+                if not job.terminal and left > 0:
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        job = await asyncio.wait_for(
+                            asyncio.wrap_future(rested),
+                            min(left, sched.poll_interval)) or job
+                rested.cancel()
+                if job.terminal or left <= 0:
+                    return json_response(200, job.to_dict())
+        except KeyError as e:
+            return _error(404, str(e))
+
+    def _route(self, route: tuple, body: bytes):
         sched = self.scheduler
-        route = (method, *[p for p in path.split("?")[0].split("/")
-                           if p])
-
         if route == ("GET", "healthz"):
             counts = sched.store.counts()
             try:
@@ -130,7 +161,7 @@ class Server(HTTPServer):
                 200, {"jobs": [j.to_dict() for j in sched.jobs()]})
         if len(route) >= 3 and route[1] == "jobs":
             return self._job_route(route)
-        return _error(404, f"no route {method} {path}")
+        return _error(404, f"no route {route[0]} /{'/'.join(route[1:])}")
 
     def _submit(self, body: bytes) -> bytes:
         from .jobs import JobSpec
@@ -179,58 +210,28 @@ class Server(HTTPServer):
 
     async def _stream_events(self, job_id: str) -> AsyncIterator[bytes]:
         """NDJSON event stream: recorded events first, then live ones
-        until the job reaches a resting state.  Events come from the
-        store's event log, so every worker streams the same events
-        whichever one runs the job.  The body is EOF-terminated (no
-        Content-Length), so plain ``http.client`` readers just read
-        lines until the connection closes."""
+        until the job reaches a resting state, read from the store's
+        event log (every worker streams the same events) with a wait
+        for the job's rest signal, at most :data:`_EVENT_POLL`, between
+        reads.  The body is EOF-terminated (no Content-Length), so plain
+        ``http.client`` readers just read lines until it closes."""
         sched = self.scheduler
         yield response(200, None, content_type="application/x-ndjson")
         sent = 0
         while True:
-            job, events = await asyncio.to_thread(
-                lambda: (sched.get(job_id), sched.events(job_id)))
-            batch = events[sent:]
-            sent = len(events)
-            resting = job.terminal or job.state == "paused"
-            if resting:
-                batch.append({"event": "state", "state": job.state})
-            yield "".join(json.dumps(e) + "\n"
-                          for e in batch).encode("utf-8")
-            if resting:
-                return
-            await asyncio.sleep(_EVENT_POLL)
-
-
-def run_server(*, host: str = "127.0.0.1", port: int = 8014,
-               slots: int = 2, boards: int = 2, queue_depth: int = 16,
-               workdir: Optional[object] = None,
-               store: Optional[object] = None,
-               worker_id: Optional[str] = None,
-               claim_ttl: float = 30.0,
-               quota: Optional[object] = None,
-               cache: bool = True,
-               cache_budget: Optional[int] = None,
-               metrics: Optional[object] = None,
-               tracer: Optional[object] = None) -> int:
-    """Blocking entry point behind ``repro serve``.
-
-    Builds the scheduler + server, runs the asyncio loop until a
-    termination signal, and returns the process exit code.  The
-    default ``worker_id`` is stable across restarts (``host:port``),
-    so a restarted server reclaims its own orphaned jobs immediately
-    instead of waiting out the claim TTL.
-    """
-    sched = Scheduler(slots=slots, boards=boards,
-                      queue_depth=queue_depth,
-                      workdir=workdir, store=store,
-                      worker_id=worker_id or f"{host}:{port}",
-                      claim_ttl=claim_ttl, quota=quota, cache=cache,
-                      cache_budget=cache_budget,
-                      metrics=metrics, tracer=tracer)
-    server = Server(sched, host=host, port=port)
-    try:
-        asyncio.run(serve_until_signal(server))
-    except KeyboardInterrupt:
-        sched.stop()
-    return 0
+            (job, rested), events = await asyncio.to_thread(
+                lambda: (sched.watch(job_id), sched.events(job_id)))
+            try:
+                batch, sent = events[sent:], len(events)
+                resting = job.terminal or job.state == "paused"
+                if resting:
+                    batch.append({"event": "state", "state": job.state})
+                yield "".join(json.dumps(e) + "\n"
+                              for e in batch).encode("utf-8")
+                if resting:
+                    return
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await asyncio.wait_for(asyncio.wrap_future(rested),
+                                           _EVENT_POLL)
+            finally:
+                rested.cancel()

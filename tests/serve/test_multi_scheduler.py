@@ -192,6 +192,48 @@ class TestCrossWorkerControl:
             b.stop(drain=False)
             a.stop(drain=False)
 
+    def test_a_long_poll_on_one_worker_sees_a_run_on_another(
+            self, store, tmp_path, monkeypatch):
+        """B runs the job; ``GET /jobs/{id}?wait=`` on A answers within
+        A's ``poll_interval`` of the run's end, not at A's next
+        heartbeat tick (10 s here)."""
+        from repro.serve import scheduler as scheduler_mod
+        from tests.serve.conftest import serving
+        real_run_job, opened = scheduler_mod.run_job, threading.Event()
+
+        def gated_run_job(job, **kw):
+            opened.wait(timeout=30)
+            return real_run_job(job, **kw)
+
+        monkeypatch.setattr(scheduler_mod, "run_job", gated_run_job)
+        a = worker(store, tmp_path, "A", poll_interval=0.25)
+        b = worker(store, tmp_path, "B").start()
+        answer = []
+        try:
+            with serving(a) as (server, client):
+                a.drain()                       # A claims nothing
+                jid = b.submit(tiny_spec()).id
+                deadline = time.monotonic() + 30
+                while store.get(jid)["state"] != "running":
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                held = threading.Thread(target=lambda: answer.extend([
+                    client._request("GET", f"/jobs/{jid}?wait=30"),
+                    time.monotonic()]))
+                held.start()
+                while not any(j == jid for j, _ in a._watchers):
+                    assert time.monotonic() < deadline
+                    time.sleep(0.005)
+                t0 = time.monotonic()
+                opened.set()
+                held.join(30)
+            doc, answered = answer
+            assert doc["state"] == "done" and doc["worker"] == "B"
+            assert answered - t0 <= a.poll_interval + 0.5
+        finally:
+            opened.set()
+            b.stop(drain=False)
+
     def test_cancel_travels_between_workers(self, store, tmp_path):
         """Cancelling a queued job on worker A prevents worker B from
         ever executing it."""

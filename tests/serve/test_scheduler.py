@@ -113,6 +113,25 @@ class TestExecution:
         assert good.state == "done"
         assert sched.metrics.value("serve.jobs_failed") == 1
 
+    def test_a_workdir_that_cannot_be_made_fails_only_its_job(
+            self, tmp_path):
+        """The job's workdir path is taken by a file: the job ends
+        ``failed`` and the one slot goes on to run the next job."""
+        s = Scheduler(slots=1, queue_depth=3, workdir=tmp_path)
+        bad = s.submit(JobSpec(**FE))
+        (tmp_path / bad.id).write_text("not a directory")
+        good = s.submit(JobSpec(kind="force_eval",
+                                params={"n": 128, "seed": 2}))
+        s.start()
+        try:
+            assert s.wait(bad.id, timeout=60)
+            assert s.wait(good.id, timeout=60)
+            assert bad.state == "failed"
+            assert "FileExistsError" in bad.error
+            assert good.state == "done"
+        finally:
+            s.stop()
+
     def test_cancel_queued_job_is_immediate(self, tmp_path):
         s = Scheduler(slots=1, queue_depth=4, workdir=tmp_path)
         victim = s.submit(JobSpec(**FE))

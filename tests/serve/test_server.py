@@ -348,3 +348,216 @@ class TestSweepAcceptance:
             assert metrics.value("tree.interactions_total") > 0
             assert metrics.value("grape.interactions_total") == 0
             assert metrics.value("grape.force_calls") == 0
+
+
+def _until(predicate, timeout=30.0):
+    """Poll ``predicate`` until it holds (a state to reach, not an
+    interleaving to force); fails the test after ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.005)
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """Hold every job at the start of its run until ``gate.set()``; a
+    cancel or pause request ends the hold as the runner would."""
+    from repro.serve import scheduler as scheduler_mod
+    from repro.serve.jobs import JobCancelled, JobPaused
+    real, opened = scheduler_mod.run_job, threading.Event()
+
+    def held(job, **kw):
+        while not opened.wait(0.01):
+            if job.cancel_event.is_set():
+                raise JobCancelled(job.id)
+            if job.pause_event.is_set():
+                raise JobPaused(job.id)
+        return real(job, **kw)
+
+    monkeypatch.setattr(scheduler_mod, "run_job", held)
+    return opened
+
+
+def _hold(client, job_id, seconds, into):
+    """Long-poll ``job_id`` on a thread; its answer (or error) and the
+    time it came land in ``into``."""
+    def run():
+        try:
+            into.append(client._request(
+                "GET", f"/jobs/{job_id}?wait={seconds}"))
+        except Exception as e:  # a server that went away
+            into.append(e)
+        into.append(time.monotonic())
+    t = threading.Thread(target=run)
+    t.start()
+    return t
+
+
+def _waiting(sched, job_id):
+    """How many waits on ``job_id`` are registered with the scheduler."""
+    return sum(1 for j, f in sched._watchers if j == job_id
+               and not f.done())
+
+
+class _CountingGet(MemoryJobStore):
+    """A store that counts its ``get`` calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.gets = 0
+
+    def get(self, job_id):
+        self.gets += 1
+        return super().get(job_id)
+
+
+class TestLongPoll:
+    """``GET /jobs/{id}?wait=S``: held on the loop for the job's rest
+    signal, answered by the write that ends the run."""
+
+    def _running(self, client, spec=FE_SPEC):
+        jid = client.submit(spec)["id"]
+        _until(lambda: client.job(jid)["state"] == "running")
+        return jid
+
+    def test_held_requests_hold_no_thread(self, tmp_path, serve_factory,
+                                          gate):
+        """More held requests than the default executor has threads,
+        and every other route still answers at once."""
+        import os
+        n = max(12, min(32, (os.cpu_count() or 1) + 4) + 2)
+        with serve_factory(slots=2, workdir=tmp_path) as (server,
+                                                          client):
+            ids = [self._running(client, {**FE_SPEC, "params": {
+                "n": 128, "seed": k}}) for k in range(2)]
+            answers = [[] for _ in range(n)]
+            threads = [_hold(ServeClient(port=server.port), ids[k % 2],
+                             30, answers[k]) for k in range(n)]
+            _until(lambda: sum(_waiting(server.scheduler, j)
+                               for j in ids) == n)
+            quick = ServeClient(port=server.port, timeout=5)
+            t0 = time.monotonic()
+            assert quick.healthz()["status"] == "ok"
+            assert time.monotonic() - t0 < 1.0
+            t0 = time.monotonic()
+            assert quick.submit(FE_SPEC)["state"] == "queued"
+            assert time.monotonic() - t0 < 1.0
+            assert all(not a for a in answers)
+            gate.set()
+            for t in threads:
+                t.join(30)
+            assert all(a[0]["state"] == "done" for a in answers)
+
+    def test_a_run_that_ends_between_read_and_wait_is_seen(
+            self, tmp_path, gate):
+        """The job finishes inside the long-poll's own read, which then
+        returns the job as it was before: only a wake registered
+        before that read can answer before ``wait`` runs out (the
+        store is read again only every ``poll_interval``, 30 s)."""
+        from repro.serve import Job, Scheduler
+        from tests.serve.conftest import serving
+        sched = Scheduler(slots=1, workdir=tmp_path, cache=False,
+                          poll_interval=30.0)
+        with serving(sched) as (server, client):
+            jid = self._running(client)
+            real_get, hooked = sched.get, threading.Event()
+
+            def get(job_id):
+                job = real_get(job_id)
+                if job_id != jid or hooked.is_set():
+                    return job
+                hooked.set()
+                before = Job.from_store_doc(job.to_store_doc())
+                gate.set()
+                assert sched.wait(jid, timeout=30)
+                return before
+
+            sched.get = get
+            t0 = time.monotonic()
+            doc = client._request("GET", f"/jobs/{jid}?wait=10")
+            assert hooked.is_set()
+            assert doc["state"] == "done"
+            assert time.monotonic() - t0 < 5.0
+
+    def test_stop_with_held_requests_is_prompt(self, tmp_path, gate):
+        """Requests held on a job that never runs (queued behind a
+        held one), more of them than the default executor has
+        threads: ``stop()`` still returns at once."""
+        import os
+        from repro.serve import Scheduler
+        from tests.serve.conftest import serving
+        n = min(32, (os.cpu_count() or 1) + 4) + 2
+        sched = Scheduler(slots=1, workdir=tmp_path, cache=False)
+        with serving(sched) as (server, client):
+            self._running(client)
+            jid = client.submit(FE_SPEC)["id"]
+            held = [_hold(ServeClient(port=server.port), jid, 60, [])
+                    for _ in range(n)]
+            _until(lambda: _waiting(sched, jid) == n)
+            t0 = time.monotonic()
+        assert time.monotonic() - t0 < 2.0
+        for t in held:
+            t.join(10)
+            assert not t.is_alive()
+
+    def test_a_paused_job_holds_until_wait_runs_out_without_spinning(
+            self, tmp_path, serve_factory, gate):
+        store = _CountingGet()
+        with serve_factory(slots=1, workdir=tmp_path, store=store,
+                           poll_interval=0.25) as (server, client):
+            jid = self._running(client)
+            client.pause(jid)
+            _until(lambda: client.job(jid)["state"] == "paused")
+            before, t0 = store.gets, time.monotonic()
+            doc = client._request("GET", f"/jobs/{jid}?wait=1.0")
+            held = time.monotonic() - t0
+            assert doc["state"] == "paused"
+            assert 0.95 <= held < 2.0
+            # one read per poll_interval, not a spin
+            assert store.gets - before <= 1.0 / 0.25 + 2
+
+    def test_the_answer_is_the_plain_get_and_a_bad_wait_is_400(
+            self, tmp_path, serve_factory, gate):
+        with serve_factory(slots=1, workdir=tmp_path) as (server,
+                                                          client):
+            jid = self._running(client)
+            answer = []
+            held = _hold(client, jid, 30, answer)
+            _until(lambda: _waiting(server.scheduler, jid))
+            gate.set()
+            held.join(30)
+            assert answer[0]["state"] == "done"
+            assert answer[0] == client.job(jid)
+            # answered at once when the job is already terminal
+            assert client._request(
+                "GET", f"/jobs/{jid}?wait=30") == answer[0]
+            for bad in ("abc", "-1", "nan"):
+                with pytest.raises(ServeHTTPError) as e:
+                    client._request("GET", f"/jobs/{jid}?wait={bad}")
+                assert e.value.status == 400
+            with pytest.raises(ServeHTTPError) as e:
+                client._request("GET", "/jobs/j999999?wait=1")
+            assert e.value.status == 404
+
+    def test_the_event_stream_closes_at_the_terminal_write(
+            self, tmp_path, serve_factory, gate, monkeypatch):
+        from repro.serve import server as server_mod
+        monkeypatch.setattr(server_mod, "_EVENT_POLL", 5.0)
+        with serve_factory(slots=1, workdir=tmp_path) as (server,
+                                                          client):
+            jid = self._running(client)
+            events, closed = [], []
+
+            def follow():
+                events.extend(client.events(jid))
+                closed.append(time.monotonic())
+
+            reader = threading.Thread(target=follow)
+            reader.start()
+            _until(lambda: _waiting(server.scheduler, jid))
+            t0 = time.monotonic()
+            gate.set()
+            reader.join(10)
+            assert closed and closed[0] - t0 < 1.0
+            assert events[-1] == {"event": "state", "state": "done"}
