@@ -84,6 +84,7 @@ the ``repro`` logger hierarchy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import sys
 from pathlib import Path
@@ -805,15 +806,13 @@ def cmd_jobs(args, out) -> int:
         if e.status == 404:
             raise ServeError(str(e.message)) from e
         raise
-    try:
+    with contextlib.suppress(OSError, ServeHTTPError):  # no fleet data
         h = client.healthz()
         fleet = h.get("fleet") or {}
         print(f"worker {h.get('worker', '?')} "
               f"(store {h.get('store', '?')}, fleet "
               f"{fleet.get('live', 0)}/{fleet.get('workers', 0)} "
               f"live, {fleet.get('draining', 0)} draining)", file=out)
-    except (OSError, ServeHTTPError):
-        pass  # older server without /healthz fleet data
     docs = client.jobs()
     if not docs:
         print("no jobs", file=out)
@@ -896,10 +895,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except BrokenPipeError:
         # downstream pipe closed early (e.g. `repro obs tree | head`);
         # stop quietly instead of dumping a traceback
-        try:
+        with contextlib.suppress(OSError, ValueError):
             out.close()
-        except (OSError, ValueError):
-            pass
         return 0
     except (OSError, ValueError) as exc:
         # covers FileNotFoundError/ConnectionError (OSError), fault-

@@ -9,12 +9,9 @@ on the wire layer of :mod:`repro.serve.transport`.  Any number of
 hosts point their ``store`` at ``http://host:port`` (via
 :func:`~repro.serve.store.open_store`) and share claims, heartbeats,
 events, the worker registry and the bounded result cache exactly as
-if they shared the store file.
-
-The store's own thread-safety does the heavy lifting: every RPC runs
-the corresponding blocking store method on the default executor, so
-concurrent claims serialise through the store's compare-and-swap
-transactions, not through the event loop.
+if they shared the store file.  Each op runs on the server's event
+loop: the store serialises its ops under one lock anyway, each in tens
+of microseconds, so a thread hop would buy no concurrency.
 
 Its two routes are listed in ``docs/fleet.md``: ``POST /rpc/v1``, one
 sealed envelope in and one out (HTTP 200 even for a typed store
@@ -84,20 +81,19 @@ class StoreServer(HTTPServer):
         path = path.split("?")[0]
         self.requests += 1
         if method == "POST" and path == "/rpc/v1":
-            return await self._rpc(body)
+            return self._rpc(body)
         if method == "GET" and path == "/healthz":
             return self._healthz()
         return json_response(404, {"error": f"no route {method} {path}"})
 
-    async def _rpc(self, body: bytes) -> bytes:
+    def _rpc(self, body: bytes) -> bytes:
         """One envelope in, one envelope out.  Typed store errors ride
         *inside* a 200 response -- they are answers, not transport
         failures; only an unreachable server looks like one."""
         try:
             op, kwargs = unpack_request(body)
             try:
-                result = await asyncio.to_thread(
-                    getattr(self.store, op), **kwargs)
+                result = getattr(self.store, op)(**kwargs)
             except TypeError as e:
                 # bad argument shape for a known op: the caller's bug
                 raise ProtocolError(f"op {op!r}: {e}") from e

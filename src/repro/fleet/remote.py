@@ -9,19 +9,16 @@ store, just across hosts.  The methods are one forwarding proxy per
 name in :data:`~repro.fleet.protocol.RPC_OPS`, generated from the
 :class:`~repro.serve.store.JobStore` signature it overrides.
 
-Every envelope carries its own SHA-256 (:mod:`repro.fleet.protocol`),
-so wire damage fails typed (:class:`PayloadCorrupt`) instead of
-decoding into a plausible-but-wrong document.  Transport trouble --
-connection errors, timeouts, damaged payloads, injected
+Transport trouble -- connection errors, timeouts, an answer the
+transport cannot frame (:class:`~repro.serve.transport.WireError`), a
+payload failing its own SHA-256 (:class:`PayloadCorrupt`), injected
 :class:`~repro.faults.TransientBackendError` -- is retried with
 bounded exponential backoff, then raised as
 :class:`~repro.fleet.protocol.StoreUnavailable` (or the persistent
-:class:`PayloadCorrupt`).  Typed server-side errors are answers, not
-transport failures: they propagate at once.  A
-:class:`~repro.faults.FaultInjector` is consulted at site
-``fleet.rpc`` before and after each request: ``latency`` sleeps,
-``transient_error`` raises retryably, ``corrupt_result`` truncates the
-received bytes so the digest check fires.
+:class:`PayloadCorrupt`).  Typed server-side errors are answers: they
+propagate at once.  At fault site ``fleet.rpc``, ``latency`` sleeps,
+``transient_error`` raises retryably and ``corrupt_result`` truncates
+the received bytes so the digest check fires.
 """
 
 from __future__ import annotations
@@ -30,11 +27,11 @@ import functools
 import inspect
 import logging
 import time
-from http.client import HTTPException
 from typing import Any, Callable, Dict, Optional
 from urllib.parse import urlsplit
 
 from ..faults import TransientBackendError
+from ..obs import MetricsRegistry
 from ..serve.store import JobStore, StoreError
 from ..serve.transport import exchange, hang_up
 from .netstore import DEFAULT_STORE_PORT
@@ -79,14 +76,11 @@ class RemoteJobStore(JobStore):
                  fault_injector: Optional[object] = None,
                  metrics: Optional[object] = None) -> None:
         parts = urlsplit(url)
-        if parts.scheme != "http":
+        if (parts.scheme != "http" or not parts.hostname
+                or parts.path not in ("", "/")):
             raise StoreError(
                 f"remote store URL must be http://host:port, got "
                 f"{url!r} (the fleet store speaks plain HTTP)")
-        if not parts.hostname or parts.path not in ("", "/"):
-            raise StoreError(
-                f"remote store URL must be http://host:port, got "
-                f"{url!r}")
         self.host = parts.hostname
         self.port = int(parts.port or DEFAULT_STORE_PORT)
         self.url = f"http://{self.host}:{self.port}"
@@ -94,7 +88,8 @@ class RemoteJobStore(JobStore):
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.faults = fault_injector
-        self.metrics = metrics
+        self.metrics = metrics if metrics is not None else \
+            MetricsRegistry()
 
     # -- transport -----------------------------------------------------
     def _call_once(self, op: str, args: Dict[str, Any]) -> Any:
@@ -125,28 +120,22 @@ class RemoteJobStore(JobStore):
         last: Optional[BaseException] = None
         for attempt in range(self.retries + 1):
             if attempt:
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "fleet.rpc_retries",
-                        "fleet RPC attempts re-sent after transport "
-                        "trouble").inc()
+                self.metrics.counter(
+                    "fleet.rpc_retries",
+                    "fleet RPC attempts re-sent after transport "
+                    "trouble").inc()
                 time.sleep(delay)
                 delay *= 2.0
-            try:
+            try:  # any other StoreError is the server's typed answer
                 return self._call_once(op, args)
-            except (PayloadCorrupt, TransientBackendError,
-                    HTTPException, OSError) as e:
+            except (PayloadCorrupt, TransientBackendError, OSError) as e:
                 last = e  # transport trouble; the store is fine, retry
-            except StoreError:
-                raise  # the server's typed answer -- authoritative
             logger.warning("fleet rpc %s to %s failed "
                            "(attempt %d/%d): %s", op, self.url,
                            attempt + 1, self.retries + 1, last)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "fleet.rpc_failures",
-                "fleet RPC calls that exhausted their retry "
-                "budget").inc()
+        self.metrics.counter(
+            "fleet.rpc_failures",
+            "fleet RPC calls that exhausted their retry budget").inc()
         if isinstance(last, PayloadCorrupt):
             raise last
         raise StoreUnavailable(

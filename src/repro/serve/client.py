@@ -13,10 +13,9 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from http.client import HTTPResponse
 from typing import Any, Dict, Iterator, List, Optional
 
-from .transport import exchange
+from .transport import Connection, exchange
 
 __all__ = ["ServeHTTPError", "Backpressure", "ServeClient"]
 
@@ -62,7 +61,7 @@ class ServeClient:
     @contextmanager
     def _exchange(self, method: str, path: str,
                   body: Optional[dict] = None
-                  ) -> Iterator[HTTPResponse]:
+                  ) -> Iterator[Connection]:
         """One request; yields the 2xx response, raises the rest."""
         payload = (json.dumps(body).encode("utf-8")
                    if body is not None else None)
@@ -77,7 +76,7 @@ class ServeClient:
                 if resp.status == 429:
                     raise Backpressure(
                         message,
-                        float(resp.headers.get("Retry-After", 1)))
+                        float(resp.headers.get("retry-after", 1)))
                 raise ServeHTTPError(resp.status, message)
             yield resp
 

@@ -38,6 +38,7 @@ check.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import threading
 import time
@@ -312,10 +313,9 @@ class Job:
         (the job store's event log) at once."""
         ev = self._event(kind, attrs)
         if self.event_sink is not None:
-            try:
+            # the sink must not kill the job it is recording
+            with contextlib.suppress(Exception):
                 self.event_sink(self.id, ev)
-            except Exception:  # pragma: no cover - sink must not kill
-                pass           # the job it is recording
         return ev
 
     def span_events(self) -> list:

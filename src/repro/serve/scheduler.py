@@ -40,6 +40,7 @@ process* by any surviving (or restarted) worker through
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import itertools
@@ -50,7 +51,7 @@ import time
 import uuid
 from concurrent import futures
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs import FlightRecorder, Tracer, new_trace_id
 from ..obs.export import span_events
@@ -132,12 +133,10 @@ class Scheduler:
                  metrics: Optional[object] = None,
                  tracer: Optional[object] = None) -> None:
         from ..obs import MetricsRegistry, NULL_TRACER
-        if slots < 1:
-            raise JobError("slots must be >= 1")
-        if boards < 1:
-            raise JobError("boards must be >= 1")
-        if queue_depth < 1:
-            raise JobError("queue_depth must be >= 1")
+        for name, value in (("slots", slots), ("boards", boards),
+                            ("queue_depth", queue_depth)):
+            if value < 1:
+                raise JobError(f"{name} must be >= 1")
         if claim_ttl <= 0:
             raise JobError("claim_ttl must be > 0")
         self.metrics = metrics if metrics is not None else \
@@ -205,13 +204,9 @@ class Scheduler:
             if self._threads:
                 return self
             self._stopping = False
-            try:
-                requeued = self.store.recover(
-                    now=time.time(),
-                    worker=None if self._jobs else self.worker_id)
-            except StoreError as e:
-                logger.warning("startup recovery failed: %s", e)
-                requeued = []
+            requeued = self._logged(
+                "startup recovery", self.store.recover, now=time.time(),
+                worker=None if self._jobs else self.worker_id)
             if requeued:
                 self.metrics.counter(
                     "serve.jobs_requeued",
@@ -220,12 +215,9 @@ class Scheduler:
                 logger.info("recovered %d orphaned job(s): %s",
                             len(requeued), ", ".join(requeued))
             self.draining = False
-            try:
-                self.store.fleet_register(self._fleet_doc(),
-                                          now=time.time(),
-                                          ttl=self.claim_ttl)
-            except StoreError as e:
-                logger.warning("fleet registration failed: %s", e)
+            self._logged("fleet registration", self.store.fleet_register,
+                         self._fleet_doc(), now=time.time(),
+                         ttl=self.claim_ttl)
             loops = [(str(k), self._worker_loop, (k,))
                      for k in range(self.slots)]
             for name, loop, args in loops + [
@@ -265,10 +257,8 @@ class Scheduler:
             threads, self._threads = self._threads, []
         for t in threads:
             t.join(timeout=timeout)
-        try:
-            self.store.fleet_deregister(self.worker_id)
-        except StoreError as e:
-            logger.warning("fleet deregistration failed: %s", e)
+        self._logged("fleet deregistration", self.store.fleet_deregister,
+                     self.worker_id)
         logger.info("scheduler %s stopped", self.worker_id)
 
     def drain(self, *, timeout: float = 30.0) -> Dict[str, Any]:
@@ -288,22 +278,16 @@ class Scheduler:
             already = self.draining
             self.draining = True
             owned = self._vacate_locked()
-        try:
-            self.store.fleet_heartbeat(self.worker_id,
-                                       now=time.time(),
-                                       ttl=self.claim_ttl,
-                                       state="draining")
-        except StoreError as e:
-            logger.warning("drain heartbeat failed: %s", e)
+        self._logged("drain heartbeat", self.store.fleet_heartbeat,
+                     self.worker_id, now=time.time(), ttl=self.claim_ttl,
+                     state="draining")
         with self._cv:
             self._cv.wait_for(
                 lambda: not any(j.id in self._jobs for j in owned),
                 timeout=timeout)
         requeued = [j.id for j in owned if j.state == "paused"]
-        try:
-            self.store.fleet_deregister(self.worker_id)
-        except StoreError as e:
-            logger.warning("drain deregistration failed: %s", e)
+        self._logged("drain deregistration", self.store.fleet_deregister,
+                     self.worker_id)
         if not already:
             self.metrics.counter(
                 "fleet.drains",
@@ -337,15 +321,9 @@ class Scheduler:
     def fleet_status(self) -> Dict[str, Any]:
         """The ``GET /fleet`` membership document: this worker's view
         of the registry plus the shared cache counters."""
-        now = time.time()
-        try:
-            workers = self.store.fleet_workers(now=now)
-        except StoreError:
-            workers = []
-        try:
-            cache = self.store.cache_stats()
-        except StoreError:
-            cache = {}
+        workers = self._logged("fleet listing", self.store.fleet_workers,
+                               now=time.time()) or []
+        cache = self._logged("cache stats", self.store.cache_stats) or {}
         live = [w for w in workers if w.get("live")]
         return {
             "schema": "repro.fleet/v1",
@@ -431,10 +409,7 @@ class Scheduler:
             job = self._jobs.get(job_id)
         if job is not None:
             return job
-        try:
-            doc = self.store.get(job_id)
-        except StoreError:
-            doc = None
+        doc = self._logged(f"read of {job_id}", self.store.get, job_id)
         if doc is None:
             raise KeyError(f"no such job {job_id!r}")
         return Job.from_store_doc(doc)
@@ -518,11 +493,19 @@ class Scheduler:
             rested.cancel()
 
     # -- internals -----------------------------------------------------
-    def _event_sink(self, job_id: str, event: Dict) -> None:
+    def _logged(self, what: str, op: Callable, *args: Any,
+                **kwargs: Any) -> Any:
+        """``op(*args, **kwargs)``, or ``None`` with ``what`` logged as
+        failed on a :class:`StoreError`: store trouble kills no loop."""
         try:
-            self.store.append_event(job_id, event)
-        except StoreError as e:  # pragma: no cover - log must not kill
-            logger.warning("event append for %s failed: %s", job_id, e)
+            return op(*args, **kwargs)
+        except StoreError as e:
+            logger.warning("%s failed: %s", what, e)
+            return None
+
+    def _event_sink(self, job_id: str, event: Dict) -> None:
+        self._logged(f"event append for {job_id}",
+                     self.store.append_event, job_id, event)
 
     def _retry_after(self, queued: int) -> float:
         """Backoff hint: about one average job duration per queued job
@@ -563,11 +546,8 @@ class Scheduler:
             self._vacating.discard(job.id)
             if state == "paused":
                 written = False  # the store re-queues it
-                try:
-                    self.store.requeue(job.id)
-                except StoreError as e:
-                    logger.warning("requeue of vacated %s failed: %s",
-                                   job.id, e)
+                self._logged(f"requeue of vacated {job.id}",
+                             self.store.requeue, job.id)
         self._flight_dump(job)
         for rested in [f for j, f in self._watchers
                        if j == job.id and not f.done()]:
@@ -636,13 +616,11 @@ class Scheduler:
         if self.draining:
             return None
         t0 = time.perf_counter()
-        try:  # a resend of this pick's token returns the job it won
-            out = self.store.claim_next(self.worker_id,
-                                        token=uuid.uuid4().hex,
-                                        now=time.time(),
-                                        ttl=self.claim_ttl)
-        except StoreError as e:
-            logger.warning("claim failed: %s", e)
+        # a resend of this pick's token returns the job it won
+        out = self._logged("claim", self.store.claim_next, self.worker_id,
+                           token=uuid.uuid4().hex, now=time.time(),
+                           ttl=self.claim_ttl)
+        if out is None:
             return None
         seconds = time.perf_counter() - t0
         self.metrics.histogram(
@@ -748,11 +726,8 @@ class Scheduler:
                     if row.get("pause_requested"):
                         job.pause_event.set()
             t0 = time.perf_counter()
-            try:
-                requeued = self.store.recover(now=now)
-            except StoreError as e:
-                logger.warning("recover scan failed: %s", e)
-                requeued = []
+            requeued = self._logged("recover scan", self.store.recover,
+                                    now=now)
             if requeued:
                 with self._cv:
                     self._slot_cv.notify_all()
@@ -782,7 +757,7 @@ class Scheduler:
                         summary[key])
             except StoreError as e:
                 logger.warning("fleet heartbeat failed: %s", e)
-            try:
+            with contextlib.suppress(StoreError):  # a damaged store
                 cstats = self.store.cache_stats()
                 for key, help_ in (
                         ("entries", "content-addressed result-cache "
@@ -792,8 +767,6 @@ class Scheduler:
                                       "under the byte budget")):
                     self.metrics.gauge(f"serve.cache_{key}", help_).set(
                         cstats.get(key, 0))
-            except StoreError:  # pragma: no cover - damaged store
-                pass
             with self._cv:
                 self._set_gauges_locked()
 
@@ -815,10 +788,8 @@ class Scheduler:
         plan.  Clean, fault-free jobs leave no ``flightrec.jsonl``."""
         if (job.state == "failed" or job.recoveries > 0
                 or job.spec.faults or job.flight.count("fault") > 0):
-            try:
+            with contextlib.suppress(OSError):  # the workdir is gone
                 job.flight.flush()
-            except OSError:  # pragma: no cover - workdir gone
-                pass
 
     def _execute(self, job: Job, k: int) -> None:
         """One slot occupancy: run, record the outcome.

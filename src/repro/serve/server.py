@@ -213,8 +213,7 @@ class Server(HTTPServer):
         until the job reaches a resting state, read from the store's
         event log (every worker streams the same events) with a wait
         for the job's rest signal, at most :data:`_EVENT_POLL`, between
-        reads.  The body is EOF-terminated (no Content-Length), so plain
-        ``http.client`` readers just read lines until it closes."""
+        reads.  The body has no Content-Length: it ends at EOF."""
         sched = self.scheduler
         yield response(200, None, content_type="application/x-ndjson")
         sent = 0

@@ -974,10 +974,8 @@ class SQLiteJobStore(JobStore):
 
     def close(self) -> None:
         with self._lock:
-            try:
+            with contextlib.suppress(sqlite3.Error):  # already closed
                 self._db.close()
-            except sqlite3.Error:  # pragma: no cover - already closed
-                pass
 
 
 class MemoryJobStore(SQLiteJobStore):

@@ -14,29 +14,30 @@ the request was HTTP/1.0 or said ``Connection: close``, the response
 is the EOF-terminated event stream, a refusal or a 500, or the peer
 idles for :data:`IDLE_SECONDS` (only those say ``Connection: close``).
 A request that breaks the framing is refused with a typed
-:class:`HTTPError` -- 400 for a malformed request line or
-``Content-Length``, 413 for a body above the server's cap, 431 for a
-head above :data:`MAX_HEAD` -- in the server's own error format and
-logged at WARNING; anything a route raises becomes a logged 500.  See
-"Transport" in ``docs/service.md``.
+:class:`HTTPError` (400, 413 or 431; see :func:`read_request`) in the
+server's own error format and logged at WARNING; anything a route
+raises becomes a logged 500.  An answer that breaks the framing raises
+:class:`WireError` in the client.  See "Transport" in
+``docs/service.md``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import io
 import json
 import logging
 import os
 import signal
+import socket
 import threading
 import time
-from contextlib import contextmanager
-from http.client import HTTPConnection, HTTPResponse
+from contextlib import contextmanager, suppress
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 __all__ = ["MAX_HEAD", "HTTPError", "read_request", "response",
            "json_response", "HTTPServer", "serve_until_signal",
-           "exchange", "hang_up"]
+           "WireError", "Connection", "exchange", "hang_up"]
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +60,7 @@ REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
 
 #: the clients' idle connections, one per (thread, host, port); a
 #: forked child must not share its parent's sockets
-_POOL: Dict[Tuple[int, str, int], HTTPConnection] = {}
+_POOL: Dict[Tuple[int, str, int], Connection] = {}
 os.register_at_fork(after_in_child=_POOL.clear)
 
 
@@ -83,14 +84,16 @@ async def read_request(reader: asyncio.StreamReader, max_body: int
                        ) -> Optional[Tuple[str, str, bytes, bool]]:
     """Read one request as ``(METHOD, target, body, keep)``, ``keep``
     false for HTTP/1.0 or ``Connection: close``; ``None`` when the
-    peer sent nothing for :data:`IDLE_SECONDS` or closed.  Raises
-    :class:`HTTPError` for anything but a well-framed request with at
-    most ``max_body`` body bytes; an oversize body is refused on its
-    declared length, unread."""
+    peer closed, and the calling task cancelled when it sent no request
+    line for :data:`IDLE_SECONDS`.  Raises :class:`HTTPError` for
+    anything but a well-framed request with at most ``max_body`` body
+    bytes; an oversize body is refused on its declared length, unread."""
+    idle = asyncio.get_running_loop().call_later(  # a task-free timeout
+        IDLE_SECONDS, asyncio.current_task().cancel)
     try:
-        line = await asyncio.wait_for(_readline(reader), IDLE_SECONDS)
-    except asyncio.TimeoutError:
-        return None
+        line = await _readline(reader)
+    finally:
+        idle.cancel()
     if not line:
         return None
     parts = line.decode("latin-1").split()
@@ -160,10 +163,8 @@ async def _discard(reader: asyncio.StreamReader) -> None:
     async def sink() -> None:
         while await reader.read(MAX_HEAD):
             pass
-    try:
+    with suppress(asyncio.TimeoutError):
         await asyncio.wait_for(sink(), LINGER_SECONDS)
-    except asyncio.TimeoutError:
-        pass
 
 
 class HTTPServer:
@@ -245,24 +246,20 @@ class HTTPServer:
                     return
         except (ConnectionError, asyncio.IncompleteReadError,
                 asyncio.CancelledError):
-            # a peer gone, or stop()'s cancel: ending normally keeps
-            # 3.12's client_connected_cb callback from logging it
+            # a peer gone or idle, or stop()'s cancel: ending
+            # normally keeps 3.12's client_connected_cb from logging it
             pass
         except Exception as e:  # pragma: no cover - defensive 500
             logger.exception("%s: request handling failed", self.prog)
-            try:
+            with suppress(Exception):
                 writer.write(_closing(self.error_response(
                     500, f"{type(e).__name__}: {e}")))
-            except Exception:
-                pass
         finally:
             del self._conns[task]
-            try:
+            with suppress(Exception):
                 await writer.drain()
                 writer.close()
                 await writer.wait_closed()
-            except Exception:
-                pass
 
 
 async def serve_until_signal(server: HTTPServer) -> None:
@@ -271,27 +268,101 @@ async def serve_until_signal(server: HTTPServer) -> None:
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
+        with suppress(NotImplementedError, RuntimeError):  # not Unix
             loop.add_signal_handler(sig, stop.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # non-Unix event loops
     print(f"{server.prog}: {server.banner()}", flush=True)
     await stop.wait()
     print(f"{server.prog}: shutting down", flush=True)
     await server.stop()
 
 
+class WireError(OSError):
+    """An answer :func:`exchange` cannot frame: a bad status line or
+    Content-Length, a head or body cut short, or a chunked body."""
+
+
+class Connection:
+    """One client connection and the answer last read on it:
+    ``status``, ``headers`` (lower-cased names) and a body framed by
+    ``Content-Length`` or, with none, by EOF (the event stream), to
+    :meth:`read` or iterate by line.  Closed, its ``sock`` is None."""
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout)
+        self.file = self.sock.makefile("rb")
+
+    def request(self, data: bytes) -> None:
+        """Send one request; read the answer's status line and head."""
+        self.sock.sendall(data)
+        line = self.file.readline(MAX_HEAD)
+        if not line:
+            raise ConnectionResetError("closed before any response byte")
+        if line[:7] != b"HTTP/1." or not line[9:12].isdigit():
+            raise WireError(f"malformed status line {line[:80]!r}")
+        self.status, self.headers = int(line[9:12]), {}
+        while (h := self.file.readline(MAX_HEAD)) not in (b"\r\n", b"\n"):
+            if not h.endswith(b"\n"):
+                raise WireError("response head cut off")
+            name, _, value = h.decode("latin-1").partition(":")
+            self.headers[name.strip().lower()] = value.strip()
+        length = self.headers.get("content-length")
+        if "transfer-encoding" in self.headers or not (
+                length is None or length.isdecimal()):
+            raise WireError(f"answer framed by neither Content-Length "
+                            f"nor EOF: {self.headers}")
+        self._left = None if length is None else int(length)
+        self.will_close = length is None or "close" in self.headers.get(
+            "connection", "").lower()
+
+    def read(self, n: int = -1) -> bytes:
+        """The rest of the body, or at most ``n`` bytes of it."""
+        if self._left is None:  # ended by EOF
+            data = self.file.read(n)
+            self._left = 0 if n < 0 or len(data) < n else None
+            return data
+        n = self._left if n < 0 else min(n, self._left)
+        data = self.file.read(n)
+        if len(data) < n:
+            raise WireError("response body cut off")
+        self._left -= n
+        return data
+
+    def __iter__(self) -> Iterator[bytes]:
+        yield from (iter(self.file.readline, b"") if self._left is None
+                    else io.BytesIO(self.read()))
+        self._left = 0
+
+    def isclosed(self) -> bool:
+        """Whether the body was read to its end."""
+        return self._left == 0
+
+    def close(self) -> None:
+        if self.sock is not None:
+            self.file.close()
+            self.sock.close()
+            self.sock = None
+
+
 @contextmanager
 def exchange(host: str, port: int, method: str, path: str,
              body: Optional[bytes] = None, *,
-             timeout: float) -> Iterator[HTTPResponse]:
+             timeout: float) -> Iterator[Connection]:
     """One request on the calling thread's pooled connection to
-    ``host:port``.  Yields the response with status and headers read;
-    the caller reads the body inside the block, and only a response
-    read to its end that does not close returns the connection to the
-    pool.  A reused connection that fails before any response byte
-    (idle-closed, or the server restarted) is replaced by a fresh one
-    for one resend.  A body is sent as ``application/json``."""
+    ``host:port``; a body is sent as ``application/json``.  Yields the
+    connection with the answer's status and headers read; the caller
+    reads the body inside the block, and only an answer read to its end
+    that does not close returns the connection to the pool.  A reused
+    connection that fails before any response byte (idle-closed, or
+    the server restarted) is replaced by a fresh one for one resend."""
+    if " " in path or not path.isprintable():
+        raise ValueError(f"request target {path!r} holds a space or "
+                         "a control character")
+    length = (f"Content-Length: {len(body or b'')}\r\n"
+              if body is not None or method == "POST" else "")
+    kind = "Content-Type: application/json\r\n" if body else ""
+    data = (f"{method} {path} HTTP/1.1\r\nHost: {host}:{port}\r\n"
+            f"Accept-Encoding: identity\r\n{length}{kind}\r\n"
+            ).encode("ascii") + (body or b"")
     key = (threading.get_ident(), host, port)
     conn = _POOL.pop(key, None)
     while True:
@@ -299,14 +370,11 @@ def exchange(host: str, port: int, method: str, path: str,
         if fresh:
             alive = {t.ident for t in threading.enumerate()}
             _close_idle(lambda k: k[0] not in alive)  # threads gone
-            conn = HTTPConnection(host, port, timeout=timeout)
+            conn = Connection(host, port, timeout)
         else:
             conn.sock.settimeout(timeout)
         try:
-            conn.request(method, path, body=body,
-                         headers={"Content-Type": "application/json"}
-                         if body else {})
-            resp = conn.getresponse()
+            conn.request(data)
             break
         except BaseException as e:
             conn.close()
@@ -314,11 +382,10 @@ def exchange(host: str, port: int, method: str, path: str,
                 raise
             conn = None
     try:
-        yield resp
+        yield conn
     finally:
-        if (resp.will_close or not resp.isclosed()
+        if (conn.will_close or not conn.isclosed()
                 or _POOL.setdefault(key, conn) is not conn):
-            resp.close()
             conn.close()
 
 

@@ -11,16 +11,17 @@ import socket
 import sys
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.faults import FaultInjector, parse_fault_plan
 from repro.fleet import ProtocolError, RemoteJobStore
-from repro.fleet.protocol import unpack_response
+from repro.fleet.protocol import StoreUnavailable, unpack_response
 from repro.obs import MetricsRegistry
-from repro.serve import (JOB_SCHEMA, MemoryJobStore, Scheduler,
-                         ServeClient, Server, transport)
+from repro.serve import (JOB_SCHEMA, Backpressure, MemoryJobStore,
+                         Scheduler, ServeClient, Server, transport)
 from tests.fleet.conftest import live_store_server
 from tests.serve.conftest import live_server
 
@@ -496,3 +497,143 @@ class TestStop:
             gc.collect()
         assert [r.getMessage() for r in caplog.records
                 if r.levelno >= logging.ERROR] == []
+
+
+@contextmanager
+def canned_server(*segments, pause=0.0):
+    """A raw-socket server that answers every request it reads with
+    ``segments``, sent ``pause`` seconds apart, then closes the
+    connection; yields ``(port, requests)``, each request as read."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    requests, stop = [], threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except socket.timeout:
+                continue
+            with conn:
+                conn.settimeout(10)
+                data = b""
+                while b"\r\n\r\n" not in data and (chunk := conn.recv(4096)):
+                    data += chunk
+                length = [int(h.split(b":")[1]) for h in data.split(b"\r\n")
+                          if h.lower().startswith(b"content-length:")]
+                while (len(data.partition(b"\r\n\r\n")[2]) < sum(length)
+                       and (chunk := conn.recv(4096))):
+                    data += chunk
+                requests.append(data)
+                for segment in segments:
+                    time.sleep(pause)
+                    conn.sendall(segment)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], requests
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        listener.close()
+        assert not thread.is_alive()
+
+
+def pieces(data: bytes, *cuts: int):
+    """``data`` cut at the given offsets."""
+    bounds = (0, *cuts, len(data))
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestClientFraming:
+    """The client reads what :class:`~repro.serve.transport.HTTPServer`
+    sends, however the bytes arrive, and fails typed on anything
+    else."""
+
+    def test_segmented_answer_is_read_whole(self):
+        answer = transport.json_response(200, {"a": [1, 2, 3]})
+        with canned_server(*pieces(answer, 3, 17, 40, len(answer) - 2),
+                           pause=0.05) as (port, requests):
+            with transport.exchange("127.0.0.1", port, "POST", "/rpc/v1",
+                                    b'{"x": 2}', timeout=10) as resp:
+                assert resp.status == 200
+                assert resp.headers.get("content-type") == \
+                    "application/json"
+                assert json.loads(resp.read()) == {"a": [1, 2, 3]}
+                assert resp.isclosed() and not resp.will_close
+            transport.hang_up("127.0.0.1", port)
+        # the request head is what http.client sent for the same call
+        assert requests == [
+            f"POST /rpc/v1 HTTP/1.1\r\nHost: 127.0.0.1:{port}\r\n"
+            "Accept-Encoding: identity\r\nContent-Length: 8\r\n"
+            "Content-Type: application/json\r\n\r\n"
+            '{"x": 2}'.encode()]
+
+    def test_event_stream_is_iterated_by_line_to_eof(self):
+        events = [{"event": "step", "step": k} for k in range(3)]
+        events.append({"event": "state", "state": "done"})
+        body = "".join(json.dumps(e) + "\n" for e in events).encode()
+        stream = transport.response(
+            200, None, content_type="application/x-ndjson") + body
+        with canned_server(*pieces(stream, 30, len(stream) - len(body) + 5,
+                                   len(stream) - 9),
+                           pause=0.05) as (port, requests):
+            assert list(ServeClient(port=port).events("j1")) == events
+        assert requests[0].startswith(b"GET /jobs/j1/events HTTP/1.1\r\n")
+
+    def test_header_names_match_in_any_case(self):
+        body = b'{"error": "slow down"}\n'
+        answer = (b"HTTP/1.1 429 Too Many Requests\r\n"
+                  b"content-TYPE: application/json\r\n"
+                  b"CONTENT-LENGTH: %d\r\nretry-AFTER: 7\r\n\r\n"
+                  % len(body) + body)
+        with canned_server(answer) as (port, _):
+            with pytest.raises(Backpressure) as exc:
+                ServeClient(port=port).submit({"kind": "force_eval"})
+            transport.hang_up("127.0.0.1", port)
+        assert exc.value.retry_after == 7.0
+        assert exc.value.message == "slow down"
+
+    @pytest.mark.parametrize("answer", [
+        b"HTTP/1.1 OK 200\r\nContent-Length: 0\r\n\r\n",
+        b"garbage\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n",
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"3\r\n{}\n\r\n0\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: x1\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 99\r\n\r\n{}",
+    ], ids=["status-line", "garbage", "head-cut-off", "chunked",
+            "bad-length", "body-cut-off"])
+    def test_broken_framing_fails_typed(self, answer):
+        """Each client sees :class:`~repro.serve.transport.WireError`:
+        the RPC client retries it as transport trouble, the job client
+        raises it; no connection that saw it is pooled."""
+        with canned_server(answer) as (port, requests):
+            with pytest.raises(transport.WireError):
+                with transport.exchange("127.0.0.1", port, "GET",
+                                        "/healthz", timeout=10) as resp:
+                    resp.read()
+            with pytest.raises(transport.WireError):
+                ServeClient(port=port).healthz()
+            metrics = MetricsRegistry()
+            remote = RemoteJobStore(f"http://127.0.0.1:{port}", retries=1,
+                                    backoff=0.01, metrics=metrics)
+            with pytest.raises(StoreUnavailable) as exc:
+                remote.counts()
+            assert isinstance(exc.value.__cause__, transport.WireError)
+            assert metrics.counter("fleet.rpc_retries", "").value == 1
+            assert len(requests) == 4
+            assert not [k for k in transport._POOL if k[2] == port]
+
+    def test_request_line_cut_by_idle_timeout_is_not_served(
+            self, monkeypatch):
+        monkeypatch.setattr(transport, "IDLE_SECONDS", 0.2)
+        with live_store_server(MemoryJobStore()) as server:
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=10) as s:
+                s.sendall(b"GET /healthz HTTP/1.1")  # no line end
+                assert closed_by_server(s)  # closed, nothing answered
+            remote = RemoteJobStore(server.url)
+            assert remote.counts() == {}  # the server serves on
+            remote.close()
