@@ -517,11 +517,11 @@ def cmd_run(args, out) -> int:
 
 def cmd_resume(args, out) -> int:
     from repro.cosmo import SCDM
-    from repro.sim.checkpoint import load_checkpoint, save_checkpoint
+    from repro.sim.checkpoint import load_latest, save_checkpoint
     from repro.sim.recipes import paper_run, run_schedule
 
     tracer, registry, flight, force, backend = _open(args)
-    sim = load_checkpoint(args.checkpoint, force=force)
+    sim = load_latest(args.checkpoint, force=force)
     z_now = float(SCDM.z_of_a(SCDM.a_of_t(sim.t)))
     print(f"resumed at t = {sim.t:.3g} (z = {z_now:.2f}), "
           f"{len(sim.history)} steps done", file=out)
@@ -565,9 +565,9 @@ def cmd_halos(args, out) -> int:
     from repro.core import DirectSummation
     from repro.cosmo.massfunction import PressSchechter
     from repro.perf.report import format_table
-    from repro.sim.checkpoint import load_checkpoint
+    from repro.sim.checkpoint import load_latest
 
-    sim = load_checkpoint(args.checkpoint, force=DirectSummation())
+    sim = load_latest(args.checkpoint, force=DirectSummation())
     cat = friends_of_friends(sim.pos, sim.mass, b=args.b,
                              min_members=args.min_members)
     print(f"N = {sim.n_particles}, linking length = {cat.link:.3g}, "

@@ -46,7 +46,7 @@ import numpy as np
 
 from ..core.kernels import ForceBackend
 from ..faults import (FaultInjector, FaultSpec, TransientBackendError,
-                      as_fault_plan)
+                      as_fault_plan, strike)
 from ..obs.trace import Span, as_tracer
 from .plan import EvalResult, SweepSpec
 
@@ -101,12 +101,8 @@ def _run_shard(backend: ForceBackend, spec: SweepSpec, a: int, b: int,
     per-sink list lengths, cell terms, particle terms)``.
     """
     t_dequeue = time.perf_counter()
-    kind = fault.kind if fault is not None else None
-    if kind == "latency":
-        time.sleep(fault.seconds if fault.seconds is not None else 0.05)
-    if kind == "transient_error":
-        raise TransientBackendError(
-            f"injected transient error in sinks [{a}, {b})")
+    if fault is not None:
+        strike(fault, f"in sinks [{a}, {b})")
     t_walk = time.perf_counter()
     lists = spec.build_lists(a, b)
     t_eval = time.perf_counter()
@@ -242,8 +238,8 @@ class PipelineEngine:
 
         def submit(k: int, a: int, b: int, attempt: int):
             nonlocal t_traverse, t_blocked
-            fault = (self.fault_injector.batch_fault(
-                sweep=sweep, batch=k, attempt=attempt)
+            fault = (self.fault_injector.fire(
+                "batch", sweep=sweep, batch=k, attempt=attempt)
                 if self.fault_injector is not None else None)
             t_submit = time.perf_counter()
             if pooled:

@@ -4,12 +4,14 @@ The paper's production run finished 999 steps uninterrupted; this
 package exists to prove the software survives when runs *don't* go
 that way.  It provides:
 
-* :class:`~repro.faults.plan.FaultPlan` / ``FaultSpec`` -- seedable,
-  serialisable descriptions of exactly which faults fire where
+* :class:`~repro.faults.plan.FaultPlan` / ``FaultSpec`` -- seedable
+  descriptions, parsed from text, of exactly which faults fire where
   (``--faults`` on the CLI);
 * :class:`~repro.faults.inject.FaultInjector` -- the per-process
-  consumption state consulted by the pipeline engine, device backends
-  and the checkpoint loop;
+  consumption state whose one hook, ``fire``, the pipeline engine,
+  device backends, fleet RPC client and checkpoint loop consult, and
+  :func:`~repro.faults.inject.strike`, which applies a fired latency
+  or transient error;
 * :class:`~repro.faults.inject.TransientBackendError` -- the retryable
   error class honoured by the pipeline engine's shard retry and by the
   device retry loop of :meth:`repro.grape.GrapeBackend.force_call`;
@@ -24,12 +26,13 @@ pointer in :mod:`repro.sim.checkpoint`, device call retry in
 :meth:`repro.sim.Simulation.run`.  See ``docs/fault_tolerance.md``.
 """
 
-from .inject import FaultInjector, TransientBackendError, corrupt_file
+from .inject import (FaultInjector, TransientBackendError, corrupt_file,
+                     strike)
 from .plan import (FAULT_HOOKS, FAULT_KINDS, FaultPlan, FaultSpec,
                    as_fault_plan, parse_fault_plan)
 
 __all__ = [
     "FAULT_HOOKS", "FAULT_KINDS", "FaultPlan", "FaultSpec", "FaultInjector",
     "TransientBackendError", "as_fault_plan", "parse_fault_plan",
-    "corrupt_file",
+    "corrupt_file", "strike",
 ]

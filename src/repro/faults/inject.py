@@ -7,19 +7,15 @@ from a hash of ``(plan seed, spec index, site key)`` so the same plan
 fires at the same sites on every run -- across processes, machines and
 reorderings.
 
-Four hook surfaces, one per layer of the stack:
-
-* :meth:`FaultInjector.batch_fault` -- consulted by the pipeline
-  engine once per shard execution (latency / transient error);
-* :meth:`FaultInjector.maybe_raise` -- consulted by backends at named
-  call site (``grape.compute``), raising
-  :class:`TransientBackendError` when a transient spec matches;
-* :meth:`FaultInjector.checkpoint_fault` -- consulted by the
-  simulation loop after each periodic checkpoint write;
-* :meth:`FaultInjector.transport_fault` -- consulted by the fleet
-  network-store client (:class:`repro.fleet.RemoteJobStore`) once per
-  RPC at site ``fleet.rpc`` (latency / transient error / response
-  truncation).
+Every layer asks :meth:`FaultInjector.fire` whether a fault fires at
+its hook (the :data:`~repro.faults.plan.FAULT_HOOKS` value): ``batch``
+(the pipeline engine, once per shard execution), ``call`` (a backend
+call site, ``grape.compute``), ``transport`` (the fleet RPC client,
+:class:`repro.fleet.RemoteJobStore`, once per request at
+``fleet.rpc``) and ``checkpoint`` (the simulation loop, after each
+periodic write).  :func:`strike` applies the two kinds every layer
+shares -- ``latency`` sleeps, ``transient_error`` raises
+:class:`TransientBackendError`; the others are their layer's own.
 
 :func:`corrupt_file` is the shared deterministic file-damage helper
 used by the checkpoint chaos tests and the ``checkpoint_truncate``
@@ -29,18 +25,15 @@ fault kind.
 from __future__ import annotations
 
 import os
+import time
 import zlib
 from pathlib import Path
 from typing import Optional, Union
 
 from .plan import FAULT_HOOKS, FaultPlan, FaultSpec
 
-__all__ = ["TransientBackendError", "FaultInjector", "corrupt_file"]
-
-
-def _hook(spec: FaultSpec) -> str:
-    """The injector surface that fires ``spec``."""
-    return FAULT_HOOKS[(spec.kind, spec.site)]
+__all__ = ["TransientBackendError", "FaultInjector", "corrupt_file",
+           "strike"]
 
 
 class TransientBackendError(RuntimeError):
@@ -50,6 +43,27 @@ class TransientBackendError(RuntimeError):
     device can fail transiently; callers holding a retry budget treat
     it as "try again", everything else as fatal.
     """
+
+
+def strike(spec: FaultSpec, where: str) -> None:
+    """Apply a fired ``latency`` (sleep ``seconds``, default 0.05) or
+    ``transient_error`` (raise :class:`TransientBackendError` "injected
+    transient error ``where``"); other kinds are left to the caller."""
+    if spec.kind == "latency":
+        time.sleep(0.05 if spec.seconds is None else spec.seconds)
+    elif spec.kind == "transient_error":
+        raise TransientBackendError(f"injected transient error {where}")
+
+
+def _matches(spec: FaultSpec, where: dict) -> bool:
+    """A selector set in ``spec`` must equal the visit's value, except
+    ``call``, a threshold; an unset one (``None``) matches anything."""
+    for name, got in where.items():
+        want = getattr(spec, name)
+        if want is not None and (got < want if name == "call"
+                                 else got != want):
+            return False
+    return True
 
 
 class FaultInjector:
@@ -66,98 +80,42 @@ class FaultInjector:
         self.plan = plan
         self.flight = flight
         self._remaining = [s.count for s in plan.specs]
-        self._site_calls: dict = {}
-
-    def _note(self, spec: FaultSpec, site: str, **attrs) -> None:
-        if self.flight is not None:
-            self.flight.record("fault.injected", fault=spec.kind,
-                               site=site, **attrs)
-
-    # -- matching ------------------------------------------------------
-    @staticmethod
-    def _sel(spec_val: Optional[int], actual: Optional[int]) -> bool:
-        """Exact-match selector: ``None`` in the spec is a wildcard;
-        ``None`` at the site only matches wildcards."""
-        if spec_val is None:
-            return True
-        return actual is not None and spec_val == actual
-
-    def _fire(self, index: int, spec: FaultSpec, key: tuple) -> bool:
-        if self._remaining[index] <= 0:
-            return False
-        if spec.prob is not None and not self._draw(index, spec, key):
-            return False
-        self._remaining[index] -= 1
-        return True
+        self._visits: dict = {}
 
     def _draw(self, index: int, spec: FaultSpec, key: tuple) -> bool:
         h = zlib.crc32(repr((self.plan.seed, index, key)).encode())
         return h / 0xFFFFFFFF < spec.prob
 
-    # -- hook surfaces -------------------------------------------------
-    def batch_fault(self, *, sweep: int, batch: int,
-                    attempt: int = 0) -> Optional[FaultSpec]:
-        """The fault (if any) to inject into this batch execution."""
-        for i, s in enumerate(self.plan.specs):
-            if _hook(s) != "batch":
-                continue
-            if not (self._sel(s.sweep, sweep)
-                    and self._sel(s.batch, batch)
-                    and self._sel(s.attempt, attempt)):
-                continue
-            if self._fire(i, s, ("batch", sweep, batch, attempt)):
-                self._note(s, "batch", sweep=sweep, batch=batch,
-                           attempt=attempt)
-                return s
-        return None
+    def fire(self, hook: str, *, site: Optional[str] = None,
+             **where: int) -> Optional[FaultSpec]:
+        """The first spec of ``hook`` (and ``site``) that fires at this
+        visit, consumed and recorded, or ``None``.
 
-    def maybe_raise(self, site: str) -> None:
-        """Backend call-site hook; raises :class:`TransientBackendError`
-        when a matching ``transient_error`` spec fires."""
-        n = self._site_calls.get(site, 0)
-        self._site_calls[site] = n + 1
+        A site-named hook counts its visits: the visit index is the
+        ``call`` selector and ``(site, index)`` the draw key.  Any other
+        hook is keyed by itself and its selectors in the order given
+        (``sweep, batch, attempt``; ``step``).  A ``call`` hook's fault
+        strikes here, at the visit; the other hooks' callers strike it
+        where it takes effect.
+        """
+        if site is not None:
+            where["call"] = n = self._visits.get(site, 0)
+            self._visits[site] = n + 1
+            key = (site, n)
+        else:
+            key = (hook, *where.values())
         for i, s in enumerate(self.plan.specs):
-            if s.site != site or _hook(s) != "call":
+            if (FAULT_HOOKS[s.kind, s.site] != hook or s.site != site
+                    or self._remaining[i] <= 0 or not _matches(s, where)
+                    or s.prob is not None and not self._draw(i, s, key)):
                 continue
-            if s.call is not None and n < s.call:
-                continue
-            if self._fire(i, s, (site, n)):
-                self._note(s, site, call=n)
-                raise TransientBackendError(
-                    f"injected transient error at {site} (call {n})")
-
-    def transport_fault(self, site: str) -> Optional[FaultSpec]:
-        """Transport call-site hook (fleet RPC client): returns the
-        matching spec, if any, for this request.  Unlike
-        :meth:`maybe_raise` the *caller* applies the semantics --
-        sleep for ``latency``, raise
-        :class:`TransientBackendError` for ``transient_error``,
-        damage the received bytes for ``corrupt_result`` -- because
-        only the transport knows its own buffers.  Call indices share
-        the per-site counter with :meth:`maybe_raise`."""
-        n = self._site_calls.get(site, 0)
-        self._site_calls[site] = n + 1
-        for i, s in enumerate(self.plan.specs):
-            if s.site != site or _hook(s) != "transport":
-                continue
-            if s.call is not None and n < s.call:
-                continue
-            if self._fire(i, s, (site, n)):
-                self._note(s, site, call=n)
-                return s
-        return None
-
-    def checkpoint_fault(self, *, step: int) -> Optional[FaultSpec]:
-        """The checkpoint fault (if any) to apply after writing the
-        checkpoint that closes ``step``."""
-        for i, s in enumerate(self.plan.specs):
-            if _hook(s) != "checkpoint":
-                continue
-            if not self._sel(s.step, step):
-                continue
-            if self._fire(i, s, ("checkpoint", step)):
-                self._note(s, "checkpoint", step=step)
-                return s
+            self._remaining[i] -= 1
+            if self.flight is not None:
+                self.flight.record("fault.injected", fault=s.kind,
+                                   site=site or hook, **where)
+            if hook == "call":
+                strike(s, f"at {site} (call {n})")
+            return s
         return None
 
 

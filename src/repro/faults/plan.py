@@ -7,8 +7,8 @@ host-side recovery a first-class concern.  A :class:`FaultPlan` is the
 reproducible stand-in for that flakiness: a list of :class:`FaultSpec`
 entries, each naming a *kind* of fault and the exact site where it
 fires (sweep, batch, call index, retry attempt).  Plans are plain
-data -- picklable and JSON-serialisable -- so an injected failure is
-replayed bit-for-bit by anyone holding the same plan and seed.
+data parsed from text, so an injected failure is replayed bit-for-bit
+by anyone holding the same plan text and seed.
 
 Fault kinds
 -----------
@@ -29,7 +29,9 @@ Fault kinds
     last-good-pointer fallback (no ``site``).
 
 :data:`FAULT_HOOKS` lists every (kind, site) pair a hook fires; a
-plan naming any other pair is refused, never silently inert.
+plan naming any other pair is refused, never silently inert.  A run's
+plan (:func:`as_fault_plan`) may name only the hooks a run reaches,
+:data:`RUN_HOOKS`.
 
 Selectors are exact-match when set and wildcards when ``None``;
 ``attempt`` defaults to 0 so a fault fires on the first execution of a
@@ -48,17 +50,17 @@ a path to such a document, or the compact CLI DSL::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-__all__ = ["FAULT_KINDS", "FAULT_HOOKS", "FaultSpec", "FaultPlan",
-           "parse_fault_plan", "as_fault_plan"]
+__all__ = ["FAULT_KINDS", "FAULT_HOOKS", "RUN_HOOKS", "FaultSpec",
+           "FaultPlan", "parse_fault_plan", "as_fault_plan"]
 
-#: every (kind, site) pair some hook fires, and that hook's
-#: :class:`~repro.faults.inject.FaultInjector` surface; ``site`` None
-#: is a site-less fault.  Any other pair could never fire, so
-#: :class:`FaultSpec` refuses it.
+#: every (kind, site) pair some hook fires, and the hook
+#: (:meth:`~repro.faults.inject.FaultInjector.fire`'s first argument)
+#: that fires it; ``site`` None is a site-less fault.  Any other pair
+#: could never fire, so :class:`FaultSpec` refuses it.
 FAULT_HOOKS = {
     ("latency", None): "batch",
     ("transient_error", None): "batch",
@@ -70,6 +72,11 @@ FAULT_HOOKS = {
 }
 
 FAULT_KINDS = frozenset(kind for kind, _ in FAULT_HOOKS)
+
+#: the hooks a run reaches: ``transport`` fires only in a
+#: :class:`~repro.fleet.RemoteJobStore` built with its own injector,
+#: never in the store a run's worker holds
+RUN_HOOKS = frozenset({"batch", "call", "checkpoint"})
 
 
 @dataclass
@@ -135,14 +142,6 @@ class FaultSpec:
                 f" (valid selectors: {', '.join(selectors)})")
         return cls(**doc)
 
-    def to_dict(self) -> Dict[str, object]:
-        """Dict form with default-valued fields omitted."""
-        d = asdict(self)
-        return {k: v for k, v in d.items()
-                if not (v is None and k != "attempt")
-                and not (k == "attempt" and v == 0)
-                and not (k == "count" and v == 1)}
-
 
 @dataclass
 class FaultPlan:
@@ -201,14 +200,6 @@ class FaultPlan:
                                               **kwargs}))
         return cls(specs=specs, seed=seed)
 
-    # -- serialisation -------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
-        return {"seed": self.seed,
-                "faults": [s.to_dict() for s in self.specs]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def _parse_value(key: str, val: str) -> object:
     if key == "site":
@@ -239,12 +230,21 @@ def parse_fault_plan(source: Union[str, Path]) -> FaultPlan:
 
 
 def as_fault_plan(obj: object) -> Optional[FaultPlan]:
-    """Normalise an optional plan argument: ``None`` stays ``None``;
-    strings/paths/dicts/lists are parsed."""
+    """Normalise a run's optional plan argument (``--faults``, a job's
+    ``faults``): ``None`` stays ``None``; strings/paths/dicts/lists are
+    parsed.  A fault at a hook outside :data:`RUN_HOOKS` could never
+    fire in a run: it is a :class:`ValueError` naming its site."""
     if obj is None or isinstance(obj, FaultPlan):
-        return obj
-    if isinstance(obj, dict):
-        return FaultPlan.from_dict(obj)
-    if isinstance(obj, list):
-        return FaultPlan.from_dict({"faults": obj})
-    return parse_fault_plan(obj)
+        plan = obj
+    elif isinstance(obj, (dict, list)):
+        plan = FaultPlan.from_dict(obj if isinstance(obj, dict)
+                                   else {"faults": obj})
+    else:
+        plan = parse_fault_plan(obj)
+    for s in plan.specs if plan is not None else ():
+        if FAULT_HOOKS[(s.kind, s.site)] not in RUN_HOOKS:
+            raise ValueError(
+                f"fault kind {s.kind!r} at site {s.site!r} never fires "
+                "in a run (only a fleet client given its own injector "
+                "reaches it)")
+    return plan

@@ -16,9 +16,11 @@ payload failing its own SHA-256 (:class:`PayloadCorrupt`), injected
 bounded exponential backoff, then raised as
 :class:`~repro.fleet.protocol.StoreUnavailable` (or the persistent
 :class:`PayloadCorrupt`).  Typed server-side errors are answers: they
-propagate at once.  At fault site ``fleet.rpc``, ``latency`` sleeps,
-``transient_error`` raises retryably and ``corrupt_result`` truncates
-the received bytes so the digest check fires.
+propagate at once.  Fault site ``fleet.rpc`` is this client's own
+injector's (``fault_injector=``), fired once per request: ``latency``
+sleeps, ``transient_error`` raises retryably and ``corrupt_result``
+truncates the received bytes so the digest check fires.  A run never
+reaches it, so a run's plan naming it is refused.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import time
 from typing import Any, Callable, Dict, Optional
 from urllib.parse import urlsplit
 
-from ..faults import TransientBackendError
+from ..faults import TransientBackendError, strike
 from ..obs import MetricsRegistry
 from ..serve.store import JobStore, StoreError
 from ..serve.transport import exchange, hang_up
@@ -62,8 +64,8 @@ class RemoteJobStore(JobStore):
         Transport retry budget: up to ``retries`` re-sends after the
         first attempt, sleeping ``backoff * 2**k`` before retry ``k``.
     fault_injector:
-        Optional :class:`~repro.faults.FaultInjector` consulted at
-        site ``fleet.rpc`` (chaos tests).
+        Optional :class:`~repro.faults.FaultInjector` fired at site
+        ``fleet.rpc`` (chaos tests).
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry`; retries and
         trips count under ``fleet.rpc_*``.
@@ -93,13 +95,10 @@ class RemoteJobStore(JobStore):
 
     # -- transport -----------------------------------------------------
     def _call_once(self, op: str, args: Dict[str, Any]) -> Any:
-        spec = (self.faults.transport_fault(RPC_SITE)
+        spec = (self.faults.fire("transport", site=RPC_SITE)
                 if self.faults is not None else None)
-        if spec is not None and spec.kind == "latency":
-            time.sleep(0.05 if spec.seconds is None else spec.seconds)
-        if spec is not None and spec.kind == "transient_error":
-            raise TransientBackendError(
-                f"injected transient error at {RPC_SITE} ({op})")
+        if spec is not None:
+            strike(spec, f"at {RPC_SITE} ({op})")
         with exchange(self.host, self.port, "POST", "/rpc/v1",
                       pack_request(op, args),
                       timeout=self.timeout) as resp:

@@ -286,7 +286,7 @@ class GrapeBackend(ForceBackend):
         while True:
             try:
                 if self.fault_injector is not None:
-                    self.fault_injector.maybe_raise("grape.compute")
+                    self.fault_injector.fire("call", site="grape.compute")
                 return fn()
             except TransientBackendError:
                 attempt += 1

@@ -74,10 +74,13 @@ class HTTPError(Exception):
 
 async def _readline(reader: asyncio.StreamReader) -> bytes:
     try:
-        return await reader.readline()
+        line = await reader.readline()
     except ValueError:  # the stream reader's line limit
         raise HTTPError(431, "request line or header longer than "
                              f"{MAX_HEAD} bytes") from None
+    if line and not line.endswith(b"\n"):
+        raise HTTPError(400, "request line or header cut off by EOF")
+    return line
 
 
 async def read_request(reader: asyncio.StreamReader, max_body: int
@@ -102,8 +105,10 @@ async def read_request(reader: asyncio.StreamReader, max_body: int
     head, length, keep = len(line), 0, parts[2:3] == ["HTTP/1.1"]
     while True:
         h = await _readline(reader)
-        if h in (b"\r\n", b"\n", b""):
+        if h in (b"\r\n", b"\n"):
             break
+        if not h:
+            raise HTTPError(400, "request head cut off by EOF")
         head += len(h)
         if head > MAX_HEAD:
             raise HTTPError(431, "request head longer than "

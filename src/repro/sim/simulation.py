@@ -237,11 +237,10 @@ class Simulation:
         ``max_recoveries`` recoveries are attempted; anything beyond
         (or any failure with no checkpoint on disk) re-raises.
 
-        ``fault_injector`` is a chaos-testing hook: its
-        ``checkpoint_fault`` surface is consulted after every periodic
-        write and may damage the just-written generation (the
-        ``checkpoint_truncate`` fault kind), exercising the pointer
-        fallback.
+        ``fault_injector`` is a chaos-testing hook: its ``checkpoint``
+        hook fires after every periodic write and may damage the
+        just-written generation (the ``checkpoint_truncate`` fault
+        kind), exercising the pointer fallback.
         """
         from ..exec.engine import EngineError
         from ..faults import TransientBackendError, corrupt_file
@@ -301,8 +300,8 @@ class Simulation:
                 written = save_checkpoint(checkpoint_path, self,
                                           rotate=True)
                 if fault_injector is not None:
-                    fault = fault_injector.checkpoint_fault(
-                        step=len(self.history))
+                    fault = fault_injector.fire(
+                        "checkpoint", step=len(self.history))
                     if fault is not None:
                         off = corrupt_file(
                             written, mode="truncate",

@@ -16,10 +16,10 @@ from repro.faults import (FAULT_HOOKS, FAULT_KINDS, FaultInjector,
 
 class TestParsing:
     def test_dsl_roundtrip(self):
-        plan = parse_fault_plan(
-            "transient_error@batch=1;"
-            "transient_error@site=grape.compute,call=2,count=3;"
-            "latency@prob=0.25,seconds=0.01,seed=7")
+        text = ("transient_error@batch=1;"
+                "transient_error@site=grape.compute,call=2,count=3;"
+                "latency@prob=0.25,seconds=0.01,seed=7")
+        plan = parse_fault_plan(text)
         assert len(plan) == 3
         assert plan.seed == 7
         batch, trans, lat = plan.specs
@@ -28,8 +28,8 @@ class TestParsing:
         assert trans.site == "grape.compute" and trans.call == 2
         assert trans.count == 3
         assert lat.prob == 0.25 and lat.seconds == 0.01
-        again = FaultPlan.from_json(plan.to_json())
-        assert again.to_dict() == plan.to_dict()
+        # a plan replays from its text
+        assert parse_fault_plan(text) == plan
 
     def test_json_and_file_sources(self, tmp_path):
         doc = {"seed": 11, "faults": [{"kind": "latency",
@@ -100,14 +100,14 @@ class TestParsing:
         for (kind, site), hook in FAULT_HOOKS.items():
             inj = FaultInjector(FaultPlan([FaultSpec(kind, site=site)]))
             if hook == "batch":
-                fired = inj.batch_fault(sweep=0, batch=0)
+                fired = inj.fire("batch", sweep=0, batch=0)
             elif hook == "checkpoint":
-                fired = inj.checkpoint_fault(step=0)
+                fired = inj.fire("checkpoint", step=0)
             elif hook == "transport":
-                fired = inj.transport_fault(site)
+                fired = inj.fire("transport", site=site)
             else:
                 with pytest.raises(TransientBackendError):
-                    inj.maybe_raise(site)
+                    inj.fire("call", site=site)
                 continue
             assert fired is not None and fired.kind == kind, (kind, site)
 
@@ -131,55 +131,55 @@ class TestInjector:
     def test_batch_selectors_and_count(self):
         plan = FaultPlan([FaultSpec("latency", batch=3, sweep=1)])
         inj = FaultInjector(plan)
-        assert inj.batch_fault(sweep=0, batch=3) is None
-        assert inj.batch_fault(sweep=1, batch=2) is None
-        fired = inj.batch_fault(sweep=1, batch=3)
+        assert inj.fire("batch", sweep=0, batch=3) is None
+        assert inj.fire("batch", sweep=1, batch=2) is None
+        fired = inj.fire("batch", sweep=1, batch=3)
         assert fired is not None and fired.kind == "latency"
         # count=1 consumed: never fires again in this process
-        assert inj.batch_fault(sweep=1, batch=3) is None
+        assert inj.fire("batch", sweep=1, batch=3) is None
 
     def test_attempt_gating(self):
         plan = FaultPlan([FaultSpec("transient_error", batch=0,
                                     count=10)])
         inj = FaultInjector(plan)
-        assert inj.batch_fault(sweep=0, batch=0, attempt=0) is not None
+        assert inj.fire("batch", sweep=0, batch=0, attempt=0) is not None
         # default attempt=0: a retry of the same batch is clean
-        assert inj.batch_fault(sweep=0, batch=0, attempt=1) is None
+        assert inj.fire("batch", sweep=0, batch=0, attempt=1) is None
 
     def test_site_hook_call_threshold(self):
         plan = FaultPlan([FaultSpec("transient_error",
                                     site="grape.compute", call=2)])
         inj = FaultInjector(plan)
-        inj.maybe_raise("grape.compute")   # call 0
-        inj.maybe_raise("g5.run")          # other site, never fires
-        inj.maybe_raise("grape.compute")   # call 1
+        inj.fire("call", site="grape.compute")   # call 0
+        inj.fire("call", site="g5.run")          # other site, never fires
+        inj.fire("call", site="grape.compute")   # call 1
         with pytest.raises(TransientBackendError):
-            inj.maybe_raise("grape.compute")  # call 2 >= threshold
-        inj.maybe_raise("grape.compute")   # count consumed
+            inj.fire("call", site="grape.compute")  # call 2 >= threshold
+        inj.fire("call", site="grape.compute")   # count consumed
 
     def test_probabilistic_firing_is_seed_deterministic(self):
         plan = FaultPlan([FaultSpec("latency", prob=0.5, count=10**6)],
                          seed=1234)
-        fires = [FaultInjector(plan).batch_fault(sweep=0, batch=b)
+        fires = [FaultInjector(plan).fire("batch", sweep=0, batch=b)
                  is not None
                  for b in range(200)]
-        again = [FaultInjector(plan).batch_fault(sweep=0, batch=b)
+        again = [FaultInjector(plan).fire("batch", sweep=0, batch=b)
                  is not None
                  for b in range(200)]
         assert fires == again
         assert 20 < sum(fires) < 180  # actually probabilistic
         other_seed = FaultPlan(plan.specs, seed=99)
-        differs = [FaultInjector(other_seed).batch_fault(sweep=0,
-                                                         batch=b)
+        differs = [FaultInjector(other_seed).fire("batch", sweep=0,
+                                                        batch=b)
                    is not None for b in range(200)]
         assert differs != fires
 
     def test_checkpoint_fault_step_selector(self):
         plan = FaultPlan([FaultSpec("checkpoint_truncate", step=4)])
         inj = FaultInjector(plan)
-        assert inj.checkpoint_fault(step=2) is None
-        assert inj.checkpoint_fault(step=4) is not None
-        assert inj.checkpoint_fault(step=4) is None  # consumed
+        assert inj.fire("checkpoint", step=2) is None
+        assert inj.fire("checkpoint", step=4) is not None
+        assert inj.fire("checkpoint", step=4) is None  # consumed
 
 
 class TestCorruptFile:

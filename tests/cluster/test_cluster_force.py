@@ -83,7 +83,7 @@ def test_device_site_fires_once_per_sweep(plummerish, eval_path, hosts):
         def __init__(self):
             self.seen = []
 
-        def maybe_raise(self, site):
+        def fire(self, hook, *, site=None, **where):
             self.seen.append(site)
 
     pos, mass = plummerish

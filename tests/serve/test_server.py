@@ -73,6 +73,17 @@ class TestEndpoints:
         assert exc.value.status == 400
         assert "bad fault plan" in str(exc.value)
 
+    def test_rpc_site_plan_is_400_at_admission(self, server_pair):
+        """A job runs against its worker's store, whose client has no
+        injector of its own: ``fleet.rpc`` would never fire there."""
+        _, client = server_pair
+        with pytest.raises(ServeHTTPError) as exc:
+            client.submit({"schema": JOB_SCHEMA, "kind": "force_eval",
+                           "params": {"n": 64},
+                           "faults": "corrupt_result@site=fleet.rpc"})
+        assert exc.value.status == 400
+        assert "'fleet.rpc'" in str(exc.value)
+
     def test_bad_fault_plan_is_exit_2_from_submit(self, server_pair):
         import io
         from repro.cli import main

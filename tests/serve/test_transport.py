@@ -223,6 +223,23 @@ class TestRefusalsOverTCP:
                    r.name == transport.__name__
                    for r in caplog.records) == len(cases)
 
+    @pytest.mark.parametrize("data", [
+        b"GET /healthz HTTP/1.1",
+        b"GET /healthz HTTP/1.1\r\nX-Pad: 1",
+        b"GET /healthz HTTP/1.1\r\nX-Pad: 1\r\n",
+    ], ids=["request-line", "header", "blank-line"])
+    def test_head_cut_off_by_eof_is_refused(self, live, data, caplog):
+        """A head the peer's half-close cuts off -- inside a line, or
+        before the blank line that ends it -- is no request: 400, never
+        served."""
+        server, _, decode = live
+        with caplog.at_level(logging.DEBUG):
+            status, body = raw_exchange(server.port, data)
+        assert status == 400
+        assert "cut off" in decode(body)
+        assert [r for r in caplog.records
+                if r.levelno >= logging.ERROR] == []
+
 
 @pytest.fixture
 def accepted(monkeypatch):

@@ -78,6 +78,27 @@ class TestResume:
         assert code == 0
         assert "nothing to do" in text
 
+    def test_killed_run_resumes_from_its_newest_generation(self, tmp_path):
+        """A run that dies mid-schedule leaves rotated generations and
+        the last-good pointer but no final file: resume and halos load
+        the pointer's newest intact generation."""
+        ck = tmp_path / "out.npz"
+        code, _ = run_cli("run", "--ngrid", "8", "--steps", "6",
+                          "--z-final", "20", "--checkpoint", str(ck),
+                          "--checkpoint-every", "2", "--faults",
+                          "transient_error@batch=0,sweep=5,attempt=any,"
+                          "count=99", "--max-retries", "0")
+        assert code == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "out.npz.last_good", "out.s000002.npz", "out.s000004.npz"]
+        code, text = run_cli("resume", str(ck), "--steps", "2",
+                             "--z-final", "18")
+        assert code == 0
+        assert "4 steps done" in text
+        code, text = run_cli("halos", str(ck))
+        assert code == 0
+        assert "N = 280" in text
+
 
 class TestSweep:
     def test_sweep_table(self):
@@ -345,6 +366,14 @@ class TestExitCodes:
         assert code == 2
         assert argv[0] in text            # "<command>: <reason>"
         assert "Traceback" not in text
+
+    def test_rpc_site_plan_exits_2_naming_the_site(self):
+        """``fleet.rpc`` fires only in a store client given its own
+        injector; a run never reaches it, so its plan is refused."""
+        code, text = run_cli("run", "--faults",
+                             "transient_error@site=fleet.rpc")
+        assert code == 2
+        assert "'fleet.rpc'" in text
 
     def test_retired_process_engine_flag_and_kinds_exit_2(self, capsys):
         """``--batch-timeout`` steered hang detection of worker
