@@ -24,6 +24,7 @@ fault kind.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import time
 import zlib
@@ -83,8 +84,10 @@ class FaultInjector:
         self._visits: dict = {}
 
     def _draw(self, index: int, spec: FaultSpec, key: tuple) -> bool:
-        h = zlib.crc32(repr((self.plan.seed, index, key)).encode())
-        return h / 0xFFFFFFFF < spec.prob
+        # a non-linear digest: neighbouring keys draw independently
+        h = hashlib.blake2b(repr((self.plan.seed, index, key)).encode(),
+                            digest_size=8).digest()
+        return int.from_bytes(h, "big") / 2.0 ** 64 < spec.prob
 
     def fire(self, hook: str, *, site: Optional[str] = None,
              **where: int) -> Optional[FaultSpec]:

@@ -9,7 +9,7 @@ from .measure import (GroupSweepPoint, fit_list_length, force_error,
                       group_size_sweep)
 from .model import (FittedListLength, PAPER_LIST_LENGTH, PAPER_N, PAPER_NG,
                     PAPER_STEPS, PerformanceModel)
-from .opcount import (OPS_PER_INTERACTION, OperationCounter, flops, gflops,
+from .opcount import (OPS_PER_INTERACTION, flops, gflops,
                       original_interaction_count)
 from .report import HeadlineReport, PAPER_HEADLINE, format_table
 
@@ -17,6 +17,6 @@ __all__ = [
     "GroupSweepPoint", "fit_list_length", "force_error",
     "group_size_sweep", "FittedListLength", "PAPER_LIST_LENGTH", "PAPER_N", "PAPER_NG",
     "PAPER_STEPS", "PerformanceModel", "OPS_PER_INTERACTION",
-    "OperationCounter", "flops", "gflops", "original_interaction_count",
+    "flops", "gflops", "original_interaction_count",
     "HeadlineReport", "PAPER_HEADLINE", "format_table",
 ]

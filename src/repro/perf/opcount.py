@@ -17,12 +17,12 @@ here:
 
 :func:`original_interaction_count` performs the same re-measurement on
 our snapshots (per-particle sinks, counting mode -- the lists are never
-materialised), and :class:`OperationCounter` packages both numbers.
+materialised); :class:`~repro.perf.report.HeadlineReport` puts both
+numbers side by side.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -34,7 +34,7 @@ from ..core.traversal import count_interactions
 from ..grape.timing import OPS_PER_INTERACTION
 
 __all__ = ["OPS_PER_INTERACTION", "flops", "gflops",
-           "original_interaction_count", "OperationCounter"]
+           "original_interaction_count"]
 
 
 def flops(interactions: float) -> float:
@@ -81,36 +81,3 @@ def original_interaction_count(pos: np.ndarray, mass: np.ndarray, *,
     cells, parts = count_interactions(tree, centers, radii, mac)
     return float((cells.sum() + parts.sum()) * scale)
 
-
-@dataclass(frozen=True)
-class OperationCounter:
-    """Raw vs corrected operation accounting for one run.
-
-    Parameters mirror the paper's section 5: ``modified_interactions``
-    is what the machine actually evaluated; ``original_interactions``
-    what the original algorithm would have needed.
-    """
-
-    modified_interactions: float
-    original_interactions: float
-
-    def __post_init__(self):
-        if self.modified_interactions < 0 or self.original_interactions < 0:
-            raise ValueError("interaction counts must be non-negative")
-
-    @property
-    def overhead_ratio(self) -> float:
-        """Modified / original count -- the work inflation the grouped
-        algorithm accepts to offload the host (6.2x in the paper)."""
-        if self.original_interactions == 0:
-            return np.inf
-        return self.modified_interactions / self.original_interactions
-
-    def raw_gflops(self, seconds: float) -> float:
-        """Gflops counting every interaction the hardware executed."""
-        return gflops(self.modified_interactions, seconds)
-
-    def effective_gflops(self, seconds: float) -> float:
-        """Gflops counting only the original (useful) interactions --
-        the paper's headline convention."""
-        return gflops(self.original_interactions, seconds)

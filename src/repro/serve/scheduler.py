@@ -183,7 +183,7 @@ class Scheduler:
         self._cv = threading.Condition(lock)
         #: idle slots, apart: a submit wakes one, a finished job none
         self._slot_cv = threading.Condition(lock)
-        #: the rest signal: (job id, future) per waiter (:meth:`watch`)
+        #: the change signal: (job id, future) per waiter (:meth:`watch`)
         self._watchers: List[Tuple[str, futures.Future]] = []
         self._stopping = False
         self._threads: List[threading.Thread] = []
@@ -192,7 +192,7 @@ class Scheduler:
             self.queue_depth)
         self.metrics.gauge("serve.lease_slots",
                            "slots that compute jobs").set(self.slots)
-        self._set_gauges_locked(len(self.store.queued()))
+        self._set_gauges_locked(self.store.counts().get("queued", 0))
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "Scheduler":
@@ -418,10 +418,10 @@ class Scheduler:
         """All jobs in the store, submission order."""
         return [Job.from_store_doc(doc) for doc in self.store.list()]
 
-    def events(self, job_id: str) -> List[Dict]:
-        """A job's progress events, append order, from the store --
-        the same answer on every worker, whichever one ran it."""
-        return self.store.events(job_id)
+    def events(self, job_id: str, after: int = 0) -> List[Dict]:
+        """A job's progress events past the first ``after``, from the
+        store -- the same answer on every worker, whichever ran it."""
+        return self.store.events(job_id, after)
 
     def cancel(self, job_id: str) -> Job:
         """Cancel a job: immediately for queued/paused (wherever it
@@ -430,11 +430,10 @@ class Scheduler:
         if self.store.request_cancel(job_id) == "cancelled":
             self.metrics.counter("serve.jobs_cancelled",
                                  "jobs finished cancelled").inc()
-        with self._cv:
-            job = self._jobs.get(job_id)
-        if job is not None:  # a slot here runs it
-            job.cancel_event.set()
-        return self.get(job_id)
+            self._wake(job_id)
+        job = self.get(job_id)
+        job.cancel_event.set()  # heeded if a slot here runs it
+        return job
 
     def pause(self, job_id: str) -> Job:
         """Ask a job to checkpoint and vacate its slot: at once when
@@ -443,11 +442,9 @@ class Scheduler:
         if self.store.request_pause(job_id) is None:
             raise JobError(f"job {job_id} is already "
                            f"{self.get(job_id).state}")
-        with self._cv:
-            job = self._jobs.get(job_id)
-        if job is not None:
-            job.pause_event.set()
-        return self.get(job_id)
+        job = self.get(job_id)
+        job.pause_event.set()  # heeded if a slot here runs it
+        return job
 
     def resume(self, job_id: str) -> Job:
         """Re-queue a paused job; any worker on the store continues
@@ -459,38 +456,41 @@ class Scheduler:
             self._slot_cv.notify()
         return self.get(job_id)
 
-    def watch(self, job_id: str) -> Tuple[Job, futures.Future]:
-        """The job's rest signal: register a future for the next write
-        here that ends a run of the job (it gets the job as written, or
-        ``None``: read the store), *then* read the job as :meth:`get`
-        does -- a run ending in between shows in one or the other.  A
+    def watch(self, job_id: str) -> Tuple[Job, futures.Future, float]:
+        """The job's change signal: register a future for the next write
+        here about the job -- a progress event its slot appends, its
+        run's end, or a cancel that finishes it -- *then* read the job as
+        :meth:`get` does, so a change in between shows in one or the
+        other.  Also says how long to wait before reading it anyway:
+        ``inf`` while a slot here runs it, else ``poll_interval``.  A
         waiter that gives up cancels the future."""
-        rested: futures.Future = futures.Future()
+        changed: futures.Future = futures.Future()
         with self._cv:  # forgetting the waits that ended
             self._watchers = [w for w in self._watchers
-                              if not w[1].done()] + [(job_id, rested)]
+                              if not w[1].done()] + [(job_id, changed)]
+            poll = (float("inf") if job_id in self._jobs
+                    else self.poll_interval)
         try:
-            return self.get(job_id), rested
+            return self.get(job_id), changed, poll
         except KeyError:
-            rested.cancel()
+            changed.cancel()
             raise
 
     def wait(self, job_id: str,
              timeout: Optional[float] = None) -> bool:
         """Block until the job is terminal (or paused); returns whether
-        it stopped within ``timeout``.  A run that ends here wakes it
-        through :meth:`watch`; any other job is read every
-        ``poll_interval``."""
+        it stopped within ``timeout``, waking at each change
+        :meth:`watch` signals."""
         t_end = time.monotonic() + (float("inf") if timeout is None
                                     else timeout)
         while True:
-            job, rested = self.watch(job_id)
+            job, changed, poll = self.watch(job_id)
             left = t_end - time.monotonic()
             if job.terminal or job.state == "paused" or left <= 0:
-                rested.cancel()
+                changed.cancel()
                 return job.terminal or job.state == "paused"
-            futures.wait([rested], min(left, self.poll_interval))
-            rested.cancel()
+            futures.wait([changed], min(left, poll, threading.TIMEOUT_MAX))
+            changed.cancel()
 
     # -- internals -----------------------------------------------------
     def _logged(self, what: str, op: Callable, *args: Any,
@@ -506,6 +506,16 @@ class Scheduler:
     def _event_sink(self, job_id: str, event: Dict) -> None:
         self._logged(f"event append for {job_id}",
                      self.store.append_event, job_id, event)
+        self._wake(job_id)
+
+    def _wake(self, job_id: str, job: Optional[Job] = None) -> None:
+        """Resolve the job's futures (:meth:`watch`) with ``job`` as a
+        run's end wrote it, or ``None``: read it again."""
+        with self._cv:
+            for changed in [f for j, f in self._watchers
+                            if j == job_id and not f.done()]:
+                if changed.set_running_or_notify_cancel():
+                    changed.set_result(job)
 
     def _retry_after(self, queued: int) -> float:
         """Backoff hint: about one average job duration per queued job
@@ -549,10 +559,7 @@ class Scheduler:
                 self._logged(f"requeue of vacated {job.id}",
                              self.store.requeue, job.id)
         self._flight_dump(job)
-        for rested in [f for j, f in self._watchers
-                       if j == job.id and not f.done()]:
-            if rested.set_running_or_notify_cancel():  # not cancelled
-                rested.set_result(job if written else None)
+        self._wake(job.id, job if written else None)
         self._cv.notify_all()  # drain() waits for the job to leave
 
     def _count_locked(self, job: Job) -> None:
@@ -719,12 +726,10 @@ class Scheduler:
                         "serve.claims_lost",
                         "updates dropped because the claim moved "
                         "on").inc()
+                if row is None or row["cancel_requested"]:
                     job.cancel_event.set()
-                else:
-                    if row.get("cancel_requested"):
-                        job.cancel_event.set()
-                    if row.get("pause_requested"):
-                        job.pause_event.set()
+                if row is not None and row["pause_requested"]:
+                    job.pause_event.set()
             t0 = time.perf_counter()
             requeued = self._logged("recover scan", self.store.recover,
                                     now=now)

@@ -17,7 +17,7 @@ import time
 from typing import AsyncIterator, Dict, Optional
 from urllib.parse import parse_qs
 
-from .jobs import JobError
+from .jobs import TERMINAL_STATES, Job, JobError
 from .scheduler import AdmissionError, Scheduler
 from .transport import HTTPServer, json_response, response
 
@@ -28,9 +28,6 @@ MAX_BODY = 1 << 20
 
 #: cap on a long-poll's hold, ``GET /jobs/{id}?wait=S`` (S is clamped)
 MAX_WAIT = 60.0
-
-#: longest wait between two store reads of the live event stream
-_EVENT_POLL = 0.05
 
 
 class ServeError(RuntimeError):
@@ -82,29 +79,39 @@ class Server(HTTPServer):
             return await self._long_poll(route[2], wait[-1])
         return await asyncio.to_thread(self._route, route, body)
 
+    async def _changes(self, job_id: str, hold: float = float("inf"),
+                       until=TERMINAL_STATES) -> AsyncIterator[Job]:
+        """The job now, then at each change :meth:`Scheduler.watch`
+        signals (or its poll), until its state is in ``until`` or
+        ``hold`` seconds have passed; a run's end is yielded as it hands
+        the job over, with no read.  ``KeyError`` for an unknown job."""
+        sched, loop = self.scheduler, asyncio.get_running_loop()
+        t_end, job = loop.time() + hold, None
+        while job is None or job.state not in until:
+            job, changed, poll = await asyncio.to_thread(sched.watch, job_id)
+            try:
+                yield job
+                left = t_end - loop.time()
+                if job.state in until or left <= 0:
+                    return
+                with contextlib.suppress(asyncio.TimeoutError):
+                    job = await asyncio.wait_for(
+                        asyncio.wrap_future(changed), min(left, poll))
+            finally:
+                changed.cancel()
+        yield job
+
     async def _long_poll(self, job_id: str, raw: str) -> bytes:
         """``GET /jobs/{id}?wait=S``: the job's document once terminal,
-        else a plain GET's after S (at most :data:`MAX_WAIT`) seconds;
-        the wait is on the loop for the job's rest signal, with a read
-        every ``poll_interval``."""
+        else a plain GET's after S (at most :data:`MAX_WAIT`) seconds."""
         if not re.fullmatch(r"\d+\.?\d*|\.\d+", raw):
             return _error(400, f"wait={raw!r} is not a number of seconds")
-        sched, loop = self.scheduler, asyncio.get_running_loop()
-        t_end = loop.time() + min(float(raw), MAX_WAIT)
         try:
-            while True:
-                job, rested = await asyncio.to_thread(sched.watch, job_id)
-                left = t_end - loop.time()
-                if not job.terminal and left > 0:
-                    with contextlib.suppress(asyncio.TimeoutError):
-                        job = await asyncio.wait_for(
-                            asyncio.wrap_future(rested),
-                            min(left, sched.poll_interval)) or job
-                rested.cancel()
-                if job.terminal or left <= 0:
-                    return json_response(200, job.to_dict())
+            async for job in self._changes(job_id, min(float(raw), MAX_WAIT)):
+                pass
         except KeyError as e:
             return _error(404, str(e))
+        return json_response(200, job.to_dict())
 
     def _route(self, route: tuple, body: bytes):
         sched = self.scheduler
@@ -210,27 +217,17 @@ class Server(HTTPServer):
 
     async def _stream_events(self, job_id: str) -> AsyncIterator[bytes]:
         """NDJSON event stream: recorded events first, then live ones
-        until the job reaches a resting state, read from the store's
-        event log (every worker streams the same events) with a wait
-        for the job's rest signal, at most :data:`_EVENT_POLL`, between
-        reads.  The body has no Content-Length: it ends at EOF."""
-        sched = self.scheduler
+        until the job reaches a resting state, read at each change
+        (:meth:`_changes`) from the store's event log, past the rows
+        already sent (every worker streams the same events).  The body
+        has no Content-Length: it ends at EOF."""
         yield response(200, None, content_type="application/x-ndjson")
-        sent = 0
-        while True:
-            (job, rested), events = await asyncio.to_thread(
-                lambda: (sched.watch(job_id), sched.events(job_id)))
-            try:
-                batch, sent = events[sent:], len(events)
-                resting = job.terminal or job.state == "paused"
-                if resting:
-                    batch.append({"event": "state", "state": job.state})
-                yield "".join(json.dumps(e) + "\n"
-                              for e in batch).encode("utf-8")
-                if resting:
-                    return
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await asyncio.wait_for(asyncio.wrap_future(rested),
-                                           _EVENT_POLL)
-            finally:
-                rested.cancel()
+        sent, resting = 0, TERMINAL_STATES | {"paused"}
+        async for job in self._changes(job_id, until=resting):
+            batch = await asyncio.to_thread(self.scheduler.events, job_id,
+                                            sent)
+            sent += len(batch)
+            if job.state in resting:
+                batch.append({"event": "state", "state": job.state})
+            yield "".join(json.dumps(e) + "\n"
+                          for e in batch).encode("utf-8")

@@ -44,16 +44,12 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 __all__ = ["StoreError", "StoreCorrupt", "JobStore", "MemoryJobStore",
-           "SQLiteJobStore", "open_store", "spec_hash",
-           "CLAIMABLE_STATES"]
+           "SQLiteJobStore", "open_store", "spec_hash"]
 
 logger = logging.getLogger(__name__)
 
 #: store schema identifier (the ``meta`` table / doc marker)
 STORE_SCHEMA = "repro.store/v1"
-
-#: states :meth:`JobStore.recover` may re-queue when the claim expired
-CLAIMABLE_STATES = frozenset({"scheduled", "running"})
 
 #: spec fields that determine a job's result bit-for-bit (everything
 #: else -- priority, tenant, budgets -- is scheduling policy)
@@ -234,8 +230,8 @@ class JobStore:
         """Append one progress event to the job's log."""
         raise NotImplementedError
 
-    def events(self, job_id: str) -> List[Dict[str, Any]]:
-        """The job's events, append order."""
+    def events(self, job_id: str, after: int = 0) -> List[Dict[str, Any]]:
+        """The job's events, append order, past the first ``after``."""
         raise NotImplementedError
 
     # -- result cache --------------------------------------------------
@@ -783,11 +779,12 @@ class SQLiteJobStore(JobStore):
         with self._txn(begin=False):
             self._append_events(job_id, [event])
 
-    def events(self, job_id: str) -> List[Dict[str, Any]]:
+    def events(self, job_id: str, after: int = 0) -> List[Dict[str, Any]]:
         with self._txn(begin=False) as db:
             rows = db.execute(
                 "SELECT doc, sha256 FROM events WHERE job = ?"
-                " ORDER BY seq", (job_id,)).fetchall()
+                " ORDER BY seq LIMIT -1 OFFSET ?",
+                (job_id, after)).fetchall()
         return [self._row_doc(r) for r in rows]
 
     # -- result cache --------------------------------------------------

@@ -5,6 +5,7 @@ plan + seed must fire the same faults at the same sites every run, in
 every process.
 """
 
+import itertools
 import json
 
 import pytest
@@ -173,6 +174,27 @@ class TestInjector:
                                                         batch=b)
                    is not None for b in range(200)]
         assert differs != fires
+
+    @pytest.mark.parametrize("seed", [4242, 1234, 7])
+    def test_probabilistic_draws_are_independent_per_visit(self, seed):
+        """200 visits of a ``prob=0.5`` spec fire about half the time
+        in about 100 runs (maximal stretches of equal outcomes), as
+        independent coin flips do -- not in a few long bursts."""
+        import itertools
+        plan = FaultPlan([FaultSpec("latency", prob=0.5, count=10**6)],
+                         seed=seed)
+        inj = FaultInjector(plan)
+        by_sweep = [inj.fire("batch", sweep=s, batch=0, attempt=0)
+                    is not None for s in range(200)]
+        site = FaultPlan([FaultSpec("latency", site="fleet.rpc",
+                                    prob=0.5, count=10**6)], seed=seed)
+        inj = FaultInjector(site)
+        by_call = [inj.fire("transport", site="fleet.rpc") is not None
+                   for _ in range(200)]
+        for fires in (by_sweep, by_call):
+            runs = sum(1 for _ in itertools.groupby(fires))
+            assert 70 <= sum(fires) <= 130
+            assert 80 <= runs <= 122
 
     def test_checkpoint_fault_step_selector(self):
         plan = FaultPlan([FaultSpec("checkpoint_truncate", step=4)])

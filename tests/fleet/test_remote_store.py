@@ -116,6 +116,24 @@ class TestContractOverTcp:
         events = remote.events(doc["id"])
         assert [e["event"] for e in events] == ["submitted", "leased"]
 
+    def test_events_after_reads_only_the_rest(self, remote,
+                                              store_server):
+        """``events(after=k)`` ships the rows past the first k; an
+        envelope with no ``after``, as a client from before the
+        argument sends it, is answered with the whole log."""
+        from repro.fleet.protocol import pack_request, unpack_response
+        from repro.serve.transport import exchange
+        doc = seeded_doc(remote)
+        log = [{"event": "step", "step": k} for k in range(4)]
+        for event in log:
+            remote.append_event(doc["id"], event)
+        assert remote.events(doc["id"], after=3) == log[3:]
+        assert remote.events(doc["id"], after=9) == []
+        with exchange("127.0.0.1", store_server.port, "POST", "/rpc/v1",
+                      pack_request("events", {"job_id": doc["id"]}),
+                      timeout=10.0) as resp:
+            assert unpack_response(resp.read()) == log
+
     def test_cancel_and_requeue(self, remote):
         doc = seeded_doc(remote)
         assert remote.request_cancel(doc["id"]) == "cancelled"

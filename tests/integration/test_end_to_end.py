@@ -52,7 +52,7 @@ class TestMiniPaperRun:
             wall_seconds=max(backend.model_seconds, 1e-9),
         )
         row = report.as_row("mini")
-        assert report.counter.overhead_ratio > 1.0
+        assert report.overhead_ratio > 1.0
         assert report.raw_gflops > report.effective_gflops
         assert row["usd"] == pytest.approx(40_870, rel=1e-2)
 

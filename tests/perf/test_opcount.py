@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core import TreeCode
-from repro.perf.opcount import (OPS_PER_INTERACTION, OperationCounter, flops,
-                                gflops, original_interaction_count)
+from repro.perf.opcount import (OPS_PER_INTERACTION, flops, gflops,
+                                original_interaction_count)
+from repro.perf.report import HeadlineReport
 
 
 class TestConventions:
@@ -29,23 +30,32 @@ class TestConventions:
         assert gflops(4.69e12, 30_141.0) == pytest.approx(5.92, rel=5e-3)
 
 
+def _counts(modified, original, seconds=1.0):
+    """A one-particle, one-step report of the two interaction counts."""
+    return HeadlineReport(1, 1, modified, original, wall_seconds=seconds)
+
+
 class TestOperationCounter:
+    """Raw vs corrected operation accounting, as ``HeadlineReport``
+    keeps it."""
+
     def test_paper_ratio(self):
         """Modified/original = 2.90e13/4.69e12 ~ 6.18."""
-        c = OperationCounter(2.90e13, 4.69e12)
-        assert c.overhead_ratio == pytest.approx(6.18, abs=0.02)
+        assert _counts(2.90e13, 4.69e12).overhead_ratio == pytest.approx(
+            6.18, abs=0.02)
 
     def test_speeds(self):
-        c = OperationCounter(2.90e13, 4.69e12)
-        assert c.raw_gflops(30_141.0) == pytest.approx(36.4, rel=5e-3)
-        assert c.effective_gflops(30_141.0) == pytest.approx(5.92, rel=5e-3)
+        c = _counts(2.90e13, 4.69e12, seconds=30_141.0)
+        assert c.raw_gflops == pytest.approx(36.4, rel=5e-3)
+        assert c.effective_gflops == pytest.approx(5.92, rel=5e-3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            OperationCounter(-1.0, 1.0)
+        for modified, original in ((-1.0, 1.0), (1.0, -1.0)):
+            with pytest.raises(ValueError):
+                _counts(modified, original)
 
     def test_zero_original_infinite_ratio(self):
-        assert OperationCounter(10.0, 0.0).overhead_ratio == np.inf
+        assert _counts(10.0, 0.0).overhead_ratio == np.inf
 
 
 class TestOriginalCount:

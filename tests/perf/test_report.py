@@ -34,7 +34,7 @@ class TestPaperHeadline:
                                                                    abs=0.01)
 
     def test_overhead_ratio(self):
-        assert PAPER_HEADLINE.counter.overhead_ratio == pytest.approx(
+        assert PAPER_HEADLINE.overhead_ratio == pytest.approx(
             6.18, abs=0.02)
 
     def test_as_row_complete(self):

@@ -424,7 +424,7 @@ class _CountingGet(MemoryJobStore):
 
 
 class TestLongPoll:
-    """``GET /jobs/{id}?wait=S``: held on the loop for the job's rest
+    """``GET /jobs/{id}?wait=S``: held on the loop for the job's change
     signal, answered by the write that ends the run."""
 
     def _running(self, client, spec=FE_SPEC):
@@ -552,9 +552,7 @@ class TestLongPoll:
             assert e.value.status == 404
 
     def test_the_event_stream_closes_at_the_terminal_write(
-            self, tmp_path, serve_factory, gate, monkeypatch):
-        from repro.serve import server as server_mod
-        monkeypatch.setattr(server_mod, "_EVENT_POLL", 5.0)
+            self, tmp_path, serve_factory, gate):
         with serve_factory(slots=1, workdir=tmp_path) as (server,
                                                           client):
             jid = self._running(client)
@@ -572,3 +570,65 @@ class TestLongPoll:
             reader.join(10)
             assert closed and closed[0] - t0 < 1.0
             assert events[-1] == {"event": "state", "state": "done"}
+
+
+class _CountingEvents(MemoryJobStore):
+    """A store that counts the event rows its ``events`` returns."""
+
+    def __init__(self):
+        super().__init__()
+        self.rows = 0
+
+    def events(self, job_id, *after):
+        out = super().events(job_id, *after)
+        self.rows += len(out)
+        return out
+
+
+class TestChangeSignal:
+    """Every write a worker makes about a job wakes that job's waiters:
+    its slot's progress events and a cancel that finishes it, too."""
+
+    def test_following_a_run_reads_each_event_row_once(
+            self, tmp_path, serve_factory, gate, tiny_run):
+        store = _CountingEvents()
+        with serve_factory(slots=1, workdir=tmp_path,
+                           store=store) as (server, client):
+            jid = client.submit(_run_spec({**tiny_run, "steps": 6}))["id"]
+            _until(lambda: client.job(jid)["state"] == "running")
+            streamed = []
+            reader = threading.Thread(
+                target=lambda: streamed.extend(client.events(jid)))
+            reader.start()
+            _until(lambda: _waiting(server.scheduler, jid))
+            gate.set()
+            reader.join(60)
+            assert not reader.is_alive()
+            assert client.job(jid)["state"] == "done"
+            log = MemoryJobStore.events(store, jid)  # uncounted
+            assert [e["event"] for e in log].count("step") == 6
+            assert streamed == log + [{"event": "state", "state": "done"}]
+            assert store.rows == len(log)
+
+    def test_cancelling_a_queued_job_answers_its_long_poll(
+            self, tmp_path, gate):
+        """Only an idle slot would read the store again here (every
+        30 s): the cancel itself must wake the held request."""
+        from repro.serve import Scheduler
+        from tests.serve.conftest import serving
+        sched = Scheduler(slots=1, workdir=tmp_path, cache=False,
+                          poll_interval=30.0)
+        with serving(sched) as (server, client):
+            held_slot = client.submit(FE_SPEC)["id"]
+            _until(lambda: client.job(held_slot)["state"] == "running")
+            jid = client.submit(FE_SPEC)["id"]
+            answer = []
+            held = _hold(ServeClient(port=server.port), jid, 5, answer)
+            _until(lambda: _waiting(sched, jid))
+            t0 = time.monotonic()
+            assert client.cancel(jid)["state"] == "cancelled"
+            held.join(10)
+            assert not held.is_alive()
+            assert answer[0]["state"] == "cancelled"
+            assert answer[1] - t0 < 1.0
+            gate.set()

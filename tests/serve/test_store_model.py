@@ -275,6 +275,15 @@ class StoreMachine(RuleBasedStateMachine):
         self.store.append_event(jid, event)
         self.events[jid].append(event)
 
+    @rule(n=picks, back=st.integers(min_value=-1, max_value=3))
+    def event_suffix(self, n, back):
+        """Read a log's last ``back`` events (none past its end) by
+        skipping the ones before them."""
+        jid = self.pick(n) or "j999999"
+        log = self.events.get(jid, [])
+        after = max(0, len(log) - back)
+        assert self.store.events(jid, after=after) == log[after:]
+
     # -- result cache --------------------------------------------------
     @rule(key=st.sampled_from(KEYS), put=st.none() | st.integers(0, 99),
           digest=st.none() | st.just("d" * 64))
